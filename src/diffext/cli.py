@@ -16,10 +16,10 @@ Exit status: 0 all checks passed, 1 a check failed or a probe was rejected,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 
-from .autos import apply_auto, auto_constraints, auto_order, build_auto, inner_auto
+from .autos import auto_constraints, auto_order, build_auto, inner_auto
 from .errors import (
     ConditionFailed,
     ConfigError,
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     try:
         inst = load_instance(args.config)
         if args.seed is not None:
-            inst = _with_seed(inst, args.seed)
+            inst = replace(inst, config=replace(inst.config, seed=args.seed))
     except OSError as exc:
         print("error: cannot read config: %s" % exc, file=sys.stderr)
         return 2
@@ -217,19 +217,6 @@ def main(argv=None) -> int:
 
     _emit(report, args.json)
     return 1 if report.failed else 0
-
-
-def _with_seed(inst, seed: int):
-    from dataclasses import replace
-
-    from .frontend import Instance
-
-    return Instance(
-        config=replace(inst.config, seed=seed),
-        K=inst.K,
-        g=inst.g,
-        algebra=inst.algebra,
-    )
 
 
 if __name__ == "__main__":

@@ -12,15 +12,19 @@ equivalently when f is right-invariant.
 
 Structure constants over F are materialized once per algebra: every basis
 product e_i o e_j is expanded in the F-basis {x^j t^i}, each scalar checked
-constant.  The nucleus, center and centralizer computations are then kernel
-problems for F-linear systems assembled from that table; the element-level
-product keeps using the twisted arithmetic directly, so the two routes
-cross-check each other in the tests.
+constant.  Nuclei, center and centralizers are then common kernels of
+F-linear maps on coordinates, all computed by one routine: a running F-basis
+is cut down one map at a time (v |-> [v, a, b], [a, v, b], [a, b, v] over
+basis pairs for the nuclei, v |-> v o s - s o v for commutators), then put
+in the canonical free-column form.  The center starts from the cached full
+nucleus.  Associators and commutators in coordinates come from the table
+alone; the element-level product keeps using the twisted arithmetic
+directly, so the two routes cross-check each other in the tests.
 """
 
 from __future__ import annotations
 
-from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
+from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
 from .scalars import RatFunc
@@ -29,6 +33,13 @@ from .towers import PPolynomial
 __all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
 
 _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
+
+# Where the argument of a nucleus map goes in the associator [_, _, _].
+_PLACE = {
+    "left": lambda v, a, b: (v, a, b),
+    "middle": lambda v, a, b: (a, v, b),
+    "right": lambda v, a, b: (a, b, v),
+}
 
 
 class AlgebraElement:
@@ -108,7 +119,7 @@ class ExtAlgebra:
     @property
     def base_field(self):
         """The coefficient structure whose elements appear in coordinates."""
-        return self.ring.base if hasattr(self.ring, "base") else self.ring
+        return self.ring.base_field
 
     @property
     def dim(self) -> int:
@@ -221,31 +232,52 @@ class ExtAlgebra:
                         out[k] = out[k] + w * s
         return tuple(out)
 
-    def _unit_coords(self, i):
+    def _units(self):
+        """Coordinate vectors of basis()."""
         K = self.base_field
-        return tuple(K.one() if j == i else K.zero() for j in range(self.dim))
+        one, zero = K.one(), K.zero()
+        return [
+            tuple(one if j == i else zero for j in range(self.dim))
+            for i in range(self.dim)
+        ]
 
-    def _assoc_coords(self, i, a, b):
-        """Coordinates of the associator [e_i, e_a, e_b] from the table."""
-        table = self.structure_constants()
+    def _assoc(self, us, vs, ws):
+        """Coordinates of the associator (u v) w - u (v w) via the table."""
+        m = self._mul_coords
+        return tuple(l - r for l, r in zip(m(m(us, vs), ws), m(us, m(vs, ws))))
+
+    def _commutator(self, us, vs):
+        """Coordinates of u v - v u via the table."""
+        m = self._mul_coords
+        return tuple(l - r for l, r in zip(m(us, vs), m(vs, us)))
+
+    def _common_kernel(self, maps, start):
+        """Canonical F-basis of the vectors in span(start) killed by every map.
+
+        Each map takes a coordinate vector to a coordinate vector and must be
+        F-linear.  The running basis is cut down one map at a time to the
+        combinations of its vectors that the map sends to zero.  The result
+        is the reduced echelon form of the reversed coordinates, read back:
+        for a kernel that is exactly the one-vector-per-free-column basis
+        Matrix.kernel returns, whatever the order of the maps.
+        """
         K = self.base_field
         zero = K.zero()
-        n = self.dim
-        left = [zero] * n
-        ia = table[i][a]
-        for c, s in enumerate(ia):
-            if s:
-                for k, s2 in enumerate(table[c][b]):
-                    if s2:
-                        left[k] = left[k] + s * s2
-        right = [zero] * n
-        ab = table[a][b]
-        for c, s in enumerate(ab):
-            if s:
-                for k, s2 in enumerate(table[i][c]):
-                    if s2:
-                        right[k] = right[k] + s * s2
-        return tuple(l - r for l, r in zip(left, right))
+        basis = list(start)
+        for fn in maps:
+            images = [fn(v) for v in basis]
+            if not any(any(im) for im in images):
+                continue
+            combos = Matrix(K, zip(*images)).kernel()
+            basis = [
+                tuple(
+                    sum((c * e for c, e in zip(combo, col) if c and e), zero)
+                    for col in zip(*basis)
+                )
+                for combo in combos
+            ]
+        red, pivots = Matrix(K, [v[::-1] for v in basis]).rref()
+        return [row[::-1] for row in reversed(red.rows[: len(pivots)])]
 
     # -- invariants ------------------------------------------------------
 
@@ -253,12 +285,9 @@ class ExtAlgebra:
         return (u * v) * w - u * (v * w)
 
     def is_associative(self) -> bool:
-        n = self.dim
-        return all(
-            not any(self._assoc_coords(i, a, b))
-            for i in range(n)
-            for a in range(n)
-            for b in range(n)
+        units = self._units()
+        return not any(
+            any(self._assoc(u, v, w)) for u in units for v in units for w in units
         )
 
     def nucleus(self, which: str = "full"):
@@ -268,73 +297,29 @@ class ExtAlgebra:
         """
         if which not in _NUCLEUS_SLOTS:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
-        if which in self._nucleus_cache:
-            return list(self._nucleus_cache[which])
-        n = self.dim
-        rows = self._nucleus_rows(which)
-        vectors = _kernel_of_rows(self.base_field, rows, n)
-        out = [self.from_coords(v) for v in vectors]
-        self._nucleus_cache[which] = tuple(out)
-        return out
-
-    def _nucleus_rows(self, which):
-        n = self.dim
-        rows = []
-        slots = {"left": (0,), "middle": (1,), "right": (2,), "full": (0, 1, 2)}[which]
-        for slot in slots:
-            for a in range(n):
-                for b in range(n):
-                    cols = []
-                    for i in range(n):
-                        if slot == 0:
-                            cols.append(self._assoc_coords(i, a, b))
-                        elif slot == 1:
-                            cols.append(self._assoc_coords(a, i, b))
-                        else:
-                            cols.append(self._assoc_coords(a, b, i))
-                    for k in range(n):
-                        row = tuple(cols[i][k] for i in range(n))
-                        if any(row):
-                            rows.append(row)
-        return rows
+        if which not in self._nucleus_cache:
+            units = self._units()
+            slots = _NUCLEUS_SLOTS[:3] if which == "full" else (which,)
+            maps = [
+                lambda v, place=_PLACE[slot], a=a, b=b: self._assoc(*place(v, a, b))
+                for slot in slots
+                for a in units
+                for b in units
+            ]
+            vectors = self._common_kernel(maps, units)
+            self._nucleus_cache[which] = tuple(self.from_coords(v) for v in vectors)
+        return list(self._nucleus_cache[which])
 
     def center(self):
         """Elements of the full nucleus commuting with everything."""
-        rows = self._nucleus_rows("full") + self._commutation_rows(range(self.dim))
-        vectors = _kernel_of_rows(self.base_field, rows, self.dim)
-        return [self.from_coords(v) for v in vectors]
-
-    def _commutation_rows(self, indices):
-        n = self.dim
-        table = self.structure_constants()
-        rows = []
-        for a in indices:
-            for k in range(n):
-                row = tuple(table[i][a][k] - table[a][i][k] for i in range(n))
-                if any(row):
-                    rows.append(row)
-        return rows
+        maps = [lambda v, a=a: self._commutator(v, a) for a in self._units()]
+        full = [self.coords(z) for z in self.nucleus("full")]
+        return [self.from_coords(v) for v in self._common_kernel(maps, full)]
 
     def centralizer(self, elems):
         """Basis of the subspace commuting with every element of elems."""
-        n = self.dim
-        table = self.structure_constants()
-        rows = []
-        for s in elems:
-            scoords = self.coords(s)
-            K = self.base_field
-            zero = K.zero()
-            # Row block: coords of e_i o s - s o e_i as i varies.
-            cols = []
-            for i in range(n):
-                left = self._mul_coords(self._unit_coords(i), scoords)
-                right = self._mul_coords(scoords, self._unit_coords(i))
-                cols.append(tuple(x - y for x, y in zip(left, right)))
-            for k in range(n):
-                row = tuple(cols[i][k] for i in range(n))
-                if any(row):
-                    rows.append(row)
-        vectors = _kernel_of_rows(self.base_field, rows, n)
+        maps = [lambda v, sc=self.coords(s): self._commutator(v, sc) for s in elems]
+        vectors = self._common_kernel(maps, self._units())
         return [self.from_coords(v) for v in vectors]
 
     # -- factors and verdicts ---------------------------------------------
@@ -349,7 +334,7 @@ class ExtAlgebra:
         the witness b or None.
         """
         for b in _fraction_candidates(self.base_field, bound):
-            cand = self.ring.embed(b) if hasattr(self.ring, "base") else b
+            cand = self.ring.embed(b)
             if v_g(self.ring, self.g, cand) == self.d:
                 lin = DiffPoly(self.ring, (-cand, self.ring.one()))
                 q, r = self.f.right_divmod(lin)
@@ -371,7 +356,7 @@ class ExtAlgebra:
         b = self.linear_right_factor_search(bound)
         if b is not None:
             return "not division (witness)", b
-        if self.ring.char == 2 and self.g.e == 1 and not hasattr(self.ring, "base"):
+        if self.ring.char == 2 and self.g.e == 1 and self.ring.is_commutative:
             # Degree-2 moduli factor through a linear right factor if they
             # factor at all, so exhausting candidates up to the bound is a
             # genuine proof once the bound covers the instance data.
@@ -417,24 +402,6 @@ class ShiftIso:
 
     def inverse(self) -> "ShiftIso":
         return ShiftIso(self.target, -self.a)
-
-
-def _kernel_of_rows(field, rows, ncols):
-    """Kernel basis of a tall system, with duplicate rows dropped."""
-    seen = set()
-    unique = []
-    for r in rows:
-        if r in seen:
-            continue
-        seen.add(r)
-        unique.append(r)
-    if not unique:
-        one, zero = field.one(), field.zero()
-        return [
-            tuple(one if j == i else zero for j in range(ncols))
-            for i in range(ncols)
-        ]
-    return Matrix(field, unique).kernel()
 
 
 def _fraction_candidates(K, bound: int):

@@ -67,10 +67,6 @@ class DiffPoly:
     def t(cls, ring):
         return cls(ring, (ring.zero(), ring.one()))
 
-    @classmethod
-    def from_coeffs(cls, ring, coeffs):
-        return cls(ring, coeffs)
-
     def degree(self) -> int:
         """Degree in t; -1 denotes the zero polynomial."""
         return len(self.coeffs) - 1
@@ -323,11 +319,11 @@ def find_inner_constant(ring, g: PPolynomial):
     """
     basis = ring.constant_basis()
     n = len(basis)
-    base_field = ring.base if hasattr(ring, "base") else ring
+    base_field = ring.base_field
     rows = []
     rhs = []
     for b in basis:
-        target = _apply_p_poly(ring, g, b)
+        target = g.apply_operator(ring, b)
         target_coords = ring.coords(target)
         # Column j: coords of basis[j]*b - b*basis[j].
         cols = [ring.coords(ej * b - b * ej) for ej in basis]
@@ -351,16 +347,3 @@ def find_inner_constant(ring, g: PPolynomial):
         raise InternalInvariantViolation("solver returned a non-constant d0")
     return d0
 
-
-def _apply_p_poly(ring, g: PPolynomial, b):
-    """g(delta) applied inside the coefficient ring (matrix or field)."""
-    orbit = [b]
-    cur = b
-    for _ in range(g.degree()):
-        cur = ring.delta(cur)
-        orbit.append(cur)
-    acc = orbit[ring.char ** g.e]
-    for i, ai in enumerate(g.coeffs, start=1):
-        if ai:
-            acc = acc + ring.embed(ai) * orbit[ring.char ** (g.e - i)]
-    return acc

@@ -6,12 +6,10 @@ provide ``zero()`` and ``one()``.  In practice the entries are canonical
 rational functions, so equality and the zero test are structural and the
 results are exact.
 
-Pivot choice is deterministic: first nonzero entry scanning top to bottom,
-unless a ``size`` function is supplied, in which case the candidate with the
-smallest size wins (ties break toward the earlier row).  A fraction-free
-mode avoids divisions during elimination and normalizes once at the end;
-it exists because intermediate fractions can blow up on larger systems, and
-it must return exactly what the plain mode returns.
+Pivot choice is deterministic: first nonzero entry scanning top to bottom.
+Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
+the unique reduced row echelon form and ``kernel`` the basis with one vector
+per free column.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class Matrix:
 
     # -- elimination -------------------------------------------------
 
-    def rref(self, *, size=None, fraction_free=False):
+    def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot_columns)."""
         rows = [list(r) for r in self.rows]
         pivots = []
@@ -90,52 +88,39 @@ class Matrix:
             best = None
             for i in range(rank, len(rows)):
                 if rows[i][col]:
-                    if size is None:
-                        best = i
-                        break
-                    if best is None or size(rows[i][col]) < size(rows[best][col]):
-                        best = i
+                    best = i
+                    break
             if best is None:
                 continue
             rows[rank], rows[best] = rows[best], rows[rank]
             pivot_row = rows[rank]
-            if not fraction_free:
-                inv = pivot_row[col].inverse()
-                for j in range(col, self.ncols):
-                    if pivot_row[j]:
-                        pivot_row[j] = inv * pivot_row[j]
-            pv = pivot_row[col]
+            inv = pivot_row[col].inverse()
+            for j in range(col, self.ncols):
+                if pivot_row[j]:
+                    pivot_row[j] = inv * pivot_row[j]
             for i in range(len(rows)):
                 if i == rank or not rows[i][col]:
                     continue
                 r = rows[i]
-                if fraction_free:
-                    # r <- pv*r - r[col]*pivot_row, no divisions.
-                    c = r[col]
-                    for j in range(self.ncols):
-                        r[j] = pv * r[j] - c * pivot_row[j]
-                else:
-                    c = r[col]
-                    for j in range(col, self.ncols):
-                        if pivot_row[j]:
-                            r[j] = r[j] - c * pivot_row[j]
+                c = r[col]
+                for j in range(col, self.ncols):
+                    if pivot_row[j]:
+                        r[j] = r[j] - c * pivot_row[j]
             pivots.append(col)
             rank += 1
             if rank == len(rows):
                 break
-        if fraction_free:
-            # One normalization pass restores the plain-mode result.
-            for k, col in enumerate(pivots):
-                inv = rows[k][col].inverse()
-                rows[k] = [inv * e if e else e for e in rows[k]]
         return Matrix(self.field, rows), tuple(pivots)
 
-    def rank(self, **kw) -> int:
-        return len(self.rref(**kw)[1])
+    def rank(self) -> int:
+        return len(self.rref()[1])
 
-    def kernel(self, **kw):
+    def kernel(self):
         """Basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref(**kw)
+        return self._kernel_from_rref(*self.rref())
+
+    def _kernel_from_rref(self, red, pivots):
+        """Kernel basis read off a reduced form whose first ncols columns are self's."""
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         zero, one = self.field.zero(), self.field.one()
@@ -150,20 +135,22 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, rhs, **kw):
+    def solve(self, rhs):
         """Particular solution with free variables at zero, plus kernel basis.
 
-        Raises NoSolution when the system is inconsistent.
+        Raises NoSolution when the system is inconsistent.  One elimination
+        of the augmented matrix serves both: when the system is consistent
+        no pivot falls in the last column, so the pivots and the first
+        ncols columns are those of rref(self).
         """
-        aug = self.augment(rhs)
-        red, pivots = aug.rref(**kw)
+        red, pivots = self.augment(rhs).rref()
         if pivots and pivots[-1] == self.ncols:
             raise NoSolution("inconsistent linear system")
         zero = self.field.zero()
         x = [zero] * self.ncols
         for k, pcol in enumerate(pivots):
             x[pcol] = red.rows[k][self.ncols]
-        return tuple(x), self.kernel(**kw)
+        return tuple(x), self._kernel_from_rref(red, pivots)
 
     def inverse(self):
         """Two-sided inverse of a square matrix; NoSolution if singular."""

@@ -63,6 +63,11 @@ class DerivedField(RationalFunctionField):
     is_commutative = True
 
     @property
+    def base_field(self) -> "DerivedField":
+        """The field the coordinates over the constants live in: K itself."""
+        return self
+
+    @property
     def dim_over_constants(self) -> int:
         return self.p
 
@@ -172,18 +177,20 @@ class PPolynomial:
             out.append((self.p ** (self.e - i), a))
         return out
 
-    def apply_operator(self, K: DerivedField, a: RatFunc) -> RatFunc:
-        """Evaluate g(delta) at a, i.e. delta^(p^e)(a) + sum a_i delta^(p^(e-i))(a)."""
+    def apply_operator(self, ring, a):
+        """Evaluate g(delta) at a, i.e. delta^(p^e)(a) + sum a_i delta^(p^(e-i))(a).
+
+        ring is any coefficient ring (the derived field or the matrix
+        adapter); the constant coefficients a_i enter through ring.embed.
+        """
         # Iterate delta once, reusing prefixes of the orbit.
-        orbit = {0: a}
-        cur = a
-        for k in range(1, self.degree() + 1):
-            cur = K.delta(cur)
-            orbit[k] = cur
+        orbit = [a]
+        for _ in range(self.degree()):
+            orbit.append(ring.delta(orbit[-1]))
         acc = orbit[self.p ** self.e]
         for i, ai in enumerate(self.coeffs, start=1):
             if ai:
-                acc = acc + ai * orbit[self.p ** (self.e - i)]
+                acc = acc + ring.embed(ai) * orbit[self.p ** (self.e - i)]
         return acc
 
     def annihilates(self, K: DerivedField) -> bool:
@@ -391,6 +398,11 @@ class MatrixRingAdapter:
     @property
     def char(self) -> int:
         return self.base.p
+
+    @property
+    def base_field(self) -> DerivedField:
+        """The field the coordinates over the constants live in."""
+        return self.base
 
     @property
     def dim_over_constants(self) -> int:

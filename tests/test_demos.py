@@ -1,0 +1,22 @@
+"""Each demo script runs to completion; the scripts assert what they print."""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_five_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue()

@@ -6,12 +6,46 @@ import pytest
 
 from diffext.dext import ExtAlgebra
 from diffext.diffpoly import DiffPoly, is_right_invariant, v_g
+from diffext.frontend import instance_from_text
+from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, PrimeField, RatFunc
 from diffext.towers import DerivedField, MatrixRingAdapter, minimal_p_polynomial
 
 
 def span_coords(alg, elems):
     return sorted(tuple(str(c) for c in alg.coords(e)) for e in elems)
+
+
+def p3_algebra(delta_of_x, d):
+    text = "p = 3\ndelta_of_x = %s\nd = %s\n" % (delta_of_x, d)
+    return instance_from_text(text).algebra
+
+
+def basis_str(elems):
+    return ", ".join(str(e) for e in elems)
+
+
+def nucleus_oracle(alg, which):
+    """Nucleus coordinates from one stacked kernel over twisted associators.
+
+    Every associator comes from the element-level product, not from the
+    structure constants; zero rows are kept so that an associative algebra
+    yields the whole space.
+    """
+    basis = alg.basis()
+    slots = ("left", "middle", "right") if which == "full" else (which,)
+    place = {
+        "left": lambda v, a, b: (v, a, b),
+        "middle": lambda v, a, b: (a, v, b),
+        "right": lambda v, a, b: (a, b, v),
+    }
+    rows = []
+    for slot in slots:
+        for a in basis:
+            for b in basis:
+                cols = [alg.coords(alg.associator(*place[slot](v, a, b))) for v in basis]
+                rows.extend(zip(*cols))
+    return Matrix(alg.base_field, rows).kernel()
 
 
 def test_product_frozen_values(i1):
@@ -97,6 +131,26 @@ def test_nucleus_associative_instance(i2):
     assert span_coords(i2, nuc) == span_coords(i2, i2.basis())
 
 
+@pytest.mark.parametrize("which", ["left", "middle", "right", "full"])
+def test_nucleus_matches_element_level_oracle(i1, i2, which):
+    for alg in (i1, i2):
+        assert [alg.coords(e) for e in alg.nucleus(which)] == nucleus_oracle(alg, which)
+
+
+def test_left_nucleus_matches_oracle_rational_d():
+    alg = p3_algebra("x^2 + 1", "(x^2+1)/((x+1)*(x+2))")
+    assert [alg.coords(e) for e in alg.nucleus("left")] == nucleus_oracle(alg, "left")
+
+
+def test_structure_queries_constant_d():
+    # A constant d makes the algebra associative: the nucleus is everything,
+    # while the center and Cent(t) stay small.
+    alg = p3_algebra("x^2 + 1", "2")
+    assert len(alg.nucleus("full")) == 9
+    assert basis_str(alg.center()) == "1"
+    assert basis_str(alg.centralizer([alg.t()])) == "1, t, t^2"
+
+
 def test_nucleus_rejects_unknown_slot(i1):
     with pytest.raises(ValueError):
         i1.nucleus("outer")
@@ -135,6 +189,15 @@ def test_centralizer_frozen_value(i1, i3):
         cent = alg.centralizer([x])
         base = [alg.scalar(b) for b in alg.ring.constant_basis()]
         assert span_coords(alg, cent) == span_coords(alg, base)
+
+
+def test_centralizer_non_unit_bases(i3):
+    K = i3.ring
+    x = K.x()
+    t_plus_x = i3.element(DiffPoly(K, (x, K.one())))
+    x_t = i3.element(DiffPoly(K, (K.zero(), x)))
+    assert basis_str(i3.centralizer([t_plus_x])) == "1, t + x, t^2 + 2*x*t + x^2 + x"
+    assert basis_str(i3.centralizer([x_t])) == "1, x*t, x^2*t^2 + x^2*t"
 
 
 def test_centralizer_of_center_is_everything(i1):

@@ -17,10 +17,6 @@ def M(K, rows):
     return Matrix(K, [[K.from_int(e) if isinstance(e, int) else e for e in r] for r in rows])
 
 
-def rf_size(a):
-    return a.num.degree() + a.den.degree()
-
-
 def test_kernel_frozen_values():
     # Identity has trivial kernel.
     assert Matrix.identity(K2, 3).kernel() == []
@@ -65,27 +61,6 @@ def test_solve_residual_and_rank_nullity_sampled():
         if ker:
             shifted = tuple(a + b for a, b in zip(sol, ker[0]))
             assert mat.mul_vec(shifted) == rhs
-
-
-def test_fraction_free_matches_plain_mode():
-    rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(1, 5)
-        mat = Matrix(K3, [[random_ratfunc(K3, rng, 2) for _ in range(m)] for _ in range(n)])
-        plain, ppiv = mat.rref()
-        ff, fpiv = mat.rref(fraction_free=True)
-        assert ppiv == fpiv
-        assert plain == ff
-        assert mat.kernel() == mat.kernel(fraction_free=True)
-
-
-def test_pivot_size_heuristic_changes_nothing_semantically():
-    rng = random.Random(31)
-    for _ in range(30):
-        mat = Matrix(K2, [[random_ratfunc(K2, rng, 3) for _ in range(3)] for _ in range(4)])
-        # rref is unique, so the heuristic may only affect the path.
-        assert mat.rref()[0] == mat.rref(size=rf_size)[0]
 
 
 def test_inverse():
