@@ -27,10 +27,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dext import AlgebraElement, ExtAlgebra, _fraction_candidates
+from .dext import AlgebraElement, ExtAlgebra, _fraction_candidates, _numerators
 from .diffpoly import substitute, v_g
 from .errors import ConditionFailed, NotInvertible, NotNuclear, UnsupportedInstance
-from .scalars import random_ratfunc
+from .scalars import RatFunc, random_ratfunc
 
 __all__ = [
     "AutoDescriptor",
@@ -148,9 +148,11 @@ def log_derivative_witness(algebra: ExtAlgebra, c, bound: int = 6):
     the V_g test is the real criterion.
     """
     K = algebra.base_field
-    for u in _fraction_candidates(K, bound):
-        if u and K.log_derivative(u) == c:
-            return u
+    for den in _fraction_candidates(K, bound):
+        for num in _numerators(K, bound):
+            u = RatFunc(num, den)
+            if K.log_derivative(u) == c:
+                return u
     return None
 
 

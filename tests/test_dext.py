@@ -225,6 +225,89 @@ def test_linear_right_factor_x_squared():
     assert b == K.x()
 
 
+def _digits(code, p, width):
+    return [(code // p ** k) % p for k in range(width)]
+
+
+def brute_force_factor(alg, bound):
+    """The enumeration the factor search replaced: one V_g per candidate.
+
+    Denominators run monic by degree then base-p code, nonzero numerators
+    by code inside each denominator block, and zero comes last.
+    """
+    ring, K = alg.ring, alg.base_field
+    p = K.p
+    for dd in range(bound + 1):
+        for dcode in range(p ** dd):
+            den = DensePoly(K.field, _digits(dcode, p, dd) + [1])
+            for ncode in range(1, p ** (bound + 1)):
+                num = DensePoly(K.field, _digits(ncode, p, bound + 1))
+                b = ring.embed(RatFunc(num, den))
+                if v_g(ring, alg.g, b) == alg.d:
+                    return b
+    zero = ring.embed(K.zero())
+    return zero if v_g(ring, alg.g, zero) == alg.d else None
+
+
+def _fraction_of_height(K, rng, height):
+    p = K.p
+    num = DensePoly(K.field, [rng.randrange(p) for _ in range(height)] + [rng.randrange(1, p)])
+    den = DensePoly(K.field, [rng.randrange(p) for _ in range(rng.randrange(height + 1))] + [1])
+    return RatFunc(num, den)
+
+
+@pytest.mark.parametrize("p,bounds", [(2, range(4)), (3, range(3))], ids=["p2", "p3"])
+@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1"])
+def test_factor_search_matches_enumeration(p, bounds, weight):
+    K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+    g = minimal_p_polynomial(K)
+    rng = random.Random("%d:%s" % (p, weight))
+    for bound in bounds:
+        ds = [
+            K.zero(),
+            _fraction_of_height(K, rng, 2),
+            v_g(K, g, _fraction_of_height(K, rng, bound)),
+            v_g(K, g, _fraction_of_height(K, rng, bound + 1)),
+        ]
+        for d in ds:
+            alg = ExtAlgebra(K, g, d)
+            assert str(alg.linear_right_factor_search(bound)) == str(brute_force_factor(alg, bound))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_factor_search_zero_d_picks_smallest_kernel_vector(p):
+    # delta(x) = x^2 + x makes both x and x + 1 logarithmic derivatives, so
+    # with d = 0 the first block already has a kernel of dimension 2.
+    alg = instance_from_text("p = %d\ndelta_of_x = x^2 + x\nd = 0\n" % p).algebra
+    for bound in (1, 2):
+        assert str(alg.linear_right_factor_search(bound)) == str(brute_force_factor(alg, bound)) == "1"
+
+
+def test_factor_search_matches_enumeration_over_matrices():
+    F = PrimeField(2)
+    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
+    A = MatrixRingAdapter(K, 2)
+    g = minimal_p_polynomial(K)
+    b0 = RatFunc(DensePoly(F, (1, 1)), DensePoly(F, (0, 1)))
+    scalar = ExtAlgebra(A, g, A.embed(v_g(K, g, b0)))
+    b = scalar.linear_right_factor_search(1)
+    assert b is not None and str(b) == str(brute_force_factor(scalar, 1))
+    # V_g of a scalar matrix is scalar, so no candidate reaches this d.
+    x, zero = K.x(), K.zero()
+    lone = ExtAlgebra(A, g, A.of([[x, zero], [zero, zero]]))
+    assert lone.linear_right_factor_search(1) is None
+    assert brute_force_factor(lone, 1) is None
+
+
+@pytest.mark.xfail(strict=True, reason="p = 2 treats bound >= 4 as conclusive for every d")
+def test_division_verdict_misses_factor_above_bound():
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n").algebra
+    K = alg.ring
+    assert v_g(K, alg.g, K.x() ** 10) == alg.d
+    verdict, _ = alg.division_verdict(4)
+    assert verdict != "division (proved)"
+
+
 def test_division_verdicts(i1, i2, i3):
     # I1: no linear factor up to bound 4; for p = 2 that is conclusive.
     verdict, witness = i1.division_verdict(4)

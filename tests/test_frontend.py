@@ -1,11 +1,15 @@
 """Config parsing, verification suites, reports, and the command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import diffext
+from diffext.cli import main
 from diffext.errors import (
     ConfigError,
     GNotAnnihilating,
@@ -15,6 +19,17 @@ from diffext.errors import (
 from diffext.frontend import SUITES, instance_from_text, run_suite
 
 I1_TEXT = "p = 2\ndelta_of_x = x\nd = x\nseed = 0\ndegree_bound = 4\n"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The command-line tests run a child interpreter; it imports the same
+# package as the tests, whether or not diffext is installed.
+_CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [str(Path(diffext.__file__).resolve().parent.parent)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+)
 
 
 def test_load_instance_frozen_shape():
@@ -121,7 +136,7 @@ def _cli(tmp_path, *args, config=I1_TEXT):
     cmd = [sys.executable, "-m", "diffext"] + [
         str(cfg) if a == "CFG" else a for a in args
     ]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_CHILD_ENV)
 
 
 def test_cli_build_exit_zero(tmp_path):
@@ -129,6 +144,10 @@ def test_cli_build_exit_zero(tmp_path):
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
     assert "dim_over_F=4" in proc.stdout
+    assert "associative=false" in proc.stdout
+    proc = _cli(tmp_path, "build", "CFG", config="p = 2\ndelta_of_x = x\nd = x^2\n")
+    assert proc.returncode == 0
+    assert "associative=true" in proc.stdout
 
 
 def test_cli_nucleus_which(tmp_path):
@@ -186,6 +205,7 @@ def test_cli_usage_errors_exit_two(tmp_path):
         [sys.executable, "-m", "diffext", "build", str(tmp_path / "missing.cfg")],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
@@ -207,3 +227,12 @@ def test_cli_seed_override_changes_nothing_semantic(tmp_path):
     b = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")
     assert a.returncode == b.returncode == 0
     assert a.stdout.splitlines()[0] == b.stdout.splitlines()[0]
+
+
+def test_cli_single_command_reports_real_duration(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["nucleus", str(CONFIGS / "i3.cfg"), "--which", "left", "--json", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["name"] == "nucleus" and check["ms"] >= 1
