@@ -27,10 +27,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dext import AlgebraElement, ExtAlgebra, _fraction_candidates, _numerators
+from .dext import AlgebraElement, ExtAlgebra, _bounded_height_witness
 from .diffpoly import substitute, v_g
-from .errors import ConditionFailed, NotInvertible, NotNuclear, UnsupportedInstance
-from .scalars import RatFunc, random_ratfunc
+from .errors import (
+    ConditionFailed,
+    InternalInvariantViolation,
+    NotInvertible,
+    NotNuclear,
+    UnsupportedInstance,
+)
+from .scalars import random_ratfunc
 
 __all__ = [
     "AutoDescriptor",
@@ -144,16 +150,17 @@ def is_log_derivative(algebra: ExtAlgebra, c) -> bool:
 def log_derivative_witness(algebra: ExtAlgebra, c, bound: int = 6):
     """Bounded search for u with delta(u)/u = c; None when none is found.
 
-    Advisory only: absence of a witness below the bound proves nothing,
-    the V_g test is the real criterion.
+    delta(u) = c*u is F_p-linear in u, so this is the bounded-height search
+    of the factor search with the map u |-> delta(u) - c*u and target 0:
+    the first nonzero u/v, deg u, deg v <= bound, in the same order, each
+    monic v one linear solve.  Advisory only: absence of a witness below
+    the bound proves nothing, the V_g test is the real criterion.
     """
     K = algebra.base_field
-    for den in _fraction_candidates(K, bound):
-        for num in _numerators(K, bound):
-            u = RatFunc(num, den)
-            if K.log_derivative(u) == c:
-                return u
-    return None
+    u = _bounded_height_witness(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+    if u is not None and K.log_derivative(u) != c:
+        raise InternalInvariantViolation("log-derivative search returned u with delta(u)/u != c")
+    return u
 
 
 def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:

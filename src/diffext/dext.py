@@ -28,7 +28,9 @@ numerators that work for one v form an affine F_p-space: V_g(x^i/v) is
 expanded honestly for each i up to the bound, the equation
 sum c_i V_g(x^i/v) = d is cleared of denominators coordinate by coordinate
 and solved once, and the smallest-code solution is the witness a plain
-enumeration of the numerators would meet first.
+enumeration of the numerators would meet first.  The same bounded-height
+search, _bounded_height_witness, takes any F_p-linear map and target; the
+log-derivative witness of the autos layer is its other caller.
 """
 
 from __future__ import annotations
@@ -304,6 +306,10 @@ class ExtAlgebra:
 
         which: left, middle, right, or full (the intersection).
         """
+        return [self.from_coords(v) for v in self._nucleus_coords(which)]
+
+    def _nucleus_coords(self, which):
+        # Cached as coordinate tuples: elements would point back at self.
         if which not in _NUCLEUS_SLOTS:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
         if which not in self._nucleus_cache:
@@ -315,14 +321,13 @@ class ExtAlgebra:
                 for a in units
                 for b in units
             ]
-            vectors = self._common_kernel(maps, units)
-            self._nucleus_cache[which] = tuple(self.from_coords(v) for v in vectors)
-        return list(self._nucleus_cache[which])
+            self._nucleus_cache[which] = tuple(self._common_kernel(maps, units))
+        return self._nucleus_cache[which]
 
     def center(self):
         """Elements of the full nucleus commuting with everything."""
         maps = [lambda v, a=a: self._commutator(v, a) for a in self._units()]
-        full = [self.coords(z) for z in self.nucleus("full")]
+        full = self._nucleus_coords("full")
         return [self.from_coords(v) for v in self._common_kernel(maps, full)]
 
     def centralizer(self, elems):
@@ -337,56 +342,23 @@ class ExtAlgebra:
         """Search b of bounded height with t - b right-dividing f.
 
         Right factors t - b correspond exactly to V_g(b) = d.  Candidates
-        are the fractions u/v with deg u, deg v <= bound, v monic, ordered
-        by denominator (by degree, then base-p code), then by the code of
-        the nonzero numerator; zero is tried last so that a unit witness is
-        preferred when d = 0 makes the trivial factor t available.  The
-        first candidate in that order is returned, or None.  Each
-        denominator costs bound + 1 evaluations of V_g and one F_p-linear
-        solve, not one evaluation per numerator.
+        are the fractions u/v with deg u, deg v <= bound, v monic, in the
+        order of _bounded_height_witness; zero is tried last so that a unit
+        witness is preferred when d = 0 makes the trivial factor t
+        available.  The first candidate in that order is returned, or None.
         """
-        for den in _fraction_candidates(self.base_field, bound):
-            b = self._block_witness(den, bound)
-            if b is not None:
-                return self._checked_factor(b)
+        ring, g = self.ring, self.g
+        b = _bounded_height_witness(
+            self.base_field,
+            lambda u: ring.coords(v_g(ring, g, ring.embed(u))),
+            ring.coords(self.d),
+            bound,
+        )
+        if b is not None:
+            return self._checked_factor(b)
         if not self.d:  # V_g(0) = 0
             return self._checked_factor(self.base_field.zero())
         return None
-
-    def _block_witness(self, den, bound):
-        """The smallest-code nonzero u, deg u <= bound, with V_g(u/den) = d.
-
-        Solves sum c_i V_g(x^i/den) = d for c_0..c_bound in F_p.  Each
-        coordinate over F is cleared of denominators and compared
-        coefficient by coefficient.  With the unknowns lowest degree first,
-        the solution with the free variables at zero has the smallest code;
-        when it is zero (d = 0) the first kernel vector, that of the lowest
-        free column, is the smallest nonzero one.
-        """
-        ring, K = self.ring, self.base_field
-        xs = [DensePoly(K.field, [0] * i + [1]) for i in range(bound + 1)]
-        images = [
-            ring.coords(v_g(ring, self.g, ring.embed(RatFunc(xi, den)))) for xi in xs
-        ]
-        rows = {}  # each equation once, in first-seen order
-        for column in zip(*images, ring.coords(self.d)):
-            lcm = DensePoly.one(K.field)
-            for c in column:
-                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
-            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
-            for m in range(max(map(len, cleared)) or 1):
-                rows[tuple(cs[m] if m < len(cs) else 0 for cs in cleared)] = None
-        consts = [K.from_int(c) for c in range(K.p)]
-        system = [[consts[c] for c in row] for row in rows]
-        try:
-            sol, kernel = Matrix(K, [r[:-1] for r in system]).solve([r[-1] for r in system])
-        except NoSolution:
-            return None
-        if not any(sol):
-            if not kernel:
-                return None
-            sol = kernel[0]
-        return RatFunc(DensePoly(K.field, [c.num.lc() for c in sol]), den)
 
     def _checked_factor(self, b):
         """Embed b, re-check V_g(b) = d and that t - b right-divides f."""
@@ -460,24 +432,54 @@ class ShiftIso:
         return ShiftIso(self.target, -self.a)
 
 
+def _bounded_height_witness(K, fn, target, bound: int):
+    """The first u/v with fn(u/v) = target, u nonzero, deg u, deg v <= bound.
+
+    fn takes an element of K to a tuple of coordinates in K and must be
+    F_p-linear; target is such a tuple.  Fractions are ordered by monic
+    denominator v (as _fraction_candidates yields them), then by the base-p
+    code of the numerator.  For one v the numerators that work form an
+    affine F_p-space, so the equation sum c_i fn(x^i/v) = target is cleared
+    of denominators coordinate by coordinate and solved once for c_0..c_bound
+    in F_p.  With the unknowns lowest degree first, the solution with the
+    free variables at zero has the smallest code; when it is zero (target
+    0) the first kernel vector, that of the lowest free column, is the
+    smallest nonzero one.  Returns None when no block has a solution.
+    """
+    xs = [DensePoly(K.field, [0] * i + [1]) for i in range(bound + 1)]
+    consts = [K.from_int(c) for c in range(K.p)]
+    for den in _fraction_candidates(K, bound):
+        images = [fn(RatFunc(xi, den)) for xi in xs]
+        rows = {}  # each equation once, in first-seen order
+        for column in zip(*images, target):
+            lcm = DensePoly.one(K.field)
+            for c in column:
+                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
+            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
+            for m in range(max(map(len, cleared)) or 1):
+                rows[tuple(cs[m] if m < len(cs) else 0 for cs in cleared)] = None
+        system = [[consts[c] for c in row] for row in rows]
+        try:
+            sol, kernel = Matrix(K, [r[:-1] for r in system]).solve([r[-1] for r in system])
+        except NoSolution:
+            continue
+        if not any(sol):
+            if not kernel:
+                continue
+            sol = kernel[0]
+        return RatFunc(DensePoly(K.field, [c.num.lc() for c in sol]), den)
+    return None
+
+
 def _fraction_candidates(K, bound: int):
     """Lazy stream of the candidate denominators: monic, degree <= bound.
 
     Ordered by degree, then by the base-p code of the lower coefficients.
-    This is the one enumeration of the candidate set; the numerators of
-    each denominator block come from _numerators.
     """
     p = K.p
     for deg in range(bound + 1):
         for code in range(p ** deg):
             yield DensePoly(K.field, _digits(code, p, deg) + [1])
-
-
-def _numerators(K, bound: int):
-    """Nonzero polynomials of degree <= bound by base-p code, 1 first."""
-    p = K.p
-    for code in range(1, p ** (bound + 1)):
-        yield DensePoly(K.field, _digits(code, p, bound + 1))
 
 
 def _digits(code, p, width):

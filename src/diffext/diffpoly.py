@@ -18,7 +18,11 @@ b; for a p-polynomial g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t the
 combination V_g(b) = V_(p^e)(b) + a_1 V_(p^(e-1))(b) + ... + a_e b satisfies
 g(t - b) = g(t) - V_g(b).  These operators are computed by honest expansion;
 the closed forms (V_2(b) = b^2 + delta(b) and so on) live in the tests as
-independent oracles.
+independent oracles.  One p-step, b |-> V_p(b), read off a single twisted
+power (t - b)^p, serves both v_g (once per level) and the iteration that
+v_p_tower checks its full expansion against.  Powers go through the
+square-and-multiply routine of the scalar layer: (t - b)^p costs one
+product at p = 2 and two at p = 3.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import (
     NotInner,
 )
 from .linalg import Matrix
+from .scalars import _power
 from .towers import PPolynomial
 
 __all__ = [
@@ -139,16 +144,7 @@ class DiffPoly:
         return acc
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a differential polynomial")
-        out = DiffPoly.constant(self.ring, self.ring.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, DiffPoly.constant(self.ring, self.ring.one()))
 
     def right_divmod(self, f):
         """q, r with self = q*f + r and deg r < deg f (right division)."""
@@ -223,6 +219,11 @@ def p_poly_as_diffpoly(g: PPolynomial, ring) -> DiffPoly:
     return DiffPoly(ring, coeffs)
 
 
+def _p_step(ring, b):
+    """V_p(b): minus the constant term of (t - b)^p, one twisted power."""
+    return -(DiffPoly(ring, (-b, ring.one())) ** ring.char).coeff(0)
+
+
 def v_p_tower(ring, b, e: int):
     """V at level p^e: expand (t - b)^(p^e) and read off the constant term.
 
@@ -231,12 +232,10 @@ def v_p_tower(ring, b, e: int):
     arithmetic is broken, and raises.  The result is cross-checked against
     e-fold iteration of the p-step.
     """
-    p = ring.char
     if e < 1:
         raise ValueError("tower exponent must be >= 1")
-    lin = DiffPoly(ring, (-b, ring.one()))
-    power = lin ** (p ** e)
-    deg = p ** e
+    deg = ring.char ** e
+    power = DiffPoly(ring, (-b, ring.one())) ** deg
     for i in range(1, deg):
         if power.coeff(i):
             raise InternalInvariantViolation(
@@ -248,8 +247,7 @@ def v_p_tower(ring, b, e: int):
     # Independent route: iterate the single-p step e times.
     it = b
     for _ in range(e):
-        step = DiffPoly(ring, (-it, ring.one())) ** p
-        it = -step.coeff(0)
+        it = _p_step(ring, it)
     if it != v:
         raise InternalInvariantViolation("tower iteration disagrees with expansion")
     return v
@@ -257,14 +255,10 @@ def v_p_tower(ring, b, e: int):
 
 def v_g(ring, g: PPolynomial, b):
     """V_g(b) = V_(p^e)(b) + a_1 V_(p^(e-1))(b) + ... + a_e b."""
-    p = ring.char
     # Collect V at levels p^1..p^e by iterating the p-step once per level.
     levels = [b]  # levels[k] = V_(p^k)(b), with level 0 the identity
-    cur = b
     for _ in range(g.e):
-        step = DiffPoly(ring, (-cur, ring.one())) ** p
-        cur = -step.coeff(0)
-        levels.append(cur)
+        levels.append(_p_step(ring, levels[-1]))
     acc = levels[g.e]
     for i, ai in enumerate(g.coeffs, start=1):
         if ai:

@@ -8,7 +8,6 @@ A config file is flat key = value text.  Recognized keys:
     g            p-polynomial, optional; computed minimal one when absent
     seed         RNG seed for sampled checks (default 0)
     degree_bound search bound for factor hunting (default 4)
-    suites       comma-separated suite names (default all)
 
 '#' starts a comment; blank lines are ignored; keys may not repeat.
 
@@ -55,7 +54,7 @@ __all__ = [
 
 SUITES = ("ring", "vops", "nuclei", "autos", "inner", "division", "all")
 
-_KEYS = {"p", "delta_of_x", "d", "g", "seed", "degree_bound", "suites"}
+_KEYS = {"p", "delta_of_x", "d", "g", "seed", "degree_bound"}
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class InstanceConfig:
     g: str | None = None
     seed: int = 0
     degree_bound: int = 4
-    suites: tuple = ("all",)
 
 
 @dataclass
@@ -136,12 +134,6 @@ def _parse_config_text(text: str) -> InstanceConfig:
             raise ConfigError("degree_bound must be an integer") from None
         if bound < 0:
             raise ConfigError("degree_bound must be nonnegative")
-    suites = ("all",)
-    if "suites" in values:
-        suites = tuple(s.strip() for s in values["suites"].split(",") if s.strip())
-        for s in suites:
-            if s not in SUITES:
-                raise UnknownSuite("unknown suite %r" % s)
     return InstanceConfig(
         p=p,
         delta_of_x=values["delta_of_x"],
@@ -149,7 +141,6 @@ def _parse_config_text(text: str) -> InstanceConfig:
         g=values.get("g"),
         seed=seed,
         degree_bound=bound,
-        suites=suites,
     )
 
 

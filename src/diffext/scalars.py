@@ -13,6 +13,10 @@ Representation choices, which everything above this module relies on:
   identity checks depend on.
 
 All values are immutable; operations return fresh objects.
+
+``_power`` is the one square-and-multiply routine: the ``__pow__`` of
+``DensePoly``, ``RatFunc``, ``DiffPoly`` and ``KMatrix`` all call it.  It is
+private, so it stays out of ``__all__``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,25 @@ __all__ = [
     "random_poly",
     "random_ratfunc",
 ]
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply, for any associative product.
+
+    Squares only while higher bits remain, so n >= 1 costs
+    (bit_length - 1) squarings and (popcount - 1) other products; n = 0
+    returns ``one``.
+    """
+    if n < 0:
+        raise ValueError("negative exponent %d" % n)
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
 
 
 def _is_prime(n: int) -> bool:
@@ -196,16 +219,7 @@ class DensePoly:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = DensePoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, DensePoly.one(self.field))
 
     def monic(self) -> "DensePoly":
         if not self:
@@ -344,14 +358,7 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFunc.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatFunc.one(self.field))
 
     def __str__(self):
         if self.den.degree() == 0:

@@ -29,7 +29,7 @@ from .errors import (
     ZeroDerivation,
 )
 from .linalg import Matrix
-from .scalars import DensePoly, RatFunc, RationalFunctionField
+from .scalars import DensePoly, RatFunc, RationalFunctionField, _power
 
 __all__ = [
     "DerivedField",
@@ -345,14 +345,7 @@ class KMatrix:
         return KMatrix(self.K, n, out)
 
     def __pow__(self, m: int):
-        out = KMatrix.scalar(self.K, self.n, self.K.one())
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+        return _power(self, m, KMatrix.scalar(self.K, self.n, self.K.one()))
 
     def __bool__(self):
         return any(any(e for e in r) for r in self.entries)

@@ -22,6 +22,7 @@ from diffext.errors import (
     NotNuclear,
     UnsupportedInstance,
 )
+from diffext.frontend import instance_from_text
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import DerivedField, MatrixRingAdapter, minimal_p_polynomial
 
@@ -85,6 +86,50 @@ def test_log_derivative_witness(i1):
     assert K.log_derivative(w) == K.one()
     # No witness for a non log-derivative; the test stays advisory.
     assert log_derivative_witness(i1, K.x(), bound=2) is None
+
+
+def _digits(code, p, width):
+    return [(code // p ** i) % p for i in range(width)]
+
+
+def brute_force_log_derivative(K, c, bound):
+    """The enumeration the bounded-height search replaced: every fraction.
+
+    Monic denominators by degree then base-p code, nonzero numerators by
+    code inside each denominator block.
+    """
+    p = K.p
+    for dd in range(bound + 1):
+        for dcode in range(p ** dd):
+            den = DensePoly(K.field, _digits(dcode, p, dd) + [1])
+            for ncode in range(1, p ** (bound + 1)):
+                u = RatFunc(DensePoly(K.field, _digits(ncode, p, bound + 1)), den)
+                if K.log_derivative(u) == c:
+                    return u
+    return None
+
+
+def _fraction_of_height(K, rng, height):
+    p = K.p
+    num = DensePoly(K.field, [rng.randrange(p) for _ in range(height)] + [rng.randrange(1, p)])
+    den = DensePoly(K.field, [rng.randrange(p) for _ in range(rng.randrange(height + 1))] + [1])
+    return RatFunc(num, den)
+
+
+@pytest.mark.parametrize("p,bounds", [(2, range(4)), (3, range(3))], ids=["p2", "p3"])
+@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1"])
+def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
+    alg = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).algebra
+    K = alg.base_field
+    rng = random.Random(97 * p + len(weight))
+    x = K.x()
+    for bound in bounds:
+        cs = [K.zero(), K.one(), x, x.inverse()]
+        for height in (rng.randrange(bound + 1), bound + 1):
+            cs.append(K.log_derivative(_fraction_of_height(K, rng, height)))
+        for c in cs:
+            got = log_derivative_witness(alg, c, bound=bound)
+            assert str(got) == str(brute_force_log_derivative(K, c, bound)), (bound, c)
 
 
 def test_automorphism_is_multiplicative(i1, i3):

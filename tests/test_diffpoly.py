@@ -19,7 +19,13 @@ from diffext.diffpoly import (
     v_p_tower,
 )
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
-from diffext.towers import DerivedField, MatrixRingAdapter, PPolynomial, minimal_p_polynomial
+from diffext.towers import (
+    DerivedField,
+    MatrixRingAdapter,
+    PPolynomial,
+    minimal_p_polynomial,
+    p_polynomial_at_exponent,
+)
 
 
 def _w(p, coeffs):
@@ -326,3 +332,33 @@ def test_find_inner_constant_not_inner():
     g = PPolynomial(2, 1, (K2X.zero(),))
     with pytest.raises(NotInner):
         find_inner_constant(K2X, g)
+
+
+def test_diffpoly_pow_matches_repeated_product():
+    rng = random.Random(13)
+    for ring in (K3X, MatrixRingAdapter(K2D, 2)):
+        a = DiffPoly(ring, [ring.random_element(rng, 1) for _ in range(3)])
+        expected = DiffPoly.constant(ring, ring.one())
+        for n in range(6):
+            assert a ** n == expected
+            expected = expected * a
+        with pytest.raises(ValueError):
+            a ** -1
+
+
+@pytest.mark.parametrize("K,per_level", [(K2X, 1), (K3X, 2)], ids=["p2", "p3"])
+def test_v_g_products_per_level(monkeypatch, K, per_level):
+    # (t - b)^p by square-and-multiply: one product at p = 2, two at p = 3.
+    calls = []
+    mul = DiffPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(DiffPoly, "__mul__", counted)
+    b = K.x().inverse() + K.x()
+    for e in (1, 2):
+        calls.clear()
+        v_g(K, p_polynomial_at_exponent(K, e), b)
+        assert len(calls) == e * per_level

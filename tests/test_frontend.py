@@ -48,7 +48,6 @@ def test_config_comments_and_defaults():
     inst = instance_from_text("p = 2  # char\n\ndelta_of_x = x\nd = 0\n")
     assert inst.seed == 0
     assert inst.degree_bound == 4
-    assert inst.config.suites == ("all",)
 
 
 def test_declared_g_accepted_and_verified():
@@ -83,7 +82,8 @@ def test_config_errors():
     ):
         with pytest.raises(ConfigError):
             instance_from_text(bad)
-    with pytest.raises(UnknownSuite):
+    # Suites are chosen on the command line; a config has no suites key.
+    with pytest.raises(ConfigError, match="unknown key 'suites'"):
         instance_from_text(I1_TEXT + "suites = ring, bogus\n")
 
 

@@ -13,6 +13,7 @@ from diffext.scalars import (
     random_poly,
     random_ratfunc,
     ratfunc_canonical,
+    _power,
 )
 
 F2 = PrimeField(2)
@@ -163,6 +164,45 @@ def test_ratfunc_pow():
     assert x ** 4 == x * x * x * x
     assert x ** 0 == K.one()
     assert x ** -2 == (x * x).inverse()
+
+
+class _Counting:
+    """Integer under multiplication that counts the products taken."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counting.products += 1
+        return _Counting(self.value * other.value)
+
+
+def test_power_squares_only_while_bits_remain():
+    one = _Counting(1)
+    assert _power(_Counting(3), 0, one) is one
+    for n in range(1, 17):
+        _Counting.products = 0
+        assert _power(_Counting(3), n, one).value == 3 ** n
+        assert _Counting.products == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+    with pytest.raises(ValueError):
+        _power(_Counting(3), -1, one)
+
+
+def test_pow_matches_repeated_product():
+    rng = random.Random(5)
+    K = RationalFunctionField(3)
+    for a, one in (
+        (P(F3, 2, 1, 1), DensePoly.one(F3)),
+        (random_ratfunc(K, rng, 2, nonzero=True), K.one()),
+    ):
+        expected = one
+        for n in range(6):
+            assert a ** n == expected
+            expected = expected * a
+    with pytest.raises(ValueError):
+        P(F3, 2, 1) ** -1
 
 
 def test_char_p_frobenius_is_additive():

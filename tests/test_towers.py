@@ -197,3 +197,16 @@ def test_matrix_adapter_coords_roundtrip():
         cs = A.coords(m)
         assert A.from_coords(cs) == m
         assert all(K2X.is_constant(c) for c in cs)
+
+
+def test_kmatrix_pow_matches_repeated_product():
+    A = MatrixRingAdapter(K2X, 2)
+    x = K2X.x()
+    a = A.of([[x, K2X.one()], [K2X.zero(), x + K2X.one()]])
+    expected = A.one()
+    for n in range(6):
+        assert a ** n == expected
+        expected = expected * a
+    # -1 >> 1 is -1, so a loop without this check never ends.
+    with pytest.raises(ValueError):
+        a ** -1
