@@ -10,16 +10,13 @@ on representatives of degree below deg f.  The result is an algebra over
 the constant subfield F which is associative exactly when d is a constant,
 equivalently when f is right-invariant.
 
-Structure constants over F are materialized once per algebra: every basis
-product e_i o e_j is expanded in the F-basis {x^j t^i}, each scalar checked
-constant.  Nuclei, center and centralizers are then common kernels of
-F-linear maps on coordinates, all computed by one routine: a running F-basis
-is cut down one map at a time (v |-> [v, a, b], [a, v, b], [a, b, v] over
-basis pairs for the nuclei, v |-> v o s - s o v for commutators), then put
-in the canonical free-column form.  The center starts from the cached full
-nucleus.  Associators and commutators in coordinates come from the table
-alone; the element-level product keeps using the twisted arithmetic
-directly, so the two routes cross-check each other in the tests.
+Nuclei, center and centralizers are common kernels of F-linear maps on
+coordinates, all computed by one routine: a running F-basis is cut down one
+map at a time, then put in the canonical free-column form.  Every map is an
+element-level product read back in coordinates, and the nuclei come from
+Petit's theory of these algebras (see ExtAlgebra.nucleus).  The table of
+structure constants over F is built only on request, which checks that
+each of them lies in F.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
 search runs over fractions u/v of bounded height, one monic denominator v
@@ -35,7 +32,7 @@ log-derivative witness of the autos layer is its other caller.
 
 from __future__ import annotations
 
-from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
+from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation, NoSolution
 from .linalg import Matrix
 from .scalars import DensePoly, RatFunc, poly_gcd
@@ -44,13 +41,6 @@ from .towers import PPolynomial
 __all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
 
 _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
-
-# Where the argument of a nucleus map goes in the associator [_, _, _].
-_PLACE = {
-    "left": lambda v, a, b: (v, a, b),
-    "middle": lambda v, a, b: (a, v, b),
-    "right": lambda v, a, b: (a, b, v),
-}
 
 
 class AlgebraElement:
@@ -77,9 +67,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        return AlgebraElement(
-            self.algebra, (self.rep * other.rep).mod_right(self.algebra.f)
-        )
+        return AlgebraElement(self.algebra, self.rep * other.rep)
 
     def _check(self, other):
         if other.algebra is not self.algebra and other.algebra != self.algebra:
@@ -223,25 +211,7 @@ class ExtAlgebra:
             self._table = table
         return self._table
 
-    def _mul_coords(self, us, vs):
-        """Product in coordinates via the structure constants."""
-        table = self.structure_constants()
-        n = self.dim
-        K = self.base_field
-        zero = K.zero()
-        out = [zero] * n
-        for i, ui in enumerate(us):
-            if not ui:
-                continue
-            row = table[i]
-            for j, vj in enumerate(vs):
-                if not vj:
-                    continue
-                w = ui * vj
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] = out[k] + w * s
-        return tuple(out)
+    # -- kernels over F ----------------------------------------------------
 
     def _units(self):
         """Coordinate vectors of basis()."""
@@ -252,15 +222,9 @@ class ExtAlgebra:
             for i in range(self.dim)
         ]
 
-    def _assoc(self, us, vs, ws):
-        """Coordinates of the associator (u v) w - u (v w) via the table."""
-        m = self._mul_coords
-        return tuple(l - r for l, r in zip(m(m(us, vs), ws), m(us, m(vs, ws))))
-
-    def _commutator(self, us, vs):
-        """Coordinates of u v - v u via the table."""
-        m = self._mul_coords
-        return tuple(l - r for l, r in zip(m(us, vs), m(vs, us)))
+    def _on_coords(self, fn):
+        """Coordinate map of fn, which sends an element to a list of elements."""
+        return lambda v: tuple(c for w in fn(self.from_coords(v)) for c in self.coords(w))
 
     def _common_kernel(self, maps, start):
         """Canonical F-basis of the vectors in span(start) killed by every map.
@@ -296,15 +260,30 @@ class ExtAlgebra:
         return (u * v) * w - u * (v * w)
 
     def is_associative(self) -> bool:
-        units = self._units()
-        return not any(
-            any(self._assoc(u, v, w)) for u in units for v in units for w in units
-        )
+        """Whether the quotient is associative, i.e. f is right-invariant.
+
+        Associative means every u of degree below m is in the eigenring (see
+        nucleus): f R_m in R f.  That is f R in R f, since r = q f + u with
+        deg u < m gives f r = (f q) f + f u.
+        """
+        return is_right_invariant(self.f)
 
     def nucleus(self, which: str = "full"):
         """Basis over F of the requested nucleus as algebra elements.
 
-        which: left, middle, right, or full (the intersection).
+        which: left, middle, right, or full (the intersection).  With
+        R = A[t; delta] and m = deg f >= 2:
+
+        * right: the eigenring {u : (f u) mod f = 0}.  If a b = q f + r,
+          then [a, b, u] = -(q f u) mod f, which vanishes for all a, b iff
+          f u is in R f (a = t^(m-1), b = t give q = 1); this holds over
+          every coefficient ring.
+        * f right-invariant: every slot is the whole algebra.
+        * otherwise, over a division ring (the derived field), left and
+          middle are the coefficient ring (Petit, 1966/67), and full is
+          its intersection with the eigenring.  The matrix adapter is not
+          a division ring: left and middle stay honest kernels of the
+          associator maps over basis pairs.
         """
         return [self.from_coords(v) for v in self._nucleus_coords(which)]
 
@@ -314,27 +293,49 @@ class ExtAlgebra:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
         if which not in self._nucleus_cache:
             units = self._units()
-            slots = _NUCLEUS_SLOTS[:3] if which == "full" else (which,)
-            maps = [
-                lambda v, place=_PLACE[slot], a=a, b=b: self._assoc(*place(v, a, b))
-                for slot in slots
-                for a in units
-                for b in units
-            ]
-            self._nucleus_cache[which] = tuple(self._common_kernel(maps, units))
+            eigen = self._on_coords(lambda u: [self.element(self.f * u.rep)])
+            maps = [eigen] if which in ("right", "full") else []
+            start = units
+            if self.is_associative():
+                maps = []
+            elif which != "right" and self.ring.is_commutative:  # the derived field
+                start = units[: self.ring.dim_over_constants]
+            elif which != "right":
+                # A is always left and middle nuclear (f is monic), so the
+                # maps for a in A vanish: they run last, on the smallest basis.
+                slots = ("left", "middle") if which == "full" else (which,)
+                basis = self.basis()[::-1]
+                maps += [self._associator_map(slot, a) for slot in slots for a in basis]
+            self._nucleus_cache[which] = tuple(self._common_kernel(maps, start))
         return self._nucleus_cache[which]
+
+    def _associator_map(self, slot, a):
+        """v |-> [v, a, b] (left) or [a, v, b] (middle), stacked over basis b."""
+        basis = self.basis()
+        if slot == "left":
+            ab = [a * b for b in basis]
+            return self._on_coords(
+                lambda u: [ua * b - u * c for ua in [u * a] for b, c in zip(basis, ab)]
+            )
+        return self._on_coords(lambda u: [au * b - a * (u * b) for au in [a * u] for b in basis])
 
     def center(self):
         """Elements of the full nucleus commuting with everything."""
-        maps = [lambda v, a=a: self._commutator(v, a) for a in self._units()]
+        maps = [self._commutator_with(a) for a in self.basis()]
         full = self._nucleus_coords("full")
         return [self.from_coords(v) for v in self._common_kernel(maps, full)]
 
     def centralizer(self, elems):
-        """Basis of the subspace commuting with every element of elems."""
-        maps = [lambda v, sc=self.coords(s): self._commutator(v, sc) for s in elems]
-        vectors = self._common_kernel(maps, self._units())
-        return [self.from_coords(v) for v in vectors]
+        """Basis of the subspace commuting with every element of elems.
+
+        Raises ValueError for an element of another algebra.
+        """
+        maps = [self._commutator_with(s) for s in elems]
+        return [self.from_coords(v) for v in self._common_kernel(maps, self._units())]
+
+    def _commutator_with(self, s):
+        """Coordinate map of u |-> u s - s u, by element products."""
+        return self._on_coords(lambda u: [u * s - s * u])
 
     # -- factors and verdicts ---------------------------------------------
 

@@ -228,6 +228,20 @@ def test_inner_auto_errors(i1):
         inner_auto(i1, i1.t())
 
 
+def test_inner_auto_over_matrices_needs_right_nuclear_a():
+    # d = diag(x, 0): (f a) mod f = a d - d a, so a is nuclear iff it commutes with d.
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    A = MatrixRingAdapter(K, 2)
+    x, zero, one = K.x(), K.zero(), K.one()
+    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[x, zero], [zero, zero]]))
+    for a in (A.of([[zero, one], [one, zero]]), A.of([[one, one], [zero, one]])):
+        with pytest.raises(NotNuclear):
+            inner_auto(alg, a)
+    assert inner_auto(alg, A.one()).c == A.zero()
+    G = inner_auto(alg, A.of([[x, zero], [zero, one]]))
+    assert G.tau_name == "conj" and G.c == A.of([[one, zero], [zero, zero]])
+
+
 def test_inner_autos_are_log_derivative_shifts(i1):
     # The inner subgroup lands exactly on shifts by log derivatives.
     rng = random.Random(33)

@@ -27,25 +27,110 @@ def basis_str(elems):
     return ", ".join(str(e) for e in elems)
 
 
+# The associator engine the library used before the eigenring: products
+# through the structure constants, associator maps over basis pairs cut
+# down by the common-kernel routine, and a sweep over basis triples.
+_PLACE = {
+    "left": lambda v, a, b: (v, a, b),
+    "middle": lambda v, a, b: (a, v, b),
+    "right": lambda v, a, b: (a, b, v),
+}
+
+
+def table_product(alg, us, vs):
+    """Product in coordinates via the structure constants."""
+    table = alg.structure_constants()
+    zero = alg.base_field.zero()
+    out = [zero] * alg.dim
+    for i, ui in enumerate(us):
+        if not ui:
+            continue
+        row = table[i]
+        for j, vj in enumerate(vs):
+            if not vj:
+                continue
+            w = ui * vj
+            for k, s in enumerate(row[j]):
+                if s:
+                    out[k] = out[k] + w * s
+    return tuple(out)
+
+
+def table_assoc(alg, us, vs, ws):
+    """Coordinates of the associator (u v) w - u (v w) via the table."""
+    m = lambda a, b: table_product(alg, a, b)
+    return tuple(l - r for l, r in zip(m(m(us, vs), ws), m(us, m(vs, ws))))
+
+
+def table_is_associative(alg):
+    units = alg._units()
+    return not any(
+        any(table_assoc(alg, u, v, w)) for u in units for v in units for w in units
+    )
+
+
+def table_nucleus(alg, slot):
+    """One nucleus slot from the associator maps over basis pairs.
+
+    The kernel does not depend on the order of the maps.  Those with a in
+    the coefficient ring vanish, so a runs from the top of the basis down:
+    they come last, when the running basis is smallest.
+    """
+    units = alg._units()
+    maps = [
+        lambda v, a=a, b=b: table_assoc(alg, *_PLACE[slot](v, a, b))
+        for a in reversed(units)
+        for b in units
+    ]
+    return alg._common_kernel(maps, units)
+
+
+def residual(basis):
+    """A linear map whose kernel is span(basis), for a canonical basis.
+
+    Each vector of the canonical form has a pivot at its last nonzero
+    coordinate, where the others vanish; v minus the basis vectors scaled
+    by v at their pivots is zero exactly on the span.
+    """
+    pivots = [max(i for i, c in enumerate(b) if c) for b in basis]
+
+    def fn(v):
+        out = v
+        for b, i in zip(basis, pivots):
+            if v[i]:
+                out = tuple(o - v[i] * e for o, e in zip(out, b))
+        return out
+
+    return fn
+
+
+def table_nuclei(alg):
+    """All four slots by the table engine; full is the other three intersected."""
+    out = {slot: table_nucleus(alg, slot) for slot in _PLACE}
+    out["full"] = alg._common_kernel([residual(out["middle"]), residual(out["right"])], out["left"])
+    return out
+
+
 def nucleus_oracle(alg, which):
     """Nucleus coordinates from one stacked kernel over twisted associators.
 
     Every associator comes from the element-level product, not from the
-    structure constants; zero rows are kept so that an associative algebra
-    yields the whole space.
+    structure constants: [e_i, e_j, e_k] = (e_i e_j) e_k - e_i (e_j e_k)
+    with the products of basis pairs formed once.  Zero rows are kept so
+    that an associative algebra yields the whole space.
     """
     basis = alg.basis()
+    n = len(basis)
+    prod = [[u * v for v in basis] for u in basis]
     slots = ("left", "middle", "right") if which == "full" else (which,)
-    place = {
-        "left": lambda v, a, b: (v, a, b),
-        "middle": lambda v, a, b: (a, v, b),
-        "right": lambda v, a, b: (a, b, v),
-    }
     rows = []
     for slot in slots:
-        for a in basis:
-            for b in basis:
-                cols = [alg.coords(alg.associator(*place[slot](v, a, b))) for v in basis]
+        for a in range(n):
+            for b in range(n):
+                cols = []
+                for v in range(n):
+                    i, j, k = _PLACE[slot](v, a, b)
+                    cols.append(alg.coords(prod[i][j] * basis[k] - basis[i] * prod[j][k]))
                 rows.extend(zip(*cols))
     return Matrix(alg.base_field, rows).kernel()
 
@@ -89,7 +174,7 @@ def test_structure_constants_match_direct_product(i1, i3):
         for _ in range(40):
             u = alg.random_element(rng, 2)
             v = alg.random_element(rng, 2)
-            via_table = alg._mul_coords(alg.coords(u), alg.coords(v))
+            via_table = table_product(alg, alg.coords(u), alg.coords(v))
             assert via_table == alg.coords(u * v)
 
 
@@ -112,6 +197,7 @@ def test_is_associative_frozen(i1, i2, i3, i4):
     for alg in (i1, i2, i3, i4):
         assert alg.is_associative() == alg.ring.is_constant(alg.d)
         assert alg.is_associative() == is_right_invariant(alg.f)
+        assert alg.is_associative() == table_is_associative(alg)
 
 
 def test_nucleus_frozen_values(i1, i3):
@@ -142,6 +228,54 @@ def test_nucleus_matches_element_level_oracle(i1, i2, which):
 def test_left_nucleus_matches_oracle_rational_d():
     alg = p3_algebra("x^2 + 1", "(x^2+1)/((x+1)*(x+2))")
     assert [alg.coords(e) for e in alg.nucleus("left")] == nucleus_oracle(alg, "left")
+
+
+@pytest.fixture(scope="module", params=["x", "1", "x^2 + 1"])
+def p3_rational_d(request):
+    alg = p3_algebra(request.param, "(x^2+1)/((x+1)*(x+2))")
+    return alg, table_nuclei(alg)
+
+
+@pytest.mark.parametrize("which", ["left", "middle", "right", "full"])
+def test_nucleus_matches_table_engine_rational_d(p3_rational_d, which):
+    alg, oracle = p3_rational_d
+    assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which]
+
+
+@pytest.mark.parametrize("which", ["left", "middle", "right", "full"])
+def test_adapter_1x1_nucleus_matches_table_engine(which):
+    # The matrix route (associator sweeps for left and middle) on F_2(x)
+    # itself, delta = x d/dx, d = x: small enough for every slot.
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    A = MatrixRingAdapter(K, 1)
+    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.embed(K.x()))
+    assert [alg.coords(e) for e in alg.nucleus(which)] == table_nuclei(alg)[which]
+
+
+@pytest.fixture(scope="module")
+def adapter_diag():
+    """2x2 matrices over F_2(x), delta = x d/dx, d = diag(x, 0)."""
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    A = MatrixRingAdapter(K, 2)
+    zero = K.zero()
+    return ExtAlgebra(A, minimal_p_polynomial(K), A.of([[K.x(), zero], [zero, zero]]))
+
+
+def test_adapter_right_nucleus_is_eigenring(adapter_diag):
+    alg = adapter_diag
+    right = alg.nucleus("right")
+    # Smaller than the coefficient ring (dim 8) and reaching degree 1.
+    assert len(right) == 6 and max(e.degree() for e in right) == 1
+    assert [alg.coords(e) for e in right] == table_nucleus(alg, "right")
+
+
+def test_adapter_left_nucleus_matches_table_engine(adapter_diag):
+    alg = adapter_diag
+    left = alg.nucleus("left")
+    assert [alg.coords(e) for e in left] == table_nucleus(alg, "left")
+    assert span_coords(alg, left) == span_coords(
+        alg, [alg.scalar(b) for b in alg.ring.constant_basis()]
+    )
 
 
 def test_structure_queries_constant_d():
@@ -218,6 +352,11 @@ def test_centralizer_non_unit_bases(i3):
 def test_centralizer_of_center_is_everything(i1):
     cent = i1.centralizer([i1.one()])
     assert len(cent) == i1.dim
+
+
+def test_centralizer_rejects_element_of_another_algebra(i1, i3):
+    with pytest.raises(ValueError):
+        i3.centralizer([i1.t()])
 
 
 def test_linear_right_factor_frozen_values(i2_d0):
@@ -391,6 +530,7 @@ def test_matrix_adapter_algebra_smoke():
     alg = ExtAlgebra(A, g, A.zero())
     assert alg.dim == 16
     assert alg.is_associative()
+    assert table_is_associative(alg)
     rng = random.Random(2)
     u = alg.random_element(rng, 1)
     v = alg.random_element(rng, 1)
