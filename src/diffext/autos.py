@@ -113,7 +113,7 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
     if u.algebra != H.algebra:
         raise ValueError("element belongs to a different algebra")
     img = substitute(u.rep, H.tau, H.c, H.eps)
-    return AlgebraElement(H.algebra, img.mod_right(H.algebra.f))
+    return AlgebraElement(H.algebra, img)
 
 
 def auto_order(H: AutoDescriptor, bound: int = 64) -> Optional[int]:

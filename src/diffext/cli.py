@@ -32,7 +32,7 @@ from .errors import (
     UnknownSuite,
     ZeroDerivation,
 )
-from .frontend import SUITES, CheckResult, Report, load_instance, run_suite
+from .frontend import SUITES, CheckResult, Report, load_instance, ms_since, run_suite
 from .parsing import parse_field_element
 
 __all__ = ["main"]
@@ -83,15 +83,11 @@ def _emit(report: Report, json_path):
             fh.write(report.dumps() + "\n")
 
 
-def _ms_since(t0) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
 def _single(inst, name, verdict, witness, t0) -> Report:
     """One-check report; ms counts from t0, the start of the command body."""
     return Report(
         instance=inst.metadata(),
-        checks=[CheckResult(name=name, verdict=verdict, witness=witness, ms=_ms_since(t0))],
+        checks=[CheckResult(name=name, verdict=verdict, witness=witness, ms=ms_since(t0))],
     )
 
 
@@ -131,7 +127,7 @@ def _cmd_autos(inst, args) -> Report:
             name="autos.constraints",
             verdict="pass",
             witness={"tau": rep.tau_forced, "eps": rep.eps_forced, "c": rep.c_condition},
-            ms=_ms_since(t0),
+            ms=ms_since(t0),
         )
     )
     if args.check_c is not None:
@@ -143,7 +139,7 @@ def _cmd_autos(inst, args) -> Report:
         except ConditionFailed as exc:
             verdict = "fail"
             witness = {"c": str(c), "valid": "false", "condition": exc.condition}
-        checks.append(CheckResult("autos.check_c", verdict, witness, _ms_since(t0)))
+        checks.append(CheckResult("autos.check_c", verdict, witness, ms_since(t0)))
     if args.order is not None:
         t0 = time.perf_counter()
         c = parse_field_element(args.order, K)
@@ -154,7 +150,7 @@ def _cmd_autos(inst, args) -> Report:
                 "autos.order",
                 "pass" if n is not None else "unknown",
                 {"c": str(c), "order": n if n is not None else "> bound"},
-                _ms_since(t0),
+                ms_since(t0),
             )
         )
     return Report(instance=inst.metadata(), checks=checks)

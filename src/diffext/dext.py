@@ -427,7 +427,7 @@ class ShiftIso:
         from .diffpoly import substitute
 
         img = substitute(u.rep, lambda z: z, -self.a, self.source.ring.one())
-        return AlgebraElement(self.target, img.mod_right(self.target.f))
+        return AlgebraElement(self.target, img)
 
     def inverse(self) -> "ShiftIso":
         return ShiftIso(self.target, -self.a)

@@ -16,13 +16,21 @@ invertible.  Left division is never needed and never implemented.
 The map b |-> V(b) defined by (t - b)^(p^e) = t^(p^e) - V(b) is additive in
 b; for a p-polynomial g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t the
 combination V_g(b) = V_(p^e)(b) + a_1 V_(p^(e-1))(b) + ... + a_e b satisfies
-g(t - b) = g(t) - V_g(b).  These operators are computed by honest expansion;
-the closed forms (V_2(b) = b^2 + delta(b) and so on) live in the tests as
-independent oracles.  One p-step, b |-> V_p(b), read off a single twisted
-power (t - b)^p, serves both v_g (once per level) and the iteration that
-v_p_tower checks its full expansion against.  Powers go through the
-square-and-multiply routine of the scalar layer: (t - b)^p costs one
-product at p = 2 and two at p = 3.
+g(t - b) = g(t) - V_g(b).  One p-step, b |-> V_p(b), serves both v_g (once
+per level) and the iteration in v_p_tower.  Which route it takes is a
+property of the coefficient ring:
+
+* commutative (the derived field): Jacobson's formula (t + b)^p = t^p + b^p
+  + delta^(p-1)(b) gives V_p(b) = b^p + delta^(p-1)(b), which costs p - 1
+  derivations and one Frobenius power and no twisted product;
+* noncommutative (the matrix adapter): V_3 already has commutator terms,
+  so the step reads the constant term off one twisted power (t - b)^p,
+  which square-and-multiply forms in one product at p = 2 and two at p = 3.
+
+v_p_tower always expands (t - b)^(p^e) in full, checks that every middle
+coefficient vanishes, and compares the constant term with e iterated
+p-steps, so over the derived field it cross-checks the twisted expansion
+against the closed form.
 """
 
 from __future__ import annotations
@@ -151,6 +159,8 @@ class DiffPoly:
         if not f:
             raise ZeroDivisionError("right division by the zero polynomial")
         ring = self.ring
+        if self.degree() < f.degree():
+            return DiffPoly.zero(ring), self
         try:
             inv_lc = ring.invert(f.lc())
         except ZeroDivisionError:
@@ -220,8 +230,18 @@ def p_poly_as_diffpoly(g: PPolynomial, ring) -> DiffPoly:
 
 
 def _p_step(ring, b):
-    """V_p(b): minus the constant term of (t - b)^p, one twisted power."""
-    return -(DiffPoly(ring, (-b, ring.one())) ** ring.char).coeff(0)
+    """V_p(b): minus the constant term of (t - b)^p.
+
+    Over a commutative ring this is Jacobson's b^p + delta^(p-1)(b);
+    otherwise it is read off one twisted power.
+    """
+    p = ring.char
+    if ring.is_commutative:
+        d = b
+        for _ in range(p - 1):
+            d = ring.delta(d)
+        return b ** p + d
+    return -(DiffPoly(ring, (-b, ring.one())) ** p).coeff(0)
 
 
 def v_p_tower(ring, b, e: int):
@@ -230,7 +250,8 @@ def v_p_tower(ring, b, e: int):
     The expansion must come out as t^(p^e) - V with every middle coefficient
     exactly zero; a nonzero middle coefficient means the coefficient
     arithmetic is broken, and raises.  The result is cross-checked against
-    e-fold iteration of the p-step.
+    e-fold iteration of the p-step, which over a commutative ring is the
+    closed form and so an independent route.
     """
     if e < 1:
         raise ValueError("tower exponent must be >= 1")

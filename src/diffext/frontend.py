@@ -20,6 +20,7 @@ wall-clock and excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -211,6 +212,14 @@ def load_instance(path) -> Instance:
 # suites
 
 
+def ms_since(t0: float) -> int:
+    """Whole milliseconds since perf_counter() read t0, rounded up.
+
+    Rounding up means a check that ran reports at least 1 ms.
+    """
+    return max(1, math.ceil((time.perf_counter() - t0) * 1000))
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -276,8 +285,7 @@ class _SuiteRunner:
             verdict, witness = fn()
         except AssertionError as exc:
             verdict, witness = "fail", {"error": str(exc)}
-        ms = int((time.perf_counter() - t0) * 1000)
-        self.checks.append(CheckResult(name, verdict, witness, ms))
+        self.checks.append(CheckResult(name, verdict, witness, ms_since(t0)))
 
     def rng(self, tag: str):
         # One independent stream per check keeps the suite order-insensitive.

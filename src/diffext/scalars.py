@@ -15,8 +15,11 @@ Representation choices, which everything above this module relies on:
 All values are immutable; operations return fresh objects.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
-``DensePoly``, ``RatFunc``, ``DiffPoly`` and ``KMatrix`` all call it.  It is
-private, so it stays out of ``__all__``.
+``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
+powers go through it on the numerator and the denominator separately: the
+powers of a canonical fraction's parts are coprime with a monic
+denominator, so num^n / den^n needs no gcd.  ``_power`` is private, so it
+stays out of ``__all__``.
 """
 
 from __future__ import annotations
@@ -276,10 +279,11 @@ class RatFunc:
             self.num = num
             self.den = DensePoly.one(num.field)
             return
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = num // g
-            den = den // g
+        if den.degree() > 0:
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                num = num // g
+                den = den // g
         # Monic denominator pins down the representative uniquely.
         c = den.lc()
         if c != 1:
@@ -358,7 +362,13 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, RatFunc.one(self.field))
+        # Powers of coprime polynomials stay coprime, and a power of a monic
+        # polynomial is monic: num^n / den^n is canonical as it stands (zero
+        # included, as 0/1 gives 0/1 for n > 0 and 1/1 for n = 0).
+        out = object.__new__(RatFunc)
+        out.num = self.num ** n
+        out.den = self.den ** n
+        return out
 
     def __str__(self):
         if self.den.degree() == 0:

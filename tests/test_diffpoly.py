@@ -11,6 +11,7 @@ from diffext.errors import (
 )
 from diffext.diffpoly import (
     DiffPoly,
+    _p_step,
     find_inner_constant,
     is_right_invariant,
     p_poly_as_diffpoly,
@@ -348,7 +349,9 @@ def test_diffpoly_pow_matches_repeated_product():
 
 @pytest.mark.parametrize("K,per_level", [(K2X, 1), (K3X, 2)], ids=["p2", "p3"])
 def test_v_g_products_per_level(monkeypatch, K, per_level):
-    # (t - b)^p by square-and-multiply: one product at p = 2, two at p = 3.
+    # Over K the p-step is the closed form and takes no twisted product.  The
+    # 2x2 adapter takes (t - b)^p by square-and-multiply: one product at
+    # p = 2, two at p = 3.
     calls = []
     mul = DiffPoly.__mul__
 
@@ -357,8 +360,53 @@ def test_v_g_products_per_level(monkeypatch, K, per_level):
         return mul(a, b)
 
     monkeypatch.setattr(DiffPoly, "__mul__", counted)
-    b = K.x().inverse() + K.x()
-    for e in (1, 2):
-        calls.clear()
-        v_g(K, p_polynomial_at_exponent(K, e), b)
-        assert len(calls) == e * per_level
+    A = MatrixRingAdapter(K, 2)
+    x, one = K.x(), K.one()
+    for ring, b, products in (
+        (K, x.inverse() + x, 0),
+        (A, A.of([[x.inverse(), x], [one, x + one]]), per_level),
+    ):
+        for e in (1, 2):
+            calls.clear()
+            v_g(ring, p_polynomial_at_exponent(K, e), b)
+            assert len(calls) == e * products
+
+
+def _weights(p):
+    x = _w(p, (0, 1))
+    return (x, _w(p, (1,)), _w(p, (1, 0, 1)), x.inverse())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_step_closed_form_matches_twisted_power(p):
+    # The twisted route is the oracle: V_p(b) = -((t - b)^p)_0 by DiffPoly **.
+    rng = random.Random(700 + p)
+    for w in _weights(p):
+        K = DerivedField(p, w)
+        for _ in range(15):
+            b = random_ratfunc(K, rng, 2)
+            twisted = -(DiffPoly(K, (-b, K.one())) ** p).coeff(0)
+            assert _p_step(K, b) == twisted
+
+
+def test_low_degree_mod_right_does_not_invert(monkeypatch):
+    A = MatrixRingAdapter(K2X, 2)
+    calls = []
+    invert = MatrixRingAdapter.invert
+
+    def counted(self, a):
+        calls.append(1)
+        return invert(self, a)
+
+    monkeypatch.setattr(MatrixRingAdapter, "invert", counted)
+    x = K2X.x()
+    f = DiffPoly(A, (A.of([[x, K2X.one()], [K2X.zero(), x]]), A.one(), A.one()))
+    u = DiffPoly(A, (A.one(), A.of([[x, x], [x, x]])))
+    q, r = u.right_divmod(f)
+    assert not q and r == u
+    assert u.mod_right(f) == u
+    assert not DiffPoly.zero(A).mod_right(f)
+    assert not calls
+    # A division step still inverts the leading coefficient once.
+    (f * DiffPoly.t(A)).mod_right(f)
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from diffext.errors import (
     UnknownSuite,
     ZeroDerivation,
 )
-from diffext.frontend import SUITES, instance_from_text, run_suite
+from diffext.frontend import SUITES, instance_from_text, ms_since, run_suite
 
 I1_TEXT = "p = 2\ndelta_of_x = x\nd = x\nseed = 0\ndegree_bound = 4\n"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -242,11 +243,16 @@ def test_cli_seed_override_changes_nothing_semantic(tmp_path):
     assert a.stdout.splitlines()[0] == b.stdout.splitlines()[0]
 
 
+def test_ms_since_rounds_up():
+    assert ms_since(time.perf_counter()) >= 1
+    assert ms_since(time.perf_counter() - 0.0021) >= 3
+
+
 def test_cli_single_command_reports_real_duration(tmp_path, capsys):
     out = tmp_path / "report.json"
-    # build materializes the structure table, so it takes well over 1 ms.
-    argv = ["build", str(CONFIGS / "i3.cfg"), "--json", str(out)]
+    # The left nucleus takes about 1 ms; a check that ran reports at least 1.
+    argv = ["nucleus", str(CONFIGS / "i3.cfg"), "--which", "left", "--json", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     (check,) = json.loads(out.read_text())["checks"]
-    assert check["name"] == "build" and check["ms"] >= 1
+    assert check["name"] == "nucleus" and check["ms"] >= 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diffext import scalars
 from diffext.scalars import (
     DensePoly,
     PrimeField,
@@ -164,6 +165,41 @@ def test_ratfunc_pow():
     assert x ** 4 == x * x * x * x
     assert x ** 0 == K.one()
     assert x ** -2 == (x * x).inverse()
+    zero = K.zero()
+    assert zero ** 0 == K.one()
+    # Equality is structural, so this pins the canonical zero 0/1.
+    assert zero ** 1 == zero and zero ** 3 == zero
+    # A constant denominator skips the gcd but is still made monic: over F_3,
+    # x/2 is 2x/1.
+    half_x = RatFunc(P(F3, 0, 1), P(F3, 2))
+    assert (half_x.num, half_x.den) == (P(F3, 0, 2), P(F3, 1))
+    assert half_x ** 3 == RatFunc(P(F3, 0, 0, 0, 2), P(F3, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ratfunc_pow_matches_repeated_product(monkeypatch, p):
+    # The product reduces by a gcd and the power takes none; equality is
+    # structural, so both must give the same canonical fraction.  n runs up
+    # to 7, so n = p is included.
+    gcds = []
+    gcd = scalars.poly_gcd
+
+    def counted(a, b):
+        gcds.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted)
+    rng = random.Random(90 + p)
+    K = RationalFunctionField(p)
+    for _ in range(12):
+        a = random_ratfunc(K, rng, 3, nonzero=True)
+        expected = K.one()
+        for n in range(8):
+            gcds.clear()
+            got = a ** n
+            assert not gcds
+            assert got == expected
+            expected = expected * a
 
 
 class _Counting:
