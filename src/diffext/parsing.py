@@ -11,8 +11,9 @@ Grammar, standard precedence (loosest first):
 Two modes share the machinery.  In field mode 't' is rejected and the value
 is a rational function; in poly mode values are twisted polynomials, with
 division restricted to divisors free of t (TInDenominator otherwise).
-Division by zero raises ZeroDivisionError; anything unparseable raises
-ExprSyntaxError carrying the offset.
+Anything unparseable raises ExprSyntaxError carrying the offset.  So does
+division by zero, whose error is also a ZeroDivisionError, and a literal
+power whose degree would pass ``MAX_POWER_DEGREE``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ __all__ = ["parse_expr", "parse_field_element", "parse_diffpoly"]
 
 
 _OPS = set("+-*/^()")
+
+# Largest degree a literal power b^n may reach, counted as n times the degree
+# of b: its degree in t or the largest degree of a coefficient's numerator
+# or denominator, whichever is larger.  A constant b has degree 0 and is
+# never refused.  Every g of degree p^e up to this ceiling parses; beyond
+# it the algebra's table alone has more than a million entries.
+MAX_POWER_DEGREE = 1024
+
+
+class _ZeroDivisorError(ExprSyntaxError, ZeroDivisionError):
+    """Division by zero in the text: a bad expression, and still a
+    ZeroDivisionError for callers that catch that."""
+
+
+def _degree(v: DiffPoly) -> int:
+    height = max((max(c.num.degree(), c.den.degree()) for c in v.coeffs), default=0)
+    return max(v.degree(), height)
 
 
 def _tokenize(s: str):
@@ -114,7 +132,7 @@ class _Parser:
         if rhs.degree() > 0:
             raise TInDenominator("cannot divide by a polynomial in t")
         if not rhs:
-            raise ZeroDivisionError("division by zero in expression")
+            raise _ZeroDivisorError("division by zero in expression", at)
         inv = self.K.invert(rhs.coeff(0))
         return v.map_coeffs(lambda c: c * inv)
 
@@ -131,6 +149,12 @@ class _Parser:
             tok, iat = self.advance()
             if not (isinstance(tok, tuple) and tok[0] == "INT"):
                 raise ExprSyntaxError("exponent must be a literal integer", iat)
+            degree = tok[1] * _degree(v)
+            if degree > MAX_POWER_DEGREE:
+                raise ExprSyntaxError(
+                    "power of degree %d is above the ceiling %d" % (degree, MAX_POWER_DEGREE),
+                    iat,
+                )
             return v ** tok[1]
         return v
 

@@ -12,7 +12,27 @@ Representation choices, which everything above this module relies on:
   plain structural comparison, which the linear algebra and all the exact
   identity checks depend on.
 
-All values are immutable; operations return fresh objects.
+All values are immutable, so an operation may hand back one of its operands.
+
+Each type has two constructors:
+
+* the public ones, ``DensePoly(field, coeffs)`` and ``RatFunc(num, den)``,
+  take anything: they reduce coefficients mod p and trim, or take the gcd
+  and make the denominator monic.  Every caller outside this module uses
+  them, and the tests use ``RatFunc(num, den)`` as the oracle;
+* the private ``_poly(field, coeffs)`` and ``_ratfunc(field, num, den)``
+  wrap coefficient tuples as they are.  Their callers must already hold
+  the invariant: a tuple of ints in ``range(p)`` with no trailing zero and,
+  for a fraction, coprime parts with a monic denominator and zero as
+  () over (1,).  The operators of both types build their results this way.
+
+The arithmetic runs on coefficient tuples in private kernels (``_add``,
+``_mul``, ``_divmod``, ``_gcd``) that take p as an argument and reduce
+mod p once per output entry.  Fraction sums and products are Henrici's
+(Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only when that is
+not 1, one more gcd of the new numerator with it; a product cancels the
+cross gcds gcd(a, d) and gcd(c, b), and neither needs a final gcd.  Every
+gcd still goes through ``poly_gcd``.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
 ``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
@@ -111,6 +131,110 @@ class PrimeField:
         return "PrimeField(%d)" % self.p
 
 
+# -- coefficient-tuple kernels ---------------------------------------------
+#
+# Inputs are sequences of ints in range(p) with no trailing zero; outputs are
+# tuples of the same kind.  Intermediate sums are left unreduced and reduced
+# once at the end: Python ints do not overflow.
+
+
+def _trim(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _add(a, b, p: int) -> tuple:
+    """Sum of coefficient tuples; only equal lengths can cancel the top."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    if len(a) == len(b):
+        return _trim(out)
+    return tuple(out) + tuple(a[len(b) :])
+
+
+def _neg(a, p: int) -> tuple:
+    return tuple([-c % p for c in a])
+
+
+def _mul(a, b, p: int) -> tuple:
+    """Product of coefficient tuples.
+
+    F_p has no zero divisors, so the top coefficient of a nonzero product is
+    nonzero and there is nothing to trim.
+    """
+    if not a or not b:
+        return ()
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple(b) if c == 1 else tuple([c * y % p for y in b])
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + nb] = [o + ai * y for o, y in zip(out[i : i + nb], b)]
+    return tuple([c % p for c in out])
+
+
+def _divmod(a, b, p: int):
+    """(quotient, remainder) of coefficient tuples for nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), tuple(a)
+    inv = pow(b[-1], -1, p)
+    if not db:
+        return tuple([c * inv % p for c in a]), ()
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k] * inv % p
+        if c:
+            q[k - db] = c
+            lo = k - db
+            rem[lo:k] = [r - c * y for r, y in zip(rem[lo:k], b)]
+    return tuple(q), _trim([r % p for r in rem[:db]])
+
+
+def _gcd(a, b, p: int) -> tuple:
+    """Monic gcd of coefficient tuples by Euclid on lists; () for two zeros.
+
+    Each step makes the divisor monic with one inverse, so the remainder
+    loop needs no inverse and no product with one.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = list(a), list(b)
+    while b:
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+        db = len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] % p
+            if c:
+                lo = k - db
+                a[lo:k] = [r - c * y for r, y in zip(a[lo:k], b)]
+        a, b = b, [r % p for r in a[:db]]
+        while b and not b[-1]:
+            b.pop()
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return tuple(a)
+
+
+def _poly(field: PrimeField, coeffs: tuple) -> "DensePoly":
+    """Trusted constructor: coeffs is already a tuple of ints in range(p)
+    with no trailing zero, so nothing is reduced or trimmed."""
+    out = object.__new__(DensePoly)
+    out.field = field
+    out.coeffs = coeffs
+    return out
+
+
 class DensePoly:
     """Univariate polynomial over F_p, dense coefficient tuple, low degree first."""
 
@@ -118,22 +242,20 @@ class DensePoly:
 
     def __init__(self, field: PrimeField, coeffs):
         cs = [c % field.p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim(cs)
 
     @classmethod
     def zero(cls, field: PrimeField) -> "DensePoly":
-        return cls(field, ())
+        return _poly(field, ())
 
     @classmethod
     def one(cls, field: PrimeField) -> "DensePoly":
-        return cls(field, (1,))
+        return _poly(field, (1,))
 
     @classmethod
     def x(cls, field: PrimeField) -> "DensePoly":
-        return cls(field, (0, 1))
+        return _poly(field, (0, 1))
 
     @classmethod
     def constant(cls, field: PrimeField, c: int) -> "DensePoly":
@@ -155,65 +277,38 @@ class DensePoly:
     def __eq__(self, other):
         return (
             isinstance(other, DensePoly)
-            and other.field == self.field
             and other.coeffs == self.coeffs
+            and other.field.p == self.field.p
         )
 
     def __hash__(self):
         return hash((self.field.p, self.coeffs))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return DensePoly(self.field, out)
+        return _poly(self.field, _add(self.coeffs, other.coeffs, self.field.p))
 
     def __neg__(self):
-        p = self.field.p
-        return DensePoly(self.field, tuple(-c % p for c in self.coeffs))
+        return _poly(self.field, _neg(self.coeffs, self.field.p))
 
     def __sub__(self, other):
-        return self + (-other)
+        p = self.field.p
+        return _poly(self.field, _add(self.coeffs, _neg(other.coeffs, p), p))
 
     def __mul__(self, other):
-        if not self or not other:
-            return DensePoly.zero(self.field)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-        return DensePoly(self.field, out)
+        return _poly(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
 
     def scale(self, c: int) -> "DensePoly":
-        c %= self.field.p
+        p = self.field.p
+        c %= p
         if c == 0:
             return DensePoly.zero(self.field)
-        p = self.field.p
-        return DensePoly(self.field, tuple(a * c % p for a in self.coeffs))
+        return _poly(self.field, tuple([a * c % p for a in self.coeffs]))
 
     def __divmod__(self, other):
-        if not other:
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        inv_lc = field.inv(other.lc())
-        rem = list(self.coeffs)
-        dn = other.degree()
-        q = [0] * max(len(rem) - dn, 0)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k] * inv_lc % field.p
-            if c == 0:
-                continue
-            q[k - dn] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k - dn + i] = (rem[k - dn + i] - c * oc) % field.p
-        return DensePoly(field, q), DensePoly(field, rem[:dn])
+        q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -231,9 +326,7 @@ class DensePoly:
 
     def formal_derivative(self) -> "DensePoly":
         p = self.field.p
-        return DensePoly(
-            self.field, tuple(i * c % p for i, c in enumerate(self.coeffs) if i > 0)
-        )
+        return _poly(self.field, _trim([i * c % p for i, c in enumerate(self.coeffs)][1:]))
 
     def __str__(self):
         if not self.coeffs:
@@ -257,14 +350,22 @@ class DensePoly:
 
 def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return _poly(a.field, _gcd(a.coeffs, b.coeffs, a.field.p))
 
 
 def _needs_parens(s: str) -> bool:
     # Top-level + or / means the string cannot be juxtaposed with '*t^i'.
     return ("+" in s) or ("/" in s) or ("-" in s) or (" " in s)
+
+
+def _ratfunc(field: PrimeField, num: tuple, den: tuple) -> "RatFunc":
+    """Trusted constructor from coefficient tuples: num and den are coprime,
+    den is monic, and zero is () over (1,), so no gcd is taken and nothing
+    is normalised."""
+    out = object.__new__(RatFunc)
+    out.num = _poly(field, num)
+    out.den = _poly(field, den)
+    return out
 
 
 class RatFunc:
@@ -279,7 +380,7 @@ class RatFunc:
             self.num = num
             self.den = DensePoly.one(num.field)
             return
-        if den.degree() > 0:
+        if num.degree() > 0 and den.degree() > 0:
             g = poly_gcd(num, den)
             if g.degree() > 0:
                 num = num // g
@@ -295,15 +396,15 @@ class RatFunc:
 
     @classmethod
     def zero(cls, field: PrimeField) -> "RatFunc":
-        return cls(DensePoly.zero(field), DensePoly.one(field))
+        return _ratfunc(field, (), (1,))
 
     @classmethod
     def one(cls, field: PrimeField) -> "RatFunc":
-        return cls(DensePoly.one(field), DensePoly.one(field))
+        return _ratfunc(field, (1,), (1,))
 
     @classmethod
     def x(cls, field: PrimeField) -> "RatFunc":
-        return cls(DensePoly.x(field), DensePoly.one(field))
+        return _ratfunc(field, (0, 1), (1,))
 
     @classmethod
     def from_poly(cls, num: DensePoly) -> "RatFunc":
@@ -321,7 +422,7 @@ class RatFunc:
         return self.den.degree() == 0
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.coeffs)
 
     def __eq__(self, other):
         return (
@@ -334,30 +435,79 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        """Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): one gcd of the
+        denominators and, only when that is not 1, one gcd of the new
+        numerator with it."""
+        a, b = self.num.coeffs, self.den.coeffs
+        c, d = other.num.coeffs, other.den.coeffs
+        if not a:
+            return other
+        if not c:
+            return self
+        field = self.num.field
+        p = field.p
+        # A constant denominator is 1: (a d + c)/d shares no factor with d.
+        if len(b) == 1:
+            return _ratfunc(field, _add(_mul(a, d, p), c, p), d)
+        if len(d) == 1:
+            return _ratfunc(field, _add(a, _mul(c, b, p), p), b)
+        # gcd(b, b) = b for a monic b.
+        g = b if b == d else poly_gcd(self.den, other.den).coeffs
+        if len(g) == 1:
+            # Coprime denominators: a d + c b is coprime to b d.
+            return _ratfunc(field, _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p))
+        b1 = _divmod(b, g, p)[0]
+        t = _add(_mul(a, _divmod(d, g, p)[0], p), _mul(c, b1, p), p)
+        if not t:
+            return RatFunc.zero(field)
+        # A common factor of t and b1 d can only come from g; a constant t
+        # has none.
+        if len(t) > 1:
+            g2 = poly_gcd(_poly(field, t), _poly(field, g)).coeffs
+            if len(g2) > 1:
+                t, d = _divmod(t, g2, p)[0], _divmod(d, g2, p)[0]
+        return _ratfunc(field, t, _mul(b1, d, p))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        field = self.num.field
+        return _ratfunc(field, _neg(self.num.coeffs, field.p), self.den.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self or not other:
-            return RatFunc.zero(self.field)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        """Henrici's product: cancel gcd(a, d) and gcd(c, b) first, so
+        (a/b)(c/d) comes out canonical with no gcd of the product."""
+        a, b = self.num.coeffs, self.den.coeffs
+        c, d = other.num.coeffs, other.den.coeffs
+        field = self.num.field
+        if not a or not c:
+            return RatFunc.zero(field)
+        p = field.p
+        # A constant has gcd 1 with anything, so a constant side skips its gcd.
+        if len(a) > 1 and len(d) > 1:
+            g = poly_gcd(self.num, other.den).coeffs
+            if len(g) > 1:
+                a, d = _divmod(a, g, p)[0], _divmod(d, g, p)[0]
+        if len(c) > 1 and len(b) > 1:
+            g = poly_gcd(other.num, self.den).coeffs
+            if len(g) > 1:
+                c, b = _divmod(c, g, p)[0], _divmod(b, g, p)[0]
+        return _ratfunc(field, _mul(a, c, p), _mul(b, d, p))
 
     def __truediv__(self, other):
         if not other:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RatFunc":
-        if not self:
+        """den/num scaled to a monic denominator; coprime as it stands."""
+        num = self.num.coeffs
+        if not num:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        field = self.num.field
+        inv = (field.inv(num[-1]),)
+        return _ratfunc(field, _mul(inv, self.den.coeffs, field.p), _mul(inv, num, field.p))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -365,10 +515,7 @@ class RatFunc:
         # Powers of coprime polynomials stay coprime, and a power of a monic
         # polynomial is monic: num^n / den^n is canonical as it stands (zero
         # included, as 0/1 gives 0/1 for n > 0 and 1/1 for n = 0).
-        out = object.__new__(RatFunc)
-        out.num = self.num ** n
-        out.den = self.den ** n
-        return out
+        return _ratfunc(self.num.field, (self.num ** n).coeffs, (self.den ** n).coeffs)
 
     def __str__(self):
         if self.den.degree() == 0:

@@ -150,7 +150,7 @@ def _cli(tmp_path, *args, config=I1_TEXT):
     cmd = [sys.executable, "-m", "diffext"] + [
         str(cfg) if a == "CFG" else a for a in args
     ]
-    return subprocess.run(cmd, capture_output=True, text=True, env=_CHILD_ENV)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_CHILD_ENV, timeout=120)
 
 
 def test_cli_build_exit_zero(tmp_path):
@@ -234,6 +234,29 @@ def test_cli_bad_config_exits_two(tmp_path):
 def test_cli_bad_expression_exits_two(tmp_path):
     proc = _cli(tmp_path, "autos", "CFG", "--check-c", "x +")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("build", "CFG"), "p = 2\ndelta_of_x = x\nd = 1/0\n"),
+        (("build", "CFG"), "p = 2\ndelta_of_x = x/(x - x)\nd = x\n"),
+        (("inner", "CFG", "--a", "1/0"), I1_TEXT),
+        (("autos", "CFG", "--check-c", "1/(x+x)"), I1_TEXT),
+    ],
+    ids=["config_d", "config_delta_of_x", "inner_a", "autos_check_c"],
+)
+def test_cli_division_by_zero_exits_two(tmp_path, args, config):
+    proc = _cli(tmp_path, *args, config=config)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: division by zero in expression")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_huge_power_exits_two(tmp_path):
+    proc = _cli(tmp_path, "build", "CFG", config="p = 2\ndelta_of_x = x\nd = x^99999999999\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: power of degree")
 
 
 def test_cli_seed_override_changes_nothing_semantic(tmp_path):

@@ -6,7 +6,12 @@ import pytest
 
 from diffext.diffpoly import DiffPoly
 from diffext.errors import ExprSyntaxError, TInDenominator
-from diffext.parsing import parse_diffpoly, parse_expr, parse_field_element
+from diffext.parsing import (
+    MAX_POWER_DEGREE,
+    parse_diffpoly,
+    parse_expr,
+    parse_field_element,
+)
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import DerivedField
 
@@ -68,6 +73,44 @@ def test_parse_division_errors():
         parse_diffpoly("(t + 1)/t", K2X)
     with pytest.raises(TInDenominator):
         parse_diffpoly("1/(t + x)", K2X)
+
+
+def test_division_by_zero_is_a_bad_expression():
+    # Still a ZeroDivisionError, and also a syntax error at the '/'.
+    for text, at in (("1/0", 1), ("x + 1/(x + x)", 5)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_field_element(text, K2X)
+        assert isinstance(exc.value, ZeroDivisionError)
+        assert exc.value.position == at
+        assert str(exc.value).startswith("division by zero in expression")
+
+
+def test_power_degree_ceiling():
+    x = K2X.x()
+    n = MAX_POWER_DEGREE
+    assert parse_field_element("x^%d" % n, K2X) == x ** n
+    # Refused up front, at the exponent's offset, before any work.
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_field_element("x^99999999999", K2X)
+    assert exc.value.position == 2
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_field_element("x^%d" % (n + 1), K2X)
+    assert exc.value.position == 2
+    # The exponent counts times the base's degree, denominators included.
+    half = n // 2
+    assert parse_field_element("(1/(x^2 + 1))^%d" % half, K2X) == (x * x + K2X.one()) ** -half
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_field_element("(1/(x^2 + 1))^%d" % (half + 1), K2X)
+    assert exc.value.position == len("(1/(x^2 + 1))^")
+    # In poly mode the degree in t counts too.
+    with pytest.raises(ExprSyntaxError):
+        parse_diffpoly("t^%d" % (n + 1), K2X)
+    with pytest.raises(ExprSyntaxError):
+        parse_diffpoly("(t + 1)^%d" % (n + 1), K2X)
+    # A constant base stays allowed at any exponent.
+    assert parse_field_element("2^99999999999", K3X) == K3X.from_int(2)
+    assert parse_field_element("3^99999999999", K3X) == K3X.zero()
+    assert parse_field_element("(x - x)^99999999999", K3X) == K3X.zero()
 
 
 def test_parse_mode_validation():

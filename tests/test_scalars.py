@@ -257,3 +257,183 @@ def test_str_forms():
     assert str(K.poly(1, 2, 1)) == "x^2 + 2*x + 1"
     assert str(K.poly(0, 1) / K.poly(1, 1)) == "x/(x + 1)"
     assert str((K.poly(1, 1) / K.poly(0, 0, 1))) == "(x + 1)/(x^2)"
+
+
+# -- the tuple kernels and Henrici's fraction arithmetic against the old routes
+#
+# The oracles: a schoolbook product and a textbook long division and Euclid
+# on DensePoly values built through the validating constructor, and the
+# gcd-taking RatFunc(num, den) constructor applied to the unreduced sum,
+# product and quotient.
+
+
+def _textbook_mul(a, b):
+    F = a.field
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return DensePoly(F, out)
+
+
+def _textbook_divmod(a, b):
+    F = a.field
+    rem = list(a.coeffs)
+    q = [0] * max(len(rem) - b.degree(), 0)
+    inv = F.inv(b.lc())
+    while len(rem) > b.degree():
+        k = len(rem) - 1 - b.degree()
+        c = F.mul(rem[-1], inv)
+        q[k] = c
+        for i, bc in enumerate(b.coeffs):
+            rem[k + i] = F.sub(rem[k + i], F.mul(c, bc))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return DensePoly(F, q), DensePoly(F, rem)
+
+
+def _textbook_gcd(a, b):
+    while b:
+        a, b = b, _textbook_divmod(a, b)[1]
+    return a.scale(a.field.inv(a.lc())) if a else a
+
+
+def _assert_canonical_poly(poly, p):
+    cs = poly.coeffs
+    assert type(cs) is tuple
+    assert all(type(c) is int and 0 <= c < p for c in cs)
+    assert not cs or cs[-1] != 0
+
+
+def _assert_canonical(r, p):
+    _assert_canonical_poly(r.num, p)
+    _assert_canonical_poly(r.den, p)
+    assert r.den.coeffs and r.den.coeffs[-1] == 1
+    if r.num:
+        assert _textbook_gcd(r.num, r.den).coeffs == (1,)
+    else:
+        assert r.den.coeffs == (1,)
+
+
+def _fraction_pairs(p, rng, n):
+    """Pairs that reach every branch of the sum and the product: zero,
+    constants, polynomials, equal denominators, shared factors, a sum that
+    cancels part of gcd(b, d), and p-th-power denominators."""
+    F = PrimeField(p)
+    K = RationalFunctionField(p)
+
+    def frac(deg=3):
+        return random_ratfunc(K, rng, deg)
+
+    def monic(deg):
+        return random_poly(F, rng, deg, monic=True)
+
+    for _ in range(n):
+        a = frac()
+        kind = rng.randrange(8)
+        if kind == 0:
+            b = K.zero() if rng.randrange(2) else K.from_int(rng.randrange(1, p))
+        elif kind == 1:
+            b = RatFunc.from_poly(random_poly(F, rng, 3))
+        elif kind == 2:
+            b = RatFunc(random_poly(F, rng, 3), a.den)
+        elif kind == 3:
+            s = monic(2)
+            b = RatFunc(random_poly(F, rng, 3), s * monic(2))
+            a = RatFunc(a.num, a.den * s)
+        elif kind == 4:
+            # a + b = z, so the sum cancels what a and b share beyond z.
+            b = frac() - a
+        elif kind == 5:
+            b = RatFunc(random_poly(F, rng, 2), monic(1) ** p)
+            a = RatFunc(a.num, a.den * monic(1) ** p)
+        elif kind == 6:
+            # Cross factors for the product: num a shares with den b.
+            s = monic(2)
+            a = RatFunc(a.num * s, a.den)
+            b = RatFunc(random_poly(F, rng, 2), s * monic(1))
+        else:
+            b = frac()
+        yield a, b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dense_poly_kernels_match_textbook(p):
+    F = PrimeField(p)
+    rng = random.Random(800 + p)
+    for _ in range(300):
+        a = random_poly(F, rng, 7)
+        b = random_poly(F, rng, 5)
+        for got in (a + b, a - b, -a, a * b, a.formal_derivative(), a.scale(rng.randrange(p))):
+            _assert_canonical_poly(got, p)
+        assert a * b == _textbook_mul(a, b)
+        assert (a - b) + b == a
+        g = poly_gcd(a, b)
+        _assert_canonical_poly(g, p)
+        assert g == _textbook_gcd(a, b)
+        assert scalars._gcd(a.coeffs, b.coeffs, p) == g.coeffs
+        if b:
+            q, r = divmod(a, b)
+            _assert_canonical_poly(q, p)
+            _assert_canonical_poly(r, p)
+            assert (q, r) == _textbook_divmod(a, b)
+        # A shared factor must come back whole.
+        s = random_poly(F, rng, 3, monic=True)
+        if s:
+            assert poly_gcd(a * s, b * s) == _textbook_gcd(a * s, b * s)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_henrici_arithmetic_matches_gcd_constructor(p):
+    rng = random.Random(900 + p)
+    for a, b in _fraction_pairs(p, rng, 400):
+        for x, y in ((a, b), (b, a)):
+            pairs = [
+                (x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
+                (x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
+                (x * y, RatFunc(x.num * y.num, x.den * y.den)),
+                (-x, RatFunc(-x.num, x.den)),
+            ]
+            if y:
+                pairs.append((x / y, RatFunc(x.num * y.den, x.den * y.num)))
+                pairs.append((y.inverse(), RatFunc(y.den, y.num)))
+            for got, want in pairs:
+                _assert_canonical(got, p)
+                assert got == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gcd_constructor_matches_textbook(p):
+    F = PrimeField(p)
+    rng = random.Random(950 + p)
+    for _ in range(300):
+        num = random_poly(F, rng, 6)
+        den = random_poly(F, rng, 6, nonzero=True)
+        r = RatFunc(num, den)
+        _assert_canonical(r, p)
+        g = _textbook_gcd(num, den)
+        lc = F.inv(_textbook_divmod(den, g)[0].lc())
+        if num:
+            assert r.num == _textbook_divmod(num, g)[0].scale(lc)
+            assert r.den == _textbook_divmod(den, g)[0].scale(lc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_derivation_matches_quotient_rule_oracle(p):
+    from diffext.towers import DerivedField
+
+    F = PrimeField(p)
+    K = RationalFunctionField(p)
+    rng = random.Random(970 + p)
+    weights = [K.x(), K.one(), K.poly(1, 0, 1), K.x().inverse(), K.poly(1, 1) / K.x()]
+    for w in weights:
+        D = DerivedField(p, w)
+        for a, b in _fraction_pairs(p, rng, 40):
+            for u in (a, b, a * b, a + b):
+                v, n = u.den, u.num
+                dv = DensePoly(F, [i * c for i, c in enumerate(v.coeffs)][1:])
+                dn = DensePoly(F, [i * c for i, c in enumerate(n.coeffs)][1:])
+                want = RatFunc(w.num * (dn * v - n * dv), w.den * v * v)
+                got = D.delta(u)
+                _assert_canonical(got, p)
+                assert got == want
