@@ -10,7 +10,9 @@
 Every subcommand accepts --seed N (overrides the config) and --json PATH
 (write the machine-readable report next to the human-readable lines).
 Exit status: 0 all checks passed, 1 a check failed or a probe was rejected,
-2 bad usage, unreadable config, or unparsable expression.
+2 bad usage, unreadable config, unparsable expression, or an instance the
+command does not handle (such as a structure table above
+dext.MAX_TABLE_ENTRIES).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     NotNuclear,
     TInDenominator,
     UnknownSuite,
+    UnsupportedInstance,
     ZeroDerivation,
 )
 from .frontend import SUITES, CheckResult, Report, load_instance, ms_since, run_suite
@@ -219,7 +222,7 @@ def main(argv=None) -> int:
 
     try:
         report = _COMMANDS[args.command](inst, args)
-    except (ExprSyntaxError, TInDenominator) as exc:
+    except (ExprSyntaxError, TInDenominator, UnsupportedInstance) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (ConditionFailed, NotNuclear, NotInvertible) as exc:

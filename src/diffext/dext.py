@@ -15,8 +15,14 @@ coordinates, all computed by one routine: a running F-basis is cut down one
 map at a time, then put in the canonical free-column form.  Every map is an
 element-level product read back in coordinates, and the nuclei come from
 Petit's theory of these algebras (see ExtAlgebra.nucleus).  The table of
-structure constants over F is built only on request, which checks that
-each of them lies in F.
+structure constants over F is built only on request, from the action of
+t and of the ring basis, never from the dim^2 basis products: left
+scaling by a coefficient commutes with the reduction mod the monic f, and
+for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
+basis element needs m - 1 t-steps, and each row is a left-multiplication
+matrix over F applied block by block (see structure_constants).  Every
+entry is checked to lie in F, and tables above MAX_TABLE_ENTRIES
+coordinates are refused before any work.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
 search runs over fractions u/v of bounded height, one monic denominator v
@@ -33,7 +39,7 @@ log-derivative witness of the autos layer is its other caller.
 from __future__ import annotations
 
 from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
-from .errors import InternalInvariantViolation, NoSolution
+from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix
 from .scalars import DensePoly, RatFunc, poly_gcd
 from .towers import PPolynomial
@@ -41,6 +47,12 @@ from .towers import PPolynomial
 __all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
 
 _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
+
+# Largest structure table, in coordinates (dim^3), that structure_constants
+# builds.  Not an option: it keeps `diffext build` from running for minutes
+# and filling memory.  An exponent-one instance over K has dim = p^2: p = 13
+# (169^3, about 4.8 million) is built, p = 17 (about 24 million) is refused.
+MAX_TABLE_ENTRIES = 10 ** 7
 
 
 class AlgebraElement:
@@ -170,9 +182,13 @@ class ExtAlgebra:
 
     def coords(self, u: AlgebraElement):
         """Coordinates over F, ordered to match basis()."""
+        return self._rep_coords(u.rep)
+
+    def _rep_coords(self, rep: DiffPoly):
+        """Coordinates of the t^i coefficients of rep, i below deg f; no reduction."""
         out = []
         for i in range(self.f.degree()):
-            out.extend(self.ring.coords(u.rep.coeff(i)))
+            out.extend(self.ring.coords(rep.coeff(i)))
         return tuple(out)
 
     def from_coords(self, cs) -> AlgebraElement:
@@ -192,22 +208,81 @@ class ExtAlgebra:
     # -- structure constants ---------------------------------------------
 
     def structure_constants(self):
-        """dim x dim table of F-coordinate vectors for basis products."""
+        """dim x dim table of F-coordinate vectors of the basis products.
+
+        Entry (I, J) is coords(e_I e_J), both indices in the order of
+        basis(): e_I = b_a t^i is at I = i n + a, where b_a is the a-th of
+        the n ring basis elements and i < m = deg f.  Two facts about the
+        monic f give the table without forming the dim^2 products:
+
+        * left scaling commutes with the reduction: if u = q f + r, then
+          a u = (a q) f + a r with deg(a r) < m, so (a u) mod f = a (u mod f)
+          for every coefficient a;
+        * one t-step: for deg u < m, t u has degree at most m and its t^m
+          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f.
+
+        So e_I e_J = (b_a t^i e_J) mod f = b_a U_i(e_J) with U_i(e_J) =
+        (t^i e_J) mod f, and t (q f + r) = (t q) f + t r makes U_i(e_J) one
+        t-step from U_(i-1)(e_J): dim (m - 1) t-steps in all.  Coordinates
+        are F-linear, so the coordinates of b_a U are L_a applied to each
+        block of n coordinates of U, where L_a is the n x n matrix over F of
+        left multiplication by b_a, read once from ring.coords(b_a b_k).
+        Over K, L_(x^a) is the cyclic shift with x^p on the wrap.  Every
+        entry of the table is then checked to lie in F.
+
+        Raises UnsupportedInstance, before any work, when the table would
+        hold more than MAX_TABLE_ENTRIES coordinates.
+        """
         if self._table is None:
-            basis = self.basis()
-            K = self.base_field
+            dim, m = self.dim, self.f.degree()
+            if dim ** 3 > MAX_TABLE_ENTRIES:
+                raise UnsupportedInstance(
+                    "the structure table has dim^3 = %d entries (dim %d), above "
+                    "dext.MAX_TABLE_ENTRIES = %d" % (dim ** 3, dim, MAX_TABLE_ENTRIES)
+                )
+            ring, K, f = self.ring, self.base_field, self.f
+            n = ring.dim_over_constants
+            # lefts[a][k]: the nonzero entries (r, c) of column k of L_a, with
+            # None for c = 1.
+            one = K.one()
+            lefts = [
+                [
+                    [(r, None if c == one else c) for r, c in enumerate(ring.coords(b * bk)) if c]
+                    for bk in self._ring_basis
+                ]
+                for b in self._ring_basis
+            ]
+            # powers[i][J] = coords(U_i(e_J)); U_0(e_J) = e_J.
+            powers = [self._units()] + [[] for _ in range(1, m)]
+            for e in self.basis():
+                u = e.rep
+                for i in range(1, m):
+                    top = u.coeff(m - 1)
+                    u = u._t_times()
+                    if top:
+                        u = u - f.scale_left(top)
+                    powers[i].append(self._rep_coords(u))
+            zero = K.zero()
             table = []
-            for ei in basis:
-                row = []
-                for ej in basis:
-                    cs = self.coords(ei * ej)
-                    for c in cs:
-                        if not K.is_constant(c):
-                            raise InternalInvariantViolation(
-                                "structure constant %s is not in F" % c
-                            )
-                    row.append(cs)
-                table.append(row)
+            for i in range(m):
+                for left in lefts:
+                    row = []
+                    for cs in powers[i]:
+                        out = [zero] * dim
+                        for block in range(0, dim, n):
+                            for k, c in enumerate(cs[block : block + n]):
+                                if c:
+                                    for r, scale in left[k]:
+                                        term = c if scale is None else scale * c
+                                        out[block + r] = out[block + r] + term
+                        # Entries never written are the constant zero itself.
+                        for c in out:
+                            if c is not zero and not K.is_constant(c):
+                                raise InternalInvariantViolation(
+                                    "structure constant %s is not in F" % c
+                                )
+                        row.append(tuple(out))
+                    table.append(row)
             self._table = table
         return self._table
 

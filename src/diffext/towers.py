@@ -4,8 +4,10 @@ A ``DerivedField`` is F_p(x) together with the derivation delta = w * d/dx
 for a nonzero rational function w.  Its constants form the subfield
 F = F_p(x^p), and K is an F-vector space with basis 1, x, ..., x^(p-1).
 F is never materialized as a separate type: its elements are ordinary
-rational functions that happen to satisfy delta(a) = 0, and the solvers
-assert that property wherever an F-scalar is required.
+rational functions whose reduced numerator and denominator have only
+exponents divisible by p (``is_constant``, exact since ker delta is
+F_p(x^p)), and the solvers assert that property wherever an F-scalar is
+required.
 
 ``minimal_p_polynomial`` finds the monic p-polynomial of least exponent e,
 
@@ -14,6 +16,8 @@ assert that property wherever an F-scalar is required.
 with g(delta) = 0 as an F-linear operator on K.  The iterated powers
 delta^(p^k) are themselves F-linear, so each is a p x p matrix over F in
 the coordinate basis and the coefficients come out of one linear solve.
+The matrices are built one level at a time, only as far as the exponent
+being tried.
 
 ``MatrixRingAdapter`` wraps n x n matrices over K with the entrywise
 derivation.  It exists to exercise the noncommutative code paths (the
@@ -21,6 +25,8 @@ commutator terms in the twisted arithmetic); it is not a division ring.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
 
 from .errors import (
     InternalInvariantViolation,
@@ -78,14 +84,27 @@ class DerivedField(RationalFunctionField):
         return a.inverse()
 
     def delta(self, a: RatFunc) -> RatFunc:
-        """Quotient rule: delta(u/v) = (u'v - uv') * w / v^2."""
+        """Quotient rule: delta(u/v) = (u'v - uv') * w / v^2; 0 on constants."""
+        if self.is_constant(a):
+            return self.zero()
         u, v = a.num, a.den
         du, dv = u.formal_derivative(), v.formal_derivative()
         num = du * v - u * dv
         return RatFunc(num, v * v) * self.delta_of_x
 
     def is_constant(self, a: RatFunc) -> bool:
-        return not self.delta(a)
+        """Whether delta(a) = 0, read off the exponents of a.
+
+        delta = w d/dx with w nonzero, so ker delta = F_p(x^p).  A constant
+        U(x^p)/V(x^p) with U, V coprime in F_p[y] is already in canonical
+        form (a Bezout identity for U, V survives y -> x^p), so a is
+        constant iff every exponent with a nonzero coefficient in its
+        numerator and denominator is divisible by p.
+        """
+        p = self.p
+        return not any(
+            any(cs[j::p]) for cs in (a.num.coeffs, a.den.coeffs) for j in range(1, min(p, len(cs)))
+        )
 
     def constant_basis(self):
         """F-basis 1, x, ..., x^(p-1) of K."""
@@ -95,24 +114,22 @@ class DerivedField(RationalFunctionField):
     def coords(self, a: RatFunc):
         """Coordinates of a over F in the basis 1, x, ..., x^(p-1).
 
-        Writes a = u/v as (u * v^(p-1)) / v^p; the denominator is now a
-        p-th power, hence constant, and the numerator splits by exponent
-        residue mod p.  Round-trips exactly: a == sum c_j x^j.
+        Writes a = u/v as (u * v^(p-1)) / v^p (a polynomial as it stands);
+        the denominator is now a p-th power, hence constant, and the
+        numerator splits by exponent residue mod p.  Round-trips exactly:
+        a == sum c_j x^j.
         """
         p = self.p
         u, v = a.num, a.den
-        w = u * v ** (p - 1)
-        vp = v ** p
+        if v.degree():
+            u, v = u * v ** (p - 1), v ** p
         out = []
         for j in range(p):
-            part = DensePoly(
-                self.field,
-                [c if (k % p) == j else 0 for k, c in enumerate(w.coeffs)],
-            )
-            # Dividing by x^j leaves exponents that are multiples of p.
-            shifted = DensePoly(self.field, part.coeffs[j:]) if part else part
-            cj = RatFunc(shifted, vp)
-            out.append(cj)
+            # The part of exponent residue j, divided by x^j: exponents k p.
+            cs = u.coeffs[j::p]
+            spread = [0] * (p * len(cs))
+            spread[::p] = cs
+            out.append(RatFunc(DensePoly(self.field, spread), v))
         return tuple(out)
 
     def from_coords(self, cs) -> RatFunc:
@@ -227,24 +244,22 @@ class PPolynomial:
         return "PPolynomial(%s)" % str(self)
 
 
-def _operator_matrix(K: DerivedField, op):
-    """Matrix of an F-linear operator on K in the basis 1, x, ..., x^(p-1)."""
-    cols = [K.coords(op(b)) for b in K.constant_basis()]
-    return [tuple(col[i] for col in cols) for i in range(K.p)]
+def _delta_power_matrices(K: DerivedField):
+    """Matrices of delta^(p^k) over F, for k = 0, 1, 2, ... as they are asked for.
 
-
-def _delta_power_matrices(K: DerivedField, max_k: int):
-    """Matrices of delta^(p^k) over F for k = 0..max_k."""
-
-    def delta_pow(k):
-        def op(a, k=k):
-            for _ in range(k):
-                a = K.delta(a)
-            return a
-
-        return op
-
-    return [_operator_matrix(K, delta_pow(K.p ** k)) for k in range(max_k + 1)]
+    Each is the matrix in the basis 1, x, ..., x^(p-1), its columns the
+    coordinates of the images of the basis.  Level k + 1 continues the
+    orbit of level k (delta^(p^(k+1)) is delta^(p^k) applied p times), so
+    it costs p^(k+1) - p^k derivations per basis element and no level is
+    built before it is needed.
+    """
+    images, done = K.constant_basis(), 0  # images[j] = delta^done(x^j)
+    for k in count():
+        for _ in range(K.p ** k - done):
+            images = [K.delta(a) for a in images]
+        done = K.p ** k
+        cols = [K.coords(a) for a in images]
+        yield [tuple(col[i] for col in cols) for i in range(K.p)]
 
 
 def _annihilator_at(K: DerivedField, mats, e: int) -> PPolynomial:
@@ -277,7 +292,7 @@ def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
         if K.delta(K.x()):
             raise NoSolution("exponent 0 forces g = t, and the derivation is nonzero")
         raise InternalInvariantViolation("zero derivation escaped the constructor")
-    return _annihilator_at(K, _delta_power_matrices(K, e), e)
+    return _annihilator_at(K, list(islice(_delta_power_matrices(K), e + 1)), e)
 
 
 def minimal_p_polynomial(K: DerivedField, max_e: int = 3) -> PPolynomial:
@@ -287,8 +302,10 @@ def minimal_p_polynomial(K: DerivedField, max_e: int = 3) -> PPolynomial:
     is by construction (smallest solvable e wins); the returned polynomial
     is re-verified on the coordinate basis.
     """
-    mats = _delta_power_matrices(K, max_e)
+    levels = _delta_power_matrices(K)
+    mats = [next(levels)]
     for e in range(1, max_e + 1):
+        mats.append(next(levels))
         try:
             return _annihilator_at(K, mats, e)
         except NoSolution:

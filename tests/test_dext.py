@@ -6,8 +6,9 @@ import weakref
 
 import pytest
 
-from diffext.dext import ExtAlgebra
+from diffext.dext import MAX_TABLE_ENTRIES, ExtAlgebra
 from diffext.diffpoly import DiffPoly, is_right_invariant, v_g
+from diffext.errors import InternalInvariantViolation, UnsupportedInstance
 from diffext.frontend import instance_from_text
 from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, PrimeField, RatFunc
@@ -135,6 +136,21 @@ def nucleus_oracle(alg, which):
     return Matrix(alg.base_field, rows).kernel()
 
 
+def table_oracle(alg):
+    """The table as it used to be built: every basis product, reduced mod f."""
+    basis = alg.basis()
+    return [[alg.coords(ei * ej) for ej in basis] for ei in basis]
+
+
+def adapter_algebra(n):
+    """n x n matrices over F_2(x), delta = x d/dx, d = diag(x, 0, ..., 0)."""
+    F = PrimeField(2)
+    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
+    A = MatrixRingAdapter(K, n)
+    d = [[K.x() if i == j == 0 else K.zero() for j in range(n)] for i in range(n)]
+    return ExtAlgebra(A, minimal_p_polynomial(K), A.of(d))
+
+
 def test_product_frozen_values(i1):
     K = i1.ring
     x = K.x()
@@ -176,6 +192,54 @@ def test_structure_constants_match_direct_product(i1, i3):
             v = alg.random_element(rng, 2)
             via_table = table_product(alg, alg.coords(u), alg.coords(v))
             assert via_table == alg.coords(u * v)
+
+
+def test_structure_constants_match_product_oracle(i1, i2, i3, i4):
+    for alg in (i1, i2, i3, i4):
+        assert alg.structure_constants() == table_oracle(alg)
+
+
+@pytest.mark.parametrize("d", ["2", "(x^2+2*x+1)/(x^2+1)"])
+@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1"])
+def test_structure_constants_match_product_oracle_p3(weight, d):
+    alg = p3_algebra(weight, d)
+    assert alg.structure_constants() == table_oracle(alg)
+
+
+def test_structure_constants_match_product_oracle_p5():
+    alg = instance_from_text("p = 5\ndelta_of_x = x\nd = x\n").algebra
+    assert alg.dim == 25
+    assert alg.structure_constants() == table_oracle(alg)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_structure_constants_match_product_oracle_adapter(n):
+    alg = adapter_algebra(n)
+    assert alg.dim == 4 * n * n
+    assert alg.structure_constants() == table_oracle(alg)
+
+
+def test_structure_constants_check_every_entry_is_constant(monkeypatch):
+    # Coordinates that leave F (x times the constant ones) must be caught.
+    alg = p3_algebra("x", "x")
+    honest = DerivedField.coords
+    x = alg.ring.x()
+    monkeypatch.setattr(DerivedField, "coords", lambda K, a: tuple(x * c for c in honest(K, a)))
+    with pytest.raises(InternalInvariantViolation, match="not in F"):
+        alg.structure_constants()
+    assert alg._table is None
+
+
+def test_structure_table_guard_refuses_before_any_work(monkeypatch):
+    # Exponent-one instances have dim p^2: p = 13 is built, p = 17 refused.
+    assert 169 ** 3 <= MAX_TABLE_ENTRIES < 289 ** 3
+    alg = instance_from_text("p = 17\ndelta_of_x = x\nd = x\n").algebra
+    calls = []
+    monkeypatch.setattr(DerivedField, "coords", lambda K, a: calls.append(a))
+    monkeypatch.setattr(DerivedField, "delta", lambda K, a: calls.append(a))
+    with pytest.raises(UnsupportedInstance, match="MAX_TABLE_ENTRIES"):
+        alg.structure_constants()
+    assert not calls and alg._table is None
 
 
 def test_left_distributivity_and_scalar_tower(i1):
@@ -246,19 +310,14 @@ def test_nucleus_matches_table_engine_rational_d(p3_rational_d, which):
 def test_adapter_1x1_nucleus_matches_table_engine(which):
     # The matrix route (associator sweeps for left and middle) on F_2(x)
     # itself, delta = x d/dx, d = x: small enough for every slot.
-    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 1)
-    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.embed(K.x()))
+    alg = adapter_algebra(1)
     assert [alg.coords(e) for e in alg.nucleus(which)] == table_nuclei(alg)[which]
 
 
 @pytest.fixture(scope="module")
 def adapter_diag():
     """2x2 matrices over F_2(x), delta = x d/dx, d = diag(x, 0)."""
-    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
-    zero = K.zero()
-    return ExtAlgebra(A, minimal_p_polynomial(K), A.of([[K.x(), zero], [zero, zero]]))
+    return adapter_algebra(2)
 
 
 def test_adapter_right_nucleus_is_eigenring(adapter_diag):

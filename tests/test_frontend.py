@@ -259,6 +259,14 @@ def test_cli_huge_power_exits_two(tmp_path):
     assert proc.stderr.startswith("error: power of degree")
 
 
+def test_cli_build_refuses_oversized_table(tmp_path):
+    # p = 17 has dim 289: its table would hold 289^3 coordinates.
+    proc = _cli(tmp_path, "build", "CFG", config="p = 17\ndelta_of_x = x\nd = x\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the structure table has dim^3 = 24137569 entries")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_seed_override_changes_nothing_semantic(tmp_path):
     a = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")
     b = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")

@@ -66,6 +66,46 @@ def test_is_constant_frozen_values():
     assert K2X.is_constant(K2X.one())
 
 
+def _constant_by_quotient_rule(a):
+    """delta(u/v) = w (u'v - uv')/v^2 vanishes iff u'v - uv' = 0, for any w."""
+    u, v = a.num, a.den
+    return not (u.formal_derivative() * v - u * v.formal_derivative())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_constant_matches_quotient_rule_oracle(p):
+    rng = random.Random(60 + p)
+    for w in (_w(p, (0, 1)), _w(p, (1,)), _w(p, (0, 1)).inverse()):  # x, 1, 1/x
+        K = DerivedField(p, w)
+        x = K.x()
+        samples = [K.zero(), K.one(), K.from_int(p - 1), x ** p, x ** (2 * p) + K.one()]
+        # p-th powers over non-p-th powers, and mixed exponents.
+        samples += [x ** p / x, x ** (p + 1), x ** p + x, (x ** p + K.one()) / (x ** p + x)]
+        for _ in range(20):
+            r = random_ratfunc(K, rng, 3)
+            s = random_ratfunc(K, rng, 3, nonzero=True)
+            samples += [r, r ** p, r ** p / s, r ** p / s ** p, r ** p + s]
+        seen = set()
+        for a in samples:
+            expected = _constant_by_quotient_rule(a)
+            assert K.is_constant(a) == expected, (K, a)
+            assert (not K.delta(a)) == expected, (K, a)
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def test_delta_of_a_constant_skips_the_quotient_rule(monkeypatch):
+    from diffext.scalars import DensePoly
+
+    def no_derivative(poly):
+        raise AssertionError("formal derivative taken for a constant")
+
+    x = K3X.x()
+    monkeypatch.setattr(DensePoly, "formal_derivative", no_derivative)
+    for a in (K3X.zero(), K3X.from_int(2), x ** 3, (x ** 6 + K3X.one()) / (x ** 3 + x ** 9)):
+        assert not K3X.delta(a)
+
+
 def test_coords_frozen_value():
     # x^3/(x^2+1) over F_2 with delta = d/dx: multiply by v/v to get
     # (x^5 + x^3)/(x^4 + 1); even part 0, odd part (x^4 + x^2)/(x^4 + 1) * x.
@@ -111,6 +151,22 @@ def test_minimal_p_polynomial_frozen_values():
     g = minimal_p_polynomial(K3X)
     assert g.e == 1
     assert g.coeffs == (K3X.from_int(2),)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_minimal_p_polynomial_builds_only_needed_levels(monkeypatch, p):
+    # An exponent-one field needs delta and delta^p: the orbit of the basis
+    # under delta (p derivations) continued to delta^p (p (p - 1) more),
+    # then the re-check that g annihilates the basis (p^2): 2 p^2 in all.
+    # Building delta^(p^k) for k = 0..3 up front took p (1 + p + p^2 + p^3)
+    # before the re-check.
+    K = DerivedField(p, _w(p, (0, 1)))
+    calls = []
+    honest = DerivedField.delta
+    monkeypatch.setattr(DerivedField, "delta", lambda K, a: calls.append(a) or honest(K, a))
+    g = minimal_p_polynomial(K)
+    assert g.e == 1
+    assert len(calls) == 2 * p * p
 
 
 def test_minimal_p_polynomial_annihilates_on_samples():
