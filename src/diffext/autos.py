@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dext import AlgebraElement, ExtAlgebra, _bounded_height_witness
+from .dext import AlgebraElement, ExtAlgebra, _bounded_height_witness, _coords_rows
 from .diffpoly import DiffPoly, substitute, v_g
 from .errors import (
     ConditionFailed,
@@ -157,7 +157,8 @@ def log_derivative_witness(algebra: ExtAlgebra, c, bound: int = 6):
     the bound proves nothing, the V_g test is the real criterion.
     """
     K = algebra.base_field
-    u = _bounded_height_witness(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+    rows_for = _coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+    u = _bounded_height_witness(K, rows_for, bound)
     if u is not None and K.log_derivative(u) != c:
         raise InternalInvariantViolation("log-derivative search returned u with delta(u)/u != c")
     return u

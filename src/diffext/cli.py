@@ -18,6 +18,7 @@ dext.MAX_TABLE_ENTRIES).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -41,7 +42,9 @@ from .parsing import parse_field_element
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it was."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("config", help="path to an instance config file")
     shared.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -25,23 +25,33 @@ entry is checked to lie in F, and tables above MAX_TABLE_ENTRIES
 coordinates are refused before any work.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
-search runs over fractions u/v of bounded height, one monic denominator v
+search runs over fractions N/v of bounded height, one monic denominator v
 at a time.  V_g is additive and commutes with F_p-scalars, so the
-numerators that work for one v form an affine F_p-space: V_g(x^i/v) is
-expanded honestly for each i up to the bound, the equation
-sum c_i V_g(x^i/v) = d is cleared of denominators coordinate by coordinate
-and solved once, and the smallest-code solution is the witness a plain
-enumeration of the numerators would meet first.  The same bounded-height
-search, _bounded_height_witness, takes any F_p-linear map and target; the
-log-derivative witness of the autos layer is its other caller.
+numerators that work for one v form an affine F_p-space, found by one
+linear solve over F_p on ints (linalg.solve_mod_p); the smallest-code
+solution is the witness a plain enumeration of the numerators would meet
+first.  Over the derived field the system comes without a fraction: u^p is
+a constant for every polynomial u, so Jacobson's p-step on a pair reads
+
+    V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
+
+and level by level V_g(N/v) = d becomes a polynomial identity, cleared by
+v^(p^e) and by the denominators of d, of delta(x) and of the a_i, whose
+coefficients are F_p-linear in those of N (see _vg_rows).  The matrix
+adapter, and any other F_p-linear map with a target, takes the honest
+route instead: the images fn(x^i/v) are read in coordinates and cleared of
+denominators one coordinate at a time (_coords_rows); the log-derivative
+witness of the autos layer is its other caller.  Both feed the one
+bounded-height search, _bounded_height_witness, which refuses a search of
+more than MAX_SEARCH_DENOMINATORS denominators before any work.
 """
 
 from __future__ import annotations
 
 from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
-from .linalg import Matrix
-from .scalars import DensePoly, RatFunc, poly_gcd
+from .linalg import Matrix, solve_mod_p
+from .scalars import DensePoly, RatFunc, _add, _derivative, _divmod, _frobenius, _mul, poly_gcd
 from .towers import PPolynomial
 
 __all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
@@ -53,6 +63,14 @@ _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
 # and filling memory.  An exponent-one instance over K has dim = p^2: p = 13
 # (169^3, about 4.8 million) is built, p = 17 (about 24 million) is refused.
 MAX_TABLE_ENTRIES = 10 ** 7
+
+# Most monic denominators, sum of p^k over k <= bound, that one
+# bounded-height search tries.  Not an option: it keeps `diffext divcheck
+# --bound N` from running for hours.  A fraction-free system over the derived
+# field costs about 0.2 to 0.5 ms per denominator at bounds 4 to 12 (2-CPU
+# machine, Python 3.11), so the largest search allowed runs about a minute:
+# p = 2 up to bound 15, p = 3 up to 10, p = 5 up to 7, p = 7 up to 5.
+MAX_SEARCH_DENOMINATORS = 10 ** 5
 
 
 class AlgebraElement:
@@ -422,18 +440,20 @@ class ExtAlgebra:
         order of _bounded_height_witness; zero is tried last so that a unit
         witness is preferred when d = 0 makes the trivial factor t
         available.  The first candidate in that order is returned, or None.
+        Over the derived field each v is one fraction-free system
+        (_vg_rows); the adapter reads V_g in coordinates (_coords_rows).
         """
-        ring, g = self.ring, self.g
-        b = _bounded_height_witness(
-            self.base_field,
-            lambda u: ring.coords(v_g(ring, g, ring.embed(u))),
-            ring.coords(self.d),
-            bound,
-        )
+        ring, g, K, d = self.ring, self.g, self.base_field, self.d
+        if ring.is_commutative:
+            rows_for = _vg_rows(K, g, d, bound)
+        else:
+            fn = lambda u: ring.coords(v_g(ring, g, ring.embed(u)))
+            rows_for = _coords_rows(K, fn, ring.coords(d), bound)
+        b = _bounded_height_witness(K, rows_for, bound)
         if b is not None:
             return self._checked_factor(b)
-        if not self.d:  # V_g(0) = 0
-            return self._checked_factor(self.base_field.zero())
+        if not d:  # V_g(0) = 0
+            return self._checked_factor(K.zero())
         return None
 
     def _checked_factor(self, b):
@@ -508,43 +528,166 @@ class ShiftIso:
         return ShiftIso(self.target, -self.a)
 
 
-def _bounded_height_witness(K, fn, target, bound: int):
-    """The first u/v with fn(u/v) = target, u nonzero, deg u, deg v <= bound.
+def _bounded_height_witness(K, rows_for, bound: int):
+    """The first N/v, N nonzero, deg N, deg v <= bound, that solves its rows.
 
-    fn takes an element of K to a tuple of coordinates in K and must be
-    F_p-linear; target is such a tuple.  Fractions are ordered by monic
-    denominator v (as _fraction_candidates yields them), then by the base-p
-    code of the numerator.  For one v the numerators that work form an
-    affine F_p-space, so the equation sum c_i fn(x^i/v) = target is cleared
-    of denominators coordinate by coordinate and solved once for c_0..c_bound
-    in F_p.  With the unknowns lowest degree first, the solution with the
-    free variables at zero has the smallest code; when it is zero (target
-    0) the first kernel vector, that of the lowest free column, is the
-    smallest nonzero one.  Returns None when no block has a solution.
+    rows_for(v) returns the augmented rows over F_p (ints: coefficients of
+    c_0..c_bound, then the right-hand side) of a system whose solutions are
+    exactly the c with fn(sum c_i x^i / v) = target, for an F_p-linear map
+    fn on K and a target.  Two builders exist:
+
+    * _vg_rows, for V_g over the derived field: the polynomial identity
+      v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the denominators of
+      d, of delta(x) and of the a_i, built on coefficient tuples with no
+      fraction formed;
+    * _coords_rows, for any map read in coordinates: fn(x^i/v) expanded
+      honestly and each coordinate equation cleared of denominators (the
+      matrix adapter, the log-derivative witness, and the oracle for the
+      first).
+
+    Multiplying an equation of K by a nonzero polynomial does not change
+    which c solve it, so both give the solution set of fn(N/v) = target
+    itself.  That set is all the answer depends on: it determines the
+    reduced echelon form, and with it the particular solution and kernel
+    basis of solve_mod_p, whatever rows describe it.
+
+    Fractions are ordered by monic denominator v (as _fraction_candidates
+    yields them), then by the base-p code of the numerator.  With the
+    unknowns lowest degree first, the solution with the free variables at
+    zero has the smallest code; when it is zero (target 0) the first kernel
+    vector, that of the lowest free column, is the smallest nonzero one.
+    Returns None when no block has a solution.
+
+    Raises UnsupportedInstance, before any work, when there are more than
+    MAX_SEARCH_DENOMINATORS monic denominators of degree <= bound.
     """
-    xs = [DensePoly(K.field, [0] * i + [1]) for i in range(bound + 1)]
-    consts = [K.from_int(c) for c in range(K.p)]
+    count, power = 0, 1
+    for _ in range(bound + 1):
+        count, power = count + power, power * K.p
+        if count > MAX_SEARCH_DENOMINATORS:
+            raise UnsupportedInstance(
+                "a search to bound %d over F_%d tries more than "
+                "dext.MAX_SEARCH_DENOMINATORS = %d denominators"
+                % (bound, K.p, MAX_SEARCH_DENOMINATORS)
+            )
     for den in _fraction_candidates(K, bound):
-        images = [fn(RatFunc(xi, den)) for xi in xs]
-        rows = {}  # each equation once, in first-seen order
-        for column in zip(*images, target):
-            lcm = DensePoly.one(K.field)
-            for c in column:
-                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
-            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
-            for m in range(max(map(len, cleared)) or 1):
-                rows[tuple(cs[m] if m < len(cs) else 0 for cs in cleared)] = None
-        system = [[consts[c] for c in row] for row in rows]
         try:
-            sol, kernel = Matrix(K, [r[:-1] for r in system]).solve([r[-1] for r in system])
+            sol, kernel = solve_mod_p(dict.fromkeys(rows_for(den)), K.p)
         except NoSolution:
             continue
         if not any(sol):
             if not kernel:
                 continue
             sol = kernel[0]
-        return RatFunc(DensePoly(K.field, [c.num.lc() for c in sol]), den)
+        return RatFunc(DensePoly(K.field, sol), den)
     return None
+
+
+def _coords_rows(K, fn, target, degree):
+    """Row builder for sum c_i fn(x^i/v) = target, i <= degree, in coordinates.
+
+    fn takes an element of K to a tuple of coordinates in K, and target is
+    such a tuple.  For each v, every coordinate equation is cleared of
+    denominators by the lcm of its entries; the coefficients of the cleared
+    numerators, in F_p since the coordinates are constants, give one row per
+    power of x.
+    """
+
+    def rows(den):
+        images = [fn(RatFunc(DensePoly(K.field, [0] * i + [1]), den)) for i in range(degree + 1)]
+        for column in zip(*images, target):
+            lcm = DensePoly.one(K.field)
+            for c in column:
+                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
+            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
+            yield from _padded_rows(cleared)
+
+    return rows
+
+
+def _vg_rows(K, g, d, degree):
+    """Row builder for V_g(N/v) = d over the derived field, deg N <= degree.
+
+    No fraction is formed.  Write delta(x) = W/S.  For a polynomial R,
+    delta(R/S^k) = W (R' S - k R S') / S^(k+2), so delta^(p-1)(R) is a
+    polynomial over S^(2p-2), the same for every R.  u^p is a constant for
+    every u, so Jacobson's p-step on a pair P/u is
+
+        V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
+
+    with both parts brought over S^(2p-2); the Frobenius power of a
+    polynomial over F_p only spreads its coefficients.  From (x^i, v),
+    level k holds V_(p^k)(x^i/v) as a pair P_(k,i)/q_k whose denominator
+    does not depend on i, and q_k divides q_(k+1).  With a_j = A_j/B_j,
+    B = prod B_j and d = dn/dd,
+
+        V_g(x^i/v) = M_i / (q_e B),
+        M_i = P_(e,i) B + sum_j A_j (B/B_j) (q_e/q_(e-j)) P_(e-j,i),
+
+    so V_g(N/v) = d, for N = sum c_i x^i, is the polynomial identity
+    sum c_i M_i dd = dn q_e B: q_e carries v^(p^e), and dd, S and B are
+    the other denominators it clears.  V_g is additive and commutes with
+    F_p-scalars, so the identity is F_p-linear in the c_i; each power of x
+    gives one row, and clearing nonzero denominators keeps the solution set.
+    The rows of one v are rows(v); what depends on neither v nor the degree
+    is computed once, here, so that building the builder costs nothing
+    before the search guard has run.
+    """
+    p, e = K.p, g.e
+    W, S = K.delta_of_x.num.coeffs, K.delta_of_x.den.coeffs
+    dS = _derivative(S, p)
+    s_top = (1,)
+    for _ in range(2 * (p - 1)):
+        s_top = _mul(s_top, S, p)
+    big_b = (1,)
+    for a in g.coeffs:
+        big_b = _mul(big_b, a.den.coeffs, p)
+    dn, dd = d.num.coeffs, d.den.coeffs
+    # M_i dd: P_(e,i) times B dd, plus P_(e-j,i) times A_j (B/B_j) dd q_e/q_(e-j).
+    top_scale = _mul(big_b, dd, p)
+    a_scales = [
+        (j, _mul(_mul(a.num.coeffs, _divmod(big_b, a.den.coeffs, p)[0], p), dd, p))
+        for j, a in enumerate(g.coeffs, start=1)
+        if a
+    ]
+    rhs_scale = _mul(dn, big_b, p)
+
+    def delta_power(r):
+        # S^(2p-2) delta^(p-1)(r) for a polynomial r.
+        for k in range(0, 2 * (p - 1), 2):
+            t = _mul(_derivative(r, p), S, p)
+            if k % p and dS:
+                t = _add(t, _mul(((-k) % p,), _mul(r, dS, p), p), p)
+            r = _mul(W, t, p)
+        return r
+
+    def rows(den):
+        nums, q = [(0,) * i + (1,) for i in range(degree + 1)], den.coeffs
+        levels = [(nums, q)]
+        for _ in range(e):
+            lift = (1,)
+            for _ in range(p - 1):
+                lift = _mul(lift, q, p)
+            nums = [
+                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p)), p)
+                for P in nums
+            ]
+            q = _mul(_frobenius(q, p), s_top, p)
+            levels.append((nums, q))
+        lhs = [_mul(P, top_scale, p) for P in nums]
+        for j, a_scale in a_scales:
+            nums_j, q_j = levels[e - j]
+            scale = _mul(a_scale, _divmod(q, q_j, p)[0], p)
+            lhs = [_add(c, _mul(scale, P, p), p) for c, P in zip(lhs, nums_j)]
+        return _padded_rows(lhs + [_mul(rhs_scale, q, p)])
+
+    return rows
+
+
+def _padded_rows(columns):
+    """One tuple per power of x, coefficients of the columns (at least one)."""
+    width = max(map(len, columns)) or 1
+    return zip(*(c + (0,) * (width - len(c)) for c in columns))
 
 
 def _fraction_candidates(K, bound: int):

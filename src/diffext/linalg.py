@@ -1,22 +1,31 @@
-"""Exact Gaussian elimination over an arbitrary field.
+"""Exact Gaussian elimination over an arbitrary field, and over F_p on ints.
 
-Entries are any objects supporting +, -, *, unary -, ==, truthiness (falsy
-means zero) and an ``inverse()`` method; the field context only has to
-provide ``zero()`` and ``one()``.  In practice the entries are canonical
-rational functions, so equality and the zero test are structural and the
-results are exact.
+``Matrix`` takes entries that are any objects supporting +, -, *, unary -,
+==, truthiness (falsy means zero) and an ``inverse()`` method; the field
+context only has to provide ``zero()`` and ``one()``.  In practice the
+entries are canonical rational functions, so equality and the zero test are
+structural and the results are exact.
 
 Pivot choice is deterministic: first nonzero entry scanning top to bottom.
 Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
 the unique reduced row echelon form and ``kernel`` the basis with one vector
 per free column.
+
+``solve_mod_p`` is the same elimination for a system whose entries are
+already in F_p, held as Python ints: no field element is built, and each
+update reduces mod p once per entry.  It returns what ``Matrix.solve``
+returns for the same system over any field containing F_p: the particular
+solution with every free variable at zero and the kernel basis with one
+vector per free column, lowest free column first.  Both are read off the
+reduced echelon form, which the solution set alone determines, so they do
+not depend on the order or repetition of the rows.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution
 
-__all__ = ["Matrix", "NoSolution"]
+__all__ = ["Matrix", "NoSolution", "solve_mod_p"]
 
 
 class Matrix:
@@ -163,3 +172,55 @@ class Matrix:
         if tuple(pivots) != tuple(range(n)):
             raise NoSolution("singular matrix")
         return Matrix(self.field, [r[n:] for r in red.rows])
+
+
+def solve_mod_p(rows, p: int):
+    """Solve an augmented system over F_p: rows are (a_1, ..., a_n, b) of ints.
+
+    Returns (x, kernel) as tuples of ints in range(p), with the conventions
+    of Matrix.solve: x has its free variables at zero, and kernel holds one
+    vector per free column, lowest free column first.  Raises NoSolution
+    when the system is inconsistent.  There must be at least one row, since
+    the rows carry the number of unknowns.
+    """
+    rows = [[c % p for c in r] for r in rows]
+    if not rows:
+        raise ValueError("solve_mod_p needs at least one row")
+    n = len(rows[0]) - 1
+    if any(len(r) != n + 1 for r in rows):
+        raise ValueError("ragged rows")
+    pivots = []
+    for col in range(n + 1):
+        rank = len(pivots)
+        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[rank], rows[best] = rows[best], rows[rank]
+        pivot_row = rows[rank]
+        if pivot_row[col] != 1:
+            inv = pow(pivot_row[col], -1, p)
+            pivot_row[col:] = [c * inv % p for c in pivot_row[col:]]
+        tail = pivot_row[col:]
+        for r in rows:
+            c = r[col]
+            if c and r is not pivot_row:
+                r[col:] = [(a - c * b) % p for a, b in zip(r[col:], tail)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    if pivots and pivots[-1] == n:
+        raise NoSolution("inconsistent linear system")
+    x = [0] * n
+    for k, pcol in enumerate(pivots):
+        x[pcol] = rows[k][n]
+    kernel = []
+    pivot_set = set(pivots)
+    for fcol in range(n):
+        if fcol in pivot_set:
+            continue
+        v = [0] * n
+        v[fcol] = 1
+        for k, pcol in enumerate(pivots):
+            v[pcol] = -rows[k][fcol] % p
+        kernel.append(tuple(v))
+    return tuple(x), kernel

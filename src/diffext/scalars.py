@@ -27,12 +27,12 @@ Each type has two constructors:
   () over (1,).  The operators of both types build their results this way.
 
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
-``_mul``, ``_divmod``, ``_gcd``) that take p as an argument and reduce
-mod p once per output entry.  Fraction sums and products are Henrici's
-(Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only when that is
-not 1, one more gcd of the new numerator with it; a product cancels the
-cross gcds gcd(a, d) and gcd(c, b), and neither needs a final gcd.  Every
-gcd still goes through ``poly_gcd``.
+``_mul``, ``_divmod``, ``_gcd``, ``_derivative``, ``_frobenius``) that take
+p as an argument and reduce mod p once per output entry.  Fraction sums and
+products are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d)
+and, only when that is not 1, one more gcd of the new numerator with it; a
+product cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a
+final gcd.  Every gcd still goes through ``poly_gcd``.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
 ``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
@@ -198,6 +198,20 @@ def _divmod(a, b, p: int):
     return tuple(q), _trim([r % p for r in rem[:db]])
 
 
+def _derivative(a, p: int) -> tuple:
+    """Formal derivative of a coefficient tuple."""
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _frobenius(a, p: int) -> tuple:
+    """a^p: every c in F_p has c^p = c, so only the exponents are multiplied."""
+    if not a:
+        return ()
+    out = [0] * (p * (len(a) - 1) + 1)
+    out[::p] = a
+    return tuple(out)
+
+
 def _gcd(a, b, p: int) -> tuple:
     """Monic gcd of coefficient tuples by Euclid on lists; () for two zeros.
 
@@ -325,8 +339,7 @@ class DensePoly:
         return self.scale(self.field.inv(self.lc()))
 
     def formal_derivative(self) -> "DensePoly":
-        p = self.field.p
-        return _poly(self.field, _trim([i * c % p for i, c in enumerate(self.coeffs)][1:]))
+        return _poly(self.field, _derivative(self.coeffs, self.field.p))
 
     def __str__(self):
         if not self.coeffs:

@@ -35,7 +35,19 @@ from .errors import (
     ZeroDerivation,
 )
 from .linalg import Matrix
-from .scalars import DensePoly, RatFunc, RationalFunctionField, _power
+from .scalars import (
+    DensePoly,
+    RatFunc,
+    RationalFunctionField,
+    _add,
+    _divmod,
+    _mul,
+    _neg,
+    _poly,
+    _power,
+    _ratfunc,
+    poly_gcd,
+)
 
 __all__ = [
     "DerivedField",
@@ -84,13 +96,46 @@ class DerivedField(RationalFunctionField):
         return a.inverse()
 
     def delta(self, a: RatFunc) -> RatFunc:
-        """Quotient rule: delta(u/v) = (u'v - uv') * w / v^2; 0 on constants."""
+        """Quotient rule, reduced through g = gcd(v, v'); 0 on constants.
+
+        For a = u/v in lowest terms write v = g v1 and v' = g s.  Then
+
+            delta(u/v) = w (u'v - uv') / v^2 = w (u' v1 - u s) / (v v1).
+
+        When g = 1 this is u'v - uv' over v^2, already reduced: a common
+        factor of v and u'v - uv' would divide u v', and u and v' are both
+        coprime to v.  Otherwise let pi^m exactly divide v.  If p does not
+        divide m, pi^(m-1) exactly divides v' and g, so pi divides v1 once
+        and not s, and pi does not divide u' v1 - u s.  If p divides m, then
+        (pi^m)' = 0, so pi^m divides v' and g, and not v1.  So only the
+        factors of multiplicity divisible by p can cancel, each at most to
+        its power in g, and one gcd of the numerator with g finishes the
+        reduction.  The product with w is Henrici's.
+        """
         if self.is_constant(a):
             return self.zero()
-        u, v = a.num, a.den
-        du, dv = u.formal_derivative(), v.formal_derivative()
-        num = du * v - u * dv
-        return RatFunc(num, v * v) * self.delta_of_x
+        p = self.p
+        u, v = a.num.coeffs, a.den.coeffs
+        du, dv = a.num.formal_derivative(), a.den.formal_derivative()
+        # g = gcd(v, v') is v itself when v' = 0 (v a p-th power, or 1), and
+        # 1 when v' is a nonzero constant; only otherwise is a gcd taken.
+        if not dv:
+            g = a.den
+        elif dv.degree():
+            g = poly_gcd(a.den, dv)
+        else:
+            g = DensePoly.one(self.field)
+        if not g.degree():
+            num = _add(_mul(du.coeffs, v, p), _neg(_mul(u, dv.coeffs, p), p), p)
+            den = _mul(v, v, p)
+        else:
+            v1, s = _divmod(v, g.coeffs, p)[0], _divmod(dv.coeffs, g.coeffs, p)[0]
+            num = _add(_mul(du.coeffs, v1, p), _neg(_mul(u, s, p), p), p)
+            den = _mul(v, v1, p)
+            h = poly_gcd(_poly(self.field, num), g).coeffs
+            if len(h) > 1:
+                num, den = _divmod(num, h, p)[0], _divmod(den, h, p)[0]
+        return _ratfunc(self.field, num, den) * self.delta_of_x
 
     def is_constant(self, a: RatFunc) -> bool:
         """Whether delta(a) = 0, read off the exponents of a.

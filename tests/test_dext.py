@@ -6,11 +6,12 @@ import weakref
 
 import pytest
 
+from diffext import dext
 from diffext.dext import MAX_TABLE_ENTRIES, ExtAlgebra
 from diffext.diffpoly import DiffPoly, is_right_invariant, v_g
-from diffext.errors import InternalInvariantViolation, UnsupportedInstance
+from diffext.errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from diffext.frontend import instance_from_text
-from diffext.linalg import Matrix
+from diffext.linalg import Matrix, solve_mod_p
 from diffext.scalars import DensePoly, PrimeField, RatFunc
 from diffext.towers import DerivedField, MatrixRingAdapter, minimal_p_polynomial
 
@@ -510,6 +511,68 @@ def test_factor_search_matches_enumeration_over_matrices():
     lone = ExtAlgebra(A, g, A.of([[x, zero], [zero, zero]]))
     assert lone.linear_right_factor_search(1) is None
     assert brute_force_factor(lone, 1) is None
+
+
+def _solved(rows, p):
+    try:
+        return solve_mod_p(dict.fromkeys(rows), p)
+    except NoSolution:
+        return None
+
+
+_ROW_CASES = [
+    (p, w, None, bounds)
+    for p, bounds in ((2, range(4)), (3, range(3)), (5, range(2)), (7, range(2)))
+    for w in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x")
+] + [(2, "x", "t^4 + t^2", range(3))]  # a declared exponent-two g
+
+
+@pytest.mark.parametrize(
+    "p,weight,g_text,bounds",
+    _ROW_CASES,
+    ids=[("p%d-%s-%s" % c[:3]).replace(" ", "") for c in _ROW_CASES],
+)
+def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
+    # The coords route, V_g expanded honestly and read in coordinates, is the
+    # oracle: per denominator, both row sets have the same solutions, so the
+    # search returns the same witness.
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
+    K, g = alg.ring, alg.g
+    assert g.e == (2 if g_text else 1)
+    rng = random.Random("rows:%d:%s:%s" % (p, weight, g_text))
+    fn = lambda u: K.coords(v_g(K, g, u))
+    for bound in bounds:
+        ds = [
+            K.zero(),
+            _fraction_of_height(K, rng, 2),
+            v_g(K, g, _fraction_of_height(K, rng, bound)),
+            v_g(K, g, _fraction_of_height(K, rng, bound + 1)),
+        ]
+        for d in ds:
+            fast = dext._vg_rows(K, g, d, bound)
+            slow = dext._coords_rows(K, fn, K.coords(d), bound)
+            for den in dext._fraction_candidates(K, bound):
+                assert _solved(fast(den), p) == _solved(slow(den), p), (bound, d, den)
+            got = dext._bounded_height_witness(K, fast, bound)
+            assert got == dext._bounded_height_witness(K, slow, bound), (bound, d)
+            if got is not None:
+                assert v_g(K, g, got) == d
+
+
+def test_search_guard_refuses_before_any_work(monkeypatch):
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x\n").algebra
+
+    def no_candidates(K, bound):
+        raise AssertionError("denominators enumerated past the guard")
+
+    # 31 monic denominators of degree <= 4 over F_2; 63 up to degree 5.
+    monkeypatch.setattr(dext, "MAX_SEARCH_DENOMINATORS", 31)
+    assert alg.linear_right_factor_search(4) is None
+    monkeypatch.setattr(dext, "_fraction_candidates", no_candidates)
+    for bound in (5, 40, 10 ** 9):
+        with pytest.raises(UnsupportedInstance, match="MAX_SEARCH_DENOMINATORS"):
+            alg.linear_right_factor_search(bound)
 
 
 @pytest.mark.xfail(strict=True, reason="p = 2 treats bound >= 4 as conclusive for every d")

@@ -267,6 +267,36 @@ def test_cli_build_refuses_oversized_table(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_divcheck_refuses_search_above_guard(tmp_path):
+    # 2^41 - 1 monic denominators of degree <= 40 over F_2.
+    proc = _cli(tmp_path, "divcheck", "CFG", "--bound", "40")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: a search to bound 40 over F_2 tries more than")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_main_runs_twice_in_one_process(tmp_path, capsys):
+    # The parser is built once per process; each call still gets its own
+    # subcommand, options and report.
+    def run(*argv):
+        out = tmp_path / "report.json"
+        if out.exists():
+            out.unlink()
+        rc = main([*argv, "--json", str(out)])
+        capsys.readouterr()
+        return rc, (json.loads(out.read_text())["checks"] if out.exists() else None)
+
+    rc, (check,) = run("nucleus", str(CONFIGS / "i2.cfg"), "--which", "left")
+    assert rc == 0 and check["witness"]["which"] == "left" and check["witness"]["dim"] == 4
+    rc, (check,) = run("nucleus", str(CONFIGS / "i3.cfg"), "--which", "right")
+    assert rc == 0 and check["witness"]["which"] == "right" and check["witness"]["dim"] == 3
+    rc, (check,) = run("divcheck", str(CONFIGS / "i2.cfg"))
+    assert rc == 0 and check["witness"]["witness"] == "x"
+    assert run("nucleus", str(CONFIGS / "i3.cfg"), "--which", "bogus") == (2, None)
+    rc, (check,) = run("nucleus", str(CONFIGS / "i3.cfg"))
+    assert rc == 0 and check["witness"]["which"] == "full"
+
+
 def test_cli_seed_override_changes_nothing_semantic(tmp_path):
     a = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")
     b = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")

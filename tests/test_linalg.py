@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffext.errors import NoSolution
-from diffext.linalg import Matrix
+from diffext.linalg import Matrix, solve_mod_p
 from diffext.scalars import RationalFunctionField, random_ratfunc
 
 
@@ -72,3 +72,54 @@ def test_inverse():
     sing = Matrix(K3, [[x, x], [x, x]])
     with pytest.raises(NoSolution):
         sing.inverse()
+
+
+def _random_mod_p_system(rng, p):
+    """Augmented rows over F_p: full rank, rank-deficient or inconsistent."""
+    n = rng.randrange(1, 6)
+    kind = rng.choice(("random", "deficient", "inconsistent"))
+    rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(rng.randrange(1, 7))]
+    if kind != "random":
+        # Append combinations of the rows, so that the rank stays low ...
+        for _ in range(rng.randrange(1, 4)):
+            cs = [rng.randrange(p) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(n + 1)])
+        if kind == "inconsistent":
+            # ... and one whose right-hand side is off by a nonzero amount.
+            cs = [rng.randrange(p) for _ in rows]
+            bad = [sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(n + 1)]
+            bad[-1] = (bad[-1] + rng.randrange(1, p)) % p
+            rows.insert(rng.randrange(len(rows) + 1), bad)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_mod_p_matches_matrix_solve(p):
+    K = RationalFunctionField(p)
+    rng = random.Random(700 + p)
+    outcomes = set()
+    for _ in range(150):
+        rows = _random_mod_p_system(rng, p)
+        mat = Matrix(K, [[K.from_int(c) for c in r[:-1]] for r in rows])
+        try:
+            sol, ker = mat.solve([K.from_int(r[-1]) for r in rows])
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                solve_mod_p(rows, p)
+            outcomes.add("none")
+            continue
+        got_sol, got_ker = solve_mod_p(rows, p)
+        assert tuple(K.from_int(c) for c in got_sol) == sol
+        assert [tuple(K.from_int(c) for c in v) for v in got_ker] == ker
+        outcomes.add("kernel" if ker else "unique")
+    assert outcomes == {"none", "kernel", "unique"}
+
+
+def test_solve_mod_p_ignores_row_order_and_repeats():
+    # x + 2y = 1, y + z = 2, x + z = 0 over F_3: rank 2, z free.
+    rows = [(1, 2, 0, 1), (0, 1, 1, 2), (1, 0, 1, 0)]
+    want = solve_mod_p(rows, 3)
+    assert want == ((0, 2, 0), [(2, 2, 1)])
+    assert solve_mod_p(rows[::-1] + rows[:1], 3) == want
+    with pytest.raises(ValueError):
+        solve_mod_p([], 3)

@@ -106,6 +106,29 @@ def test_delta_of_a_constant_skips_the_quotient_rule(monkeypatch):
         assert not K3X.delta(a)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_matches_quotient_rule_oracle(p):
+    from diffext.scalars import DensePoly, PrimeField
+
+    F = PrimeField(p)
+    x1, x2, x0 = DensePoly(F, (1, 1)), DensePoly(F, (2, 1)), DensePoly(F, (0, 1))
+    # Squarefree, squared factors, p-th-power factors, and both mixed.
+    dens = [DensePoly.one(F), x0 * x1 * x2, x1 ** 2 * x0, x1 ** p, x1 ** p * x2 ** 2]
+    dens += [x0 ** (2 * p) * x1, x1 ** (p + 1) * x2 ** p, DensePoly(F, (1, 0, 1)) ** p * x0 ** 3]
+    rng = random.Random(80 + p)
+    x = _w(p, (0, 1))
+    for w in (x, _w(p, (1,)), x.inverse(), (x + _w(p, (1,))) / x):  # x, 1, 1/x, (x+1)/x
+        K = DerivedField(p, w)
+        for den in dens:
+            for _ in range(10):
+                num = DensePoly(F, [rng.randrange(p) for _ in range(rng.randrange(8))])
+                a = RatFunc(num, den)
+                u, v = a.num, a.den
+                want = RatFunc(u.formal_derivative() * v - u * v.formal_derivative(), v * v) * w
+                got = K.delta(a)
+                assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (w, a)
+
+
 def test_coords_frozen_value():
     # x^3/(x^2+1) over F_2 with delta = d/dx: multiply by v/v to get
     # (x^5 + x^3)/(x^4 + 1); even part 0, odd part (x^4 + x^2)/(x^4 + 1) * x.
