@@ -4,8 +4,11 @@ A descriptor (tau, c, eps) denotes the candidate map
 
     H(sum d_i t^i) = sum tau(d_i) (eps*t + c)^i,
 
-computed on representatives and reduced mod f.  Such a map is a (unital)
-algebra automorphism precisely when two checks pass:
+computed on representatives of degree below m = deg f.  build_auto forms
+the images (eps*t + c)^i, i <= m, once, and the descriptor keeps them, so
+applying it is a K-linear combination of that table with no twisted
+product and no reduction.  Such a map is a (unital) algebra automorphism
+precisely when two checks pass:
 
 * the commutation constraint  c*tau(z) + eps*delta(tau(z)) = tau(z)*c + tau(delta(z))
   for z in a generating set of the coefficient ring, and
@@ -24,11 +27,11 @@ which collapses to (id, a^(-1) delta(a), 1) over a commutative base.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .dext import AlgebraElement, ExtAlgebra, _bounded_height_witness, _coords_rows
-from .diffpoly import DiffPoly, substitute, v_g
+from .diffpoly import DiffPoly, _substitute_powers, _substitution_powers, v_g
 from .errors import (
     ConditionFailed,
     InternalInvariantViolation,
@@ -54,13 +57,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AutoDescriptor:
-    """Validated automorphism data: coefficient map tau, shift c, stretch eps."""
+    """Validated automorphism data: coefficient map tau, shift c, stretch eps.
+
+    powers holds the images (eps*t + c)^i, i <= deg f, that build_auto
+    formed to check H(f) = f; apply_auto combines them.  It is determined
+    by the other fields and takes no part in equality, hashing or repr.
+    """
 
     algebra: ExtAlgebra
     tau: Callable
     tau_name: str
     c: object
     eps: object
+    powers: tuple = field(compare=False, repr=False)
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         return apply_auto(self, u)
@@ -100,20 +109,25 @@ def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDe
                 "eq1",
                 "commutation constraint fails on %s: %s != %s" % (z, lhs, rhs),
             )
-    image_f = substitute(algebra.f, tau, c, eps)
+    powers = tuple(_substitution_powers(ring, c, eps, algebra.f.degree() + 1))
+    image_f = _substitute_powers(algebra.f, tau, powers)
     if image_f != algebra.f:
         diff = image_f - algebra.f
         raise ConditionFailed(
             "fixes_f", "candidate moves the modulus by %s" % (diff,)
         )
-    return AutoDescriptor(algebra, tau, tau_name, c, eps)
+    return AutoDescriptor(algebra, tau, tau_name, c, eps, powers)
 
 
 def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
+    """H(u) = sum tau(u_i) (eps*t + c)^i from the descriptor's power table.
+
+    The representative has degree below m = deg f, and so has every power
+    used, so the image needs neither a twisted product nor a reduction.
+    """
     if u.algebra != H.algebra:
         raise ValueError("element belongs to a different algebra")
-    img = substitute(u.rep, H.tau, H.c, H.eps)
-    return AlgebraElement(H.algebra, img)
+    return AlgebraElement(H.algebra, _substitute_powers(u.rep, H.tau, H.powers))
 
 
 def auto_order(H: AutoDescriptor, bound: int = 64) -> Optional[int]:

@@ -48,7 +48,14 @@ more than MAX_SEARCH_DENOMINATORS denominators before any work.
 
 from __future__ import annotations
 
-from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
+from .diffpoly import (
+    DiffPoly,
+    _substitute_powers,
+    _substitution_powers,
+    is_right_invariant,
+    p_poly_as_diffpoly,
+    v_g,
+)
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _divmod, _frobenius, _mul, poly_gcd
@@ -71,6 +78,15 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # machine, Python 3.11), so the largest search allowed runs about a minute:
 # p = 2 up to bound 15, p = 3 up to 10, p = 5 up to 7, p = 7 up to 5.
 MAX_SEARCH_DENOMINATORS = 10 ** 5
+
+# Most work, samples x dim^3, that one is_division_probe call does: each
+# sample is one kernel of a dim x dim matrix over K.  Not an option: it keeps
+# `diffext verify --suite division` from running for minutes.  A sample takes
+# about 0.02 s at p = 3 (dim 9) and 5 to 8 s at p = 5 (dim 25) on a 2-CPU
+# machine with Python 3.11, so p = 3 runs up to 205 samples and p = 5 up to 9
+# (about a minute); the suite's 40 samples run at p = 3 and are refused at
+# p = 5.
+MAX_PROBE_WORK = 150_000
 
 
 class AlgebraElement:
@@ -489,7 +505,17 @@ class ExtAlgebra:
         return "unknown (bound exhausted)", None
 
     def is_division_probe(self, rng, samples: int = 200) -> bool:
-        """Left multiplications by sampled nonzero elements are injective."""
+        """Left multiplications by sampled nonzero elements are injective.
+
+        Raises UnsupportedInstance, before any work, when samples * dim^3 is
+        above MAX_PROBE_WORK.
+        """
+        if samples * self.dim ** 3 > MAX_PROBE_WORK:
+            raise UnsupportedInstance(
+                "a probe of %d samples at dim %d does samples * dim^3 = %d, above "
+                "dext.MAX_PROBE_WORK = %d"
+                % (samples, self.dim, samples * self.dim ** 3, MAX_PROBE_WORK)
+            )
         for _ in range(samples):
             a = self.random_element(rng, 2)
             if not a:
@@ -508,21 +534,24 @@ class ExtAlgebra:
 
 
 class ShiftIso:
-    """Isomorphism (A, delta, d) -> (A, delta, d + V_g(a)) induced by t |-> t - a."""
+    """Isomorphism (A, delta, d) -> (A, delta, d + V_g(a)) induced by t |-> t - a.
 
-    __slots__ = ("source", "a", "target")
+    The images (t - a)^i, i < deg f, are formed once; each call combines
+    them, with no product and no reduction (see autos.apply_auto).
+    """
+
+    __slots__ = ("source", "a", "target", "_powers")
 
     def __init__(self, source: ExtAlgebra, a):
         self.source = source
         self.a = a
         shift = v_g(source.ring, source.g, a)
         self.target = ExtAlgebra(source.ring, source.g, source.d + shift)
+        ring = source.ring
+        self._powers = _substitution_powers(ring, -a, ring.one(), source.f.degree())
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
-        from .diffpoly import substitute
-
-        img = substitute(u.rep, lambda z: z, -self.a, self.source.ring.one())
-        return AlgebraElement(self.target, img)
+        return AlgebraElement(self.target, _substitute_powers(u.rep, lambda z: z, self._powers))
 
     def inverse(self) -> "ShiftIso":
         return ShiftIso(self.target, -self.a)

@@ -11,7 +11,15 @@ one code path is correct over commutative and noncommutative A alike.
 
 Division here always means right division: g = q*f + r with deg r < deg f,
 which exists and is unique whenever the leading coefficient of f is
-invertible.  Left division is never needed and never implemented.
+invertible.  Left division is never needed and never implemented.  Each
+quotient term c t^k removes c (t^k f), a left scaling of one rung of the
+ladder f, t f, ..., t^K f, built once with K = deg g - deg f t-steps; a
+t-step derives only the nonzero coefficients.
+
+Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,
+each one left step from the last: (eps t + c) P = eps (t P) + c P.  The
+automorphisms and shift isomorphisms of the quotients keep their tables
+and apply them with no twisted product.
 
 The map b |-> V(b) defined by (t - b)^(p^e) = t^(p^e) - V(b) is additive in
 b; for a p-polynomial g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t the
@@ -126,11 +134,13 @@ class DiffPoly:
         return self + (-other)
 
     def _t_times(self):
-        """t * self, from the defining relation applied to each coefficient."""
+        """t * self, from the defining relation applied to each nonzero coefficient."""
         ring = self.ring
-        out = [ring.delta(c) for c in self.coeffs] + [ring.zero()]
+        zero = ring.zero()
+        out = [ring.delta(c) if c else zero for c in self.coeffs] + [zero]
         for i, c in enumerate(self.coeffs):
-            out[i + 1] = out[i + 1] + c
+            if c:
+                out[i + 1] = out[i + 1] + c
         return DiffPoly(ring, out)
 
     def scale_left(self, a):
@@ -155,7 +165,14 @@ class DiffPoly:
         return _power(self, n, DiffPoly.constant(self.ring, self.ring.one()))
 
     def right_divmod(self, f):
-        """q, r with self = q*f + r and deg r < deg f (right division)."""
+        """q, r with self = q*f + r and deg r < deg f (right division).
+
+        Each quotient term c t^k removes (c t^k) f = c (t^k f), a left
+        scaling of one rung of the ladder f, t f, ..., t^K f with K = deg
+        self - deg f.  The ladder costs K t-steps, built once; every rung
+        has the leading coefficient of f, so the top coefficient cancels
+        exactly and only the lower ones are subtracted.
+        """
         if not f:
             raise ZeroDivisionError("right division by the zero polynomial")
         ring = self.ring
@@ -168,16 +185,19 @@ class DiffPoly:
                 "leading coefficient %s has no inverse" % (f.lc(),)
             ) from None
         df = f.degree()
-        r = self
-        q = DiffPoly.zero(ring)
-        while r and r.degree() >= df:
-            k = r.degree() - df
-            c = r.lc() * inv_lc
-            # Subtract (c t^k) * f; the twisted product keeps lower terms honest.
-            mono = DiffPoly(ring, (ring.zero(),) * k + (c,))
-            q = q + mono
-            r = r - mono * f
-        return q, r
+        ladder = [f]
+        for _ in range(self.degree() - df):
+            ladder.append(ladder[-1]._t_times())
+        r = list(self.coeffs)
+        q = [ring.zero()] * len(ladder)
+        for k in range(len(ladder) - 1, -1, -1):
+            if not r[k + df]:
+                continue
+            c = q[k] = r[k + df] * inv_lc
+            for j, fj in enumerate(ladder[k].coeffs[:-1]):
+                if fj:
+                    r[j] = r[j] - c * fj
+        return DiffPoly(ring, q), DiffPoly(ring, r[:df])
 
     def __divmod__(self, other):
         return self.right_divmod(other)
@@ -312,16 +332,34 @@ def substitute(h: DiffPoly, tau, c, eps) -> DiffPoly:
     reduction happens here; callers reduce mod f when they work in a
     quotient.
     """
-    ring = h.ring
-    image_t = DiffPoly(ring, (c, eps))
-    acc = DiffPoly.zero(ring)
-    power = DiffPoly.constant(ring, ring.one())
+    return _substitute_powers(h, tau, _substitution_powers(h.ring, c, eps, len(h.coeffs)))
+
+
+def _substitution_powers(ring, c, eps, n):
+    """The table (eps*t + c)^i for i < n.
+
+    Each power is one left step from the last: (eps t + c) P = eps (t P) +
+    c P, one t-step and two left scalings, with no twisted product.
+    """
+    one = ring.one()
+    power = DiffPoly.constant(ring, one)
+    out = [power]
+    for _ in range(1, n):
+        step = power._t_times()
+        if eps != one:
+            step = step.scale_left(eps)
+        power = step + power.scale_left(c)
+        out.append(power)
+    return out
+
+
+def _substitute_powers(h: DiffPoly, tau, powers) -> DiffPoly:
+    """sum tau(h_i) * powers[i]: substitute with a table of images of t^i."""
+    acc = DiffPoly.zero(h.ring)
     for i, a in enumerate(h.coeffs):
-        if i > 0:
-            power = power * image_t
         ta = tau(a)
         if ta:
-            acc = acc + power.scale_left(ta)
+            acc = acc + powers[i].scale_left(ta)
     return acc
 
 

@@ -19,6 +19,12 @@ the coordinate basis and the coefficients come out of one linear solve.
 The matrices are built one level at a time, only as far as the exponent
 being tried.
 
+``DerivedField.delta`` remembers its answers, per field, keyed by the
+canonical numerator and denominator tuples: the twisted arithmetic derives
+the same coefficients again and again, and in one verify suite on a
+shipped config four calls in five or more repeat an earlier argument.  The memo is emptied when it holds
+_DELTA_MEMO_ENTRIES arguments.
+
 ``MatrixRingAdapter`` wraps n x n matrices over K with the entrywise
 derivation.  It exists to exercise the noncommutative code paths (the
 commutator terms in the twisted arithmetic); it is not a division ring.
@@ -58,11 +64,17 @@ __all__ = [
     "KMatrix",
 ]
 
+# Most arguments a DerivedField remembers in its delta memo before it
+# empties it.  Not an option: it caps the memo's memory, at about 7 MB for
+# arguments of degree 8 at p = 3.  One verify suite on a shipped instance
+# remembers under a thousand arguments.
+_DELTA_MEMO_ENTRIES = 2 ** 14
+
 
 class DerivedField(RationalFunctionField):
     """F_p(x) with the derivation a |-> delta_of_x * da/dx."""
 
-    __slots__ = ("delta_of_x",)
+    __slots__ = ("delta_of_x", "_delta_memo")
 
     def __init__(self, p: int, delta_of_x: RatFunc):
         super().__init__(p)
@@ -71,6 +83,8 @@ class DerivedField(RationalFunctionField):
         if not delta_of_x:
             raise ZeroDerivation("the derivation must be nonzero")
         self.delta_of_x = delta_of_x
+        # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
+        self._delta_memo = {}
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
 
@@ -96,6 +110,26 @@ class DerivedField(RationalFunctionField):
         return a.inverse()
 
     def delta(self, a: RatFunc) -> RatFunc:
+        """delta(a), remembered per field for the arguments seen so far.
+
+        The twisted arithmetic derives the same coefficients over and over
+        (each t-step of a product, division or power derives every
+        coefficient it carries), so the field keeps a memo keyed by the
+        canonical (numerator, denominator) coefficient tuples.  The field
+        fixes p and delta(x), so the key is complete; a memo shared between
+        fields would not be.  The memo is emptied once it holds
+        _DELTA_MEMO_ENTRIES arguments.
+        """
+        memo = self._delta_memo
+        key = (a.num.coeffs, a.den.coeffs)
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= _DELTA_MEMO_ENTRIES:
+                memo.clear()
+            out = memo[key] = self._quotient_rule(a)
+        return out
+
+    def _quotient_rule(self, a: RatFunc) -> RatFunc:
         """Quotient rule, reduced through g = gcd(v, v'); 0 on constants.
 
         For a = u/v in lowest terms write v = g v1 and v' = g s.  Then

@@ -16,6 +16,7 @@ from diffext.autos import (
     log_derivative_witness,
 )
 from diffext.dext import ExtAlgebra
+from diffext.diffpoly import DiffPoly, substitute
 from diffext.errors import (
     ConditionFailed,
     NotInvertible,
@@ -284,3 +285,88 @@ def test_descriptor_equality(i1):
     assert H1 == H2
     H3 = build_auto(i1, IDENT, K.zero(), K.one())
     assert H1 != H3
+
+
+def _substitute_by_products(h, tau, c, eps):
+    # The substitution before the power tables: (eps*t + c)^i by one twisted
+    # product per power.
+    ring = h.ring
+    image_t = DiffPoly(ring, (c, eps))
+    acc, power = DiffPoly.zero(ring), DiffPoly.constant(ring, ring.one())
+    for i, a in enumerate(h.coeffs):
+        if i > 0:
+            power = power * image_t
+        ta = tau(a)
+        if ta:
+            acc = acc + power.scale_left(ta)
+    return acc
+
+
+def _matrix_algebra():
+    # d = diag(x, 0) over 2x2 matrices over F_2(x), delta = x d/dx.
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    A = MatrixRingAdapter(K, 2)
+    zero = K.zero()
+    return ExtAlgebra(A, minimal_p_polynomial(K), A.of([[K.x(), zero], [zero, zero]]))
+
+
+def test_substitute_matches_product_oracle():
+    rng = random.Random(4300)
+    K2 = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    K3 = DerivedField(3, RatFunc(DensePoly(PrimeField(3), (1,)), DensePoly.one(PrimeField(3))))
+    for ring in (K2, K3, MatrixRingAdapter(K2, 2)):
+        for _ in range(6):
+            h = DiffPoly(ring, [ring.random_element(rng, 2) for _ in range(rng.randrange(7))])
+            c = ring.random_element(rng, 2)
+            for eps in (ring.one(), ring.random_element(rng, 1)):
+                tau = IDENT if ring.is_commutative else (lambda z: z * z)
+                assert substitute(h, tau, c, eps) == _substitute_by_products(h, tau, c, eps)
+
+
+def _descriptors(alg, rng):
+    # Shift descriptors by log derivatives, and inner descriptors (tau =
+    # conjugation over the matrix adapter).
+    ring = alg.ring
+    if ring.is_commutative:
+        units = [random_ratfunc(ring, rng, 2, nonzero=True) for _ in range(3)]
+        out = [build_auto(alg, IDENT, ring.log_derivative(u), ring.one()) for u in units]
+        return out + [inner_auto(alg, a) for a in units]
+    K, zero, one = ring.base, ring.base.zero(), ring.base.one()
+    u = ring.embed(K.x() + one)
+    shift = build_auto(alg, IDENT, ring.invert(u) * ring.delta(u), ring.one())
+    return [shift, inner_auto(alg, ring.of([[K.x(), zero], [zero, one]]))]
+
+
+def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
+    rng = random.Random(4400)
+    products = []
+    mul = DiffPoly.__mul__
+    for alg in (i1, i3, i4, _matrix_algebra()):
+        ring = alg.ring
+        elems = alg.basis() + [alg.random_element(rng, 2) for _ in range(4)]
+        elems += [elems[-1] * elems[-2]]
+        descs = _descriptors(alg, rng)
+        isos = [alg.shift_isomorphism(ring.random_element(rng, 2)) for _ in range(2)]
+        assert "conj" in [H.tau_name for H in descs] or ring.is_commutative
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        images = [[apply_auto(H, u) for u in elems] for H in descs]
+        shifted = [[iso(u) for u in elems] for iso in isos]
+        monkeypatch.undo()
+        # The tables replace every twisted product.
+        assert not products
+        for H, row in zip(descs, images):
+            for u, img in zip(elems, row):
+                assert img == alg.element(_substitute_by_products(u.rep, H.tau, H.c, H.eps))
+        for iso, row in zip(isos, shifted):
+            for u, img in zip(elems, row):
+                want = _substitute_by_products(u.rep, IDENT, -iso.a, ring.one())
+                assert img == iso.target.element(want)
+
+
+def test_power_table_stays_out_of_equality_and_repr(i1):
+    K = i1.ring
+    H = build_auto(i1, IDENT, K.one(), K.one())
+    assert len(H.powers) == i1.f.degree() + 1
+    assert "powers" not in repr(H)
+    other = AutoDescriptor(i1, IDENT, "id", K.one(), K.one(), ())
+    assert H == other and hash(H) == hash(other)

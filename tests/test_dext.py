@@ -602,6 +602,24 @@ def test_division_probe_consistency(i1, i2, rng_seed=0):
     assert not i2.is_division_probe(rng, samples=40)
 
 
+def test_division_probe_guard_refuses_before_any_work(monkeypatch, i3):
+    # i3 has dim 9: samples * 729 <= MAX_PROBE_WORK up to 205 samples.
+    assert 205 * 9 ** 3 <= dext.MAX_PROBE_WORK < 206 * 9 ** 3
+
+    def no_sample(self, rng, coeff_deg=3):
+        raise LookupError("sampled")
+
+    monkeypatch.setattr(ExtAlgebra, "random_element", no_sample)
+    with pytest.raises(LookupError):
+        i3.is_division_probe(random.Random(0), samples=205)
+    for samples in (206, 10 ** 9):
+        with pytest.raises(UnsupportedInstance, match="MAX_PROBE_WORK"):
+            i3.is_division_probe(random.Random(0), samples=samples)
+    p5 = instance_from_text("p = 5\ndelta_of_x = x\nd = x\n").algebra
+    with pytest.raises(UnsupportedInstance, match="625000"):
+        p5.is_division_probe(random.Random(0), samples=40)
+
+
 def test_shift_isomorphism_frozen(i1):
     K = i1.ring
     x = K.x()

@@ -19,6 +19,7 @@ from diffext.diffpoly import (
     v_g,
     v_p_tower,
 )
+from diffext.parsing import parse_diffpoly
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
@@ -410,3 +411,79 @@ def test_low_degree_mod_right_does_not_invert(monkeypatch):
     # A division step still inverts the leading coefficient once.
     (f * DiffPoly.t(A)).mod_right(f)
     assert len(calls) == 1
+
+
+def _monomial_right_divmod(g, f):
+    # Right division before the ladder: one twisted product (c t^k) * f per
+    # quotient term.
+    ring = g.ring
+    inv_lc = ring.invert(f.lc())
+    q, r = DiffPoly.zero(ring), g
+    while r and r.degree() >= f.degree():
+        k = r.degree() - f.degree()
+        mono = DiffPoly(ring, (ring.zero(),) * k + (r.lc() * inv_lc,))
+        q, r = q + mono, r - mono * f
+    return q, r
+
+
+def _division_rings():
+    for p in (2, 3, 5):
+        x, one = _w(p, (0, 1)), _w(p, (1,))
+        for name, w in (("x", x), ("1", one), ("x^2+1", x * x + one), ("(x+1)/x", (x + one) / x)):
+            yield pytest.param(DerivedField(p, w), id="p%d-%s" % (p, name))
+    for name, K in (("p2-x", K2X), ("p3-1", K3D)):
+        yield pytest.param(MatrixRingAdapter(K, 2), id="2x2-" + name)
+
+
+def _with_unit_lead(ring, rng, deg):
+    # A random polynomial of degree deg whose leading coefficient is invertible.
+    while True:
+        lead = ring.random_element(rng, 1)
+        try:
+            ring.invert(lead)
+        except ZeroDivisionError:
+            continue
+        return DiffPoly(ring, [ring.random_element(rng, 2) for _ in range(deg)] + [lead])
+
+
+@pytest.mark.parametrize("ring", list(_division_rings()))
+def test_ladder_division_matches_monomial_oracle(ring):
+    rng = random.Random(4100 + ring.char)
+    for df in (1, 2, 3):
+        for dg in (df - 1, df, df + 2, 6):
+            f = _with_unit_lead(ring, rng, df)
+            g = DiffPoly(ring, [ring.random_element(rng, 2) for _ in range(dg + 1)])
+            # Sparse dividends skip quotient terms: zero every other coefficient.
+            h = DiffPoly(ring, [c if i % 2 else ring.zero() for i, c in enumerate(g.coeffs)])
+            for u in (g, h):
+                q, r = u.right_divmod(f)
+                assert (q, r) == _monomial_right_divmod(u, f)
+                assert r.degree() < f.degree() and q * f + r == u
+
+
+def test_right_division_takes_one_t_step_per_quotient_degree(monkeypatch):
+    rng = random.Random(4200)
+    f = DiffPoly(K3X, [random_ratfunc(K3X, rng, 2) for _ in range(2)] + [K3X.x()])
+    g = DiffPoly(K3X, [random_ratfunc(K3X, rng, 2, nonzero=True) for _ in range(6)])
+    steps, products = [], []
+    t_times, mul = DiffPoly._t_times, DiffPoly.__mul__
+    monkeypatch.setattr(DiffPoly, "_t_times", lambda self: steps.append(1) or t_times(self))
+    monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    q, r = g.right_divmod(f)
+    # Degree 5 by degree 2: the rungs t f, t^2 f and t^3 f, and no product.
+    assert (len(steps), len(products)) == (3, 0)
+    assert q.degree() == 3 and r.degree() <= 1
+    monkeypatch.undo()
+    assert q * f + r == g
+
+
+def test_t_power_derives_only_nonzero_coefficients(monkeypatch):
+    K = DerivedField(2, _w(2, (0, 1)))
+    calls = []
+    delta = DerivedField.delta
+    monkeypatch.setattr(DerivedField, "delta", lambda self, a: calls.append(1) or delta(self, a))
+    f = parse_diffpoly("t^512", K)
+    assert f == DiffPoly(K, (K.zero(),) * 512 + (K.one(),))
+    # Each t-step derives the one nonzero coefficient; no zero is derived.
+    assert len(calls) <= 511
+

@@ -141,6 +141,18 @@ def test_division_suite_unknown_at_tiny_bound():
     assert not report.failed
 
 
+def test_division_suite_at_p5_reports_probe_over_budget():
+    # samples * dim^3 = 40 * 25^3 is above dext.MAX_PROBE_WORK: the probe is
+    # refused before any work instead of running for minutes.
+    inst = instance_from_text("p = 5\ndelta_of_x = x\nd = x\ndegree_bound = 1\n")
+    report = run_suite(inst, "division")
+    probe = next(c for c in report.checks if c.name == "division.probe")
+    assert probe.verdict == "unknown"
+    assert "MAX_PROBE_WORK" in probe.witness["reason"]
+    assert probe.witness["verdict"] == "unknown (bound exhausted)"
+    assert not report.failed
+
+
 # -- the command line -------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diffext import towers
 from diffext.errors import NotFound, ZeroDerivation
 from diffext.scalars import RatFunc, random_ratfunc
 from diffext.towers import (
@@ -100,10 +101,12 @@ def test_delta_of_a_constant_skips_the_quotient_rule(monkeypatch):
     def no_derivative(poly):
         raise AssertionError("formal derivative taken for a constant")
 
-    x = K3X.x()
+    # A fresh field: its delta memo is empty, so every call below computes.
+    K = DerivedField(3, _w(3, (0, 1)))
+    x = K.x()
     monkeypatch.setattr(DensePoly, "formal_derivative", no_derivative)
-    for a in (K3X.zero(), K3X.from_int(2), x ** 3, (x ** 6 + K3X.one()) / (x ** 3 + x ** 9)):
-        assert not K3X.delta(a)
+    for a in (K.zero(), K.from_int(2), x ** 3, (x ** 6 + K.one()) / (x ** 3 + x ** 9)):
+        assert not K.delta(a)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -127,6 +130,48 @@ def test_delta_matches_quotient_rule_oracle(p):
                 want = RatFunc(u.formal_derivative() * v - u * v.formal_derivative(), v * v) * w
                 got = K.delta(a)
                 assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (w, a)
+
+
+def _by_quotient_rule(w, a):
+    u, v = a.num, a.den
+    return RatFunc(u.formal_derivative() * v - u * v.formal_derivative(), v * v) * w
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_memo_matches_uncached_quotient_rule(monkeypatch, p):
+    # Every call, memo hit or miss, against the quotient rule.  The ceiling
+    # is lowered to 7 so that the memo is emptied several times per field.
+    monkeypatch.setattr(towers, "_DELTA_MEMO_ENTRIES", 7)
+    rng = random.Random(90 + p)
+    x, one = _w(p, (0, 1)), _w(p, (1,))
+    for w in (x, one, x * x + one, (x + one) / x):
+        K = DerivedField(p, w)
+        args = [random_ratfunc(K, rng, 3) for _ in range(12)]
+        sizes = []
+        for a in args + args[::-1] + args[:5]:
+            assert K.delta(a) == _by_quotient_rule(w, a), (w, a)
+            sizes.append(len(K._delta_memo))
+        assert max(sizes) == 7 and sizes.count(1) >= 3
+        # After the last clear the memo still answers from what it kept.
+        kept = dict(K._delta_memo)
+        for (num, den), got in kept.items():
+            a = next(b for b in args if (b.num.coeffs, b.den.coeffs) == (num, den))
+            assert K.delta(a) is got
+
+
+def test_delta_memo_is_per_field():
+    # (x + 1)/x has the same coefficient tuples over F_2 and F_3, and delta
+    # = x d/dx sends it to -1/x: 1/x over F_2, 2/x over F_3.  Fields with
+    # the same p and another delta(x) keep their own answers too.
+    got = []
+    for p in (2, 3, 2):
+        x, one = _w(p, (0, 1)), _w(p, (1,))
+        for w in (x, one):
+            K = DerivedField(p, w)
+            a = (x + one) / x
+            assert K.delta(a) == _by_quotient_rule(w, a)
+            got.append(K.delta(a).num.coeffs)
+    assert got[0] == got[4] == (1,) and got[2] == (2,)
 
 
 def test_coords_frozen_value():
