@@ -4,11 +4,11 @@ A descriptor (tau, c, eps) denotes the candidate map
 
     H(sum d_i t^i) = sum tau(d_i) (eps*t + c)^i,
 
-computed on representatives of degree below m = deg f.  build_auto forms
-the images (eps*t + c)^i, i <= m, once, and the descriptor keeps them, so
-applying it is a K-linear combination of that table with no twisted
-product and no reduction.  Such a map is a (unital) algebra automorphism
-precisely when two checks pass:
+computed on representatives of degree below m = deg f.  A descriptor forms
+the images (eps*t + c)^i, i <= m, once, when it is made, so applying it is
+a K-linear combination of that table with no twisted product and no
+reduction.  Such a map is a (unital) algebra automorphism precisely when
+two checks pass:
 
 * the commutation constraint  c*tau(z) + eps*delta(tau(z)) = tau(z)*c + tau(delta(z))
   for z in a generating set of the coefficient ring, and
@@ -59,9 +59,10 @@ __all__ = [
 class AutoDescriptor:
     """Validated automorphism data: coefficient map tau, shift c, stretch eps.
 
-    powers holds the images (eps*t + c)^i, i <= deg f, that build_auto
-    formed to check H(f) = f; apply_auto combines them.  It is determined
-    by the other fields and takes no part in equality, hashing or repr.
+    powers holds the images (eps*t + c)^i, i <= deg f, formed from the
+    other fields when the descriptor is made; build_auto checks H(f) = f
+    with them and apply_auto combines them.  It is not a constructor
+    argument and takes no part in equality, hashing or repr.
     """
 
     algebra: ExtAlgebra
@@ -69,7 +70,14 @@ class AutoDescriptor:
     tau_name: str
     c: object
     eps: object
-    powers: tuple = field(compare=False, repr=False)
+    powers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ring = self.algebra.ring
+        n = self.algebra.f.degree() + 1
+        object.__setattr__(
+            self, "powers", tuple(_substitution_powers(ring, self.c, self.eps, n))
+        )
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         return apply_auto(self, u)
@@ -109,14 +117,14 @@ def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDe
                 "eq1",
                 "commutation constraint fails on %s: %s != %s" % (z, lhs, rhs),
             )
-    powers = tuple(_substitution_powers(ring, c, eps, algebra.f.degree() + 1))
-    image_f = _substitute_powers(algebra.f, tau, powers)
+    H = AutoDescriptor(algebra, tau, tau_name, c, eps)
+    image_f = _substitute_powers(algebra.f, tau, H.powers)
     if image_f != algebra.f:
         diff = image_f - algebra.f
         raise ConditionFailed(
             "fixes_f", "candidate moves the modulus by %s" % (diff,)
         )
-    return AutoDescriptor(algebra, tau, tau_name, c, eps, powers)
+    return H
 
 
 def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:

@@ -11,9 +11,7 @@ one code path is correct over commutative and noncommutative A alike.
 
 Division here always means right division: g = q*f + r with deg r < deg f,
 which exists and is unique whenever the leading coefficient of f is
-invertible.  Left division is never needed and never implemented.  Each
-quotient term c t^k removes c (t^k f), a left scaling of one rung of the
-ladder f, t f, ..., t^K f, built once with K = deg g - deg f t-steps; a
+invertible.  Left division is never needed and never implemented.  A
 t-step derives only the nonzero coefficients.
 
 Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,

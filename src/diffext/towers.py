@@ -20,10 +20,9 @@ The matrices are built one level at a time, only as far as the exponent
 being tried.
 
 ``DerivedField.delta`` remembers its answers, per field, keyed by the
-canonical numerator and denominator tuples: the twisted arithmetic derives
-the same coefficients again and again, and in one verify suite on a
-shipped config four calls in five or more repeat an earlier argument.  The memo is emptied when it holds
-_DELTA_MEMO_ENTRIES arguments.
+canonical numerator and denominator tuples, because the twisted
+arithmetic derives the same coefficients again and again.  The memo is
+emptied when it holds _DELTA_MEMO_ENTRIES arguments.
 
 ``MatrixRingAdapter`` wraps n x n matrices over K with the entrywise
 derivation.  It exists to exercise the noncommutative code paths (the
@@ -65,9 +64,8 @@ __all__ = [
 ]
 
 # Most arguments a DerivedField remembers in its delta memo before it
-# empties it.  Not an option: it caps the memo's memory, at about 7 MB for
-# arguments of degree 8 at p = 3.  One verify suite on a shipped instance
-# remembers under a thousand arguments.
+# empties it.  Not an option: it caps the memo's memory.  The measured
+# sizes and hit rates are in the README's design notes.
 _DELTA_MEMO_ENTRIES = 2 ** 14
 
 
@@ -112,13 +110,9 @@ class DerivedField(RationalFunctionField):
     def delta(self, a: RatFunc) -> RatFunc:
         """delta(a), remembered per field for the arguments seen so far.
 
-        The twisted arithmetic derives the same coefficients over and over
-        (each t-step of a product, division or power derives every
-        coefficient it carries), so the field keeps a memo keyed by the
-        canonical (numerator, denominator) coefficient tuples.  The field
-        fixes p and delta(x), so the key is complete; a memo shared between
-        fields would not be.  The memo is emptied once it holds
-        _DELTA_MEMO_ENTRIES arguments.
+        The memo is keyed by the canonical (numerator, denominator)
+        coefficient tuples.  The field fixes p and delta(x), so the key is
+        complete; a memo shared between fields would not be.
         """
         memo = self._delta_memo
         key = (a.num.coeffs, a.den.coeffs)

@@ -363,10 +363,17 @@ def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
                 assert img == iso.target.element(want)
 
 
-def test_power_table_stays_out_of_equality_and_repr(i1):
+def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
     K = i1.ring
     H = build_auto(i1, IDENT, K.one(), K.one())
     assert len(H.powers) == i1.f.degree() + 1
     assert "powers" not in repr(H)
-    other = AutoDescriptor(i1, IDENT, "id", K.one(), K.one(), ())
+    # The five-argument constructor forms the same table itself; a table
+    # cannot be passed in, so it always matches c and eps.
+    other = AutoDescriptor(i1, IDENT, "id", K.one(), K.one())
     assert H == other and hash(H) == hash(other)
+    assert other.powers == H.powers
+    u = i1.element(DiffPoly(K, [K.x(), K.one()]))
+    assert apply_auto(other, u) == apply_auto(H, u)
+    with pytest.raises(TypeError):
+        AutoDescriptor(i1, IDENT, "id", K.one(), K.one(), ())
