@@ -58,7 +58,7 @@ from .diffpoly import (
 )
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
-from .scalars import DensePoly, RatFunc, _add, _derivative, _divmod, _frobenius, _mul, poly_gcd
+from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
 from .towers import PPolynomial
 
 __all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
@@ -638,13 +638,14 @@ def _vg_rows(K, g, d, degree):
     """Row builder for V_g(N/v) = d over the derived field, deg N <= degree.
 
     No fraction is formed.  Write delta(x) = W/S.  For a polynomial R,
-    delta(R/S^k) = W (R' S - k R S') / S^(k+2), so delta^(p-1)(R) is a
-    polynomial over S^(2p-2), the same for every R.  u^p is a constant for
-    every u, so Jacobson's p-step on a pair P/u is
+    delta(R/S^k) = W (R' S - k R S') / S^(k+2), so delta^n(R) is a
+    polynomial over S^(2n), the same for every R.  u^p is a constant for
+    every u, so the p-step at level k (see diffpoly._p_step), with
+    n = (p-1) p^k derivations, is on a pair P/u
 
-        V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
+        V_(p^(k+1))(P/u) = (P^p + delta^n(u^(p-1) P)) / u^p,
 
-    with both parts brought over S^(2p-2); the Frobenius power of a
+    with both parts brought over S^(2n); the Frobenius power of a
     polynomial over F_p only spreads its coefficients.  From (x^i, v),
     level k holds V_(p^k)(x^i/v) as a pair P_(k,i)/q_k whose denominator
     does not depend on i, and q_k divides q_(k+1).  With a_j = A_j/B_j,
@@ -665,9 +666,14 @@ def _vg_rows(K, g, d, degree):
     p, e = K.p, g.e
     W, S = K.delta_of_x.num.coeffs, K.delta_of_x.den.coeffs
     dS = _derivative(S, p)
+    # Level k takes (p-1) p^k derivations and clears S^(2 (p-1) p^k): the
+    # p-th power of the level below, a Frobenius spread.
     s_top = (1,)
     for _ in range(2 * (p - 1)):
         s_top = _mul(s_top, S, p)
+    s_tops = [s_top]
+    for _ in range(1, e):
+        s_tops.append(_frobenius(s_tops[-1], p))
     big_b = (1,)
     for a in g.coeffs:
         big_b = _mul(big_b, a.den.coeffs, p)
@@ -675,15 +681,15 @@ def _vg_rows(K, g, d, degree):
     # M_i dd: P_(e,i) times B dd, plus P_(e-j,i) times A_j (B/B_j) dd q_e/q_(e-j).
     top_scale = _mul(big_b, dd, p)
     a_scales = [
-        (j, _mul(_mul(a.num.coeffs, _divmod(big_b, a.den.coeffs, p)[0], p), dd, p))
+        (j, _mul(_mul(a.num.coeffs, _exquo(big_b, a.den.coeffs, p), p), dd, p))
         for j, a in enumerate(g.coeffs, start=1)
         if a
     ]
     rhs_scale = _mul(dn, big_b, p)
 
-    def delta_power(r):
-        # S^(2p-2) delta^(p-1)(r) for a polynomial r.
-        for k in range(0, 2 * (p - 1), 2):
+    def delta_power(r, n):
+        # S^(2n) delta^n(r) for a polynomial r.
+        for k in range(0, 2 * n, 2):
             t = _mul(_derivative(r, p), S, p)
             if k % p and dS:
                 t = _add(t, _mul(((-k) % p,), _mul(r, dS, p), p), p)
@@ -693,12 +699,13 @@ def _vg_rows(K, g, d, degree):
     def rows(den):
         nums, q = [(0,) * i + (1,) for i in range(degree + 1)], den.coeffs
         levels = [(nums, q)]
-        for _ in range(e):
+        for level, s_top in enumerate(s_tops):
+            n = (p - 1) * p ** level
             lift = (1,)
             for _ in range(p - 1):
                 lift = _mul(lift, q, p)
             nums = [
-                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p)), p)
+                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p), n), p)
                 for P in nums
             ]
             q = _mul(_frobenius(q, p), s_top, p)
@@ -706,7 +713,7 @@ def _vg_rows(K, g, d, degree):
         lhs = [_mul(P, top_scale, p) for P in nums]
         for j, a_scale in a_scales:
             nums_j, q_j = levels[e - j]
-            scale = _mul(a_scale, _divmod(q, q_j, p)[0], p)
+            scale = _mul(a_scale, _exquo(q, q_j, p), p)
             lhs = [_add(c, _mul(scale, P, p), p) for c, P in zip(lhs, nums_j)]
         return _padded_rows(lhs + [_mul(rhs_scale, q, p)])
 

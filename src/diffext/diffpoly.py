@@ -22,21 +22,30 @@ and apply them with no twisted product.
 The map b |-> V(b) defined by (t - b)^(p^e) = t^(p^e) - V(b) is additive in
 b; for a p-polynomial g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t the
 combination V_g(b) = V_(p^e)(b) + a_1 V_(p^(e-1))(b) + ... + a_e b satisfies
-g(t - b) = g(t) - V_g(b).  One p-step, b |-> V_p(b), serves both v_g (once
-per level) and the iteration in v_p_tower.  Which route it takes is a
-property of the coefficient ring:
+g(t - b) = g(t) - V_g(b).  The levels come from one p-step per level, which
+serves both v_g and the cross-check in v_p_tower.  With c = V_(p^k)(b),
 
-* commutative (the derived field): Jacobson's formula (t + b)^p = t^p + b^p
-  + delta^(p-1)(b) gives V_p(b) = b^p + delta^(p-1)(b), which costs p - 1
+    (t - b)^(p^(k+1)) = (t^(p^k) - c)^p,
+
+and t^(p^k) a = a t^(p^k) + delta^(p^k)(a), so the step at level k is the
+level-0 step for the derivation delta^(p^k), not for delta.  It equals the
+level-0 step iterated only where delta^(p^k) acts like delta (as for
+delta = x d/dx).  Which route the step takes is a property of the
+coefficient ring:
+
+* commutative (the derived field): Jacobson's formula (t + c)^p = t^p + c^p
+  + delta^(p-1)(c), for the derivation delta^(p^k), gives
+  V_(p^(k+1))(b) = c^p + delta^((p-1) p^k)(c), which costs (p-1) p^k
   derivations and one Frobenius power and no twisted product;
 * noncommutative (the matrix adapter): V_3 already has commutator terms,
-  so the step reads the constant term off one twisted power (t - b)^p,
-  which square-and-multiply forms in one product at p = 2 and two at p = 3.
+  so the step reads the constant term off one twisted power
+  (t^(p^k) - c)^p, which square-and-multiply forms in one product at
+  p = 2 and two at p = 3.
 
 v_p_tower always expands (t - b)^(p^e) in full, checks that every middle
-coefficient vanishes, and compares the constant term with e iterated
-p-steps, so over the derived field it cross-checks the twisted expansion
-against the closed form.
+coefficient vanishes, and compares the constant term with the p-steps of
+levels 0..e-1, so over the derived field it cross-checks the twisted
+expansion against the closed form.
 """
 
 from __future__ import annotations
@@ -247,19 +256,22 @@ def p_poly_as_diffpoly(g: PPolynomial, ring) -> DiffPoly:
     return DiffPoly(ring, coeffs)
 
 
-def _p_step(ring, b):
-    """V_p(b): minus the constant term of (t - b)^p.
+def _p_step(ring, c, level: int):
+    """V_(p^(k+1)) from c = V_(p^k), k = level: minus the constant term of
+    (t^(p^k) - c)^p.
 
-    Over a commutative ring this is Jacobson's b^p + delta^(p-1)(b);
-    otherwise it is read off one twisted power.
+    Over a commutative ring this is Jacobson's c^p + (delta^(p^k))^(p-1)(c),
+    (p-1) p^k derivations; otherwise it is read off one twisted power.
     """
     p = ring.char
     if ring.is_commutative:
-        d = b
-        for _ in range(p - 1):
+        d = c
+        for _ in range((p - 1) * p ** level):
             d = ring.delta(d)
-        return b ** p + d
-    return -(DiffPoly(ring, (-b, ring.one())) ** p).coeff(0)
+        return c ** p + d
+    zero = ring.zero()
+    lifted = DiffPoly(ring, (-c,) + (zero,) * (p ** level - 1) + (ring.one(),))
+    return -(lifted ** p).coeff(0)
 
 
 def v_p_tower(ring, b, e: int):
@@ -268,7 +280,7 @@ def v_p_tower(ring, b, e: int):
     The expansion must come out as t^(p^e) - V with every middle coefficient
     exactly zero; a nonzero middle coefficient means the coefficient
     arithmetic is broken, and raises.  The result is cross-checked against
-    e-fold iteration of the p-step, which over a commutative ring is the
+    the p-steps of levels 0..e-1, which over a commutative ring are the
     closed form and so an independent route.
     """
     if e < 1:
@@ -283,10 +295,10 @@ def v_p_tower(ring, b, e: int):
     if power.coeff(deg) != ring.one():
         raise InternalInvariantViolation("(t - b)^%d is not monic" % deg)
     v = -power.coeff(0)
-    # Independent route: iterate the single-p step e times.
+    # Independent route: one p-step per level.
     it = b
-    for _ in range(e):
-        it = _p_step(ring, it)
+    for level in range(e):
+        it = _p_step(ring, it, level)
     if it != v:
         raise InternalInvariantViolation("tower iteration disagrees with expansion")
     return v
@@ -294,10 +306,10 @@ def v_p_tower(ring, b, e: int):
 
 def v_g(ring, g: PPolynomial, b):
     """V_g(b) = V_(p^e)(b) + a_1 V_(p^(e-1))(b) + ... + a_e b."""
-    # Collect V at levels p^1..p^e by iterating the p-step once per level.
+    # Collect V at levels p^1..p^e, one p-step per level.
     levels = [b]  # levels[k] = V_(p^k)(b), with level 0 the identity
-    for _ in range(g.e):
-        levels.append(_p_step(ring, levels[-1]))
+    for level in range(g.e):
+        levels.append(_p_step(ring, levels[-1], level))
     acc = levels[g.e]
     for i, ai in enumerate(g.coeffs, start=1):
         if ai:

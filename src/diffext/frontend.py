@@ -40,6 +40,7 @@ from .errors import (
     ConditionFailed,
     ConfigError,
     GNotAnnihilating,
+    InternalInvariantViolation,
     UnknownSuite,
     UnsupportedInstance,
     ZeroDerivation,
@@ -290,7 +291,7 @@ class _SuiteRunner:
         t0 = time.perf_counter()
         try:
             verdict, witness = fn()
-        except AssertionError as exc:
+        except (AssertionError, InternalInvariantViolation) as exc:
             verdict, witness = "fail", {"error": str(exc)}
         self.checks.append(CheckResult(name, verdict, witness, ms_since(t0)))
 

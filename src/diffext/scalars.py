@@ -27,8 +27,15 @@ Each type has two constructors:
   () over (1,).  The operators of both types build their results this way.
 
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
-``_mul``, ``_divmod``, ``_gcd``, ``_derivative``, ``_frobenius``) that take
-p as an argument and reduce mod p once per output entry.  Fraction sums and
+``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``,
+``_frobenius``) that take p as an argument and reduce mod p once per output
+entry.  Operands of degree <= 1 take short paths: a product with a linear
+factor is one pass, division by a linear divisor is synthetic (Horner at
+its root), and Euclid stops at a divisor of degree <= 1, which decides the
+gcd with one Horner pass.  ``_exquo`` is the quotient alone, for a monic
+divisor known to divide; every exact division in the fraction arithmetic
+goes through it.  The general Euclid and long division stay the route for
+larger operands.  Fraction sums and
 products are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d)
 and, only when that is not 1, one more gcd of the new numerator with it; a
 product cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a
@@ -171,12 +178,29 @@ def _mul(a, b, p: int) -> tuple:
     if len(a) == 1:
         c = a[0]
         return tuple(b) if c == 1 else tuple([c * y % p for y in b])
+    if len(a) == 2:
+        # (a0 + a1 x) b in one pass: entry i is a0 b_i + a1 b_(i-1).
+        a0, a1 = a
+        return tuple([(a0 * y + a1 * z) % p for y, z in zip((*b, 0), (0, *b))])
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
     for i, ai in enumerate(a):
         if ai:
             out[i : i + nb] = [o + ai * y for o, y in zip(out[i : i + nb], b)]
     return tuple([c % p for c in out])
+
+
+def _synthetic(a, r, p: int):
+    """Synthetic division by x - r: the quotient as a list, and a(r).
+
+    One Horner pass at r; the running values are the quotient's entries.
+    """
+    q = [0] * (len(a) - 1)
+    c = 0
+    for k in range(len(a) - 1, 0, -1):
+        c = (a[k] + r * c) % p
+        q[k - 1] = c
+    return q, ((a[0] + r * c) % p if a else 0)
 
 
 def _divmod(a, b, p: int):
@@ -187,6 +211,12 @@ def _divmod(a, b, p: int):
     inv = pow(b[-1], -1, p)
     if not db:
         return tuple([c * inv % p for c in a]), ()
+    if db == 1:
+        # b = b1 (x - r): the quotient by x - r scaled by 1/b1, and a(r).
+        q, c = _synthetic(a, -b[0] * inv % p, p)
+        if inv != 1:
+            q = [y * inv % p for y in q]
+        return tuple(q), (c,) if c else ()
     rem = list(a)
     q = [0] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
@@ -196,6 +226,28 @@ def _divmod(a, b, p: int):
             lo = k - db
             rem[lo:k] = [r - c * y for r, y in zip(rem[lo:k], b)]
     return tuple(q), _trim([r % p for r in rem[:db]])
+
+
+def _exquo(a, b, p: int) -> tuple:
+    """a / b for a monic b that divides a exactly: the quotient alone.
+
+    Quotient entry k is read off position k + deg b of the running
+    dividend, so the entries below deg b, which only feed the remainder,
+    are never updated.
+    """
+    db = len(b) - 1
+    if not db:
+        return tuple(a)
+    if db == 1:
+        return tuple(_synthetic(a, -b[0] % p, p)[0])
+    rem = list(a[db:])  # rem[k] is the dividend's entry k + deg b
+    for k in range(len(rem) - 1, -1, -1):
+        c = rem[k] = rem[k] % p
+        if c:
+            lo = k - db
+            s = max(lo, 0)
+            rem[s:k] = [r - c * y for r, y in zip(rem[s:k], b[s - lo : db])]
+    return tuple(rem)
 
 
 def _derivative(a, p: int) -> tuple:
@@ -216,12 +268,15 @@ def _gcd(a, b, p: int) -> tuple:
     """Monic gcd of coefficient tuples by Euclid on lists; () for two zeros.
 
     Each step makes the divisor monic with one inverse, so the remainder
-    loop needs no inverse and no product with one.
+    loop needs no inverse and no product with one.  Euclid stops at a
+    divisor of degree <= 1: a constant divisor makes the gcd 1, and a
+    linear one b1 (x - r) makes it x - r when a(r) = 0 and 1 otherwise,
+    which one Horner pass decides.
     """
     if len(a) < len(b):
         a, b = b, a
     a, b = list(a), list(b)
-    while b:
+    while len(b) > 2:
         if b[-1] != 1:
             inv = pow(b[-1], -1, p)
             b = [c * inv % p for c in b]
@@ -234,6 +289,14 @@ def _gcd(a, b, p: int) -> tuple:
         a, b = b, [r % p for r in a[:db]]
         while b and not b[-1]:
             b.pop()
+    if b:
+        if len(b) == 1:
+            return (1,)
+        r = -b[0] * pow(b[1], -1, p) % p
+        c = 0
+        for y in reversed(a):
+            c = (c * r + y) % p
+        return (1,) if c else ((-r) % p, 1)
     if a and a[-1] != 1:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -396,8 +459,9 @@ class RatFunc:
         if num.degree() > 0 and den.degree() > 0:
             g = poly_gcd(num, den)
             if g.degree() > 0:
-                num = num // g
-                den = den // g
+                p = num.field.p
+                num = _poly(num.field, _exquo(num.coeffs, g.coeffs, p))
+                den = _poly(den.field, _exquo(den.coeffs, g.coeffs, p))
         # Monic denominator pins down the representative uniquely.
         c = den.lc()
         if c != 1:
@@ -469,8 +533,8 @@ class RatFunc:
         if len(g) == 1:
             # Coprime denominators: a d + c b is coprime to b d.
             return _ratfunc(field, _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p))
-        b1 = _divmod(b, g, p)[0]
-        t = _add(_mul(a, _divmod(d, g, p)[0], p), _mul(c, b1, p), p)
+        b1 = _exquo(b, g, p)
+        t = _add(_mul(a, _exquo(d, g, p), p), _mul(c, b1, p), p)
         if not t:
             return RatFunc.zero(field)
         # A common factor of t and b1 d can only come from g; a constant t
@@ -478,7 +542,7 @@ class RatFunc:
         if len(t) > 1:
             g2 = poly_gcd(_poly(field, t), _poly(field, g)).coeffs
             if len(g2) > 1:
-                t, d = _divmod(t, g2, p)[0], _divmod(d, g2, p)[0]
+                t, d = _exquo(t, g2, p), _exquo(d, g2, p)
         return _ratfunc(field, t, _mul(b1, d, p))
 
     def __neg__(self):
@@ -501,11 +565,11 @@ class RatFunc:
         if len(a) > 1 and len(d) > 1:
             g = poly_gcd(self.num, other.den).coeffs
             if len(g) > 1:
-                a, d = _divmod(a, g, p)[0], _divmod(d, g, p)[0]
+                a, d = _exquo(a, g, p), _exquo(d, g, p)
         if len(c) > 1 and len(b) > 1:
             g = poly_gcd(other.num, self.den).coeffs
             if len(g) > 1:
-                c, b = _divmod(c, g, p)[0], _divmod(b, g, p)[0]
+                c, b = _exquo(c, g, p), _exquo(b, g, p)
         return _ratfunc(field, _mul(a, c, p), _mul(b, d, p))
 
     def __truediv__(self, other):
@@ -589,12 +653,11 @@ def random_poly(field, rng, max_degree, *, nonzero=False, monic=False):
     """Uniform coefficients up to a uniformly chosen degree bound."""
     while True:
         d = rng.randrange(max_degree + 1)
-        coeffs = [rng.randrange(field.p) for _ in range(d + 1)]
-        poly = DensePoly(field, coeffs)
-        if monic and poly:
-            poly = DensePoly(field, poly.coeffs[:-1] + (1,))
-        if poly or not (nonzero or monic):
-            return poly
+        coeffs = _trim([rng.randrange(field.p) for _ in range(d + 1)])
+        if monic and coeffs:
+            coeffs = coeffs[:-1] + (1,)
+        if coeffs or not (nonzero or monic):
+            return _poly(field, coeffs)
 
 
 def random_ratfunc(K, rng, max_degree, *, nonzero=False):

@@ -45,7 +45,7 @@ from .scalars import (
     RatFunc,
     RationalFunctionField,
     _add,
-    _divmod,
+    _exquo,
     _mul,
     _neg,
     _poly,
@@ -157,12 +157,12 @@ class DerivedField(RationalFunctionField):
             num = _add(_mul(du.coeffs, v, p), _neg(_mul(u, dv.coeffs, p), p), p)
             den = _mul(v, v, p)
         else:
-            v1, s = _divmod(v, g.coeffs, p)[0], _divmod(dv.coeffs, g.coeffs, p)[0]
+            v1, s = _exquo(v, g.coeffs, p), _exquo(dv.coeffs, g.coeffs, p)
             num = _add(_mul(du.coeffs, v1, p), _neg(_mul(u, s, p), p), p)
             den = _mul(v, v1, p)
             h = poly_gcd(_poly(self.field, num), g).coeffs
             if len(h) > 1:
-                num, den = _divmod(num, h, p)[0], _divmod(den, h, p)[0]
+                num, den = _exquo(num, h, p), _exquo(den, h, p)
         return _ratfunc(self.field, num, den) * self.delta_of_x
 
     def is_constant(self, a: RatFunc) -> bool:

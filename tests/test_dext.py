@@ -524,7 +524,14 @@ _ROW_CASES = [
     (p, w, None, bounds)
     for p, bounds in ((2, range(4)), (3, range(3)), (5, range(2)), (7, range(2)))
     for w in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x")
-] + [(2, "x", "t^4 + t^2", range(3))]  # a declared exponent-two g
+] + [
+    # Declared exponent-two g; with weights 1/x and (x+1)/x, delta^p is not
+    # delta, so level two takes (p-1) p derivations.
+    (2, "x", "t^4 + t^2", range(3)),
+    (2, "1/x", "t^4 + (1/(x^4))*t^2", range(3)),
+    (2, "(x+1)/x", "t^4 + (1/(x^4))*t^2", range(3)),
+    (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3", range(2)),
+]
 
 
 @pytest.mark.parametrize(

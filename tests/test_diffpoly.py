@@ -351,8 +351,8 @@ def test_diffpoly_pow_matches_repeated_product():
 @pytest.mark.parametrize("K,per_level", [(K2X, 1), (K3X, 2)], ids=["p2", "p3"])
 def test_v_g_products_per_level(monkeypatch, K, per_level):
     # Over K the p-step is the closed form and takes no twisted product.  The
-    # 2x2 adapter takes (t - b)^p by square-and-multiply: one product at
-    # p = 2, two at p = 3.
+    # 2x2 adapter takes (t^(p^k) - c)^p by square-and-multiply: one product
+    # at p = 2, two at p = 3.
     calls = []
     mul = DiffPoly.__mul__
 
@@ -387,7 +387,7 @@ def test_p_step_closed_form_matches_twisted_power(p):
         for _ in range(15):
             b = random_ratfunc(K, rng, 2)
             twisted = -(DiffPoly(K, (-b, K.one())) ** p).coeff(0)
-            assert _p_step(K, b) == twisted
+            assert _p_step(K, b, 0) == twisted
 
 
 def test_low_degree_mod_right_does_not_invert(monkeypatch):
@@ -487,3 +487,55 @@ def test_t_power_derives_only_nonzero_coefficients(monkeypatch):
     # Each t-step derives the one nonzero coefficient; no zero is derived.
     assert len(calls) <= 511
 
+
+# delta^p is not delta on these fields, so level p^2 is not the level-0
+# p-step iterated: (t - b)^(p^2) = (t^p - c)^p, c = V_p(b), and t^p commutes
+# with a through delta^p.
+_LEVEL_TWO_CASES = [(2, (1,)), (2, (1, 1)), (3, (1, 1))]  # delta(x) = num / x
+_LEVEL_TWO_IDS = ["p2-1/x", "p2-(x+1)/x", "p3-(x+1)/x"]
+
+
+def _over_x(p, num):
+    F = PrimeField(p)
+    return DerivedField(p, RatFunc(DensePoly(F, num), DensePoly(F, (0, 1))))
+
+
+@pytest.mark.parametrize("p,num", _LEVEL_TWO_CASES, ids=_LEVEL_TWO_IDS)
+def test_level_two_p_step_matches_expansion(p, num):
+    K = _over_x(p, num)
+    rng = random.Random("level-two:%d:%s" % (p, num))
+    samples = 12 if p == 3 else 30
+
+    def iterated(b):
+        # The level-0 step applied twice, right only where delta^p = delta.
+        return _p_step(K, _p_step(K, b, 0), 0)
+
+    misses = 0
+    for _ in range(samples):
+        b = random_ratfunc(K, rng, 2)
+        # The oracle: the constant term of the full twisted expansion.
+        expansion = -(DiffPoly(K, (-b, K.one())) ** (p * p)).coeff(0)
+        assert _p_step(K, _p_step(K, b, 0), 1) == expansion
+        assert v_p_tower(K, b, 2) == expansion
+        misses += iterated(b) != expansion
+    # The cases are ones where the old iterated form is wrong somewhere.
+    assert misses
+
+
+@pytest.mark.parametrize("p,num", _LEVEL_TWO_CASES, ids=_LEVEL_TWO_IDS)
+def test_level_two_v_g_and_matrix_steps_match_expansion(p, num):
+    K = _over_x(p, num)
+    rng = random.Random("level-two-g:%d:%s" % (p, num))
+    g = p_polynomial_at_exponent(K, 2)
+    gt = p_poly_as_diffpoly(g, K)
+    for _ in range(6 if p == 3 else 10):
+        b = random_ratfunc(K, rng, 2)
+        # g(t - b) = g(t) - V_g(b), with g(t - b) formed by substitution.
+        shifted = substitute(gt, lambda z: z, -b, K.one())
+        assert shifted == gt - DiffPoly.constant(K, v_g(K, g, b))
+    A = MatrixRingAdapter(K, 2)
+    for _ in range(2):
+        B = A.random_element(rng, 1)
+        expansion = -(DiffPoly(A, (-B, A.one())) ** (p * p)).coeff(0)
+        assert _p_step(A, _p_step(A, B, 0), 1) == expansion
+        assert v_p_tower(A, B, 2) == expansion

@@ -11,9 +11,11 @@ import pytest
 
 import diffext
 from diffext.cli import main
+from diffext import frontend
 from diffext.errors import (
     ConfigError,
     GNotAnnihilating,
+    InternalInvariantViolation,
     UnknownSuite,
     ZeroDerivation,
 )
@@ -113,6 +115,25 @@ def test_nuclei_suite_p5(d, nuc_dim):
     assert witness["nuclei.center"]["dim"] == 1
     assert witness["nuclei.associative"]["is_associative"] == str(nuc_dim == 25).lower()
     assert witness["nuclei.centralizer"]["dim"] == 5
+
+
+def test_suite_reports_internal_invariant_violation_as_fail(monkeypatch, capsys):
+    def broken(ring, b, e):
+        raise InternalInvariantViolation("tower iteration disagrees with expansion")
+
+    monkeypatch.setattr(frontend, "v_p_tower", broken)
+    report = run_suite(instance_from_text(I1_TEXT), "vops")
+    verdicts = {c.name: (c.verdict, c.witness) for c in report.checks}
+    assert verdicts["vops.middle_coeffs"] == (
+        "fail",
+        {"error": "tower iteration disagrees with expansion"},
+    )
+    # The checks that do not call v_p_tower still run and pass.
+    assert verdicts["vops.additive"][0] == "pass"
+    assert report.failed
+    assert main(["verify", str(CONFIGS / "i1.cfg"), "--suite", "vops"]) == 1
+    out = capsys.readouterr()
+    assert "FAIL  vops.middle_coeffs" in out.out and "Traceback" not in out.err
 
 
 def test_report_deterministic_modulo_ms():

@@ -383,6 +383,44 @@ def test_dense_poly_kernels_match_textbook(p):
             assert poly_gcd(a * s, b * s) == _textbook_gcd(a * s, b * s)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_low_degree_kernel_paths_match_textbook(p):
+    # Operands of degree 0, 1 and 2 take the one-pass product, synthetic
+    # division and the early exit from Euclid; divisors are not monic.
+    F = PrimeField(p)
+    rng = random.Random(1300 + p)
+
+    def of_degree(n, monic=False):
+        top = 1 if monic else rng.randrange(1, p)
+        return DensePoly(F, [rng.randrange(p) for _ in range(n)] + [top])
+
+    gcd_degrees = set()
+    for _ in range(120):
+        a = random_poly(F, rng, 7)
+        for n in (0, 1, 2):
+            b = of_degree(n)
+            assert a * b == b * a == _textbook_mul(a, b)
+            q, r = divmod(a, b)
+            _assert_canonical_poly(q, p)
+            _assert_canonical_poly(r, p)
+            assert (q, r) == _textbook_divmod(a, b)
+            # A linear factor absent, then present in both operands.
+            s = of_degree(1)
+            for x, y in ((a, b), (a * s, b * s), (a * b, b)):
+                g = poly_gcd(x, y)
+                _assert_canonical_poly(g, p)
+                assert g == poly_gcd(y, x) == _textbook_gcd(x, y)
+                gcd_degrees.add(g.degree())
+            # Exact quotients by a monic divisor, the dividend a product.
+            m = b.monic()
+            for x in (a * m, a * m * of_degree(1, monic=True)):
+                got = scalars._exquo(x.coeffs, m.coeffs, p)
+                assert got == _textbook_divmod(x, m)[0].coeffs
+                assert type(got) is tuple
+            assert scalars._exquo((a * m).coeffs, m.coeffs, p) == a.coeffs
+    assert {0, 1, 2} <= gcd_degrees
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_henrici_arithmetic_matches_gcd_constructor(p):
     rng = random.Random(900 + p)

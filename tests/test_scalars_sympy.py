@@ -27,6 +27,7 @@ def _from_sympy(poly, field):
 def test_dense_poly_matches_sympy(p):
     F = PrimeField(p)
     rng = random.Random(1200 + p)
+    lin_rng = random.Random(1250 + p)
     for _ in range(150):
         a = random_poly(F, rng, 9)
         b = random_poly(F, rng, 6)
@@ -40,3 +41,13 @@ def test_dense_poly_matches_sympy(p):
         if not g.is_zero:
             g = g.monic()
         assert poly_gcd(a * s, b * s) == _from_sympy(g, F)
+        # A linear divisor, not monic: synthetic division and the early
+        # exit from Euclid, with the factor absent and present.
+        lin = DensePoly(F, (lin_rng.randrange(p), lin_rng.randrange(1, p)))
+        sl = _to_sympy(lin)
+        q, r = sa.div(sl)
+        assert divmod(a, lin) == (_from_sympy(q, F), _from_sympy(r, F))
+        assert a * lin == _from_sympy(sa * sl, F)
+        for x in (a, a * lin):
+            g = _to_sympy(x).gcd(sl).monic()
+            assert poly_gcd(x, lin) == poly_gcd(lin, x) == _from_sympy(g, F)
