@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import diffext
-from diffext.cli import main
 from diffext import frontend
+from diffext.cli import main
 from diffext.errors import (
     ConfigError,
     GNotAnnihilating,
