@@ -29,17 +29,17 @@ Each type has two constructors:
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
 ``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``,
 ``_frobenius``) that take p as an argument and reduce mod p once per output
-entry.  Operands of degree <= 1 take short paths: a product with a linear
-factor is one pass, division by a linear divisor is synthetic (Horner at
-its root), and Euclid stops at a divisor of degree <= 1, which decides the
-gcd with one Horner pass.  ``_exquo`` is the quotient alone, for a monic
-divisor known to divide; every exact division in the fraction arithmetic
-goes through it.  The general Euclid and long division stay the route for
-larger operands.  Fraction sums and
-products are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d)
-and, only when that is not 1, one more gcd of the new numerator with it; a
-product cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a
-final gcd.  Every gcd still goes through ``poly_gcd``.
+entry.  Divisors of degree <= 1 take short paths: division by a linear
+divisor is synthetic (Horner at its root), and Euclid stops at a divisor
+of degree <= 1, which decides the gcd with one Horner pass.  ``_exquo``
+is the quotient by a monic divisor known to divide, with no inverse and
+no remainder when the divisor is constant or linear; every exact division
+in the fraction arithmetic goes through it.  Larger divisors take the
+general Euclid and long division.  Fraction sums and products are
+Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
+when that is not 1, one more gcd of the new numerator with it; a product
+cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a final
+gcd.  Every gcd still goes through ``poly_gcd``.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
 ``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
@@ -178,10 +178,6 @@ def _mul(a, b, p: int) -> tuple:
     if len(a) == 1:
         c = a[0]
         return tuple(b) if c == 1 else tuple([c * y % p for y in b])
-    if len(a) == 2:
-        # (a0 + a1 x) b in one pass: entry i is a0 b_i + a1 b_(i-1).
-        a0, a1 = a
-        return tuple([(a0 * y + a1 * z) % p for y, z in zip((*b, 0), (0, *b))])
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
     for i, ai in enumerate(a):
@@ -231,23 +227,15 @@ def _divmod(a, b, p: int):
 def _exquo(a, b, p: int) -> tuple:
     """a / b for a monic b that divides a exactly: the quotient alone.
 
-    Quotient entry k is read off position k + deg b of the running
-    dividend, so the entries below deg b, which only feed the remainder,
-    are never updated.
+    A constant b is 1 and a linear b is x - r, so neither needs an inverse
+    or a remainder; a larger b takes the general long division.
     """
     db = len(b) - 1
     if not db:
         return tuple(a)
     if db == 1:
         return tuple(_synthetic(a, -b[0] % p, p)[0])
-    rem = list(a[db:])  # rem[k] is the dividend's entry k + deg b
-    for k in range(len(rem) - 1, -1, -1):
-        c = rem[k] = rem[k] % p
-        if c:
-            lo = k - db
-            s = max(lo, 0)
-            rem[s:k] = [r - c * y for r, y in zip(rem[s:k], b[s - lo : db])]
-    return tuple(rem)
+    return _divmod(a, b, p)[0]
 
 
 def _derivative(a, p: int) -> tuple:

@@ -385,8 +385,8 @@ def test_dense_poly_kernels_match_textbook(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
 def test_low_degree_kernel_paths_match_textbook(p):
-    # Operands of degree 0, 1 and 2 take the one-pass product, synthetic
-    # division and the early exit from Euclid; divisors are not monic.
+    # Divisors of degree 0, 1 and 2 take the constant and synthetic
+    # divisions and the early exit from Euclid; they are not monic.
     F = PrimeField(p)
     rng = random.Random(1300 + p)
 
