@@ -664,7 +664,7 @@ def _vg_rows(K, g, d, degree):
     before the search guard has run.
     """
     p, e = K.p, g.e
-    W, S = K.delta_of_x.num.coeffs, K.delta_of_x.den.coeffs
+    W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
     dS = _derivative(S, p)
     # Level k takes (p-1) p^k derivations and clears S^(2 (p-1) p^k): the
     # p-th power of the level below, a Frobenius spread.
@@ -676,12 +676,12 @@ def _vg_rows(K, g, d, degree):
         s_tops.append(_frobenius(s_tops[-1], p))
     big_b = (1,)
     for a in g.coeffs:
-        big_b = _mul(big_b, a.den.coeffs, p)
-    dn, dd = d.num.coeffs, d.den.coeffs
+        big_b = _mul(big_b, a.den_coeffs, p)
+    dn, dd = d.num_coeffs, d.den_coeffs
     # M_i dd: P_(e,i) times B dd, plus P_(e-j,i) times A_j (B/B_j) dd q_e/q_(e-j).
     top_scale = _mul(big_b, dd, p)
     a_scales = [
-        (j, _mul(_mul(a.num.coeffs, _exquo(big_b, a.den.coeffs, p), p), dd, p))
+        (j, _mul(_mul(a.num_coeffs, _exquo(big_b, a.den_coeffs, p), p), dd, p))
         for j, a in enumerate(g.coeffs, start=1)
         if a
     ]

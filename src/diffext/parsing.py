@@ -42,7 +42,7 @@ class _ZeroDivisorError(ExprSyntaxError, ZeroDivisionError):
 
 
 def _degree(v: DiffPoly) -> int:
-    height = max((max(c.num.degree(), c.den.degree()) for c in v.coeffs), default=0)
+    height = max((max(len(c.num_coeffs), len(c.den_coeffs)) - 1 for c in v.coeffs), default=0)
     return max(v.degree(), height)
 
 

@@ -10,7 +10,10 @@ Representation choices, which everything above this module relies on:
 * ``RatFunc`` is always canonical: numerator and denominator coprime, the
   denominator monic, zero stored as 0/1.  Canonical form makes ``==`` a
   plain structural comparison, which the linear algebra and all the exact
-  identity checks depend on.
+  identity checks depend on.  A fraction stores its field and the two
+  coefficient tuples, ``num_coeffs`` and ``den_coeffs``, so each result is
+  one object; ``num`` and ``den`` are ``DensePoly`` views of the tuples,
+  built only when a caller asks for them.
 
 All values are immutable, so an operation may hand back one of its operands.
 
@@ -39,7 +42,8 @@ general Euclid and long division.  Fraction sums and products are
 Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
 when that is not 1, one more gcd of the new numerator with it; a product
 cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a final
-gcd.  Every gcd still goes through ``poly_gcd``.
+gcd.  Every gcd goes through ``poly_gcd``, the operators wrapping their
+tuples in ``DensePoly`` views for it.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
 ``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
@@ -427,37 +431,38 @@ def _ratfunc(field: PrimeField, num: tuple, den: tuple) -> "RatFunc":
     den is monic, and zero is () over (1,), so no gcd is taken and nothing
     is normalised."""
     out = object.__new__(RatFunc)
-    out.num = _poly(field, num)
-    out.den = _poly(field, den)
+    out.field = field
+    out.num_coeffs = num
+    out.den_coeffs = den
     return out
 
 
 class RatFunc:
     """Rational function over F_p in canonical reduced form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("field", "num_coeffs", "den_coeffs")
 
     def __init__(self, num: DensePoly, den: DensePoly):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num = num
-            self.den = DensePoly.one(num.field)
-            return
-        if num.degree() > 0 and den.degree() > 0:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                p = num.field.p
-                num = _poly(num.field, _exquo(num.coeffs, g.coeffs, p))
-                den = _poly(den.field, _exquo(den.coeffs, g.coeffs, p))
-        # Monic denominator pins down the representative uniquely.
-        c = den.lc()
-        if c != 1:
-            inv = den.field.inv(c)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        field = num.field
+        n, d = num.coeffs, den.coeffs
+        if not n:
+            d = (1,)
+        else:
+            p = field.p
+            if len(n) > 1 and len(d) > 1:
+                g = poly_gcd(num, den).coeffs
+                if len(g) > 1:
+                    n, d = _exquo(n, g, p), _exquo(d, g, p)
+            # Monic denominator pins down the representative uniquely.
+            c = d[-1]
+            if c != 1:
+                inv = (pow(c, -1, p),)
+                n, d = _mul(inv, n, p), _mul(inv, d, p)
+        self.field = field
+        self.num_coeffs = n
+        self.den_coeffs = d
 
     @classmethod
     def zero(cls, field: PrimeField) -> "RatFunc":
@@ -480,36 +485,41 @@ class RatFunc:
         return cls(DensePoly.constant(field, n), DensePoly.one(field))
 
     @property
-    def field(self) -> PrimeField:
-        return self.num.field
+    def num(self) -> DensePoly:
+        return _poly(self.field, self.num_coeffs)
+
+    @property
+    def den(self) -> DensePoly:
+        return _poly(self.field, self.den_coeffs)
 
     def is_poly(self) -> bool:
-        return self.den.degree() == 0
+        return len(self.den_coeffs) == 1
 
     def __bool__(self):
-        return bool(self.num.coeffs)
+        return bool(self.num_coeffs)
 
     def __eq__(self, other):
         return (
             isinstance(other, RatFunc)
-            and other.num == self.num
-            and other.den == self.den
+            and other.num_coeffs == self.num_coeffs
+            and other.den_coeffs == self.den_coeffs
+            and other.field.p == self.field.p
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.field.p, self.num_coeffs, self.den_coeffs))
 
     def __add__(self, other):
         """Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): one gcd of the
         denominators and, only when that is not 1, one gcd of the new
         numerator with it."""
-        a, b = self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
+        a, b = self.num_coeffs, self.den_coeffs
+        c, d = other.num_coeffs, other.den_coeffs
         if not a:
             return other
         if not c:
             return self
-        field = self.num.field
+        field = self.field
         p = field.p
         # A constant denominator is 1: (a d + c)/d shares no factor with d.
         if len(b) == 1:
@@ -517,7 +527,7 @@ class RatFunc:
         if len(d) == 1:
             return _ratfunc(field, _add(a, _mul(c, b, p), p), b)
         # gcd(b, b) = b for a monic b.
-        g = b if b == d else poly_gcd(self.den, other.den).coeffs
+        g = b if b == d else poly_gcd(_poly(field, b), _poly(field, d)).coeffs
         if len(g) == 1:
             # Coprime denominators: a d + c b is coprime to b d.
             return _ratfunc(field, _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p))
@@ -534,8 +544,8 @@ class RatFunc:
         return _ratfunc(field, t, _mul(b1, d, p))
 
     def __neg__(self):
-        field = self.num.field
-        return _ratfunc(field, _neg(self.num.coeffs, field.p), self.den.coeffs)
+        field = self.field
+        return _ratfunc(field, _neg(self.num_coeffs, field.p), self.den_coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -543,19 +553,19 @@ class RatFunc:
     def __mul__(self, other):
         """Henrici's product: cancel gcd(a, d) and gcd(c, b) first, so
         (a/b)(c/d) comes out canonical with no gcd of the product."""
-        a, b = self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
-        field = self.num.field
+        a, b = self.num_coeffs, self.den_coeffs
+        c, d = other.num_coeffs, other.den_coeffs
+        field = self.field
         if not a or not c:
             return RatFunc.zero(field)
         p = field.p
         # A constant has gcd 1 with anything, so a constant side skips its gcd.
         if len(a) > 1 and len(d) > 1:
-            g = poly_gcd(self.num, other.den).coeffs
+            g = poly_gcd(_poly(field, a), _poly(field, d)).coeffs
             if len(g) > 1:
                 a, d = _exquo(a, g, p), _exquo(d, g, p)
         if len(c) > 1 and len(b) > 1:
-            g = poly_gcd(other.num, self.den).coeffs
+            g = poly_gcd(_poly(field, c), _poly(field, b)).coeffs
             if len(g) > 1:
                 c, b = _exquo(c, g, p), _exquo(b, g, p)
         return _ratfunc(field, _mul(a, c, p), _mul(b, d, p))
@@ -567,12 +577,12 @@ class RatFunc:
 
     def inverse(self) -> "RatFunc":
         """den/num scaled to a monic denominator; coprime as it stands."""
-        num = self.num.coeffs
+        num = self.num_coeffs
         if not num:
             raise ZeroDivisionError("inverse of the zero rational function")
-        field = self.num.field
+        field = self.field
         inv = (field.inv(num[-1]),)
-        return _ratfunc(field, _mul(inv, self.den.coeffs, field.p), _mul(inv, num, field.p))
+        return _ratfunc(field, _mul(inv, self.den_coeffs, field.p), _mul(inv, num, field.p))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -580,7 +590,7 @@ class RatFunc:
         # Powers of coprime polynomials stay coprime, and a power of a monic
         # polynomial is monic: num^n / den^n is canonical as it stands (zero
         # included, as 0/1 gives 0/1 for n > 0 and 1/1 for n = 0).
-        return _ratfunc(self.num.field, (self.num ** n).coeffs, (self.den ** n).coeffs)
+        return _ratfunc(self.field, (self.num ** n).coeffs, (self.den ** n).coeffs)
 
     def __str__(self):
         if self.den.degree() == 0:

@@ -45,7 +45,9 @@ from .scalars import (
     RatFunc,
     RationalFunctionField,
     _add,
+    _derivative,
     _exquo,
+    _frobenius,
     _mul,
     _neg,
     _poly,
@@ -115,7 +117,7 @@ class DerivedField(RationalFunctionField):
         complete; a memo shared between fields would not be.
         """
         memo = self._delta_memo
-        key = (a.num.coeffs, a.den.coeffs)
+        key = (a.num_coeffs, a.den_coeffs)
         out = memo.get(key)
         if out is None:
             if len(memo) >= _DELTA_MEMO_ENTRIES:
@@ -143,27 +145,28 @@ class DerivedField(RationalFunctionField):
         if self.is_constant(a):
             return self.zero()
         p = self.p
-        u, v = a.num.coeffs, a.den.coeffs
-        du, dv = a.num.formal_derivative(), a.den.formal_derivative()
+        field = self.field
+        u, v = a.num_coeffs, a.den_coeffs
+        du, dv = _derivative(u, p), _derivative(v, p)
         # g = gcd(v, v') is v itself when v' = 0 (v a p-th power, or 1), and
         # 1 when v' is a nonzero constant; only otherwise is a gcd taken.
         if not dv:
-            g = a.den
-        elif dv.degree():
-            g = poly_gcd(a.den, dv)
+            g = v
+        elif len(dv) > 1:
+            g = poly_gcd(_poly(field, v), _poly(field, dv)).coeffs
         else:
-            g = DensePoly.one(self.field)
-        if not g.degree():
-            num = _add(_mul(du.coeffs, v, p), _neg(_mul(u, dv.coeffs, p), p), p)
+            g = (1,)
+        if len(g) == 1:
+            num = _add(_mul(du, v, p), _neg(_mul(u, dv, p), p), p)
             den = _mul(v, v, p)
         else:
-            v1, s = _exquo(v, g.coeffs, p), _exquo(dv.coeffs, g.coeffs, p)
-            num = _add(_mul(du.coeffs, v1, p), _neg(_mul(u, s, p), p), p)
+            v1, s = _exquo(v, g, p), _exquo(dv, g, p)
+            num = _add(_mul(du, v1, p), _neg(_mul(u, s, p), p), p)
             den = _mul(v, v1, p)
-            h = poly_gcd(_poly(self.field, num), g).coeffs
+            h = poly_gcd(_poly(field, num), _poly(field, g)).coeffs
             if len(h) > 1:
                 num, den = _exquo(num, h, p), _exquo(den, h, p)
-        return _ratfunc(self.field, num, den) * self.delta_of_x
+        return _ratfunc(field, num, den) * self.delta_of_x
 
     def is_constant(self, a: RatFunc) -> bool:
         """Whether delta(a) = 0, read off the exponents of a.
@@ -176,7 +179,7 @@ class DerivedField(RationalFunctionField):
         """
         p = self.p
         return not any(
-            any(cs[j::p]) for cs in (a.num.coeffs, a.den.coeffs) for j in range(1, min(p, len(cs)))
+            any(cs[j::p]) for cs in (a.num_coeffs, a.den_coeffs) for j in range(1, min(p, len(cs)))
         )
 
     def constant_basis(self):
@@ -192,17 +195,19 @@ class DerivedField(RationalFunctionField):
         numerator splits by exponent residue mod p.  Round-trips exactly:
         a == sum c_j x^j.
         """
-        p = self.p
-        u, v = a.num, a.den
-        if v.degree():
-            u, v = u * v ** (p - 1), v ** p
+        p, field = self.p, self.field
+        u, v = a.num_coeffs, a.den_coeffs
+        if len(v) > 1:
+            # v^p only spreads the coefficients of v.
+            u, v = _mul(u, (_poly(field, v) ** (p - 1)).coeffs, p), _frobenius(v, p)
+        v = _poly(field, v)
         out = []
         for j in range(p):
             # The part of exponent residue j, divided by x^j: exponents k p.
-            cs = u.coeffs[j::p]
+            cs = u[j::p]
             spread = [0] * (p * len(cs))
             spread[::p] = cs
-            out.append(RatFunc(DensePoly(self.field, spread), v))
+            out.append(RatFunc(DensePoly(field, spread), v))
         return tuple(out)
 
     def from_coords(self, cs) -> RatFunc:

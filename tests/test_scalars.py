@@ -474,3 +474,53 @@ def test_derivation_matches_quotient_rule_oracle(p):
                 got = D.delta(u)
                 _assert_canonical(got, p)
                 assert got == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ratfunc_value_contract_across_construction_routes(p):
+    # Whatever route builds a fraction, its parts are the textbook canonical
+    # form of an unreduced pair (the gcd constructor is the oracle), its
+    # field has the right modulus, and equal values hash alike.
+    from diffext.parsing import parse_field_element
+    from diffext.towers import DerivedField
+
+    F = PrimeField(p)
+    K = DerivedField(p, RatFunc.x(F))
+    rng = random.Random(1300 + p)
+    routes = []  # (value, unreduced numerator, unreduced denominator)
+    for a, b in _fraction_pairs(p, rng, 20):
+        n, d = random_poly(F, rng, 4), random_poly(F, rng, 4, nonzero=True)
+        routes += [
+            (RatFunc(n, d), n, d),
+            (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+            (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+            (a * b, a.num * b.num, a.den * b.den),
+            (-a, -a.num, a.den),
+            (a ** 3, a.num ** 3, a.den ** 3),
+            (a ** 0, DensePoly.one(F), DensePoly.one(F)),
+            (parse_field_element("(%s)/(%s)" % (n, d), K), n, d),
+            (K.from_coords(K.coords(a)), a.num, a.den),
+        ]
+        if b:
+            routes += [
+                (a / b, a.num * b.den, a.den * b.num),
+                (b.inverse(), b.den, b.num),
+                (b ** -2, b.den ** 2, b.num ** 2),
+            ]
+        routes += [(c, c.num, c.den) for c in K.coords(a)]
+        v = random_ratfunc(K, rng, 3)
+        routes.append((v, v.num, v.den))
+    values = []
+    for v, n, d in routes:
+        want = RatFunc(n, d)
+        assert v.field.p == p and v.num.field.p == p and v.den.field.p == p
+        _assert_canonical(v, p)
+        assert v.num == want.num and v.den == want.den
+        assert v == want and hash(v) == hash(want)
+        values.append(v)
+    for u in values:
+        for v in values:
+            if u == v:
+                assert hash(u) == hash(v)
+    # Equal coefficient tuples over different fields are different values.
+    assert RatFunc.x(F) != RatFunc.x(PrimeField(7))

@@ -334,3 +334,20 @@ def test_kmatrix_pow_matches_repeated_product():
     # -1 >> 1 is -1, so a loop without this check never ends.
     with pytest.raises(ValueError):
         a ** -1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1", "1/x", "(x+1)/x"])
+def test_minimal_p_polynomial_matches_hochschild(p, weight):
+    # Hochschild: (w d/dx)^p = delta^(p-1)(w) d/dx, as (d/dx)^p = 0 on
+    # F_p(x).  So delta^p = (delta^(p-1)(w)/w) delta, and the minimal
+    # p-polynomial is g = t^p - (delta^(p-1)(w)/w) t, with e = 1.
+    from diffext.frontend import derived_field
+
+    K = derived_field(p, weight)
+    w = d = K.delta_of_x
+    for _ in range(p - 1):
+        d = K.delta(d)
+    g = minimal_p_polynomial(K)
+    assert g.e == 1
+    assert g.coeffs == (-(d / w),)
