@@ -14,12 +14,12 @@ which exists and is unique whenever the leading coefficient of f is
 invertible.  Left division is never needed and never implemented.  A
 t-step derives only the nonzero coefficients.
 
-``DiffPoly(ring, coeffs)`` trims trailing zero coefficients.  The private
-``_diffpoly(ring, coeffs)`` wraps a tuple as it is, for results whose top
-coefficient cannot vanish: a t-step moves the top coefficient up one power
-unchanged, and a left scaling by a nonzero a over the derived field, which
-has no zero divisors.  Over the matrix adapter a left scaling can cancel
-the top coefficient, so there it is trimmed.
+Every result is built by ``DiffPoly(ring, coeffs)``, which trims trailing
+zero coefficients.  A t-step never cancels the top coefficient, and a left
+scaling cannot over the derived field, but over the matrix adapter, which
+has zero divisors, a left scaling can; wrapping the derived field's
+t-steps and scalings without the trim measured 1% faster on the suites,
+inside the run-to-run spread, so there is one constructor.
 
 Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,
 each one left step from the last: (eps t + c) P = eps (t P) + c P.  The
@@ -76,15 +76,6 @@ __all__ = [
     "substitute",
     "find_inner_constant",
 ]
-
-
-def _diffpoly(ring, coeffs: tuple) -> "DiffPoly":
-    """Trusted constructor: coeffs is a tuple whose last entry is nonzero,
-    so nothing is trimmed."""
-    out = object.__new__(DiffPoly)
-    out.ring = ring
-    out.coeffs = coeffs
-    return out
 
 
 class DiffPoly:
@@ -157,33 +148,20 @@ class DiffPoly:
         return self + (-other)
 
     def _t_times(self):
-        """t * self, from the defining relation applied to each nonzero coefficient.
-
-        The top coefficient moves up one power unchanged, so it is never
-        cancelled.
-        """
-        if not self.coeffs:
-            return self
+        """t * self, from the defining relation applied to each nonzero coefficient."""
         ring = self.ring
         zero = ring.zero()
         out = [ring.delta(c) if c else zero for c in self.coeffs] + [zero]
         for i, c in enumerate(self.coeffs):
             if c:
                 out[i + 1] = out[i + 1] + c
-        return _diffpoly(ring, tuple(out))
+        return DiffPoly(ring, out)
 
     def scale_left(self, a):
-        """a * self for a coefficient a (left multiplication).
-
-        Over the derived field a times the top coefficient is nonzero; the
-        matrix adapter has zero divisors, so there the result is trimmed.
-        """
+        """a * self for a coefficient a (left multiplication)."""
         if not a:
             return DiffPoly.zero(self.ring)
-        out = tuple([a * c for c in self.coeffs])
-        if self.ring.is_commutative:  # the derived field
-            return _diffpoly(self.ring, out)
-        return DiffPoly(self.ring, out)
+        return DiffPoly(self.ring, tuple(a * c for c in self.coeffs))
 
     def __mul__(self, other):
         # sum_i a_i t^i * other: build t^i * other by iterating t once.
