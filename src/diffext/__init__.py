@@ -8,7 +8,7 @@ The layers, bottom up:
     towers    F_p(x) with a derivation, its constants, p-polynomials
     diffpoly  the ring K[t; delta] and the V operators
     dext      quotient algebras, nuclei, center, factor search
-    autos     automorphism descriptors, inner automorphisms, constraints
+    autos     automorphism descriptors, inner and shift maps, constraints
     parsing   expressions like (x^2 + 1)/(x) * t^2 + x
     frontend  config files, verification suites, reports
     cli       the diffext command
@@ -25,8 +25,9 @@ from .autos import (
     inner_auto,
     is_log_derivative,
     log_derivative_witness,
+    shift_isomorphism,
 )
-from .dext import AlgebraElement, ExtAlgebra, ShiftIso
+from .dext import AlgebraElement, ExtAlgebra
 from .diffpoly import (
     DiffPoly,
     find_inner_constant,
@@ -105,7 +106,6 @@ __all__ = [
     "RatFunc",
     "RationalFunctionField",
     "Report",
-    "ShiftIso",
     "TInDenominator",
     "UnknownSuite",
     "UnsupportedInstance",
@@ -130,6 +130,7 @@ __all__ = [
     "parse_expr",
     "parse_field_element",
     "run_suite",
+    "shift_isomorphism",
     "substitute",
     "v_g",
     "v_p_tower",

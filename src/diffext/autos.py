@@ -22,6 +22,10 @@ c values, the identity is c = 0, and each nonidentity shift has order p.
 Inner automorphisms by an invertible nuclear element a come out in the same
 normal form: conjugation by a equals the descriptor (i_a, a^(-1) delta(a), 1),
 which collapses to (id, a^(-1) delta(a), 1) over a commutative base.
+
+The shift t -> t - a is the descriptor (id, -a, 1) onto its target, the
+algebra with d + V_g(a): the checks read H(f) = target.f, and eq1 admits
+only central a over the matrix adapter.  Its inverse is the shift by -a.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "is_log_derivative",
     "log_derivative_witness",
     "inner_auto",
+    "shift_isomorphism",
     "auto_constraints",
     "AutoConstraintReport",
 ]
@@ -57,12 +62,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AutoDescriptor:
-    """Validated automorphism data: coefficient map tau, shift c, stretch eps.
+    """Validated map data: coefficient map tau, shift c, stretch eps.
 
-    powers holds the images (eps*t + c)^i, i <= deg f, formed from the
-    other fields when the descriptor is made; build_auto checks H(f) = f
-    with them and apply_auto combines them.  It is not a constructor
-    argument and takes no part in equality, hashing or repr.
+    The map goes from algebra to target (keyword-only, default algebra; only
+    shift_isomorphism sets another).  powers holds the images (eps*t + c)^i,
+    i <= deg f, formed from the other fields when the descriptor is made;
+    the checks compute H(f) with them and apply_auto combines them.  It is
+    not a constructor argument and takes no part in equality, hashing or repr.
     """
 
     algebra: ExtAlgebra
@@ -70,9 +76,12 @@ class AutoDescriptor:
     tau_name: str
     c: object
     eps: object
+    target: Optional[ExtAlgebra] = field(default=None, kw_only=True)
     powers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.target is None:
+            object.__setattr__(self, "target", self.algebra)
         ring = self.algebra.ring
         n = self.algebra.f.degree() + 1
         object.__setattr__(
@@ -86,6 +95,7 @@ class AutoDescriptor:
         return (
             isinstance(other, AutoDescriptor)
             and other.algebra == self.algebra
+            and other.target == self.target
             and other.tau_name == self.tau_name
             and other.c == self.c
             and other.eps == self.eps
@@ -98,13 +108,8 @@ class AutoDescriptor:
         return "AutoDescriptor(tau=%s, c=%s, eps=%s)" % (self.tau_name, self.c, self.eps)
 
 
-def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDescriptor:
-    """Validate (tau, c, eps) for the algebra and return the descriptor.
-
-    Raises ConditionFailed("eq1", ...) when the coefficient commutation
-    constraint fails on a generator, ConditionFailed("fixes_f", ...) when
-    the candidate does not fix the modulus.
-    """
+def _checked_descriptor(algebra: ExtAlgebra, tau, c, eps, tau_name: str, target: ExtAlgebra):
+    """(tau, c, eps) from algebra to target, once eq1 and H(f) = target.f hold."""
     ring = algebra.ring
     # Generators: x spans the coefficient ring over the constants together
     # with products, so checking the ring basis covers everything linear.
@@ -117,25 +122,35 @@ def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDe
                 "eq1",
                 "commutation constraint fails on %s: %s != %s" % (z, lhs, rhs),
             )
-    H = AutoDescriptor(algebra, tau, tau_name, c, eps)
+    H = AutoDescriptor(algebra, tau, tau_name, c, eps, target=target)
     image_f = _substitute_powers(algebra.f, tau, H.powers)
-    if image_f != algebra.f:
-        diff = image_f - algebra.f
+    if image_f != target.f:
+        diff = image_f - target.f
         raise ConditionFailed(
             "fixes_f", "candidate moves the modulus by %s" % (diff,)
         )
     return H
 
 
+def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDescriptor:
+    """Validate (tau, c, eps) for the algebra and return the descriptor.
+
+    Raises ConditionFailed("eq1", ...) when the coefficient commutation
+    constraint fails on a generator, ConditionFailed("fixes_f", ...) when
+    the candidate does not fix the modulus.
+    """
+    return _checked_descriptor(algebra, tau, c, eps, tau_name, algebra)
+
+
 def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
-    """H(u) = sum tau(u_i) (eps*t + c)^i from the descriptor's power table.
+    """H(u) = sum tau(u_i) (eps*t + c)^i in H.target, from the power table.
 
     The representative has degree below m = deg f, and so has every power
     used, so the image needs neither a twisted product nor a reduction.
     """
     if u.algebra != H.algebra:
         raise ValueError("element belongs to a different algebra")
-    return AlgebraElement(H.algebra, _substitute_powers(u.rep, H.tau, H.powers))
+    return AlgebraElement(H.target, _substitute_powers(u.rep, H.tau, H.powers))
 
 
 def auto_order(H: AutoDescriptor, bound: int = 64) -> Optional[int]:
@@ -237,6 +252,18 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
                 "fixes_f", "normal form disagrees with conjugation by %s" % (a,)
             )
     return H
+
+
+def shift_isomorphism(algebra: ExtAlgebra, a) -> AutoDescriptor:
+    """The checked map h(t) |-> h(t - a) onto the algebra with d + V_g(a).
+
+    It is the descriptor (id, -a, 1) with that target.  Raises
+    ConditionFailed("eq1", ...) when a does not commute with the
+    coefficient ring.  Its inverse is shift_isomorphism(H.target, -a).
+    """
+    ring = algebra.ring
+    target = ExtAlgebra(ring, algebra.g, algebra.d + v_g(ring, algebra.g, a))
+    return _checked_descriptor(algebra, lambda z: z, -a, ring.one(), "id", target)
 
 
 @dataclass(frozen=True)

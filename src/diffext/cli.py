@@ -42,6 +42,16 @@ from .parsing import parse_field_element
 __all__ = ["main"]
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % n)
+    return n
+
+
+_nonnegative_int.__name__ = "int"  # argparse names it in "invalid int value: ..."
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it as it was."""
@@ -74,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inn.add_argument("--a", metavar="EXPR", required=True, help="the conjugating element")
 
     p_div = sub.add_parser("divcheck", parents=[shared], help="linear factor search and verdict")
-    p_div.add_argument("--bound", type=int, default=None, help="override the search bound")
+    p_div.add_argument(
+        "--bound", type=_nonnegative_int, default=None, help="override the search bound"
+    )
 
     p_ver = sub.add_parser("verify", parents=[shared], help="run a verification suite")
     p_ver.add_argument("--suite", choices=SUITES, default="all", help="suite to run")

@@ -8,7 +8,8 @@ A[t; delta] by the left ideal generated by f = g(t) - d carries the product
 
 on representatives of degree below deg f.  The result is an algebra over
 the constant subfield F which is associative exactly when d is a constant,
-equivalently when f is right-invariant.
+equivalently when f is right-invariant.  Maps between these algebras, the
+automorphisms and the shifts t -> t - a, are descriptors in the autos layer.
 
 Nuclei, center and centralizers are common kernels of F-linear maps on
 coordinates, all computed by one routine: a running F-basis is cut down one
@@ -48,20 +49,13 @@ more than MAX_SEARCH_DENOMINATORS denominators before any work.
 
 from __future__ import annotations
 
-from .diffpoly import (
-    DiffPoly,
-    _substitute_powers,
-    _substitution_powers,
-    is_right_invariant,
-    p_poly_as_diffpoly,
-    v_g,
-)
+from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
 from .towers import PPolynomial
 
-__all__ = ["ExtAlgebra", "AlgebraElement", "ShiftIso"]
+__all__ = ["ExtAlgebra", "AlgebraElement"]
 
 _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
 
@@ -527,34 +521,6 @@ class ExtAlgebra:
             if len(m.kernel()):
                 return False
         return True
-
-    def shift_isomorphism(self, a):
-        """The map h(t) |-> h(t - a) onto the companion algebra with d + V_g(a)."""
-        return ShiftIso(self, a)
-
-
-class ShiftIso:
-    """Isomorphism (A, delta, d) -> (A, delta, d + V_g(a)) induced by t |-> t - a.
-
-    The images (t - a)^i, i < deg f, are formed once; each call combines
-    them, with no product and no reduction (see autos.apply_auto).
-    """
-
-    __slots__ = ("source", "a", "target", "_powers")
-
-    def __init__(self, source: ExtAlgebra, a):
-        self.source = source
-        self.a = a
-        shift = v_g(source.ring, source.g, a)
-        self.target = ExtAlgebra(source.ring, source.g, source.d + shift)
-        ring = source.ring
-        self._powers = _substitution_powers(ring, -a, ring.one(), source.f.degree())
-
-    def __call__(self, u: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.target, _substitute_powers(u.rep, lambda z: z, self._powers))
-
-    def inverse(self) -> "ShiftIso":
-        return ShiftIso(self.target, -self.a)
 
 
 def _bounded_height_witness(K, rows_for, bound: int):

@@ -46,7 +46,7 @@ from .errors import (
     ZeroDerivation,
 )
 from .parsing import parse_diffpoly, parse_field_element
-from .scalars import random_ratfunc
+from .scalars import PrimeField, RatFunc, random_ratfunc
 from .towers import DerivedField, PPolynomial, minimal_p_polynomial
 
 __all__ = [
@@ -129,6 +129,10 @@ def _parse_config_text(text: str) -> InstanceConfig:
         p = int(values["p"])
     except ValueError:
         raise ConfigError("p must be an integer") from None
+    try:
+        PrimeField(p)
+    except ValueError as exc:
+        raise ConfigError("p: %s" % exc) from None
     seed = 0
     if "seed" in values:
         try:
@@ -189,7 +193,7 @@ def derived_field(p: int, delta_of_x: str) -> DerivedField:
     """F_p(x) carrying (delta_of_x) * d/dx, with the weight given as text."""
     # Bootstrap: the weight is parsed over a unit derivation, then the real
     # field is built from the parsed value.
-    boot = DerivedField(p, _one_rf(p))
+    boot = DerivedField(p, RatFunc.one(PrimeField(p)))
     w = parse_field_element(delta_of_x, boot)
     if not w:
         raise ZeroDerivation("delta_of_x parses to zero")
@@ -203,12 +207,6 @@ def instance_from_text(text: str) -> Instance:
     g = _p_poly_from_expr(K, cfg.g) if cfg.g else minimal_p_polynomial(K)
     algebra = ExtAlgebra(K, g, d)
     return Instance(config=cfg, K=K, g=g, algebra=algebra)
-
-
-def _one_rf(p):
-    from .scalars import RatFunc, PrimeField
-
-    return RatFunc.one(PrimeField(p))
 
 
 def load_instance(path) -> Instance:

@@ -60,7 +60,6 @@ __all__ = [
     "DensePoly",
     "poly_gcd",
     "RatFunc",
-    "ratfunc_canonical",
     "RationalFunctionField",
     "random_poly",
     "random_ratfunc",
@@ -602,11 +601,6 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(p=%d, %s)" % (self.field.p, str(self))
-
-
-def ratfunc_canonical(num: DensePoly, den: DensePoly) -> RatFunc:
-    """Canonical fraction num/den; the constructor does the reduction."""
-    return RatFunc(num, den)
 
 
 class RationalFunctionField:

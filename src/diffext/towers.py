@@ -265,9 +265,7 @@ class PPolynomial:
 
     def terms(self):
         """Pairs (power of t, coefficient), highest first, monic lead included."""
-        field = self.coeffs[0].field if self.coeffs else None
-        lead = RatFunc.one(field) if field is not None else None
-        out = [(self.p ** self.e, lead)]
+        out = [(self.p ** self.e, RatFunc.one(self.coeffs[0].field))]
         for i, a in enumerate(self.coeffs, start=1):
             out.append((self.p ** (self.e - i), a))
         return out

@@ -14,9 +14,10 @@ from diffext.autos import (
     inner_auto,
     is_log_derivative,
     log_derivative_witness,
+    shift_isomorphism,
 )
 from diffext.dext import ExtAlgebra
-from diffext.diffpoly import DiffPoly, substitute
+from diffext.diffpoly import DiffPoly, substitute, v_g
 from diffext.errors import (
     ConditionFailed,
     NotInvertible,
@@ -346,7 +347,9 @@ def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
         elems = alg.basis() + [alg.random_element(rng, 2) for _ in range(4)]
         elems += [elems[-1] * elems[-2]]
         descs = _descriptors(alg, rng)
-        isos = [alg.shift_isomorphism(ring.random_element(rng, 2)) for _ in range(2)]
+        # Only a central a gives a shift over the adapter (see the test below).
+        K = alg.base_field
+        isos = [shift_isomorphism(alg, ring.embed(K.random_element(rng, 2))) for _ in range(2)]
         assert "conj" in [H.tau_name for H in descs] or ring.is_commutative
         monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
         images = [[apply_auto(H, u) for u in elems] for H in descs]
@@ -359,8 +362,29 @@ def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
                 assert img == alg.element(_substitute_by_products(u.rep, H.tau, H.c, H.eps))
         for iso, row in zip(isos, shifted):
             for u, img in zip(elems, row):
-                want = _substitute_by_products(u.rep, IDENT, -iso.a, ring.one())
+                want = _substitute_by_products(u.rep, IDENT, iso.c, ring.one())
                 assert img == iso.target.element(want)
+
+
+def test_shift_isomorphism_over_adapter_needs_a_central_shift():
+    # t -> t - a is multiplicative only when a commutes with the
+    # coefficient ring; E_12 does not, and the eq1 check refuses it.
+    alg = _matrix_algebra()
+    A = alg.ring
+    K, zero, one = A.base, A.base.zero(), A.base.one()
+    with pytest.raises(ConditionFailed) as exc:
+        shift_isomorphism(alg, A.of([[zero, one], [zero, zero]]))
+    assert exc.value.condition == "eq1"
+    a = A.embed(K.x())
+    iso = shift_isomorphism(alg, a)
+    assert iso.target.d == alg.d + v_g(A, alg.g, a)
+    back = shift_isomorphism(iso.target, -a)
+    rng = random.Random(4500)
+    for _ in range(20):
+        u = alg.random_element(rng, 2)
+        v = alg.random_element(rng, 2)
+        assert iso(u * v) == iso(u) * iso(v)
+        assert back(iso(u)) == u
 
 
 def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
@@ -373,6 +397,7 @@ def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
     other = AutoDescriptor(i1, IDENT, "id", K.one(), K.one())
     assert H == other and hash(H) == hash(other)
     assert other.powers == H.powers
+    assert other.target is i1 and H.target is i1
     u = i1.element(DiffPoly(K, [K.x(), K.one()]))
     assert apply_auto(other, u) == apply_auto(H, u)
     with pytest.raises(TypeError):

@@ -82,6 +82,8 @@ def test_config_errors():
         "p 2\ndelta_of_x = x\nd = x\n",  # no separator
         "p = 2\ndelta_of_x = x\nd = x\ndegree_bound = -1\n",
         "p = 2\ndelta_of_x = x\nd =\n",  # empty value
+        "p = 4\ndelta_of_x = x\nd = x\n",  # not a prime
+        "p = 1\ndelta_of_x = x\nd = x\n",  # below 2
     ):
         with pytest.raises(ConfigError):
             instance_from_text(bad)
@@ -256,12 +258,18 @@ def test_cli_usage_errors_exit_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
+    # A negative bound is refused like a negative degree_bound in a config.
+    proc = _cli(tmp_path, "divcheck", "CFG", "--bound", "-1")
+    assert proc.returncode == 2
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_bad_config_exits_two(tmp_path):
-    proc = _cli(tmp_path, "build", "CFG", config="p = 2\ndelta_of_x = 0\nd = x\n")
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
+    for p in (2, 4, 1):  # zero derivation, then p not a prime
+        config = "p = %d\ndelta_of_x = %s\nd = x\n" % (p, "0" if p == 2 else "x")
+        proc = _cli(tmp_path, "build", "CFG", config=config)
+        assert proc.returncode == 2
+        assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_bad_expression_exits_two(tmp_path):
