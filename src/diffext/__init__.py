@@ -45,7 +45,6 @@ from .errors import (
     InternalInvariantViolation,
     NoSolution,
     NonInvertibleLeadingCoefficient,
-    NotFound,
     NotInner,
     NotInvertible,
     NotNuclear,
@@ -97,7 +96,6 @@ __all__ = [
     "MatrixRingAdapter",
     "NoSolution",
     "NonInvertibleLeadingCoefficient",
-    "NotFound",
     "NotInner",
     "NotInvertible",
     "NotNuclear",

@@ -140,7 +140,7 @@ class ExtAlgebra:
     """Quotient algebra (A, delta, d) of A[t; delta] modulo g(t) - d."""
 
     def __init__(self, ring, g: PPolynomial, d):
-        if g.p != ring.char:
+        if g.p != ring.p:
             raise ValueError("p-polynomial characteristic mismatch")
         self.ring = ring
         self.g = g
@@ -488,7 +488,7 @@ class ExtAlgebra:
         b = self.linear_right_factor_search(bound)
         if b is not None:
             return "not division (witness)", b
-        if self.ring.char == 2 and self.g.e == 1 and self.ring.is_commutative:
+        if self.ring.p == 2 and self.g.e == 1 and self.ring.is_commutative:
             # Degree-2 moduli factor through a linear right factor if they
             # factor at all, so an exhaustive search is a proof once the
             # bound covers every factor's height.  bound >= 4 is not derived

@@ -270,7 +270,7 @@ def _p_step(ring, c, level: int):
     Over a commutative ring this is Jacobson's c^p + (delta^(p^k))^(p-1)(c),
     (p-1) p^k derivations; otherwise it is read off one twisted power.
     """
-    p = ring.char
+    p = ring.p
     if ring.is_commutative:
         d = c
         for _ in range((p - 1) * p ** level):
@@ -292,7 +292,7 @@ def v_p_tower(ring, b, e: int):
     """
     if e < 1:
         raise ValueError("tower exponent must be >= 1")
-    deg = ring.char ** e
+    deg = ring.p ** e
     power = DiffPoly(ring, (-b, ring.one())) ** deg
     for i in range(1, deg):
         if power.coeff(i):

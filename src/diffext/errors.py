@@ -7,7 +7,6 @@ caller might want to catch selectively gets its own class here.
 
 __all__ = [
     "NoSolution",
-    "NotFound",
     "ZeroDerivation",
     "NonInvertibleLeadingCoefficient",
     "InternalInvariantViolation",
@@ -26,10 +25,6 @@ __all__ = [
 
 class NoSolution(Exception):
     """A linear system is inconsistent."""
-
-
-class NotFound(Exception):
-    """A bounded search exhausted its candidates without a hit."""
 
 
 class ZeroDerivation(ValueError):

@@ -417,8 +417,13 @@ def _suite_nuclei(r: _SuiteRunner):
         return "pass", {"dim": len(nuc), "basis": shown}
 
     def slots():
+        # Left = middle for every g (Petit), and the right nucleus, the
+        # eigenring of f, contains K because g(delta) = 0.  It is K itself
+        # only for exponent one: g = t^4 + t^2 at p = 2 has dims 2, 2, 4.
         dims = {w: len(alg.nucleus(w)) for w in ("left", "middle", "right")}
-        assert len(set(dims.values())) == 1, "nucleus slots disagree: %s" % dims
+        assert dims["left"] == dims["middle"] <= dims["right"], "nucleus slots disagree: %s" % dims
+        if e1:
+            assert dims["right"] == dims["left"], "nucleus slots disagree: %s" % dims
         return "pass", {"dims": str(dims)}
 
     def center():
@@ -498,7 +503,10 @@ def _suite_autos(r: _SuiteRunner):
         return "pass", {"samples": 60}
 
     def constraints():
-        rep = auto_constraints(alg, r.rng("autos.constraints"))
+        try:
+            rep = auto_constraints(alg, r.rng("autos.constraints"))
+        except UnsupportedInstance as exc:
+            return "unknown", {"reason": str(exc)}
         rng = r.rng("autos.constraints2")
         for _ in range(20):
             c = random_ratfunc(K, rng, 2)

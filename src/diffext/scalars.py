@@ -654,7 +654,6 @@ def random_poly(field, rng, max_degree, *, nonzero=False, monic=False):
 
 def random_ratfunc(K, rng, max_degree, *, nonzero=False):
     """Random reduced fraction with numerator and denominator degree bounded."""
-    field = K.field if isinstance(K, RationalFunctionField) else K
-    num = random_poly(field, rng, max_degree, nonzero=nonzero)
-    den = random_poly(field, rng, max_degree, monic=True)
+    num = random_poly(K.field, rng, max_degree, nonzero=nonzero)
+    den = random_poly(K.field, rng, max_degree, monic=True)
     return RatFunc(num, den)

@@ -9,15 +9,14 @@ exponents divisible by p (``is_constant``, exact since ker delta is
 F_p(x^p)), and the solvers assert that property wherever an F-scalar is
 required.
 
-``minimal_p_polynomial`` finds the monic p-polynomial of least exponent e,
+``minimal_p_polynomial`` gives the monic p-polynomial of least exponent,
 
-    g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t,   a_i constant,
+    g(t) = t^p - a t,   a = delta^(p-1)(w)/w constant,
 
-with g(delta) = 0 as an F-linear operator on K.  The iterated powers
-delta^(p^k) are themselves F-linear, so each is a p x p matrix over F in
-the coordinate basis and the coefficients come out of one linear solve.
-The matrices are built one level at a time, only as far as the exponent
-being tried.
+with g(delta) = 0 as an F-linear operator on K.  This is Hochschild's
+formula (w d/dx)^p = delta^(p-1)(w) d/dx (Trans. AMS 79, 1955), and it
+costs p - 1 derivations; ``p_polynomial_at_exponent`` gives the exponent-e
+polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) the same way.
 
 ``DerivedField.delta`` remembers its answers, per field, keyed by the
 canonical numerator and denominator tuples, because the twisted
@@ -31,12 +30,9 @@ commutator terms in the twisted arithmetic); it is not a division ring.
 
 from __future__ import annotations
 
-from itertools import count, islice
-
 from .errors import (
     InternalInvariantViolation,
     NoSolution,
-    NotFound,
     ZeroDerivation,
 )
 from .linalg import Matrix
@@ -87,10 +83,6 @@ class DerivedField(RationalFunctionField):
         self._delta_memo = {}
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     is_commutative = True
 
@@ -320,47 +312,25 @@ class PPolynomial:
         return "PPolynomial(%s)" % str(self)
 
 
-def _delta_power_matrices(K: DerivedField):
-    """Matrices of delta^(p^k) over F, for k = 0, 1, 2, ... as they are asked for.
-
-    Each is the matrix in the basis 1, x, ..., x^(p-1), its columns the
-    coordinates of the images of the basis.  Level k + 1 continues the
-    orbit of level k (delta^(p^(k+1)) is delta^(p^k) applied p times), so
-    it costs p^(k+1) - p^k derivations per basis element and no level is
-    built before it is needed.
-    """
-    images, done = K.constant_basis(), 0  # images[j] = delta^done(x^j)
-    for k in count():
-        for _ in range(K.p ** k - done):
-            images = [K.delta(a) for a in images]
-        done = K.p ** k
-        cols = [K.coords(a) for a in images]
-        yield [tuple(col[i] for col in cols) for i in range(K.p)]
-
-
-def _annihilator_at(K: DerivedField, mats, e: int) -> PPolynomial:
-    # Unknowns a_1..a_e: sum a_i * M_(e-i) = -M_e, solved entrywise.
-    rows = []
-    rhs = []
-    for i in range(K.p):
-        for j in range(K.p):
-            rows.append([mats[e - i_][i][j] for i_ in range(1, e + 1)])
-            rhs.append(-mats[e][i][j])
-    sol, _ = Matrix(K, rows).solve(tuple(rhs))
-    for c in sol:
-        if not K.is_constant(c):
-            raise NoSolution("p-polynomial coefficients drifted out of F")
-    g = PPolynomial(K.p, e, sol)
-    if not g.annihilates(K):
-        raise NoSolution("solver produced a non-annihilating p-polynomial")
-    return g
-
-
 def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
-    """Monic exponent-e p-polynomial annihilating delta; NoSolution if none.
+    """The monic exponent-e p-polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)).
 
-    Exponent 0 admits only g = t, whose operator is delta itself, so it
-    annihilates nothing but the zero derivation.
+    Here a = delta^(p-1)(w)/w for w = delta(x).  delta^p is a derivation
+    (the binomials p choose i vanish), so it is fixed by its value
+    delta^(p-1)(w) at x, and delta^p = a delta.  It commutes with delta,
+    and [delta, a delta] = delta(a) delta, so a is constant.  Induction on
+    k then gives delta^(p^k) = a^(m_k) delta with m_k = (p^k - 1)/(p - 1):
+    the p-th power of a^(m_k) delta is a^(p m_k) a delta, and
+    p m_k + 1 = m_(k+1).  As m_e = p^(e-1) + m_(e-1), g(delta) = 0.
+
+    This is the answer of the linear solve sum a_i delta^(p^(e-i)) =
+    -delta^(p^e) over F with its free variables at zero: every power is a
+    multiple of delta, so when a != 0 the unknown a_1 is the first pivot,
+    a_1 = -a^(m_e - m_(e-1)) = -a^(p^(e-1)) and every other a_i is 0, and
+    when a = 0 every a_i is 0.  Exponent 0 admits only g = t, whose
+    operator is delta itself, so it annihilates nothing but the zero
+    derivation: NoSolution.  The result is re-checked on the coordinate
+    basis.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -368,25 +338,25 @@ def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
         if K.delta(K.x()):
             raise NoSolution("exponent 0 forces g = t, and the derivation is nonzero")
         raise InternalInvariantViolation("zero derivation escaped the constructor")
-    return _annihilator_at(K, list(islice(_delta_power_matrices(K), e + 1)), e)
+    w = d = K.delta_of_x
+    for _ in range(K.p - 1):
+        d = K.delta(d)
+    a = d / w
+    if not K.is_constant(a):
+        raise InternalInvariantViolation("delta^(p-1)(w)/w is not constant: %s" % a)
+    g = PPolynomial(K.p, e, (-(a ** (K.p ** (e - 1))),) + (K.zero(),) * (e - 1))
+    if not g.annihilates(K):
+        raise InternalInvariantViolation("the closed-form p-polynomial fails on the basis")
+    return g
 
 
-def minimal_p_polynomial(K: DerivedField, max_e: int = 3) -> PPolynomial:
-    """Least-exponent monic p-polynomial annihilating delta.
+def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
+    """Least-exponent monic p-polynomial annihilating delta: t^p - a t.
 
-    Tries e = 1, 2, ..., max_e; raises NotFound past the bound.  Minimality
-    is by construction (smallest solvable e wins); the returned polynomial
-    is re-verified on the coordinate basis.
+    Exponent 0 would need delta = 0, which the field refuses, so the
+    exponent-one polynomial of ``p_polynomial_at_exponent`` is minimal.
     """
-    levels = _delta_power_matrices(K)
-    mats = [next(levels)]
-    for e in range(1, max_e + 1):
-        mats.append(next(levels))
-        try:
-            return _annihilator_at(K, mats, e)
-        except NoSolution:
-            continue
-    raise NotFound("no annihilating p-polynomial with exponent <= %d" % max_e)
+    return p_polynomial_at_exponent(K, 1)
 
 
 class KMatrix:
@@ -479,10 +449,6 @@ class MatrixRingAdapter:
 
     @property
     def p(self) -> int:
-        return self.base.p
-
-    @property
-    def char(self) -> int:
         return self.base.p
 
     @property

@@ -339,6 +339,19 @@ def test_adapter_left_nucleus_matches_table_engine(adapter_diag):
     )
 
 
+def test_exponent_two_nuclei_match_table_engine():
+    # g = t^4 + t^2 annihilates x d/dx over F_2 but is not minimal.  Left
+    # and middle are still K; the right nucleus is the larger eigenring.
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\n").algebra
+    oracle = table_nuclei(alg)
+    for which in ("left", "middle", "right", "full"):
+        assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which]
+    assert [len(oracle[w]) for w in ("left", "middle", "right")] == [2, 2, 4]
+    x, t = alg.scalar(alg.ring.x()), alg.t()
+    eigen = [alg.one(), x, t * t + t, x * (t * t + t)]
+    assert span_coords(alg, alg.nucleus("right")) == span_coords(alg, eigen)
+
+
 def test_structure_queries_constant_d():
     # A constant d makes the algebra associative: the nucleus is everything,
     # while the center and Cent(t) stay small.

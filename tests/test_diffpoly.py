@@ -244,7 +244,7 @@ def test_middle_coefficient_violation_detected():
             return hash(self.v)
 
     class BrokenRing:
-        char = 2
+        p = 2
         is_commutative = True
 
         def zero(self):
@@ -448,7 +448,7 @@ def _with_unit_lead(ring, rng, deg):
 
 @pytest.mark.parametrize("ring", list(_division_rings()))
 def test_ladder_division_matches_monomial_oracle(ring):
-    rng = random.Random(4100 + ring.char)
+    rng = random.Random(4100 + ring.p)
     for df in (1, 2, 3):
         for dg in (df - 1, df, df + 2, 6):
             f = _with_unit_lead(ring, rng, df)

@@ -119,6 +119,39 @@ def test_nuclei_suite_p5(d, nuc_dim):
     assert witness["nuclei.centralizer"]["dim"] == 5
 
 
+E2_P2_TEXT = "p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\ndegree_bound = 2\n"
+
+
+@pytest.mark.parametrize(
+    "text,dims",
+    [
+        (E2_P2_TEXT, (2, 2, 4)),
+        ("p = 3\ndelta_of_x = x\nd = x\ng = t^9 + 2*t^3\n", (3, 3, 9)),
+    ],
+    ids=["p2", "p3"],
+)
+def test_nuclei_suite_exponent_two(text, dims):
+    # The right nucleus of an exponent-two modulus is the eigenring, larger
+    # than K; left = middle = K still holds and is what the check asserts.
+    report = run_suite(instance_from_text(text), "nuclei")
+    assert not report.failed
+    witness = {c.name: c.witness for c in report.checks}
+    assert witness["nuclei.slots"]["dims"] == str(dict(zip(("left", "middle", "right"), dims)))
+
+
+def test_cli_verify_all_exponent_two_reports_constraints_unknown(tmp_path):
+    out = tmp_path / "report.json"
+    proc = _cli(tmp_path, "verify", "CFG", "--suite", "all", "--json", str(out), config=E2_P2_TEXT)
+    assert proc.returncode == 0, proc.stderr
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["nuclei.slots"]["verdict"] == "pass"
+    assert checks["autos.constraints"]["verdict"] == "unknown"
+    assert checks["autos.constraints"]["witness"] == {
+        "reason": "constraint analysis covers exponent-one instances"
+    }
+    assert {c["verdict"] for c in checks.values()} <= {"pass", "unknown"}
+
+
 def test_suite_reports_internal_invariant_violation_as_fail(monkeypatch, capsys):
     def broken(ring, b, e):
         raise InternalInvariantViolation("tower iteration disagrees with expansion")

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from diffext import towers
-from diffext.errors import NotFound, ZeroDerivation
+from diffext.errors import ZeroDerivation
+from diffext.linalg import Matrix
 from diffext.scalars import RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
@@ -13,6 +14,7 @@ from diffext.towers import (
     MatrixRingAdapter,
     PPolynomial,
     minimal_p_polynomial,
+    p_polynomial_at_exponent,
 )
 
 
@@ -223,18 +225,15 @@ def test_minimal_p_polynomial_frozen_values():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_minimal_p_polynomial_builds_only_needed_levels(monkeypatch, p):
-    # An exponent-one field needs delta and delta^p: the orbit of the basis
-    # under delta (p derivations) continued to delta^p (p (p - 1) more),
-    # then the re-check that g annihilates the basis (p^2): 2 p^2 in all.
-    # Building delta^(p^k) for k = 0..3 up front took p (1 + p + p^2 + p^3)
-    # before the re-check.
+    # delta^(p-1)(w) for a = delta^(p-1)(w)/w (p - 1 derivations), then the
+    # re-check that g annihilates the basis (p^2): p^2 + p - 1 in all.
     K = DerivedField(p, _w(p, (0, 1)))
     calls = []
     honest = DerivedField.delta
     monkeypatch.setattr(DerivedField, "delta", lambda K, a: calls.append(a) or honest(K, a))
     g = minimal_p_polynomial(K)
     assert g.e == 1
-    assert len(calls) == 2 * p * p
+    assert len(calls) == p * p + p - 1
 
 
 def test_minimal_p_polynomial_annihilates_on_samples():
@@ -258,11 +257,6 @@ def test_minimal_p_polynomial_weirder_derivation():
     x = K.x()
     assert g.coeffs == ((x * x).inverse(),)
     assert g.annihilates(K)
-
-
-def test_minimal_p_polynomial_bound_exhaustion():
-    with pytest.raises(NotFound):
-        minimal_p_polynomial(K2X, max_e=0)
 
 
 def test_ppolynomial_str_and_apply():
@@ -336,12 +330,35 @@ def test_kmatrix_pow_matches_repeated_product():
         a ** -1
 
 
+def _annihilator_by_solve(K, e):
+    """The exponent-e p-polynomial by linear algebra over F, as an oracle.
+
+    delta^(p^k) is F-linear, so it is a p x p matrix M_k over F in the basis
+    1, x, ..., x^(p-1).  The coefficients solve sum a_i M_(e-i) = -M_e
+    entrywise, with the free variables at zero; NoSolution if there is none.
+    """
+    p = K.p
+    images, done, mats = K.constant_basis(), 0, []
+    for k in range(e + 1):
+        for _ in range(p ** k - done):
+            images = [K.delta(a) for a in images]
+        done = p ** k
+        cols = [K.coords(a) for a in images]
+        mats.append([tuple(col[i] for col in cols) for i in range(p)])
+    rows = [[mats[e - i][r][c] for i in range(1, e + 1)] for r in range(p) for c in range(p)]
+    rhs = tuple(-mats[e][r][c] for r in range(p) for c in range(p))
+    sol, _ = Matrix(K, rows).solve(rhs)
+    assert all(K.is_constant(c) for c in sol)
+    return PPolynomial(p, e, sol)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1", "1/x", "(x+1)/x"])
 def test_minimal_p_polynomial_matches_hochschild(p, weight):
     # Hochschild: (w d/dx)^p = delta^(p-1)(w) d/dx, as (d/dx)^p = 0 on
-    # F_p(x).  So delta^p = (delta^(p-1)(w)/w) delta, and the minimal
-    # p-polynomial is g = t^p - (delta^(p-1)(w)/w) t, with e = 1.
+    # F_p(x).  So delta^p = a delta with a = delta^(p-1)(w)/w, and the
+    # closed form t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) must be what the solve
+    # over F finds at every exponent.
     from diffext.frontend import derived_field
 
     K = derived_field(p, weight)
@@ -351,3 +368,7 @@ def test_minimal_p_polynomial_matches_hochschild(p, weight):
     g = minimal_p_polynomial(K)
     assert g.e == 1
     assert g.coeffs == (-(d / w),)
+    for e in (1, 2, 3) if p <= 3 else (1, 2):
+        got = p_polynomial_at_exponent(K, e)
+        want = _annihilator_by_solve(K, e)
+        assert got == want and str(got) == str(want), (e, got, want)
