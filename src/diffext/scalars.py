@@ -2,8 +2,9 @@
 
 Representation choices, which everything above this module relies on:
 
-* Elements of F_p are Python ints in ``range(p)``; ``PrimeField`` is a tiny
-  context object holding the modulus.
+* Elements of F_p are Python ints in ``range(p)``; ``PrimeField`` is the
+  context object: it holds the modulus and the field's two fraction memos
+  (below).
 * ``DensePoly`` stores coefficients lowest degree first in a tuple whose last
   entry is nonzero; the zero polynomial is the empty tuple.  ``degree()`` is
   -1 for zero.
@@ -42,8 +43,21 @@ general Euclid and long division.  Fraction sums and products are
 Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
 when that is not 1, one more gcd of the new numerator with it; a product
 cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a final
-gcd.  Every gcd goes through ``poly_gcd``, the operators wrapping their
-tuples in ``DensePoly`` views for it.
+gcd.
+
+Each ``PrimeField`` remembers the sums and the products of nonzero
+fractions on it, in two memos keyed by the operands' four coefficient
+tuples (a, b, c, d).  The field fixes p, so the key is complete.  A memo
+value is the result's (numerator, denominator) tuple pair, never a
+``RatFunc``: a fraction points back at its field, and a fraction in the
+field's memo would make every field cyclic garbage.  A repeat costs one
+lookup and one ``_ratfunc`` wrap.  Differences and quotients, and every
+layer above that adds or multiplies fractions, reach the memos through
+the two operators.  A memo is emptied when it holds
+``_FRACTION_MEMO_ENTRIES`` pairs.  A miss runs Henrici's code
+(``_henrici_sum``, ``_henrici_product``), and every gcd it takes still
+goes through ``poly_gcd``, the tuples wrapped in ``DensePoly`` views for
+it.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
 ``DensePoly``, ``DiffPoly`` and ``KMatrix`` call it directly.  ``RatFunc``
@@ -85,6 +99,12 @@ def _power(base, n: int, one):
         base = base * base
 
 
+# Most operand pairs a PrimeField remembers in each fraction memo before it
+# empties it.  Not an option: it caps the memos' memory.  The measured hit
+# rates and sizes are in the README's design notes.
+_FRACTION_MEMO_ENTRIES = 2 ** 11
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -103,7 +123,7 @@ class PrimeField:
 
     MAX_MODULUS = 1 << 16
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_add_memo", "_mul_memo")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2 or p > self.MAX_MODULUS:
@@ -111,6 +131,10 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
+        # (a, b, c, d) -> (num, den) of a/b + c/d and of (a/b)(c/d), all
+        # coefficient tuples; see RatFunc.__add__ and __mul__.
+        self._add_memo = {}
+        self._mul_memo = {}
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -436,6 +460,56 @@ def _ratfunc(field: PrimeField, num: tuple, den: tuple) -> "RatFunc":
     return out
 
 
+def _henrici_sum(field: PrimeField, a, b, c, d) -> tuple:
+    """(num, den) of a/b + c/d for nonzero canonical fractions.
+
+    Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): one gcd of the
+    denominators and, only when that is not 1, one gcd of the new
+    numerator with it.
+    """
+    p = field.p
+    # A constant denominator is 1: (a d + c)/d shares no factor with d.
+    if len(b) == 1:
+        return _add(_mul(a, d, p), c, p), d
+    if len(d) == 1:
+        return _add(a, _mul(c, b, p), p), b
+    # gcd(b, b) = b for a monic b.
+    g = b if b == d else poly_gcd(_poly(field, b), _poly(field, d)).coeffs
+    if len(g) == 1:
+        # Coprime denominators: a d + c b is coprime to b d.
+        return _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p)
+    b1 = _exquo(b, g, p)
+    t = _add(_mul(a, _exquo(d, g, p), p), _mul(c, b1, p), p)
+    if not t:
+        return (), (1,)
+    # A common factor of t and b1 d can only come from g; a constant t has
+    # none.
+    if len(t) > 1:
+        g2 = poly_gcd(_poly(field, t), _poly(field, g)).coeffs
+        if len(g2) > 1:
+            t, d = _exquo(t, g2, p), _exquo(d, g2, p)
+    return t, _mul(b1, d, p)
+
+
+def _henrici_product(field: PrimeField, a, b, c, d) -> tuple:
+    """(num, den) of (a/b)(c/d) for nonzero canonical fractions.
+
+    Henrici's product: cancel gcd(a, d) and gcd(c, b) first, so the
+    product comes out canonical with no gcd of the product.
+    """
+    p = field.p
+    # A constant has gcd 1 with anything, so a constant side skips its gcd.
+    if len(a) > 1 and len(d) > 1:
+        g = poly_gcd(_poly(field, a), _poly(field, d)).coeffs
+        if len(g) > 1:
+            a, d = _exquo(a, g, p), _exquo(d, g, p)
+    if len(c) > 1 and len(b) > 1:
+        g = poly_gcd(_poly(field, c), _poly(field, b)).coeffs
+        if len(g) > 1:
+            c, b = _exquo(c, g, p), _exquo(b, g, p)
+    return _mul(a, c, p), _mul(b, d, p)
+
+
 class RatFunc:
     """Rational function over F_p in canonical reduced form."""
 
@@ -509,9 +583,7 @@ class RatFunc:
         return hash((self.field.p, self.num_coeffs, self.den_coeffs))
 
     def __add__(self, other):
-        """Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): one gcd of the
-        denominators and, only when that is not 1, one gcd of the new
-        numerator with it."""
+        """Henrici's sum, remembered per field (see ``_henrici_sum``)."""
         a, b = self.num_coeffs, self.den_coeffs
         c, d = other.num_coeffs, other.den_coeffs
         if not a:
@@ -519,28 +591,14 @@ class RatFunc:
         if not c:
             return self
         field = self.field
-        p = field.p
-        # A constant denominator is 1: (a d + c)/d shares no factor with d.
-        if len(b) == 1:
-            return _ratfunc(field, _add(_mul(a, d, p), c, p), d)
-        if len(d) == 1:
-            return _ratfunc(field, _add(a, _mul(c, b, p), p), b)
-        # gcd(b, b) = b for a monic b.
-        g = b if b == d else poly_gcd(_poly(field, b), _poly(field, d)).coeffs
-        if len(g) == 1:
-            # Coprime denominators: a d + c b is coprime to b d.
-            return _ratfunc(field, _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p))
-        b1 = _exquo(b, g, p)
-        t = _add(_mul(a, _exquo(d, g, p), p), _mul(c, b1, p), p)
-        if not t:
-            return RatFunc.zero(field)
-        # A common factor of t and b1 d can only come from g; a constant t
-        # has none.
-        if len(t) > 1:
-            g2 = poly_gcd(_poly(field, t), _poly(field, g)).coeffs
-            if len(g2) > 1:
-                t, d = _exquo(t, g2, p), _exquo(d, g2, p)
-        return _ratfunc(field, t, _mul(b1, d, p))
+        memo = field._add_memo
+        key = (a, b, c, d)
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= _FRACTION_MEMO_ENTRIES:
+                memo.clear()
+            out = memo[key] = _henrici_sum(field, a, b, c, d)
+        return _ratfunc(field, out[0], out[1])
 
     def __neg__(self):
         field = self.field
@@ -550,24 +608,20 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        """Henrici's product: cancel gcd(a, d) and gcd(c, b) first, so
-        (a/b)(c/d) comes out canonical with no gcd of the product."""
+        """Henrici's product, remembered per field (see ``_henrici_product``)."""
         a, b = self.num_coeffs, self.den_coeffs
         c, d = other.num_coeffs, other.den_coeffs
         field = self.field
         if not a or not c:
             return RatFunc.zero(field)
-        p = field.p
-        # A constant has gcd 1 with anything, so a constant side skips its gcd.
-        if len(a) > 1 and len(d) > 1:
-            g = poly_gcd(_poly(field, a), _poly(field, d)).coeffs
-            if len(g) > 1:
-                a, d = _exquo(a, g, p), _exquo(d, g, p)
-        if len(c) > 1 and len(b) > 1:
-            g = poly_gcd(_poly(field, c), _poly(field, b)).coeffs
-            if len(g) > 1:
-                c, b = _exquo(c, g, p), _exquo(b, g, p)
-        return _ratfunc(field, _mul(a, c, p), _mul(b, d, p))
+        memo = field._mul_memo
+        key = (a, b, c, d)
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= _FRACTION_MEMO_ENTRIES:
+                memo.clear()
+            out = memo[key] = _henrici_product(field, a, b, c, d)
+        return _ratfunc(field, out[0], out[1])
 
     def __truediv__(self, other):
         if not other:

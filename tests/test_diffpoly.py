@@ -557,3 +557,19 @@ def test_adapter_results_are_trimmed_over_zero_divisors():
     assert (c * f).degree() == 0
     assert f.scale_left(E11) == c
     assert c * f == c
+
+
+@pytest.mark.parametrize("K", [K2X, K2D, K3X], ids=["p2x", "p2one", "p3x"])
+def test_untrimmed_t_steps_and_scalings_match_the_trimming_constructor(K):
+    # Over the derived field a t-step and a nonzero left scaling are wrapped
+    # without the trim; the trimming constructor is the oracle, and the top
+    # coefficient is never zero.
+    rng = random.Random("untrimmed:%d:%s" % (K.p, K.delta_of_x))
+    for _ in range(40):
+        f = DiffPoly(K, [random_ratfunc(K, rng, 2) for _ in range(rng.randrange(4))])
+        a = random_ratfunc(K, rng, 2, nonzero=True)
+        for got in (f._t_times(), f.scale_left(a)):
+            assert got == DiffPoly(K, got.coeffs)
+            assert not got.coeffs or got.coeffs[-1]
+        assert f._t_times().degree() == f.degree() + (1 if f else 0)
+        assert f.scale_left(a).degree() == f.degree()

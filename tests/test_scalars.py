@@ -1,6 +1,8 @@
 """Base arithmetic: prime fields, dense polynomials, canonical fractions."""
 
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from diffext.scalars import (
     random_ratfunc,
     _power,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -318,8 +322,8 @@ def _fraction_pairs(p, rng, n):
     """Pairs that reach every branch of the sum and the product: zero,
     constants, polynomials, equal denominators, shared factors, a sum that
     cancels part of gcd(b, d), and p-th-power denominators."""
-    F = PrimeField(p)
     K = RationalFunctionField(p)
+    F = K.field
 
     def frac(deg=3):
         return random_ratfunc(K, rng, deg)
@@ -419,23 +423,117 @@ def test_low_degree_kernel_paths_match_textbook(p):
     assert {0, 1, 2} <= gcd_degrees
 
 
+def _memo_key(x, y):
+    return (x.num_coeffs, x.den_coeffs, y.num_coeffs, y.den_coeffs)
+
+
+def _henrici_cases(x, y):
+    """(op, memo, right operand the memo is keyed by, gcd-constructor
+    oracle) for x + y, x - y, x * y and x / y on x's field."""
+    F = x.field
+    cases = [
+        (lambda: x + y, F._add_memo, y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
+        (lambda: x - y, F._add_memo, -y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
+        (lambda: x * y, F._mul_memo, y, RatFunc(x.num * y.num, x.den * y.den)),
+    ]
+    if y:
+        cases.append((lambda: x / y, F._mul_memo, y.inverse(), RatFunc(x.num * y.den, x.den * y.num)))
+    return cases
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_henrici_arithmetic_matches_gcd_constructor(p):
+    # Every operation runs twice on one field: the first pass is Henrici's
+    # (it fills the field's memo), the second must be a memo hit, and both
+    # must equal the gcd constructor's result.
     rng = random.Random(900 + p)
+    fields = set()
     for a, b in _fraction_pairs(p, rng, 400):
         for x, y in ((a, b), (b, a)):
-            pairs = [
-                (x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
-                (x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
-                (x * y, RatFunc(x.num * y.num, x.den * y.den)),
-                (-x, RatFunc(-x.num, x.den)),
-            ]
+            fields.add(id(x.field))
+            for op, memo, z, want in _henrici_cases(x, y):
+                first = op()
+                if x and z:
+                    key = _memo_key(x, z)
+                    assert key in memo
+                    size = len(memo)
+                    second = op()
+                    assert len(memo) == size and memo[key] == (second.num_coeffs, second.den_coeffs)
+                else:  # a zero operand returns early and leaves no entry
+                    second = op()
+                for got in (first, second):
+                    _assert_canonical(got, p)
+                    assert got == want
+            pairs = [(-x, RatFunc(-x.num, x.den))]
             if y:
-                pairs.append((x / y, RatFunc(x.num * y.den, x.den * y.num)))
                 pairs.append((y.inverse(), RatFunc(y.den, y.num)))
             for got, want in pairs:
                 _assert_canonical(got, p)
                 assert got == want
+    assert len(fields) == 1
+
+
+def test_fraction_memos_stay_within_their_cap(monkeypatch):
+    # At a cap of 8 both memos are emptied again and again; neither ever
+    # holds more than 8 entries, and every result after a clear still
+    # equals the gcd constructor's.
+    monkeypatch.setattr(scalars, "_FRACTION_MEMO_ENTRIES", 8)
+    for p in (2, 3, 5, 7):
+        rng = random.Random(1900 + p)
+        clears = {"add": 0, "mul": 0}
+        last = {"add": 0, "mul": 0}
+        for a, b in _fraction_pairs(p, rng, 60):
+            F = a.field
+            for op, _, _, want in _henrici_cases(a, b):
+                got = op()
+                assert got == want
+                _assert_canonical(got, p)
+                for name, m in (("add", F._add_memo), ("mul", F._mul_memo)):
+                    assert len(m) <= 8
+                    if len(m) < last[name]:
+                        clears[name] += 1
+                    last[name] = len(m)
+        assert clears["add"] >= 2 and clears["mul"] >= 2
+
+
+def _is_tuple_pair(value):
+    return type(value) is tuple and len(value) == 2 and all(type(v) is tuple for v in value)
+
+
+def test_ring_suite_leaves_no_field_garbage(monkeypatch):
+    # A field's memos hold coefficient tuples, never fractions, so no
+    # fraction -> field -> memo -> fraction cycle forms: once a suite's
+    # objects are dropped, reference counting frees them all, and the
+    # cycle collector finds no field and no fraction.
+    from diffext.frontend import instance_from_text, run_suite
+
+    memos = []
+    init = PrimeField.__init__
+
+    def recording_init(self, p):
+        init(self, p)
+        memos.extend((self._add_memo, self._mul_memo))
+
+    monkeypatch.setattr(PrimeField, "__init__", recording_init)
+    text = (CONFIGS / "i3.cfg").read_text(encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        inst = instance_from_text(text)
+        report = run_suite(inst, "ring")
+        assert report.checks and all(c.verdict == "pass" for c in report.checks)
+        assert any(memos)
+        assert all(_is_tuple_pair(v) for memo in memos for v in memo.values())
+        del inst, report
+        memos.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (PrimeField, RatFunc))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
