@@ -1,8 +1,9 @@
 """Nonassociative quotient algebras of a twisted polynomial ring.
 
 Fix a derived field (or the matrix adapter) A with derivation delta, let g
-be a p-polynomial annihilating delta, and pick d in A.  The quotient of
-A[t; delta] by the left ideal generated by f = g(t) - d carries the product
+be a p-polynomial annihilating delta (checked), and pick d in A.  The
+quotient of A[t; delta] by the left ideal generated by f = g(t) - d carries
+the product
 
     u o v = (u * v) mod f      (right division remainder),
 
@@ -15,7 +16,10 @@ Nuclei, center and centralizers are common kernels of F-linear maps on
 coordinates, all computed by one routine: a running F-basis is cut down one
 map at a time, then put in the canonical free-column form.  Every map is an
 element-level product read back in coordinates, and the nuclei come from
-Petit's theory of these algebras (see ExtAlgebra.nucleus).  The table of
+Petit's theory of these algebras (see ExtAlgebra.nucleus).  Over the
+derived field the nuclei need no map: z = g(t) is central, so the right
+nucleus is the centralizer of d, one small system over K, the full nucleus
+is K, and associativity is d in F.  The table of
 structure constants over F is built only on request, from the action of
 t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
@@ -49,8 +53,10 @@ more than MAX_SEARCH_DENOMINATORS denominators before any work.
 
 from __future__ import annotations
 
+from math import comb
+
 from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
-from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
+from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
 from .towers import PPolynomial
@@ -142,6 +148,13 @@ class ExtAlgebra:
     def __init__(self, ring, g: PPolynomial, d):
         if g.p != ring.p:
             raise ValueError("p-polynomial characteristic mismatch")
+        # The nuclei and is_associative use that z = g(t) is central, which
+        # needs g(delta) = 0.  g(delta) is a derivation (a sum of constant
+        # multiples of the derivations delta^(p^k)), and the derivation acts
+        # entrywise on the adapter, so g(delta) = 0 iff it kills x in K.
+        K = ring.base_field
+        if g.apply_operator(K, K.x()):
+            raise GNotAnnihilating("g = %s does not annihilate the derivation" % g)
         self.ring = ring
         self.g = g
         self.d = d
@@ -368,7 +381,16 @@ class ExtAlgebra:
         Associative means every u of degree below m is in the eigenring (see
         nucleus): f R_m in R f.  That is f R in R f, since r = q f + u with
         deg u < m gives f r = (f q) f + f u.
+
+        Over the derived field this is d in F.  z = g(t) is central in R
+        (its coefficients are constants and g(delta) = 0), and b f = f b for
+        b in K, while t d = d t + delta(d) gives t f = f t - delta(d).  The
+        r with f r in R f form a subring containing K, so f R lies in R f
+        iff f t does, iff delta(d), of degree 0 < m, lies in R f, iff
+        delta(d) = 0.  The matrix adapter checks right-invariance itself.
         """
+        if self.ring.is_commutative:  # the derived field
+            return self.ring.is_constant(self.d)
         return is_right_invariant(self.f)
 
     def nucleus(self, which: str = "full"):
@@ -383,10 +405,28 @@ class ExtAlgebra:
           every coefficient ring.
         * f right-invariant: every slot is the whole algebra.
         * otherwise, over a division ring (the derived field), left and
-          middle are the coefficient ring (Petit, 1966/67), and full is
-          its intersection with the eigenring.  The matrix adapter is not
-          a division ring: left and middle stay honest kernels of the
-          associator maps over basis pairs.
+          middle are the coefficient ring (Petit, 1966/67).  The matrix
+          adapter is not a division ring: left and middle stay honest
+          kernels of the associator maps over basis pairs, and right and
+          full keep the eigenring map u |-> (f u) mod f.
+
+        Over the derived field K no map is needed for right and full.
+        z = g(t) is central in R, so with f = z - d
+
+            f u = u z - d u = u f + (u d - d u),
+
+        and u d - d u has degree below deg u < m: the eigenring is the
+        centralizer of d in R_<m, a left K-space.  For u = sum u_i t^i,
+
+            u d - d u = sum_i u_i sum_(k<i) C(i, k) delta^(i-k)(d) t^k,
+
+        an (m-1) x (m-1) system over K in u_1..u_(m-1), with u_0 free; the
+        x^j u for j < p, over u = 1 and the kernel vectors, span the right
+        nucleus over F (_right_nucleus_span).  K lies in the eigenring and
+        left = middle = K, so full is K.  For e = 1 and d not in F the
+        system is triangular with diagonal i delta(d) != 0 (i < p), so
+        right = K; for e = 2 it is not: p = 2, g = t^4 + t^2, d = x gives
+        right = span{1, x, t^2 + t, x (t^2 + t)}.
         """
         return [self.from_coords(v) for v in self._nucleus_coords(which)]
 
@@ -395,22 +435,47 @@ class ExtAlgebra:
         if which not in _NUCLEUS_SLOTS:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
         if which not in self._nucleus_cache:
-            units = self._units()
-            eigen = self._on_coords(lambda u: [self.element(self.f * u.rep)])
-            maps = [eigen] if which in ("right", "full") else []
-            start = units
+            units, maps = self._units(), []
             if self.is_associative():
-                maps = []
-            elif which != "right" and self.ring.is_commutative:  # the derived field
-                start = units[: self.ring.dim_over_constants]
-            elif which != "right":
-                # A is always left and middle nuclear (f is monic), so the
-                # maps for a in A vanish: they run last, on the smallest basis.
-                slots = ("left", "middle") if which == "full" else (which,)
-                basis = self.basis()[::-1]
-                maps += [self._associator_map(slot, a) for slot in slots for a in basis]
+                start = units
+            elif self.ring.is_commutative:  # the derived field
+                start = self._right_nucleus_span() if which == "right" else units[: self.ring.p]
+            else:
+                start = units
+                if which in ("right", "full"):
+                    maps.append(self._on_coords(lambda u: [self.element(self.f * u.rep)]))
+                if which != "right":
+                    # A is always left and middle nuclear (f is monic), so the
+                    # maps for a in A vanish: they run last, on the smallest basis.
+                    slots = ("left", "middle") if which == "full" else (which,)
+                    basis = self.basis()[::-1]
+                    maps += [self._associator_map(slot, a) for slot in slots for a in basis]
             self._nucleus_cache[which] = tuple(self._common_kernel(maps, start))
         return self._nucleus_cache[which]
+
+    def _right_nucleus_span(self):
+        """Coordinates of an F-spanning set of the centralizer of d in R_<m.
+
+        Over the derived field only (see nucleus).  Row k, column i - 1 of
+        the system is C(i, k) delta^(i-k)(d), the t^k coefficient of
+        t^i d - d t^i, for 0 <= k < i < m.
+        """
+        K, m, p = self.ring, self.f.degree(), self.ring.p
+        zero = K.zero()
+        derivs = [self.d]  # derivs[j] = delta^j(d)
+        for _ in range(1, m):
+            derivs.append(K.delta(derivs[-1]))
+
+        def entry(k, i):
+            c = comb(i, k) % p if i > k else 0
+            return K.from_int(c) * derivs[i - k] if c else zero
+
+        rows = [[entry(k, i) for i in range(1, m)] for k in range(m - 1)]
+        span = self._units()[:p]  # u = 1
+        for v in Matrix(K, rows).kernel():
+            for xj in self._ring_basis:
+                span.append(tuple(c for ui in (zero,) + v for c in K.coords(xj * ui)))
+        return span
 
     def _associator_map(self, slot, a):
         """v |-> [v, a, b] (left) or [a, v, b] (middle), stacked over basis b."""

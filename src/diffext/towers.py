@@ -78,7 +78,10 @@ class DerivedField(RationalFunctionField):
             raise ValueError("delta_of_x lives in the wrong characteristic")
         if not delta_of_x:
             raise ZeroDerivation("the derivation must be nonzero")
-        self.delta_of_x = delta_of_x
+        # Re-homed onto this field, so that arithmetic with the weight uses
+        # this field's fraction memos rather than those of the field it was
+        # parsed over.
+        self.delta_of_x = _ratfunc(self.field, delta_of_x.num_coeffs, delta_of_x.den_coeffs)
         # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
         self._delta_memo = {}
 

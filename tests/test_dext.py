@@ -10,11 +10,16 @@ from diffext import dext
 from diffext.autos import shift_isomorphism
 from diffext.dext import MAX_TABLE_ENTRIES, ExtAlgebra
 from diffext.diffpoly import DiffPoly, is_right_invariant, v_g
-from diffext.errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
+from diffext.errors import (
+    GNotAnnihilating,
+    InternalInvariantViolation,
+    NoSolution,
+    UnsupportedInstance,
+)
 from diffext.frontend import instance_from_text
 from diffext.linalg import Matrix, solve_mod_p
-from diffext.scalars import DensePoly, PrimeField, RatFunc
-from diffext.towers import DerivedField, MatrixRingAdapter, minimal_p_polynomial
+from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
+from diffext.towers import DerivedField, MatrixRingAdapter, PPolynomial, minimal_p_polynomial
 
 
 def span_coords(alg, elems):
@@ -350,6 +355,61 @@ def test_exponent_two_nuclei_match_table_engine():
     x, t = alg.scalar(alg.ring.x()), alg.t()
     eigen = [alg.one(), x, t * t + t, x * (t * t + t)]
     assert span_coords(alg, alg.nucleus("right")) == span_coords(alg, eigen)
+
+
+# The right and full nuclei over K come from the centralizer of d and left =
+# middle = K, associativity from d in F; the oracles are the eigenring map
+# u |-> (f u) mod f over every basis vector, and right-invariance of f.
+_EIGEN_CASES = [
+    (p, w, None) for p in (2, 3, 5) for w in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x")
+] + [
+    (2, "x", "t^4 + t^2"),
+    (2, "1/x", "t^4 + (1/(x^4))*t^2"),
+    (2, "(x+1)/x", "t^4 + (1/(x^4))*t^2"),
+    (3, "x", "t^9 + 2*t^3"),
+    (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3"),
+]
+
+
+@pytest.mark.parametrize(
+    "p,weight,g_text",
+    _EIGEN_CASES,
+    ids=[("p%d-%s-%s" % c).replace(" ", "") for c in _EIGEN_CASES],
+)
+def test_right_and_full_nuclei_match_eigenring_map(p, weight, g_text):
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    inst = instance_from_text(text + ("g = %s\n" % g_text if g_text else ""))
+    K, g = inst.K, inst.g
+    assert g.e == (2 if g_text else 1)
+    rng = random.Random("eigen:%d:%s:%s" % (p, weight, g_text))
+    d = random_ratfunc(K, rng, 2)
+    while K.is_constant(d):
+        d = random_ratfunc(K, rng, 2)
+    # A p-th power is a constant.
+    for d in (random_ratfunc(K, rng, 1, nonzero=True) ** p, d):
+        alg = ExtAlgebra(K, g, d)
+        invariant = is_right_invariant(alg.f)
+        assert alg.is_associative() == invariant == K.is_constant(d)
+        units = alg._units()
+        eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
+        right = alg._common_kernel([eigen], units)
+        full = alg._common_kernel([eigen], units if invariant else units[:p])
+        assert [alg.coords(e) for e in alg.nucleus("right")] == right
+        assert [alg.coords(e) for e in alg.nucleus("full")] == full
+        if not invariant:
+            # Exponent one: the system is triangular, right = K; exponent
+            # two reaches past K.
+            assert (len(right) == p) == (g.e == 1)
+
+
+def test_algebra_refuses_g_that_does_not_annihilate_delta():
+    # t^2 does not annihilate x d/dx over F_2 (delta^2 = delta), so t^2 is
+    # not central and d in F would not make the quotient associative.
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    g = PPolynomial(2, 1, (K.zero(),))
+    for ring in (K, MatrixRingAdapter(K, 2)):
+        with pytest.raises(GNotAnnihilating):
+            ExtAlgebra(ring, g, ring.one())
 
 
 def test_structure_queries_constant_d():

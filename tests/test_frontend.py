@@ -53,6 +53,15 @@ def test_config_comments_and_defaults():
     assert inst.degree_bound == 4
 
 
+@pytest.mark.parametrize("cfg", sorted(CONFIGS.glob("*.cfg")), ids=lambda c: c.stem)
+def test_weight_lives_on_the_derived_field(cfg):
+    # The weight is parsed over a boot field and re-homed: sums and products
+    # with delta(x) on the left use K's own fraction memos.
+    K = frontend.load_instance(cfg).K
+    assert K.delta_of_x.field is K.field
+    assert K.delta(K.x()) == K.delta_of_x
+
+
 def test_declared_g_accepted_and_verified():
     inst = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^2 + t\n")
     assert str(inst.g) == "t^2 + t"
