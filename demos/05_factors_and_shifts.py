@@ -23,7 +23,7 @@ K = derived_field(2, "x")
 x = K.x()
 g = minimal_p_polynomial(K)
 
-# d = x: no factor up to the bound, and for p = 2 the search is complete.
+# d = x is not in F = F_2(x^2), so f is irreducible: proved without a search.
 S = ExtAlgebra(K, g, x)
 verdict, witness = S.division_verdict(4)
 print("f =", S.f)

@@ -16,8 +16,9 @@ two checks pass:
 
 For tau = id and eps = 1 over a commutative base, the second check reduces
 to V_g(c) = 0, which holds exactly for logarithmic derivatives
-c = delta(u)/u.  Those shifts form a subgroup: composing shifts adds the
-c values, the identity is c = 0, and each nonidentity shift has order p.
+c = delta(u)/u; log_derivative_witness exhibits such a u by one exact
+solve.  Those shifts form a subgroup: composing shifts adds the c values,
+the identity is c = 0, and each nonidentity shift has order p.
 
 Inner automorphisms by an invertible nuclear element a come out in the same
 normal form: conjugation by a equals the descriptor (i_a, a^(-1) delta(a), 1),
@@ -34,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .dext import AlgebraElement, ExtAlgebra, _bounded_height_witness, _coords_rows
+from .dext import AlgebraElement, ExtAlgebra, _padded_rows
 from .diffpoly import DiffPoly, _substitute_powers, _substitution_powers, v_g
 from .errors import (
     ConditionFailed,
@@ -43,7 +44,8 @@ from .errors import (
     NotNuclear,
     UnsupportedInstance,
 )
-from .scalars import random_ratfunc
+from .linalg import solve_mod_p
+from .scalars import DensePoly, RatFunc, _add, _derivative, _mul, _neg, random_ratfunc
 
 __all__ = [
     "AutoDescriptor",
@@ -184,20 +186,36 @@ def is_log_derivative(algebra: ExtAlgebra, c) -> bool:
     return not v_g(algebra.ring, algebra.g, c)
 
 
-def log_derivative_witness(algebra: ExtAlgebra, c, bound: int = 6):
-    """Bounded search for u with delta(u)/u = c; None when none is found.
+def log_derivative_witness(algebra: ExtAlgebra, c):
+    """A nonzero u with delta(u)/u = c, or None when no such u exists.
 
-    delta(u) = c*u is F_p-linear in u, so this is the bounded-height search
-    of the factor search with the map u |-> delta(u) - c*u and target 0:
-    the first nonzero u/v, deg u, deg v <= bound, in the same order, each
-    monic v one linear solve.  Advisory only: absence of a witness below
-    the bound proves nothing, the V_g test is the real criterion.
+    With c = cn/cd and delta(x) = W/S in lowest terms, delta(u) = c u reads
+    cd W u' = cn S u: one homogeneous F_p-linear system in the coefficients
+    of a polynomial u of degree <= (p - 1) deg(cd W S), whose first kernel
+    vector is the witness.
+
+    Why that degree suffices.  Scaling u by F leaves delta(u)/u unchanged,
+    and pi^p is in F for every polynomial pi, so if any witness exists, one
+    is a polynomial whose irreducible factors have multiplicity m < p.  At
+    such a factor pi not dividing cd W S, w is a unit and pi' is prime to
+    pi, so w u'/u = w m pi'/pi + (regular at pi) has a simple pole, while c
+    has none.  So every factor of u divides cd W S, and deg u is at most
+    (p - 1) deg(cd W S).
     """
     K = algebra.base_field
-    rows_for = _coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
-    u = _bounded_height_witness(K, rows_for, bound)
-    if u is not None and K.log_derivative(u) != c:
-        raise InternalInvariantViolation("log-derivative search returned u with delta(u)/u != c")
+    p = K.p
+    W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
+    cd_w, cn_s = _mul(c.den_coeffs, W, p), _mul(c.num_coeffs, S, p)
+    columns = []
+    for i in range((p - 1) * (len(cd_w) + len(S) - 2) + 1):
+        xi = (0,) * i + (1,)
+        columns.append(_add(_mul(cd_w, _derivative(xi, p), p), _neg(_mul(cn_s, xi, p), p), p))
+    _, kernel = solve_mod_p(dict.fromkeys(_padded_rows(columns + [()])), p)
+    if not kernel:
+        return None
+    u = RatFunc(DensePoly(K.field, kernel[0]), DensePoly.one(K.field))
+    if K.log_derivative(u) != c:
+        raise InternalInvariantViolation("log-derivative solve returned u with delta(u)/u != c")
     return u
 
 

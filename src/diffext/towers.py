@@ -282,7 +282,13 @@ class PPolynomial:
         return acc
 
     def annihilates(self, K: DerivedField) -> bool:
-        return all(not self.apply_operator(K, b) for b in K.constant_basis())
+        """Whether g(delta) = 0 on K, read off its value at x.
+
+        g(delta) is a derivation: each delta^(p^k) is one (the binomials
+        p^k choose j vanish for 0 < j < p^k), and so is a sum of multiples
+        of derivations.  A derivation of F_p(x) is fixed by its value at x.
+        """
+        return not self.apply_operator(K, K.x())
 
     def __eq__(self, other):
         return (
@@ -332,8 +338,8 @@ def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
     a_1 = -a^(m_e - m_(e-1)) = -a^(p^(e-1)) and every other a_i is 0, and
     when a = 0 every a_i is 0.  Exponent 0 admits only g = t, whose
     operator is delta itself, so it annihilates nothing but the zero
-    derivation: NoSolution.  The result is re-checked on the coordinate
-    basis.
+    derivation: NoSolution.  The result is re-checked at x (see
+    PPolynomial.annihilates).
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -349,7 +355,7 @@ def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
         raise InternalInvariantViolation("delta^(p-1)(w)/w is not constant: %s" % a)
     g = PPolynomial(K.p, e, (-(a ** (K.p ** (e - 1))),) + (K.zero(),) * (e - 1))
     if not g.annihilates(K):
-        raise InternalInvariantViolation("the closed-form p-polynomial fails on the basis")
+        raise InternalInvariantViolation("the closed-form p-polynomial fails at x")
     return g
 
 

@@ -229,7 +229,7 @@ def test_c09_division_verdict(i1, i2_d0):
     lin = DiffPoly(K, (-b, K.one()))
     q, r = i2_d0.f.right_divmod(lin)
     assert not r and q * lin == i2_d0.f
-    _report("criterion 9 (i1 proved division at bound 4; d=0 splits at b=1): PASS")
+    _report("criterion 9 (i1 proved division, d not in F; d=0 splits at b=1): PASS")
 
 
 # -- 10: shift isomorphism -----------------------------------------------------

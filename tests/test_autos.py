@@ -16,7 +16,7 @@ from diffext.autos import (
     log_derivative_witness,
     shift_isomorphism,
 )
-from diffext.dext import ExtAlgebra
+from diffext.dext import ExtAlgebra, _bounded_height_witness, _coords_rows
 from diffext.diffpoly import DiffPoly, substitute, v_g
 from diffext.errors import (
     ConditionFailed,
@@ -83,11 +83,11 @@ def test_is_log_derivative_frozen_values(i1):
 def test_log_derivative_witness(i1):
     K = i1.ring
     # delta(x)/x = 1 for delta = x d/dx.
-    w = log_derivative_witness(i1, K.one(), bound=2)
+    w = log_derivative_witness(i1, K.one())
     assert w is not None
     assert K.log_derivative(w) == K.one()
-    # No witness for a non log-derivative; the test stays advisory.
-    assert log_derivative_witness(i1, K.x(), bound=2) is None
+    # None is a proof: V_g(x) = x^2 != 0, so x is no log-derivative.
+    assert log_derivative_witness(i1, K.x()) is None
 
 
 def _digits(code, p, width):
@@ -130,8 +130,37 @@ def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
         for height in (rng.randrange(bound + 1), bound + 1):
             cs.append(K.log_derivative(_fraction_of_height(K, rng, height)))
         for c in cs:
-            got = log_derivative_witness(alg, c, bound=bound)
-            assert str(got) == str(brute_force_log_derivative(K, c, bound)), (bound, c)
+            # Oracles: the plain enumeration and the bounded-height search of
+            # the factor search, fed delta(u) - c u in coordinates.
+            rows_for = _coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+            bounded = _bounded_height_witness(K, rows_for, bound)
+            brute = brute_force_log_derivative(K, c, bound)
+            assert str(bounded) == str(brute), (bound, c)
+            got = log_derivative_witness(alg, c)
+            assert (got is not None) == is_log_derivative(alg, c), (bound, c)
+            if brute is not None:
+                assert got is not None and K.log_derivative(got) == c, (bound, c)
+
+
+_LOG_WEIGHTS = ("x", "1", "x^2 + 1", "1/x", "(x+1)/x", "x^3 + x + 1")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_log_derivative_witness_is_exact(p):
+    # Planted c = delta(u0)/u0 are all found; on random c a witness exists
+    # exactly when V_g(c) = 0.  Eight of each per weight: 48 per prime.
+    rng = random.Random("logder:%d" % p)
+    for weight in _LOG_WEIGHTS:
+        alg = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).algebra
+        K = alg.base_field
+        for _ in range(8):
+            c = K.log_derivative(random_ratfunc(K, rng, 3, nonzero=True))
+            u = log_derivative_witness(alg, c)
+            assert u is not None and K.log_derivative(u) == c, (weight, c)
+            c = random_ratfunc(K, rng, 3)
+            u = log_derivative_witness(alg, c)
+            assert (u is not None) == is_log_derivative(alg, c), (weight, c)
+            assert u is None or K.log_derivative(u) == c
 
 
 def test_automorphism_is_multiplicative(i1, i3):

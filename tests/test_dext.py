@@ -149,6 +149,15 @@ def table_oracle(alg):
     return [[alg.coords(ei * ej) for ej in basis] for ei in basis]
 
 
+def center_oracle(alg):
+    """The full nucleus cut down by the commutators with all dim basis elements.
+
+    center() commutes with the generators t and the ring basis only.
+    """
+    maps = [alg._commutator_with(a) for a in alg.basis()]
+    return alg._common_kernel(maps, alg._nucleus_coords("full"))
+
+
 def adapter_algebra(n):
     """n x n matrices over F_2(x), delta = x d/dx, d = diag(x, 0, ..., 0)."""
     F = PrimeField(2)
@@ -465,6 +474,39 @@ def test_center_elements_commute_and_associate(i1, i3):
                 assert not alg.associator(u, v, z)
 
 
+_CENTER_CASES = [
+    (p, w, None, d)
+    for p in (2, 3, 5)
+    for w in ("x", "1", "x^2+1", "1/x")
+    for d in ("x", "x^%d" % p, "0", "(x+1)/(x^2+1)")
+] + [
+    (2, w, g, d)
+    for w, g in (("x", "t^4 + t^2"), ("1/x", "t^4 + (1/(x^4))*t^2"))
+    for d in ("x", "x^2")
+] + [
+    (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3", d) for d in ("x", "x^3")
+]
+
+
+@pytest.mark.parametrize(
+    "p,weight,g_text,d",
+    _CENTER_CASES,
+    ids=[("p%d-%s-%s-%s" % c).replace(" ", "") for c in _CENTER_CASES],
+)
+def test_center_from_generators_matches_all_basis_commutators(p, weight, g_text, d):
+    text = "p = %d\ndelta_of_x = %s\nd = %s\n" % (p, weight, d)
+    alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
+    assert [alg.coords(z) for z in alg.center()] == center_oracle(alg)
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar-d", "diag-d"])
+def test_adapter_center_matches_all_basis_commutators(scalar):
+    alg = adapter_algebra(2)
+    if scalar:
+        alg = ExtAlgebra(alg.ring, alg.g, alg.ring.embed(alg.base_field.x()))
+    assert [alg.coords(z) for z in alg.center()] == center_oracle(alg)
+
+
 def test_centralizer_frozen_value(i1, i3):
     # Cent({x}) = K for g = t^p + a_1 t instances.
     for alg in (i1, i3):
@@ -656,25 +698,55 @@ def test_search_guard_refuses_before_any_work(monkeypatch):
             alg.linear_right_factor_search(bound)
 
 
-@pytest.mark.xfail(strict=True, reason="p = 2 treats bound >= 4 as conclusive for every d")
 def test_division_verdict_misses_factor_above_bound():
+    # d = x^20 + x^10 is in F, so no theorem answers: the search does.  Its
+    # only factor, t - x^10, lies above bound 4.
     alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n").algebra
     K = alg.ring
     assert v_g(K, alg.g, K.x() ** 10) == alg.d
-    verdict, _ = alg.division_verdict(4)
-    assert verdict != "division (proved)"
+    assert alg.division_verdict(4) == ("unknown (bound exhausted)", None)
+    assert alg.division_verdict(10) == ("not division (witness)", K.x() ** 10)
 
 
 def test_division_verdicts(i1, i2, i3):
-    # I1: no linear factor up to bound 4; for p = 2 that is conclusive.
-    verdict, witness = i1.division_verdict(4)
-    assert verdict == "division (proved)" and witness is None
+    # I1 and I3: d = x is not in F, so f is irreducible (Fact B).
+    for alg, bound in ((i1, 4), (i3, 1)):
+        assert alg.division_verdict(bound) == ("division (proved)", None)
     # I2 is associative with zero divisors: witness x found.
     verdict, witness = i2.division_verdict(4)
     assert verdict == "not division (witness)" and witness == i2.ring.x()
-    # I3 at a tiny bound: exhaustion is not conclusive for p = 3.
-    verdict, witness = i3.division_verdict(1)
-    assert verdict == "unknown (bound exhausted)" and witness is None
+    # d = x^3 in F at p = 3: bound 0 misses the factor t - x.
+    alg = instance_from_text("p = 3\ndelta_of_x = x\nd = x^3\n").algebra
+    assert alg.division_verdict(0) == ("unknown (bound exhausted)", None)
+    assert alg.division_verdict(1) == ("not division (witness)", alg.ring.x())
+
+
+_FACT_B_WEIGHTS = ("x", "1", "x^2 + 1", "1/x", "(x+1)/x")
+
+
+def _no_candidates(K, bound):
+    raise AssertionError("a search ran")
+
+
+@pytest.mark.parametrize("p,count,bound", [(2, 3, 3), (3, 3, 2), (5, 1, 1)], ids=["p2", "p3", "p5"])
+def test_division_proved_without_search_for_d_not_in_f(monkeypatch, p, count, bound):
+    # The verdict comes before any search.  Oracles: no linear right factor
+    # up to a small bound (V_g(K) lies in F, Fact A), and at p <= 3 no zero
+    # divisor among sampled elements, probed once per weight.
+    rng = random.Random("factb:%d" % p)
+    for weight in _FACT_B_WEIGHTS:
+        K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+        for i in range(count):
+            d = random_ratfunc(K, rng, 2)
+            while K.is_constant(d):
+                d = random_ratfunc(K, rng, 2)
+            alg = ExtAlgebra(K, minimal_p_polynomial(K), d)
+            with monkeypatch.context() as m:
+                m.setattr(dext, "_fraction_candidates", _no_candidates)
+                assert alg.division_verdict(10 ** 9) == ("division (proved)", None)
+            assert alg.linear_right_factor_search(bound) is None, (weight, d)
+            if p <= 3 and i == 0:
+                assert alg.is_division_probe(rng, samples=8), (weight, d)
 
 
 def test_division_probe_consistency(i1, i2, rng_seed=0):

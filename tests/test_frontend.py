@@ -199,7 +199,8 @@ def test_division_suite_reports_witness_for_d0():
 
 
 def test_division_suite_unknown_at_tiny_bound():
-    inst = instance_from_text("p = 3\ndelta_of_x = x\nd = x\ndegree_bound = 0\n")
+    # d = x^3 is in F, so the search decides; its factor t - x needs bound 1.
+    inst = instance_from_text("p = 3\ndelta_of_x = x\nd = x^3\ndegree_bound = 0\n")
     report = run_suite(inst, "division")
     verdict_check = next(c for c in report.checks if c.name == "division.verdict")
     assert verdict_check.verdict == "unknown"
@@ -208,8 +209,9 @@ def test_division_suite_unknown_at_tiny_bound():
 
 def test_division_suite_at_p5_reports_probe_over_budget():
     # samples * dim^3 = 40 * 25^3 is above dext.MAX_PROBE_WORK: the probe is
-    # refused before any work instead of running for minutes.
-    inst = instance_from_text("p = 5\ndelta_of_x = x\nd = x\ndegree_bound = 1\n")
+    # refused before any work instead of running for minutes.  d = x^5 is in
+    # F, so the verdict comes from the search, and bound 0 misses t - x.
+    inst = instance_from_text("p = 5\ndelta_of_x = x\nd = x^5\ndegree_bound = 0\n")
     report = run_suite(inst, "division")
     probe = next(c for c in report.checks if c.name == "division.probe")
     assert probe.verdict == "unknown"
@@ -351,11 +353,17 @@ def test_cli_build_refuses_oversized_table(tmp_path):
 
 
 def test_cli_divcheck_refuses_search_above_guard(tmp_path):
-    # 2^41 - 1 monic denominators of degree <= 40 over F_2.
-    proc = _cli(tmp_path, "divcheck", "CFG", "--bound", "40")
+    # 2^41 - 1 monic denominators of degree <= 40 over F_2.  d = x^2 is in
+    # F, so only the search can answer.
+    config = "p = 2\ndelta_of_x = x\nd = x^2\n"
+    proc = _cli(tmp_path, "divcheck", "CFG", "--bound", "40", config=config)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: a search to bound 40 over F_2 tries more than")
     assert "Traceback" not in proc.stderr
+    # d = x is not in F: proved before any search, whatever the bound.
+    proc = _cli(tmp_path, "divcheck", "CFG", "--bound", "40")
+    assert proc.returncode == 0
+    assert "verdict=division (proved)" in proc.stdout
 
 
 def test_cli_main_runs_twice_in_one_process(tmp_path, capsys):

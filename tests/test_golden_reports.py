@@ -8,8 +8,8 @@ regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-The ``division`` suite is left out: its probe is slow, and its verdict on
-i3 is known to be wrong (the strict xfail in ``test_acceptance.py``).
+which prints the keys whose entry changed.  The ``division`` suite is left
+out: its probe is slow.
 """
 
 import contextlib
@@ -61,6 +61,11 @@ def test_reports_on_shipped_configs_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(collect(tmp), indent=1, sort_keys=True) + "\n")
+        new = collect(tmp)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    for key in sorted(set(old) | set(new)):
+        if old.get(key) != new.get(key):
+            print("changed: %s" % key)
     print("wrote %s" % GOLDEN, file=sys.stderr)

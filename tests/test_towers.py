@@ -226,14 +226,14 @@ def test_minimal_p_polynomial_frozen_values():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_minimal_p_polynomial_builds_only_needed_levels(monkeypatch, p):
     # delta^(p-1)(w) for a = delta^(p-1)(w)/w (p - 1 derivations), then the
-    # re-check that g annihilates the basis (p^2): p^2 + p - 1 in all.
+    # re-check that g(delta) kills x (p): 2p - 1 in all.
     K = DerivedField(p, _w(p, (0, 1)))
     calls = []
     honest = DerivedField.delta
     monkeypatch.setattr(DerivedField, "delta", lambda K, a: calls.append(a) or honest(K, a))
     g = minimal_p_polynomial(K)
     assert g.e == 1
-    assert len(calls) == p * p + p - 1
+    assert len(calls) == 2 * p - 1
 
 
 def test_minimal_p_polynomial_annihilates_on_samples():
@@ -244,6 +244,30 @@ def test_minimal_p_polynomial_annihilates_on_samples():
         for _ in range(100):
             a = random_ratfunc(K, rng, 3)
             assert not g.apply_operator(K, a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_annihilates_at_x_matches_basis_and_samples(p):
+    # Oracle: g(delta) applied to the whole basis 1, x, ..., x^(p-1) and to
+    # random elements.  Coefficients off the right one by a constant fail
+    # at x and on the basis alike.
+    rng = random.Random("annihilates:%d" % p)
+    for w in ((0, 1), (1,), (1, 0, 1)):
+        K = DerivedField(p, _w(p, w))
+        g = minimal_p_polynomial(K)
+        shifts = [K.zero(), K.one(), K.x() ** p, random_ratfunc(K, rng, 1) ** p]
+        for e in (1, 2):
+            a = g.coeffs[0] ** (p ** (e - 1))
+            for s in shifts:
+                cand = PPolynomial(p, e, (a + s,) + (K.zero(),) * (e - 1))
+                on_basis = all(not cand.apply_operator(K, b) for b in K.constant_basis())
+                assert cand.annihilates(K) == on_basis, (w, e, s)
+                # At e = 1 the annihilator is unique; at e = 2 with a = 0,
+                # delta^p = 0 and every coefficient works.
+                assert on_basis == (not s or (e == 2 and not a)), (w, e, s)
+                if on_basis:
+                    for _ in range(5):
+                        assert not cand.apply_operator(K, random_ratfunc(K, rng, 2))
 
 
 def test_minimal_p_polynomial_weirder_derivation():
