@@ -48,7 +48,8 @@ coordinates and cleared of denominators one coordinate at a time
 (_coords_rows).  Both feed the one bounded-height search,
 _bounded_height_witness, which refuses a search of more than
 MAX_SEARCH_DENOMINATORS denominators before any work.  Over the derived
-field with e = 1 a d not in F needs no search: f is irreducible (see
+field a d not in F needs no search when g is the closed form
+(t^p - a t)^(p^(e-1)), every g at e = 1: f is irreducible (see
 division_verdict).
 """
 
@@ -60,7 +61,7 @@ from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
-from .towers import PPolynomial
+from .towers import PPolynomial, p_polynomial_at_exponent
 
 __all__ = ["ExtAlgebra", "AlgebraElement"]
 
@@ -553,29 +554,41 @@ class ExtAlgebra:
     def division_verdict(self, bound: int):
         """Three-valued irreducibility verdict: (verdict, witness).
 
-        "division (proved)" with no witness over the derived field when
-        e = 1 and d is not in F, before any search; otherwise "not division
-        (witness)" with the factor b of linear_right_factor_search(bound),
-        re-checked, or "unknown (bound exhausted)".  S_f is a division
-        algebra iff f is irreducible (Petit 1966/67), iff the left R-module
-        M = R/Rf, of K-dimension p with basis [t^i], is simple: a submodule
-        is Rq/Rf for a right factor q of f.
+        "division (proved)" with no witness over the derived field when d is
+        not in F and g = z1^q with z1 = t^p - a t and q = p^(e-1) (the
+        p_polynomial_at_exponent closed form), before any search; otherwise
+        "not division (witness)" with the factor b of
+        linear_right_factor_search(bound), re-checked, or "unknown (bound
+        exhausted)".  S_f is a division algebra iff f is irreducible (Petit
+        1966/67), iff the left R-module M = R/Rf, of K-dimension p^e with
+        basis [t^i], is simple: a submodule is Rq/Rf for a right factor q
+        of f.
 
         Why d not in F proves it.  At e = 1 every annihilating g is
         Hochschild's t^p - a t, since (t^p + a_1 t)(delta) = (a + a_1) delta.
-        z = g(t) is central, so f d = d f, and psi[r] = [r d] = [z r] is an
-        R-linear map of M.  In the basis [t^i] it is triangular with d on the
-        diagonal ([t^i d] = d [t^i] + lower terms), so its characteristic
-        polynomial over K is (lambda - d)^p.  A submodule N of K-dimension r
-        is psi-stable, and psi on N has characteristic polynomial
-        (lambda - d)^r, a divisor of (lambda - d)^p.  Its coefficients are constants: with Phi the matrix
-        of psi on a K-basis of N and A that of t, t psi = psi t reads
-        delta(Phi) = [Phi, A]; for X = lambda - Phi, Jacobi's formula gives
-        delta det X = tr(adj(X) [X, A]) = det X (tr A - tr A) = 0.  Its
-        lambda^(r-1) coefficient is -r d, so 0 < r < p would put d in F.
-        Hence M is simple and f irreducible.
+        z1 is central in R (z1(delta) = 0 and a is constant), so it commutes
+        with f = z1^q - d, and psi[r] = [r z1] is an R-linear map of M with
+        psi^q[r] = [r z1^q] = [r d].  In the basis [t^i], [r] -> [r d] is
+        triangular with d on the diagonal ([t^i d] = d [t^i] + lower terms),
+        so every eigenvalue of psi is a root of lambda^q - d =
+        (lambda - d^(1/q))^q.  A submodule N of K-dimension r is
+        psi-stable, and psi on N has characteristic polynomial
+        (lambda - d^(1/q))^r.  Its coefficients are constants: with Phi
+        the matrix of psi on a K-basis of N and A that of t, t psi = psi t
+        reads delta(Phi) = [Phi, A]; for X = lambda - Phi, Jacobi's formula
+        gives delta det X = tr(adj(X) [X, A]) = det X (tr A - tr A) = 0.
+        Write r = p^s r' with p not dividing r'.  Then (lambda -
+        d^(1/q))^r = (lambda^(p^s) - d^(p^s/q))^(r'), whose coefficient of
+        lambda^(p^s (r'-1)) is -r' d^(p^s/q).  It lies in F = K^p only if
+        s >= e: for s < e some p-power of it is d.  So r is 0 or p^e, M is
+        simple and f irreducible.  At e >= 2 the closed form is compared
+        only after d is found outside F.
         """
-        if self.ring.is_commutative and self.g.e == 1 and not self.ring.is_constant(self.d):
+        if (
+            self.ring.is_commutative
+            and not self.ring.is_constant(self.d)
+            and (self.g.e == 1 or self.g == p_polynomial_at_exponent(self.ring, self.g.e))
+        ):
             return "division (proved)", None
         b = self.linear_right_factor_search(bound)
         if b is not None:

@@ -52,7 +52,9 @@ class ConditionFailed(Exception):
 
     The ``condition`` attribute names the failed check: ``"eq1"`` for the
     commutation constraint on coefficients, ``"fixes_f"`` for the modulus
-    not being preserved.
+    not being preserved.  Both come only from the descriptor checks of
+    build_auto and shift_isomorphism; a disagreement found afterwards is an
+    InternalInvariantViolation.
     """
 
     def __init__(self, condition, message):

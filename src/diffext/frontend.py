@@ -35,7 +35,15 @@ from .autos import (
     is_log_derivative,
 )
 from .dext import ExtAlgebra
-from .diffpoly import DiffPoly, find_inner_constant, is_right_invariant, substitute, v_g, v_p_tower
+from .diffpoly import (
+    DiffPoly,
+    find_inner_constant,
+    is_right_invariant,
+    p_poly_as_diffpoly,
+    substitute,
+    v_g,
+    v_p_tower,
+)
 from .errors import (
     ConditionFailed,
     ConfigError,
@@ -378,8 +386,6 @@ def _suite_vops(r: _SuiteRunner):
 
     def shift_identity():
         rng = r.rng("vops.shift")
-        from .diffpoly import p_poly_as_diffpoly
-
         gt = p_poly_as_diffpoly(g, K)
         for _ in range(30):
             b = random_ratfunc(K, rng, 2)
@@ -503,7 +509,7 @@ def _suite_autos(r: _SuiteRunner):
 
     def constraints():
         try:
-            rep = auto_constraints(alg, r.rng("autos.constraints"))
+            rep = auto_constraints(alg)
         except UnsupportedInstance as exc:
             return "unknown", {"reason": str(exc)}
         rng = r.rng("autos.constraints2")

@@ -50,6 +50,7 @@ from .scalars import (
     _power,
     _ratfunc,
     poly_gcd,
+    random_ratfunc,
 )
 
 __all__ = [
@@ -220,8 +221,6 @@ class DerivedField(RationalFunctionField):
         return self.delta(a) / a
 
     def random_element(self, rng, max_degree: int) -> RatFunc:
-        from .scalars import random_ratfunc
-
         return random_ratfunc(self, rng, max_degree)
 
     def __eq__(self, other):
@@ -527,8 +526,6 @@ class MatrixRingAdapter:
         return KMatrix(self.base, self.n, rows)
 
     def random_element(self, rng, max_degree: int) -> KMatrix:
-        from .scalars import random_ratfunc
-
         return KMatrix(
             self.base,
             self.n,

@@ -1,9 +1,11 @@
 """Automorphism descriptors: validity, orders, inner maps, constraints."""
 
+import inspect
 import random
 
 import pytest
 
+from diffext import autos
 from diffext.autos import (
     AutoDescriptor,
     apply_auto,
@@ -49,12 +51,21 @@ def test_build_auto_rejects_bad_shift(i1):
     assert exc.value.condition == "fixes_f"
 
 
-def test_build_auto_rejects_bad_eps(i3):
-    # eps = 2 over F_3: commutation constraint dies on z = x.
-    K = i3.ring
-    with pytest.raises(ConditionFailed) as exc:
-        build_auto(i3, IDENT, K.zero(), K.from_int(2))
-    assert exc.value.condition == "eq1"
+def test_build_auto_rejects_bad_eps(i1, i3):
+    # (eps - 1) delta(x) = 0 at z = x, whatever c is: every eps != 1 fails
+    # the commutation constraint.  auto_constraints states this as a fact.
+    p5 = instance_from_text("p = 5\ndelta_of_x = x\nd = x\n").algebra
+    rng = random.Random(41)
+    tried = 0
+    for alg in (i1, i3, p5):
+        K = alg.ring
+        for eps in range(2, K.p):
+            for c in [K.zero()] + [random_ratfunc(K, rng, 2) for _ in range(5)]:
+                with pytest.raises(ConditionFailed) as exc:
+                    build_auto(alg, IDENT, c, K.from_int(eps))
+                assert exc.value.condition == "eq1"
+                tried += 1
+    assert tried == 6 * (1 + 3)
 
 
 def test_valid_shifts_are_exactly_log_derivatives(i1, i3):
@@ -299,12 +310,28 @@ def test_auto_constraints_report(i1, i3):
             assert rep.contains(c) == rep.descriptor_valid(c)
 
 
+def test_auto_constraints_states_theorems_without_building(monkeypatch, i1, i2, i3, i4, i2_d0):
+    def no_build(*args, **kwargs):
+        raise AssertionError("descriptor built")
+
+    assert list(inspect.signature(auto_constraints).parameters) == ["algebra"]
+    monkeypatch.setattr(autos, "build_auto", no_build)
+    for alg in (i1, i2, i3, i4, i2_d0):
+        rep = auto_constraints(alg)
+        assert (rep.tau_forced, rep.eps_forced, rep.c_condition) == ("id", "1", "V_g(c) = 0")
+        assert rep.facts == (
+            "p-th roots are unique in K, so tau fixes x and tau = id",
+            "delta(x) != 0 forces eps = 1 in the commutation constraint",
+            "admissible c form the kernel of V_g (logarithmic derivatives)",
+        )
+
+
 def test_auto_constraints_unsupported_for_matrix_base():
     K = DerivedField(2, RatFunc(DensePoly.one(PrimeField(2)), DensePoly.one(PrimeField(2))))
     A = MatrixRingAdapter(K, 2)
     g = minimal_p_polynomial(K)
     alg = ExtAlgebra(A, g, A.zero())
-    with pytest.raises(UnsupportedInstance):
+    with pytest.raises(UnsupportedInstance, match="^constraint analysis needs a commutative base$"):
         auto_constraints(alg)
 
 

@@ -19,7 +19,13 @@ from diffext.errors import (
 from diffext.frontend import instance_from_text
 from diffext.linalg import Matrix, solve_mod_p
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
-from diffext.towers import DerivedField, MatrixRingAdapter, PPolynomial, minimal_p_polynomial
+from diffext.towers import (
+    DerivedField,
+    MatrixRingAdapter,
+    PPolynomial,
+    minimal_p_polynomial,
+    p_polynomial_at_exponent,
+)
 
 
 def span_coords(alg, elems):
@@ -747,6 +753,44 @@ def test_division_proved_without_search_for_d_not_in_f(monkeypatch, p, count, bo
             assert alg.linear_right_factor_search(bound) is None, (weight, d)
             if p <= 3 and i == 0:
                 assert alg.is_division_probe(rng, samples=8), (weight, d)
+
+
+@pytest.mark.parametrize("p,g_text", [(2, "t^4 + t^2"), (3, "t^9 + 2*t^3")], ids=["p2", "p3"])
+def test_division_proved_at_exponent_two_for_d_not_in_f(monkeypatch, p, g_text):
+    # g = (t^p - a t)^p is the closed form of p_polynomial_at_exponent, so
+    # d = x not in F is proved before any search.  At p = 2 (dim 8 over F)
+    # the probe is the oracle: no sampled element is a zero divisor.
+    alg = instance_from_text("p = %d\ndelta_of_x = x\nd = x\ng = %s\n" % (p, g_text)).algebra
+    assert alg.g == p_polynomial_at_exponent(alg.ring, 2)
+    with monkeypatch.context() as m:
+        m.setattr(dext, "_fraction_candidates", _no_candidates)
+        assert alg.division_verdict(10 ** 9) == ("division (proved)", None)
+    if p == 2:
+        assert alg.is_division_probe(random.Random("factb-e2"), samples=150)
+
+
+def test_division_at_exponent_two_searches_for_g_not_closed_form(monkeypatch):
+    # t^4 + t annihilates x d/dx over F_2 (delta^2 = delta) but is not
+    # (t^2 + t)^2, so d = x not in F still gets the search and "unknown".
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t\n").algebra
+    assert alg.g != p_polynomial_at_exponent(alg.ring, 2)
+    assert alg.division_verdict(2) == ("unknown (bound exhausted)", None)
+    monkeypatch.setattr(dext, "_fraction_candidates", _no_candidates)
+    with pytest.raises(AssertionError, match="a search ran"):
+        alg.division_verdict(2)
+
+
+def test_division_verdict_compares_g_only_for_d_not_in_f_at_e_above_one(monkeypatch, i1, i2):
+    # The closed form is built only after d is found outside F, and never
+    # at e = 1, where every annihilating g is the closed form.
+    def no_closed_form(K, e):
+        raise AssertionError("closed form built")
+
+    e2_const = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\ng = t^4 + t^2\n").algebra
+    monkeypatch.setattr(dext, "p_polynomial_at_exponent", no_closed_form)
+    assert i1.division_verdict(4) == ("division (proved)", None)
+    assert i2.division_verdict(1)[0] == "not division (witness)"
+    assert e2_const.division_verdict(1)[0] == "not division (witness)"
 
 
 def test_division_probe_consistency(i1, i2, rng_seed=0):

@@ -7,6 +7,7 @@ import pytest
 from diffext.errors import (
     InternalInvariantViolation,
     NonInvertibleLeadingCoefficient,
+    NoSolution,
     NotInner,
 )
 from diffext.diffpoly import (
@@ -19,6 +20,8 @@ from diffext.diffpoly import (
     v_g,
     v_p_tower,
 )
+from diffext.frontend import instance_from_text
+from diffext.linalg import Matrix
 from diffext.parsing import parse_diffpoly
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import (
@@ -334,6 +337,71 @@ def test_find_inner_constant_not_inner():
     g = PPolynomial(2, 1, (K2X.zero(),))
     with pytest.raises(NotInner):
         find_inner_constant(K2X, g)
+
+
+def _solve_inner_constant(ring, g):
+    """The F-linear solve find_inner_constant replaced, kept as its oracle.
+
+    d0 in the basis of the ring over its constants: the commutator condition
+    on basis elements and delta(d0) = 0 form one system, solved with the
+    free variables at zero; NotInner when it is inconsistent.
+    """
+    basis = ring.constant_basis()
+    n = len(basis)
+    zero = ring.base_field.zero()
+    rows, rhs = [], []
+    for b in basis:
+        target = ring.coords(g.apply_operator(ring, b))
+        cols = [ring.coords(ej * b - b * ej) for ej in basis]
+        for k in range(len(target)):
+            rows.append([cols[j][k] for j in range(n)])
+            rhs.append(target[k])
+    for j, ej in enumerate(basis):
+        for c in ring.coords(ring.delta(ej)):
+            if c:
+                rows.append([c if jj == j else zero for jj in range(n)])
+                rhs.append(zero)
+    try:
+        sol, _ = Matrix(ring.base_field, rows).solve(tuple(rhs))
+    except NoSolution:
+        raise NotInner("no constant d0") from None
+    return ring.from_coords(sol)
+
+
+def _inner_cases():
+    for p in (2, 3, 5):
+        for weight in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x"):
+            K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+            zero, one, xp = K.zero(), K.one(), K.x() ** p
+            gs = {
+                "minimal": minimal_p_polynomial(K),
+                "exponent two": p_polynomial_at_exponent(K, 2),
+                "t^p": PPolynomial(p, 1, (zero,)),
+                "t^p + x^p t": PPolynomial(p, 1, (xp,)),
+                "t^(p^2) + t^p": PPolynomial(p, 2, (one, zero)),
+            }
+            rings = [K] + ([MatrixRingAdapter(K, 2)] if p <= 3 else [])
+            for ring in rings:
+                for name, g in gs.items():
+                    yield "%s-%s-%s" % (ring, weight, name), ring, g
+
+
+def test_find_inner_constant_matches_linear_solve():
+    # 125 cases: 75 over K at p = 2, 3, 5 and 50 over the 2 x 2 adapter at
+    # p = 2, 3.  Both answers are 0 or NotInner, and they agree.
+    outcomes = {"zero": 0, "not inner": 0}
+    for label, ring, g in _inner_cases():
+        try:
+            want = _solve_inner_constant(ring, g)
+        except NotInner:
+            with pytest.raises(NotInner):
+                find_inner_constant(ring, g)
+            outcomes["not inner"] += 1
+            continue
+        assert want == ring.zero() and find_inner_constant(ring, g) == want, label
+        outcomes["zero"] += 1
+    assert sum(outcomes.values()) == 125
+    assert outcomes["zero"] and outcomes["not inner"]
 
 
 def test_diffpoly_pow_matches_repeated_product():

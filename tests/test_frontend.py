@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import diffext
-from diffext import frontend
+from diffext import autos, frontend
 from diffext.cli import main
 from diffext.errors import (
     ConfigError,
@@ -178,6 +178,21 @@ def test_suite_reports_internal_invariant_violation_as_fail(monkeypatch, capsys)
     assert main(["verify", str(CONFIGS / "i1.cfg"), "--suite", "vops"]) == 1
     out = capsys.readouterr()
     assert "FAIL  vops.middle_coeffs" in out.out and "Traceback" not in out.err
+
+
+def test_inner_suite_reports_conjugation_mismatch_as_fail(monkeypatch, capsys):
+    # A descriptor that disagrees with literal conjugation is an arithmetic
+    # fault: the check fails, the report is still emitted, and the input is
+    # not blamed.
+    monkeypatch.setattr(autos, "apply_auto", lambda H, u: u + u)
+    report = run_suite(instance_from_text(I1_TEXT), "inner")
+    verdicts = {c.name: c.verdict for c in report.checks}
+    assert verdicts == {"inner.constant": "pass", "inner.inner_subgroup": "fail"}
+    error = report.checks[1].witness["error"]
+    assert error.startswith("normal form disagrees with conjugation by")
+    assert main(["verify", str(CONFIGS / "i1.cfg"), "--suite", "inner"]) == 1
+    out = capsys.readouterr()
+    assert "FAIL  inner.inner_subgroup" in out.out and "Traceback" not in out.err
 
 
 def test_report_deterministic_modulo_ms():
