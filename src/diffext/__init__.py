@@ -4,7 +4,7 @@ nonassociative algebras obtained by dividing out g(t) - d.
 The layers, bottom up:
 
     scalars   F_p, dense polynomials, reduced rational functions
-    linalg    exact matrices, RREF, kernels, solving
+    linalg    exact matrices, RREF, kernels, solving, matrix-ring arithmetic
     towers    F_p(x) with a derivation, its constants, p-polynomials
     diffpoly  the ring K[t; delta] and the V operators
     dext      quotient algebras, nuclei, center, factor search
@@ -67,7 +67,6 @@ from .parsing import parse_diffpoly, parse_expr, parse_field_element
 from .scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField
 from .towers import (
     DerivedField,
-    KMatrix,
     MatrixRingAdapter,
     PPolynomial,
     minimal_p_polynomial,
@@ -91,7 +90,6 @@ __all__ = [
     "Instance",
     "InstanceConfig",
     "InternalInvariantViolation",
-    "KMatrix",
     "Matrix",
     "MatrixRingAdapter",
     "NoSolution",

@@ -20,13 +20,15 @@ c = delta(u)/u; log_derivative_witness exhibits such a u by one exact
 solve.  Those shifts form a subgroup: composing shifts adds the c values,
 the identity is c = 0, and each nonidentity shift has order p.
 
-Over the derived field K = F_p(x) at exponent one, tau = id and eps = 1 are
+Over the derived field K = F_p(x), with g of the closed form
+(t^p - a t)^(p^(e-1)) (every g at exponent one), tau = id and eps = 1 are
 forced, so the shifts are all the descriptors; auto_constraints states
 these theorems with their proofs and computes nothing.
 
 Inner automorphisms by an invertible nuclear element a come out in the same
 normal form: conjugation by a equals the descriptor (i_a, a^(-1) delta(a), 1),
-which collapses to (id, a^(-1) delta(a), 1) over a commutative base.
+which collapses to (id, a^(-1) delta(a), 1) when a is central, as every a
+over a commutative base is.
 inner_auto re-checks that normal form against literal conjugation on the
 basis; a disagreement is an arithmetic fault, InternalInvariantViolation.
 
@@ -259,7 +261,8 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
         raise NotNuclear("%s fails an associator test" % (a,))
 
     c = a_inv * ring.delta(a)
-    if ring.is_commutative:
+    if ring.as_scalar(a) is not None:
+        # A central a: conjugation fixes every coefficient.
         tau = lambda z: z
         name = "id"
     else:
@@ -293,8 +296,8 @@ def shift_isomorphism(algebra: ExtAlgebra, a) -> AutoDescriptor:
 class AutoConstraintReport:
     """What the automorphism descriptors of the instance must look like.
 
-    For the commutative exponent-one instances: tau is the identity, eps
-    is 1, and the admissible shifts c are exactly the kernel of V_g, i.e.
+    For the instances over K with g of closed form: tau is the identity,
+    eps is 1, and the admissible shifts c are exactly the kernel of V_g, i.e.
     the logarithmic derivatives (proofs in auto_constraints).
     ``contains`` is the membership test for c.
     """
@@ -328,20 +331,33 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
       c x + eps delta(x) = x c + delta(x), i.e. (eps - 1) delta(x) = 0, and
       delta(x) != 0.
     * V_g(c) = 0.  g(t + c) = g(t) + V_g(c), so the shift t -> t + c
-      takes f = g(t) - d to f + V_g(c), and fixes f iff V_g(c) = 0.
+      takes f = g(t) - d to f + V_g(c), and fixes f iff V_g(c) = 0.  At
+      e = 1, g = z1 = t^p - a t and the kernel of V_z1 is the logarithmic
+      derivatives.  For the closed form g = z1^q, q = p^(e-1), the shift
+      takes z1 to z1 + V_z1(c), a sum of central elements, so V_g(c) =
+      V_z1(c)^q and the kernel is the same.
+
+    None of the three proofs needs e = 1, so all three facts hold word for
+    word for g = p_polynomial_at_exponent(K, e).  Another annihilating g
+    of exponent e is h(z1) for a p-polynomial h, so V_g = h(V_z1), whose
+    kernel can exceed the logarithmic derivatives; such a g is refused.
 
     Scope: the report constrains the descriptors.  By the paper these are
-    all of Aut(S_f) when d is not in F.  For associative instances (d in F)
-    Aut also holds inner maps that are not descriptors.
+    all of Aut(S_f) when d is not in F; that claim is checked at e = 1
+    only.  For associative instances (d in F) Aut also holds inner maps
+    that are not descriptors.
 
     Raises UnsupportedInstance over the matrix adapter, whose automorphisms
-    these arguments do not classify, and for exponent e != 1.
+    these arguments do not classify, and for a g not of closed form.
     """
     ring = algebra.ring
     if not ring.is_commutative:
         raise UnsupportedInstance("constraint analysis needs a commutative base")
-    if algebra.g.e != 1:
-        raise UnsupportedInstance("constraint analysis covers exponent-one instances")
+    if not algebra._g_is_closed_form():
+        raise UnsupportedInstance(
+            "constraint analysis covers g = (t^p - a t)^(p^(e-1)); for g = %s the "
+            "kernel of V_g can exceed the logarithmic derivatives" % algebra.g
+        )
     return AutoConstraintReport(
         algebra=algebra,
         tau_forced="id",

@@ -8,19 +8,22 @@ the product
     u o v = (u * v) mod f      (right division remainder),
 
 on representatives of degree below deg f.  The result is an algebra over
-the constant subfield F which is associative exactly when d is a constant,
-equivalently when f is right-invariant.  Maps between these algebras, the
-automorphisms and the shifts t -> t - a, are descriptors in the autos layer.
+the constant subfield F which is associative exactly when d is a central
+constant, equivalently when f is right-invariant.  Maps between these
+algebras, the automorphisms and the shifts t -> t - a, are descriptors in
+the autos layer.
 
 Nuclei, center and centralizers are common kernels of F-linear maps on
 coordinates, all computed by one routine: a running F-basis is cut down one
 map at a time, then put in the canonical free-column form.  Every map is an
 element-level product read back in coordinates, and the nuclei come from
-Petit's theory of these algebras (see ExtAlgebra.nucleus).  Over the
-derived field the nuclei need no map: z = g(t) is central, so the right
-nucleus is the centralizer of d, one small system over K, the full nucleus
-is K, and associativity is d in F.  The table of
-structure constants over F is built only on request, from the action of
+Petit's theory of these algebras (see ExtAlgebra.nucleus).  Over both
+coefficient rings z = g(t) is central, so associativity is "d is a central
+constant" (ring.as_scalar) and the right nucleus is the centralizer of d.
+Over the derived field that centralizer is one small system over K and the
+full nucleus is K, so no map is needed; the matrix adapter, not a division
+ring, keeps the associator maps for the left and middle nuclei.  The table
+of structure constants over F is built only on request, from the action of
 t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
 for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
@@ -30,34 +33,37 @@ entry is checked to lie in F, and tables above MAX_TABLE_ENTRIES
 coordinates are refused before any work.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
-search runs over fractions N/v of bounded height, one monic denominator v
-at a time.  V_g is additive and commutes with F_p-scalars, so the
-numerators that work for one v form an affine F_p-space, found by one
-linear solve over F_p on ints (linalg.solve_mod_p); the smallest-code
-solution is the witness a plain enumeration of the numerators would meet
-first.  Over the derived field the system comes without a fraction: u^p is
-a constant for every polynomial u, so Jacobson's p-step on a pair reads
+candidates are scalars, and V_g(K) lies in F (Fact A, see
+linear_right_factor_search), so only a d = embed(c) with c in F is
+searched, on c, the same way over both rings.  The search runs over
+fractions N/v of bounded height, one monic denominator v at a time.  V_g
+is additive and commutes with F_p-scalars, so the numerators that work for
+one v form an affine F_p-space, found by one linear solve over F_p on ints
+(linalg.solve_mod_p); the smallest-code solution is the witness a plain
+enumeration of the numerators would meet first.  The system comes
+without a fraction: u^p is a constant for every polynomial u, so
+Jacobson's p-step on a pair reads
 
     V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
 
 and level by level V_g(N/v) = d becomes a polynomial identity, cleared by
 v^(p^e) and by the denominators of d, of delta(x) and of the a_i, whose
-coefficients are F_p-linear in those of N (see _vg_rows).  The matrix
-adapter takes the honest route instead: the images fn(x^i/v) are read in
-coordinates and cleared of denominators one coordinate at a time
-(_coords_rows).  Both feed the one bounded-height search,
-_bounded_height_witness, which refuses a search of more than
-MAX_SEARCH_DENOMINATORS denominators before any work.  Over the derived
-field a d not in F needs no search when g is the closed form
-(t^p - a t)^(p^(e-1)), every g at e = 1: f is irreducible (see
-division_verdict).
+coefficients are F_p-linear in those of N (see _vg_rows).  The honest
+route, which reads the images fn(x^i/v) in coordinates and clears them of
+denominators one coordinate at a time (_coords_rows), stays as the
+reference the tests compare with.  The rows feed the one bounded-height
+search, _bounded_height_witness, which refuses a search of more than
+MAX_SEARCH_DENOMINATORS denominators before any work.  A d that is not
+a constant scalar needs no search (Fact A); over the derived field with g
+the closed form (t^p - a t)^(p^(e-1)), every g at e = 1, f is moreover
+irreducible (see division_verdict).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
+from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
@@ -375,23 +381,30 @@ class ExtAlgebra:
     def associator(self, u, v, w):
         return (u * v) * w - u * (v * w)
 
+    def _constant_scalar_d(self):
+        """The c in F with d = embed(c), or None: d is a central constant."""
+        c = self.ring.as_scalar(self.d)
+        return c if c is not None and self.base_field.is_constant(c) else None
+
     def is_associative(self) -> bool:
-        """Whether the quotient is associative, i.e. f is right-invariant.
+        """Whether the quotient is associative, i.e. d is a central constant.
 
         Associative means every u of degree below m is in the eigenring (see
         nucleus): f R_m in R f.  That is f R in R f, since r = q f + u with
         deg u < m gives f r = (f q) f + f u.
 
-        Over the derived field this is d in F.  z = g(t) is central in R
-        (its coefficients are constants and g(delta) = 0), and b f = f b for
-        b in K, while t d = d t + delta(d) gives t f = f t - delta(d).  The
-        r with f r in R f form a subring containing K, so f R lies in R f
-        iff f t does, iff delta(d), of degree 0 < m, lies in R f, iff
-        delta(d) = 0.  The matrix adapter checks right-invariance itself.
+        z = g(t) is central in R (its coefficients are constant scalars and
+        g(delta) = 0), so with f = z - d, t d = d t + delta(d) and b in A
+
+            f t = t f + delta(d),    f b = b f + (b d - d b).
+
+        The r with f r in R f form an F-subalgebra of R.  It contains t iff
+        delta(d), of degree 0 < m, lies in R f, iff delta(d) = 0, and b iff
+        b d = d b.  So S_f is associative iff d is a constant in the center
+        of A.  The center is embed(K) for both rings (K is commutative, and
+        the center of M_n(K) is K I), so the test reads _constant_scalar_d.
         """
-        if self.ring.is_commutative:  # the derived field
-            return self.ring.is_constant(self.d)
-        return is_right_invariant(self.f)
+        return self._constant_scalar_d() is not None
 
     def nucleus(self, which: str = "full"):
         """Basis over F of the requested nucleus as algebra elements.
@@ -407,16 +420,18 @@ class ExtAlgebra:
         * otherwise, over a division ring (the derived field), left and
           middle are the coefficient ring (Petit, 1966/67).  The matrix
           adapter is not a division ring: left and middle stay honest
-          kernels of the associator maps over basis pairs, and right and
-          full keep the eigenring map u |-> (f u) mod f.
+          kernels of the associator maps over basis pairs.
 
-        Over the derived field K no map is needed for right and full.
-        z = g(t) is central in R, so with f = z - d
+        Over both rings z = g(t) is central in R, so with f = z - d
 
             f u = u z - d u = u f + (u d - d u),
 
         and u d - d u has degree below deg u < m: the eigenring is the
-        centralizer of d in R_<m, a left K-space.  For u = sum u_i t^i,
+        centralizer of d in R_<m.  In the quotient u o d - d o u needs no
+        reduction, so the matrix adapter's right and full nuclei use the
+        map u |-> u o d - d o u.  Over the derived field K no map is needed
+        for right and full: the centralizer is a left K-space, and for
+        u = sum u_i t^i,
 
             u d - d u = sum_i u_i sum_(k<i) C(i, k) delta^(i-k)(d) t^k,
 
@@ -443,7 +458,7 @@ class ExtAlgebra:
             else:
                 start = units
                 if which in ("right", "full"):
-                    maps.append(self._on_coords(lambda u: [self.element(self.f * u.rep)]))
+                    maps.append(self._commutator_with(self.scalar(self.d)))
                 if which != "right":
                     # A is always left and middle nuclear (f is monic), so the
                     # maps for a in A vanish: they run last, on the smallest basis.
@@ -524,19 +539,24 @@ class ExtAlgebra:
         order of _bounded_height_witness; zero is tried last so that a unit
         witness is preferred when d = 0 makes the trivial factor t
         available.  The first candidate in that order is returned, or None.
-        Over the derived field each v is one fraction-free system
-        (_vg_rows); the adapter reads V_g in coordinates (_coords_rows).
+
+        Fact A: V_g(b) is a constant scalar for every central b, and the
+        candidates are scalars.  t |-> t - b is an automorphism of R for
+        central b, so V_g(b) = g(t) - g(t - b) is central of degree 0, and
+        the center of R meets A in the constant scalars; and V_g(embed b) =
+        embed V_g(b).  So a d that is not a constant scalar has no such
+        factor, and None is returned with no search (and no search guard).
+        Otherwise d = embed(c), and each v is one fraction-free system for
+        V_g(b) = c over K (_vg_rows), over both rings.
         """
-        ring, g, K, d = self.ring, self.g, self.base_field, self.d
-        if ring.is_commutative:
-            rows_for = _vg_rows(K, g, d, bound)
-        else:
-            fn = lambda u: ring.coords(v_g(ring, g, ring.embed(u)))
-            rows_for = _coords_rows(K, fn, ring.coords(d), bound)
-        b = _bounded_height_witness(K, rows_for, bound)
+        c = self._constant_scalar_d()
+        if c is None:
+            return None
+        K = self.base_field
+        b = _bounded_height_witness(K, _vg_rows(K, self.g, c, bound), bound)
         if b is not None:
             return self._checked_factor(b)
-        if not d:  # V_g(0) = 0
+        if not c:  # V_g(0) = 0
             return self._checked_factor(K.zero())
         return None
 
@@ -587,13 +607,21 @@ class ExtAlgebra:
         if (
             self.ring.is_commutative
             and not self.ring.is_constant(self.d)
-            and (self.g.e == 1 or self.g == p_polynomial_at_exponent(self.ring, self.g.e))
+            and self._g_is_closed_form()
         ):
             return "division (proved)", None
         b = self.linear_right_factor_search(bound)
         if b is not None:
             return "not division (witness)", b
         return "unknown (bound exhausted)", None
+
+    def _g_is_closed_form(self) -> bool:
+        """Whether g is p_polynomial_at_exponent(K, e): (t^p - a t)^(p^(e-1)).
+
+        Every annihilating g at e = 1 is, so the closed form is built only
+        for e >= 2.  Over the derived field only.
+        """
+        return self.g.e == 1 or self.g == p_polynomial_at_exponent(self.ring, self.g.e)
 
     def is_division_probe(self, rng, samples: int = 200) -> bool:
         """Left multiplications by sampled nonzero elements are injective.
@@ -633,9 +661,10 @@ def _bounded_height_witness(K, rows_for, bound: int):
       d, of delta(x) and of the a_i, built on coefficient tuples with no
       fraction formed;
     * _coords_rows, for any map read in coordinates: fn(x^i/v) expanded
-      honestly and each coordinate equation cleared of denominators (the
-      matrix adapter, and the test oracle for the first and for the exact
-      log-derivative witness of the autos layer).
+      honestly and each coordinate equation cleared of denominators.  No
+      product path calls it; it is the reference the tests compare
+      _vg_rows and the exact log-derivative witness of the autos layer
+      with.
 
     Multiplying an equation of K by a nonzero polynomial does not change
     which c solve it, so both give the solution set of fn(N/v) = target
@@ -677,6 +706,9 @@ def _bounded_height_witness(K, rows_for, bound: int):
 
 def _coords_rows(K, fn, target, degree):
     """Row builder for sum c_i fn(x^i/v) = target, i <= degree, in coordinates.
+
+    Kept as the slow, honest reference route for the tests of _vg_rows and
+    of autos.log_derivative_witness; the library itself does not call it.
 
     fn takes an element of K to a tuple of coordinates in K, and target is
     such a tuple.  For each v, every coordinate equation is cleared of

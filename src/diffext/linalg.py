@@ -1,10 +1,13 @@
-"""Exact Gaussian elimination over an arbitrary field, and over F_p on ints.
+"""Exact matrices over a field: elimination, matrix-ring arithmetic, and F_p.
 
 ``Matrix`` takes entries that are any objects supporting +, -, *, unary -,
 ==, truthiness (falsy means zero) and an ``inverse()`` method; the field
 context only has to provide ``zero()`` and ``one()``.  In practice the
 entries are canonical rational functions, so equality and the zero test are
-structural and the results are exact.
+structural and the results are exact.  The same class is the element type
+of the matrix ring M_n(K) (towers.MatrixRingAdapter): +, -, the product,
+which skips zero entries, ``**`` through scalars._power, a zero test and a
+hash.
 
 Pivot choice is deterministic: first nonzero entry scanning top to bottom.
 Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
@@ -23,7 +26,10 @@ not depend on the order or repetition of the rows.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import NoSolution
+from .scalars import _power
 
 __all__ = ["Matrix", "NoSolution", "solve_mod_p"]
 
@@ -48,9 +54,14 @@ class Matrix:
         self.ncols = w
 
     @classmethod
+    def scalar(cls, field, n, c):
+        """The n x n matrix c I."""
+        zero = field.zero()
+        return cls(field, [[c if i == j else zero for j in range(n)] for i in range(n)])
+
+    @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.scalar(field, n, field.one())
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -79,8 +90,48 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
+    # -- matrix-ring arithmetic ----------------------------------------
+
+    def _entrywise(self, other, op):
+        return Matrix(self.field, [map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, sub)
+
+    def __neg__(self):
+        return Matrix(self.field, [[-a for a in r] for r in self.rows])
+
+    def __mul__(self, other):
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in matrix product")
+        zero = self.field.zero()
+        cols = [other.column(j) for j in range(other.ncols)]
+        out = []
+        for r in self.rows:
+            row = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(r, col):
+                    if a and b:
+                        acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return Matrix(self.field, out)
+
+    def __pow__(self, m: int):
+        return _power(self, m, Matrix.identity(self.field, self.nrows))
+
+    def __bool__(self):
+        return any(any(r) for r in self.rows)
+
     def __eq__(self, other):
         return isinstance(other, Matrix) and other.rows == self.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)

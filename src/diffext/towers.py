@@ -23,9 +23,13 @@ canonical numerator and denominator tuples, because the twisted
 arithmetic derives the same coefficients again and again.  The memo is
 emptied when it holds _DELTA_MEMO_ENTRIES arguments.
 
-``MatrixRingAdapter`` wraps n x n matrices over K with the entrywise
-derivation.  It exists to exercise the noncommutative code paths (the
-commutator terms in the twisted arithmetic); it is not a division ring.
+``MatrixRingAdapter`` is the ring M_n(K) with the entrywise derivation; its
+elements are ``linalg.Matrix`` values.  It exists to exercise the
+noncommutative code paths (the commutator terms in the twisted arithmetic);
+it is not a division ring.  Both rings answer ``as_scalar``: the c in K
+with embed(c) = a, or None.  Their centers are embed(K), since K is
+commutative and the center of M_n(K) is K I, so d is a central constant
+exactly when as_scalar(d) is a constant.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .scalars import (
     _mul,
     _neg,
     _poly,
-    _power,
     _ratfunc,
     poly_gcd,
     random_ratfunc,
@@ -59,7 +62,6 @@ __all__ = [
     "minimal_p_polynomial",
     "p_polynomial_at_exponent",
     "MatrixRingAdapter",
-    "KMatrix",
 ]
 
 # Most arguments a DerivedField remembers in its delta memo before it
@@ -101,6 +103,10 @@ class DerivedField(RationalFunctionField):
 
     def embed(self, c: RatFunc) -> RatFunc:
         return c
+
+    def as_scalar(self, a: RatFunc) -> RatFunc:
+        """The c in K with embed(c) = a: a itself."""
+        return a
 
     def invert(self, a: RatFunc) -> RatFunc:
         return a.inverse()
@@ -367,81 +373,6 @@ def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
     return p_polynomial_at_exponent(K, 1)
 
 
-class KMatrix:
-    """Square matrix over F_p(x); element of the adapter ring."""
-
-    __slots__ = ("K", "n", "entries")
-
-    def __init__(self, K: RationalFunctionField, n: int, entries):
-        entries = tuple(tuple(r) for r in entries)
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ValueError("expected an %d x %d matrix" % (n, n))
-        self.K = K
-        self.n = n
-        self.entries = entries
-
-    def _zip(self, other, op):
-        return KMatrix(
-            self.K,
-            self.n,
-            [
-                [op(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return KMatrix(self.K, self.n, [[-a for a in r] for r in self.entries])
-
-    def __mul__(self, other):
-        n = self.n
-        zero = self.K.zero()
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return KMatrix(self.K, n, out)
-
-    def __pow__(self, m: int):
-        return _power(self, m, KMatrix.scalar(self.K, self.n, self.K.one()))
-
-    def __bool__(self):
-        return any(any(e for e in r) for r in self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KMatrix)
-            and other.n == self.n
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.entries))
-
-    @classmethod
-    def scalar(cls, K, n, c: RatFunc):
-        zero = K.zero()
-        return cls(K, n, [[c if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __str__(self):
-        return "[%s]" % "; ".join(", ".join(str(e) for e in r) for r in self.entries)
-
-    __repr__ = __str__
-
-
 class MatrixRingAdapter:
     """n x n matrices over a derived field, derivation applied entrywise."""
 
@@ -468,32 +399,37 @@ class MatrixRingAdapter:
     def dim_over_constants(self) -> int:
         return self.n * self.n * self.base.p
 
-    def zero(self) -> KMatrix:
-        return KMatrix.scalar(self.base, self.n, self.base.zero())
+    def zero(self) -> Matrix:
+        return self.embed(self.base.zero())
 
-    def one(self) -> KMatrix:
-        return KMatrix.scalar(self.base, self.n, self.base.one())
+    def one(self) -> Matrix:
+        return self.embed(self.base.one())
 
-    def embed(self, c: RatFunc) -> KMatrix:
-        return KMatrix.scalar(self.base, self.n, c)
+    def embed(self, c: RatFunc) -> Matrix:
+        return Matrix.scalar(self.base, self.n, c)
 
-    def of(self, rows) -> KMatrix:
-        return KMatrix(self.base, self.n, rows)
+    def as_scalar(self, a: Matrix):
+        """The c in K with a = c I, or None when a is not a scalar matrix."""
+        c = a.rows[0][0]
+        return c if a == self.embed(c) else None
 
-    def delta(self, a: KMatrix) -> KMatrix:
-        return KMatrix(
-            self.base, self.n, [[self.base.delta(e) for e in r] for r in a.entries]
-        )
+    def of(self, rows) -> Matrix:
+        a = Matrix(self.base, rows)
+        if a.nrows != self.n or a.ncols != self.n:
+            raise ValueError("expected an %d x %d matrix" % (self.n, self.n))
+        return a
 
-    def is_constant(self, a: KMatrix) -> bool:
-        return all(self.base.is_constant(e) for r in a.entries for e in r)
+    def delta(self, a: Matrix) -> Matrix:
+        return Matrix(self.base, [[self.base.delta(e) for e in r] for r in a.rows])
 
-    def invert(self, a: KMatrix) -> KMatrix:
+    def is_constant(self, a: Matrix) -> bool:
+        return all(self.base.is_constant(e) for r in a.rows for e in r)
+
+    def invert(self, a: Matrix) -> Matrix:
         try:
-            inv = Matrix(self.base, a.entries).inverse()
+            return a.inverse()
         except NoSolution:
             raise ZeroDivisionError("matrix is not invertible") from None
-        return KMatrix(self.base, self.n, inv.rows)
 
     def constant_basis(self):
         """Units E_kl x^j: an F-basis of the matrix ring."""
@@ -504,31 +440,20 @@ class MatrixRingAdapter:
                 for xj in self.base.constant_basis():
                     rows = [[zero] * self.n for _ in range(self.n)]
                     rows[k][l] = xj
-                    out.append(KMatrix(self.base, self.n, rows))
+                    out.append(Matrix(self.base, rows))
         return out
 
-    def coords(self, a: KMatrix):
-        out = []
-        for k in range(self.n):
-            for l in range(self.n):
-                out.extend(self.base.coords(a.entries[k][l]))
-        return tuple(out)
+    def coords(self, a: Matrix):
+        return tuple(c for r in a.rows for e in r for c in self.base.coords(e))
 
-    def from_coords(self, cs) -> KMatrix:
-        p = self.base.p
-        it = iter(cs)
-        rows = []
-        for k in range(self.n):
-            row = []
-            for l in range(self.n):
-                row.append(self.base.from_coords([next(it) for _ in range(p)]))
-            rows.append(row)
-        return KMatrix(self.base, self.n, rows)
+    def from_coords(self, cs) -> Matrix:
+        p, n = self.base.p, self.n
+        entries = [self.base.from_coords(cs[i : i + p]) for i in range(0, n * n * p, p)]
+        return Matrix(self.base, [entries[k : k + n] for k in range(0, n * n, n)])
 
-    def random_element(self, rng, max_degree: int) -> KMatrix:
-        return KMatrix(
+    def random_element(self, rng, max_degree: int) -> Matrix:
+        return Matrix(
             self.base,
-            self.n,
             [
                 [random_ratfunc(self.base, rng, max_degree) for _ in range(self.n)]
                 for _ in range(self.n)

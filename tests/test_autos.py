@@ -284,6 +284,18 @@ def test_inner_auto_over_matrices_needs_right_nuclear_a():
     assert G.tau_name == "conj" and G.c == A.of([[one, zero], [zero, zero]])
 
 
+def test_inner_auto_by_scalar_matrix_fixes_coefficients():
+    # A scalar a = c I is central: conjugation fixes every coefficient, so
+    # tau is named "id"; the basis cross-check inside inner_auto agrees.
+    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
+    A = MatrixRingAdapter(K, 2)
+    x, zero = K.x(), K.zero()
+    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[x, zero], [zero, zero]]))
+    for c in (K.one(), x, x * x + K.one()):
+        G = inner_auto(alg, A.embed(c))
+        assert G.tau_name == "id" and G.c == A.embed(K.log_derivative(c))
+
+
 def test_inner_autos_are_log_derivative_shifts(i1):
     # The inner subgroup lands exactly on shifts by log derivatives.
     rng = random.Random(33)

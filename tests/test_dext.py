@@ -359,6 +359,60 @@ def test_adapter_left_nucleus_matches_table_engine(adapter_diag):
     )
 
 
+# Over the adapter, right-invariance of f and the eigenring map
+# u |-> (f u) mod f are the oracles for "d is a central constant" and for
+# the centralizer of d.
+def _adapter_test_ds(A, rng):
+    """0, 1, x^p, x as scalars, then diag(1, 0) and E_01 (n = 2), then random."""
+    K = A.base
+    x, one, zero = K.x(), K.one(), K.zero()
+    ds = [A.zero(), A.one(), A.embed(x ** A.p), A.embed(x)]
+    if A.n == 2:
+        ds += [A.of([[one, zero], [zero, zero]]), A.of([[zero, one], [zero, zero]])]
+    return ds + [A.random_element(rng, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_adapter_is_associative_matches_right_invariance(p, n):
+    K = instance_from_text("p = %d\ndelta_of_x = x\nd = 0\n" % p).K
+    A = MatrixRingAdapter(K, n)
+    g = minimal_p_polynomial(K)
+    verdicts = []
+    for d in _adapter_test_ds(A, random.Random("assoc:%d:%d" % (p, n))):
+        alg = ExtAlgebra(A, g, d)
+        assert alg.is_associative() == is_right_invariant(alg.f), d
+        verdicts.append(alg.is_associative())
+    # The random d is left to the oracle: at n = 1 it may be a constant.
+    assert verdicts[:-1] == [True] * 3 + [False] * (len(verdicts) - 4)
+
+
+def _eigenring_nuclei(alg):
+    """Right and full nuclei with the eigenring map u |-> (f u) mod f."""
+    units = alg._units()
+    eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
+    basis = alg.basis()[::-1]
+    assoc = [alg._associator_map(slot, a) for slot in ("left", "middle") for a in basis]
+    return {
+        "right": alg._common_kernel([eigen], units),
+        "full": alg._common_kernel([eigen] + assoc, units),
+    }
+
+
+def test_adapter_right_and_full_nuclei_match_eigenring_map(adapter_diag):
+    F = PrimeField(2)
+    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
+    A = MatrixRingAdapter(K, 2)
+    one, zero = K.one(), K.zero()
+    # diag(1, 0) is constant but not scalar: the algebra is not associative.
+    const = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[one, zero], [zero, zero]]))
+    assert not const.is_associative()
+    for alg in (adapter_diag, const):
+        oracle = _eigenring_nuclei(alg)
+        for which in ("right", "full"):
+            assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which]
+
+
 def test_exponent_two_nuclei_match_table_engine():
     # g = t^4 + t^2 annihilates x d/dx over F_2 but is not minimal.  Left
     # and middle are still K; the right nucleus is the larger eigenring.
@@ -690,7 +744,8 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
 
 
 def test_search_guard_refuses_before_any_work(monkeypatch):
-    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x\n").algebra
+    # d is in F, so the search runs; its only factor, t - x^10, lies above 4.
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n").algebra
 
     def no_candidates(K, bound):
         raise AssertionError("denominators enumerated past the guard")
@@ -771,13 +826,88 @@ def test_division_proved_at_exponent_two_for_d_not_in_f(monkeypatch, p, g_text):
 
 def test_division_at_exponent_two_searches_for_g_not_closed_form(monkeypatch):
     # t^4 + t annihilates x d/dx over F_2 (delta^2 = delta) but is not
-    # (t^2 + t)^2, so d = x not in F still gets the search and "unknown".
-    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t\n").algebra
+    # (t^2 + t)^2, so Fact B does not apply and d = x not in F reads
+    # "unknown".  It needs no search: V_g(K) lies in F (Fact A).  A d in F
+    # does get the search.
+    text = "p = 2\ndelta_of_x = x\nd = %s\ng = t^4 + t\n"
+    alg = instance_from_text(text % "x").algebra
+    in_f = instance_from_text(text % "x^2").algebra
     assert alg.g != p_polynomial_at_exponent(alg.ring, 2)
-    assert alg.division_verdict(2) == ("unknown (bound exhausted)", None)
+    assert in_f.division_verdict(2) == ("unknown (bound exhausted)", None)
     monkeypatch.setattr(dext, "_fraction_candidates", _no_candidates)
+    assert alg.division_verdict(2) == ("unknown (bound exhausted)", None)
     with pytest.raises(AssertionError, match="a search ran"):
-        alg.division_verdict(2)
+        in_f.division_verdict(2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_v_g_of_every_b_is_constant(p):
+    # Fact A: g(t) and g(t - b) are central, so V_g(b) is a constant; over
+    # the adapter V_g(b I) = V_g(b) I.
+    rng = random.Random("factA:%d" % p)
+    for weight in _FACT_B_WEIGHTS:
+        K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+        g = minimal_p_polynomial(K)
+        A = MatrixRingAdapter(K, 2)
+        for _ in range(4):
+            b = random_ratfunc(K, rng, 3)
+            vb = v_g(K, g, b)
+            assert K.is_constant(vb), (weight, b)
+            if p <= 3:
+                assert v_g(A, g, A.embed(b)) == A.embed(vb)
+
+
+_FACT_A_CASES = [(p, w, None) for p in (2, 3, 5) for w in _FACT_B_WEIGHTS] + [(2, "x", "t^4 + t")]
+
+
+@pytest.mark.parametrize(
+    "p,weight,g_text",
+    _FACT_A_CASES,
+    ids=[("p%d-%s-%s" % c).replace(" ", "") for c in _FACT_A_CASES],
+)
+def test_no_linear_factor_for_d_not_in_f_without_search(monkeypatch, p, weight, g_text):
+    # V_g(K) lies in F (Fact A), so d not in F has no linear right factor:
+    # the search returns None before enumerating a denominator, and at
+    # p <= 3 the enumeration agrees at bound 1.
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    inst = instance_from_text(text + ("g = %s\n" % g_text if g_text else ""))
+    K, g = inst.K, inst.g
+    rng = random.Random("factA-search:%d:%s:%s" % (p, weight, g_text))
+    for _ in range(10):
+        d = random_ratfunc(K, rng, 2)
+        while K.is_constant(d):
+            d = random_ratfunc(K, rng, 2)
+        alg = ExtAlgebra(K, g, d)
+        with monkeypatch.context() as m:
+            m.setattr(dext, "_fraction_candidates", _no_candidates)
+            assert alg.linear_right_factor_search(10 ** 9) is None
+        if p <= 3:
+            assert brute_force_factor(alg, 1) is None, d
+
+
+@pytest.mark.parametrize(
+    "p,n,bound", [(2, 1, 2), (2, 2, 2), (3, 2, 1)], ids=["p2n1", "p2n2", "p3n2"]
+)
+def test_adapter_search_on_scalar_constant_matches_k(p, n, bound):
+    # d = c I with c in F: the adapter searches V_g(b) = c over K, so it
+    # returns the embedded K witness, or None with it.
+    inst = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p)
+    K, g = inst.K, inst.g
+    A = MatrixRingAdapter(K, n)
+    rng = random.Random("adapter-search:%d:%d" % (p, n))
+    cs = [
+        K.zero(),
+        K.x() ** p,
+        v_g(K, g, _fraction_of_height(K, rng, bound)),
+        v_g(K, g, _fraction_of_height(K, rng, bound + 2)),
+    ]
+    found = 0
+    for c in cs:
+        want = ExtAlgebra(K, g, c).linear_right_factor_search(bound)
+        got = ExtAlgebra(A, g, A.embed(c)).linear_right_factor_search(bound)
+        assert got == (None if want is None else A.embed(want)), c
+        found += want is not None
+    assert found >= 2
 
 
 def test_division_verdict_compares_g_only_for_d_not_in_f_at_e_above_one(monkeypatch, i1, i2):

@@ -148,17 +148,37 @@ def test_nuclei_suite_exponent_two(text, dims):
     assert witness["nuclei.slots"]["dims"] == str(dict(zip(("left", "middle", "right"), dims)))
 
 
-def test_cli_verify_all_exponent_two_reports_constraints_unknown(tmp_path):
+def _verify_all_checks(tmp_path, text):
     out = tmp_path / "report.json"
-    proc = _cli(tmp_path, "verify", "CFG", "--suite", "all", "--json", str(out), config=E2_P2_TEXT)
+    proc = _cli(tmp_path, "verify", "CFG", "--suite", "all", "--json", str(out), config=text)
     assert proc.returncode == 0, proc.stderr
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["nuclei.slots"]["verdict"] == "pass"
+    assert {c["verdict"] for c in checks.values()} <= {"pass", "unknown"}
+    return checks
+
+
+def test_cli_verify_all_exponent_two_reports_constraints_unknown(tmp_path):
+    # t^4 + t = z1^2 + z1 for z1 = t^2 + t is not the closed form z1^2:
+    # V_g = V_z1^2 + V_z1 can vanish off the logarithmic derivatives.
+    checks = _verify_all_checks(tmp_path, E2_P2_TEXT.replace("t^4 + t^2", "t^4 + t"))
     assert checks["autos.constraints"]["verdict"] == "unknown"
     assert checks["autos.constraints"]["witness"] == {
-        "reason": "constraint analysis covers exponent-one instances"
+        "reason": "constraint analysis covers g = (t^p - a t)^(p^(e-1)); for g = t^4 + t "
+        "the kernel of V_g can exceed the logarithmic derivatives"
     }
-    assert {c["verdict"] for c in checks.values()} <= {"pass", "unknown"}
+
+
+def test_cli_verify_all_exponent_two_closed_form_states_constraints(tmp_path):
+    # g = t^4 + t^2 = (t^2 + t)^2 is the closed form, so V_g = V_z1^2 and
+    # the three facts hold as at exponent one.
+    checks = _verify_all_checks(tmp_path, E2_P2_TEXT)
+    assert checks["autos.constraints"]["verdict"] == "pass"
+    assert checks["autos.constraints"]["witness"] == {
+        "tau": "id",
+        "eps": "1",
+        "c": "V_g(c) = 0",
+    }
 
 
 def test_suite_reports_internal_invariant_violation_as_fail(monkeypatch, capsys):

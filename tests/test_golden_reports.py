@@ -8,8 +8,7 @@ regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-which prints the keys whose entry changed.  The ``division`` suite is left
-out: its probe is slow.
+which prints the keys whose entry changed.
 """
 
 import contextlib
@@ -30,7 +29,7 @@ COMMANDS = (
     ("nucleus", "--which", "right"),
     ("autos", "--check-c", "1/x", "--order", "1"),
     ("inner", "--a", "x^2+x"),
-    *(("verify", "--suite", s) for s in ("ring", "vops", "autos", "inner", "nuclei")),
+    *(("verify", "--suite", s) for s in ("ring", "vops", "autos", "inner", "nuclei", "division")),
 )
 
 

@@ -63,6 +63,57 @@ def test_solve_residual_and_rank_nullity_sampled():
             assert mat.mul_vec(shifted) == rhs
 
 
+def _random_matrix(K, rng, nrows, ncols):
+    # About a third of the entries are zero, so the product's zero skip runs.
+    return Matrix(K, [
+        [random_ratfunc(K, rng, 2) if rng.randrange(3) else K.zero() for _ in range(ncols)]
+        for _ in range(nrows)
+    ])
+
+
+def _triple_loop_product(a, b):
+    zero = a.field.zero()
+    return [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)), zero) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+@pytest.mark.parametrize("K", [K2, K3], ids=["p2", "p3"])
+def test_matrix_product_and_power_match_oracles(K):
+    rng = random.Random("matmul:%d" % K.p)
+    for _ in range(20):
+        n, k, m = (rng.randrange(1, 4) for _ in range(3))
+        a, b = _random_matrix(K, rng, n, k), _random_matrix(K, rng, k, m)
+        assert (a * b).rows == tuple(map(tuple, _triple_loop_product(a, b)))
+        c = _random_matrix(K, rng, n, k)
+        assert (a + c) - c == a and -(-a) == a and not (a - a)
+    with pytest.raises(ValueError):
+        _random_matrix(K, rng, 2, 3) * _random_matrix(K, rng, 2, 3)
+    for n in (1, 2, 3):
+        a = _random_matrix(K, rng, n, n)
+        expected = Matrix.identity(K, n)
+        for e in range(6):
+            assert a ** e == expected
+            expected = expected * a
+        x = K.x()
+        assert Matrix.scalar(K, n, x) ** 3 == Matrix.scalar(K, n, x ** 3)
+
+
+def test_matrix_bool_hash_and_eq_agree():
+    rng = random.Random("matbool")
+    zero = Matrix.scalar(K3, 2, K3.zero())
+    mats = [zero, Matrix.identity(K3, 2)] + [_random_matrix(K3, rng, 2, 2) for _ in range(30)]
+    for a in mats:
+        copy = Matrix(K3, [list(r) for r in a.rows])
+        assert copy == a and hash(copy) == hash(a)
+        assert bool(a) == (a != zero) == any(e for r in a.rows for e in r)
+        for b in mats:
+            assert (a == b) == (a.rows == b.rows)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 def test_inverse():
     x = K3.x()
     m = Matrix(K3, [[K3.one(), x], [K3.zero(), K3.one()]])

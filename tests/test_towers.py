@@ -10,7 +10,6 @@ from diffext.linalg import Matrix
 from diffext.scalars import RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
-    KMatrix,
     MatrixRingAdapter,
     PPolynomial,
     minimal_p_polynomial,
