@@ -39,8 +39,7 @@ only central a over the matrix adapter.  Its inverse is the shift by -a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
 
 from .dext import AlgebraElement, ExtAlgebra, _padded_rows
 from .diffpoly import DiffPoly, _substitute_powers, _substitution_powers, v_g
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class AutoDescriptor:
     """Validated map data: coefficient map tau, shift c, stretch eps.
 
@@ -78,24 +76,22 @@ class AutoDescriptor:
     i <= deg f, formed from the other fields when the descriptor is made;
     the checks compute H(f) with them and apply_auto combines them.  It is
     not a constructor argument and takes no part in equality, hashing or repr.
+    The fields cannot be assigned, so the hash stays valid.
     """
 
-    algebra: ExtAlgebra
-    tau: Callable
-    tau_name: str
-    c: object
-    eps: object
-    target: Optional[ExtAlgebra] = field(default=None, kw_only=True)
-    powers: tuple = field(init=False, repr=False)
+    __slots__ = ("algebra", "tau", "tau_name", "c", "eps", "target", "powers")
 
-    def __post_init__(self):
-        if self.target is None:
-            object.__setattr__(self, "target", self.algebra)
-        ring = self.algebra.ring
-        n = self.algebra.f.degree() + 1
-        object.__setattr__(
-            self, "powers", tuple(_substitution_powers(ring, self.c, self.eps, n))
-        )
+    def __init__(self, algebra: ExtAlgebra, tau, tau_name: str, c, eps, *, target=None):
+        powers = tuple(_substitution_powers(algebra.ring, c, eps, algebra.f.degree() + 1))
+        target = algebra if target is None else target
+        for name, value in zip(self.__slots__, (algebra, tau, tau_name, c, eps, target, powers)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AutoDescriptor is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AutoDescriptor is immutable")
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         return apply_auto(self, u)
@@ -162,7 +158,7 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(H.target, _substitute_powers(u.rep, H.tau, H.powers))
 
 
-def auto_order(H: AutoDescriptor, bound: int = 64) -> Optional[int]:
+def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
     """Order of H in the automorphism group, or None past the bound.
 
     Computed honestly by iterating on the basis; identity is order 1.
@@ -292,21 +288,18 @@ def shift_isomorphism(algebra: ExtAlgebra, a) -> AutoDescriptor:
     return _checked_descriptor(algebra, lambda z: z, -a, ring.one(), "id", target)
 
 
-@dataclass(frozen=True)
-class AutoConstraintReport:
+class AutoConstraintReport(
+    namedtuple("AutoConstraintReport", "algebra tau_forced eps_forced c_condition facts")
+):
     """What the automorphism descriptors of the instance must look like.
 
     For the instances over K with g of closed form: tau is the identity,
     eps is 1, and the admissible shifts c are exactly the kernel of V_g, i.e.
     the logarithmic derivatives (proofs in auto_constraints).
-    ``contains`` is the membership test for c.
+    ``contains`` is the membership test for c.  An immutable record.
     """
 
-    algebra: ExtAlgebra
-    tau_forced: str
-    eps_forced: str
-    c_condition: str
-    facts: tuple
+    __slots__ = ()
 
     def contains(self, c) -> bool:
         return is_log_derivative(self.algebra, c)

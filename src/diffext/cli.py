@@ -21,7 +21,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import replace
 
 from .autos import auto_constraints, auto_order, build_auto, inner_auto
 from .errors import (
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     try:
         inst = load_instance(args.config)
         if args.seed is not None:
-            inst = replace(inst, config=replace(inst.config, seed=args.seed))
+            inst.config = inst.config._replace(seed=args.seed)
     except OSError as exc:
         print("error: cannot read config: %s" % exc, file=sys.stderr)
         return 2

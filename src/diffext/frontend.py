@@ -23,7 +23,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .autos import (
     apply_auto,
@@ -73,22 +73,39 @@ SUITES = ("ring", "vops", "nuclei", "autos", "inner", "division", "all")
 _KEYS = {"p", "delta_of_x", "d", "g", "seed", "degree_bound"}
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    p: int
-    delta_of_x: str
-    d: str
-    g: str | None = None
-    seed: int = 0
-    degree_bound: int = 4
+# An immutable record: equal configs compare and hash equal.
+InstanceConfig = namedtuple(
+    "InstanceConfig", "p delta_of_x d g seed degree_bound", defaults=(None, 0, 4)
+)
 
 
-@dataclass
-class Instance:
-    config: InstanceConfig
-    K: DerivedField
-    g: PPolynomial
-    algebra: ExtAlgebra
+class _Record:
+    """Base of the mutable records: == compares the type and the fields
+    named in __slots__, repr lists them, and a record is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+        return "%s(%s)" % (type(self).__name__, fields)
+
+
+class Instance(_Record):
+    __slots__ = ("config", "K", "g", "algebra")
+
+    def __init__(
+        self, config: InstanceConfig, K: DerivedField, g: PPolynomial, algebra: ExtAlgebra
+    ):
+        self.config, self.K, self.g, self.algebra = config, K, g, algebra
 
     @property
     def seed(self) -> int:
@@ -231,12 +248,12 @@ def ms_since(t0: float) -> int:
     return max(1, math.ceil((time.perf_counter() - t0) * 1000))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    verdict: str  # pass | fail | unknown
-    witness: dict
-    ms: int
+class CheckResult(_Record):
+    __slots__ = ("name", "verdict", "witness", "ms")
+
+    def __init__(self, name: str, verdict: str, witness: dict, ms: int):
+        # verdict is one of pass | fail | unknown
+        self.name, self.verdict, self.witness, self.ms = name, verdict, witness, ms
 
     def to_json(self) -> dict:
         return {
@@ -247,10 +264,12 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    instance: dict
-    checks: list = field(default_factory=list)
+class Report(_Record):
+    __slots__ = ("instance", "checks")
+
+    def __init__(self, instance: dict, checks: list | None = None):
+        self.instance = instance
+        self.checks = [] if checks is None else checks
 
     @property
     def failed(self) -> bool:

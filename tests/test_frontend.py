@@ -423,11 +423,39 @@ def test_cli_main_runs_twice_in_one_process(tmp_path, capsys):
     assert rc == 0 and check["witness"]["which"] == "full"
 
 
-def test_cli_seed_override_changes_nothing_semantic(tmp_path):
-    a = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")
-    b = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--seed", "5")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout.splitlines()[0] == b.stdout.splitlines()[0]
+def test_cli_seed_override_changes_nothing_semantic(tmp_path, capsys):
+    def report(config, *extra):
+        cfg = tmp_path / "inst.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "report.json"
+        assert main(["verify", str(cfg), "--suite", "inner", "--json", str(out), *extra]) == 0
+        capsys.readouterr()
+        data = json.loads(out.read_text())
+        for check in data["checks"]:
+            del check["ms"]
+        return data
+
+    assert "seed = 0" in I1_TEXT
+    overridden = report(I1_TEXT, "--seed", "5")
+    assert overridden["instance"]["seed"] == 5
+    # The override is the same as a config whose seed line says 5.
+    assert overridden == report(I1_TEXT.replace("seed = 0", "seed = 5"))
+
+
+def test_value_types_contract():
+    cfg = frontend.InstanceConfig(p=2, delta_of_x="x", d="x")
+    assert (cfg.g, cfg.seed, cfg.degree_bound) == (None, 0, 4)
+    same = frontend.InstanceConfig(2, "x", "x", None, 0, 4)
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != frontend.InstanceConfig(p=2, delta_of_x="x", d="x", seed=1)
+    with pytest.raises(AttributeError):
+        cfg.seed = 5
+    rep = autos.auto_constraints(instance_from_text(I1_TEXT).algebra)
+    with pytest.raises(AttributeError):
+        rep.tau_forced = "conj"
+    a, b = frontend.Report({}), frontend.Report({})
+    a.checks.append(frontend.CheckResult("x", "pass", {}, 1))
+    assert a.checks and b.checks == []
 
 
 def test_ms_since_rounds_up():
