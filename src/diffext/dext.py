@@ -28,9 +28,12 @@ t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
 for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
 basis element needs m - 1 t-steps, and each row is a left-multiplication
-matrix over F applied block by block (see structure_constants).  Every
-entry is checked to lie in F, and tables above MAX_TABLE_ENTRIES
-coordinates are refused before any work.
+matrix over F applied block by block (see structure_constants).  A
+reduction step touches only the nonzero lower coefficients of f (two for
+t^p - a t - d), and the coordinates are reduced in y = x^p (see
+towers.DerivedField.coords).  Every entry is still checked to lie in F,
+and tables above MAX_TABLE_ENTRIES coordinates are refused before any
+work.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
 candidates are scalars, and V_g(K) lies in F (Fact A, see
@@ -266,7 +269,9 @@ class ExtAlgebra:
           a u = (a q) f + a r with deg(a r) < m, so (a u) mod f = a (u mod f)
           for every coefficient a;
         * one t-step: for deg u < m, t u has degree at most m and its t^m
-          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f.
+          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f.  As f
+          is monic, the step drops the t^m term and subtracts u_(m-1) f_k
+          only at the nonzero f_k below it: two for t^p - a t - d.
 
         So e_I e_J = (b_a t^i e_J) mod f = b_a U_i(e_J) with U_i(e_J) =
         (t^i e_J) mod f, and t (q f + r) = (t q) f + t r makes U_i(e_J) one
@@ -274,8 +279,12 @@ class ExtAlgebra:
         are F-linear, so the coordinates of b_a U are L_a applied to each
         block of n coordinates of U, where L_a is the n x n matrix over F of
         left multiplication by b_a, read once from ring.coords(b_a b_k).
-        Over K, L_(x^a) is the cyclic shift with x^p on the wrap.  Every
-        entry of the table is then checked to lie in F.
+        Over K, L_(x^a) is the cyclic shift with x^p on the wrap.  The rows
+        are built one i at a time, so only the coordinates of the U_i of
+        one level are held; the nonzero coordinates of each U are read once
+        for all n matrices L_a, and ring.coords reduces each coordinate in
+        y = x^p.  Every entry of the table is then checked to lie in F,
+        over both rings.
 
         Raises UnsupportedInstance, before any work, when the table would
         hold more than MAX_TABLE_ENTRIES coordinates.
@@ -299,37 +308,52 @@ class ExtAlgebra:
                 ]
                 for b in self._ring_basis
             ]
-            # powers[i][J] = coords(U_i(e_J)); U_0(e_J) = e_J.
-            powers = [self._units()] + [[] for _ in range(1, m)]
-            for e in self.basis():
-                u = e.rep
-                for i in range(1, m):
-                    top = u.coeff(m - 1)
-                    u = u._t_times()
-                    if top:
-                        u = u - f.scale_left(top)
-                    powers[i].append(self._rep_coords(u))
+            # us[J] = U_i(e_J) and vectors[J] = its coordinates, one i at a
+            # time; U_0(e_J) = e_J.  The t^m terms of a t-step cancel, as f
+            # is monic.
+            lower = [(k, fk) for k, fk in enumerate(f.coeffs[:m]) if fk]
+            us = [e.rep for e in self.basis()]
+            vectors = self._units()
             zero = K.zero()
             table = []
             for i in range(m):
-                for left in lefts:
-                    row = []
-                    for cs in powers[i]:
+                if i:
+                    for J, u in enumerate(us):
+                        top = u.coeff(m - 1)
+                        u = u._t_times()
+                        if top:
+                            coeffs = list(u.coeffs[:m])
+                            for k, fk in lower:
+                                coeffs[k] = coeffs[k] - top * fk
+                            u = DiffPoly(ring, coeffs)
+                        us[J] = u
+                    vectors = [self._rep_coords(u) for u in us]
+                rows = [[] for _ in lefts]
+                for cs in vectors:
+                    # The nonzero (block, k, c) of U_i(e_J), read once for all
+                    # n left matrices.
+                    nonzero = [
+                        (block, k, c)
+                        for block in range(0, dim, n)
+                        for k, c in enumerate(cs[block : block + n])
+                        if c
+                    ]
+                    for left, row in zip(lefts, rows):
                         out = [zero] * dim
-                        for block in range(0, dim, n):
-                            for k, c in enumerate(cs[block : block + n]):
-                                if c:
-                                    for r, scale in left[k]:
-                                        term = c if scale is None else scale * c
-                                        out[block + r] = out[block + r] + term
-                        # Entries never written are the constant zero itself.
+                        for block, k, c in nonzero:
+                            for r, scale in left[k]:
+                                term = c if scale is None else scale * c
+                                old = out[block + r]
+                                out[block + r] = term if old is zero else old + term
+                        # Entries never written are the constant zero itself,
+                        # and a first write stores its term as it is.
                         for c in out:
                             if c is not zero and not K.is_constant(c):
                                 raise InternalInvariantViolation(
                                     "structure constant %s is not in F" % c
                                 )
                         row.append(tuple(out))
-                    table.append(row)
+                table.extend(rows)
             self._table = table
         return self._table
 

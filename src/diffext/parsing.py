@@ -27,6 +27,9 @@ __all__ = ["parse_expr", "parse_field_element", "parse_diffpoly"]
 
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit also admits superscripts, which int() refuses,
+# and other scripts' digits, which it reads as numbers.
+_DIGITS = frozenset("0123456789")
 
 # Largest degree a literal power b^n may reach, counted as n times the degree
 # of b: its degree in t or the largest degree of a coefficient's numerator
@@ -59,9 +62,9 @@ def _tokenize(s: str):
             tokens.append((ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and s[j].isdigit():
+            while j < n and s[j] in _DIGITS:
                 j += 1
             tokens.append((("INT", int(s[i:j])), i))
             i = j

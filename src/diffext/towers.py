@@ -41,7 +41,6 @@ from .errors import (
 )
 from .linalg import Matrix
 from .scalars import (
-    DensePoly,
     RatFunc,
     RationalFunctionField,
     _add,
@@ -52,6 +51,7 @@ from .scalars import (
     _neg,
     _poly,
     _ratfunc,
+    _trim,
     poly_gcd,
     random_ratfunc,
 )
@@ -177,12 +177,20 @@ class DerivedField(RationalFunctionField):
         U(x^p)/V(x^p) with U, V coprime in F_p[y] is already in canonical
         form (a Bezout identity for U, V survives y -> x^p), so a is
         constant iff every exponent with a nonzero coefficient in its
-        numerator and denominator is divisible by p.
+        numerator and denominator is divisible by p: iff the zeros off the
+        exponents k p are all the entries there.  The top exponent of each
+        part has a nonzero coefficient, so it settles most non-constants.
         """
         p = self.p
-        return not any(
-            any(cs[j::p]) for cs in (a.num_coeffs, a.den_coeffs) for j in range(1, min(p, len(cs)))
-        )
+        for cs in (a.num_coeffs, a.den_coeffs):
+            n = len(cs)
+            if n > 1:
+                if (n - 1) % p:
+                    return False
+                on = cs[::p]
+                if cs.count(0) - on.count(0) != n - len(on):
+                    return False
+        return True
 
     def constant_basis(self):
         """F-basis 1, x, ..., x^(p-1) of K."""
@@ -192,24 +200,31 @@ class DerivedField(RationalFunctionField):
     def coords(self, a: RatFunc):
         """Coordinates of a over F in the basis 1, x, ..., x^(p-1).
 
-        Writes a = u/v as (u * v^(p-1)) / v^p (a polynomial as it stands);
-        the denominator is now a p-th power, hence constant, and the
-        numerator splits by exponent residue mod p.  Round-trips exactly:
-        a == sum c_j x^j.
+        Writes a = u/v as (u v^(p-1)) / v^p.  The denominator v^p = v(y)
+        with y = x^p is constant, and the numerator splits by exponent
+        residue mod p as sum_j U_j(y) x^j, so coordinate j is U_j(y)/v(y).
+        Each is reduced in F_p[y], on polynomials p times shorter than
+        their spreads, then spread by y -> x^p: spreading keeps U_j, v
+        coprime and v monic, so the result is the canonical form of
+        U_j(x^p)/v(x^p).  The coordinates whose gcd is 1 share one spread
+        denominator.  Round-trips exactly: a == sum c_j x^j.
         """
         p, field = self.p, self.field
         u, v = a.num_coeffs, a.den_coeffs
+        vp = v
         if len(v) > 1:
-            # v^p only spreads the coefficients of v.
-            u, v = _mul(u, (_poly(field, v) ** (p - 1)).coeffs, p), _frobenius(v, p)
-        v = _poly(field, v)
+            # v^(p-1) = v^p / v, an exact division by the monic v.
+            vp = _frobenius(v, p)
+            u = _mul(u, _exquo(vp, v, p), p)
         out = []
         for j in range(p):
-            # The part of exponent residue j, divided by x^j: exponents k p.
-            cs = u[j::p]
-            spread = [0] * (p * len(cs))
-            spread[::p] = cs
-            out.append(RatFunc(DensePoly(field, spread), v))
+            cs = _trim(list(u[j::p]))
+            den = vp if cs else (1,)
+            if len(cs) > 1 and len(v) > 1:
+                g = poly_gcd(_poly(field, cs), _poly(field, v)).coeffs
+                if len(g) > 1:
+                    cs, den = _exquo(cs, g, p), _frobenius(_exquo(v, g, p), p)
+            out.append(_ratfunc(field, _frobenius(cs, p), den))
         return tuple(out)
 
     def from_coords(self, cs) -> RatFunc:

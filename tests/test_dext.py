@@ -221,8 +221,10 @@ def test_structure_constants_match_product_oracle(i1, i2, i3, i4):
         assert alg.structure_constants() == table_oracle(alg)
 
 
-@pytest.mark.parametrize("d", ["2", "(x^2+2*x+1)/(x^2+1)"])
-@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1"])
+# Weight 1/x wraps x^p with a coordinate denominator divisible by x, and d
+# = (x + 1)/x^2 has coordinates whose gcd in y = x^p cancels.
+@pytest.mark.parametrize("d", ["2", "(x^2+2*x+1)/(x^2+1)", "(x + 1)/x^2"])
+@pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1", "1/x"])
 def test_structure_constants_match_product_oracle_p3(weight, d):
     alg = p3_algebra(weight, d)
     assert alg.structure_constants() == table_oracle(alg)

@@ -260,7 +260,7 @@ def test_division_suite_at_p5_reports_probe_over_budget():
 
 def _cli(tmp_path, *args, config=I1_TEXT):
     cfg = tmp_path / "inst.cfg"
-    cfg.write_text(config)
+    cfg.write_text(config, encoding="utf-8")
     cmd = [sys.executable, "-m", "diffext"] + [
         str(cfg) if a == "CFG" else a for a in args
     ]
@@ -354,6 +354,22 @@ def test_cli_bad_config_exits_two(tmp_path):
 def test_cli_bad_expression_exits_two(tmp_path):
     proc = _cli(tmp_path, "autos", "CFG", "--check-c", "x +")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("build", "CFG"), "p = 2\ndelta_of_x = x\nd = x^\u00b2\n"),
+        (("inner", "CFG", "--a", "x^\u00b2"), I1_TEXT),
+        (("inner", "CFG", "--a", "x^\u0663"), I1_TEXT),
+    ],
+    ids=["config_superscript", "inner_superscript", "inner_arabic_indic"],
+)
+def test_cli_non_ascii_digit_exits_two(tmp_path, args, config):
+    proc = _cli(tmp_path, *args, config=config)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unexpected character")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

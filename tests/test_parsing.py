@@ -66,6 +66,15 @@ def test_parse_errors_carry_position():
         parse_field_element("x^x", K2X)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663"], ids=["superscript", "arabic_indic"])
+def test_only_ascii_digits_are_numbers(text):
+    # str.isdigit admits both: int() refuses the superscript two, and reads
+    # the Arabic-Indic three as 3.  Each is an unexpected character instead.
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+        parse_field_element(text, K2X)
+    assert exc.value.position == 2
+
+
 def test_parse_division_errors():
     with pytest.raises(ZeroDivisionError):
         parse_field_element("1/(x - x)", K2X)

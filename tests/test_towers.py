@@ -207,6 +207,78 @@ def test_coords_roundtrip_sampled():
             assert all((c == K.one()) == (i == j) for i, c in enumerate(cs))
 
 
+# The earlier routes, kept as oracles for the tuple ones: coordinates built
+# with the public constructors against v^p, and constancy read by a nested
+# generator over the off-residue exponents.
+def _coords_by_constructors(K, a):
+    from diffext.scalars import DensePoly
+
+    p, field = K.p, K.field
+    u, v = a.num, a.den
+    if v.degree() > 0:
+        u, v = u * v ** (p - 1), v ** p
+    out = []
+    for j in range(p):
+        cs = u.coeffs[j::p]
+        spread = [0] * (p * len(cs))
+        spread[::p] = cs
+        out.append(RatFunc(DensePoly(field, spread), v))
+    return tuple(out)
+
+
+def _is_constant_by_generator(K, a):
+    p = K.p
+    return not any(
+        any(cs[j::p]) for cs in (a.num_coeffs, a.den_coeffs) for j in range(1, min(p, len(cs)))
+    )
+
+
+def _planted(K, rng, where):
+    """A fraction with one nonzero coefficient off the exponents k p.
+
+    The other part is 1, so the fraction is canonical as built; the
+    planted exponent is the top one or lies below it.
+    """
+    from diffext.scalars import DensePoly
+
+    p, field = K.p, K.field
+    cs = [0] * (p * rng.randrange(1, 4) + 1)
+    cs[::p] = [rng.randrange(p) for _ in cs[::p]]
+    cs[-1] = 1
+    j = rng.choice([k for k in range(len(cs) + 1) if k % p])
+    if j == len(cs):
+        cs.append(1)
+    else:
+        cs[j] = rng.randrange(1, p)
+    one = DensePoly.one(field)
+    planted = DensePoly(field, cs)
+    a = RatFunc(planted, one) if where == "num" else RatFunc(one, planted)
+    assert (a.num_coeffs if where == "num" else a.den_coeffs) == planted.coeffs
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_coords_and_is_constant_match_the_constructor_routes(p):
+    rng = random.Random(110 + p)
+    w = _w(p, (0, 1))
+    for K in (DerivedField(p, w), DerivedField(p, w.inverse())):
+        x, one = K.x(), K.one()
+        samples = [K.zero(), K.one(), x, x ** p, one / x, (x + one) / x ** 2, x ** (p + 1) / (x ** p + x)]
+        for _ in range(12):
+            r = random_ratfunc(K, rng, 3)
+            s = random_ratfunc(K, rng, 3, nonzero=True)
+            # Denominators divisible by x, p-th powers, and both mixed.
+            samples += [r, r / x ** rng.randrange(1, p + 2), r ** p, r ** p / s ** p, s ** p / x ** p, r / s ** p]
+            samples += [_planted(K, rng, "num"), _planted(K, rng, "den")]
+        seen = set()
+        for a in samples:
+            assert K.coords(a) == _coords_by_constructors(K, a), (K, a)
+            expected = _is_constant_by_generator(K, a)
+            assert K.is_constant(a) == expected, (K, a)
+            seen.add(expected)
+        assert seen == {True, False}
+
+
 def test_minimal_p_polynomial_frozen_values():
     # delta = x d/dx over F_2: delta^2 = delta, so g = t^2 + t (i.e. t^2 - t).
     g = minimal_p_polynomial(K2X)
