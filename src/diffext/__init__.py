@@ -4,8 +4,9 @@ nonassociative algebras obtained by dividing out g(t) - d.
 The layers, bottom up:
 
     scalars   F_p, dense polynomials, reduced rational functions
-    linalg    exact matrices, RREF, kernels, solving, matrix-ring arithmetic
-    towers    F_p(x) with a derivation, its constants, p-polynomials
+    linalg    exact matrices: RREF, kernels, solving
+    towers    F_p(x) with a derivation, its constants, p-polynomials, a
+              quaternion division ring over it
     diffpoly  the ring K[t; delta] and the V operators
     dext      quotient algebras, nuclei, center, factor search
     autos     automorphism descriptors, inner and shift maps, constraints
@@ -44,7 +45,6 @@ from .errors import (
     GNotAnnihilating,
     InternalInvariantViolation,
     NoSolution,
-    NonInvertibleLeadingCoefficient,
     NotInner,
     NotInvertible,
     NotNuclear,
@@ -67,8 +67,8 @@ from .parsing import parse_diffpoly, parse_expr, parse_field_element
 from .scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField
 from .towers import (
     DerivedField,
-    MatrixRingAdapter,
     PPolynomial,
+    QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
@@ -91,14 +91,13 @@ __all__ = [
     "InstanceConfig",
     "InternalInvariantViolation",
     "Matrix",
-    "MatrixRingAdapter",
     "NoSolution",
-    "NonInvertibleLeadingCoefficient",
     "NotInner",
     "NotInvertible",
     "NotNuclear",
     "PPolynomial",
     "PrimeField",
+    "QuaternionRing",
     "RatFunc",
     "RationalFunctionField",
     "Report",

@@ -34,7 +34,7 @@ basis; a disagreement is an arithmetic fault, InternalInvariantViolation.
 
 The shift t -> t - a is the descriptor (id, -a, 1) onto its target, the
 algebra with d + V_g(a): the checks read H(f) = target.f, and eq1 admits
-only central a over the matrix adapter.  Its inverse is the shift by -a.
+only central a over the quaternion ring.  Its inverse is the shift by -a.
 """
 
 from __future__ import annotations
@@ -249,10 +249,7 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
         a = a.rep.coeff(0)
     if not a:
         raise NotInvertible("zero is not invertible")
-    try:
-        a_inv = ring.invert(a)
-    except ZeroDivisionError:
-        raise NotInvertible("%s has no inverse" % (a,)) from None
+    a_inv = ring.invert(a)  # both coefficient rings are division rings
     if (algebra.f * DiffPoly.constant(ring, a)).mod_right(algebra.f):
         raise NotNuclear("%s fails an associator test" % (a,))
 
@@ -340,8 +337,9 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
     only.  For associative instances (d in F) Aut also holds inner maps
     that are not descriptors.
 
-    Raises UnsupportedInstance over the matrix adapter, whose automorphisms
-    these arguments do not classify, and for a g not of closed form.
+    Raises UnsupportedInstance over the quaternion ring, whose
+    automorphisms these arguments do not classify (conjugation by i is one
+    with tau != id), and for a g not of closed form.
     """
     ring = algebra.ring
     if not ring.is_commutative:

@@ -36,19 +36,24 @@ from .errors import (
     ZeroDerivation,
 )
 from .frontend import SUITES, CheckResult, Report, load_instance, ms_since, run_suite
-from .parsing import parse_field_element
+from .parsing import decimal_int, parse_field_element
 
 __all__ = ["main"]
 
 
+def _int(text: str) -> int:
+    return decimal_int(text)
+
+
 def _nonnegative_int(text: str) -> int:
-    n = int(text)
+    n = decimal_int(text)
     if n < 0:
         raise argparse.ArgumentTypeError("must be nonnegative, got %d" % n)
     return n
 
 
-_nonnegative_int.__name__ = "int"  # argparse names it in "invalid int value: ..."
+# argparse names the type in "invalid int value: ...".
+_int.__name__ = _nonnegative_int.__name__ = "int"
 
 
 @functools.cache
@@ -56,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it as it was."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("config", help="path to an instance config file")
-    shared.add_argument("--seed", type=int, default=None, help="override the config seed")
+    shared.add_argument("--seed", type=_int, default=None, help="override the config seed")
     shared.add_argument("--json", metavar="PATH", default=None, help="write a JSON report")
 
     top = argparse.ArgumentParser(

@@ -1,7 +1,8 @@
 """Nonassociative quotient algebras of a twisted polynomial ring.
 
-Fix a derived field (or the matrix adapter) A with derivation delta, let g
-be a p-polynomial annihilating delta (checked), and pick d in A.  The
+Fix a derived field K, or the quaternion ring Q over it, as the coefficient
+ring A with derivation delta, let g be a p-polynomial annihilating delta
+(checked), and pick d in A.  The
 quotient of A[t; delta] by the left ideal generated by f = g(t) - d carries
 the product
 
@@ -20,9 +21,10 @@ element-level product read back in coordinates, and the nuclei come from
 Petit's theory of these algebras (see ExtAlgebra.nucleus).  Over both
 coefficient rings z = g(t) is central, so associativity is "d is a central
 constant" (ring.as_scalar) and the right nucleus is the centralizer of d.
-Over the derived field that centralizer is one small system over K and the
-full nucleus is K, so no map is needed; the matrix adapter, not a division
-ring, keeps the associator maps for the left and middle nuclei.  The table
+Both rings are division rings, so left = middle = A when the quotient is
+not associative, with no map.  Over the derived field the centralizer is
+one small system over K and the full nucleus is K; over Q the right and
+full nuclei are the kernel of the commutator with d.  The table
 of structure constants over F is built only on request, from the action of
 t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
@@ -160,8 +162,8 @@ class ExtAlgebra:
         if g.p != ring.p:
             raise ValueError("p-polynomial characteristic mismatch")
         # The nuclei, is_associative and division_verdict use that z = g(t)
-        # is central, which needs g(delta) = 0.  The derivation acts
-        # entrywise on the adapter, so its base field decides.
+        # is central, which needs g(delta) = 0.  The derivation acts on the
+        # parts of a quaternion, so the base field decides.
         if not g.annihilates(ring.base_field):
             raise GNotAnnihilating("g = %s does not annihilate the derivation" % g)
         self.ring = ring
@@ -426,7 +428,7 @@ class ExtAlgebra:
         delta(d), of degree 0 < m, lies in R f, iff delta(d) = 0, and b iff
         b d = d b.  So S_f is associative iff d is a constant in the center
         of A.  The center is embed(K) for both rings (K is commutative, and
-        the center of M_n(K) is K I), so the test reads _constant_scalar_d.
+        Q is central over K), so the test reads _constant_scalar_d.
         """
         return self._constant_scalar_d() is not None
 
@@ -441,10 +443,8 @@ class ExtAlgebra:
           f u is in R f (a = t^(m-1), b = t give q = 1); this holds over
           every coefficient ring.
         * f right-invariant: every slot is the whole algebra.
-        * otherwise, over a division ring (the derived field), left and
-          middle are the coefficient ring (Petit, 1966/67).  The matrix
-          adapter is not a division ring: left and middle stay honest
-          kernels of the associator maps over basis pairs.
+        * otherwise left and middle are the coefficient ring A (Petit,
+          1966/67), since both rings, K and Q, are division rings.
 
         Over both rings z = g(t) is central in R, so with f = z - d
 
@@ -452,10 +452,10 @@ class ExtAlgebra:
 
         and u d - d u has degree below deg u < m: the eigenring is the
         centralizer of d in R_<m.  In the quotient u o d - d o u needs no
-        reduction, so the matrix adapter's right and full nuclei use the
-        map u |-> u o d - d o u.  Over the derived field K no map is needed
-        for right and full: the centralizer is a left K-space, and for
-        u = sum u_i t^i,
+        reduction, so over Q the right nucleus is the kernel of the map
+        u |-> u o d - d o u, and the full nucleus its kernel on A.  Over
+        the derived field K no map is needed for right and full: the
+        centralizer is a left K-space, and for u = sum u_i t^i,
 
             u d - d u = sum_i u_i sum_(k<i) C(i, k) delta^(i-k)(d) t^k,
 
@@ -479,16 +479,10 @@ class ExtAlgebra:
                 start = units
             elif self.ring.is_commutative:  # the derived field
                 start = self._right_nucleus_span() if which == "right" else units[: self.ring.p]
-            else:
-                start = units
+            else:  # the quaternion ring
+                start = units if which == "right" else units[: self.ring.dim_over_constants]
                 if which in ("right", "full"):
                     maps.append(self._commutator_with(self.scalar(self.d)))
-                if which != "right":
-                    # A is always left and middle nuclear (f is monic), so the
-                    # maps for a in A vanish: they run last, on the smallest basis.
-                    slots = ("left", "middle") if which == "full" else (which,)
-                    basis = self.basis()[::-1]
-                    maps += [self._associator_map(slot, a) for slot in slots for a in basis]
             self._nucleus_cache[which] = tuple(self._common_kernel(maps, start))
         return self._nucleus_cache[which]
 
@@ -515,16 +509,6 @@ class ExtAlgebra:
             for xj in self._ring_basis:
                 span.append(tuple(c for ui in (zero,) + v for c in K.coords(xj * ui)))
         return span
-
-    def _associator_map(self, slot, a):
-        """v |-> [v, a, b] (left) or [a, v, b] (middle), stacked over basis b."""
-        basis = self.basis()
-        if slot == "left":
-            ab = [a * b for b in basis]
-            return self._on_coords(
-                lambda u: [ua * b - u * c for ua in [u * a] for b, c in zip(basis, ab)]
-            )
-        return self._on_coords(lambda u: [au * b - a * (u * b) for au in [a * u] for b in basis])
 
     def center(self):
         """Elements of the full nucleus commuting with everything.

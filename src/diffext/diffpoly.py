@@ -1,8 +1,8 @@
 """Differential polynomials A[t; delta] and their twisted arithmetic.
 
 Elements are dense coefficient lists over a coefficient ring A (the derived
-field, or the matrix adapter), lowest power of t first.  The variable does
-not commute with coefficients; the defining relation is
+field K, or the quaternion ring over it), lowest power of t first.  The
+variable does not commute with coefficients; the defining relation is
 
     t * a = a * t + delta(a),
 
@@ -10,18 +10,18 @@ and everything else follows from it.  Multiplication iterates the rule, so
 one code path is correct over commutative and noncommutative A alike.
 
 Division here always means right division: g = q*f + r with deg r < deg f,
-which exists and is unique whenever the leading coefficient of f is
-invertible.  Left division is never needed and never implemented.  A
-t-step derives only the nonzero coefficients.
+which exists and is unique for every nonzero f: both coefficient rings are
+division rings, so the leading coefficient of f is invertible.  Left
+division is never needed and never implemented.  A t-step derives only the
+nonzero coefficients.
 
 ``DiffPoly(ring, coeffs)`` trims trailing zero coefficients.  The private
 ``_diffpoly(ring, coeffs)`` wraps a tuple as it is, for results whose top
 coefficient cannot vanish: a t-step moves the top coefficient up one power
-unchanged, and a left scaling by a nonzero a over the derived field, which
-has no zero divisors.  Over the matrix adapter a left scaling can cancel
-the top coefficient, so there it is trimmed.  On the ``arith_suites``
-benchmark the untrimmed wrap lowered the peak RSS by about 0.25 MB in 10
-of 10 paired runs and left the speed unchanged.
+unchanged, and a left scaling by a nonzero a multiplies it by a, which
+leaves it nonzero in a ring with no zero divisors.  On the
+``arith_suites`` benchmark the untrimmed wrap lowered the peak RSS by about
+0.25 MB in 10 of 10 paired runs and left the speed unchanged.
 
 Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,
 each one left step from the last: (eps t + c) P = eps (t P) + c P.  The
@@ -46,10 +46,10 @@ coefficient ring:
   + delta^(p-1)(c), for the derivation delta^(p^k), gives
   V_(p^(k+1))(b) = c^p + delta^((p-1) p^k)(c), which costs (p-1) p^k
   derivations and one Frobenius power and no twisted product;
-* noncommutative (the matrix adapter): V_3 already has commutator terms,
+* noncommutative (the quaternion ring): V_3 already has commutator terms,
   so the step reads the constant term off one twisted power
-  (t^(p^k) - c)^p, which square-and-multiply forms in one product at
-  p = 2 and two at p = 3.
+  (t^(p^k) - c)^p, which square-and-multiply forms in two products at
+  p = 3.
 
 v_p_tower always expands (t - b)^(p^e) in full, checks that every middle
 coefficient vanishes, and compares the constant term with the p-steps of
@@ -59,11 +59,7 @@ expansion against the closed form.
 
 from __future__ import annotations
 
-from .errors import (
-    InternalInvariantViolation,
-    NonInvertibleLeadingCoefficient,
-    NotInner,
-)
+from .errors import InternalInvariantViolation, NotInner
 from .scalars import _power
 from .towers import PPolynomial
 
@@ -175,15 +171,12 @@ class DiffPoly:
     def scale_left(self, a):
         """a * self for a coefficient a (left multiplication).
 
-        Over the derived field a times the top coefficient is nonzero; the
-        matrix adapter has zero divisors, so there the result is trimmed.
+        Both coefficient rings are division rings, so a times the top
+        coefficient is nonzero for a nonzero a, and nothing is trimmed.
         """
         if not a:
             return DiffPoly.zero(self.ring)
-        out = tuple([a * c for c in self.coeffs])
-        if self.ring.is_commutative:  # the derived field
-            return _diffpoly(self.ring, out)
-        return DiffPoly(self.ring, out)
+        return _diffpoly(self.ring, tuple([a * c for c in self.coeffs]))
 
     def __mul__(self, other):
         # sum_i a_i t^i * other: build t^i * other by iterating t once.
@@ -214,12 +207,7 @@ class DiffPoly:
         ring = self.ring
         if self.degree() < f.degree():
             return DiffPoly.zero(ring), self
-        try:
-            inv_lc = ring.invert(f.lc())
-        except ZeroDivisionError:
-            raise NonInvertibleLeadingCoefficient(
-                "leading coefficient %s has no inverse" % (f.lc(),)
-            ) from None
+        inv_lc = ring.invert(f.lc())
         df = f.degree()
         ladder = [f]
         for _ in range(self.degree() - df):
@@ -408,12 +396,12 @@ def find_inner_constant(ring, g: PPolynomial):
     The answer is 0 when g(delta) = 0 on the base field K, and none exists
     otherwise.  g(delta) is a derivation of the coefficient ring (each
     delta^(p^k) is one) that acts on coordinates as g(delta) acts on K:
-    the ring is K itself or the matrix adapter, whose delta is entrywise.
-    K is central in both.  At b = k in K the condition reads g(delta)(k) =
-    d0 k - k d0 = 0, so g(delta) = 0 on K, which PPolynomial.annihilates
-    decides.  Conversely, when g(delta) = 0 on K it is 0 on the ring, and
-    d0 = 0 is the solution of the F-linear system in d0 with its free
-    variables at zero.
+    the ring is K itself or the quaternion ring, whose delta acts on the
+    four parts.  K is central in both.  At b = k in K the condition reads
+    g(delta)(k) = d0 k - k d0 = 0, so g(delta) = 0 on K, which
+    PPolynomial.annihilates decides.  Conversely, when g(delta) = 0 on K it
+    is 0 on the ring, and d0 = 0 is the solution of the F-linear system in
+    d0 with its free variables at zero.
     """
     if g.annihilates(ring.base_field):
         return ring.zero()

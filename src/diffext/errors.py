@@ -1,14 +1,14 @@
 """Exception types shared across the library.
 
-Built-in exceptions are reused where they fit (ZeroDivisionError for field
-division by zero, ValueError for malformed arguments).  Everything that a
+Built-in exceptions are reused where they fit (ZeroDivisionError for
+division by zero in a field or in the quaternion ring, ValueError for
+malformed arguments).  Everything that a
 caller might want to catch selectively gets its own class here.
 """
 
 __all__ = [
     "NoSolution",
     "ZeroDerivation",
-    "NonInvertibleLeadingCoefficient",
     "InternalInvariantViolation",
     "NotInner",
     "ConditionFailed",
@@ -29,14 +29,6 @@ class NoSolution(Exception):
 
 class ZeroDerivation(ValueError):
     """The derivation is identically zero, which the construction forbids."""
-
-
-class NonInvertibleLeadingCoefficient(ArithmeticError):
-    """Right division hit a leading coefficient with no inverse.
-
-    Over a field this cannot happen; the matrix coefficient ring can
-    produce it.
-    """
 
 
 class InternalInvariantViolation(RuntimeError):

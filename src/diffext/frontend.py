@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedInstance,
     ZeroDerivation,
 )
-from .parsing import parse_diffpoly, parse_field_element
+from .parsing import decimal_int, parse_diffpoly, parse_field_element
 from .scalars import PrimeField, RatFunc, random_ratfunc
 from .towers import DerivedField, PPolynomial, minimal_p_polynomial
 
@@ -150,7 +150,7 @@ def _parse_config_text(text: str) -> InstanceConfig:
         if req not in values:
             raise ConfigError("missing required key %r" % req)
     try:
-        p = int(values["p"])
+        p = decimal_int(values["p"])
     except ValueError:
         raise ConfigError("p must be an integer") from None
     try:
@@ -160,13 +160,13 @@ def _parse_config_text(text: str) -> InstanceConfig:
     seed = 0
     if "seed" in values:
         try:
-            seed = int(values["seed"])
+            seed = decimal_int(values["seed"])
         except ValueError:
             raise ConfigError("seed must be an integer") from None
     bound = 4
     if "degree_bound" in values:
         try:
-            bound = int(values["degree_bound"])
+            bound = decimal_int(values["degree_bound"])
         except ValueError:
             raise ConfigError("degree_bound must be an integer") from None
         if bound < 0:
@@ -557,6 +557,12 @@ def _suite_inner(r: _SuiteRunner):
     def constant():
         d0 = find_inner_constant(K, inst.g)
         assert not d0, "expected d0 = 0 over a commutative base"
+        # An independent route: g(delta)(b) = d0 b - b d0 on sampled b.
+        rng = r.rng("inner.constant")
+        for _ in range(10):
+            b = random_ratfunc(K, rng, 2)
+            got = inst.g.apply_operator(K, b)
+            assert got == d0 * b - b * d0, "g(delta)(%s) = %s, not [d0, %s]" % (b, got, b)
         return "pass", {"d0": str(d0)}
 
     def subgroup():

@@ -1,13 +1,11 @@
-"""Exact matrices over a field: elimination, matrix-ring arithmetic, and F_p.
+"""Exact matrices over a field: elimination, kernels and solving, and F_p.
 
 ``Matrix`` takes entries that are any objects supporting +, -, *, unary -,
 ==, truthiness (falsy means zero) and an ``inverse()`` method; the field
 context only has to provide ``zero()`` and ``one()``.  In practice the
 entries are canonical rational functions, so equality and the zero test are
-structural and the results are exact.  The same class is the element type
-of the matrix ring M_n(K) (towers.MatrixRingAdapter): +, -, the product,
-which skips zero entries, ``**`` through scalars._power, a zero test and a
-hash.
+structural and the results are exact.  A matrix is a read-only table for
+elimination, not a ring element: it has no arithmetic of its own.
 
 Pivot choice is deterministic: first nonzero entry scanning top to bottom.
 Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
@@ -26,10 +24,7 @@ not depend on the order or repetition of the rows.
 
 from __future__ import annotations
 
-from operator import add, sub
-
 from .errors import NoSolution
-from .scalars import _power
 
 __all__ = ["Matrix", "NoSolution", "solve_mod_p"]
 
@@ -53,25 +48,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = w
 
-    @classmethod
-    def scalar(cls, field, n, c):
-        """The n x n matrix c I."""
-        zero = field.zero()
-        return cls(field, [[c if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls.scalar(field, n, field.one())
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
-
     def augment(self, vec):
         if len(vec) != self.nrows:
             raise ValueError("vector length mismatch")
@@ -89,49 +65,6 @@ class Matrix:
                     acc = acc + a * v
             out.append(acc)
         return tuple(out)
-
-    # -- matrix-ring arithmetic ----------------------------------------
-
-    def _entrywise(self, other, op):
-        return Matrix(self.field, [map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)])
-
-    def __add__(self, other):
-        return self._entrywise(other, add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, sub)
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        zero = self.field.zero()
-        cols = [other.column(j) for j in range(other.ncols)]
-        out = []
-        for r in self.rows:
-            row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(r, col):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out)
-
-    def __pow__(self, m: int):
-        return _power(self, m, Matrix.identity(self.field, self.nrows))
-
-    def __bool__(self):
-        return any(any(r) for r in self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and other.rows == self.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
@@ -211,18 +144,6 @@ class Matrix:
         for k, pcol in enumerate(pivots):
             x[pcol] = red.rows[k][self.ncols]
         return tuple(x), self._kernel_from_rref(red, pivots)
-
-    def inverse(self):
-        """Two-sided inverse of a square matrix; NoSolution if singular."""
-        if self.nrows != self.ncols:
-            raise NoSolution("not square")
-        n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        aug = Matrix(self.field, [self.rows[i] + ident.rows[i] for i in range(n)])
-        red, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
-            raise NoSolution("singular matrix")
-        return Matrix(self.field, [r[n:] for r in red.rows])
 
 
 def solve_mod_p(rows, p: int):

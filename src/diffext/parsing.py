@@ -31,6 +31,20 @@ _OPS = set("+-*/^()")
 # and other scripts' digits, which it reads as numbers.
 _DIGITS = frozenset("0123456789")
 
+
+def decimal_int(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits 0-9 only.
+
+    int() also reads other scripts' digits and underscores ("1_0"); the
+    config values and the command-line numbers go through this instead,
+    so they take the digits the expression parser takes.  ValueError
+    otherwise.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError("invalid literal for int(): %r" % text)
+    return int(text)
+
 # Largest degree a literal power b^n may reach, counted as n times the degree
 # of b: its degree in t or the largest degree of a coefficient's numerator
 # or denominator, whichever is larger.  A constant b has degree 0 and is

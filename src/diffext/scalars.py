@@ -60,7 +60,7 @@ goes through ``poly_gcd``, the tuples wrapped in ``DensePoly`` views for
 it.
 
 ``_power`` is the one square-and-multiply routine: the ``__pow__`` of
-``DensePoly``, ``DiffPoly`` and ``linalg.Matrix`` call it directly.  ``RatFunc``
+``DensePoly`` and ``DiffPoly`` call it directly.  ``RatFunc``
 powers go through it on the numerator and the denominator separately: the
 powers of a canonical fraction's parts are coprime with a monic
 denominator, so num^n / den^n needs no gcd.  ``_power`` is private, so it

@@ -23,23 +23,24 @@ canonical numerator and denominator tuples, because the twisted
 arithmetic derives the same coefficients again and again.  The memo is
 emptied when it holds _DELTA_MEMO_ENTRIES arguments.
 
-``MatrixRingAdapter`` is the ring M_n(K) with the entrywise derivation; its
-elements are ``linalg.Matrix`` values.  It exists to exercise the
-noncommutative code paths (the commutator terms in the twisted arithmetic);
-it is not a division ring.  Both rings answer ``as_scalar``: the c in K
-with embed(c) = a, or None.  Their centers are embed(K), since K is
-commutative and the center of M_n(K) is K I, so d is a central constant
-exactly when as_scalar(d) is a constant.
+``QuaternionRing`` is the quaternion division algebra Q = (x^p, n)_K for
+odd p, with delta acting on the four parts of an element (``Quaternion``).
+It is the paper's second setting, a central division algebra over K, and
+the noncommutative coefficient ring of the twisted arithmetic.  Both rings
+answer ``as_scalar``: the c in K with embed(c) = a, or None.  Their
+centers are embed(K), since K is commutative and Q is central over K, so
+d is a central constant exactly when as_scalar(d) is a constant.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .errors import (
     InternalInvariantViolation,
     NoSolution,
     ZeroDerivation,
 )
-from .linalg import Matrix
 from .scalars import (
     RatFunc,
     RationalFunctionField,
@@ -61,7 +62,7 @@ __all__ = [
     "PPolynomial",
     "minimal_p_polynomial",
     "p_polynomial_at_exponent",
-    "MatrixRingAdapter",
+    "QuaternionRing",
 ]
 
 # Most arguments a DerivedField remembers in its delta memo before it
@@ -288,8 +289,8 @@ class PPolynomial:
     def apply_operator(self, ring, a):
         """Evaluate g(delta) at a, i.e. delta^(p^e)(a) + sum a_i delta^(p^(e-i))(a).
 
-        ring is any coefficient ring (the derived field or the matrix
-        adapter); the constant coefficients a_i enter through ring.embed.
+        ring is any coefficient ring (the derived field or the quaternion
+        ring); the constant coefficients a_i enter through ring.embed.
         """
         # Iterate delta once, reusing prefixes of the orbit.
         orbit = [a]
@@ -388,18 +389,109 @@ def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
     return p_polynomial_at_exponent(K, 1)
 
 
-class MatrixRingAdapter:
-    """n x n matrices over a derived field, derivation applied entrywise."""
+class Quaternion:
+    """An element a + b i + c j + e ij of a QuaternionRing: four parts in K."""
 
-    __slots__ = ("base", "n")
+    __slots__ = ("ring", "parts")
+
+    def __init__(self, ring: "QuaternionRing", parts):
+        self.ring = ring
+        self.parts = tuple(parts)
+
+    def __add__(self, other):
+        return Quaternion(self.ring, map(add, self.parts, other.parts))
+
+    def __sub__(self, other):
+        return Quaternion(self.ring, map(sub, self.parts, other.parts))
+
+    def __neg__(self):
+        return Quaternion(self.ring, [-c for c in self.parts])
+
+    def __mul__(self, other):
+        """The product from i^2 = s, j^2 = n and ij = -ji, with s = x^p.
+
+        So (ij)^2 = -s n, i (ij) = s j = -(ij) i and (ij) j = n i = -j (ij).
+        """
+        a1, b1, c1, e1 = self.parts
+        a2, b2, c2, e2 = other.parts
+        s, n = self.ring.i_square, self.ring.j_square
+        return Quaternion(self.ring, (
+            a1 * a2 + s * (b1 * b2) + n * (c1 * c2 - s * (e1 * e2)),
+            a1 * b2 + b1 * a2 + n * (e1 * c2 - c1 * e2),
+            a1 * c2 + c1 * a2 + s * (b1 * e2 - e1 * b2),
+            a1 * e2 + e1 * a2 + b1 * c2 - c1 * b2,
+        ))
+
+    def __bool__(self):
+        return any(self.parts)
+
+    def __eq__(self, other):
+        return isinstance(other, Quaternion) and other.parts == self.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __str__(self):
+        terms = []
+        for unit, c in zip(("", "i", "j", "ij"), self.parts):
+            if not c:
+                continue
+            s = str(c)
+            if not unit:
+                terms.append(s)
+            elif s == "1":
+                terms.append(unit)
+            else:
+                if ("+" in s) or ("/" in s) or (" " in s) or ("-" in s):
+                    s = "(%s)" % s
+                terms.append("%s*%s" % (s, unit))
+        return " + ".join(terms) or "0"
+
+    def __repr__(self):
+        return "Quaternion(%s)" % self
+
+
+class QuaternionRing:
+    """The quaternion algebra Q = (x^p, n)_K over a derived field K, p odd.
+
+    An element is a + b i + c j + e ij with a, b, c, e in K, where i^2 =
+    x^p, j^2 = n and ij = -ji, and n is the least quadratic non-residue mod
+    p, worked out from p.  delta acts on the four parts, and is a
+    derivation of Q because x^p and n are constants.  The conjugate of q is
+    a - b i - c j - e ij, and q times it is the reduced norm
+
+        N(q) = a^2 - x^p b^2 - n c^2 + n x^p e^2,
+
+    so q^(-1) = conj(q) / N(q) whenever N(q) != 0.
+
+    Q is a division ring.  The quaternion algebra (s, n)_K is split iff s
+    is a norm from K(sqrt n), and (s u^2, n)_K is (s, n)_K, so x^p =
+    x (x^((p-1)/2))^2 gives (x^p, n)_K = (x, n)_K.  A norm a^2 - n c^2
+    from K(sqrt n) = F_(p^2)(x) has even valuation at x = 0: if v(a) !=
+    v(c) it is twice the smaller one, and if v(a) = v(c) = k its x^(2k)
+    coefficient is a_k^2 - n c_k^2, which is not 0 since n is not a square
+    in F_p.  x has valuation 1, so it is not a norm; (x, n)_K is not split,
+    and a quaternion algebra that is not split is a division ring.  So
+    N(q) = 0 only for q = 0.
+
+    The center of Q is K, embedded as the parts (c, 0, 0, 0), so as_scalar
+    decides centrality.  Coordinates over F = F_p(x^p) are the four parts'
+    K-coordinates one after another: 4p of them, the first p those of K.
+    """
+
+    __slots__ = ("base", "j_square", "i_square")
 
     is_commutative = False
 
-    def __init__(self, base: DerivedField, n: int):
-        if n < 1:
-            raise ValueError("matrix size must be positive")
+    def __init__(self, base: DerivedField):
+        p = base.p
+        if p == 2:
+            raise ValueError("the quaternion ring (x^p, n)_K needs an odd p")
         self.base = base
-        self.n = n
+        self.j_square = base.from_int(
+            next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+        )
+        self.i_square = base.x() ** p
 
     @property
     def p(self) -> int:
@@ -412,68 +504,73 @@ class MatrixRingAdapter:
 
     @property
     def dim_over_constants(self) -> int:
-        return self.n * self.n * self.base.p
+        return 4 * self.base.p
 
-    def zero(self) -> Matrix:
+    def of(self, a, b, c, e) -> Quaternion:
+        """a + b i + c j + e ij."""
+        return Quaternion(self, (a, b, c, e))
+
+    def zero(self) -> Quaternion:
         return self.embed(self.base.zero())
 
-    def one(self) -> Matrix:
+    def one(self) -> Quaternion:
         return self.embed(self.base.one())
 
-    def embed(self, c: RatFunc) -> Matrix:
-        return Matrix.scalar(self.base, self.n, c)
+    def embed(self, c: RatFunc) -> Quaternion:
+        zero = self.base.zero()
+        return Quaternion(self, (c, zero, zero, zero))
 
-    def as_scalar(self, a: Matrix):
-        """The c in K with a = c I, or None when a is not a scalar matrix."""
-        c = a.rows[0][0]
-        return c if a == self.embed(c) else None
+    def as_scalar(self, a: Quaternion):
+        """The c in K with a = embed(c), or None when a is not central."""
+        return None if any(a.parts[1:]) else a.parts[0]
 
-    def of(self, rows) -> Matrix:
-        a = Matrix(self.base, rows)
-        if a.nrows != self.n or a.ncols != self.n:
-            raise ValueError("expected an %d x %d matrix" % (self.n, self.n))
-        return a
+    def delta(self, a: Quaternion) -> Quaternion:
+        return Quaternion(self, [self.base.delta(c) for c in a.parts])
 
-    def delta(self, a: Matrix) -> Matrix:
-        return Matrix(self.base, [[self.base.delta(e) for e in r] for r in a.rows])
+    def is_constant(self, a: Quaternion) -> bool:
+        return all(self.base.is_constant(c) for c in a.parts)
 
-    def is_constant(self, a: Matrix) -> bool:
-        return all(self.base.is_constant(e) for r in a.rows for e in r)
+    def norm(self, a: Quaternion) -> RatFunc:
+        """The reduced norm a^2 - x^p b^2 - n c^2 + n x^p e^2."""
+        a0, b, c, e = a.parts
+        s, n = self.i_square, self.j_square
+        return a0 * a0 - s * (b * b) - n * (c * c) + (n * s) * (e * e)
 
-    def invert(self, a: Matrix) -> Matrix:
-        try:
-            return a.inverse()
-        except NoSolution:
-            raise ZeroDivisionError("matrix is not invertible") from None
+    def invert(self, a: Quaternion) -> Quaternion:
+        """conj(a) / N(a); ZeroDivisionError for a = 0, the only q with N(q) = 0."""
+        m = self.norm(a)
+        if not m:
+            raise ZeroDivisionError("zero is not invertible")
+        m = m.inverse()
+        a0, b, c, e = a.parts
+        return Quaternion(self, (a0 * m, -(b * m), -(c * m), -(e * m)))
 
     def constant_basis(self):
-        """Units E_kl x^j: an F-basis of the matrix ring."""
-        out = []
+        """u x^j for u in 1, i, j, ij and j < p: an F-basis of Q."""
         zero = self.base.zero()
-        for k in range(self.n):
-            for l in range(self.n):
-                for xj in self.base.constant_basis():
-                    rows = [[zero] * self.n for _ in range(self.n)]
-                    rows[k][l] = xj
-                    out.append(Matrix(self.base, rows))
+        out = []
+        for k in range(4):
+            for xj in self.base.constant_basis():
+                parts = [zero] * 4
+                parts[k] = xj
+                out.append(Quaternion(self, parts))
         return out
 
-    def coords(self, a: Matrix):
-        return tuple(c for r in a.rows for e in r for c in self.base.coords(e))
+    def coords(self, a: Quaternion):
+        return tuple(c for part in a.parts for c in self.base.coords(part))
 
-    def from_coords(self, cs) -> Matrix:
-        p, n = self.base.p, self.n
-        entries = [self.base.from_coords(cs[i : i + p]) for i in range(0, n * n * p, p)]
-        return Matrix(self.base, [entries[k : k + n] for k in range(0, n * n, n)])
+    def from_coords(self, cs) -> Quaternion:
+        p = self.base.p
+        return Quaternion(self, [self.base.from_coords(cs[k : k + p]) for k in range(0, 4 * p, p)])
 
-    def random_element(self, rng, max_degree: int) -> Matrix:
-        return Matrix(
-            self.base,
-            [
-                [random_ratfunc(self.base, rng, max_degree) for _ in range(self.n)]
-                for _ in range(self.n)
-            ],
-        )
+    def random_element(self, rng, max_degree: int) -> Quaternion:
+        return Quaternion(self, [random_ratfunc(self.base, rng, max_degree) for _ in range(4)])
+
+    def __eq__(self, other):
+        return isinstance(other, QuaternionRing) and other.base == self.base
+
+    def __hash__(self):
+        return hash(("QuaternionRing", self.base))
 
     def __repr__(self):
-        return "MatrixRingAdapter(n=%d, base=%r)" % (self.n, self.base)
+        return "QuaternionRing(%r)" % (self.base,)

@@ -28,7 +28,7 @@ from diffext.errors import (
 )
 from diffext.frontend import instance_from_text
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
-from diffext.towers import DerivedField, MatrixRingAdapter, minimal_p_polynomial
+from diffext.towers import DerivedField, QuaternionRing, minimal_p_polynomial
 
 
 IDENT = lambda z: z
@@ -270,30 +270,42 @@ def test_inner_auto_errors(i1):
         inner_auto(i1, i1.t())
 
 
-def test_inner_auto_over_matrices_needs_right_nuclear_a():
-    # d = diag(x, 0): (f a) mod f = a d - d a, so a is nuclear iff it commutes with d.
-    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
-    x, zero, one = K.x(), K.zero(), K.one()
-    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[x, zero], [zero, zero]]))
-    for a in (A.of([[zero, one], [one, zero]]), A.of([[one, one], [zero, one]])):
+def test_inner_auto_over_quaternions_needs_right_nuclear_a():
+    # d = x i: (f a) mod f = a d - d a, so a is nuclear iff it commutes with i.
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    x, zero, one = Q.base.x(), Q.base.zero(), Q.base.one()
+    for a in (Q.of(zero, zero, one, zero), Q.of(one, zero, one, zero)):
         with pytest.raises(NotNuclear):
             inner_auto(alg, a)
-    assert inner_auto(alg, A.one()).c == A.zero()
-    G = inner_auto(alg, A.of([[x, zero], [zero, one]]))
-    assert G.tau_name == "conj" and G.c == A.of([[one, zero], [zero, zero]])
+    assert inner_auto(alg, Q.one()).c == Q.zero()
+    # Conjugation by i is the descriptor (conj, 0, 1), checked inside
+    # inner_auto against literal conjugation on the basis, and here on
+    # sampled elements.
+    i = Q.of(zero, one, zero, zero)
+    G = inner_auto(alg, i)
+    assert G.tau_name == "conj" and G.c == Q.zero()
+    i_el, i_inv = alg.scalar(i), alg.scalar(Q.invert(i))
+    rng = random.Random(4600)
+    for _ in range(5):
+        u = alg.random_element(rng, 2)
+        assert apply_auto(G, u) == (i_inv * u) * i_el
+    # a = x + i is not constant: c = a^(-1) delta(a) leaves K.
+    a = Q.of(x, one, zero, zero)
+    G = inner_auto(alg, a)
+    assert G.tau_name == "conj" and G.c == Q.invert(a) * Q.delta(a)
+    assert Q.as_scalar(G.c) is None
 
 
-def test_inner_auto_by_scalar_matrix_fixes_coefficients():
-    # A scalar a = c I is central: conjugation fixes every coefficient, so
-    # tau is named "id"; the basis cross-check inside inner_auto agrees.
-    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
-    x, zero = K.x(), K.zero()
-    alg = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[x, zero], [zero, zero]]))
+def test_inner_auto_by_scalar_quaternion_fixes_coefficients():
+    # A scalar a = embed(c) is central: conjugation fixes every coefficient,
+    # so tau is named "id"; the basis cross-check inside inner_auto agrees.
+    alg = _quaternion_algebra()
+    Q, K = alg.ring, alg.base_field
+    x = K.x()
     for c in (K.one(), x, x * x + K.one()):
-        G = inner_auto(alg, A.embed(c))
-        assert G.tau_name == "id" and G.c == A.embed(K.log_derivative(c))
+        G = inner_auto(alg, Q.embed(c))
+        assert G.tau_name == "id" and G.c == Q.embed(K.log_derivative(c))
 
 
 def test_inner_autos_are_log_derivative_shifts(i1):
@@ -338,13 +350,14 @@ def test_auto_constraints_states_theorems_without_building(monkeypatch, i1, i2, 
         )
 
 
-def test_auto_constraints_unsupported_for_matrix_base():
-    K = DerivedField(2, RatFunc(DensePoly.one(PrimeField(2)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
+def test_auto_constraints_unsupported_for_quaternion_base():
+    K = DerivedField(3, RatFunc(DensePoly.one(PrimeField(3)), DensePoly.one(PrimeField(3))))
+    Q = QuaternionRing(K)
     g = minimal_p_polynomial(K)
-    alg = ExtAlgebra(A, g, A.zero())
-    with pytest.raises(UnsupportedInstance, match="^constraint analysis needs a commutative base$"):
-        auto_constraints(alg)
+    for d in (Q.zero(), Q.embed(K.x())):
+        alg = ExtAlgebra(Q, g, d)
+        with pytest.raises(UnsupportedInstance, match="^constraint analysis needs a commutative base$"):
+            auto_constraints(alg)
 
 
 def test_descriptor_equality(i1):
@@ -371,19 +384,19 @@ def _substitute_by_products(h, tau, c, eps):
     return acc
 
 
-def _matrix_algebra():
-    # d = diag(x, 0) over 2x2 matrices over F_2(x), delta = x d/dx.
-    K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
+def _quaternion_algebra():
+    # d = x i over Q = (x^3, 2) over F_3(x), delta = x d/dx.
+    K = DerivedField(3, RatFunc(DensePoly(PrimeField(3), (0, 1)), DensePoly.one(PrimeField(3))))
+    Q = QuaternionRing(K)
     zero = K.zero()
-    return ExtAlgebra(A, minimal_p_polynomial(K), A.of([[K.x(), zero], [zero, zero]]))
+    return ExtAlgebra(Q, minimal_p_polynomial(K), Q.of(zero, K.x(), zero, zero))
 
 
 def test_substitute_matches_product_oracle():
     rng = random.Random(4300)
     K2 = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
     K3 = DerivedField(3, RatFunc(DensePoly(PrimeField(3), (1,)), DensePoly.one(PrimeField(3))))
-    for ring in (K2, K3, MatrixRingAdapter(K2, 2)):
+    for ring in (K2, K3, QuaternionRing(K3)):
         for _ in range(6):
             h = DiffPoly(ring, [ring.random_element(rng, 2) for _ in range(rng.randrange(7))])
             c = ring.random_element(rng, 2)
@@ -394,7 +407,7 @@ def test_substitute_matches_product_oracle():
 
 def _descriptors(alg, rng):
     # Shift descriptors by log derivatives, and inner descriptors (tau =
-    # conjugation over the matrix adapter).
+    # conjugation over the quaternion ring).
     ring = alg.ring
     if ring.is_commutative:
         units = [random_ratfunc(ring, rng, 2, nonzero=True) for _ in range(3)]
@@ -403,19 +416,19 @@ def _descriptors(alg, rng):
     K, zero, one = ring.base, ring.base.zero(), ring.base.one()
     u = ring.embed(K.x() + one)
     shift = build_auto(alg, IDENT, ring.invert(u) * ring.delta(u), ring.one())
-    return [shift, inner_auto(alg, ring.of([[K.x(), zero], [zero, one]]))]
+    return [shift, inner_auto(alg, ring.of(K.x(), one, zero, zero))]
 
 
 def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
     rng = random.Random(4400)
     products = []
     mul = DiffPoly.__mul__
-    for alg in (i1, i3, i4, _matrix_algebra()):
+    for alg in (i1, i3, i4, _quaternion_algebra()):
         ring = alg.ring
         elems = alg.basis() + [alg.random_element(rng, 2) for _ in range(4)]
         elems += [elems[-1] * elems[-2]]
         descs = _descriptors(alg, rng)
-        # Only a central a gives a shift over the adapter (see the test below).
+        # Only a central a gives a shift over Q (see the test below).
         K = alg.base_field
         isos = [shift_isomorphism(alg, ring.embed(K.random_element(rng, 2))) for _ in range(2)]
         assert "conj" in [H.tau_name for H in descs] or ring.is_commutative
@@ -434,18 +447,18 @@ def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
                 assert img == iso.target.element(want)
 
 
-def test_shift_isomorphism_over_adapter_needs_a_central_shift():
+def test_shift_isomorphism_over_quaternions_needs_a_central_shift():
     # t -> t - a is multiplicative only when a commutes with the
-    # coefficient ring; E_12 does not, and the eq1 check refuses it.
-    alg = _matrix_algebra()
-    A = alg.ring
-    K, zero, one = A.base, A.base.zero(), A.base.one()
+    # coefficient ring; j does not, and the eq1 check refuses it.
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    K, zero, one = Q.base, Q.base.zero(), Q.base.one()
     with pytest.raises(ConditionFailed) as exc:
-        shift_isomorphism(alg, A.of([[zero, one], [zero, zero]]))
+        shift_isomorphism(alg, Q.of(zero, zero, one, zero))
     assert exc.value.condition == "eq1"
-    a = A.embed(K.x())
+    a = Q.embed(K.x())
     iso = shift_isomorphism(alg, a)
-    assert iso.target.d == alg.d + v_g(A, alg.g, a)
+    assert iso.target.d == alg.d + v_g(Q, alg.g, a)
     back = shift_isomorphism(iso.target, -a)
     rng = random.Random(4500)
     for _ in range(20):

@@ -10,8 +10,8 @@ import pytest
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def test_five_demos_found():
-    assert len(DEMOS) == 5
+def test_six_demos_found():
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -21,8 +21,8 @@ from diffext.linalg import Matrix, solve_mod_p
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
-    MatrixRingAdapter,
     PPolynomial,
+    QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
@@ -164,13 +164,29 @@ def center_oracle(alg):
     return alg._common_kernel(maps, alg._nucleus_coords("full"))
 
 
-def adapter_algebra(n):
-    """n x n matrices over F_2(x), delta = x d/dx, d = diag(x, 0, ..., 0)."""
-    F = PrimeField(2)
-    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
-    A = MatrixRingAdapter(K, n)
-    d = [[K.x() if i == j == 0 else K.zero() for j in range(n)] for i in range(n)]
-    return ExtAlgebra(A, minimal_p_polynomial(K), A.of(d))
+def quaternion_ring(weight="x"):
+    """Q = (x^3, 2) over F_3(x) with delta = weight d/dx."""
+    return QuaternionRing(instance_from_text("p = 3\ndelta_of_x = %s\nd = 0\n" % weight).K)
+
+
+def quaternion_algebra(name):
+    """The dim-36 quotient of Q[t; delta] by t^3 - t - d, delta = x d/dx.
+
+    d = x i and d = x + j are constants of K-degree 1 that are not central;
+    d = x is central and not constant.  None is associative.
+    """
+    Q = quaternion_ring()
+    zero, one, x = Q.base.zero(), Q.base.one(), Q.base.x()
+    d = {"x*i": Q.of(zero, x, zero, zero), "x": Q.embed(x), "x+j": Q.of(x, zero, one, zero)}[name]
+    return ExtAlgebra(Q, minimal_p_polynomial(Q.base), d)
+
+
+_QUATERNION_DS = ["x*i", "x", "x+j"]
+
+
+@pytest.fixture(scope="module", params=_QUATERNION_DS)
+def quaternion_alg(request):
+    return request.param, quaternion_algebra(request.param)
 
 
 def test_product_frozen_values(i1):
@@ -236,10 +252,9 @@ def test_structure_constants_match_product_oracle_p5():
     assert alg.structure_constants() == table_oracle(alg)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_structure_constants_match_product_oracle_adapter(n):
-    alg = adapter_algebra(n)
-    assert alg.dim == 4 * n * n
+def test_structure_constants_match_product_oracle_quaternion(quaternion_alg):
+    _, alg = quaternion_alg
+    assert alg.dim == 36
     assert alg.structure_constants() == table_oracle(alg)
 
 
@@ -330,89 +345,83 @@ def test_nucleus_matches_table_engine_rational_d(p3_rational_d, which):
     assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which]
 
 
-@pytest.mark.parametrize("which", ["left", "middle", "right", "full"])
-def test_adapter_1x1_nucleus_matches_table_engine(which):
-    # The matrix route (associator sweeps for left and middle) on F_2(x)
-    # itself, delta = x d/dx, d = x: small enough for every slot.
-    alg = adapter_algebra(1)
-    assert [alg.coords(e) for e in alg.nucleus(which)] == table_nuclei(alg)[which]
-
-
-@pytest.fixture(scope="module")
-def adapter_diag():
-    """2x2 matrices over F_2(x), delta = x d/dx, d = diag(x, 0)."""
-    return adapter_algebra(2)
-
-
-def test_adapter_right_nucleus_is_eigenring(adapter_diag):
-    alg = adapter_diag
-    right = alg.nucleus("right")
-    # Smaller than the coefficient ring (dim 8) and reaching degree 1.
-    assert len(right) == 6 and max(e.degree() for e in right) == 1
-    assert [alg.coords(e) for e in right] == table_nucleus(alg, "right")
-
-
-def test_adapter_left_nucleus_matches_table_engine(adapter_diag):
-    alg = adapter_diag
-    left = alg.nucleus("left")
-    assert [alg.coords(e) for e in left] == table_nucleus(alg, "left")
-    assert span_coords(alg, left) == span_coords(
-        alg, [alg.scalar(b) for b in alg.ring.constant_basis()]
-    )
-
-
-# Over the adapter, right-invariance of f and the eigenring map
-# u |-> (f u) mod f are the oracles for "d is a central constant" and for
-# the centralizer of d.
-def _adapter_test_ds(A, rng):
-    """0, 1, x^p, x as scalars, then diag(1, 0) and E_01 (n = 2), then random."""
-    K = A.base
-    x, one, zero = K.x(), K.one(), K.zero()
-    ds = [A.zero(), A.one(), A.embed(x ** A.p), A.embed(x)]
-    if A.n == 2:
-        ds += [A.of([[one, zero], [zero, zero]]), A.of([[zero, one], [zero, zero]])]
-    return ds + [A.random_element(rng, 1)]
-
-
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_adapter_is_associative_matches_right_invariance(p, n):
-    K = instance_from_text("p = %d\ndelta_of_x = x\nd = 0\n" % p).K
-    A = MatrixRingAdapter(K, n)
-    g = minimal_p_polynomial(K)
-    verdicts = []
-    for d in _adapter_test_ds(A, random.Random("assoc:%d:%d" % (p, n))):
-        alg = ExtAlgebra(A, g, d)
-        assert alg.is_associative() == is_right_invariant(alg.f), d
-        verdicts.append(alg.is_associative())
-    # The random d is left to the oracle: at n = 1 it may be a constant.
-    assert verdicts[:-1] == [True] * 3 + [False] * (len(verdicts) - 4)
-
-
-def _eigenring_nuclei(alg):
-    """Right and full nuclei with the eigenring map u |-> (f u) mod f."""
-    units = alg._units()
-    eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
-    basis = alg.basis()[::-1]
-    assoc = [alg._associator_map(slot, a) for slot in ("left", "middle") for a in basis]
+# Over Q the left and middle nuclei are Q (Petit), the right nucleus is the
+# centralizer of d, and associativity is "d in F".  The oracles: associator
+# maps built from element products, the eigenring map u |-> (f u) mod f and
+# right-invariance of f.  The whole associator sweep over basis pairs costs
+# too much at dim 36, so the left and middle oracles take one map each,
+# [v, t^2, t] and [t^2, v, t].  Its kernel holds the nucleus, and Q lies in
+# the nucleus because f is monic, so a kernel of dimension 4p = 12 is the
+# nucleus.
+def _top_associator_maps(alg):
+    """The maps v |-> [v, t^(m-1), t] and v |-> [t^(m-1), v, t], by element products."""
+    t = alg.t()
+    top = alg.one()
+    for _ in range(alg.f.degree() - 1):
+        top = top * t
     return {
-        "right": alg._common_kernel([eigen], units),
-        "full": alg._common_kernel([eigen] + assoc, units),
+        "left": alg._on_coords(lambda v: [alg.associator(v, top, t)]),
+        "middle": alg._on_coords(lambda v: [alg.associator(top, v, t)]),
     }
 
 
-def test_adapter_right_and_full_nuclei_match_eigenring_map(adapter_diag):
-    F = PrimeField(2)
-    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
-    A = MatrixRingAdapter(K, 2)
-    one, zero = K.one(), K.zero()
-    # diag(1, 0) is constant but not scalar: the algebra is not associative.
-    const = ExtAlgebra(A, minimal_p_polynomial(K), A.of([[one, zero], [zero, zero]]))
-    assert not const.is_associative()
-    for alg in (adapter_diag, const):
-        oracle = _eigenring_nuclei(alg)
-        for which in ("right", "full"):
-            assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which]
+def test_quaternion_left_and_middle_nuclei_are_q(quaternion_alg):
+    _, alg = quaternion_alg
+    units = alg._units()
+    q = units[: alg.ring.dim_over_constants]
+    assert len(q) == 12
+    for slot, fn in _top_associator_maps(alg).items():
+        assert alg._common_kernel([fn], units) == q
+        assert [alg.coords(e) for e in alg.nucleus(slot)] == q
+    # Q is left and middle nuclear, sampled.
+    rng = random.Random("quat-nuclear:%s" % alg.d)
+    for b in alg.ring.constant_basis():
+        u, v, a = alg.random_element(rng, 1), alg.random_element(rng, 1), alg.scalar(b)
+        assert not alg.associator(a, u, v) and not alg.associator(u, a, v)
+
+
+def test_quaternion_right_and_full_nuclei_match_eigenring_map(quaternion_alg):
+    name, alg = quaternion_alg
+    units = alg._units()
+    eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
+    cut = list(_top_associator_maps(alg).values())
+    right = alg._common_kernel([eigen], units)
+    full = alg._common_kernel([eigen] + cut, units)
+    assert [alg.coords(e) for e in alg.nucleus("right")] == right
+    assert [alg.coords(e) for e in alg.nucleus("full")] == full
+    # d = x is central, so right = Q; otherwise K + K d, of degree 0.
+    assert len(right) == len(full) == {"x*i": 6, "x": 12, "x+j": 6}[name]
+    assert all(e.degree() <= 0 for e in alg.nucleus("right"))
+
+
+def test_quaternion_center_matches_all_basis_commutators(quaternion_alg):
+    _, alg = quaternion_alg
+    center = alg.center()
+    assert [alg.coords(z) for z in center] == center_oracle(alg)
+    assert basis_str(center) == "1"
+
+
+def test_quaternion_is_associative_matches_right_invariance():
+    Q = quaternion_ring()
+    K = Q.base
+    zero, one, x = K.zero(), K.one(), K.x()
+    g = minimal_p_polynomial(K)
+    # Central constants, then a central non-constant, then constants that
+    # are not central, then a random d.
+    ds = [Q.zero(), Q.one(), Q.embed(x ** 3), Q.embed(x)]
+    ds += [Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero), Q.of(zero, x ** 3, zero, one)]
+    ds.append(Q.random_element(random.Random("quat-assoc"), 1))
+    rng = random.Random("quat-assoc-samples")
+    verdicts = []
+    for d in ds:
+        alg = ExtAlgebra(Q, g, d)
+        assert alg.dim == 36
+        assert alg.is_associative() == is_right_invariant(alg.f), d
+        verdicts.append(alg.is_associative())
+        if verdicts[-1]:
+            u, v, w = (alg.random_element(rng, 1) for _ in range(3))
+            assert not alg.associator(u, v, w)
+    assert verdicts == [True] * 3 + [False] * (len(ds) - 3)
 
 
 def test_exponent_two_nuclei_match_table_engine():
@@ -478,7 +487,12 @@ def test_algebra_refuses_g_that_does_not_annihilate_delta():
     # not central and d in F would not make the quotient associative.
     K = DerivedField(2, RatFunc(DensePoly(PrimeField(2), (0, 1)), DensePoly.one(PrimeField(2))))
     g = PPolynomial(2, 1, (K.zero(),))
-    for ring in (K, MatrixRingAdapter(K, 2)):
+    with pytest.raises(GNotAnnihilating):
+        ExtAlgebra(K, g, K.one())
+    # The same for t^3 and x d/dx over F_3, over K and over Q.
+    Q = quaternion_ring()
+    g = PPolynomial(3, 1, (Q.base.zero(),))
+    for ring in (Q.base, Q):
         with pytest.raises(GNotAnnihilating):
             ExtAlgebra(ring, g, ring.one())
 
@@ -558,14 +572,6 @@ _CENTER_CASES = [
 def test_center_from_generators_matches_all_basis_commutators(p, weight, g_text, d):
     text = "p = %d\ndelta_of_x = %s\nd = %s\n" % (p, weight, d)
     alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
-    assert [alg.coords(z) for z in alg.center()] == center_oracle(alg)
-
-
-@pytest.mark.parametrize("scalar", [True, False], ids=["scalar-d", "diag-d"])
-def test_adapter_center_matches_all_basis_commutators(scalar):
-    alg = adapter_algebra(2)
-    if scalar:
-        alg = ExtAlgebra(alg.ring, alg.g, alg.ring.embed(alg.base_field.x()))
     assert [alg.coords(z) for z in alg.center()] == center_oracle(alg)
 
 
@@ -675,18 +681,19 @@ def test_factor_search_zero_d_picks_smallest_kernel_vector(p):
         assert str(alg.linear_right_factor_search(bound)) == str(brute_force_factor(alg, bound)) == "1"
 
 
-def test_factor_search_matches_enumeration_over_matrices():
-    F = PrimeField(2)
-    K = DerivedField(2, RatFunc(DensePoly(F, (0, 1)), DensePoly.one(F)))
-    A = MatrixRingAdapter(K, 2)
+def test_factor_search_matches_enumeration_over_quaternions():
+    Q = quaternion_ring()
+    K = Q.base
     g = minimal_p_polynomial(K)
-    b0 = RatFunc(DensePoly(F, (1, 1)), DensePoly(F, (0, 1)))
-    scalar = ExtAlgebra(A, g, A.embed(v_g(K, g, b0)))
-    b = scalar.linear_right_factor_search(1)
-    assert b is not None and str(b) == str(brute_force_factor(scalar, 1))
-    # V_g of a scalar matrix is scalar, so no candidate reaches this d.
-    x, zero = K.x(), K.zero()
-    lone = ExtAlgebra(A, g, A.of([[x, zero], [zero, zero]]))
+    x = K.x()
+    for c in (x ** 3, v_g(K, g, (x + K.one()) / x)):
+        scalar = ExtAlgebra(Q, g, Q.embed(c))
+        b = scalar.linear_right_factor_search(1)
+        want = ExtAlgebra(K, g, c).linear_right_factor_search(1)
+        assert b is not None and b == Q.embed(want)
+        assert str(b) == str(brute_force_factor(scalar, 1))
+    # V_g of a scalar is scalar, so no candidate reaches a d outside K.
+    lone = quaternion_algebra("x*i")
     assert lone.linear_right_factor_search(1) is None
     assert brute_force_factor(lone, 1) is None
 
@@ -845,18 +852,18 @@ def test_division_at_exponent_two_searches_for_g_not_closed_form(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_v_g_of_every_b_is_constant(p):
     # Fact A: g(t) and g(t - b) are central, so V_g(b) is a constant; over
-    # the adapter V_g(b I) = V_g(b) I.
+    # the quaternion ring (odd p) V_g(embed b) = embed V_g(b).
     rng = random.Random("factA:%d" % p)
     for weight in _FACT_B_WEIGHTS:
         K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
         g = minimal_p_polynomial(K)
-        A = MatrixRingAdapter(K, 2)
+        Q = QuaternionRing(K) if p > 2 else None
         for _ in range(4):
             b = random_ratfunc(K, rng, 3)
             vb = v_g(K, g, b)
             assert K.is_constant(vb), (weight, b)
-            if p <= 3:
-                assert v_g(A, g, A.embed(b)) == A.embed(vb)
+            if Q is not None:
+                assert v_g(Q, g, Q.embed(b)) == Q.embed(vb)
 
 
 _FACT_A_CASES = [(p, w, None) for p in (2, 3, 5) for w in _FACT_B_WEIGHTS] + [(2, "x", "t^4 + t")]
@@ -887,16 +894,14 @@ def test_no_linear_factor_for_d_not_in_f_without_search(monkeypatch, p, weight, 
             assert brute_force_factor(alg, 1) is None, d
 
 
-@pytest.mark.parametrize(
-    "p,n,bound", [(2, 1, 2), (2, 2, 2), (3, 2, 1)], ids=["p2n1", "p2n2", "p3n2"]
-)
-def test_adapter_search_on_scalar_constant_matches_k(p, n, bound):
-    # d = c I with c in F: the adapter searches V_g(b) = c over K, so it
-    # returns the embedded K witness, or None with it.
+@pytest.mark.parametrize("p,bound", [(3, 1), (5, 1)], ids=["p3", "p5"])
+def test_quaternion_search_on_scalar_constant_matches_k(p, bound):
+    # d = embed(c) with c in F: Q searches V_g(b) = c over K, so it returns
+    # the embedded K witness, or None with it.
     inst = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p)
     K, g = inst.K, inst.g
-    A = MatrixRingAdapter(K, n)
-    rng = random.Random("adapter-search:%d:%d" % (p, n))
+    Q = QuaternionRing(K)
+    rng = random.Random("quaternion-search:%d" % p)
     cs = [
         K.zero(),
         K.x() ** p,
@@ -906,8 +911,8 @@ def test_adapter_search_on_scalar_constant_matches_k(p, n, bound):
     found = 0
     for c in cs:
         want = ExtAlgebra(K, g, c).linear_right_factor_search(bound)
-        got = ExtAlgebra(A, g, A.embed(c)).linear_right_factor_search(bound)
-        assert got == (None if want is None else A.embed(want)), c
+        got = ExtAlgebra(Q, g, Q.embed(c)).linear_right_factor_search(bound)
+        assert got == (None if want is None else Q.embed(want)), c
         found += want is not None
     assert found >= 2
 
@@ -988,20 +993,3 @@ def test_shift_by_log_derivative_is_endo(i1):
     one = i1.ring.one()
     iso = shift_isomorphism(i1, one)
     assert iso.target == i1
-
-
-def test_matrix_adapter_algebra_smoke():
-    # Associative check via the adapter: d = 0 constant matrix, g = t^2
-    # annihilates entrywise d/dx over F_2.
-    K = DerivedField(2, RatFunc(DensePoly.one(PrimeField(2)), DensePoly.one(PrimeField(2))))
-    A = MatrixRingAdapter(K, 2)
-    g = minimal_p_polynomial(K)
-    alg = ExtAlgebra(A, g, A.zero())
-    assert alg.dim == 16
-    assert alg.is_associative()
-    assert table_is_associative(alg)
-    rng = random.Random(2)
-    u = alg.random_element(rng, 1)
-    v = alg.random_element(rng, 1)
-    w = alg.random_element(rng, 1)
-    assert not alg.associator(u, v, w)

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from diffext.errors import (
-    InternalInvariantViolation,
-    NonInvertibleLeadingCoefficient,
-    NoSolution,
-    NotInner,
-)
+from diffext.errors import InternalInvariantViolation, NoSolution, NotInner
 from diffext.diffpoly import (
     DiffPoly,
     _p_step,
@@ -26,8 +21,8 @@ from diffext.parsing import parse_diffpoly
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
-    MatrixRingAdapter,
     PPolynomial,
+    QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
@@ -42,6 +37,8 @@ K2X = DerivedField(2, _w(2, (0, 1)))   # delta = x d/dx over F_2
 K2D = DerivedField(2, _w(2, (1,)))     # delta = d/dx over F_2
 K3X = DerivedField(3, _w(3, (0, 1)))   # delta = x d/dx over F_3
 K3D = DerivedField(3, _w(3, (1,)))     # delta = d/dx over F_3
+Q3X = QuaternionRing(K3X)              # (x^3, 2) over K3X
+Q3D = QuaternionRing(K3D)              # (x^3, 2) over K3D
 
 
 def dp(ring, *coeffs):
@@ -155,34 +152,36 @@ def test_v_p_closed_form_commutative_sampled():
             assert v_p_tower(ring, b, 1) == b ** p + d
 
 
-def test_v_p_matrix_frozen_value():
-    # Entrywise d/dx over F_2, b = [[0, x], [1, 0]]: V_2(b) = b^2 + delta(b).
-    A = MatrixRingAdapter(K2D, 2)
-    x, one, zero = K2D.x(), K2D.one(), K2D.zero()
-    b = A.of([[zero, x], [one, zero]])
-    v = v_p_tower(A, b, 1)
-    assert v == A.of([[x, one], [zero, x]])
-    assert v == b * b + A.delta(b)
+def test_v_p_quaternion_frozen_value():
+    # d/dx over F_3, b = x i + j: b^2 = x^5 + 2 is central and delta(b) = i,
+    # so V_3(b) = b^3 + b i - i b = (x^5 + 2) b + (j i - i j) = (x^5 + 2) b + ij.
+    x, one, zero = K3D.x(), K3D.one(), K3D.zero()
+    b = Q3D.of(zero, x, one, zero)
+    v = v_p_tower(Q3D, b, 1)
+    assert v == Q3D.of(zero, x ** 6 + x + x, x ** 5 + one + one, one)
+    db = Q3D.delta(b)
+    assert v == b * b * b + b * db - db * b
 
 
-def test_v_3_matrix_commutator_term():
+def test_v_3_quaternion_commutator_term():
     # Noncommutative p = 3: V_3(b) = b^3 + delta^2(b) + b*delta(b) - delta(b)*b.
-    A = MatrixRingAdapter(K3D, 2)
     rng = random.Random(17)
+    commutators = 0
     for _ in range(30):
-        b = A.of([[random_ratfunc(K3D, rng, 1) for _ in range(2)] for _ in range(2)])
-        db = A.delta(b)
-        expect = b ** 3 + A.delta(db) + b * db - db * b
-        assert v_p_tower(A, b, 1) == expect
+        b = Q3D.random_element(rng, 1)
+        db = Q3D.delta(b)
+        expect = b * b * b + Q3D.delta(db) + b * db - db * b
+        assert v_p_tower(Q3D, b, 1) == expect
+        commutators += b * db != db * b
+    assert commutators
 
 
-def test_v_p_tower_matches_iteration_and_matrix_levels():
-    A = MatrixRingAdapter(K3X, 2)
+def test_v_p_tower_matches_iteration_and_quaternion_levels():
     rng = random.Random(23)
     for _ in range(10):
-        b = A.of([[random_ratfunc(K3X, rng, 1) for _ in range(2)] for _ in range(2)])
-        v1 = v_p_tower(A, b, 1)
-        assert v_p_tower(A, b, 2) == v_p_tower(A, v1, 1)
+        b = Q3X.random_element(rng, 1)
+        v1 = v_p_tower(Q3X, b, 1)
+        assert v_p_tower(Q3X, b, 2) == v_p_tower(Q3X, v1, 1)
 
 
 def test_v_g_frozen_values():
@@ -269,16 +268,6 @@ def test_middle_coefficient_violation_detected():
         v_p_tower(BrokenRing(), Z4(1), 1)
 
 
-def test_noninvertible_leading_coefficient():
-    A = MatrixRingAdapter(K2X, 2)
-    x = K2X.x()
-    singular = A.of([[x, x], [x, x]])
-    f = DiffPoly(A, (A.one(), singular))
-    g = DiffPoly.t(A) * DiffPoly.t(A)
-    with pytest.raises(NonInvertibleLeadingCoefficient):
-        g.right_divmod(f)
-
-
 def test_is_right_invariant_frozen_values():
     one, x = K2X.one(), K2X.x()
     # f = t^2 + t + x^2: d = x^2 is a constant, so R*f is two-sided.
@@ -323,12 +312,14 @@ def test_find_inner_constant_commutative_annihilating():
     assert not find_inner_constant(K3X, g3)
 
 
-def test_find_inner_constant_matrix_adapter():
-    # Entrywise d/dx over F_2 with g = t^2: delta^2 = 0 = [0, -], so d0 = 0.
-    A = MatrixRingAdapter(K2D, 2)
-    g = minimal_p_polynomial(K2D)
+def test_find_inner_constant_quaternion_ring():
+    # d/dx over F_3 with g = t^3: delta^3 = 0 = [0, -], so d0 = 0.  t^3 does
+    # not annihilate x d/dx, and K is central in Q: no d0.
+    g = minimal_p_polynomial(K3D)
     assert g.e == 1 and not g.coeffs[0]
-    assert not find_inner_constant(A, g)
+    assert find_inner_constant(Q3D, g) == Q3D.zero()
+    with pytest.raises(NotInner):
+        find_inner_constant(Q3X, g)
 
 
 def test_find_inner_constant_not_inner():
@@ -380,15 +371,15 @@ def _inner_cases():
                 "t^p + x^p t": PPolynomial(p, 1, (xp,)),
                 "t^(p^2) + t^p": PPolynomial(p, 2, (one, zero)),
             }
-            rings = [K] + ([MatrixRingAdapter(K, 2)] if p <= 3 else [])
+            rings = [K] + ([QuaternionRing(K)] if p > 2 else [])
             for ring in rings:
                 for name, g in gs.items():
                     yield "%s-%s-%s" % (ring, weight, name), ring, g
 
 
 def test_find_inner_constant_matches_linear_solve():
-    # 125 cases: 75 over K at p = 2, 3, 5 and 50 over the 2 x 2 adapter at
-    # p = 2, 3.  Both answers are 0 or NotInner, and they agree.
+    # 125 cases: 75 over K at p = 2, 3, 5 and 50 over the quaternion ring
+    # at p = 3, 5.  Both answers are 0 or NotInner, and they agree.
     outcomes = {"zero": 0, "not inner": 0}
     for label, ring, g in _inner_cases():
         try:
@@ -406,7 +397,7 @@ def test_find_inner_constant_matches_linear_solve():
 
 def test_diffpoly_pow_matches_repeated_product():
     rng = random.Random(13)
-    for ring in (K3X, MatrixRingAdapter(K2D, 2)):
+    for ring in (K3X, Q3X):
         a = DiffPoly(ring, [ring.random_element(rng, 1) for _ in range(3)])
         expected = DiffPoly.constant(ring, ring.one())
         for n in range(6):
@@ -416,11 +407,11 @@ def test_diffpoly_pow_matches_repeated_product():
             a ** -1
 
 
-@pytest.mark.parametrize("K,per_level", [(K2X, 1), (K3X, 2)], ids=["p2", "p3"])
-def test_v_g_products_per_level(monkeypatch, K, per_level):
+@pytest.mark.parametrize("K", [K2X, K3X], ids=["p2", "p3"])
+def test_v_g_products_per_level(monkeypatch, K):
     # Over K the p-step is the closed form and takes no twisted product.  The
-    # 2x2 adapter takes (t^(p^k) - c)^p by square-and-multiply: one product
-    # at p = 2, two at p = 3.
+    # quaternion ring, for odd p only, takes (t^(p^k) - c)^p by
+    # square-and-multiply: two products at p = 3.
     calls = []
     mul = DiffPoly.__mul__
 
@@ -429,12 +420,12 @@ def test_v_g_products_per_level(monkeypatch, K, per_level):
         return mul(a, b)
 
     monkeypatch.setattr(DiffPoly, "__mul__", counted)
-    A = MatrixRingAdapter(K, 2)
     x, one = K.x(), K.one()
-    for ring, b, products in (
-        (K, x.inverse() + x, 0),
-        (A, A.of([[x.inverse(), x], [one, x + one]]), per_level),
-    ):
+    cases = [(K, x.inverse() + x, 0)]
+    if K.p == 3:
+        Q = QuaternionRing(K)
+        cases.append((Q, Q.of(x.inverse(), x, one, x + one), 2))
+    for ring, b, products in cases:
         for e in (1, 2):
             calls.clear()
             v_g(ring, p_polynomial_at_exponent(K, e), b)
@@ -459,25 +450,25 @@ def test_p_step_closed_form_matches_twisted_power(p):
 
 
 def test_low_degree_mod_right_does_not_invert(monkeypatch):
-    A = MatrixRingAdapter(K2X, 2)
+    Q = Q3X
     calls = []
-    invert = MatrixRingAdapter.invert
+    invert = QuaternionRing.invert
 
     def counted(self, a):
         calls.append(1)
         return invert(self, a)
 
-    monkeypatch.setattr(MatrixRingAdapter, "invert", counted)
-    x = K2X.x()
-    f = DiffPoly(A, (A.of([[x, K2X.one()], [K2X.zero(), x]]), A.one(), A.one()))
-    u = DiffPoly(A, (A.one(), A.of([[x, x], [x, x]])))
+    monkeypatch.setattr(QuaternionRing, "invert", counted)
+    x, zero, one = K3X.x(), K3X.zero(), K3X.one()
+    f = DiffPoly(Q, (Q.of(x, one, zero, zero), Q.one(), Q.one()))
+    u = DiffPoly(Q, (Q.one(), Q.of(x, zero, x, x)))
     q, r = u.right_divmod(f)
     assert not q and r == u
     assert u.mod_right(f) == u
-    assert not DiffPoly.zero(A).mod_right(f)
+    assert not DiffPoly.zero(Q).mod_right(f)
     assert not calls
     # A division step still inverts the leading coefficient once.
-    (f * DiffPoly.t(A)).mod_right(f)
+    (f * DiffPoly.t(Q)).mod_right(f)
     assert len(calls) == 1
 
 
@@ -499,8 +490,8 @@ def _division_rings():
         x, one = _w(p, (0, 1)), _w(p, (1,))
         for name, w in (("x", x), ("1", one), ("x^2+1", x * x + one), ("(x+1)/x", (x + one) / x)):
             yield pytest.param(DerivedField(p, w), id="p%d-%s" % (p, name))
-    for name, K in (("p2-x", K2X), ("p3-1", K3D)):
-        yield pytest.param(MatrixRingAdapter(K, 2), id="2x2-" + name)
+    for name, Q in (("p3-x", Q3X), ("p3-1", Q3D)):
+        yield pytest.param(Q, id="Q-" + name)
 
 
 def _with_unit_lead(ring, rng, deg):
@@ -591,7 +582,7 @@ def test_level_two_p_step_matches_expansion(p, num):
 
 
 @pytest.mark.parametrize("p,num", _LEVEL_TWO_CASES, ids=_LEVEL_TWO_IDS)
-def test_level_two_v_g_and_matrix_steps_match_expansion(p, num):
+def test_level_two_v_g_and_quaternion_steps_match_expansion(p, num):
     K = _over_x(p, num)
     rng = random.Random("level-two-g:%d:%s" % (p, num))
     g = p_polynomial_at_exponent(K, 2)
@@ -601,43 +592,31 @@ def test_level_two_v_g_and_matrix_steps_match_expansion(p, num):
         # g(t - b) = g(t) - V_g(b), with g(t - b) formed by substitution.
         shifted = substitute(gt, lambda z: z, -b, K.one())
         assert shifted == gt - DiffPoly.constant(K, v_g(K, g, b))
-    A = MatrixRingAdapter(K, 2)
+    if p == 2:
+        return  # the quaternion ring needs an odd p
+    Q = QuaternionRing(K)
     for _ in range(2):
-        B = A.random_element(rng, 1)
-        expansion = -(DiffPoly(A, (-B, A.one())) ** (p * p)).coeff(0)
-        assert _p_step(A, _p_step(A, B, 0), 1) == expansion
-        assert v_p_tower(A, B, 2) == expansion
+        B = Q.random_element(rng, 1)
+        expansion = -(DiffPoly(Q, (-B, Q.one())) ** (p * p)).coeff(0)
+        assert _p_step(Q, _p_step(Q, B, 0), 1) == expansion
+        assert v_p_tower(Q, B, 2) == expansion
 
 
-def test_adapter_results_are_trimmed_over_zero_divisors():
-    # E11 E22 = 0 in the matrix ring, so E11 (E11 + E22 t) = E11: a left
-    # scaling, and a product, can cancel the top coefficient there.
-    from diffext.frontend import derived_field
-
-    A = MatrixRingAdapter(derived_field(2, "x"), 2)
-    zero, one = A.base.zero(), A.base.one()
-    E11 = A.of([[one, zero], [zero, zero]])
-    E22 = A.of([[zero, zero], [zero, one]])
-    f = DiffPoly(A, (E11, E22))
-    c = DiffPoly.constant(A, E11)
-    assert f.degree() == 1
-    assert f.scale_left(E11).degree() == 0
-    assert (c * f).degree() == 0
-    assert f.scale_left(E11) == c
-    assert c * f == c
-
-
-@pytest.mark.parametrize("K", [K2X, K2D, K3X], ids=["p2x", "p2one", "p3x"])
-def test_untrimmed_t_steps_and_scalings_match_the_trimming_constructor(K):
-    # Over the derived field a t-step and a nonzero left scaling are wrapped
-    # without the trim; the trimming constructor is the oracle, and the top
-    # coefficient is never zero.
-    rng = random.Random("untrimmed:%d:%s" % (K.p, K.delta_of_x))
+@pytest.mark.parametrize(
+    "ring", [K2X, K2D, K3X, Q3X], ids=["p2x", "p2one", "p3x", "p3-quaternion"]
+)
+def test_untrimmed_t_steps_and_scalings_match_the_trimming_constructor(ring):
+    # Over both division rings a t-step and a nonzero left scaling are
+    # wrapped without the trim; the trimming constructor is the oracle, and
+    # the top coefficient is never zero.
+    rng = random.Random("untrimmed:%r" % (ring,))
     for _ in range(40):
-        f = DiffPoly(K, [random_ratfunc(K, rng, 2) for _ in range(rng.randrange(4))])
-        a = random_ratfunc(K, rng, 2, nonzero=True)
+        f = DiffPoly(ring, [ring.random_element(rng, 2) for _ in range(rng.randrange(4))])
+        a = ring.zero()
+        while not a:
+            a = ring.random_element(rng, 2)
         for got in (f._t_times(), f.scale_left(a)):
-            assert got == DiffPoly(K, got.coeffs)
+            assert got == DiffPoly(ring, got.coeffs)
             assert not got.coeffs or got.coeffs[-1]
         assert f._t_times().degree() == f.degree() + (1 if f else 0)
         assert f.scale_left(a).degree() == f.degree()

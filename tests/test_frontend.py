@@ -20,6 +20,7 @@ from diffext.errors import (
     ZeroDerivation,
 )
 from diffext.frontend import SUITES, instance_from_text, ms_since, run_suite
+from diffext.towers import PPolynomial
 
 I1_TEXT = "p = 2\ndelta_of_x = x\nd = x\nseed = 0\ndegree_bound = 4\n"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -370,6 +371,45 @@ def test_cli_non_ascii_digit_exits_two(tmp_path, args, config):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: unexpected character")
     assert "Traceback" not in proc.stderr
+
+
+_BARE = "delta_of_x = x\nd = x\n"
+
+
+# int() reads other scripts' digits and underscores; the config keys and
+# the options take an optional sign and ASCII digits, as the parser does.
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (("build", "CFG"), "p = \u0663\n" + _BARE, "error: p must be an integer"),
+        (("build", "CFG"), "p = 3\nseed = 1_0\n" + _BARE, "error: seed must be an integer"),
+        (
+            ("build", "CFG"),
+            "p = 3\ndegree_bound = \u0664\n" + _BARE,
+            "error: degree_bound must be an integer",
+        ),
+        (("build", "CFG", "--seed", "\u0661"), I1_TEXT, "argument --seed: invalid int value"),
+        (("divcheck", "CFG", "--bound", "\u0664"), I1_TEXT, "argument --bound: invalid int value"),
+    ],
+    ids=["config_p", "config_seed_underscore", "config_bound", "option_seed", "option_bound"],
+)
+def test_cli_integers_take_only_ascii_digits(tmp_path, args, config, message):
+    proc = _cli(tmp_path, *args, config=config)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_inner_constant_check_samples_g_of_delta(monkeypatch):
+    # The constructor refuses a g with g(delta) != 0, and find_inner_constant
+    # reads the same fact.  The check also compares g(delta)(b) with
+    # d0 b - b d0 on sampled b, so a g that slipped past both still fails it.
+    inst = instance_from_text(I1_TEXT)
+    K = inst.K
+    inst.g = PPolynomial(2, 1, (K.zero(),))  # t^2: delta^2 = delta for x d/dx
+    monkeypatch.setattr(frontend, "find_inner_constant", lambda ring, g: ring.zero())
+    check = run_suite(inst, "inner").checks[0]
+    assert (check.name, check.verdict) == ("inner.constant", "fail")
+    assert check.witness["error"].startswith("g(delta)(")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from diffext.diffpoly import DiffPoly
 from diffext.errors import ExprSyntaxError, TInDenominator
 from diffext.parsing import (
     MAX_POWER_DEGREE,
+    decimal_int,
     parse_diffpoly,
     parse_expr,
     parse_field_element,
@@ -150,3 +151,10 @@ def test_unary_minus_and_precedence():
     assert parse_field_element("2 - -x", K3X) == K3X.from_int(2) + x
     assert parse_field_element("1 + 2*x", K3X) == K3X.one() + K3X.from_int(2) * x
     assert parse_field_element("(1 + 2)*x", K3X) == K3X.zero()
+
+
+def test_decimal_int_takes_a_sign_and_ascii_digits_only():
+    assert [decimal_int(t) for t in ("0", "12", "-3", "+4", "007")] == [0, 12, -3, 4, 7]
+    for text in ("", "-", "+", "1_0", "\u0663", "\u00b2", " 3", "3 ", "0x1", "--1", "1.0"):
+        with pytest.raises(ValueError):
+            decimal_int(text)

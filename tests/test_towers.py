@@ -10,8 +10,8 @@ from diffext.linalg import Matrix
 from diffext.scalars import RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
-    MatrixRingAdapter,
     PPolynomial,
+    QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
@@ -378,51 +378,89 @@ def test_log_derivative():
         K2X.log_derivative(K2X.zero())
 
 
-def test_matrix_adapter_arithmetic():
-    A = MatrixRingAdapter(K2D, 2)
-    x = K2D.x()
-    one, zero = K2D.one(), K2D.zero()
-    b = A.of([[zero, x], [one, zero]])
-    # b^2 = x * I for this companion-style matrix.
-    assert b * b == A.embed(x)
-    # Entrywise derivation.
-    assert A.delta(b) == A.of([[zero, one], [zero, zero]])
-    # Noncommutativity witness.
-    c = A.of([[one, zero], [zero, zero]])
-    assert b * c != c * b
-    # Inversion and failure.
-    binv = A.invert(b)
-    assert b * binv == A.one()
-    assert binv * b == A.one()
+def _quaternion_ring(p):
+    return QuaternionRing(DerivedField(p, _w(p, (1, 0, 1))))  # delta = (x^2 + 1) d/dx
+
+
+def _quaternion_samples(Q, rng, count):
+    # Random elements; every third has one part zero, and the next only one
+    # part nonzero.
+    zero, out = Q.base.zero(), []
+    for k in range(count):
+        parts = list(Q.random_element(rng, 2).parts)
+        if k % 3 == 1:
+            parts[k % 4] = zero
+        elif k % 3 == 2:
+            parts = [c if m == k % 4 else zero for m, c in enumerate(parts)]
+        out.append(Q.of(*parts))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_quaternion_product_is_associative_and_delta_is_a_derivation(p):
+    Q = _quaternion_ring(p)
+    rng = random.Random("quat-assoc:%d" % p)
+    samples = _quaternion_samples(Q, rng, 24)
+    for a, b, c in zip(samples, samples[1:] + samples[:1], samples[2:] + samples[:2]):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c and (b + c) * a == b * a + c * a
+        assert Q.delta(a * b) == Q.delta(a) * b + a * Q.delta(b)
+        assert Q.delta(a + b) == Q.delta(a) + Q.delta(b)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_quaternion_relations_and_center(p):
+    Q = _quaternion_ring(p)
+    K = Q.base
+    zero, one, x = K.zero(), K.one(), K.x()
+    i, j = Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero)
+    n = Q.j_square
+    # n is the least non-residue mod p: 2 at p = 3 and 5.
+    assert n == K.from_int(2) and all(k * k % p != 2 for k in range(p))
+    assert i * i == Q.embed(x ** p) and j * j == Q.embed(n)
+    assert i * j == Q.of(zero, zero, zero, one) == -(j * i)
+    assert Q.is_constant(i) and Q.is_constant(j) and not Q.is_constant(Q.embed(x))
+    # K is central, and only K: as_scalar reads the scalar part.
+    rng = random.Random("quat-center:%d" % p)
+    for q in _quaternion_samples(Q, rng, 10):
+        c = Q.embed(K.random_element(rng, 2))
+        assert c * q == q * c
+        assert (Q.as_scalar(q) is not None) == (q * i == i * q and q * j == j * q)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_quaternion_inverse_norm_and_no_zero_divisors(p):
+    Q = _quaternion_ring(p)
+    rng = random.Random("quat-inverse:%d" % p)
+    samples = [q for q in _quaternion_samples(Q, rng, 30) if q]
+    for a, b in zip(samples, samples[1:]):
+        inv = Q.invert(a)
+        assert a * inv == Q.one() == inv * a
+        assert Q.norm(a * b) == Q.norm(a) * Q.norm(b)
+        assert Q.norm(a) and a * b
     with pytest.raises(ZeroDivisionError):
-        A.invert(A.of([[x, x], [x, x]]))
+        Q.invert(Q.zero())
 
 
-def test_matrix_adapter_coords_roundtrip():
-    A = MatrixRingAdapter(K2X, 2)
-    rng = random.Random(19)
-    basis = A.constant_basis()
-    assert len(basis) == A.dim_over_constants == 8
-    for _ in range(50):
-        m = A.of(
-            [[random_ratfunc(K2X, rng, 2) for _ in range(2)] for _ in range(2)]
-        )
-        cs = A.coords(m)
-        assert A.from_coords(cs) == m
-        assert all(K2X.is_constant(c) for c in cs)
+@pytest.mark.parametrize("p", [3, 5])
+def test_quaternion_coords_roundtrip(p):
+    Q = _quaternion_ring(p)
+    basis = Q.constant_basis()
+    assert len(basis) == Q.dim_over_constants == 4 * p
+    # The first p basis elements are K's, embedded.
+    assert basis[:p] == [Q.embed(b) for b in Q.base.constant_basis()]
+    for k, b in enumerate(basis):
+        assert Q.coords(b) == tuple(Q.base.one() if m == k else Q.base.zero() for m in range(4 * p))
+    rng = random.Random("quat-coords:%d" % p)
+    for q in _quaternion_samples(Q, rng, 30):
+        cs = Q.coords(q)
+        assert Q.from_coords(cs) == q
+        assert all(Q.base.is_constant(c) for c in cs)
 
 
-def test_kmatrix_pow_matches_repeated_product():
-    A = MatrixRingAdapter(K2X, 2)
-    x = K2X.x()
-    a = A.of([[x, K2X.one()], [K2X.zero(), x + K2X.one()]])
-    expected = A.one()
-    for n in range(6):
-        assert a ** n == expected
-        expected = expected * a
-    # -1 >> 1 is -1, so a loop without this check never ends.
-    with pytest.raises(ValueError):
-        a ** -1
+def test_quaternion_ring_refuses_p2():
+    with pytest.raises(ValueError, match="odd p"):
+        QuaternionRing(K2X)
 
 
 def _annihilator_by_solve(K, e):
