@@ -401,27 +401,45 @@ def test_quaternion_center_matches_all_basis_commutators(quaternion_alg):
     assert basis_str(center) == "1"
 
 
-def test_quaternion_is_associative_matches_right_invariance():
-    Q = quaternion_ring()
-    K = Q.base
+@pytest.mark.parametrize(
+    "p,weight",
+    [(3, "x"), (5, "x"), (3, "x^2 + 1"), (5, "x^2 + 1")],
+    ids=["p3-x", "p5-x", "p3-x2+1", "p5-x2+1"],
+)
+def test_quaternion_is_associative_matches_right_invariance(p, weight):
+    K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+    Q = QuaternionRing(K)
     zero, one, x = K.zero(), K.one(), K.x()
     g = minimal_p_polynomial(K)
     # Central constants, then a central non-constant, then constants that
     # are not central, then a random d.
-    ds = [Q.zero(), Q.one(), Q.embed(x ** 3), Q.embed(x)]
-    ds += [Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero), Q.of(zero, x ** 3, zero, one)]
-    ds.append(Q.random_element(random.Random("quat-assoc"), 1))
+    ds = [Q.zero(), Q.one(), Q.embed(x ** p), Q.embed(x)]
+    ds += [Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero), Q.of(zero, x ** p, zero, one)]
+    ds.append(Q.random_element(random.Random("quat-assoc:%d:%s" % (p, weight)), 1))
     rng = random.Random("quat-assoc-samples")
     verdicts = []
     for d in ds:
         alg = ExtAlgebra(Q, g, d)
-        assert alg.dim == 36
+        assert alg.dim == 4 * p * p
         assert alg.is_associative() == is_right_invariant(alg.f), d
         verdicts.append(alg.is_associative())
         if verdicts[-1]:
             u, v, w = (alg.random_element(rng, 1) for _ in range(3))
             assert not alg.associator(u, v, w)
     assert verdicts == [True] * 3 + [False] * (len(ds) - 3)
+
+
+def test_quaternion_algebra_smoke():
+    # d = 0 is a central constant: the quotient of Q[t; delta] by the
+    # minimal g is associative, by the verdict and by the structure table.
+    Q = quaternion_ring()
+    alg = ExtAlgebra(Q, minimal_p_polynomial(Q.base), Q.zero())
+    assert alg.dim == 36
+    assert alg.is_associative()
+    assert table_is_associative(alg)
+    rng = random.Random(2)
+    u, v, w = (alg.random_element(rng, 1) for _ in range(3))
+    assert not alg.associator(u, v, w)
 
 
 def test_exponent_two_nuclei_match_table_engine():
@@ -894,14 +912,14 @@ def test_no_linear_factor_for_d_not_in_f_without_search(monkeypatch, p, weight, 
             assert brute_force_factor(alg, 1) is None, d
 
 
-@pytest.mark.parametrize("p,bound", [(3, 1), (5, 1)], ids=["p3", "p5"])
+@pytest.mark.parametrize("p,bound", [(3, 1), (5, 1), (3, 2)], ids=["p3", "p5", "p3-b2"])
 def test_quaternion_search_on_scalar_constant_matches_k(p, bound):
     # d = embed(c) with c in F: Q searches V_g(b) = c over K, so it returns
     # the embedded K witness, or None with it.
     inst = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p)
     K, g = inst.K, inst.g
     Q = QuaternionRing(K)
-    rng = random.Random("quaternion-search:%d" % p)
+    rng = random.Random("quaternion-search:%d:%d" % (p, bound))
     cs = [
         K.zero(),
         K.x() ** p,
