@@ -9,10 +9,20 @@
 
 Every subcommand accepts --seed N (overrides the config) and --json PATH
 (write the machine-readable report next to the human-readable lines).
-Exit status: 0 all checks passed, 1 a check failed or a probe was rejected,
-2 bad usage, unreadable config, unparsable expression, or an instance the
-command does not handle (such as a structure table above
-dext.MAX_TABLE_ENTRIES).
+
+Exit status: 0 when all checks passed, 1 when a check failed.  A command
+that stops early prints one line on stderr, and the same rule holds
+whether the config was loading or the command was running:
+
+- 2 and "error: ..." for bad usage; a config that cannot be read (missing,
+  unreadable, not UTF-8) or is malformed; an expression that does not
+  parse, divides by zero or by a polynomial in t; a zero derivation; a g
+  that does not annihilate it; an instance the command does not handle
+  (such as a structure table above dext.MAX_TABLE_ENTRIES); or a --json
+  path that cannot be written;
+- 1 and "rejected: ..." for a refused probe: a shift constant that fails a
+  condition, or conjugation by an element that is not nuclear or not
+  invertible.
 """
 
 from __future__ import annotations
@@ -31,14 +41,22 @@ from .errors import (
     NotInvertible,
     NotNuclear,
     TInDenominator,
-    UnknownSuite,
     UnsupportedInstance,
     ZeroDerivation,
 )
-from .frontend import SUITES, CheckResult, Report, load_instance, ms_since, run_suite
+from .frontend import SUITES, CheckResult, Report, divcheck, load_instance, ms_since, run_suite
 from .parsing import decimal_int, parse_field_element
 
 __all__ = ["main"]
+
+# The library errors that stop a command: a usage error ends it with
+# "error: ..." and exit 2, a rejection with "rejected: ..." and exit 1.
+# Any other error propagates.
+_USAGE_ERRORS = (
+    ConfigError, ExprSyntaxError, TInDenominator, ZeroDerivation, GNotAnnihilating,
+    UnsupportedInstance,
+)
+_REJECTIONS = (ConditionFailed, NotNuclear, NotInvertible)
 
 
 def _int(text: str) -> int:
@@ -98,62 +116,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(report: Report, json_path):
-    print(report.render_text())
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.dumps() + "\n")
+# Each command but verify yields its checks as (name, verdict, witness);
+# _run times each one from the previous yield.
 
 
-def _single(inst, name, verdict, witness, t0) -> Report:
-    """One-check report; ms counts from t0, the start of the command body."""
-    return Report(
-        instance=inst.metadata(),
-        checks=[CheckResult(name=name, verdict=verdict, witness=witness, ms=ms_since(t0))],
-    )
-
-
-def _cmd_build(inst, args) -> Report:
-    t0 = time.perf_counter()
+def _cmd_build(inst, args):
     alg = inst.algebra
     # Materializing the table checks that every structure constant lies in F.
     alg.structure_constants()
-    witness = {
+    yield "build", "pass", {
         "associative": str(alg.is_associative()).lower(),
         "dim_over_F": alg.dim,
         "basis": ", ".join(str(b) for b in alg.basis()[:6])
         + (", ..." if alg.dim > 6 else ""),
     }
-    return _single(inst, "build", "pass", witness, t0)
 
 
-def _cmd_nucleus(inst, args) -> Report:
-    t0 = time.perf_counter()
+def _cmd_nucleus(inst, args):
     basis = inst.algebra.nucleus(args.which)
-    witness = {
+    yield "nucleus", "pass", {
         "which": args.which,
         "dim": len(basis),
         "basis": ", ".join(str(b) for b in basis),
     }
-    return _single(inst, "nucleus", "pass", witness, t0)
 
 
-def _cmd_autos(inst, args) -> Report:
+def _cmd_autos(inst, args):
     alg = inst.algebra
     K = inst.K
-    checks = []
-    t0 = time.perf_counter()
     rep = auto_constraints(alg)
-    checks.append(
-        CheckResult(
-            name="autos.constraints",
-            verdict="pass",
-            witness={"tau": rep.tau_forced, "eps": rep.eps_forced, "c": rep.c_condition},
-            ms=ms_since(t0),
-        )
-    )
+    witness = {"tau": rep.tau_forced, "eps": rep.eps_forced, "c": rep.c_condition}
+    yield "autos.constraints", "pass", witness
     if args.check_c is not None:
-        t0 = time.perf_counter()
         c = parse_field_element(args.check_c, K)
         try:
             build_auto(alg, lambda z: z, c, K.one())
@@ -161,53 +155,25 @@ def _cmd_autos(inst, args) -> Report:
         except ConditionFailed as exc:
             verdict = "fail"
             witness = {"c": str(c), "valid": "false", "condition": exc.condition}
-        checks.append(CheckResult("autos.check_c", verdict, witness, ms_since(t0)))
+        yield "autos.check_c", verdict, witness
     if args.order is not None:
-        t0 = time.perf_counter()
         c = parse_field_element(args.order, K)
-        H = build_auto(alg, lambda z: z, c, K.one())  # ConditionFailed propagates
-        n = auto_order(H)
-        checks.append(
-            CheckResult(
-                "autos.order",
-                "pass" if n is not None else "unknown",
-                {"c": str(c), "order": n if n is not None else "> bound"},
-                ms_since(t0),
-            )
-        )
-    return Report(instance=inst.metadata(), checks=checks)
+        n = auto_order(build_auto(alg, lambda z: z, c, K.one()))  # ConditionFailed propagates
+        verdict = "pass" if n is not None else "unknown"
+        yield "autos.order", verdict, {"c": str(c), "order": n if n is not None else "> bound"}
 
 
-def _cmd_inner(inst, args) -> Report:
-    t0 = time.perf_counter()
+def _cmd_inner(inst, args):
     a = parse_field_element(args.a, inst.K)
     G = inner_auto(inst.algebra, a)
     n = auto_order(G)
-    witness = {
-        "a": str(a),
-        "c": str(G.c),
-        "order": n if n is not None else "> bound",
-    }
-    return _single(inst, "inner", "pass", witness, t0)
+    yield "inner", "pass", {"a": str(a), "c": str(G.c), "order": n if n is not None else "> bound"}
 
 
-def _cmd_divcheck(inst, args) -> Report:
-    t0 = time.perf_counter()
+def _cmd_divcheck(inst, args):
     bound = inst.degree_bound if args.bound is None else args.bound
-    verdict, witness = inst.algebra.division_verdict(bound)
-    data = {"verdict": verdict, "bound": bound}
-    if witness is not None:
-        data["witness"] = str(witness)
-    mapped = {
-        "not division (witness)": "pass",
-        "division (proved)": "pass",
-        "unknown (bound exhausted)": "unknown",
-    }[verdict]
-    return _single(inst, "divcheck", mapped, data, t0)
-
-
-def _cmd_verify(inst, args) -> Report:
-    return run_suite(inst, args.suite, seed=args.seed)
+    status, data, _ = divcheck(inst.algebra, bound)
+    yield "divcheck", status, data
 
 
 _COMMANDS = {
@@ -216,39 +182,50 @@ _COMMANDS = {
     "autos": _cmd_autos,
     "inner": _cmd_inner,
     "divcheck": _cmd_divcheck,
-    "verify": _cmd_verify,
 }
 
 
+def _run(inst, args) -> Report:
+    if args.command == "verify":
+        return run_suite(inst, args.suite)
+    checks = []
+    t0 = time.perf_counter()
+    for name, verdict, witness in _COMMANDS[args.command](inst, args):
+        checks.append(CheckResult(name, verdict, witness, ms_since(t0)))
+        t0 = time.perf_counter()
+    return Report(instance=inst.metadata(), checks=checks)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
 
+    file_op = "read config"  # the file operation under way, if any
     try:
         inst = load_instance(args.config)
+        file_op = None
         if args.seed is not None:
             inst.config = inst.config._replace(seed=args.seed)
-    except OSError as exc:
-        print("error: cannot read config: %s" % exc, file=sys.stderr)
+        report = _run(inst, args)
+        print(report.render_text())
+        if args.json:
+            file_op = "write report"
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.dumps() + "\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        if file_op is None:
+            raise
+        print("error: cannot %s: %s" % (file_op, exc), file=sys.stderr)
         return 2
-    except (ConfigError, UnknownSuite, ZeroDerivation, GNotAnnihilating, ExprSyntaxError) as exc:
+    except _USAGE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-    try:
-        report = _COMMANDS[args.command](inst, args)
-    except (ExprSyntaxError, TInDenominator, UnsupportedInstance) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ConditionFailed, NotNuclear, NotInvertible) as exc:
+    except _REJECTIONS as exc:
         print("rejected: %s" % exc, file=sys.stderr)
         return 1
-
-    _emit(report, args.json)
     return 1 if report.failed else 0
 
 

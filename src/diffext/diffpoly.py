@@ -60,7 +60,7 @@ expansion against the closed form.
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, NotInner
-from .scalars import _power
+from .scalars import _needs_parens, _power
 from .towers import PPolynomial
 
 __all__ = [
@@ -257,9 +257,7 @@ class DiffPoly:
         s = str(c)
         if standalone:
             return ("(%s)" % s) if "/" in s else s
-        if ("+" in s) or ("/" in s) or (" " in s) or ("-" in s):
-            return "(%s)" % s
-        return s
+        return ("(%s)" % s) if _needs_parens(s) else s
 
     def __repr__(self):
         return "DiffPoly(%s)" % str(self)

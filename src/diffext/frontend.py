@@ -71,6 +71,8 @@ __all__ = [
 SUITES = ("ring", "vops", "nuclei", "autos", "inner", "division", "all")
 
 _KEYS = {"p", "delta_of_x", "d", "g", "seed", "degree_bound"}
+# The integer keys; InstanceConfig holds the defaults of the optional ones.
+_INT_KEYS = ("p", "seed", "degree_bound")
 
 
 # An immutable record: equal configs compare and hash equal.
@@ -149,36 +151,21 @@ def _parse_config_text(text: str) -> InstanceConfig:
     for req in ("p", "delta_of_x", "d"):
         if req not in values:
             raise ConfigError("missing required key %r" % req)
+    ints = {}
+    for key in _INT_KEYS:
+        if key in values:
+            try:
+                ints[key] = decimal_int(values[key])
+            except ValueError:
+                raise ConfigError("%s must be an integer" % key) from None
+    cfg = InstanceConfig(delta_of_x=values["delta_of_x"], d=values["d"], g=values.get("g"), **ints)
     try:
-        p = decimal_int(values["p"])
-    except ValueError:
-        raise ConfigError("p must be an integer") from None
-    try:
-        PrimeField(p)
+        PrimeField(cfg.p)
     except ValueError as exc:
         raise ConfigError("p: %s" % exc) from None
-    seed = 0
-    if "seed" in values:
-        try:
-            seed = decimal_int(values["seed"])
-        except ValueError:
-            raise ConfigError("seed must be an integer") from None
-    bound = 4
-    if "degree_bound" in values:
-        try:
-            bound = decimal_int(values["degree_bound"])
-        except ValueError:
-            raise ConfigError("degree_bound must be an integer") from None
-        if bound < 0:
-            raise ConfigError("degree_bound must be nonnegative")
-    return InstanceConfig(
-        p=p,
-        delta_of_x=values["delta_of_x"],
-        d=values["d"],
-        g=values.get("g"),
-        seed=seed,
-        degree_bound=bound,
-    )
+    if cfg.degree_bound < 0:
+        raise ConfigError("degree_bound must be nonnegative")
+    return cfg
 
 
 def _p_poly_from_expr(K: DerivedField, text: str) -> PPolynomial:
@@ -304,9 +291,8 @@ class Report(_Record):
 
 
 class _SuiteRunner:
-    def __init__(self, inst: Instance, seed: int):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.seed = seed
         self.checks = []
 
     def run(self, name: str, fn):
@@ -319,7 +305,7 @@ class _SuiteRunner:
 
     def rng(self, tag: str):
         # One independent stream per check keeps the suite order-insensitive.
-        return random.Random("%d:%s" % (self.seed, tag))
+        return random.Random("%d:%s" % (self.inst.seed, tag))
 
 
 def _suite_ring(r: _SuiteRunner):
@@ -578,35 +564,47 @@ def _suite_inner(r: _SuiteRunner):
     r.run("inner.inner_subgroup", subgroup)
 
 
+# A witness and a proof both settle the question; an exhausted bound does not.
+_DIVISION_STATUS = {
+    "not division (witness)": "pass",
+    "division (proved)": "pass",
+    "unknown (bound exhausted)": "unknown",
+}
+
+
+def divcheck(alg: ExtAlgebra, bound: int):
+    """The division verdict searched to bound, as a check: its status, its
+    witness data and the root b of a right factor t - b (None if none)."""
+    verdict, root = alg.division_verdict(bound)
+    data = {"verdict": verdict, "bound": bound}
+    if root is not None:
+        data["witness"] = str(root)
+    return _DIVISION_STATUS[verdict], data, root
+
+
 def _suite_division(r: _SuiteRunner):
     inst = r.inst
     alg = inst.algebra
-    bound = inst.degree_bound
     # The search runs once, timed under division.verdict; probe reuses it.
     found = None
 
     def verdict():
         nonlocal found
-        found = alg.division_verdict(bound)
-        v, witness = found
-        data = {"verdict": v, "bound": bound}
-        if witness is not None:
-            data["witness"] = str(witness)
-            lin = DiffPoly(alg.ring, (-witness, alg.ring.one()))
+        status, data, root = divcheck(alg, inst.degree_bound)
+        found = data["verdict"]
+        if root is not None:
+            lin = DiffPoly(alg.ring, (-root, alg.ring.one()))
             q, rem = alg.f.right_divmod(lin)
             assert not rem
             # The factor pair becomes a zero-divisor pair in the quotient.
             qe = alg.element(q)
             le = alg.element(lin)
             assert qe and le and not (qe * le)
-            return "pass", data
-        if v == "division (proved)":
-            return "pass", data
-        return "unknown", data
+        return status, data
 
     def probe():
         rng = r.rng("division.probe")
-        v, _ = found
+        v = found
         try:
             injective = alg.is_division_probe(rng, samples=40)
         except UnsupportedInstance as exc:
@@ -633,12 +631,11 @@ def _random_dp(K, rng, deg):
     return DiffPoly(K, [random_ratfunc(K, rng, 2) for _ in range(deg + 1)])
 
 
-def run_suite(inst: Instance, suite: str = "all", seed: int | None = None) -> Report:
-    """Run one suite (or all of them) and collect a report."""
+def run_suite(inst: Instance, suite: str = "all") -> Report:
+    """Run one suite (or all of them) at the instance's seed and collect a report."""
     if suite not in SUITES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (suite, SUITES))
-    seed = inst.seed if seed is None else seed
-    runner = _SuiteRunner(inst, seed)
+    runner = _SuiteRunner(inst)
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     for name in names:
         _SUITE_FNS[name](runner)

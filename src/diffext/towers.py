@@ -49,6 +49,7 @@ from .scalars import (
     _exquo,
     _frobenius,
     _mul,
+    _needs_parens,
     _neg,
     _poly,
     _ratfunc,
@@ -333,7 +334,7 @@ class PPolynomial:
             if s == "1":
                 parts.append(tpart)
             else:
-                if ("+" in s) or ("/" in s) or (" " in s):
+                if _needs_parens(s):
                     s = "(%s)" % s
                 parts.append("%s*%s" % (s, tpart))
         return " + ".join(parts)
@@ -442,7 +443,7 @@ class Quaternion:
             elif s == "1":
                 terms.append(unit)
             else:
-                if ("+" in s) or ("/" in s) or (" " in s) or ("-" in s):
+                if _needs_parens(s):
                     s = "(%s)" % s
                 terms.append("%s*%s" % (s, unit))
         return " + ".join(terms) or "0"

@@ -352,6 +352,38 @@ def test_cli_bad_config_exits_two(tmp_path):
         assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# Errors found while loading the config, while running the command and
+# while writing the report all end the same way: one line, no traceback.
+def test_cli_t_in_denominator_in_config_exits_two(tmp_path):
+    proc = _cli(tmp_path, "build", "CFG", config=I1_TEXT + "g = t^2/t\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot divide by a polynomial in t")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_undecodable_config_exits_two(tmp_path):
+    cfg = tmp_path / "inst.cfg"
+    cfg.write_bytes(I1_TEXT.encode("ascii") + b"# \xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffext", "build", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=_CHILD_ENV,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read config: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_unwritable_report_exits_two(tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    proc = _cli(tmp_path, "build", str(CONFIGS / "i1.cfg"), "--json", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write report: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_bad_expression_exits_two(tmp_path):
     proc = _cli(tmp_path, "autos", "CFG", "--check-c", "x +")
     assert proc.returncode == 2

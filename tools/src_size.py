@@ -1,4 +1,5 @@
-"""Print the size of the library source: total lines and code-only lines.
+"""Print the size of the library source: total lines and code-only lines,
+one line per module and then the total.
 
 Code-only lines are the lines of src/diffext/*.py that hold at least one
 token other than a comment, with blank lines and docstrings (the string
@@ -57,8 +58,10 @@ def main():
     total = code = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        total += len(text.splitlines())
-        code += code_lines(text)
+        lines, module_code = len(text.splitlines()), code_lines(text)
+        print("  %-12s %5d lines, %5d code-only lines" % (path.name, lines, module_code))
+        total += lines
+        code += module_code
     print("src/diffext: %d lines, %d code-only lines" % (total, code))
     return 0
 
