@@ -23,12 +23,17 @@ whether the config was loading or the command was running:
 - 1 and "rejected: ..." for a refused probe: a shift constant that fails a
   condition, or conjugation by an element that is not nuclear or not
   invertible.
+
+A standard output closed before the report is printed (the reader of a
+pipe stopped, as in ``diffext build CONFIG | head -0``) gives exit 1 with
+no message; the --json report is still written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -210,7 +215,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             inst.config = inst.config._replace(seed=args.seed)
         report = _run(inst, args)
-        print(report.render_text())
+        printed = _print(report.render_text())
         if args.json:
             file_op = "write report"
             with open(args.json, "w", encoding="utf-8") as fh:
@@ -226,7 +231,26 @@ def main(argv=None) -> int:
     except _REJECTIONS as exc:
         print("rejected: %s" % exc, file=sys.stderr)
         return 1
-    return 1 if report.failed else 0
+    return 1 if report.failed or not printed else 0
+
+
+def _print(text) -> bool:
+    """Print text to stdout; False when stdout is a closed pipe.
+
+    A closed stdout is not an error of the command, so nothing is printed
+    about it.  The unwritten text stays in the stream's buffer, so fd 1 is
+    pointed at os.devnull: the interpreter's flush at exit then raises no
+    second BrokenPipeError.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ from math import comb
 from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
-from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, poly_gcd
+from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _shifted_sums, poly_gcd
 from .towers import PPolynomial, p_polynomial_at_exponent
 
 __all__ = ["ExtAlgebra", "AlgebraElement"]
@@ -87,9 +87,10 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # Most monic denominators, sum of p^k over k <= bound, that one
 # bounded-height search tries.  Not an option: it keeps `diffext divcheck
 # --bound N` from running for hours.  A fraction-free system over the derived
-# field costs about 0.2 to 0.5 ms per denominator at bounds 4 to 12 (2-CPU
-# machine, Python 3.11), so the largest search allowed runs about a minute:
-# p = 2 up to bound 15, p = 3 up to 10, p = 5 up to 7, p = 7 up to 5.
+# field, with its solve, costs about 0.1 to 0.4 ms per denominator at bounds
+# 4 to 15 (2-CPU machine, Python 3.11), so the largest search allowed runs
+# under a minute: p = 2 up to bound 15 (24 s exhaustive), p = 3 up to 10
+# (26 s), p = 5 up to 7 (34 s), p = 7 up to 5 (7 s).
 MAX_SEARCH_DENOMINATORS = 10 ** 5
 
 # Most work, samples x dim^3, that one is_division_probe call does: each
@@ -762,9 +763,27 @@ def _vg_rows(K, g, d, degree):
     the other denominators it clears.  V_g is additive and commutes with
     F_p-scalars, so the identity is F_p-linear in the c_i; each power of x
     gives one row, and clearing nonzero denominators keeps the solution set.
+
+    Level one needs no chain per numerator.  delta is a derivation, so with
+    L = v^(p-1), n = p - 1 and E_j = S^(2j) delta^j(L), Leibniz gives
+
+        S^(2n) delta^n(L x^i) = sum_k C(n,k) E_(n-k) S^(2k) delta^k(x^i),
+
+    and S^(2k) delta^k(x^i) = sum_l (i)_l x^(i-l) A_(k,l), where (i)_l is
+    the falling factorial mod p and the A_(k,l) depend on delta alone
+    (A_(0,0) = 1, A_(k+1,l) = W (S (A_(k,l-1) + A_(k,l)') - 2k S' A_(k,l))).
+    So P_(1,i) = x^(p i) S^(2n) + sum_l (i)_l x^(i-l) H_l with
+    H_l = sum_(k>=l) C(n,k) E_(n-k) A_(k,l): per v, n derivation steps on
+    L and about (n+1)(n+2)/2 products, then every column is a sum of
+    shifted multiples of p + 1 polynomials (scalars._shifted_sums).  At
+    e = 1 the scales of M_i are folded into those polynomials, so M_i dd
+    is that one sum.  Levels two and up (e >= 2) keep one chain per
+    numerator.
+
     The rows of one v are rows(v); what depends on neither v nor the degree
-    is computed once, here, so that building the builder costs nothing
-    before the search guard has run.
+    is computed once, here, and the A_(k,l) and the column layout at the
+    first rows call, so that building the builder costs nothing before the
+    search guard has run.
     """
     p, e = K.p, g.e
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
@@ -790,25 +809,80 @@ def _vg_rows(K, g, d, degree):
     ]
     rhs_scale = _mul(dn, big_b, p)
 
+    def delta_step(r, j):
+        # S^(2j+2) delta^(j+1)(R) from r = S^(2j) delta^j(R), R a polynomial.
+        t = _mul(_derivative(r, p), S, p)
+        if 2 * j % p and dS:
+            t = _add(t, _mul(((-2 * j) % p,), _mul(r, dS, p), p), p)
+        return _mul(W, t, p)
+
     def delta_power(r, n):
         # S^(2n) delta^n(r) for a polynomial r.
-        for k in range(0, 2 * n, 2):
-            t = _mul(_derivative(r, p), S, p)
-            if k % p and dS:
-                t = _add(t, _mul(((-k) % p,), _mul(r, dS, p), p), p)
-            r = _mul(W, t, p)
+        for j in range(n):
+            r = delta_step(r, j)
         return r
 
+    # Level one (see the docstring), filled in by the first rows call:
+    # CA[k][l] = C(p-1, k) A_(k,l), and each column's terms for _shifted_sums.
+    CA, columns = [], []
+
+    def level_one_setup():
+        # A_(k+1,l) = W (S (A_(k,l-1) + A_(k,l)') - 2k S' A_(k,l)).
+        A = [[(1,)]]
+        for k in range(p - 1):
+            A.append([
+                _add(delta_step(a, k), _mul(W, _mul(prev, S, p), p), p)
+                for prev, a in zip([()] + A[k], A[k] + [()])
+            ])
+        CA.extend([_mul((comb(p - 1, k) % p,), a, p) for a in row] for k, row in enumerate(A))
+        # Column i: x^(p i) polys[0] + sum_l (i)_l x^(i-l) polys[1 + l]
+        # + x^i polys[p + 1].
+        for i in range(degree + 1):
+            terms, falling = [(1, p * i, 0), (1, i, p + 1)], 1
+            for l in range(min(i, p - 1) + 1):
+                if falling:
+                    terms.append((falling, i - l, 1 + l))
+                falling = falling * (i - l) % p
+            columns.append(terms)
+
+    def level_one(lift, scale, extra):
+        # scale P_(1,i) + x^i extra for every i <= degree; lift = v^(p-1).
+        if not CA:
+            level_one_setup()
+        E = [lift]
+        for j in range(p - 1):
+            E.append(delta_step(E[-1], j))
+        polys = [s_tops[0]]
+        for l in range(p):
+            h = ()
+            for k in range(l, p):
+                h = _add(h, _mul(E[p - 1 - k], CA[k][l], p), p)
+            polys.append(h)
+        polys = [_mul(scale, P, p) for P in polys]
+        polys.append(extra)
+        return _shifted_sums(polys, columns, p)
+
     def rows(den):
-        nums, q = [(0,) * i + (1,) for i in range(degree + 1)], den.coeffs
-        levels = [(nums, q)]
-        for level, s_top in enumerate(s_tops):
-            n = (p - 1) * p ** level
-            lift = (1,)
+        q = den.coeffs
+        lift = (1,)
+        for _ in range(p - 1):
+            lift = _mul(lift, q, p)
+        q_1 = _mul(_frobenius(q, p), s_tops[0], p)
+        if e == 1:
+            # M_i dd = B dd P_(1,i) + A_1 dd (q_1/q) x^i, with q_1/q =
+            # lift s_top: one shifted sum per column.
+            extra = _mul(a_scales[0][1], _mul(lift, s_tops[0], p), p) if a_scales else ()
+            return _padded_rows(level_one(lift, top_scale, extra) + [_mul(rhs_scale, q_1, p)])
+        levels = [([(0,) * i + (1,) for i in range(degree + 1)], q)]
+        nums, q = level_one(lift, (1,), ()), q_1
+        levels.append((nums, q))
+        # Levels two and up: one derivation chain per numerator.
+        for level in range(1, e):
+            s_top, lift = s_tops[level], (1,)
             for _ in range(p - 1):
                 lift = _mul(lift, q, p)
             nums = [
-                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p), n), p)
+                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p), (p - 1) * p ** level), p)
                 for P in nums
             ]
             q = _mul(_frobenius(q, p), s_top, p)

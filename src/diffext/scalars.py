@@ -170,6 +170,55 @@ class PrimeField:
 # Inputs are sequences of ints in range(p) with no trailing zero; outputs are
 # tuples of the same kind.  Intermediate sums are left unreduced and reduced
 # once at the end: Python ints do not overflow.
+#
+# Products are by Kronecker substitution (von zur Gathen and Gerhard, Modern
+# Computer Algebra, 8.4): each operand is packed into one int, w bytes per
+# coefficient, the two ints are multiplied once, and slot k of the product
+# is the unreduced coefficient of x^k.  That is exact while no slot sum
+# overflows its slot.  An entry of a product of lengths n <= m is a sum of
+# at most n products of two coefficients, so it is at most n (p-1)^2, and w
+# is the fewest bytes that hold that bound:
+#
+# * w = 1 while n (p-1)^2 <= 255 (p <= 11), where bytes.translate with the
+#   table _residues(p) unpacks and reduces every slot at C level;
+# * otherwise one pass over the w-byte slots reduces them.
+#
+# The slots hold the coefficients as they are, so the input contract is
+# strict here: every coefficient must already lie in range(p).  An entry in
+# [p, 255] overflows a slot silently.
+
+# p -> the 256-byte table that maps each byte to its residue mod p, built on
+# first use: building tables at import measurably slows `import diffext`.
+# Only primes below 256 use byte slots (products only p <= 11), so it holds
+# at most one constant table per such prime, never a result.
+_RESIDUE_TABLES = {}
+
+
+def _residues(p: int) -> bytes:
+    table = _RESIDUE_TABLES.get(p)
+    if table is None:
+        table = _RESIDUE_TABLES[p] = (bytes(range(p)) * (256 // p + 1))[:256]
+    return table
+
+
+def _pack(a, w: int, p: int) -> int:
+    """a packed w bytes per coefficient, lowest degree in the lowest slot.
+
+    A coefficient takes one byte below 256 and two above, so w >= 2 there.
+    """
+    buf = bytearray(w * len(a))
+    if p < 256:
+        buf[::w] = bytes(a)
+    else:
+        buf[::w] = bytes([c & 255 for c in a])
+        buf[1::w] = bytes([c >> 8 for c in a])
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(n: int, w: int, size: int, p: int) -> list:
+    """The first size w-byte slots of n, each reduced mod p."""
+    raw = n.to_bytes(w * size, "little")
+    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
 
 
 def _trim(cs: list) -> tuple:
@@ -193,7 +242,7 @@ def _neg(a, p: int) -> tuple:
 
 
 def _mul(a, b, p: int) -> tuple:
-    """Product of coefficient tuples.
+    """Product of coefficient tuples, by Kronecker substitution (see above).
 
     F_p has no zero divisors, so the top coefficient of a nonzero product is
     nonzero and there is nothing to trim.
@@ -202,15 +251,40 @@ def _mul(a, b, p: int) -> tuple:
         return ()
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
+    na, nb = len(a), len(b)
+    if na == 1:
         c = a[0]
         return tuple(b) if c == 1 else tuple([c * y % p for y in b])
-    nb = len(b)
-    out = [0] * (len(a) + nb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i : i + nb] = [o + ai * y for o, y in zip(out[i : i + nb], b)]
-    return tuple([c % p for c in out])
+    top = na * (p - 1) ** 2
+    if top < 256:
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(prod.to_bytes(na + nb - 1, "little").translate(_residues(p)))
+    w = (top.bit_length() + 7) // 8
+    return tuple(_unpack(_pack(a, w, p) * _pack(b, w, p), w, na + nb - 1, p))
+
+
+def _shifted_sums(polys, columns, p: int) -> list:
+    """[sum of c x^s polys[k] over (c, s, k) in terms, for terms in columns].
+
+    Each column is a list of terms (c, s, k) with c in range(1, p), and each
+    result is a coefficient tuple.  The polynomials are packed once, as in
+    _mul, and a column is one sum of shifted multiples of the packed ints:
+    a slot of it is at most the column's sum of c, times p - 1.
+    """
+    top = (p - 1) * max([1] + [sum([c for c, _, _ in terms]) for terms in columns])
+    w = (top.bit_length() + 7) // 8
+    packed = [_pack(P, w, p) for P in polys]
+    out = []
+    for terms in columns:
+        n = 0
+        for c, s, k in terms:
+            n += c * packed[k] << 8 * w * s
+        size = -(-n.bit_length() // (8 * w))
+        if w == 1:
+            out.append(tuple(n.to_bytes(size, "little").translate(_residues(p)).rstrip(b"\0")))
+        else:
+            out.append(_trim(_unpack(n, w, size, p)))
+    return out
 
 
 def _synthetic(a, r, p: int):

@@ -18,7 +18,17 @@ from diffext.errors import (
 )
 from diffext.frontend import instance_from_text
 from diffext.linalg import Matrix, solve_mod_p
-from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
+from diffext.scalars import (
+    DensePoly,
+    PrimeField,
+    RatFunc,
+    _add,
+    _derivative,
+    _exquo,
+    _frobenius,
+    _mul,
+    random_ratfunc,
+)
 from diffext.towers import (
     DerivedField,
     PPolynomial,
@@ -768,6 +778,109 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
             assert got == dext._bounded_height_witness(K, slow, bound), (bound, d)
             if got is not None:
                 assert v_g(K, g, got) == d
+
+
+def _chain_vg_rows(K, g, d, degree):
+    """_vg_rows with one derivation chain per numerator x^i at every level.
+
+    The reference for the level one of dext._vg_rows, which comes from
+    p + 1 polynomials per denominator instead.
+    """
+    p, e = K.p, g.e
+    W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
+    dS = _derivative(S, p)
+    s_top = (1,)
+    for _ in range(2 * (p - 1)):
+        s_top = _mul(s_top, S, p)
+    s_tops = [s_top]
+    for _ in range(1, e):
+        s_tops.append(_frobenius(s_tops[-1], p))
+    big_b = (1,)
+    for a in g.coeffs:
+        big_b = _mul(big_b, a.den_coeffs, p)
+    dn, dd = d.num_coeffs, d.den_coeffs
+    top_scale = _mul(big_b, dd, p)
+    a_scales = [
+        (j, _mul(_mul(a.num_coeffs, _exquo(big_b, a.den_coeffs, p), p), dd, p))
+        for j, a in enumerate(g.coeffs, start=1)
+        if a
+    ]
+    rhs_scale = _mul(dn, big_b, p)
+
+    def delta_power(r, n):
+        for k in range(0, 2 * n, 2):
+            t = _mul(_derivative(r, p), S, p)
+            if k % p and dS:
+                t = _add(t, _mul(((-k) % p,), _mul(r, dS, p), p), p)
+            r = _mul(W, t, p)
+        return r
+
+    def rows(den):
+        nums, q = [(0,) * i + (1,) for i in range(degree + 1)], den.coeffs
+        levels = [(nums, q)]
+        for level, s_top in enumerate(s_tops):
+            n = (p - 1) * p ** level
+            lift = (1,)
+            for _ in range(p - 1):
+                lift = _mul(lift, q, p)
+            nums = [
+                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p), n), p)
+                for P in nums
+            ]
+            q = _mul(_frobenius(q, p), s_top, p)
+            levels.append((nums, q))
+        lhs = [_mul(P, top_scale, p) for P in nums]
+        for j, a_scale in a_scales:
+            nums_j, q_j = levels[e - j]
+            scale = _mul(a_scale, _exquo(q, q_j, p), p)
+            lhs = [_add(c, _mul(scale, P, p), p) for c, P in zip(lhs, nums_j)]
+        return dext._padded_rows(lhs + [_mul(rhs_scale, q, p)])
+
+    return rows
+
+
+_WRAP_CASES = [
+    (p, w, None, bounds)
+    for p, bounds in ((3, (3, 4)), (5, (5, 6)), (7, (7,)))
+    for w in ("x", "1/x", "(x+1)/x")
+] + [
+    (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3", (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "p,weight,g_text,bounds",
+    _WRAP_CASES,
+    ids=[("p%d-%s-%s" % c[:3]).replace(" ", "") for c in _WRAP_CASES],
+)
+def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bounds):
+    # Numerators x^i with i >= p, where the falling factorials (i)_l of the
+    # level-one columns wrap mod p; weights 1/x and (x+1)/x have S' != 0.
+    # Both builders clear the same identity by the same factors, so the rows
+    # are equal, not only equivalent.  The denominators are every monic one
+    # of degree <= 2 and three of degree bound; p = 3 also runs both whole
+    # searches.
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
+    K, g = alg.ring, alg.g
+    rng = random.Random("wrap:%d:%s:%s" % (p, weight, g_text))
+    for bound in bounds:
+        dens = list(dext._fraction_candidates(K, 2)) + [
+            DensePoly(K.field, [rng.randrange(p) for _ in range(bound)] + [1]) for _ in range(3)
+        ]
+        ds = [
+            K.zero(),
+            _fraction_of_height(K, rng, 2),
+            v_g(K, g, _fraction_of_height(K, rng, bound)),
+        ]
+        for d in ds:
+            fast, slow = dext._vg_rows(K, g, d, bound), _chain_vg_rows(K, g, d, bound)
+            for den in dens:
+                assert list(fast(den)) == list(slow(den)), (bound, d, den)
+            if p == 3:
+                assert dext._bounded_height_witness(K, fast, bound) == dext._bounded_height_witness(
+                    K, slow, bound
+                ), (bound, d)
 
 
 def test_search_guard_refuses_before_any_work(monkeypatch):

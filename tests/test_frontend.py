@@ -384,6 +384,30 @@ def test_cli_unwritable_report_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_closed_stdout_exits_one_without_traceback(tmp_path):
+    # The pipe's reader is gone before the report is printed, as in
+    # `diffext build CONFIG | head -0`: exit 1 with nothing on stderr, and
+    # the --json report is still written.
+    out = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffext", "build", str(CONFIGS / "i1.cfg"), "--json", str(out)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_CHILD_ENV,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [c["name"] for c in report["checks"]] == ["build"]
+
+
 def test_cli_bad_expression_exits_two(tmp_path):
     proc = _cli(tmp_path, "autos", "CFG", "--check-c", "x +")
     assert proc.returncode == 2

@@ -441,6 +441,87 @@ def _henrici_cases(x, y):
     return cases
 
 
+# -- Kronecker products against the schoolbook loop
+#
+# _mul packs each operand into one int, w bytes per coefficient, where w is
+# the fewest bytes that hold n (p-1)^2 for the shorter length n, and n = 1
+# is a scaling pass.  The oracle is the schoolbook loop; the lengths sit on
+# both sides of every change of path.
+# Operands whose coefficients are all p - 1 give the largest slot sums.
+
+
+def _loop_mul(a, b, p):
+    """Schoolbook product of coefficient tuples: one pass per entry of a."""
+    if not a or not b:
+        return ()
+    if len(a) > len(b):
+        a, b = b, a
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + nb] = [o + ai * y for o, y in zip(out[i : i + nb], b)]
+    return tuple([c % p for c in out])
+
+
+_KRONECKER_PRIMES = [2, 3, 5, 7, 11, 13, 17, 31, 257, 65521]
+
+
+def _width_switches(p, cap):
+    """Shorter lengths n <= cap on both sides of each change of slot width."""
+    out = {1, 2, 3, 4}
+    for bits in (8, 16, 24, 32, 40):
+        n = ((1 << bits) - 1) // (p - 1) ** 2  # the longest n whose slot sums fit
+        out.update((n, n + 1))
+    return sorted(n for n in out if 1 <= n <= cap)
+
+
+def _operand(rng, p, n, full):
+    if full:
+        return (p - 1,) * n
+    return tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),)
+
+
+@pytest.mark.parametrize("p", _KRONECKER_PRIMES)
+def test_kronecker_products_match_schoolbook_loop(p):
+    rng = random.Random(2500 + p)
+    for n in _width_switches(p, 2000):
+        for m in (n, n + 3):
+            for full in (False, True):
+                a, b = _operand(rng, p, n, full), _operand(rng, p, m, full)
+                want = _loop_mul(a, b, p)
+                assert scalars._mul(a, b, p) == scalars._mul(b, a, p) == want, (n, m, full)
+
+
+@pytest.mark.parametrize("p", _KRONECKER_PRIMES)
+def test_kronecker_products_of_full_operands_at_every_width(p):
+    # Lengths too long for the loop: with every coefficient p - 1, entry k of
+    # the product of lengths n and m is (p-1)^2 = 1 times the number of pairs
+    # i + j = k, min(k + 1, n, m, n + m - 1 - k), mod p.
+    for n in _width_switches(p, 70000):
+        m = n + 1
+        got = scalars._mul((p - 1,) * n, (p - 1,) * m, p)
+        assert got == tuple(min(k + 1, n, m, n + m - 1 - k) % p for k in range(n + m - 1)), n
+
+
+@pytest.mark.parametrize("p", [2, 7, 31, 257])
+def test_shifted_sums_match_schoolbook_sums(p):
+    # Few small terms give one-byte slots at p = 2 and 7, many large ones
+    # wider slots; p = 257 packs two bytes per coefficient.
+    rng = random.Random(2600 + p)
+    for count in (1, 3, 9, 40):
+        polys = [_operand(rng, p, rng.randrange(1, 12), False) for _ in range(5)] + [()]
+        term = lambda: (rng.randrange(1, p), rng.randrange(20), rng.randrange(6))
+        columns = [[term() for _ in range(rng.randrange(count + 1))] for _ in range(6)]
+        want = []
+        for terms in columns:
+            acc = ()
+            for c, s, k in terms:
+                acc = scalars._add(acc, _loop_mul((0,) * s + (c,), polys[k], p), p)
+            want.append(acc)
+        assert scalars._shifted_sums(polys, columns, p) == want, count
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_henrici_arithmetic_matches_gcd_constructor(p):
     # Every operation runs twice on one field: the first pass is Henrici's
