@@ -329,8 +329,10 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
 
     None of the three proofs needs e = 1, so all three facts hold word for
     word for g = p_polynomial_at_exponent(K, e).  Another annihilating g
-    of exponent e is h(z1) for a p-polynomial h, so V_g = h(V_z1), whose
-    kernel can exceed the logarithmic derivatives; such a g is refused.
+    of exponent e is h(z1) for a p-polynomial h over F, so V_g = h(V_z1),
+    whose kernel can exceed the logarithmic derivatives; such a g is
+    refused.  The factor search's row builder, dext._vg_rows, proves the
+    split g = h(z1), computes h and checks it.
 
     Scope: the report constrains the descriptors.  By the paper these are
     all of Aut(S_f) when d is not in F; that claim is checked at e = 1

@@ -51,9 +51,12 @@ Jacobson's p-step on a pair reads
 
     V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
 
-and level by level V_g(N/v) = d becomes a polynomial identity, cleared by
-v^(p^e) and by the denominators of d, of delta(x) and of the a_i, whose
-coefficients are F_p-linear in those of N (see _vg_rows).  The honest
+so V_z1(N/v), for z1 = t^p - a t, is a polynomial over v^p times a fixed
+one.  Every annihilating g is h(z1) for a p-polynomial h over F, so V_g =
+h(V_z1), and h acts on such a fraction by Frobenius spreads.  V_g(N/v) = d
+becomes a polynomial identity, cleared by v^(p^e) and by the denominators
+of d, of delta(x), of a and of the coefficients of h, whose coefficients
+are F_p-linear in those of N (see _vg_rows).  The honest
 route, which reads the images fn(x^i/v) in coordinates and clears them of
 denominators one coordinate at a time (_coords_rows), stays as the
 reference the tests compare with.  The rows feed the one bounded-height
@@ -72,7 +75,7 @@ from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _shifted_sums, poly_gcd
-from .towers import PPolynomial, p_polynomial_at_exponent
+from .towers import PPolynomial, minimal_p_polynomial, p_polynomial_at_exponent
 
 __all__ = ["ExtAlgebra", "AlgebraElement"]
 
@@ -665,10 +668,10 @@ def _bounded_height_witness(K, rows_for, bound: int):
     exactly the c with fn(sum c_i x^i / v) = target, for an F_p-linear map
     fn on K and a target.  Two builders exist:
 
-    * _vg_rows, for V_g over the derived field: the polynomial identity
-      v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the denominators of
-      d, of delta(x) and of the a_i, built on coefficient tuples with no
-      fraction formed;
+    * _vg_rows, for V_g = h(V_z1) over the derived field: the polynomial
+      identity v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the
+      denominators of d, of delta(x), of a and of the coefficients of h,
+      built on coefficient tuples with no fraction formed;
     * _coords_rows, for any map read in coordinates: fn(x^i/v) expanded
       honestly and each coordinate equation cleared of denominators.  No
       product path calls it; it is the reference the tests compare
@@ -741,73 +744,96 @@ def _coords_rows(K, fn, target, degree):
 def _vg_rows(K, g, d, degree):
     """Row builder for V_g(N/v) = d over the derived field, deg N <= degree.
 
+    Every exponent goes through z1 = t^p + a1 t, the exponent-one
+    p-polynomial t^p - a t of towers.minimal_p_polynomial (a1 = -a); at
+    e = 1 it is g itself, so a1 is read off g.  Every annihilating g is
+    h(z1) for a p-polynomial h = sum_k h_k s^(p^k) over F, monic of
+    exponent e - 1.  In F[t], which is commutative, h_k z1^(p^k) =
+    h_k (t^(p^(k+1)) + a1^(p^k) t^(p^k)), so dividing g by z1 under
+    composition, top term first, leaves a remainder c t.  delta commutes
+    with F, so t |-> delta is a ring map on F[t], and g(delta) =
+    h(z1(delta)) + c delta = c delta; g(delta) = 0 and delta != 0 force
+    c = 0.  With g_k the coefficient of t^(p^k) in g, the
+    division reads, top-down,
+
+        h_(e-1) = 1,    h_(k-1) = g_k - h_k a1^(p^k)    (e > k >= 1),
+
+    and c = g_0 - h_0 a1, which is checked to vanish.  t |-> t - b fixes F
+    and takes z1 to z1 - V_z1(b), both central, and h is additive with
+    coefficients in F, so V_g(b) = h(V_z1(b)).
+
     No fraction is formed.  Write delta(x) = W/S.  For a polynomial R,
     delta(R/S^k) = W (R' S - k R S') / S^(k+2), so delta^n(R) is a
     polynomial over S^(2n), the same for every R.  u^p is a constant for
-    every u, so the p-step at level k (see diffpoly._p_step), with
-    n = (p-1) p^k derivations, is on a pair P/u
+    every u, so the p-step (see diffpoly._p_step), with n = p - 1
+    derivations, is on a pair P/u
 
-        V_(p^(k+1))(P/u) = (P^p + delta^n(u^(p-1) P)) / u^p,
+        V_p(P/u) = (P^p + delta^n(u^(p-1) P)) / u^p,
 
-    with both parts brought over S^(2n); the Frobenius power of a
-    polynomial over F_p only spreads its coefficients.  From (x^i, v),
-    level k holds V_(p^k)(x^i/v) as a pair P_(k,i)/q_k whose denominator
-    does not depend on i, and q_k divides q_(k+1).  With a_j = A_j/B_j,
-    B = prod B_j and d = dn/dd,
-
-        V_g(x^i/v) = M_i / (q_e B),
-        M_i = P_(e,i) B + sum_j A_j (B/B_j) (q_e/q_(e-j)) P_(e-j,i),
-
-    so V_g(N/v) = d, for N = sum c_i x^i, is the polynomial identity
-    sum c_i M_i dd = dn q_e B: q_e carries v^(p^e), and dd, S and B are
-    the other denominators it clears.  V_g is additive and commutes with
-    F_p-scalars, so the identity is F_p-linear in the c_i; each power of x
-    gives one row, and clearing nonzero denominators keeps the solution set.
-
-    Level one needs no chain per numerator.  delta is a derivation, so with
-    L = v^(p-1), n = p - 1 and E_j = S^(2j) delta^j(L), Leibniz gives
+    with both parts brought over S^(2n).  From (x^i, v) it gives
+    V_p(x^i/v) = P_i / q_1 with q_1 = v^p S^(2n), the same for every i.
+    delta is a derivation, so with L = v^(p-1) and E_j = S^(2j)
+    delta^j(L), Leibniz gives
 
         S^(2n) delta^n(L x^i) = sum_k C(n,k) E_(n-k) S^(2k) delta^k(x^i),
 
     and S^(2k) delta^k(x^i) = sum_l (i)_l x^(i-l) A_(k,l), where (i)_l is
     the falling factorial mod p and the A_(k,l) depend on delta alone
     (A_(0,0) = 1, A_(k+1,l) = W (S (A_(k,l-1) + A_(k,l)') - 2k S' A_(k,l))).
-    So P_(1,i) = x^(p i) S^(2n) + sum_l (i)_l x^(i-l) H_l with
+    So P_i = x^(p i) S^(2n) + sum_l (i)_l x^(i-l) H_l with
     H_l = sum_(k>=l) C(n,k) E_(n-k) A_(k,l): per v, n derivation steps on
     L and about (n+1)(n+2)/2 products, then every column is a sum of
-    shifted multiples of p + 1 polynomials (scalars._shifted_sums).  At
-    e = 1 the scales of M_i are folded into those polynomials, so M_i dd
-    is that one sum.  Levels two and up (e >= 2) keep one chain per
-    numerator.
+    shifted multiples of p + 1 polynomials (scalars._shifted_sums).  With
+    a1 = A1/B1, d = dn/dd and G = dd B1 q_1, the scales fold dd in:
+
+        V_z1(x^i/v) = Z_i / G,    Z_i = dd B1 P_i + dd A1 (q_1/v) x^i.
+
+    At e = 1, V_g(N/v) = d for N = sum c_i x^i is the polynomial identity
+    sum c_i Z_i = dn B1 q_1.  At e >= 2, every c in F_p is its own p^k-th
+    power and the p^k-th power of a polynomial over F_p only spreads its
+    coefficients (scalars._frobenius), so V_g(N/v) = h(sum c_i Z_i/G) =
+    sum_k h_k sum_i c_i Z_i^(p^k) / G^(p^k).  With h_k = hn_k/hd_k,
+    T = prod hd_k and q = p^(e-1), multiplying by T G^q gives
+
+        sum c_i sum_k h_k T (G^q / G^(p^k)) Z_i^(p^k) = T dn dd^(q-1) (B1 q_1)^q,
+
+    one exact division per nonzero h_k.  V_g is additive and commutes with
+    F_p-scalars, so the identity is F_p-linear in the c_i; each power of x
+    gives one row, and clearing nonzero denominators keeps the solution
+    set.
 
     The rows of one v are rows(v); what depends on neither v nor the degree
     is computed once, here, and the A_(k,l) and the column layout at the
     first rows call, so that building the builder costs nothing before the
     search guard has run.
     """
-    p, e = K.p, g.e
+    p, e, q = K.p, g.e, K.p ** (g.e - 1)
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
     dS = _derivative(S, p)
-    # Level k takes (p-1) p^k derivations and clears S^(2 (p-1) p^k): the
-    # p-th power of the level below, a Frobenius spread.
-    s_top = (1,)
+    s_top = (1,)  # S^(2 (p-1)), cleared by the p-step
     for _ in range(2 * (p - 1)):
         s_top = _mul(s_top, S, p)
-    s_tops = [s_top]
-    for _ in range(1, e):
-        s_tops.append(_frobenius(s_tops[-1], p))
-    big_b = (1,)
-    for a in g.coeffs:
-        big_b = _mul(big_b, a.den_coeffs, p)
-    dn, dd = d.num_coeffs, d.den_coeffs
-    # M_i dd: P_(e,i) times B dd, plus P_(e-j,i) times A_j (B/B_j) dd q_e/q_(e-j).
-    top_scale = _mul(big_b, dd, p)
-    a_scales = [
-        (j, _mul(_mul(a.num_coeffs, _exquo(big_b, a.den_coeffs, p), p), dd, p))
-        for j, a in enumerate(g.coeffs, start=1)
-        if a
+    a1 = g.coeffs[0] if e == 1 else minimal_p_polynomial(K).coeffs[0]
+    # g = h(z1): hs = [h_(e-1), ..., h_0], top-down (see the docstring).
+    hs = [RatFunc.one(K.field)]
+    for j, g_k in enumerate(g.coeffs[:-1]):
+        hs.append(g_k - hs[-1] * a1 ** (p ** (e - 1 - j)))
+    if hs[-1] * a1 != g.coeffs[-1]:
+        raise InternalInvariantViolation("g = %s is not h(t^p + a1 t) with a1 = %s" % (g, a1))
+    h_den = (1,)  # T
+    for h_k in hs:
+        h_den = _mul(h_den, h_k.den_coeffs, p)
+    # (p^k, h_k T) for the nonzero h_k.
+    spreads = [
+        (p ** (e - 1 - j), _mul(h_k.num_coeffs, _exquo(h_den, h_k.den_coeffs, p), p))
+        for j, h_k in enumerate(hs)
+        if h_k
     ]
-    rhs_scale = _mul(dn, big_b, p)
+    dn, dd = d.num_coeffs, d.den_coeffs
+    top_scale = _mul(a1.den_coeffs, dd, p)  # dd B1
+    a_scale = _mul(a1.num_coeffs, dd, p)  # dd A1
+    # T dn dd^(q-1) B1^q; rows(v) multiplies it by q_1^q.
+    rhs_scale = _mul(_mul(h_den, dn, p), _exquo(_frobenius(top_scale, q), dd, p), p)
 
     def delta_step(r, j):
         # S^(2j+2) delta^(j+1)(R) from r = S^(2j) delta^j(R), R a polynomial.
@@ -816,14 +842,8 @@ def _vg_rows(K, g, d, degree):
             t = _add(t, _mul(((-2 * j) % p,), _mul(r, dS, p), p), p)
         return _mul(W, t, p)
 
-    def delta_power(r, n):
-        # S^(2n) delta^n(r) for a polynomial r.
-        for j in range(n):
-            r = delta_step(r, j)
-        return r
-
-    # Level one (see the docstring), filled in by the first rows call:
-    # CA[k][l] = C(p-1, k) A_(k,l), and each column's terms for _shifted_sums.
+    # Filled in by the first rows call: CA[k][l] = C(p-1, k) A_(k,l), and
+    # each column's terms for _shifted_sums.
     CA, columns = [], []
 
     def level_one_setup():
@@ -845,54 +865,42 @@ def _vg_rows(K, g, d, degree):
                 falling = falling * (i - l) % p
             columns.append(terms)
 
-    def level_one(lift, scale, extra):
-        # scale P_(1,i) + x^i extra for every i <= degree; lift = v^(p-1).
+    def level_one(lift, extra):
+        # Z_i = top_scale P_i + x^i extra for every i <= degree; lift = v^(p-1).
         if not CA:
             level_one_setup()
         E = [lift]
         for j in range(p - 1):
             E.append(delta_step(E[-1], j))
-        polys = [s_tops[0]]
+        polys = [s_top]
         for l in range(p):
             h = ()
             for k in range(l, p):
                 h = _add(h, _mul(E[p - 1 - k], CA[k][l], p), p)
             polys.append(h)
-        polys = [_mul(scale, P, p) for P in polys]
+        polys = [_mul(top_scale, P, p) for P in polys]
         polys.append(extra)
         return _shifted_sums(polys, columns, p)
 
     def rows(den):
-        q = den.coeffs
+        v = den.coeffs
         lift = (1,)
         for _ in range(p - 1):
-            lift = _mul(lift, q, p)
-        q_1 = _mul(_frobenius(q, p), s_tops[0], p)
-        if e == 1:
-            # M_i dd = B dd P_(1,i) + A_1 dd (q_1/q) x^i, with q_1/q =
-            # lift s_top: one shifted sum per column.
-            extra = _mul(a_scales[0][1], _mul(lift, s_tops[0], p), p) if a_scales else ()
-            return _padded_rows(level_one(lift, top_scale, extra) + [_mul(rhs_scale, q_1, p)])
-        levels = [([(0,) * i + (1,) for i in range(degree + 1)], q)]
-        nums, q = level_one(lift, (1,), ()), q_1
-        levels.append((nums, q))
-        # Levels two and up: one derivation chain per numerator.
-        for level in range(1, e):
-            s_top, lift = s_tops[level], (1,)
-            for _ in range(p - 1):
-                lift = _mul(lift, q, p)
-            nums = [
-                _add(_mul(_frobenius(P, p), s_top, p), delta_power(_mul(lift, P, p), (p - 1) * p ** level), p)
-                for P in nums
-            ]
-            q = _mul(_frobenius(q, p), s_top, p)
-            levels.append((nums, q))
-        lhs = [_mul(P, top_scale, p) for P in nums]
-        for j, a_scale in a_scales:
-            nums_j, q_j = levels[e - j]
-            scale = _mul(a_scale, _exquo(q, q_j, p), p)
-            lhs = [_add(c, _mul(scale, P, p), p) for c, P in zip(lhs, nums_j)]
-        return _padded_rows(lhs + [_mul(rhs_scale, q, p)])
+            lift = _mul(lift, v, p)
+        q_1 = _mul(_frobenius(v, p), s_top, p)
+        # dd A1 (q_1/v), with q_1/v = lift s_top.
+        extra = _mul(a_scale, _mul(lift, s_top, p), p) if a_scale else ()
+        lhs = level_one(lift, extra)
+        if e > 1:
+            # h(V_z1) by Frobenius spreads, cleared by T G^q.
+            big_g = _mul(top_scale, q_1, p)
+            top = _frobenius(big_g, q)
+            zs, lhs = lhs, [()] * len(lhs)
+            for power, scale in spreads:
+                scale = _mul(scale, _exquo(top, _frobenius(big_g, power), p), p)
+                lhs = [_add(c, _mul(scale, _frobenius(z, power), p), p) for c, z in zip(lhs, zs)]
+            q_1 = _frobenius(q_1, q)
+        return _padded_rows(lhs + [_mul(rhs_scale, q_1, p)])
 
     return rows
 

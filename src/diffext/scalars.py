@@ -31,9 +31,9 @@ Each type has two constructors:
   () over (1,).  The operators of both types build their results this way.
 
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
-``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``,
-``_frobenius``) that take p as an argument and reduce mod p once per output
-entry.  Divisors of degree <= 1 take short paths: division by a linear
+``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``) that take p
+as an argument and reduce mod p once per output entry; ``_frobenius``
+takes the power of p instead and only moves coefficients.  Divisors of degree <= 1 take short paths: division by a linear
 divisor is synthetic (Horner at its root), and Euclid stops at a divisor
 of degree <= 1, which decides the gcd with one Horner pass.  ``_exquo``
 is the quotient by a monic divisor known to divide, with no inverse and
@@ -135,18 +135,6 @@ class PrimeField:
         # coefficient tuples; see RatFunc.__add__ and __mul__.
         self._add_memo = {}
         self._mul_memo = {}
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -344,12 +332,13 @@ def _derivative(a, p: int) -> tuple:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _frobenius(a, p: int) -> tuple:
-    """a^p: every c in F_p has c^p = c, so only the exponents are multiplied."""
+def _frobenius(a, n: int) -> tuple:
+    """a^n for a power n of p: every c in F_p has c^n = c, so only the
+    exponents are multiplied."""
     if not a:
         return ()
-    out = [0] * (p * (len(a) - 1) + 1)
-    out[::p] = a
+    out = [0] * (n * (len(a) - 1) + 1)
+    out[::n] = a
     return tuple(out)
 
 
@@ -638,9 +627,6 @@ class RatFunc:
     @property
     def den(self) -> DensePoly:
         return _poly(self.field, self.den_coeffs)
-
-    def is_poly(self) -> bool:
-        return len(self.den_coeffs) == 1
 
     def __bool__(self):
         return bool(self.num_coeffs)

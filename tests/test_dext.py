@@ -738,12 +738,18 @@ _ROW_CASES = [
     for p, bounds in ((2, range(4)), (3, range(3)), (5, range(2)), (7, range(2)))
     for w in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x")
 ] + [
-    # Declared exponent-two g; with weights 1/x and (x+1)/x, delta^p is not
-    # delta, so level two takes (p-1) p derivations.
+    # Declared exponent-two g = z1^p; with weights 1/x and (x+1)/x, a in
+    # z1 = t^p - a t has a denominator, which the rows clear, and the
+    # chain's level two takes (p-1) p derivations.
     (2, "x", "t^4 + t^2", range(3)),
     (2, "1/x", "t^4 + (1/(x^4))*t^2", range(3)),
     (2, "(x+1)/x", "t^4 + (1/(x^4))*t^2", range(3)),
     (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3", range(2)),
+    # g = h(z1) with h not a power of s, z1^2 + z1 and z1^3 + z1; and the
+    # exponent-three z1^4.
+    (2, "x", "t^4 + t", range(3)),
+    (3, "x", "t^9 + 2*t", range(2)),
+    (2, "x", "t^8 + t^4", range(3)),
 ]
 
 
@@ -753,13 +759,14 @@ _ROW_CASES = [
     ids=[("p%d-%s-%s" % c[:3]).replace(" ", "") for c in _ROW_CASES],
 )
 def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
-    # The coords route, V_g expanded honestly and read in coordinates, is the
-    # oracle: per denominator, both row sets have the same solutions, so the
-    # search returns the same witness.
+    # The coords route, V_g expanded honestly and read in coordinates, and
+    # the per-numerator chain are the oracles: per denominator, the three
+    # row sets have the same solutions, so the search returns the same
+    # witness.
     text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
     alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
     K, g = alg.ring, alg.g
-    assert g.e == (2 if g_text else 1)
+    assert (g.e == 1) == (g_text is None)
     rng = random.Random("rows:%d:%s:%s" % (p, weight, g_text))
     fn = lambda u: K.coords(v_g(K, g, u))
     for bound in bounds:
@@ -772,19 +779,37 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
         for d in ds:
             fast = dext._vg_rows(K, g, d, bound)
             slow = dext._coords_rows(K, fn, K.coords(d), bound)
+            chain = _chain_vg_rows(K, g, d, bound)
             for den in dext._fraction_candidates(K, bound):
-                assert _solved(fast(den), p) == _solved(slow(den), p), (bound, d, den)
+                want = _solved(slow(den), p)
+                assert _solved(fast(den), p) == want == _solved(chain(den), p), (bound, d, den)
+                if g.e == 1:
+                    assert list(fast(den)) == list(chain(den)), (bound, d, den)
             got = dext._bounded_height_witness(K, fast, bound)
             assert got == dext._bounded_height_witness(K, slow, bound), (bound, d)
             if got is not None:
                 assert v_g(K, g, got) == d
 
 
+def test_vg_rows_refuses_g_that_is_not_h_of_z1():
+    # Over x d/dx at p = 2, z1 = t^2 + t.  t^4 + t^2 + t leaves the
+    # remainder t on division by z1 under composition, so it is not h(z1)
+    # (and does not annihilate delta); the row builder checks before any row.
+    K = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\n").K
+    one = K.one()
+    g = PPolynomial(2, 2, (one, one))
+    assert not g.annihilates(K)
+    with pytest.raises(InternalInvariantViolation, match="is not h"):
+        dext._vg_rows(K, g, K.zero(), 1)
+
+
 def _chain_vg_rows(K, g, d, degree):
     """_vg_rows with one derivation chain per numerator x^i at every level.
 
-    The reference for the level one of dext._vg_rows, which comes from
-    p + 1 polynomials per denominator instead.
+    The reference for dext._vg_rows, which builds level one from p + 1
+    polynomials per denominator and reaches e >= 2 as h(V_z1) instead.
+    This chain clears V_g = V_(p^e) + sum a_j V_(p^(e-j)) by v^(p^e) and
+    the denominators of d, of delta(x) and of the a_j.
     """
     p, e = K.p, g.e
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
@@ -856,10 +881,12 @@ _WRAP_CASES = [
 def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bounds):
     # Numerators x^i with i >= p, where the falling factorials (i)_l of the
     # level-one columns wrap mod p; weights 1/x and (x+1)/x have S' != 0.
-    # Both builders clear the same identity by the same factors, so the rows
-    # are equal, not only equivalent.  The denominators are every monic one
-    # of degree <= 2 and three of degree bound; p = 3 also runs both whole
-    # searches.
+    # At e = 1 both builders clear the same identity by the same factors, so
+    # the rows are equal, not only equivalent.  At e = 2 _vg_rows clears
+    # h(V_z1(N/v)) = d by (dd B1 q_1)^p T, not by the chain's v^(p^2) L, so
+    # the rows are compared by their solutions.  The denominators are every
+    # monic one of degree <= 2 and three of degree bound; p = 3 also runs
+    # both whole searches.
     text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
     alg = instance_from_text(text + ("g = %s\n" % g_text if g_text else "")).algebra
     K, g = alg.ring, alg.g
@@ -876,7 +903,10 @@ def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bound
         for d in ds:
             fast, slow = dext._vg_rows(K, g, d, bound), _chain_vg_rows(K, g, d, bound)
             for den in dens:
-                assert list(fast(den)) == list(slow(den)), (bound, d, den)
+                if g.e == 1:
+                    assert list(fast(den)) == list(slow(den)), (bound, d, den)
+                else:
+                    assert _solved(fast(den), p) == _solved(slow(den), p), (bound, d, den)
             if p == 3:
                 assert dext._bounded_height_witness(K, fast, bound) == dext._bounded_height_witness(
                     K, slow, bound
@@ -1025,14 +1055,26 @@ def test_no_linear_factor_for_d_not_in_f_without_search(monkeypatch, p, weight, 
             assert brute_force_factor(alg, 1) is None, d
 
 
-@pytest.mark.parametrize("p,bound", [(3, 1), (5, 1), (3, 2)], ids=["p3", "p5", "p3-b2"])
-def test_quaternion_search_on_scalar_constant_matches_k(p, bound):
+@pytest.mark.parametrize(
+    "p,bound,weight,g_text",
+    [
+        (3, 1, "x^2 + 1", None),
+        (5, 1, "x^2 + 1", None),
+        (3, 2, "x^2 + 1", None),
+        # e = 2 over x d/dx, z1 = t^3 - t: g = h(z1) for h = s^3 and s^3 + s.
+        (3, 2, "x", "t^9 + 2*t^3"),
+        (3, 2, "x", "t^9 + 2*t"),
+    ],
+    ids=["p3", "p5", "p3-b2", "p3-b2-e2-z1^3", "p3-b2-e2-z1^3+z1"],
+)
+def test_quaternion_search_on_scalar_constant_matches_k(p, bound, weight, g_text):
     # d = embed(c) with c in F: Q searches V_g(b) = c over K, so it returns
     # the embedded K witness, or None with it.
-    inst = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p)
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    inst = instance_from_text(text + ("g = %s\n" % g_text if g_text else ""))
     K, g = inst.K, inst.g
     Q = QuaternionRing(K)
-    rng = random.Random("quaternion-search:%d:%d" % (p, bound))
+    rng = random.Random("quaternion-search:%d:%d" % (p, bound) + (":" + g_text if g_text else ""))
     cs = [
         K.zero(),
         K.x() ** p,
