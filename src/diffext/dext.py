@@ -70,11 +70,14 @@ irreducible (see division_verdict).
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 
 from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
-from .scalars import DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _shifted_sums, poly_gcd
+from .scalars import (
+    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _shifted_sums, _unpacked, poly_gcd,
+)
 from .towers import PPolynomial, minimal_p_polynomial, p_polynomial_at_exponent
 
 __all__ = ["ExtAlgebra", "AlgebraElement"]
@@ -90,10 +93,10 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # Most monic denominators, sum of p^k over k <= bound, that one
 # bounded-height search tries.  Not an option: it keeps `diffext divcheck
 # --bound N` from running for hours.  A fraction-free system over the derived
-# field, with its solve, costs about 0.1 to 0.4 ms per denominator at bounds
+# field, with its solve, costs about 0.1 to 0.3 ms per denominator at bounds
 # 4 to 15 (2-CPU machine, Python 3.11), so the largest search allowed runs
-# under a minute: p = 2 up to bound 15 (24 s exhaustive), p = 3 up to 10
-# (26 s), p = 5 up to 7 (34 s), p = 7 up to 5 (7 s).
+# under a minute: p = 2 up to bound 15 (18 s exhaustive), p = 3 up to 10
+# (16 s), p = 5 up to 7 (27 s), p = 7 up to 5 (3.5 s).
 MAX_SEARCH_DENOMINATORS = 10 ** 5
 
 # Most work, samples x dim^3, that one is_division_probe call does: each
@@ -771,22 +774,37 @@ def _vg_rows(K, g, d, degree):
         V_p(P/u) = (P^p + delta^n(u^(p-1) P)) / u^p,
 
     with both parts brought over S^(2n).  From (x^i, v) it gives
-    V_p(x^i/v) = P_i / q_1 with q_1 = v^p S^(2n), the same for every i.
-    delta is a derivation, so with L = v^(p-1) and E_j = S^(2j)
-    delta^j(L), Leibniz gives
+    V_p(x^i/v) = P_i / q_1 with q_1 = v^p S^(2n), the same for every i,
+    and P_i = x^(p i) S^(2n) + S^(2n) delta^n(L x^i) with L = v^(p-1).
+    delta is additive and F_p-linear, and so is R |-> S^(2n) delta^n(R);
+    with L = sum_m lam_m x^m (lam_m in F_p) it takes L x^i to
+    sum_m lam_m S^(2n) delta^n(x^(m+i)).  By the rule for delta(R/S^k),
+    induction on j gives, for every k,
 
-        S^(2n) delta^n(L x^i) = sum_k C(n,k) E_(n-k) S^(2k) delta^k(x^i),
+        S^(2j) delta^j(x^k) = sum_l (k)_l x^(k-l) A_(j,l),
 
-    and S^(2k) delta^k(x^i) = sum_l (i)_l x^(i-l) A_(k,l), where (i)_l is
-    the falling factorial mod p and the A_(k,l) depend on delta alone
-    (A_(0,0) = 1, A_(k+1,l) = W (S (A_(k,l-1) + A_(k,l)') - 2k S' A_(k,l))).
-    So P_i = x^(p i) S^(2n) + sum_l (i)_l x^(i-l) H_l with
-    H_l = sum_(k>=l) C(n,k) E_(n-k) A_(k,l): per v, n derivation steps on
-    L and about (n+1)(n+2)/2 products, then every column is a sum of
-    shifted multiples of p + 1 polynomials (scalars._shifted_sums).  With
+    where (k)_l is the falling factorial mod p, which depends on k mod p
+    only, and the A_(j,l) depend on delta alone (A_(0,0) = 1,
+    A_(j+1,l) = W (S (A_(j,l-1) + A_(j,l)') - 2j S' A_(j,l))).  With
     a1 = A1/B1, d = dn/dd and G = dd B1 q_1, the scales fold dd in:
 
-        V_z1(x^i/v) = Z_i / G,    Z_i = dd B1 P_i + dd A1 (q_1/v) x^i.
+        V_z1(x^i/v) = Z_i / G,    Z_i = dd B1 P_i + dd A1 (q_1/v) x^i,
+
+    and q_1/v = L S^(2n), so the second term is linear in L as well:
+
+        Z_i = K0 x^(p i) + sum_m lam_m Phi(m + i),    K0 = dd B1 S^(2n),
+        Phi(k) = sum_l (k)_l x^(k-l) dd B1 A_(n,l) + x^k dd A1 S^(2n).
+
+    deg L <= (p-1) degree, so a search needs Phi(k) for k <= p degree
+    only.  The first rows call builds them, in one scalars._shifted_sums,
+    and packs them and K0 once, w bytes per coefficient, with w large
+    enough for (p-1) + ((p-1) degree + 1)(p-1)^2: every packed coefficient
+    and every lam_m is at most p - 1, and a column adds K0 to at most
+    deg L + 1 multiples lam_m Phi(m+i).  Per v this leaves p - 2 products
+    for L and, per column, one integer sum of K0 shifted by p i slots and
+    the lam_m Phi(m+i), unpacked once (scalars._unpacked, as
+    scalars._shifted_sums does); no derivation runs.  rows(v) needs deg v <= degree, the bound the table
+    was built for, and raises ValueError otherwise.
 
     At e = 1, V_g(N/v) = d for N = sum c_i x^i is the polynomial identity
     sum c_i Z_i = dn B1 q_1.  At e >= 2, every c in F_p is its own p^k-th
@@ -803,8 +821,8 @@ def _vg_rows(K, g, d, degree):
     set.
 
     The rows of one v are rows(v); what depends on neither v nor the degree
-    is computed once, here, and the A_(k,l) and the column layout at the
-    first rows call, so that building the builder costs nothing before the
+    is computed once, here, and the A_(j,l) and the Phi table at the first
+    rows call, so that building the builder costs nothing before the
     search guard has run.
     """
     p, e, q = K.p, g.e, K.p ** (g.e - 1)
@@ -842,55 +860,49 @@ def _vg_rows(K, g, d, degree):
             t = _add(t, _mul(((-2 * j) % p,), _mul(r, dS, p), p), p)
         return _mul(W, t, p)
 
-    # Filled in by the first rows call: CA[k][l] = C(p-1, k) A_(k,l), and
-    # each column's terms for _shifted_sums.
-    CA, columns = [], []
+    # Bytes per packed coefficient, for the slot bound of the docstring.
+    w = (((p - 1) + ((p - 1) * degree + 1) * (p - 1) ** 2).bit_length() + 7) // 8
+    # Filled in by the first rows call: K0, then Phi(0), ..., Phi(p degree),
+    # packed w bytes per coefficient.
+    packed = []
 
     def level_one_setup():
-        # A_(k+1,l) = W (S (A_(k,l-1) + A_(k,l)') - 2k S' A_(k,l)).
-        A = [[(1,)]]
-        for k in range(p - 1):
-            A.append([
-                _add(delta_step(a, k), _mul(W, _mul(prev, S, p), p), p)
-                for prev, a in zip([()] + A[k], A[k] + [()])
-            ])
-        CA.extend([_mul((comb(p - 1, k) % p,), a, p) for a in row] for k, row in enumerate(A))
-        # Column i: x^(p i) polys[0] + sum_l (i)_l x^(i-l) polys[1 + l]
-        # + x^i polys[p + 1].
-        for i in range(degree + 1):
-            terms, falling = [(1, p * i, 0), (1, i, p + 1)], 1
-            for l in range(min(i, p - 1) + 1):
-                if falling:
-                    terms.append((falling, i - l, 1 + l))
-                falling = falling * (i - l) % p
-            columns.append(terms)
-
-    def level_one(lift, extra):
-        # Z_i = top_scale P_i + x^i extra for every i <= degree; lift = v^(p-1).
-        if not CA:
-            level_one_setup()
-        E = [lift]
+        # A[l] = A_(j,l) after j steps, up to j = p - 1.
+        A = [(1,)]
         for j in range(p - 1):
-            E.append(delta_step(E[-1], j))
-        polys = [s_top]
-        for l in range(p):
-            h = ()
-            for k in range(l, p):
-                h = _add(h, _mul(E[p - 1 - k], CA[k][l], p), p)
-            polys.append(h)
-        polys = [_mul(top_scale, P, p) for P in polys]
-        polys.append(extra)
-        return _shifted_sums(polys, columns, p)
+            A = [
+                _add(delta_step(a, j), _mul(W, _mul(prev, S, p), p), p)
+                for prev, a in zip([()] + A, A + [()])
+            ]
+        # Phi(k) = sum_l (k)_l x^(k-l) polys[l] + x^k polys[p].
+        polys = [_mul(top_scale, a, p) for a in A] + [_mul(a_scale, s_top, p)]
+        columns = []
+        for k in range(p * degree + 1):
+            terms, falling = [(1, k, p)], 1
+            for l in range(min(k, p - 1) + 1):
+                if falling:
+                    terms.append((falling, k - l, l))
+                falling = falling * (k - l) % p
+            columns.append(terms)
+        phis = _shifted_sums(polys, columns, p)
+        packed.extend(_pack(P, w, p) for P in [_mul(top_scale, s_top, p)] + phis)
 
     def rows(den):
         v = den.coeffs
-        lift = (1,)
-        for _ in range(p - 1):
+        if len(v) - 1 > degree:
+            raise ValueError("denominator %s has degree above the row bound %d" % (den, degree))
+        if not packed:
+            level_one_setup()
+        lift = v  # L = v^(p-1)
+        for _ in range(p - 2):
             lift = _mul(lift, v, p)
+        # Z_i = K0 x^(p i) + sum_m lam_m Phi(m + i), Phi(k) at packed[1 + k].
+        k0, n = packed[0], len(lift)
+        lhs = [
+            _unpacked((k0 << 8 * w * p * i) + sum(map(mul, lift, packed[1 + i : 1 + i + n])), w, p)
+            for i in range(degree + 1)
+        ]
         q_1 = _mul(_frobenius(v, p), s_top, p)
-        # dd A1 (q_1/v), with q_1/v = lift s_top.
-        extra = _mul(a_scale, _mul(lift, s_top, p), p) if a_scale else ()
-        lhs = level_one(lift, extra)
         if e > 1:
             # h(V_z1) by Frobenius spreads, cleared by T G^q.
             big_g = _mul(top_scale, q_1, p)

@@ -267,12 +267,19 @@ def _shifted_sums(polys, columns, p: int) -> list:
         n = 0
         for c, s, k in terms:
             n += c * packed[k] << 8 * w * s
-        size = -(-n.bit_length() // (8 * w))
-        if w == 1:
-            out.append(tuple(n.to_bytes(size, "little").translate(_residues(p)).rstrip(b"\0")))
-        else:
-            out.append(_trim(_unpack(n, w, size, p)))
+        out.append(_unpacked(n, w, p))
     return out
+
+
+def _unpacked(n: int, w: int, p: int) -> tuple:
+    """Coefficient tuple of n, a sum of polynomials packed w bytes per slot.
+
+    Each slot is reduced mod p, so no slot of n may reach 256^w.
+    """
+    size = -(-n.bit_length() // (8 * w))
+    if w == 1:
+        return tuple(n.to_bytes(size, "little").translate(_residues(p)).rstrip(b"\0"))
+    return _trim(_unpack(n, w, size, p))
 
 
 def _synthetic(a, r, p: int):

@@ -791,6 +791,16 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
                 assert v_g(K, g, got) == d
 
 
+def test_vg_rows_refuses_denominator_above_the_row_bound():
+    # The level-one table is built for deg v <= degree; a larger v would
+    # need Phi(k) past the table, so rows(v) refuses it.
+    K = instance_from_text("p = 3\ndelta_of_x = x\nd = 0\n").K
+    rows = dext._vg_rows(K, minimal_p_polynomial(K), K.zero(), 2)
+    assert list(rows(DensePoly(K.field, [1, 0, 1])))
+    with pytest.raises(ValueError, match="row bound 2"):
+        rows(DensePoly(K.field, [0, 0, 0, 1]))
+
+
 def test_vg_rows_refuses_g_that_is_not_h_of_z1():
     # Over x d/dx at p = 2, z1 = t^2 + t.  t^4 + t^2 + t leaves the
     # remainder t on division by z1 under composition, so it is not h(z1)
@@ -806,8 +816,8 @@ def test_vg_rows_refuses_g_that_is_not_h_of_z1():
 def _chain_vg_rows(K, g, d, degree):
     """_vg_rows with one derivation chain per numerator x^i at every level.
 
-    The reference for dext._vg_rows, which builds level one from p + 1
-    polynomials per denominator and reaches e >= 2 as h(V_z1) instead.
+    The reference for dext._vg_rows, which builds level one from a table
+    made once per search and reaches e >= 2 as h(V_z1) instead.
     This chain clears V_g = V_(p^e) + sum a_j V_(p^(e-j)) by v^(p^e) and
     the denominators of d, of delta(x) and of the a_j.
     """
@@ -870,6 +880,9 @@ _WRAP_CASES = [
     for w in ("x", "1/x", "(x+1)/x")
 ] + [
     (3, "(x+1)/x", "t^9 + (1/(x^9))*t^3", (3,)),
+    # Two-byte slots in the packed level-one table; (x+1)/x has S' != 0.
+    (11, "(x+1)/x", None, (2,)),
+    (13, "x", None, (2,)),
 ]
 
 
@@ -879,8 +892,9 @@ _WRAP_CASES = [
     ids=[("p%d-%s-%s" % c[:3]).replace(" ", "") for c in _WRAP_CASES],
 )
 def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bounds):
-    # Numerators x^i with i >= p, where the falling factorials (i)_l of the
-    # level-one columns wrap mod p; weights 1/x and (x+1)/x have S' != 0.
+    # Numerators x^i with i >= p, and table entries Phi(k) with k >= p,
+    # where the falling factorials (k)_l wrap mod p; weights 1/x and
+    # (x+1)/x have S' != 0.
     # At e = 1 both builders clear the same identity by the same factors, so
     # the rows are equal, not only equivalent.  At e = 2 _vg_rows clears
     # h(V_z1(N/v)) = d by (dd B1 q_1)^p T, not by the chain's v^(p^2) L, so
@@ -1091,16 +1105,34 @@ def test_quaternion_search_on_scalar_constant_matches_k(p, bound, weight, g_text
 
 
 def test_division_verdict_compares_g_only_for_d_not_in_f_at_e_above_one(monkeypatch, i1, i2):
-    # The closed form is built only after d is found outside F, and never
-    # at e = 1, where every annihilating g is the closed form.
+    # division_verdict asks whether g is the closed form only after d is
+    # found outside F, and at e = 1, where every annihilating g is the
+    # closed form, the answer builds nothing.  The calls to the comparison
+    # are recorded, so that no route to the closed form goes unseen; the
+    # searches themselves build z1 through towers at e >= 2.
+    calls = []
+    compare = ExtAlgebra._g_is_closed_form
+
+    def recorded(self):
+        calls.append(self)
+        return compare(self)
+
     def no_closed_form(K, e):
         raise AssertionError("closed form built")
 
+    monkeypatch.setattr(ExtAlgebra, "_g_is_closed_form", recorded)
     e2_const = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\ng = t^4 + t^2\n").algebra
-    monkeypatch.setattr(dext, "p_polynomial_at_exponent", no_closed_form)
-    assert i1.division_verdict(4) == ("division (proved)", None)
     assert i2.division_verdict(1)[0] == "not division (witness)"
     assert e2_const.division_verdict(1)[0] == "not division (witness)"
+    assert calls == []
+    # d = x is not in F = F_2(x^2), and g = (t^2 + t)^2 is the closed form.
+    e2 = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\n").algebra
+    assert e2.division_verdict(1) == ("division (proved)", None)
+    assert len(calls) == 1 and calls[0] is e2
+    calls.clear()
+    monkeypatch.setattr(dext, "p_polynomial_at_exponent", no_closed_form)
+    assert i1.division_verdict(4) == ("division (proved)", None)
+    assert len(calls) == 1 and calls[0] is i1
 
 
 def test_division_probe_consistency(i1, i2, rng_seed=0):

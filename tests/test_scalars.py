@@ -520,6 +520,15 @@ def test_shifted_sums_match_schoolbook_sums(p):
                 acc = scalars._add(acc, _loop_mul((0,) * s + (c,), polys[k], p), p)
             want.append(acc)
         assert scalars._shifted_sums(polys, columns, p) == want, count
+        # The unpacking half alone, at the least width that holds every
+        # slot and one wider, as a caller that packs once for many sums
+        # picks it.
+        top = (p - 1) * max([1] + [sum([c for c, _, _ in terms]) for terms in columns])
+        least = (top.bit_length() + 7) // 8
+        for w in (least, least + 1):
+            packed = [scalars._pack(P, w, p) for P in polys]
+            sums = [sum([c * packed[k] << 8 * w * s for c, s, k in terms]) for terms in columns]
+            assert [scalars._unpacked(n, w, p) for n in sums] == want, (count, w)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
