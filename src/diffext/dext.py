@@ -95,8 +95,8 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # --bound N` from running for hours.  A fraction-free system over the derived
 # field, with its solve, costs about 0.1 to 0.3 ms per denominator at bounds
 # 4 to 15 (2-CPU machine, Python 3.11), so the largest search allowed runs
-# under a minute: p = 2 up to bound 15 (18 s exhaustive), p = 3 up to 10
-# (16 s), p = 5 up to 7 (27 s), p = 7 up to 5 (3.5 s).
+# under a minute: p = 2 up to bound 15 (15 s exhaustive, median of 10
+# runs), p = 3 up to 10 (14 s), p = 5 up to 7 (16 s), p = 7 up to 5 (2.5 s).
 MAX_SEARCH_DENOMINATORS = 10 ** 5
 
 # Most work, samples x dim^3, that one is_division_probe call does: each
@@ -803,8 +803,9 @@ def _vg_rows(K, g, d, degree):
     deg L + 1 multiples lam_m Phi(m+i).  Per v this leaves p - 2 products
     for L and, per column, one integer sum of K0 shifted by p i slots and
     the lam_m Phi(m+i), unpacked once (scalars._unpacked, as
-    scalars._shifted_sums does); no derivation runs.  rows(v) needs deg v <= degree, the bound the table
-    was built for, and raises ValueError otherwise.
+    scalars._shifted_sums does); no derivation runs.  rows(v) needs
+    deg v <= degree, the bound the table was built for, and raises
+    ValueError otherwise.
 
     At e = 1, V_g(N/v) = d for N = sum c_i x^i is the polynomial identity
     sum c_i Z_i = dn B1 q_1.  At e >= 2, every c in F_p is its own p^k-th

@@ -169,16 +169,22 @@ class PrimeField:
 #
 # * w = 1 while n (p-1)^2 <= 255 (p <= 11), where bytes.translate with the
 #   table _residues(p) unpacks and reduces every slot at C level;
-# * otherwise one pass over the w-byte slots reduces them.
+# * otherwise, while w (p-1) <= 255, byte j of every slot is taken at once
+#   (a stride-w slice) and translated by _byte_residues(p, j), which maps b to
+#   b 256^j mod p.  Slot k of the sum of those w one-byte ints is then at
+#   most w (p-1), and one more translate reduces it: still C level;
+# * past that (p > 127 at w = 2), one pass over the w-byte slots.
 #
 # The slots hold the coefficients as they are, so the input contract is
 # strict here: every coefficient must already lie in range(p).  An entry in
 # [p, 255] overflows a slot silently.
 
-# p -> the 256-byte table that maps each byte to its residue mod p, built on
-# first use: building tables at import measurably slows `import diffext`.
-# Only primes below 256 use byte slots (products only p <= 11), so it holds
-# at most one constant table per such prime, never a result.
+# p -> the 256-byte table that maps each byte to its residue mod p, and
+# (p, j) -> the one that maps b to b 256^j mod p, built on first use:
+# building tables at import measurably slows `import diffext`.  Only primes
+# below 256 use them, and j < w, so it holds a few constant tables per such
+# prime, never a result.  _residues(p) keeps the plain key: every one-byte
+# product looks it up.
 _RESIDUE_TABLES = {}
 
 
@@ -186,6 +192,14 @@ def _residues(p: int) -> bytes:
     table = _RESIDUE_TABLES.get(p)
     if table is None:
         table = _RESIDUE_TABLES[p] = (bytes(range(p)) * (256 // p + 1))[:256]
+    return table
+
+
+def _byte_residues(p: int, j: int) -> bytes:
+    table = _RESIDUE_TABLES.get((p, j))
+    if table is None:
+        m = pow(256, j, p)
+        table = _RESIDUE_TABLES[p, j] = bytes([b * m % p for b in range(256)])
     return table
 
 
@@ -204,9 +218,14 @@ def _pack(a, w: int, p: int) -> int:
 
 
 def _unpack(n: int, w: int, size: int, p: int) -> list:
-    """The first size w-byte slots of n, each reduced mod p."""
+    """The first size w-byte slots of n, each reduced mod p (see above)."""
     raw = n.to_bytes(w * size, "little")
-    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
+    if w * (p - 1) > 255:
+        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
+    total = 0
+    for j in range(w):
+        total += int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")
+    return list(total.to_bytes(size, "little").translate(_residues(p)))
 
 
 def _trim(cs: list) -> tuple:

@@ -531,6 +531,22 @@ def test_shifted_sums_match_schoolbook_sums(p):
             assert [scalars._unpacked(n, w, p) for n in sums] == want, (count, w)
 
 
+@pytest.mark.parametrize("p", [2, 5, 13, 127, 131, 257])
+def test_unpack_matches_slot_by_slot_reduction(p):
+    # _unpack reduces byte j of every slot by one table while w (p-1) <=
+    # 255 (p = 127 at w = 2 is the last such prime, 131 the first past it)
+    # and slot by slot past that; full slots of 0xff bytes are included.
+    rng = random.Random(2700 + p)
+    for w in (1, 2, 3, 4):
+        if p > 256 ** w:
+            continue
+        for size in (1, 7, 64):
+            for full in (False, True):
+                slots = [256 ** w - 1 if full else rng.randrange(256 ** w) for _ in range(size)]
+                n = sum(s << 8 * w * k for k, s in enumerate(slots))
+                assert scalars._unpack(n, w, size, p) == [s % p for s in slots], (w, size, full)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_henrici_arithmetic_matches_gcd_constructor(p):
     # Every operation runs twice on one field: the first pass is Henrici's
