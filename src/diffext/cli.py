@@ -10,16 +10,19 @@
 Every subcommand accepts --seed N (overrides the config) and --json PATH
 (write the machine-readable report next to the human-readable lines).
 
-Exit status: 0 when all checks passed, 1 when a check failed.  A command
-that stops early prints one line on stderr, and the same rule holds
-whether the config was loading or the command was running:
+Exit status: 0 when no check failed (a check may read unknown), 1 when a
+check failed.  A command that stops early prints one line on stderr, and
+the same rule holds whether the config was loading or the command was
+running:
 
 - 2 and "error: ..." for bad usage; a config that cannot be read (missing,
   unreadable, not UTF-8) or is malformed; an expression that does not
   parse, divides by zero or by a polynomial in t; a zero derivation; a g
   that does not annihilate it; an instance the command does not handle
-  (such as a structure table above dext.MAX_TABLE_ENTRIES); or a --json
-  path that cannot be written;
+  (such as a structure table above dext.MAX_TABLE_ENTRIES, or a divcheck
+  search above dext.MAX_SEARCH_DENOMINATORS); or a --json path that
+  cannot be written.  verify does not stop there: a check that such a
+  guard refuses reads unknown with the reason, and the other checks run;
 - 1 and "rejected: ..." for a refused probe: a shift constant that fails a
   condition, or conjugation by an element that is not nuclear or not
   invertible.

@@ -58,9 +58,9 @@ becomes a polynomial identity, cleared by v^(p^e) and by the denominators
 of d, of delta(x), of a and of the coefficients of h, whose coefficients
 are F_p-linear in those of N (see _vg_rows).  The honest
 route, which reads the images fn(x^i/v) in coordinates and clears them of
-denominators one coordinate at a time (_coords_rows), stays as the
-reference the tests compare with.  The rows feed the one bounded-height
-search, _bounded_height_witness, which refuses a search of more than
+denominators one coordinate at a time, is the tests' reference
+(tests/oracles.py).  The rows feed the one bounded-height search,
+_bounded_height_witness, which refuses a search of more than
 MAX_SEARCH_DENOMINATORS denominators before any work.  A d that is not
 a constant scalar needs no search (Fact A); over the derived field with g
 the closed form (t^p - a t)^(p^(e-1)), every g at e = 1, f is moreover
@@ -76,7 +76,7 @@ from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_mod_p
 from .scalars import (
-    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _shifted_sums, _unpacked, poly_gcd,
+    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _shifted_sums, _unpacked,
 )
 from .towers import PPolynomial, minimal_p_polynomial, p_polynomial_at_exponent
 
@@ -669,17 +669,13 @@ def _bounded_height_witness(K, rows_for, bound: int):
     rows_for(v) returns the augmented rows over F_p (ints: coefficients of
     c_0..c_bound, then the right-hand side) of a system whose solutions are
     exactly the c with fn(sum c_i x^i / v) = target, for an F_p-linear map
-    fn on K and a target.  Two builders exist:
-
-    * _vg_rows, for V_g = h(V_z1) over the derived field: the polynomial
-      identity v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the
-      denominators of d, of delta(x), of a and of the coefficients of h,
-      built on coefficient tuples with no fraction formed;
-    * _coords_rows, for any map read in coordinates: fn(x^i/v) expanded
-      honestly and each coordinate equation cleared of denominators.  No
-      product path calls it; it is the reference the tests compare
-      _vg_rows and the exact log-derivative witness of the autos layer
-      with.
+    fn on K and a target.  The library's builder is _vg_rows, for V_g =
+    h(V_z1) over the derived field: the polynomial identity
+    v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the denominators of d,
+    of delta(x), of a and of the coefficients of h, built on coefficient
+    tuples with no fraction formed.  The tests' reference builder,
+    coords_rows in tests/oracles.py, expands fn(x^i/v) honestly in
+    coordinates and clears each coordinate equation of denominators.
 
     Multiplying an equation of K by a nonzero polynomial does not change
     which c solve it, so both give the solution set of fn(N/v) = target
@@ -717,31 +713,6 @@ def _bounded_height_witness(K, rows_for, bound: int):
             sol = kernel[0]
         return RatFunc(DensePoly(K.field, sol), den)
     return None
-
-
-def _coords_rows(K, fn, target, degree):
-    """Row builder for sum c_i fn(x^i/v) = target, i <= degree, in coordinates.
-
-    Kept as the slow, honest reference route for the tests of _vg_rows and
-    of autos.log_derivative_witness; the library itself does not call it.
-
-    fn takes an element of K to a tuple of coordinates in K, and target is
-    such a tuple.  For each v, every coordinate equation is cleared of
-    denominators by the lcm of its entries; the coefficients of the cleared
-    numerators, in F_p since the coordinates are constants, give one row per
-    power of x.
-    """
-
-    def rows(den):
-        images = [fn(RatFunc(DensePoly(K.field, [0] * i + [1]), den)) for i in range(degree + 1)]
-        for column in zip(*images, target):
-            lcm = DensePoly.one(K.field)
-            for c in column:
-                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
-            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
-            yield from _padded_rows(cleared)
-
-    return rows
 
 
 def _vg_rows(K, g, d, degree):

@@ -1,4 +1,4 @@
-"""Exact matrices over a field: elimination, kernels and solving, and F_p.
+"""Exact matrices over a field: elimination and kernels, and solving over F_p.
 
 ``Matrix`` takes entries that are any objects supporting +, -, *, unary -,
 ==, truthiness (falsy means zero) and an ``inverse()`` method; the field
@@ -12,14 +12,15 @@ Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
 the unique reduced row echelon form and ``kernel`` the basis with one vector
 per free column.
 
-``solve_mod_p`` is the same elimination for a system whose entries are
-already in F_p, held as Python ints: no field element is built, and each
-update reduces mod p once per entry.  It returns what ``Matrix.solve``
-returns for the same system over any field containing F_p: the particular
-solution with every free variable at zero and the kernel basis with one
-vector per free column, lowest free column first.  Both are read off the
-reduced echelon form, which the solution set alone determines, so they do
-not depend on the order or repetition of the rows.
+``solve_mod_p`` is the same elimination for an augmented system whose
+entries are already in F_p, held as Python ints: no field element is
+built, and each update reduces mod p once per entry.  It returns the
+particular solution with every free variable at zero and the kernel basis
+with one vector per free column, lowest free column first, as the tests'
+oracle ``solve`` (tests/oracles.py) does on a ``Matrix`` over any field
+containing F_p.  Both are read off the reduced echelon form, which the
+solution set alone determines, so they do not depend on the order or
+repetition of the rows.
 """
 
 from __future__ import annotations
@@ -47,24 +48,6 @@ class Matrix:
         self.rows = tuple(rows)
         self.nrows = len(rows)
         self.ncols = w
-
-    def augment(self, vec):
-        if len(vec) != self.nrows:
-            raise ValueError("vector length mismatch")
-        return Matrix(self.field, [r + (v,) for r, v in zip(self.rows, vec)])
-
-    def mul_vec(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, v in zip(r, vec):
-                if a and v:
-                    acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
@@ -105,9 +88,6 @@ class Matrix:
                 break
         return Matrix(self.field, rows), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def kernel(self):
         """Basis of the right kernel, one vector per free column."""
         return self._kernel_from_rref(*self.rref())
@@ -128,32 +108,15 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, rhs):
-        """Particular solution with free variables at zero, plus kernel basis.
-
-        Raises NoSolution when the system is inconsistent.  One elimination
-        of the augmented matrix serves both: when the system is consistent
-        no pivot falls in the last column, so the pivots and the first
-        ncols columns are those of rref(self).
-        """
-        red, pivots = self.augment(rhs).rref()
-        if pivots and pivots[-1] == self.ncols:
-            raise NoSolution("inconsistent linear system")
-        zero = self.field.zero()
-        x = [zero] * self.ncols
-        for k, pcol in enumerate(pivots):
-            x[pcol] = red.rows[k][self.ncols]
-        return tuple(x), self._kernel_from_rref(red, pivots)
-
 
 def solve_mod_p(rows, p: int):
     """Solve an augmented system over F_p: rows are (a_1, ..., a_n, b) of ints.
 
-    Returns (x, kernel) as tuples of ints in range(p), with the conventions
-    of Matrix.solve: x has its free variables at zero, and kernel holds one
-    vector per free column, lowest free column first.  Raises NoSolution
-    when the system is inconsistent.  There must be at least one row, since
-    the rows carry the number of unknowns.
+    Returns (x, kernel) as tuples of ints in range(p): x has its free
+    variables at zero, and kernel holds one vector per free column, lowest
+    free column first.  Raises NoSolution when the system is inconsistent.
+    There must be at least one row, since the rows carry the number of
+    unknowns.
     """
     rows = [[c % p for c in r] for r in rows]
     if not rows:

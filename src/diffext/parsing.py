@@ -105,9 +105,6 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos][0]
 
-    def where(self):
-        return self.tokens[self.pos][1]
-
     def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1

@@ -33,12 +33,13 @@ Each type has two constructors:
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
 ``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``) that take p
 as an argument and reduce mod p once per output entry; ``_frobenius``
-takes the power of p instead and only moves coefficients.  Divisors of degree <= 1 take short paths: division by a linear
-divisor is synthetic (Horner at its root), and Euclid stops at a divisor
-of degree <= 1, which decides the gcd with one Horner pass.  ``_exquo``
-is the quotient by a monic divisor known to divide, with no inverse and
-no remainder when the divisor is constant or linear; every exact division
-in the fraction arithmetic goes through it.  Larger divisors take the
+takes the power of p instead and only moves coefficients.  Divisors of
+degree <= 1 take short paths: division by a linear divisor is synthetic
+(Horner at its root), and Euclid stops at a divisor of degree <= 1,
+which decides the gcd with one Horner pass.  ``_exquo`` is the quotient
+by a monic divisor known to divide, with no inverse and no remainder
+when the divisor is constant or linear; every exact division in the
+fraction arithmetic goes through it.  Larger divisors take the
 general Euclid and long division.  Fraction sums and products are
 Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
 when that is not 1, one more gcd of the new numerator with it; a product
@@ -478,13 +479,6 @@ class DensePoly:
     def __mul__(self, other):
         return _poly(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
 
-    def scale(self, c: int) -> "DensePoly":
-        p = self.field.p
-        c %= p
-        if c == 0:
-            return DensePoly.zero(self.field)
-        return _poly(self.field, tuple([a * c % p for a in self.coeffs]))
-
     def __divmod__(self, other):
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
@@ -499,14 +493,6 @@ class DensePoly:
 
     def __pow__(self, n: int):
         return _power(self, n, DensePoly.one(self.field))
-
-    def monic(self) -> "DensePoly":
-        if not self:
-            return self
-        return self.scale(self.field.inv(self.lc()))
-
-    def formal_derivative(self) -> "DensePoly":
-        return _poly(self.field, _derivative(self.coeffs, self.field.p))
 
     def __str__(self):
         if not self.coeffs:
@@ -639,10 +625,6 @@ class RatFunc:
         return _ratfunc(field, (0, 1), (1,))
 
     @classmethod
-    def from_poly(cls, num: DensePoly) -> "RatFunc":
-        return cls(num, DensePoly.one(num.field))
-
-    @classmethod
     def from_int(cls, field: PrimeField, n: int) -> "RatFunc":
         return cls(DensePoly.constant(field, n), DensePoly.one(field))
 
@@ -766,10 +748,6 @@ class RationalFunctionField:
 
     def from_int(self, n: int) -> RatFunc:
         return RatFunc.from_int(self.field, n)
-
-    def poly(self, *coeffs: int) -> RatFunc:
-        """Polynomial with the given coefficients, lowest degree first."""
-        return RatFunc.from_poly(DensePoly(self.field, coeffs))
 
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and other.p == self.p

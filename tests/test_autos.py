@@ -18,7 +18,7 @@ from diffext.autos import (
     log_derivative_witness,
     shift_isomorphism,
 )
-from diffext.dext import ExtAlgebra, _bounded_height_witness, _coords_rows
+from diffext.dext import ExtAlgebra, _bounded_height_witness
 from diffext.diffpoly import DiffPoly, substitute, v_g
 from diffext.errors import (
     ConditionFailed,
@@ -29,6 +29,7 @@ from diffext.errors import (
 from diffext.frontend import instance_from_text
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import DerivedField, QuaternionRing, minimal_p_polynomial
+from oracles import coords_rows
 
 
 IDENT = lambda z: z
@@ -143,7 +144,7 @@ def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
         for c in cs:
             # Oracles: the plain enumeration and the bounded-height search of
             # the factor search, fed delta(u) - c u in coordinates.
-            rows_for = _coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+            rows_for = coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
             bounded = _bounded_height_witness(K, rows_for, bound)
             brute = brute_force_log_derivative(K, c, bound)
             assert str(bounded) == str(brute), (bound, c)

@@ -36,6 +36,7 @@ from diffext.towers import (
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
+from oracles import coords_rows
 
 
 def span_coords(alg, elems):
@@ -778,7 +779,7 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
         ]
         for d in ds:
             fast = dext._vg_rows(K, g, d, bound)
-            slow = dext._coords_rows(K, fn, K.coords(d), bound)
+            slow = coords_rows(K, fn, K.coords(d), bound)
             chain = _chain_vg_rows(K, g, d, bound)
             for den in dext._fraction_candidates(K, bound):
                 want = _solved(slow(den), p)

@@ -26,6 +26,7 @@ from diffext.towers import (
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
+from oracles import solve
 
 
 def _w(p, coeffs):
@@ -353,7 +354,7 @@ def _solve_inner_constant(ring, g):
                 rows.append([c if jj == j else zero for jj in range(n)])
                 rhs.append(zero)
     try:
-        sol, _ = Matrix(ring.base_field, rows).solve(tuple(rhs))
+        sol, _ = solve(Matrix(ring.base_field, rows), tuple(rhs))
     except NoSolution:
         raise NotInner("no constant d0") from None
     return ring.from_coords(sol)

@@ -513,6 +513,22 @@ def test_cli_divcheck_refuses_search_above_guard(tmp_path):
     assert "verdict=division (proved)" in proc.stdout
 
 
+def test_cli_verify_reports_search_above_guard_as_unknown(tmp_path):
+    # The guard that stops divcheck costs verify one check, not the report:
+    # division.verdict reads unknown with the reason, and every check of
+    # every suite is still run and written.
+    config = "p = 2\ndelta_of_x = x\nd = x^2\ndegree_bound = %d\n"
+    out = tmp_path / "report.json"
+    proc = _cli(tmp_path, "verify", "CFG", "--suite", "all", "--json", str(out), config=config % 20)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["division.verdict"]["verdict"] == "unknown"
+    assert "MAX_SEARCH_DENOMINATORS" in by_name["division.verdict"]["witness"]["reason"]
+    within = run_suite(instance_from_text(config % 2), "all").checks
+    assert [c["name"] for c in checks] == [c.name for c in within]
+
+
 def test_cli_main_runs_twice_in_one_process(tmp_path, capsys):
     # The parser is built once per process; each call still gets its own
     # subcommand, options and report.

@@ -15,6 +15,7 @@ from diffext.towers import (
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
+from oracles import formal_derivative, solve
 
 
 def _w(p, coeffs):
@@ -71,7 +72,7 @@ def test_is_constant_frozen_values():
 def _constant_by_quotient_rule(a):
     """delta(u/v) = w (u'v - uv')/v^2 vanishes iff u'v - uv' = 0, for any w."""
     u, v = a.num, a.den
-    return not (u.formal_derivative() * v - u * v.formal_derivative())
+    return not (formal_derivative(u) * v - u * formal_derivative(v))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -97,15 +98,13 @@ def test_is_constant_matches_quotient_rule_oracle(p):
 
 
 def test_delta_of_a_constant_skips_the_quotient_rule(monkeypatch):
-    from diffext.scalars import DensePoly
-
-    def no_derivative(poly):
+    def no_derivative(coeffs, p):
         raise AssertionError("formal derivative taken for a constant")
 
     # A fresh field: its delta memo is empty, so every call below computes.
     K = DerivedField(3, _w(3, (0, 1)))
     x = K.x()
-    monkeypatch.setattr(DensePoly, "formal_derivative", no_derivative)
+    monkeypatch.setattr(towers, "_derivative", no_derivative)
     for a in (K.zero(), K.from_int(2), x ** 3, (x ** 6 + K.one()) / (x ** 3 + x ** 9)):
         assert not K.delta(a)
 
@@ -128,14 +127,14 @@ def test_delta_matches_quotient_rule_oracle(p):
                 num = DensePoly(F, [rng.randrange(p) for _ in range(rng.randrange(8))])
                 a = RatFunc(num, den)
                 u, v = a.num, a.den
-                want = RatFunc(u.formal_derivative() * v - u * v.formal_derivative(), v * v) * w
+                want = RatFunc(formal_derivative(u) * v - u * formal_derivative(v), v * v) * w
                 got = K.delta(a)
                 assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (w, a)
 
 
 def _by_quotient_rule(w, a):
     u, v = a.num, a.den
-    return RatFunc(u.formal_derivative() * v - u * v.formal_derivative(), v * v) * w
+    return RatFunc(formal_derivative(u) * v - u * formal_derivative(v), v * v) * w
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -480,7 +479,7 @@ def _annihilator_by_solve(K, e):
         mats.append([tuple(col[i] for col in cols) for i in range(p)])
     rows = [[mats[e - i][r][c] for i in range(1, e + 1)] for r in range(p) for c in range(p)]
     rhs = tuple(-mats[e][r][c] for r in range(p) for c in range(p))
-    sol, _ = Matrix(K, rows).solve(rhs)
+    sol, _ = solve(Matrix(K, rows), rhs)
     assert all(K.is_constant(c) for c in sol)
     return PPolynomial(p, e, sol)
 
