@@ -605,14 +605,15 @@ def _suite_division(r: _SuiteRunner):
 
     def probe():
         rng = r.rng("division.probe")
-        v = found
+        # No verdict key when division.verdict did not return.
+        seen = {} if found is None else {"verdict": found}
         try:
             injective = alg.is_division_probe(rng, samples=40)
         except UnsupportedInstance as exc:
-            return "unknown", {"reason": str(exc), "verdict": v}
-        if v == "division (proved)":
+            return "unknown", {"reason": str(exc), **seen}
+        if found == "division (proved)":
             assert injective, "proved division but a left multiplication is singular"
-        return "pass", {"injective_on_samples": str(injective).lower(), "verdict": v}
+        return "pass", {"injective_on_samples": str(injective).lower(), **seen}
 
     r.run("division.verdict", verdict)
     r.run("division.probe", probe)

@@ -53,8 +53,9 @@ def basis_str(elems):
 
 
 # The associator engine the library used before the eigenring: products
-# through the structure constants, associator maps over basis pairs cut
-# down by the common-kernel routine, and a sweep over basis triples.
+# through the structure constants of table_oracle, associator maps over
+# basis pairs cut down by the common-kernel routine, and a sweep over basis
+# triples.  Each entry point forms the table once for its algebra.
 _PLACE = {
     "left": lambda v, a, b: (v, a, b),
     "middle": lambda v, a, b: (a, v, b),
@@ -62,9 +63,8 @@ _PLACE = {
 }
 
 
-def table_product(alg, us, vs):
-    """Product in coordinates via the structure constants."""
-    table = alg.structure_constants()
+def table_product(alg, table, us, vs):
+    """Product in coordinates via the structure constants in table."""
     zero = alg.base_field.zero()
     out = [zero] * alg.dim
     for i, ui in enumerate(us):
@@ -81,20 +81,21 @@ def table_product(alg, us, vs):
     return tuple(out)
 
 
-def table_assoc(alg, us, vs, ws):
+def table_assoc(alg, table, us, vs, ws):
     """Coordinates of the associator (u v) w - u (v w) via the table."""
-    m = lambda a, b: table_product(alg, a, b)
+    m = lambda a, b: table_product(alg, table, a, b)
     return tuple(l - r for l, r in zip(m(m(us, vs), ws), m(us, m(vs, ws))))
 
 
 def table_is_associative(alg):
+    table = table_oracle(alg)
     units = alg._units()
     return not any(
-        any(table_assoc(alg, u, v, w)) for u in units for v in units for w in units
+        any(table_assoc(alg, table, u, v, w)) for u in units for v in units for w in units
     )
 
 
-def table_nucleus(alg, slot):
+def table_nucleus(alg, table, slot):
     """One nucleus slot from the associator maps over basis pairs.
 
     The kernel does not depend on the order of the maps.  Those with a in
@@ -103,7 +104,7 @@ def table_nucleus(alg, slot):
     """
     units = alg._units()
     maps = [
-        lambda v, a=a, b=b: table_assoc(alg, *_PLACE[slot](v, a, b))
+        lambda v, a=a, b=b: table_assoc(alg, table, *_PLACE[slot](v, a, b))
         for a in reversed(units)
         for b in units
     ]
@@ -131,7 +132,8 @@ def residual(basis):
 
 def table_nuclei(alg):
     """All four slots by the table engine; full is the other three intersected."""
-    out = {slot: table_nucleus(alg, slot) for slot in _PLACE}
+    table = table_oracle(alg)
+    out = {slot: table_nucleus(alg, table, slot) for slot in _PLACE}
     out["full"] = alg._common_kernel([residual(out["middle"]), residual(out["right"])], out["left"])
     return out
 
@@ -235,11 +237,11 @@ def test_coords_roundtrip_sampled(i1, i3):
 def test_structure_constants_match_direct_product(i1, i3):
     rng = random.Random(3)
     for alg in (i1, i3):
-        alg.structure_constants()
+        table = alg.structure_constants()
         for _ in range(40):
             u = alg.random_element(rng, 2)
             v = alg.random_element(rng, 2)
-            via_table = table_product(alg, alg.coords(u), alg.coords(v))
+            via_table = table_product(alg, table, alg.coords(u), alg.coords(v))
             assert via_table == alg.coords(u * v)
 
 

@@ -525,6 +525,9 @@ def test_cli_verify_reports_search_above_guard_as_unknown(tmp_path):
     by_name = {c["name"]: c for c in checks}
     assert by_name["division.verdict"]["verdict"] == "unknown"
     assert "MAX_SEARCH_DENOMINATORS" in by_name["division.verdict"]["witness"]["reason"]
+    # The probe has no verdict to quote: the key is left out, not None.
+    assert by_name["division.probe"]["witness"] == {"injective_on_samples": "false"}
+    assert "verdict=None" not in proc.stdout
     within = run_suite(instance_from_text(config % 2), "all").checks
     assert [c["name"] for c in checks] == [c.name for c in within]
 
