@@ -4,7 +4,7 @@ nonassociative algebras obtained by dividing out g(t) - d.
 The layers, bottom up:
 
     scalars   F_p, dense polynomials, reduced rational functions
-    linalg    exact matrices: RREF, kernels, the F_p solver
+    linalg    exact matrices: RREF, kernels; the F_p column solver
     towers    F_p(x) with a derivation, its constants, p-polynomials, a
               quaternion division ring over it
     diffpoly  the ring K[t; delta] and the V operators

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dext import AlgebraElement, ExtAlgebra, _padded_rows
+from .dext import AlgebraElement, ExtAlgebra
 from .diffpoly import DiffPoly, _substitute_powers, _substitution_powers, v_g
 from .errors import (
     ConditionFailed,
@@ -50,7 +50,7 @@ from .errors import (
     NotNuclear,
     UnsupportedInstance,
 )
-from .linalg import solve_mod_p
+from .linalg import solve_columns_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _mul, _neg
 
 __all__ = [
@@ -213,10 +213,10 @@ def log_derivative_witness(algebra: ExtAlgebra, c):
     for i in range((p - 1) * (len(cd_w) + len(S) - 2) + 1):
         xi = (0,) * i + (1,)
         columns.append(_add(_mul(cd_w, _derivative(xi, p), p), _neg(_mul(cn_s, xi, p), p), p))
-    _, kernel = solve_mod_p(dict.fromkeys(_padded_rows(columns + [()])), p)
-    if not kernel:
+    _, kernel = solve_columns_mod_p(columns, (), p)
+    if kernel is None:
         return None
-    u = RatFunc(DensePoly(K.field, kernel[0]), DensePoly.one(K.field))
+    u = RatFunc(DensePoly(K.field, kernel), DensePoly.one(K.field))
     if K.log_derivative(u) != c:
         raise InternalInvariantViolation("log-derivative solve returned u with delta(u)/u != c")
     return u
@@ -331,8 +331,8 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
     word for g = p_polynomial_at_exponent(K, e).  Another annihilating g
     of exponent e is h(z1) for a p-polynomial h over F, so V_g = h(V_z1),
     whose kernel can exceed the logarithmic derivatives; such a g is
-    refused.  The factor search's row builder, dext._vg_rows, proves the
-    split g = h(z1), computes h and checks it.
+    refused.  The factor search's column builder, dext._vg_columns, proves
+    the split g = h(z1), computes h and checks it.
 
     Scope: the report constrains the descriptors.  By the paper these are
     all of Aut(S_f) when d is not in F; that claim is checked at e = 1

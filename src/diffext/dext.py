@@ -44,7 +44,8 @@ searched, on c, the same way over both rings.  The search runs over
 fractions N/v of bounded height, one monic denominator v at a time.  V_g
 is additive and commutes with F_p-scalars, so the numerators that work for
 one v form an affine F_p-space, found by one linear solve over F_p on ints
-(linalg.solve_mod_p); the smallest-code solution is the witness a plain
+(linalg.solve_columns_mod_p, on the columns of the unknowns); the
+smallest-code solution is the witness a plain
 enumeration of the numerators would meet first.  The system comes
 without a fraction: u^p is a constant for every polynomial u, so
 Jacobson's p-step on a pair reads
@@ -56,10 +57,10 @@ one.  Every annihilating g is h(z1) for a p-polynomial h over F, so V_g =
 h(V_z1), and h acts on such a fraction by Frobenius spreads.  V_g(N/v) = d
 becomes a polynomial identity, cleared by v^(p^e) and by the denominators
 of d, of delta(x), of a and of the coefficients of h, whose coefficients
-are F_p-linear in those of N (see _vg_rows).  The honest
+are F_p-linear in those of N (see _vg_columns).  The honest
 route, which reads the images fn(x^i/v) in coordinates and clears them of
 denominators one coordinate at a time, is the tests' reference
-(tests/oracles.py).  The rows feed the one bounded-height search,
+(tests/oracles.py).  The columns feed the one bounded-height search,
 _bounded_height_witness, which refuses a search of more than
 MAX_SEARCH_DENOMINATORS denominators before any work.  A d that is not
 a constant scalar needs no search (Fact A); over the derived field with g
@@ -69,14 +70,16 @@ irreducible (see division_verdict).
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from operator import mul
 
 from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
-from .linalg import Matrix, solve_mod_p
+from .linalg import Matrix, solve_columns_mod_p
 from .scalars import (
-    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _shifted_sums, _unpacked,
+    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _poly, _residues, _shifted_sums,
+    _unpacked,
 )
 from .towers import PPolynomial, minimal_p_polynomial, p_polynomial_at_exponent
 
@@ -93,10 +96,11 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # Most monic denominators, sum of p^k over k <= bound, that one
 # bounded-height search tries.  Not an option: it keeps `diffext divcheck
 # --bound N` from running for hours.  A fraction-free system over the derived
-# field, with its solve, costs about 0.1 to 0.3 ms per denominator at bounds
-# 4 to 15 (2-CPU machine, Python 3.11), so the largest search allowed runs
-# under a minute: p = 2 up to bound 15 (15 s exhaustive, median of 10
-# runs), p = 3 up to 10 (14 s), p = 5 up to 7 (16 s), p = 7 up to 5 (2.5 s).
+# field, with its column solve, costs about 0.1 to 0.15 ms per denominator at
+# bounds 5 to 15 (shared 2-CPU machine, Python 3.11), so the largest search
+# allowed runs under a minute: p = 2 up to bound 15 (9.7 s exhaustive,
+# median of 3 runs), p = 3 up to 10 (10.7 s), p = 5 up to 7 (13.8 s), p = 7
+# up to 5 (2.7 s).
 MAX_SEARCH_DENOMINATORS = 10 ** 5
 
 # Most work, samples x dim^3, that one is_division_probe call does: each
@@ -562,13 +566,13 @@ class ExtAlgebra:
         embed V_g(b).  So a d that is not a constant scalar has no such
         factor, and None is returned with no search (and no search guard).
         Otherwise d = embed(c), and each v is one fraction-free system for
-        V_g(b) = c over K (_vg_rows), over both rings.
+        V_g(b) = c over K (_vg_columns), over both rings.
         """
         c = self._constant_scalar_d()
         if c is None:
             return None
         K = self.base_field
-        b = _bounded_height_witness(K, _vg_rows(K, self.g, c, bound), bound)
+        b = _bounded_height_witness(K, _vg_columns(K, self.g, c, bound), bound)
         if b is not None:
             return self._checked_factor(b)
         if not c:  # V_g(0) = 0
@@ -663,25 +667,27 @@ class ExtAlgebra:
         return True
 
 
-def _bounded_height_witness(K, rows_for, bound: int):
-    """The first N/v, N nonzero, deg N, deg v <= bound, that solves its rows.
+def _bounded_height_witness(K, columns_for, bound: int):
+    """The first N/v, N nonzero, deg N, deg v <= bound, that solves its system.
 
-    rows_for(v) returns the augmented rows over F_p (ints: coefficients of
-    c_0..c_bound, then the right-hand side) of a system whose solutions are
-    exactly the c with fn(sum c_i x^i / v) = target, for an F_p-linear map
-    fn on K and a target.  The library's builder is _vg_rows, for V_g =
+    columns_for(v) returns (columns, rhs) over F_p, the column of each of
+    c_0..c_bound and the right-hand side, as sequences of ints, one entry
+    per equation, of a system whose solutions are exactly the c with
+    fn(sum c_i x^i / v) = target, for an F_p-linear map fn on K and a
+    target; linalg.solve_columns_mod_p solves it.  The library's builder is
+    _vg_columns, for V_g =
     h(V_z1) over the derived field: the polynomial identity
     v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the denominators of d,
     of delta(x), of a and of the coefficients of h, built on coefficient
     tuples with no fraction formed.  The tests' reference builder,
-    coords_rows in tests/oracles.py, expands fn(x^i/v) honestly in
+    coords_columns in tests/oracles.py, expands fn(x^i/v) honestly in
     coordinates and clears each coordinate equation of denominators.
 
     Multiplying an equation of K by a nonzero polynomial does not change
     which c solve it, so both give the solution set of fn(N/v) = target
     itself.  That set is all the answer depends on: it determines the
-    reduced echelon form, and with it the particular solution and kernel
-    basis of solve_mod_p, whatever rows describe it.
+    reduced echelon form, and with it the particular solution and first
+    kernel vector of solve_columns_mod_p, whatever equations describe it.
 
     Fractions are ordered by monic denominator v (as _fraction_candidates
     yields them), then by the base-p code of the numerator.  With the
@@ -704,19 +710,17 @@ def _bounded_height_witness(K, rows_for, bound: int):
             )
     for den in _fraction_candidates(K, bound):
         try:
-            sol, kernel = solve_mod_p(dict.fromkeys(rows_for(den)), K.p)
+            sol, kernel = solve_columns_mod_p(*columns_for(den), K.p)
         except NoSolution:
             continue
-        if not any(sol):
-            if not kernel:
-                continue
-            sol = kernel[0]
-        return RatFunc(DensePoly(K.field, sol), den)
+        sol = sol if any(sol) else kernel
+        if sol is not None:
+            return RatFunc(DensePoly(K.field, sol), den)
     return None
 
 
-def _vg_rows(K, g, d, degree):
-    """Row builder for V_g(N/v) = d over the derived field, deg N <= degree.
+def _vg_columns(K, g, d, degree):
+    """Column builder for V_g(N/v) = d over the derived field, deg N <= degree.
 
     Every exponent goes through z1 = t^p + a1 t, the exponent-one
     p-polynomial t^p - a t of towers.minimal_p_polynomial (a1 = -a); at
@@ -767,14 +771,16 @@ def _vg_rows(K, g, d, degree):
         Phi(k) = sum_l (k)_l x^(k-l) dd B1 A_(n,l) + x^k dd A1 S^(2n).
 
     deg L <= (p-1) degree, so a search needs Phi(k) for k <= p degree
-    only.  The first rows call builds them, in one scalars._shifted_sums,
+    only.  The first columns call builds them, in one scalars._shifted_sums,
     and packs them and K0 once, w bytes per coefficient, with w large
     enough for (p-1) + ((p-1) degree + 1)(p-1)^2: every packed coefficient
     and every lam_m is at most p - 1, and a column adds K0 to at most
     deg L + 1 multiples lam_m Phi(m+i).  Per v this leaves p - 2 products
     for L and, per column, one integer sum of K0 shifted by p i slots and
-    the lam_m Phi(m+i), unpacked once (scalars._unpacked, as
-    scalars._shifted_sums does); no derivation runs.  rows(v) needs
+    the lam_m Phi(m+i), reduced once; no derivation runs.  At w = 1 and
+    e = 1 the column is the sum's bytes translated by scalars._residues(p),
+    which the solver packs as they are; otherwise it is unpacked to a tuple
+    (scalars._unpacked, as scalars._shifted_sums does).  columns(v) needs
     deg v <= degree, the bound the table was built for, and raises
     ValueError otherwise.
 
@@ -789,13 +795,15 @@ def _vg_rows(K, g, d, degree):
 
     one exact division per nonzero h_k.  V_g is additive and commutes with
     F_p-scalars, so the identity is F_p-linear in the c_i; each power of x
-    gives one row, and clearing nonzero denominators keeps the solution
-    set.
+    gives one equation, so the column of c_i is the coefficient tuple of
+    its polynomial, and clearing nonzero denominators keeps the solution
+    set.  The right side is built as T dn dd^(q-1) (B1 S^(2n))^q times
+    v^(p q), which is the same polynomial.
 
-    The rows of one v are rows(v); what depends on neither v nor the degree
-    is computed once, here, and the A_(j,l) and the Phi table at the first
-    rows call, so that building the builder costs nothing before the
-    search guard has run.
+    The system of one v is columns(v); what depends on neither v nor the
+    degree is computed once, here, and the A_(j,l) and the Phi table at the
+    first columns call, so that building the builder costs nothing before
+    the search guard has run.
     """
     p, e, q = K.p, g.e, K.p ** (g.e - 1)
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
@@ -822,8 +830,10 @@ def _vg_rows(K, g, d, degree):
     dn, dd = d.num_coeffs, d.den_coeffs
     top_scale = _mul(a1.den_coeffs, dd, p)  # dd B1
     a_scale = _mul(a1.num_coeffs, dd, p)  # dd A1
-    # T dn dd^(q-1) B1^q; rows(v) multiplies it by q_1^q.
-    rhs_scale = _mul(_mul(h_den, dn, p), _exquo(_frobenius(top_scale, q), dd, p), p)
+    # T dn dd^(q-1) (B1 S^(2n))^q; columns(v) multiplies it by v^(p q), so
+    # that the right side is T dn dd^(q-1) (B1 q_1)^q.
+    rhs_scale = _exquo(_frobenius(_mul(top_scale, s_top, p), q), dd, p)
+    rhs_scale = _mul(_mul(h_den, dn, p), rhs_scale, p)
 
     def delta_step(r, j):
         # S^(2j+2) delta^(j+1)(R) from r = S^(2j) delta^j(R), R a polynomial.
@@ -834,7 +844,7 @@ def _vg_rows(K, g, d, degree):
 
     # Bytes per packed coefficient, for the slot bound of the docstring.
     w = (((p - 1) + ((p - 1) * degree + 1) * (p - 1) ** 2).bit_length() + 7) // 8
-    # Filled in by the first rows call: K0, then Phi(0), ..., Phi(p degree),
+    # Filled in by the first columns call: K0, then Phi(0), ..., Phi(p degree),
     # packed w bytes per coefficient.
     packed = []
 
@@ -859,56 +869,43 @@ def _vg_rows(K, g, d, degree):
         phis = _shifted_sums(polys, columns, p)
         packed.extend(_pack(P, w, p) for P in [_mul(top_scale, s_top, p)] + phis)
 
-    def rows(den):
+    def columns(den):
         v = den.coeffs
         if len(v) - 1 > degree:
-            raise ValueError("denominator %s has degree above the row bound %d" % (den, degree))
+            raise ValueError("denominator %s has degree above the search bound %d" % (den, degree))
         if not packed:
             level_one_setup()
         lift = v  # L = v^(p-1)
         for _ in range(p - 2):
             lift = _mul(lift, v, p)
         # Z_i = K0 x^(p i) + sum_m lam_m Phi(m + i), Phi(k) at packed[1 + k].
-        k0, n = packed[0], len(lift)
-        lhs = [
-            _unpacked((k0 << 8 * w * p * i) + sum(map(mul, lift, packed[1 + i : 1 + i + n])), w, p)
-            for i in range(degree + 1)
-        ]
-        q_1 = _mul(_frobenius(v, p), s_top, p)
+        k0, n, s = packed[0], len(lift), 8 * w * p
+        sums = [sum(map(mul, lift, packed[1 + i : 1 + i + n]), k0 << s * i) for i in range(degree + 1)]
+        if w == 1 and e == 1:  # the reduced bytes are the columns
+            table = _residues(p)
+            lhs = [c.to_bytes((c.bit_length() + 7) // 8, "little").translate(table) for c in sums]
+        else:
+            lhs = [_unpacked(c, w, p) for c in sums]
         if e > 1:
             # h(V_z1) by Frobenius spreads, cleared by T G^q.
-            big_g = _mul(top_scale, q_1, p)
+            big_g = _mul(top_scale, _mul(_frobenius(v, p), s_top, p), p)
             top = _frobenius(big_g, q)
             zs, lhs = lhs, [()] * len(lhs)
             for power, scale in spreads:
                 scale = _mul(scale, _exquo(top, _frobenius(big_g, power), p), p)
                 lhs = [_add(c, _mul(scale, _frobenius(z, power), p), p) for c, z in zip(lhs, zs)]
-            q_1 = _frobenius(q_1, q)
-        return _padded_rows(lhs + [_mul(rhs_scale, q_1, p)])
+        return lhs, _mul(rhs_scale, _frobenius(v, p * q), p)
 
-    return rows
-
-
-def _padded_rows(columns):
-    """One tuple per power of x, coefficients of the columns (at least one)."""
-    width = max(map(len, columns)) or 1
-    return zip(*(c + (0,) * (width - len(c)) for c in columns))
+    return columns
 
 
 def _fraction_candidates(K, bound: int):
     """Lazy stream of the candidate denominators: monic, degree <= bound.
 
-    Ordered by degree, then by the base-p code of the lower coefficients.
+    Ordered by degree, then by the base-p code of the lower coefficients:
+    itertools.product runs its first digit slowest, so that digit is the
+    top coefficient.
     """
-    p = K.p
     for deg in range(bound + 1):
-        for code in range(p ** deg):
-            yield DensePoly(K.field, _digits(code, p, deg) + [1])
-
-
-def _digits(code, p, width):
-    out = []
-    for _ in range(width):
-        out.append(code % p)
-        code //= p
-    return out
+        for digits in product(range(K.p), repeat=deg):
+            yield _poly(K.field, digits[::-1] + (1,))

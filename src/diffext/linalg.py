@@ -12,22 +12,24 @@ Every pivot row is normalized as soon as it is chosen, so ``rref`` returns
 the unique reduced row echelon form and ``kernel`` the basis with one vector
 per free column.
 
-``solve_mod_p`` is the same elimination for an augmented system whose
-entries are already in F_p, held as Python ints: no field element is
-built, and each update reduces mod p once per entry.  It returns the
-particular solution with every free variable at zero and the kernel basis
-with one vector per free column, lowest free column first, as the tests'
-oracle ``solve`` (tests/oracles.py) does on a ``Matrix`` over any field
-containing F_p.  Both are read off the reduced echelon form, which the
-solution set alone determines, so they do not depend on the order or
-repetition of the rows.
+``solve_columns_mod_p`` solves a system over F_p whose entries are already
+ints in range(p), given by its columns: no field element and no row is
+built.  Each column is one packed int, a slot per equation, and every
+column operation is one big-int multiply-add followed, when the slots could
+overflow, by one C-level slot reduction.  It returns the particular
+solution with every free variable at zero and the kernel vector of the
+lowest free column, as the tests' oracles do (``solve`` on a ``Matrix`` over
+any field containing F_p, and ``solve_mod_p`` on rows, in tests/oracles.py):
+the reduced echelon form, which the solution set alone determines, fixes
+both.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution
+from .scalars import _pack, _residues, _unpack
 
-__all__ = ["Matrix", "NoSolution", "solve_mod_p"]
+__all__ = ["Matrix", "NoSolution", "solve_columns_mod_p"]
 
 
 class Matrix:
@@ -109,53 +111,78 @@ class Matrix:
         return basis
 
 
-def solve_mod_p(rows, p: int):
-    """Solve an augmented system over F_p: rows are (a_1, ..., a_n, b) of ints.
+def solve_columns_mod_p(columns, rhs, p: int):
+    """Solve sum x_j columns[j] = rhs over F_p, eliminating on packed columns.
 
-    Returns (x, kernel) as tuples of ints in range(p): x has its free
-    variables at zero, and kernel holds one vector per free column, lowest
-    free column first.  Raises NoSolution when the system is inconsistent.
-    There must be at least one row, since the rows carry the number of
-    unknowns.
+    columns and rhs are sequences of ints in range(p), one per equation
+    (bytes will do), of any lengths: a missing entry is zero.  Returns
+    (x, kernel): x has its free variables at zero, and kernel is the
+    kernel vector of the lowest free column, or None when the columns are
+    independent.  Raises NoSolution when the system is inconsistent.
+
+    Each column is packed into one int, w bytes per slot: n + 1 tag slots
+    at the bottom, then one slot per equation.  Column j starts with tag 1
+    in slot j, the right side with tag 1 in slot n, and every operation
+    acts on tags and entries alike, so a column always equals the sum of
+    its tags times the original columns.  Columns are taken in order.  Each
+    is cleared at the pivot slot of every pivot column found so far, in the
+    order found: a pivot column is zero at the pivot slots of the earlier
+    ones, so each multiplier is read after the earlier ones are applied.
+    A column that clears to zero lies in the span of the earlier ones; the
+    first such, of the lowest free column f, has tag 1 at f and its other
+    tags on pivot columns, which makes it the kernel vector of f in the
+    reduced echelon form.  Otherwise its lowest nonzero slot is its pivot,
+    scaled to 1.  So the pivot columns are those of the echelon form (the
+    columns outside the span of the earlier ones), and the right side
+    clears to zero exactly when the system is consistent; then its tags,
+    negated, are the unique solution on the pivot columns.
+
+    A reduced slot is in range(p), and one multiply-add adds at most
+    (p-1)^2 to it, so w holds p (p-1), and room multiply-adds fit before
+    the slots are reduced: by bytes.translate with scalars._residues(p) at
+    w = 1, by scalars._unpack and _pack above.  A multiplier read from an
+    unreduced slot is taken mod p.
     """
-    rows = [[c % p for c in r] for r in rows]
-    if not rows:
-        raise ValueError("solve_mod_p needs at least one row")
-    n = len(rows[0]) - 1
-    if any(len(r) != n + 1 for r in rows):
-        raise ValueError("ragged rows")
-    pivots = []
-    for col in range(n + 1):
-        rank = len(pivots)
-        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if best is None:
+    n = len(columns)
+    # w bytes per slot hold a reduced slot plus room multiples of (p-1)^2.
+    w = ((p * (p - 1)).bit_length() + 7) // 8
+    room = (256 ** w - p) // (p - 1) ** 2
+    bits, mask, shift = 8 * w, 256 ** w - 1, 8 * w * (n + 1)
+    system = [*columns, rhs]
+    size = n + 1 + max(map(len, system))
+    if w == 1:
+        table = _residues(p)
+        packed = [int.from_bytes(c, "little") for c in system]
+        reduce = lambda v: int.from_bytes(v.to_bytes(size, "little").translate(table), "little")
+    else:
+        packed = [_pack(c, w, p) for c in system]
+        reduce = lambda v: _pack(_unpack(v, w, size, p), w, p)
+    tags = lambda v: tuple(_unpack(v & (1 << shift - bits) - 1, w, n, p))
+
+    # (bit offset of the pivot slot, column) in the order found, and the
+    # first column that reduces to zero, whose tags are read only if needed.
+    pivots, kernel = [], None
+    for j, c in enumerate(packed):
+        # Clear the pivot slots, reducing every room multiples.
+        v, terms = c << shift | 1 << bits * j, 0
+        for at, col in pivots:
+            a = (v >> at & mask) % p
+            if a:
+                if terms == room:
+                    v, terms = reduce(v), 0
+                v += (p - a) * col
+                terms += 1
+        v = reduce(v) if terms else v
+        top = v >> shift
+        if j == n:
+            if top:
+                raise NoSolution("inconsistent linear system")
+            return tags(v * (p - 1)), kernel and tags(kernel)
+        if not top:
+            kernel = kernel or v
             continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        pivot_row = rows[rank]
-        if pivot_row[col] != 1:
-            inv = pow(pivot_row[col], -1, p)
-            pivot_row[col:] = [c * inv % p for c in pivot_row[col:]]
-        tail = pivot_row[col:]
-        for r in rows:
-            c = r[col]
-            if c and r is not pivot_row:
-                r[col:] = [(a - c * b) % p for a, b in zip(r[col:], tail)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    if pivots and pivots[-1] == n:
-        raise NoSolution("inconsistent linear system")
-    x = [0] * n
-    for k, pcol in enumerate(pivots):
-        x[pcol] = rows[k][n]
-    kernel = []
-    pivot_set = set(pivots)
-    for fcol in range(n):
-        if fcol in pivot_set:
-            continue
-        v = [0] * n
-        v[fcol] = 1
-        for k, pcol in enumerate(pivots):
-            v[pcol] = -rows[k][fcol] % p
-        kernel.append(tuple(v))
-    return tuple(x), kernel
+        at = shift + ((top & -top).bit_length() - 1) // bits * bits
+        a = v >> at & mask
+        if a != 1:
+            v = reduce(v * pow(a, -1, p))
+        pivots.append((at, v))

@@ -70,6 +70,8 @@ stays out of ``__all__``.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "PrimeField",
     "DensePoly",
@@ -174,7 +176,9 @@ class PrimeField:
 #   (a stride-w slice) and translated by _byte_residues(p, j), which maps b to
 #   b 256^j mod p.  Slot k of the sum of those w one-byte ints is then at
 #   most w (p-1), and one more translate reduces it: still C level;
-# * past that (p > 127 at w = 2), one pass over the w-byte slots.
+# * past that (p > 127 at w = 2), the slots are spread to 8 bytes and
+#   read at once as native ints (one memoryview cast), each reduced mod p
+#   by one map; slot by slot on a big-endian host or past 8 bytes.
 #
 # The slots hold the coefficients as they are, so the input contract is
 # strict here: every coefficient must already lie in range(p).  An entry in
@@ -207,14 +211,15 @@ def _byte_residues(p: int, j: int) -> bytes:
 def _pack(a, w: int, p: int) -> int:
     """a packed w bytes per coefficient, lowest degree in the lowest slot.
 
-    A coefficient takes one byte below 256 and two above, so w >= 2 there.
+    A coefficient takes the bytes of p - 1: one below 256, two below 65537,
+    and w must hold them.
     """
     buf = bytearray(w * len(a))
     if p < 256:
         buf[::w] = bytes(a)
     else:
-        buf[::w] = bytes([c & 255 for c in a])
-        buf[1::w] = bytes([c >> 8 for c in a])
+        for j in range(((p - 1).bit_length() + 7) // 8):
+            buf[j::w] = bytes([c >> 8 * j & 255 for c in a])
     return int.from_bytes(buf, "little")
 
 
@@ -222,7 +227,13 @@ def _unpack(n: int, w: int, size: int, p: int) -> list:
     """The first size w-byte slots of n, each reduced mod p (see above)."""
     raw = n.to_bytes(w * size, "little")
     if w * (p - 1) > 255:
-        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
+        if w > 8 or sys.byteorder == "big":
+            return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
+        # Slots spread over 8 bytes are read as native ints at once.
+        buf = bytearray(8 * size)
+        for j in range(w):
+            buf[j::8] = raw[j::w]
+        return list(map(p.__rmod__, memoryview(buf).cast("Q")))
     total = 0
     for j in range(w):
         total += int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")

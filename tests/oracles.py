@@ -4,18 +4,20 @@ Each is the slow, textbook way to a result that the library reaches
 another way, and the library itself does not call any of them:
 
 * ``solve``, ``mul_vec`` and ``rank`` on a ``linalg.Matrix``: solving by one
-  elimination of the augmented matrix, the reference for
-  ``linalg.solve_mod_p`` and for the linear systems the tests set up;
+  elimination of the augmented matrix, the reference for the linear
+  systems the tests set up;
+* ``solve_mod_p``: the same elimination on augmented rows of ints over
+  F_p, and ``padded_rows``, which reads columns as such rows: together the
+  reference for ``linalg.solve_columns_mod_p``;
 * ``formal_derivative``, ``monic`` and ``scale`` on a ``DensePoly``: the
   derivative computes i * c_i here rather than through
   ``scalars._derivative``, so the quotient-rule oracles share no kernel
   with ``DerivedField.delta``;
-* ``coords_rows``: the row builder of the bounded-height search that reads
-  a map in coordinates, the reference for ``dext._vg_rows`` and for
-  ``autos.log_derivative_witness``.
+* ``coords_columns``: the column builder of the bounded-height search that
+  reads a map in coordinates, the reference for ``dext._vg_columns`` and
+  for ``autos.log_derivative_witness``.
 """
 
-from diffext.dext import _padded_rows
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, RatFunc, poly_gcd
@@ -74,23 +76,92 @@ def monic(a):
     return scale(a, a.field.inv(a.lc())) if a else a
 
 
-def coords_rows(K, fn, target, degree):
-    """Row builder for sum c_i fn(x^i/v) = target, i <= degree, in coordinates.
+def solve_mod_p(rows, p: int):
+    """Solve an augmented system over F_p: rows are (a_1, ..., a_n, b) of ints.
+
+    Returns (x, kernel) as tuples of ints in range(p): x has its free
+    variables at zero, and kernel holds one vector per free column, lowest
+    free column first.  Raises NoSolution when the system is inconsistent.
+    There must be at least one row, since the rows carry the number of
+    unknowns.  Both are read off the reduced echelon form, which the
+    solution set alone determines, so they do not depend on the order or
+    repetition of the rows.
+    """
+    rows = [[c % p for c in r] for r in rows]
+    if not rows:
+        raise ValueError("solve_mod_p needs at least one row")
+    n = len(rows[0]) - 1
+    if any(len(r) != n + 1 for r in rows):
+        raise ValueError("ragged rows")
+    pivots = []
+    for col in range(n + 1):
+        rank = len(pivots)
+        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[rank], rows[best] = rows[best], rows[rank]
+        pivot_row = rows[rank]
+        if pivot_row[col] != 1:
+            inv = pow(pivot_row[col], -1, p)
+            pivot_row[col:] = [c * inv % p for c in pivot_row[col:]]
+        tail = pivot_row[col:]
+        for r in rows:
+            c = r[col]
+            if c and r is not pivot_row:
+                r[col:] = [(a - c * b) % p for a, b in zip(r[col:], tail)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    if pivots and pivots[-1] == n:
+        raise NoSolution("inconsistent linear system")
+    x = [0] * n
+    for k, pcol in enumerate(pivots):
+        x[pcol] = rows[k][n]
+    kernel = []
+    pivot_set = set(pivots)
+    for fcol in range(n):
+        if fcol in pivot_set:
+            continue
+        v = [0] * n
+        v[fcol] = 1
+        for k, pcol in enumerate(pivots):
+            v[pcol] = -rows[k][fcol] % p
+        kernel.append(tuple(v))
+    return tuple(x), kernel
+
+
+def padded_rows(columns, rhs):
+    """The augmented rows of sum x_j columns[j] = rhs: one per equation.
+
+    The columns and rhs are sequences of ints, a missing entry zero; there
+    is at least one row.
+    """
+    columns = [tuple(c) for c in [*columns, rhs]]
+    width = max(map(len, columns)) or 1
+    return list(zip(*(c + (0,) * (width - len(c)) for c in columns)))
+
+
+def coords_columns(K, fn, target, degree):
+    """Column builder for sum c_i fn(x^i/v) = target, i <= degree, in coordinates.
 
     fn takes an element of K to a tuple of coordinates in K, and target is
     such a tuple.  For each v, every coordinate equation is cleared of
     denominators by the lcm of its entries; the coefficients of the cleared
-    numerators, in F_p since the coordinates are constants, give one row per
-    power of x.
+    numerators, in F_p since the coordinates are constants, give one
+    equation per power of x.  Returns the columns of c_0, ..., c_degree and
+    the right-hand side, the equations of all coordinates one after another.
     """
 
-    def rows(den):
+    def columns(den):
         images = [fn(RatFunc(DensePoly(K.field, [0] * i + [1]), den)) for i in range(degree + 1)]
+        stacked = [() for _ in range(degree + 2)]
         for column in zip(*images, target):
             lcm = DensePoly.one(K.field)
             for c in column:
                 lcm = lcm * (c.den // poly_gcd(lcm, c.den))
             cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
-            yield from _padded_rows(cleared)
+            width = max(map(len, cleared)) or 1
+            stacked = [s + c + (0,) * (width - len(c)) for s, c in zip(stacked, cleared)]
+        return stacked[:-1], stacked[-1]
 
-    return rows
+    return columns

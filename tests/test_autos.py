@@ -29,7 +29,7 @@ from diffext.errors import (
 from diffext.frontend import instance_from_text
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import DerivedField, QuaternionRing, minimal_p_polynomial
-from oracles import coords_rows
+from oracles import coords_columns
 
 
 IDENT = lambda z: z
@@ -144,8 +144,8 @@ def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
         for c in cs:
             # Oracles: the plain enumeration and the bounded-height search of
             # the factor search, fed delta(u) - c u in coordinates.
-            rows_for = coords_rows(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
-            bounded = _bounded_height_witness(K, rows_for, bound)
+            columns_for = coords_columns(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
+            bounded = _bounded_height_witness(K, columns_for, bound)
             brute = brute_force_log_derivative(K, c, bound)
             assert str(bounded) == str(brute), (bound, c)
             got = log_derivative_witness(alg, c)

@@ -472,7 +472,11 @@ def _loop_mul(a, b, p):
     return tuple([c % p for c in out])
 
 
-_KRONECKER_PRIMES = [2, 3, 5, 7, 11, 13, 17, 31, 257, 65521]
+# Past w (p-1) = 255 the slots are read through one memoryview cast: p = 211
+# gives slots of 3 and 4 bytes, and p = 65537, whose p - 1 = 2^16 takes
+# three bytes, slots of 5 and 6.  At p = 2^32 + 15 they pass 8 bytes and are
+# read one by one.
+_KRONECKER_PRIMES = [2, 3, 5, 7, 11, 13, 17, 31, 211, 257, 65521, 65537, 4294967311]
 
 
 def _width_switches(p, cap):
@@ -539,20 +543,26 @@ def test_shifted_sums_match_schoolbook_sums(p):
             assert [scalars._unpacked(n, w, p) for n in sums] == want, (count, w)
 
 
-@pytest.mark.parametrize("p", [2, 5, 13, 127, 131, 257])
-def test_unpack_matches_slot_by_slot_reduction(p):
+@pytest.mark.parametrize("p", [2, 5, 13, 127, 131, 257, 65537])
+def test_unpack_matches_slot_by_slot_reduction(monkeypatch, p):
     # _unpack reduces byte j of every slot by one table while w (p-1) <=
     # 255 (p = 127 at w = 2 is the last such prime, 131 the first past it)
-    # and slot by slot past that; full slots of 0xff bytes are included.
+    # and past that reads slots of up to 8 bytes through one memoryview
+    # cast, and wider ones, or any on a big-endian host, slot by slot; full
+    # slots of 0xff bytes are included.
     rng = random.Random(2700 + p)
-    for w in (1, 2, 3, 4):
+    for w in (1, 2, 3, 4, 5, 8, 9):
         if p > 256 ** w:
             continue
         for size in (1, 7, 64):
             for full in (False, True):
                 slots = [256 ** w - 1 if full else rng.randrange(256 ** w) for _ in range(size)]
                 n = sum(s << 8 * w * k for k, s in enumerate(slots))
-                assert scalars._unpack(n, w, size, p) == [s % p for s in slots], (w, size, full)
+                want = [s % p for s in slots]
+                assert scalars._unpack(n, w, size, p) == want, (w, size, full)
+                with monkeypatch.context() as m:
+                    m.setattr(scalars.sys, "byteorder", "big")
+                    assert scalars._unpack(n, w, size, p) == want, (w, size, full)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
