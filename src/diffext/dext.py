@@ -484,17 +484,23 @@ class ExtAlgebra:
         # Cached as coordinate tuples: elements would point back at self.
         if which not in _NUCLEUS_SLOTS:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
+        # A prefix of the unit vectors is already the canonical basis that
+        # _common_kernel returns for it, so only a span or a map needs one.
         if which not in self._nucleus_cache:
-            units, maps = self._units(), []
+            units = self._units()
             if self.is_associative():
-                start = units
+                coords = units
             elif self.ring.is_commutative:  # the derived field
-                start = self._right_nucleus_span() if which == "right" else units[: self.ring.p]
-            else:  # the quaternion ring
+                if which == "right":
+                    coords = self._common_kernel([], self._right_nucleus_span())
+                else:
+                    coords = units[: self.ring.p]
+            elif which in ("right", "full"):  # the quaternion ring
                 start = units if which == "right" else units[: self.ring.dim_over_constants]
-                if which in ("right", "full"):
-                    maps.append(self._commutator_with(self.scalar(self.d)))
-            self._nucleus_cache[which] = tuple(self._common_kernel(maps, start))
+                coords = self._common_kernel([self._commutator_with(self.scalar(self.d))], start)
+            else:
+                coords = units[: self.ring.dim_over_constants]
+            self._nucleus_cache[which] = tuple(coords)
         return self._nucleus_cache[which]
 
     def _right_nucleus_span(self):

@@ -276,7 +276,9 @@ def _p_step(ring, c, level: int):
     (t^(p^k) - c)^p.
 
     Over a commutative ring this is Jacobson's c^p + (delta^(p^k))^(p-1)(c),
-    (p-1) p^k derivations; otherwise it is read off one twisted power.
+    (p-1) p^k derivations and one Frobenius power: c ** p spreads the
+    numerator's and the denominator's coefficients and takes no product.
+    Otherwise it is read off one twisted power.
     """
     p = ring.p
     if ring.is_commutative:

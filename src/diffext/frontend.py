@@ -53,7 +53,7 @@ from .errors import (
     ZeroDerivation,
 )
 from .parsing import decimal_int, parse_diffpoly, parse_field_element
-from .scalars import PrimeField, RatFunc, random_ratfunc
+from .scalars import PrimeField, RationalFunctionField, random_ratfunc
 from .towers import DerivedField, PPolynomial, minimal_p_polynomial
 
 __all__ = [
@@ -199,11 +199,11 @@ def _p_poly_from_expr(K: DerivedField, text: str) -> PPolynomial:
 
 
 def derived_field(p: int, delta_of_x: str) -> DerivedField:
-    """F_p(x) carrying (delta_of_x) * d/dx, with the weight given as text."""
-    # Bootstrap: the weight is parsed over a unit derivation, then the real
-    # field is built from the parsed value.
-    boot = DerivedField(p, RatFunc.one(PrimeField(p)))
-    w = parse_field_element(delta_of_x, boot)
+    """F_p(x) carrying (delta_of_x) * d/dx, with the weight given as text.
+
+    The weight is parsed over plain F_p(x), which needs no derivation.
+    """
+    w = parse_field_element(delta_of_x, RationalFunctionField(p))
     if not w:
         raise ZeroDerivation("delta_of_x parses to zero")
     return DerivedField(p, w)
@@ -219,7 +219,8 @@ def instance_from_text(text: str) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark some editors write is not part of line 1.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return instance_from_text(fh.read())
 
 

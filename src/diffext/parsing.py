@@ -8,19 +8,24 @@ Grammar, standard precedence (loosest first):
     power  := atom ('^' INT)?
     atom   := INT | 'x' | 't' | '(' expr ')'
 
-Two modes share the machinery.  In field mode 't' is rejected and the value
-is a rational function; in poly mode values are twisted polynomials, with
-division restricted to divisors free of t (TInDenominator otherwise).
-Anything unparseable raises ExprSyntaxError carrying the offset.  So does
-division by zero, whose error is also a ZeroDivisionError, and a literal
-power whose degree would pass ``MAX_POWER_DEGREE``.
+Two modes share the grammar.  In field mode 't' is rejected and every
+value is computed in K = F_p(x) as a rational function: a quotient
+multiplies by the inverse, and a power is a fraction power, so no twisted
+polynomial is built.  K needs only ``from_int`` and ``x``: a plain
+``RationalFunctionField`` will do.  In poly mode values are twisted
+polynomials over a derived field, with division restricted to divisors
+free of t (TInDenominator otherwise).  Anything unparseable raises
+ExprSyntaxError carrying the offset.  So does division by zero, whose
+error is also a ZeroDivisionError, and a literal power whose degree would
+pass ``MAX_POWER_DEGREE``; both modes raise the same error at the same
+offset for the same t-free text.
 """
 
 from __future__ import annotations
 
 from .diffpoly import DiffPoly
 from .errors import ExprSyntaxError, TInDenominator
-from .scalars import RatFunc
+from .scalars import RatFunc, RationalFunctionField
 from .towers import DerivedField
 
 __all__ = ["parse_expr", "parse_field_element", "parse_diffpoly"]
@@ -58,9 +63,16 @@ class _ZeroDivisorError(ExprSyntaxError, ZeroDivisionError):
     ZeroDivisionError for callers that catch that."""
 
 
-def _degree(v: DiffPoly) -> int:
-    height = max((max(len(c.num_coeffs), len(c.den_coeffs)) - 1 for c in v.coeffs), default=0)
-    return max(v.degree(), height)
+def _height(c: RatFunc) -> int:
+    return max(len(c.num_coeffs), len(c.den_coeffs)) - 1
+
+
+def _degree(v) -> int:
+    """The degree MAX_POWER_DEGREE bounds, of a fraction or a twisted
+    polynomial."""
+    if isinstance(v, RatFunc):
+        return _height(v)
+    return max(v.degree(), max(map(_height, v.coeffs), default=0))
 
 
 def _tokenize(s: str):
@@ -96,11 +108,14 @@ def _tokenize(s: str):
 
 
 class _Parser:
-    def __init__(self, tokens, K: DerivedField, allow_t: bool):
+    """Recursive descent over the tokens; values are fractions of K in
+    field mode and twisted polynomials over K in poly mode."""
+
+    def __init__(self, tokens, K: RationalFunctionField, poly: bool):
         self.tokens = tokens
         self.pos = 0
         self.K = K
-        self.allow_t = allow_t
+        self.poly = poly
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -116,14 +131,14 @@ class _Parser:
             raise ExprSyntaxError("expected %r" % kind, at)
         return tok
 
-    def parse(self) -> DiffPoly:
+    def parse(self):
         v = self.expr()
         tok, at = self.advance()
         if tok != ("END", None):
             raise ExprSyntaxError("trailing input", at)
         return v
 
-    def expr(self) -> DiffPoly:
+    def expr(self):
         v = self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.advance()
@@ -131,7 +146,7 @@ class _Parser:
             v = v + rhs if op == "+" else v - rhs
         return v
 
-    def term(self) -> DiffPoly:
+    def term(self):
         v = self.unary()
         while self.peek() in ("*", "/"):
             op, at = self.advance()
@@ -142,21 +157,23 @@ class _Parser:
                 v = self._divide(v, rhs, at)
         return v
 
-    def _divide(self, v: DiffPoly, rhs: DiffPoly, at: int) -> DiffPoly:
-        if rhs.degree() > 0:
-            raise TInDenominator("cannot divide by a polynomial in t")
+    def _divide(self, v, rhs, at: int):
+        if self.poly:
+            if rhs.degree() > 0:
+                raise TInDenominator("cannot divide by a polynomial in t")
+            rhs = rhs.coeff(0)
         if not rhs:
             raise _ZeroDivisorError("division by zero in expression", at)
-        inv = self.K.invert(rhs.coeff(0))
-        return v.map_coeffs(lambda c: c * inv)
+        inv = rhs.inverse()
+        return v.map_coeffs(lambda c: c * inv) if self.poly else v * inv
 
-    def unary(self) -> DiffPoly:
+    def unary(self):
         if self.peek() == "-":
             self.advance()
             return -self.unary()
         return self.power()
 
-    def power(self) -> DiffPoly:
+    def power(self):
         v = self.atom()
         if self.peek() == "^":
             _, at = self.advance()
@@ -172,14 +189,14 @@ class _Parser:
             return v ** tok[1]
         return v
 
-    def atom(self) -> DiffPoly:
+    def atom(self):
         tok, at = self.advance()
         if isinstance(tok, tuple) and tok[0] == "INT":
-            return DiffPoly.constant(self.K, self.K.from_int(tok[1]))
+            return self._scalar(self.K.from_int(tok[1]))
         if tok == "x":
-            return DiffPoly.constant(self.K, self.K.x())
+            return self._scalar(self.K.x())
         if tok == "t":
-            if not self.allow_t:
+            if not self.poly:
                 raise ExprSyntaxError("t is not allowed in a field expression", at)
             return DiffPoly.t(self.K)
         if tok == "(":
@@ -188,19 +205,18 @@ class _Parser:
             return v
         raise ExprSyntaxError("expected a value", at)
 
+    def _scalar(self, c: RatFunc):
+        return DiffPoly.constant(self.K, c) if self.poly else c
+
 
 def parse_expr(s: str, K: DerivedField, mode: str = "field"):
     """Parse s over K; mode is "field" (RatFunc) or "poly" (DiffPoly)."""
     if mode not in ("field", "poly"):
         raise ValueError("mode must be 'field' or 'poly'")
-    tokens = _tokenize(s)
-    poly = _Parser(tokens, K, allow_t=(mode == "poly")).parse()
-    if mode == "poly":
-        return poly
-    return poly.coeff(0) if poly else K.zero()
+    return _Parser(_tokenize(s), K, poly=(mode == "poly")).parse()
 
 
-def parse_field_element(s: str, K: DerivedField) -> RatFunc:
+def parse_field_element(s: str, K: RationalFunctionField) -> RatFunc:
     return parse_expr(s, K, "field")
 
 

@@ -33,7 +33,8 @@ Each type has two constructors:
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
 ``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``) that take p
 as an argument and reduce mod p once per output entry; ``_frobenius``
-takes the power of p instead and only moves coefficients.  Divisors of
+takes the power of p instead and only moves coefficients, and ``_pow``
+builds every polynomial power from such spreads.  Divisors of
 degree <= 1 take short paths: division by a linear divisor is synthetic
 (Horner at its root), and Euclid stops at a divisor of degree <= 1,
 which decides the gcd with one Horner pass.  ``_exquo`` is the quotient
@@ -60,16 +61,23 @@ the two operators.  A memo is emptied when it holds
 goes through ``poly_gcd``, the tuples wrapped in ``DensePoly`` views for
 it.
 
-``_power`` is the one square-and-multiply routine: the ``__pow__`` of
-``DensePoly`` and ``DiffPoly`` call it directly.  ``RatFunc``
-powers go through it on the numerator and the denominator separately: the
+Polynomial powers read n in base p (``_pow``).  Over F_p, (a^d)^(p^k)
+is the ``_frobenius`` spread of a^d by p^k, so a^n is the product over
+the nonzero digits d_k of n of the spreads of a^(d_k): a^p costs no
+product, and a^n one per nonzero digit past the first, besides the small
+powers a^(d_k) with d_k < p.  A monomial c x^m is c^n x^(mn) and costs
+none.  ``DensePoly`` and ``RatFunc`` powers both go through ``_pow``; a
+fraction raises its numerator and its denominator separately, since the
 powers of a canonical fraction's parts are coprime with a monic
-denominator, so num^n / den^n needs no gcd.  ``_power`` is private, so it
+denominator, so num^n / den^n needs no gcd.  ``_power`` is the
+square-and-multiply routine: the small powers a^(d_k) use it, and so do
+``DiffPoly`` powers, where Frobenius does not hold.  It is private, so it
 stays out of ``__all__``.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 
 __all__ = [
@@ -83,8 +91,8 @@ __all__ = [
 ]
 
 
-def _power(base, n: int, one):
-    """base ** n by square-and-multiply, for any associative product.
+def _power(base, n: int, one, mul=operator.mul):
+    """base ** n by square-and-multiply, for any associative product mul.
 
     Squares only while higher bits remain, so n >= 1 costs
     (bit_length - 1) squarings and (popcount - 1) other products; n = 0
@@ -95,11 +103,11 @@ def _power(base, n: int, one):
     out = None
     while True:
         if n & 1:
-            out = base if out is None else out * base
+            out = base if out is None else mul(out, base)
         n >>= 1
         if not n:
             return one if out is None else out
-        base = base * base
+        base = mul(base, base)
 
 
 # Most operand pairs a PrimeField remembers in each fraction memo before it
@@ -380,6 +388,27 @@ def _frobenius(a, n: int) -> tuple:
     return tuple(out)
 
 
+def _pow(a, n: int, p: int) -> tuple:
+    """a^n for a coefficient tuple and n >= 0, from the base-p digits of n.
+
+    With n = sum d_k p^k, a^n is the product of the _frobenius spreads of
+    a^(d_k) by p^k, each a^(d_k) by square-and-multiply.  A monomial
+    c x^m is c^n x^(mn), with no product.
+    """
+    if not a:
+        return () if n else (1,)
+    if len(a) - a.count(0) == 1:
+        return (0,) * ((len(a) - 1) * n) + (pow(a[-1], n, p),)
+    out, spread = None, 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            term = _frobenius(_power(a, digit, None, lambda u, v: _mul(u, v, p)), spread)
+            out = term if out is None else _mul(out, term, p)
+        spread *= p
+    return (1,) if out is None else out
+
+
 def _gcd(a, b, p: int) -> tuple:
     """Monic gcd of coefficient tuples by Euclid on lists; () for two zeros.
 
@@ -503,7 +532,9 @@ class DensePoly:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
-        return _power(self, n, DensePoly.one(self.field))
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
+        return _poly(self.field, _pow(self.coeffs, n, self.field.p))
 
     def __str__(self):
         if not self.coeffs:
@@ -722,7 +753,8 @@ class RatFunc:
         # Powers of coprime polynomials stay coprime, and a power of a monic
         # polynomial is monic: num^n / den^n is canonical as it stands (zero
         # included, as 0/1 gives 0/1 for n > 0 and 1/1 for n = 0).
-        return _ratfunc(self.field, (self.num ** n).coeffs, (self.den ** n).coeffs)
+        p = self.field.p
+        return _ratfunc(self.field, _pow(self.num_coeffs, n, p), _pow(self.den_coeffs, n, p))
 
     def __str__(self):
         if self.den.degree() == 0:

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -535,6 +536,42 @@ def test_structure_queries_constant_d():
     assert len(alg.nucleus("full")) == 9
     assert basis_str(alg.center()) == "1"
     assert basis_str(alg.centralizer([alg.t()])) == "1, t, t^2"
+
+
+def _nucleus_by_common_kernel(alg, which):
+    """Every slot through _common_kernel(maps, start), unit starts included."""
+    units, maps = alg._units(), []
+    if alg.is_associative():
+        start = units
+    elif alg.ring.is_commutative:
+        start = alg._right_nucleus_span() if which == "right" else units[: alg.ring.p]
+    else:
+        start = units if which == "right" else units[: alg.ring.dim_over_constants]
+        if which in ("right", "full"):
+            maps.append(alg._commutator_with(alg.scalar(alg.d)))
+    return alg._common_kernel(maps, start)
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_SHORTCUT_CASES = {path.name: path.read_text() for path in sorted(_CONFIGS.glob("*.cfg"))}
+_SHORTCUT_CASES.update(
+    ("p3-%s-%s" % (wid, did), "p = 3\ndelta_of_x = %s\nd = %s\n" % (w, d))
+    for wid, w in (("x", "x"), ("1", "1"), ("x2+1", "x^2 + 1"))
+    for did, d in (("constant", "2*x^3 + 1"), ("rational", "(x + 1)/(x^2 + 1)"))
+)
+
+
+@pytest.mark.parametrize("text", list(_SHORTCUT_CASES.values()), ids=list(_SHORTCUT_CASES))
+def test_unit_nuclei_skip_the_kernel_solve(text):
+    alg = instance_from_text(text).algebra
+    for which in ("left", "middle", "right", "full"):
+        assert list(alg._nucleus_coords(which)) == _nucleus_by_common_kernel(alg, which), which
+
+
+def test_quaternion_unit_nuclei_skip_the_kernel_solve():
+    alg = quaternion_algebra("x+j")
+    for which in ("left", "middle", "right", "full"):
+        assert list(alg._nucleus_coords(which)) == _nucleus_by_common_kernel(alg, which), which
 
 
 def test_nucleus_rejects_unknown_slot(i1):

@@ -376,6 +376,32 @@ def test_cli_undecodable_config_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _build_report(tmp_path, cfg):
+    """build's exit code and JSON report, ms dropped, run in-process."""
+    out = tmp_path / "report.json"
+    rc = main(["build", str(cfg), "--json", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    for check in report["checks"]:
+        del check["ms"]
+    return rc, report
+
+
+def test_cli_config_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # Some editors start a UTF-8 file with the mark EF BB BF; it is not part
+    # of the first key.
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + (CONFIGS / "i1.cfg").read_bytes())
+    assert _build_report(tmp_path, cfg) == _build_report(tmp_path, CONFIGS / "i1.cfg")
+    assert _build_report(tmp_path, cfg)[0] == 0
+
+
+def test_cli_utf16_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "inst.cfg"
+    cfg.write_text(I1_TEXT, encoding="utf-16")
+    assert main(["build", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
 def test_cli_unwritable_report_exits_two(tmp_path):
     out = tmp_path / "missing" / "r.json"
     proc = _cli(tmp_path, "build", str(CONFIGS / "i1.cfg"), "--json", str(out))

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from diffext import diffpoly, parsing
 from diffext.diffpoly import DiffPoly
 from diffext.errors import ExprSyntaxError, TInDenominator
+from diffext.frontend import derived_field
 from diffext.parsing import (
     MAX_POWER_DEGREE,
     decimal_int,
@@ -13,7 +15,7 @@ from diffext.parsing import (
     parse_expr,
     parse_field_element,
 )
-from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
+from diffext.scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField, random_ratfunc
 from diffext.towers import DerivedField
 
 
@@ -158,3 +160,77 @@ def test_decimal_int_takes_a_sign_and_ascii_digits_only():
     for text in ("", "-", "+", "1_0", "\u0663", "\u00b2", " 3", "3 ", "0x1", "--1", "1.0"):
         with pytest.raises(ValueError):
             decimal_int(text)
+
+
+# -- field mode against poly mode -------------------------------------------
+
+
+def _random_expr(rng, depth):
+    """A random t-free expression; a few divide by zero or pass the power
+    ceiling."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(["x", "x", str(rng.randrange(12)), "(x - x)", "(x + 1)"])
+    if roll < 0.45:
+        return "-" + _random_expr(rng, depth - 1)
+    if roll < 0.6:
+        n = rng.choice([0, 1, 2, 3, 5, 7, 2000])
+        return "(%s)^%d" % (_random_expr(rng, depth - 1), n)
+    op = rng.choice(" + - * / ".split())
+    return "(%s %s %s)" % (_random_expr(rng, depth - 1), op, _random_expr(rng, depth - 1))
+
+
+def _sweep(p):
+    rng = random.Random("field-vs-poly:%d" % p)
+    return [_random_expr(rng, 3) for _ in range(150)]
+
+
+def _outcome(parse, s):
+    try:
+        return "value", parse(s)
+    except ExprSyntaxError as exc:
+        return type(exc), exc.position
+
+
+_FIELDS = {
+    "p%d-%s" % (p, w.replace("/", "over")): derived_field(p, w)
+    for p in (2, 3, 5, 7)
+    for w in ("x", "1", "1/x")
+}
+
+
+@pytest.mark.parametrize("K", list(_FIELDS.values()), ids=list(_FIELDS))
+def test_field_mode_matches_poly_mode(K):
+    # Field mode computes in K; poly mode builds twisted polynomials and
+    # reads the constant term.  Values, error classes and offsets agree.
+    kinds = set()
+    for s in _sweep(K.p):
+        got = _outcome(lambda s: parse_field_element(s, K), s)
+        want = _outcome(lambda s: parse_diffpoly(s, K).coeff(0), s)
+        assert got == want, s
+        kinds.add(got[0])
+    assert kinds == {"value", ExprSyntaxError, parsing._ZeroDivisorError}
+    # t is refused in field mode, at its offset, whatever surrounds it.
+    for s in ("t", "x + t", "1/(x*t)", "(t - x)^2", "2 / t"):
+        with pytest.raises(ExprSyntaxError, match="t is not allowed") as exc:
+            parse_field_element(s, K)
+        assert exc.value.position == s.index("t")
+
+
+@pytest.mark.parametrize("K", list(_FIELDS.values()), ids=list(_FIELDS))
+def test_field_mode_builds_no_twisted_polynomial(monkeypatch, K):
+    want = [_outcome(lambda s: parse_diffpoly(s, K).coeff(0), s) for s in _sweep(K.p)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field mode built a DiffPoly")
+
+    monkeypatch.setattr(DiffPoly, "__init__", refuse)
+    monkeypatch.setattr(diffpoly, "_diffpoly", refuse)
+    assert [_outcome(lambda s: parse_field_element(s, K), s) for s in _sweep(K.p)] == want
+    with pytest.raises(AssertionError):
+        parse_diffpoly("x", K)
+
+
+def test_field_mode_takes_a_plain_rational_function_field():
+    K = RationalFunctionField(3)
+    assert parse_field_element("(x^2 + 1)/(2*x)", K) == (K.x() ** 2 + K.one()) / (K.from_int(2) * K.x())

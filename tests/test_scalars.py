@@ -245,6 +245,70 @@ def test_pow_matches_repeated_product():
         P(F3, 2, 1) ** -1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_powers_match_square_and_multiply_and_repeated_products(p):
+    # n runs over every digit pattern of two base-p digits and past p^2.
+    # The bases: zero, constants, x, leading coefficient p - 1, random.
+    rng = random.Random(310 + p)
+    F = PrimeField(p)
+    K = RationalFunctionField(p)
+    bases = [DensePoly.zero(F), DensePoly.one(F), P(F, p - 1), DensePoly.x(F)]
+    bases += [P(F, 1, 2 % p, p - 1)] + [random_poly(F, rng, 3) for _ in range(3)]
+    fracs = [K.zero(), K.one(), RatFunc(P(F, 0, p - 1), P(F, 1, 1))]
+    fracs += [random_ratfunc(K, rng, 3, nonzero=True) for _ in range(2)]
+    for a in bases + fracs:
+        one = DensePoly.one(F) if isinstance(a, DensePoly) else K.one()
+        expected = one
+        for n in range(2 * p * p + 4):
+            got = a ** n
+            assert got == expected == _power(a, n, one), (a, n)
+            expected = expected * a
+
+
+@pytest.mark.parametrize("p", [257, 65521])
+def test_digit_powers_at_large_p(p):
+    # n = p is one Frobenius spread and n = p + 1 one product more; the
+    # oracle is square-and-multiply, and repeated products for constants.
+    F = PrimeField(p)
+    K = RationalFunctionField(p)
+    one = DensePoly.one(F)
+    c = P(F, 3)
+    x1 = P(F, 1, 1)
+    for n in (p, p + 1):
+        expected = one
+        for _ in range(n):
+            expected = expected * c
+        assert c ** n == expected == _power(c, n, one)
+        power = _power(x1, n, one)
+        assert x1 ** n == power
+        assert RatFunc(x1, one) ** n == RatFunc(power, one)
+        assert RatFunc(one, x1) ** n == RatFunc(one, power)
+        assert RatFunc(c, one) ** n == K.from_int(expected.coeffs[0])
+    assert x1 ** p == P(F, 1, *([0] * (p - 1)), 1)
+
+
+def test_p_th_power_takes_no_product(monkeypatch):
+    calls = []
+    mul = scalars._mul
+
+    def counted(a, b, p):
+        calls.append(1)
+        return mul(a, b, p)
+
+    monkeypatch.setattr(scalars, "_mul", counted)
+    for p in (2, 3, 7):
+        a = P(PrimeField(p), 1, 1, 2)
+        # 2p is p^2 at p = 2; otherwise its digit 2 costs one squaring.
+        for n, products in ((p, 0), (p * p, 0), (p + 1, 1), (p * p + p, 1), (2 * p, int(p > 2))):
+            calls.clear()
+            a ** n
+            assert len(calls) == products, (p, n)
+    # A monomial's power takes none at any n.
+    calls.clear()
+    P(F3, 0, 0, 2) ** 11
+    assert not calls
+
+
 def test_char_p_frobenius_is_additive():
     for p in (2, 3):
         K = RationalFunctionField(p)
