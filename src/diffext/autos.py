@@ -162,7 +162,10 @@ def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
     """Order of H in the automorphism group, or None past the bound.
 
     Computed honestly by iterating on the basis; identity is order 1.
+    Raises ValueError for a map onto another algebra (a shift_isomorphism
+    with V_g(a) != 0), which is no automorphism.
     """
+    _check_automorphism(H)
     basis = H.algebra.basis()
     images = list(basis)
     for k in range(1, bound + 1):
@@ -173,7 +176,13 @@ def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
 
 
 def compose_shift_autos(H1: AutoDescriptor, H2: AutoDescriptor) -> AutoDescriptor:
-    """Composition inside the shift family (tau = id, eps = 1): c values add."""
+    """Composition inside the shift family (tau = id, eps = 1): c values add.
+
+    Raises ValueError when either map goes onto another algebra: the
+    composite of two shift isomorphisms A -> B is not defined.
+    """
+    _check_automorphism(H1)
+    _check_automorphism(H2)
     ring = H1.algebra.ring
     if H1.tau_name != "id" or H2.tau_name != "id":
         raise UnsupportedInstance("composition is implemented for shift descriptors")
@@ -182,6 +191,11 @@ def compose_shift_autos(H1: AutoDescriptor, H2: AutoDescriptor) -> AutoDescripto
     if H1.algebra != H2.algebra:
         raise ValueError("descriptors act on different algebras")
     return build_auto(H1.algebra, H1.tau, H1.c + H2.c, H1.eps)
+
+
+def _check_automorphism(H: AutoDescriptor):
+    if H.target != H.algebra:
+        raise ValueError("the descriptor maps onto the algebra with d = %s, not onto its own" % H.target.d)
 
 
 def is_log_derivative(algebra: ExtAlgebra, c) -> bool:
@@ -331,8 +345,8 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
     word for g = p_polynomial_at_exponent(K, e).  Another annihilating g
     of exponent e is h(z1) for a p-polynomial h over F, so V_g = h(V_z1),
     whose kernel can exceed the logarithmic derivatives; such a g is
-    refused.  The factor search's column builder, dext._vg_columns, proves
-    the split g = h(z1), computes h and checks it.
+    refused.  The algebra stores that split, computed once by
+    towers.z1_split when it is built, and the closed form is h = s^(p^(e-1)).
 
     Scope: the report constrains the descriptors.  By the paper these are
     all of Aut(S_f) when d is not in F; that claim is checked at e = 1
@@ -346,7 +360,7 @@ def auto_constraints(algebra: ExtAlgebra) -> AutoConstraintReport:
     ring = algebra.ring
     if not ring.is_commutative:
         raise UnsupportedInstance("constraint analysis needs a commutative base")
-    if not algebra._g_is_closed_form():
+    if any(algebra.z1_split[1][1:]):  # h is not s^(p^(e-1))
         raise UnsupportedInstance(
             "constraint analysis covers g = (t^p - a t)^(p^(e-1)); for g = %s the "
             "kernel of V_g can exceed the logarithmic derivatives" % algebra.g

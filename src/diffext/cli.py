@@ -18,10 +18,11 @@ running:
 - 2 and "error: ..." for bad usage; a config that cannot be read (missing,
   unreadable, not UTF-8) or is malformed; an expression that does not
   parse, divides by zero or by a polynomial in t; a zero derivation; a g
-  that does not annihilate it; an instance the command does not handle
-  (such as a structure table above dext.MAX_TABLE_ENTRIES, or a divcheck
-  search above dext.MAX_SEARCH_DENOMINATORS); or a --json path that
-  cannot be written.  verify does not stop there: a check that such a
+  that does not annihilate it (refused by towers.z1_split, the one split
+  g = h(z1) that the algebra keeps); an instance the command does not
+  handle (such as a structure table above dext.MAX_TABLE_ENTRIES, or a
+  divcheck search above dext.MAX_SEARCH_DENOMINATORS); or a --json path
+  that cannot be written.  verify does not stop there: a check that such a
   guard refuses reads unknown with the reason, and the other checks run;
 - 1 and "rejected: ..." for a refused probe: a shift constant that fails a
   condition, or conjugation by an element that is not nuclear or not

@@ -1,8 +1,9 @@
 """Nonassociative quotient algebras of a twisted polynomial ring.
 
 Fix a derived field K, or the quaternion ring Q over it, as the coefficient
-ring A with derivation delta, let g be a p-polynomial annihilating delta
-(checked), and pick d in A.  The
+ring A with derivation delta, let g be a p-polynomial over F annihilating
+delta (checked once, by the split g = h(z1) of towers.z1_split, which the
+algebra keeps), and pick d in A.  The
 quotient of A[t; delta] by the left ideal generated by f = g(t) - d carries
 the product
 
@@ -53,8 +54,9 @@ Jacobson's p-step on a pair reads
     V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
 
 so V_z1(N/v), for z1 = t^p - a t, is a polynomial over v^p times a fixed
-one.  Every annihilating g is h(z1) for a p-polynomial h over F, so V_g =
-h(V_z1), and h acts on such a fraction by Frobenius spreads.  V_g(N/v) = d
+one.  Every annihilating g is h(z1) for a p-polynomial h over F, the split
+the algebra keeps, so V_g = h(V_z1), and h acts on such a fraction by
+Frobenius spreads.  V_g(N/v) = d
 becomes a polynomial identity, cleared by v^(p^e) and by the denominators
 of d, of delta(x), of a and of the coefficients of h, whose coefficients
 are F_p-linear in those of N (see _vg_columns).  The honest
@@ -64,8 +66,8 @@ denominators one coordinate at a time, is the tests' reference
 _bounded_height_witness, which refuses a search of more than
 MAX_SEARCH_DENOMINATORS denominators before any work.  A d that is not
 a constant scalar needs no search (Fact A); over the derived field with g
-the closed form (t^p - a t)^(p^(e-1)), every g at e = 1, f is moreover
-irreducible (see division_verdict).
+the closed form (t^p - a t)^(p^(e-1)), h = s^(p^(e-1)) in the split and
+every g at e = 1, f is moreover irreducible (see division_verdict).
 """
 
 from __future__ import annotations
@@ -75,13 +77,13 @@ from math import comb
 from operator import mul
 
 from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
-from .errors import GNotAnnihilating, InternalInvariantViolation, NoSolution, UnsupportedInstance
+from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_columns_mod_p
 from .scalars import (
     DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _poly, _residues, _shifted_sums,
     _unpacked,
 )
-from .towers import PPolynomial, minimal_p_polynomial, p_polynomial_at_exponent
+from .towers import PPolynomial, z1_split
 
 __all__ = ["ExtAlgebra", "AlgebraElement"]
 
@@ -173,10 +175,11 @@ class ExtAlgebra:
         if g.p != ring.p:
             raise ValueError("p-polynomial characteristic mismatch")
         # The nuclei, is_associative and division_verdict use that z = g(t)
-        # is central, which needs g(delta) = 0.  The derivation acts on the
+        # is central, which needs g over F and g(delta) = 0: g = h(z1), the
+        # split (a1, [h_(e-1), ..., h_0]) of towers.z1_split, which the
+        # verdicts and the factor search read.  The derivation acts on the
         # parts of a quaternion, so the base field decides.
-        if not g.annihilates(ring.base_field):
-            raise GNotAnnihilating("g = %s does not annihilate the derivation" % g)
+        self.z1_split = z1_split(ring.base_field, g)
         self.ring = ring
         self.g = g
         self.d = d
@@ -572,13 +575,13 @@ class ExtAlgebra:
         embed V_g(b).  So a d that is not a constant scalar has no such
         factor, and None is returned with no search (and no search guard).
         Otherwise d = embed(c), and each v is one fraction-free system for
-        V_g(b) = c over K (_vg_columns), over both rings.
+        V_g(b) = c over K (_vg_columns, on the stored split), over both rings.
         """
         c = self._constant_scalar_d()
         if c is None:
             return None
         K = self.base_field
-        b = _bounded_height_witness(K, _vg_columns(K, self.g, c, bound), bound)
+        b = _bounded_height_witness(K, _vg_columns(K, self.z1_split, c, bound), bound)
         if b is not None:
             return self._checked_factor(b)
         if not c:  # V_g(0) = 0
@@ -601,7 +604,8 @@ class ExtAlgebra:
 
         "division (proved)" with no witness over the derived field when d is
         not in F and g = z1^q with z1 = t^p - a t and q = p^(e-1) (the
-        p_polynomial_at_exponent closed form), before any search; otherwise
+        p_polynomial_at_exponent closed form, read from the stored split as
+        h = s^q), before any search; otherwise
         "not division (witness)" with the factor b of
         linear_right_factor_search(bound), re-checked, or "unknown (bound
         exhausted)".  S_f is a division algebra iff f is irreducible (Petit
@@ -626,27 +630,16 @@ class ExtAlgebra:
         d^(1/q))^r = (lambda^(p^s) - d^(p^s/q))^(r'), whose coefficient of
         lambda^(p^s (r'-1)) is -r' d^(p^s/q).  It lies in F = K^p only if
         s >= e: for s < e some p-power of it is d.  So r is 0 or p^e, M is
-        simple and f irreducible.  At e >= 2 the closed form is compared
-        only after d is found outside F.
+        simple and f irreducible.
         """
-        if (
-            self.ring.is_commutative
-            and not self.ring.is_constant(self.d)
-            and self._g_is_closed_form()
-        ):
+        # h = s^q in the split [h_(e-1), ..., h_0] when g is z1^q.
+        ring, hs = self.ring, self.z1_split[1]
+        if ring.is_commutative and not ring.is_constant(self.d) and not any(hs[1:]):
             return "division (proved)", None
         b = self.linear_right_factor_search(bound)
         if b is not None:
             return "not division (witness)", b
         return "unknown (bound exhausted)", None
-
-    def _g_is_closed_form(self) -> bool:
-        """Whether g is p_polynomial_at_exponent(K, e): (t^p - a t)^(p^(e-1)).
-
-        Every annihilating g at e = 1 is, so the closed form is built only
-        for e >= 2.  Over the derived field only.
-        """
-        return self.g.e == 1 or self.g == p_polynomial_at_exponent(self.ring, self.g.e)
 
     def is_division_probe(self, rng, samples: int = 200) -> bool:
         """Left multiplications by sampled nonzero elements are injective.
@@ -681,8 +674,8 @@ def _bounded_height_witness(K, columns_for, bound: int):
     per equation, of a system whose solutions are exactly the c with
     fn(sum c_i x^i / v) = target, for an F_p-linear map fn on K and a
     target; linalg.solve_columns_mod_p solves it.  The library's builder is
-    _vg_columns, for V_g =
-    h(V_z1) over the derived field: the polynomial identity
+    _vg_columns, for V_g = h(V_z1) over the derived field, with g = h(z1)
+    the algebra's stored split: the polynomial identity
     v^(p^e) V_g(N/v) L = v^(p^e) d L, where L clears the denominators of d,
     of delta(x), of a and of the coefficients of h, built on coefficient
     tuples with no fraction formed.  The tests' reference builder,
@@ -725,26 +718,15 @@ def _bounded_height_witness(K, columns_for, bound: int):
     return None
 
 
-def _vg_columns(K, g, d, degree):
+def _vg_columns(K, split, d, degree):
     """Column builder for V_g(N/v) = d over the derived field, deg N <= degree.
 
-    Every exponent goes through z1 = t^p + a1 t, the exponent-one
-    p-polynomial t^p - a t of towers.minimal_p_polynomial (a1 = -a); at
-    e = 1 it is g itself, so a1 is read off g.  Every annihilating g is
-    h(z1) for a p-polynomial h = sum_k h_k s^(p^k) over F, monic of
-    exponent e - 1.  In F[t], which is commutative, h_k z1^(p^k) =
-    h_k (t^(p^(k+1)) + a1^(p^k) t^(p^k)), so dividing g by z1 under
-    composition, top term first, leaves a remainder c t.  delta commutes
-    with F, so t |-> delta is a ring map on F[t], and g(delta) =
-    h(z1(delta)) + c delta = c delta; g(delta) = 0 and delta != 0 force
-    c = 0.  With g_k the coefficient of t^(p^k) in g, the
-    division reads, top-down,
-
-        h_(e-1) = 1,    h_(k-1) = g_k - h_k a1^(p^k)    (e > k >= 1),
-
-    and c = g_0 - h_0 a1, which is checked to vanish.  t |-> t - b fixes F
-    and takes z1 to z1 - V_z1(b), both central, and h is additive with
-    coefficients in F, so V_g(b) = h(V_z1(b)).
+    split is towers.z1_split(K, g) = (a1, [h_(e-1), ..., h_0]), the
+    algebra's stored split g = h(z1) with z1 = t^p + a1 t, the minimal
+    p-polynomial t^p - a t, and h = sum_k h_k s^(p^k) a monic p-polynomial
+    of exponent e - 1 over F.  t |-> t - b fixes F and takes z1 to
+    z1 - V_z1(b), both central, and h is additive with coefficients in F,
+    so V_g(b) = h(V_z1(b)).
 
     No fraction is formed.  Write delta(x) = W/S.  For a polynomial R,
     delta(R/S^k) = W (R' S - k R S') / S^(k+2), so delta^n(R) is a
@@ -811,19 +793,13 @@ def _vg_columns(K, g, d, degree):
     first columns call, so that building the builder costs nothing before
     the search guard has run.
     """
-    p, e, q = K.p, g.e, K.p ** (g.e - 1)
+    a1, hs = split
+    p, e, q = K.p, len(hs), K.p ** (len(hs) - 1)
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
     dS = _derivative(S, p)
     s_top = (1,)  # S^(2 (p-1)), cleared by the p-step
     for _ in range(2 * (p - 1)):
         s_top = _mul(s_top, S, p)
-    a1 = g.coeffs[0] if e == 1 else minimal_p_polynomial(K).coeffs[0]
-    # g = h(z1): hs = [h_(e-1), ..., h_0], top-down (see the docstring).
-    hs = [RatFunc.one(K.field)]
-    for j, g_k in enumerate(g.coeffs[:-1]):
-        hs.append(g_k - hs[-1] * a1 ** (p ** (e - 1 - j)))
-    if hs[-1] * a1 != g.coeffs[-1]:
-        raise InternalInvariantViolation("g = %s is not h(t^p + a1 t) with a1 = %s" % (g, a1))
     h_den = (1,)  # T
     for h_k in hs:
         h_den = _mul(h_den, h_k.den_coeffs, p)

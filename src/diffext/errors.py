@@ -67,7 +67,12 @@ class UnsupportedInstance(Exception):
 
 
 class GNotAnnihilating(ValueError):
-    """A declared p-polynomial does not annihilate the instance derivation."""
+    """A declared p-polynomial g is not central in K[t; delta].
+
+    Either g(delta) != 0 on the instance derivation, or a coefficient of g
+    lies outside the constants F = F_p(x^p), so that g(t) does not commute
+    with t even when g(delta) = 0.  towers.z1_split decides both.
+    """
 
 
 class TInDenominator(ValueError):

@@ -194,7 +194,8 @@ def _p_poly_from_expr(K: DerivedField, text: str) -> PPolynomial:
             raise ConfigError("coefficient of t^%d in g is not a constant" % i)
     for k in range(e - 1, -1, -1):
         coeffs.append(poly.coeff(p ** k))
-    # ExtAlgebra refuses a g that does not annihilate the derivation.
+    # ExtAlgebra refuses a g that does not annihilate the derivation: its
+    # split g = h(z1) (towers.z1_split) leaves a nonzero remainder.
     return PPolynomial(p, e, coeffs)
 
 

@@ -16,7 +16,13 @@ required.
 with g(delta) = 0 as an F-linear operator on K.  This is Hochschild's
 formula (w d/dx)^p = delta^(p-1)(w) d/dx (Trans. AMS 79, 1955), and it
 costs p - 1 derivations; ``p_polynomial_at_exponent`` gives the exponent-e
-polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) the same way.
+polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) the same way.  Each field
+remembers its minimal p-polynomial, so a is derived once per field.
+
+``z1_split`` writes a p-polynomial g over F as h(z1), z1 = t^p - a t, for
+a p-polynomial h over F, or refuses it with GNotAnnihilating.  It is the
+one check an algebra makes of its g, and its h is what the algebra's
+verdicts and factor search read.
 
 ``DerivedField.delta`` remembers its answers, per field, keyed by the
 canonical numerator and denominator tuples, because the twisted
@@ -37,6 +43,7 @@ from __future__ import annotations
 from operator import add, sub
 
 from .errors import (
+    GNotAnnihilating,
     InternalInvariantViolation,
     NoSolution,
     ZeroDerivation,
@@ -75,7 +82,7 @@ _DELTA_MEMO_ENTRIES = 2 ** 14
 class DerivedField(RationalFunctionField):
     """F_p(x) with the derivation a |-> delta_of_x * da/dx."""
 
-    __slots__ = ("delta_of_x", "_delta_memo")
+    __slots__ = ("delta_of_x", "_delta_memo", "_minimal")
 
     def __init__(self, p: int, delta_of_x: RatFunc):
         super().__init__(p)
@@ -89,6 +96,7 @@ class DerivedField(RationalFunctionField):
         self.delta_of_x = _ratfunc(self.field, delta_of_x.num_coeffs, delta_of_x.den_coeffs)
         # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
         self._delta_memo = {}
+        self._minimal = None  # see minimal_p_polynomial
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
 
@@ -386,8 +394,46 @@ def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
 
     Exponent 0 would need delta = 0, which the field refuses, so the
     exponent-one polynomial of ``p_polynomial_at_exponent`` is minimal.
+    It is remembered per field: loading an instance and splitting its g
+    (z1_split) both read it.
     """
-    return p_polynomial_at_exponent(K, 1)
+    if K._minimal is None:
+        K._minimal = p_polynomial_at_exponent(K, 1)
+    return K._minimal
+
+
+def z1_split(K: DerivedField, g: PPolynomial):
+    """(a1, [h_(e-1), ..., h_0]) with g = h(z1), h = sum_k h_k s^(p^k).
+
+    z1 = t^p + a1 t is the minimal p-polynomial t^p - a t (a1 = -a), and
+    h is a monic p-polynomial of exponent e - 1 over F, so g = z1^q with
+    q = p^(e-1) exactly when h_k = 0 for every k < e - 1.  In F[t], which
+    is commutative, h_k z1^(p^k) = h_k (t^(p^(k+1)) + a1^(p^k) t^(p^k)),
+    so dividing g by z1 under composition, top term first, leaves a
+    remainder c t.  With g_k the coefficient of t^(p^k) in g, the division
+    reads, top-down,
+
+        h_(e-1) = 1,    h_(k-1) = g_k - h_k a1^(p^k)    (e > k >= 1),
+
+    and c = g_0 - h_0 a1.  delta commutes with F, so t |-> delta is a ring
+    map on F[t], and g(delta) = h(z1(delta)) + c delta = c delta.  So the
+    test c = 0 is exactly g(delta) = 0, read with e - 1 products and no
+    derivation past those of the minimal p-polynomial.
+
+    Raises GNotAnnihilating when c != 0, and, before any work, when a
+    coefficient of g is not in F: then g(t) is not central in K[t; delta]
+    even when g(delta) = 0 (p = 3, delta = x d/dx, g = t^9 + x t^3 -
+    (1 + x) t).
+    """
+    if not all(K.is_constant(c) for c in g.coeffs):
+        raise GNotAnnihilating("g = %s has a coefficient outside F = F_p(x^p)" % g)
+    a1 = minimal_p_polynomial(K).coeffs[0]
+    hs = [K.one()]
+    for j, g_k in enumerate(g.coeffs[:-1]):
+        hs.append(g_k - hs[-1] * a1 ** (K.p ** (g.e - 1 - j)))
+    if hs[-1] * a1 != g.coeffs[-1]:
+        raise GNotAnnihilating("g = %s does not annihilate the derivation" % g)
+    return a1, hs
 
 
 class Quaternion:

@@ -239,6 +239,26 @@ def test_composition_adds_shifts(i1):
             assert apply_auto(H12, b) == apply_auto(H1, apply_auto(H2, b))
 
 
+def test_order_and_composition_refuse_maps_onto_another_algebra(i1):
+    # Over x d/dx at p = 2, V_g(x) = x^2, so the shift t -> t - x maps
+    # i1 (d = x) onto the algebra with d = x^2 + x: no automorphism, so it
+    # has no order and H o H is not defined.
+    K = i1.ring
+    x = K.x()
+    H = shift_isomorphism(i1, x)
+    assert H.target.d == x * x + x and H.target != i1
+    for call in (lambda: auto_order(H), lambda: compose_shift_autos(H, H)):
+        with pytest.raises(ValueError, match=r"^the descriptor maps onto the algebra with d = x\^2 \+ x, not onto its own$"):
+            call()
+    ident = build_auto(i1, IDENT, K.zero(), K.one())
+    with pytest.raises(ValueError, match="not onto its own"):
+        compose_shift_autos(ident, H)
+    # A shift by a log derivative lands on i1 itself and is an automorphism.
+    back = shift_isomorphism(i1, K.one())
+    assert back.target == i1 and auto_order(back) == 2
+    assert compose_shift_autos(back, back).c == K.zero()
+
+
 def test_inner_auto_frozen_value(i1):
     K = i1.ring
     x = K.x()

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from diffext import dext
-from diffext.autos import shift_isomorphism
+from diffext.autos import auto_constraints, shift_isomorphism
 from diffext.dext import MAX_TABLE_ENTRIES, ExtAlgebra
-from diffext.diffpoly import DiffPoly, is_right_invariant, v_g
+from diffext.diffpoly import DiffPoly, is_right_invariant, p_poly_as_diffpoly, v_g
 from diffext.errors import (
     GNotAnnihilating,
     InternalInvariantViolation,
@@ -36,6 +36,7 @@ from diffext.towers import (
     QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
+    z1_split,
 )
 from oracles import coords_columns, padded_rows, solve_mod_p
 
@@ -529,6 +530,23 @@ def test_algebra_refuses_g_that_does_not_annihilate_delta():
             ExtAlgebra(ring, g, ring.one())
 
 
+def test_algebra_refuses_annihilating_g_with_coefficients_outside_f():
+    # Over x d/dx at p = 3, delta^3 = delta, so g = t^9 + x t^3 - (1 + x) t
+    # has g(delta) = delta + x delta - (1 + x) delta = 0.  But x is not in F,
+    # so g(t) does not commute with t and the quotient is no algebra of the
+    # paper: its associators need not vanish even with d = 0.
+    Q = quaternion_ring()
+    K = Q.base
+    x = K.x()
+    g = PPolynomial(3, 2, (x, -(K.one() + x)))
+    assert g.annihilates(K)
+    gt, t = p_poly_as_diffpoly(g, K), DiffPoly.t(K)
+    assert gt * t != t * gt
+    for ring in (K, Q):
+        with pytest.raises(GNotAnnihilating, match="outside F"):
+            ExtAlgebra(ring, g, ring.zero())
+
+
 def test_structure_queries_constant_d():
     # A constant d makes the algebra associative: the nucleus is everything,
     # while the center and Cent(t) stay small.
@@ -847,7 +865,7 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
             v_g(K, g, _fraction_of_height(K, rng, bound + 1)),
         ]
         for d in ds:
-            fast = dext._vg_columns(K, g, d, bound)
+            fast = dext._vg_columns(K, alg.z1_split, d, bound)
             slow = coords_columns(K, fn, K.coords(d), bound)
             chain = _chain_vg_columns(K, g, d, bound)
             for den in dext._fraction_candidates(K, bound):
@@ -867,22 +885,10 @@ def test_vg_rows_refuses_denominator_above_the_row_bound():
     # The level-one table is built for deg v <= degree; a larger v would
     # need Phi(k) past the table, so columns(v) refuses it.
     K = instance_from_text("p = 3\ndelta_of_x = x\nd = 0\n").K
-    columns = dext._vg_columns(K, minimal_p_polynomial(K), K.zero(), 2)
+    columns = dext._vg_columns(K, z1_split(K, minimal_p_polynomial(K)), K.zero(), 2)
     assert columns(DensePoly(K.field, [1, 0, 1]))[0]
     with pytest.raises(ValueError, match="search bound 2"):
         columns(DensePoly(K.field, [0, 0, 0, 1]))
-
-
-def test_vg_rows_refuses_g_that_is_not_h_of_z1():
-    # Over x d/dx at p = 2, z1 = t^2 + t.  t^4 + t^2 + t leaves the
-    # remainder t on division by z1 under composition, so it is not h(z1)
-    # (and does not annihilate delta); the row builder checks before any row.
-    K = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\n").K
-    one = K.one()
-    g = PPolynomial(2, 2, (one, one))
-    assert not g.annihilates(K)
-    with pytest.raises(InternalInvariantViolation, match="is not h"):
-        dext._vg_columns(K, g, K.zero(), 1)
 
 
 def _chain_vg_columns(K, g, d, degree):
@@ -987,7 +993,7 @@ def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bound
             v_g(K, g, _fraction_of_height(K, rng, bound)),
         ]
         for d in ds:
-            fast, slow = dext._vg_columns(K, g, d, bound), _chain_vg_columns(K, g, d, bound)
+            fast, slow = dext._vg_columns(K, alg.z1_split, d, bound), _chain_vg_columns(K, g, d, bound)
             for den in dens:
                 if g.e == 1:
                     assert _plain(fast(den)) == _plain(slow(den)), (bound, d, den)
@@ -1176,35 +1182,42 @@ def test_quaternion_search_on_scalar_constant_matches_k(p, bound, weight, g_text
     assert found >= 2
 
 
-def test_division_verdict_compares_g_only_for_d_not_in_f_at_e_above_one(monkeypatch, i1, i2):
-    # division_verdict asks whether g is the closed form only after d is
-    # found outside F, and at e = 1, where every annihilating g is the
-    # closed form, the answer builds nothing.  The calls to the comparison
-    # are recorded, so that no route to the closed form goes unseen; the
-    # searches themselves build z1 through towers at e >= 2.
+def test_minimal_g_load_checks_g_once(monkeypatch):
+    # The minimal p-polynomial is checked at x when the field first builds
+    # it; the algebra reads the field's remembered z1 and checks g by the
+    # split, with no derivation orbit of its own.
     calls = []
-    compare = ExtAlgebra._g_is_closed_form
+    honest = PPolynomial.annihilates
+    monkeypatch.setattr(PPolynomial, "annihilates", lambda g, K: calls.append(g) or honest(g, K))
+    for text in ("p = 3\ndelta_of_x = x\nd = x\n", "p = 2\ndelta_of_x = 1/x\nd = x^2\n"):
+        calls.clear()
+        inst = instance_from_text(text)
+        assert calls == [inst.g]
 
-    def recorded(self):
-        calls.append(self)
-        return compare(self)
 
-    def no_closed_form(K, e):
-        raise AssertionError("closed form built")
-
-    monkeypatch.setattr(ExtAlgebra, "_g_is_closed_form", recorded)
+def test_verdicts_at_exponent_two_build_no_p_polynomial(monkeypatch, i1, i2):
+    # division_verdict and auto_constraints read "h = s^q" off the split
+    # the algebra stored when it was built: no p-polynomial is built and no
+    # derivation orbit runs, neither for the closed form nor for another g,
+    # and neither for the search the other verdicts run.
     e2_const = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\ng = t^4 + t^2\n").algebra
-    assert i2.division_verdict(1)[0] == "not division (witness)"
-    assert e2_const.division_verdict(1)[0] == "not division (witness)"
-    assert calls == []
     # d = x is not in F = F_2(x^2), and g = (t^2 + t)^2 is the closed form.
     e2 = instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\n").algebra
+    # g = z1^2 + z1 is not, and d = x^2 is in F, so its verdict searches.
+    e2_other = instance_from_text("p = 2\ndelta_of_x = x\nd = x^2\ng = t^4 + t\n").algebra
+    work = []
+    init, honest = PPolynomial.__init__, PPolynomial.annihilates
+    monkeypatch.setattr(PPolynomial, "__init__", lambda g, *args: work.append("build") or init(g, *args))
+    monkeypatch.setattr(PPolynomial, "annihilates", lambda g, K: work.append("check") or honest(g, K))
+    assert i2.division_verdict(1)[0] == "not division (witness)"
+    assert e2_const.division_verdict(1)[0] == "not division (witness)"
     assert e2.division_verdict(1) == ("division (proved)", None)
-    assert len(calls) == 1 and calls[0] is e2
-    calls.clear()
-    monkeypatch.setattr(dext, "p_polynomial_at_exponent", no_closed_form)
     assert i1.division_verdict(4) == ("division (proved)", None)
-    assert len(calls) == 1 and calls[0] is i1
+    assert e2_other.division_verdict(2) == ("unknown (bound exhausted)", None)
+    assert auto_constraints(e2).c_condition == "V_g(c) = 0"
+    with pytest.raises(UnsupportedInstance, match="kernel of V_g"):
+        auto_constraints(e2_other)
+    assert work == []
 
 
 def test_division_probe_consistency(i1, i2, rng_seed=0):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffext import towers
-from diffext.errors import ZeroDerivation
+from diffext.errors import GNotAnnihilating, ZeroDerivation
 from diffext.linalg import Matrix
 from diffext.scalars import RatFunc, random_ratfunc
 from diffext.towers import (
@@ -14,6 +14,7 @@ from diffext.towers import (
     QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
+    z1_split,
 )
 from oracles import formal_derivative, solve
 
@@ -504,3 +505,90 @@ def test_minimal_p_polynomial_matches_hochschild(p, weight):
         got = p_polynomial_at_exponent(K, e)
         want = _annihilator_by_solve(K, e)
         assert got == want and str(got) == str(want), (e, got, want)
+
+
+def test_minimal_p_polynomial_is_remembered_per_field(monkeypatch):
+    K = DerivedField(3, _w(3, (1, 0, 1)))
+    g = minimal_p_polynomial(K)
+    monkeypatch.setattr(towers, "p_polynomial_at_exponent", lambda K, e: 1 / 0)
+    assert minimal_p_polynomial(K) is g
+    with pytest.raises(ZeroDivisionError):
+        minimal_p_polynomial(DerivedField(3, _w(3, (1, 0, 1))))
+
+
+def test_split_frozen_values():
+    # Over x d/dx at p = 2, z1 = t^2 + t: t^4 + t^2 = z1^2 and
+    # t^4 + t = z1^2 + z1.
+    one, zero = K2X.one(), K2X.zero()
+    assert z1_split(K2X, minimal_p_polynomial(K2X)) == (one, [one])
+    assert z1_split(K2X, PPolynomial(2, 2, (one, zero))) == (one, [one, zero])
+    assert z1_split(K2X, PPolynomial(2, 2, (zero, one))) == (one, [one, one])
+
+
+def test_split_refuses_g_that_is_not_h_of_z1(monkeypatch):
+    # t^4 + t^2 + t leaves the remainder t on division by z1 = t^2 + t
+    # under composition, so g(delta) = delta != 0.
+    one = K2X.one()
+    g = PPolynomial(2, 2, (one, one))
+    assert not g.annihilates(K2X)
+    with pytest.raises(GNotAnnihilating, match=r"^g = t\^4 \+ t\^2 \+ t does not annihilate the derivation$"):
+        z1_split(K2X, g)
+    # A coefficient outside F is refused before any derivation, even on a
+    # field that has not built its z1 yet.
+    K = DerivedField(3, _w(3, (0, 1)))
+    x = K.x()
+    monkeypatch.setattr(DerivedField, "delta", lambda K, a: 1 / 0)
+    with pytest.raises(GNotAnnihilating, match="outside F"):
+        z1_split(K, PPolynomial(3, 2, (x, -(K.one() + x))))
+
+
+_SPLIT_CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("p,e", _SPLIT_CASES, ids=["p%d-e%d" % c for c in _SPLIT_CASES])
+def test_split_matches_the_derivation_oracle(p, e):
+    # Twelve g with coefficients in F per weight: six built as h(z1) for a
+    # random monic h over F (the first h = s^q), three of those with one
+    # coefficient moved by a random element of F (possibly zero), and three
+    # drawn at random.  The split keeps g exactly when g(delta) kills x
+    # (PPolynomial.annihilates, p^e derivations), and reads h = s^q exactly
+    # when g is p_polynomial_at_exponent(K, e).
+    from diffext.frontend import derived_field
+
+    rng = random.Random("split:%d:%d" % (p, e))
+    kept = refused = 0
+    for weight in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x", "x^2"):
+        K = derived_field(p, weight)
+        a1 = minimal_p_polynomial(K).coeffs[0]
+        closed = p_polynomial_at_exponent(K, e)
+        in_f = lambda: random_ratfunc(K, rng, 1) ** p
+        gs = []
+        for i in range(9):
+            # hs = [h_(e-1), ..., h_0]; h_k z1^(p^k) puts h_k at t^(p^(k+1))
+            # and h_k a1^(p^k) at t^(p^k).  coeffs[k] is that of t^(p^k).
+            hs = [K.one()] + [in_f() if i % 6 else K.zero() for _ in range(e - 1)]
+            coeffs = [K.zero()] * (e + 1)
+            for k, h_k in zip(range(e - 1, -1, -1), hs):
+                coeffs[k + 1] = coeffs[k + 1] + h_k
+                coeffs[k] = coeffs[k] + h_k * a1 ** (p ** k)
+            assert coeffs[e] == K.one()
+            lower = coeffs[e - 1 :: -1]
+            if i >= 6:
+                j = rng.randrange(e)
+                lower[j] = lower[j] + in_f()
+            gs.append(PPolynomial(p, e, lower))
+        gs += [PPolynomial(p, e, [in_f() for _ in range(e)]) for _ in range(3)]
+        for g in gs:
+            try:
+                split = z1_split(K, g)
+            except GNotAnnihilating:
+                split = None
+            assert (split is not None) == g.annihilates(K), (weight, g)
+            if split is None:
+                refused += 1
+                continue
+            kept += 1
+            got_a1, hs = split
+            assert got_a1 == a1 and len(hs) == e and all(K.is_constant(h) for h in hs)
+            assert (not any(hs[1:])) == (g == closed), (weight, g)
+    assert kept >= 36 and refused
