@@ -40,8 +40,9 @@ degree <= 1 take short paths: division by a linear divisor is synthetic
 which decides the gcd with one Horner pass.  ``_exquo`` is the quotient
 by a monic divisor known to divide, with no inverse and no remainder
 when the divisor is constant or linear; every exact division in the
-fraction arithmetic goes through it.  Larger divisors take the
-general Euclid and long division.  Fraction sums and products are
+fraction arithmetic goes through it.  A larger divisor takes the long
+division of ``_remainder``, on packed ints like the products, and every
+Euclid step takes its remainder from there.  Fraction sums and products are
 Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
 when that is not 1, one more gcd of the new numerator with it; a product
 cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a final
@@ -190,7 +191,8 @@ class PrimeField:
 #
 # The slots hold the coefficients as they are, so the input contract is
 # strict here: every coefficient must already lie in range(p).  An entry in
-# [p, 255] overflows a slot silently.
+# [p, 255] overflows a slot silently.  Long division (_remainder), and with
+# it Euclid, packs its operands the same way, with a slot bound of its own.
 
 # p -> the 256-byte table that maps each byte to its residue mod p, and
 # (p, j) -> the one that maps b to b 256^j mod p, built on first use:
@@ -222,6 +224,8 @@ def _pack(a, w: int, p: int) -> int:
     A coefficient takes the bytes of p - 1: one below 256, two below 65537,
     and w must hold them.
     """
+    if w == 1:
+        return int.from_bytes(bytes(a), "little")
     buf = bytearray(w * len(a))
     if p < 256:
         buf[::w] = bytes(a)
@@ -335,35 +339,83 @@ def _synthetic(a, r, p: int):
 
 
 def _divmod(a, b, p: int):
-    """(quotient, remainder) of coefficient tuples for nonzero b."""
+    """(quotient, remainder) of coefficient tuples for nonzero b.
+
+    A constant divisor scales, a linear one takes the synthetic division,
+    and a larger one the packed long division of ``_remainder``.
+    """
     db = len(b) - 1
     if len(a) <= db:
         return (), tuple(a)
+    if db > 1:
+        q = [0] * (len(a) - db)
+        r = _remainder(a, b, p, q)
+        return tuple(q), tuple(r)
     inv = pow(b[-1], -1, p)
     if not db:
         return tuple([c * inv % p for c in a]), ()
-    if db == 1:
-        # b = b1 (x - r): the quotient by x - r scaled by 1/b1, and a(r).
-        q, c = _synthetic(a, -b[0] * inv % p, p)
-        if inv != 1:
-            q = [y * inv % p for y in q]
-        return tuple(q), (c,) if c else ()
-    rem = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k] * inv % p
+    # b = b1 (x - r): the quotient by x - r scaled by 1/b1, and a(r).
+    q, c = _synthetic(a, -b[0] * inv % p, p)
+    if inv != 1:
+        q = [y * inv % p for y in q]
+    return tuple(q), (c,) if c else ()
+
+
+def _remainder(a, b, p: int, q=None):
+    """a mod b by long division on packed ints, for len(a) >= len(b) >= 3.
+
+    a and b are sequences of ints in range(p) with no trailing zero, and so
+    is the result: bytes at one-byte slots, which Euclid packs again with
+    no conversion, and a tuple at wider ones.  When a list q of length
+    len(a) - len(b) + 1 is given, the quotient's entries go into it.  Both
+    operands are packed as in _mul:
+
+    * at p = 2 every slot holds 0 or 1, so a step is a ^= b x^k and the
+      next leading slot is read off a.bit_length(); nothing is reduced;
+    * at odd p a step adds (p - c) b x^k for the quotient entry c, which
+      leaves the leading slot at a multiple of p.  A slot holds its
+      coefficient plus at most (p-1)^2 from each step that reaches it, and
+      at most min(steps, len(b)) steps do, so the slot width is the fewest
+      bytes that hold (p-1)(1 + min(steps, len(b)) (p-1)), as _mul picks
+      it from the operand length.  Only the remainder's slots are reduced,
+      once, at the end: by one bytes.translate at one byte, and by
+      _unpacked when wider.
+    """
+    db = len(b) - 1
+    steps = len(a) - db
+    if p == 2:
+        rem, div = _pack(a, 1, 2), _pack(b, 1, 2)
+        k = steps - 1
+        while k >= 0:
+            if q is not None:
+                q[k] = 1
+            rem ^= div << 8 * k
+            k = ((rem.bit_length() - 1) >> 3) - db
+        return rem.to_bytes(db, "little").rstrip(b"\0")
+    top = (p - 1) * (1 + (p - 1) * (steps if steps <= db else db + 1))
+    w = (top.bit_length() + 7) // 8
+    rem, div = _pack(a, w, p), _pack(b, w, p)
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    shift, lead = bits * steps, bits * (len(a) - 1)
+    for k in range(steps - 1, -1, -1):
+        shift -= bits
+        c = (rem >> lead & mask) * inv % p
+        lead -= bits
         if c:
-            q[k - db] = c
-            lo = k - db
-            rem[lo:k] = [r - c * y for r, y in zip(rem[lo:k], b)]
-    return tuple(q), _trim([r % p for r in rem[:db]])
+            if q is not None:
+                q[k] = c
+            rem += (p - c) * div << shift
+    if w == 1:
+        return rem.to_bytes(len(a), "little")[:db].translate(_residues(p)).rstrip(b"\0")
+    return _unpacked(rem & (1 << bits * db) - 1, w, p)
 
 
 def _exquo(a, b, p: int) -> tuple:
     """a / b for a monic b that divides a exactly: the quotient alone.
 
     A constant b is 1 and a linear b is x - r, so neither needs an inverse
-    or a remainder; a larger b takes the general long division.
+    or a remainder; a larger b takes the packed long division.
     """
     db = len(b) - 1
     if not db:
@@ -410,30 +462,17 @@ def _pow(a, n: int, p: int) -> tuple:
 
 
 def _gcd(a, b, p: int) -> tuple:
-    """Monic gcd of coefficient tuples by Euclid on lists; () for two zeros.
+    """Monic gcd of coefficient tuples by Euclid; () for two zeros.
 
-    Each step makes the divisor monic with one inverse, so the remainder
-    loop needs no inverse and no product with one.  Euclid stops at a
-    divisor of degree <= 1: a constant divisor makes the gcd 1, and a
-    linear one b1 (x - r) makes it x - r when a(r) = 0 and 1 otherwise,
-    which one Horner pass decides.
+    Each remainder comes from the packed long division, ``_remainder``.
+    Euclid stops at a divisor of degree <= 1: a constant divisor makes the
+    gcd 1, and a linear one b1 (x - r) makes it x - r when a(r) = 0 and 1
+    otherwise, which one Horner pass decides.
     """
     if len(a) < len(b):
         a, b = b, a
-    a, b = list(a), list(b)
     while len(b) > 2:
-        if b[-1] != 1:
-            inv = pow(b[-1], -1, p)
-            b = [c * inv % p for c in b]
-        db = len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            c = a[k] % p
-            if c:
-                lo = k - db
-                a[lo:k] = [r - c * y for r, y in zip(a[lo:k], b)]
-        a, b = b, [r % p for r in a[:db]]
-        while b and not b[-1]:
-            b.pop()
+        a, b = b, _remainder(a, b, p)
     if b:
         if len(b) == 1:
             return (1,)

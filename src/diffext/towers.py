@@ -17,7 +17,8 @@ with g(delta) = 0 as an F-linear operator on K.  This is Hochschild's
 formula (w d/dx)^p = delta^(p-1)(w) d/dx (Trans. AMS 79, 1955), and it
 costs p - 1 derivations; ``p_polynomial_at_exponent`` gives the exponent-e
 polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) the same way.  Each field
-remembers its minimal p-polynomial, so a is derived once per field.
+remembers a, so it is derived once per field, and its minimal
+p-polynomial, which is re-checked at x once.
 
 ``z1_split`` writes a p-polynomial g over F as h(z1), z1 = t^p - a t, for
 a p-polynomial h over F, or refuses it with GNotAnnihilating.  It is the
@@ -82,7 +83,7 @@ _DELTA_MEMO_ENTRIES = 2 ** 14
 class DerivedField(RationalFunctionField):
     """F_p(x) with the derivation a |-> delta_of_x * da/dx."""
 
-    __slots__ = ("delta_of_x", "_delta_memo", "_minimal")
+    __slots__ = ("delta_of_x", "_delta_memo", "_a", "_minimal")
 
     def __init__(self, p: int, delta_of_x: RatFunc):
         super().__init__(p)
@@ -96,6 +97,7 @@ class DerivedField(RationalFunctionField):
         self.delta_of_x = _ratfunc(self.field, delta_of_x.num_coeffs, delta_of_x.den_coeffs)
         # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
         self._delta_memo = {}
+        self._a = None  # see _hochschild_constant
         self._minimal = None  # see minimal_p_polynomial
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
@@ -377,16 +379,29 @@ def p_polynomial_at_exponent(K: DerivedField, e: int) -> PPolynomial:
         if K.delta(K.x()):
             raise NoSolution("exponent 0 forces g = t, and the derivation is nonzero")
         raise InternalInvariantViolation("zero derivation escaped the constructor")
-    w = d = K.delta_of_x
-    for _ in range(K.p - 1):
-        d = K.delta(d)
-    a = d / w
-    if not K.is_constant(a):
-        raise InternalInvariantViolation("delta^(p-1)(w)/w is not constant: %s" % a)
+    a = _hochschild_constant(K)
     g = PPolynomial(K.p, e, (-(a ** (K.p ** (e - 1))),) + (K.zero(),) * (e - 1))
     if not g.annihilates(K):
         raise InternalInvariantViolation("the closed-form p-polynomial fails at x")
     return g
+
+
+def _hochschild_constant(K: DerivedField) -> RatFunc:
+    """a = delta^(p-1)(w)/w for w = delta(x), remembered per field.
+
+    p - 1 derivations the first time; the closed forms and the split read
+    it, and only p_polynomial_at_exponent re-checks the polynomial it
+    gives.
+    """
+    if K._a is None:
+        w = d = K.delta_of_x
+        for _ in range(K.p - 1):
+            d = K.delta(d)
+        a = d / w
+        if not K.is_constant(a):
+            raise InternalInvariantViolation("delta^(p-1)(w)/w is not constant: %s" % a)
+        K._a = a
+    return K._a
 
 
 def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
@@ -394,8 +409,7 @@ def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
 
     Exponent 0 would need delta = 0, which the field refuses, so the
     exponent-one polynomial of ``p_polynomial_at_exponent`` is minimal.
-    It is remembered per field: loading an instance and splitting its g
-    (z1_split) both read it.
+    It is remembered per field, so a field re-checks it at x once.
     """
     if K._minimal is None:
         K._minimal = p_polynomial_at_exponent(K, 1)
@@ -418,7 +432,8 @@ def z1_split(K: DerivedField, g: PPolynomial):
     and c = g_0 - h_0 a1.  delta commutes with F, so t |-> delta is a ring
     map on F[t], and g(delta) = h(z1(delta)) + c delta = c delta.  So the
     test c = 0 is exactly g(delta) = 0, read with e - 1 products and no
-    derivation past those of the minimal p-polynomial.
+    derivation past the p - 1 that give a (``_hochschild_constant``): a
+    declared g builds no minimal p-polynomial.
 
     Raises GNotAnnihilating when c != 0, and, before any work, when a
     coefficient of g is not in F: then g(t) is not central in K[t; delta]
@@ -427,7 +442,7 @@ def z1_split(K: DerivedField, g: PPolynomial):
     """
     if not all(K.is_constant(c) for c in g.coeffs):
         raise GNotAnnihilating("g = %s has a coefficient outside F = F_p(x^p)" % g)
-    a1 = minimal_p_polynomial(K).coeffs[0]
+    a1 = -_hochschild_constant(K)
     hs = [K.one()]
     for j, g_k in enumerate(g.coeffs[:-1]):
         hs.append(g_k - hs[-1] * a1 ** (K.p ** (g.e - 1 - j)))

@@ -811,3 +811,143 @@ def test_ratfunc_value_contract_across_construction_routes(p):
                 assert hash(u) == hash(v)
     # Equal coefficient tuples over different fields are different values.
     assert RatFunc.x(F) != RatFunc.x(PrimeField(7))
+
+
+# -- long division and Euclid on packed ints against the textbook routes
+#
+# Divisors of degree >= 2 run on packed ints: at p = 2 every slot is one
+# byte holding 0 or 1, and at odd p the slot width grows with the number of
+# division steps that can reach one slot, min(len(a) - len(b) + 1, len(b)).
+# The cases sit on both sides of every change of width, with the largest
+# slot sums (a divisor of all p - 1 and a quotient of all ones), and at
+# p = 2 with degrees past 300 so that the leading slot is read off many
+# bytes.
+
+_DIVISION_PRIMES = [2, 3, 5, 7, 11, 13, 251, 257, 65521]
+
+
+def _step_switches(p, cap):
+    """Numbers of steps per slot m <= cap on both sides of each width change."""
+    out = {1, 2, 3}
+    if p > 2:
+        for bits in (8, 16, 24, 32, 40, 48):
+            # The most steps whose slot sums (p-1)(1 + m (p-1)) fit in bits.
+            m = (((1 << bits) - 1) // (p - 1) - 1) // (p - 1)
+            out.update((m, m + 1))
+    return sorted(m for m in out if 1 <= m <= cap)
+
+
+def _random_of_length(rng, p, n, monic=False):
+    top = 1 if monic else rng.randrange(1, p)
+    return tuple(rng.randrange(p) for _ in range(n - 1)) + (top,)
+
+
+def _check_division(a, b, p):
+    F = PrimeField(p)
+    A, B = DensePoly(F, a), DensePoly(F, b)
+    want_q, want_r = _textbook_divmod(A, B)
+    q, r = scalars._divmod(a, b, p)
+    assert type(q) is tuple and type(r) is tuple
+    assert (q, r) == (want_q.coeffs, want_r.coeffs)
+    assert scalars._gcd(a, b, p) == scalars._gcd(b, a, p) == _textbook_gcd(A, B).coeffs
+    if not r and B.is_monic():
+        assert scalars._exquo(a, b, p) == q
+
+
+@pytest.mark.parametrize("p", _DIVISION_PRIMES)
+def test_packed_division_matches_textbook_at_every_width(p):
+    rng = random.Random(3300 + p)
+    for m in _step_switches(p, 300):
+        # m steps of a long divisor, and m slots of a short one past m steps.
+        for steps, nb in ((m, m + 2), (m + 3, max(m, 3))):
+            for full in (False, True):
+                if full:
+                    b = (p - 1,) * nb
+                    q = (1,) * steps
+                else:
+                    b = _random_of_length(rng, p, nb)
+                    q = _random_of_length(rng, p, steps)
+                r = tuple(rng.randrange(p) for _ in range(nb - 1))
+                a = scalars._add(_loop_mul(q, b, p), r, p)
+                _check_division(a, b, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_packed_division_at_three_byte_slots(p):
+    # Past 300 steps per slot the textbook route is too slow.  A dividend
+    # q b + r with deg r < deg b fixes the quotient q and the remainder r,
+    # so the construction is the oracle for the switch to three bytes.
+    rng = random.Random(3350 + p)
+    for m in _step_switches(p, 20000):
+        if m <= 300:
+            continue
+        for full in (False, True):
+            b = (p - 1,) * (m + 2) if full else _random_of_length(rng, p, m + 2)
+            q = (1,) * m if full else _random_of_length(rng, p, m)
+            r = scalars._trim([rng.randrange(p) for _ in range(m + 1)])
+            a = scalars._add(scalars._mul(q, b, p), r, p)
+            assert scalars._divmod(a, b, p) == (q, r), (m, full)
+
+
+@pytest.mark.parametrize("p", _DIVISION_PRIMES)
+def test_packed_division_edge_operands(p):
+    F = PrimeField(p)
+    rng = random.Random(3400 + p)
+    for _ in range(40):
+        b = _random_of_length(rng, p, rng.randrange(3, 9))
+        m = _random_of_length(rng, p, rng.randrange(3, 9), monic=True)
+        q = _random_of_length(rng, p, rng.randrange(1, 12))
+        # Non-monic divisors, exact quotients, and dividends shorter than,
+        # as long as, and longer than the divisor.
+        for a in (q, b, _loop_mul(q, b, p), _loop_mul(q, m, p), scalars._add(b, q, p)):
+            for d in (b, m):
+                _check_division(a, d, p)
+        assert scalars._exquo(_loop_mul(q, m, p), m, p) == q
+        # Zero and constant operands against the packed divisors.
+        for a in ((), (rng.randrange(1, p),)):
+            for d in (b, m):
+                _check_division(a, d, p)
+                assert scalars._gcd(d, a, p) == _textbook_gcd(DensePoly(F, d), DensePoly(F, a)).coeffs
+        # A shared factor comes back whole from Euclid.
+        s = _random_of_length(rng, p, rng.randrange(3, 6), monic=True)
+        x, y = _loop_mul(q, s, p), _loop_mul(b, s, p)
+        want = _textbook_gcd(DensePoly(F, x), DensePoly(F, y)).coeffs
+        assert scalars._gcd(x, y, p) == want and len(want) >= len(s)
+    assert scalars._gcd((), (), p) == ()
+
+
+def test_packed_division_past_300_at_p_2():
+    rng = random.Random(3500)
+    for na, nb in ((301, 3), (420, 150), (640, 317), (1000, 999), (333, 40)):
+        a, b = _random_of_length(rng, 2, na), _random_of_length(rng, 2, nb)
+        _check_division(a, b, 2)
+        s = _random_of_length(rng, 2, 97)
+        _check_division(_loop_mul(a, s, 2), _loop_mul(b, s, 2), 2)
+        _check_division(_loop_mul(a, b, 2), b, 2)
+
+
+def _kernel_digest_outputs():
+    """Every kernel output on a seeded set, in a fixed order."""
+    out = []
+    for p in _DIVISION_PRIMES:
+        rng = random.Random(3600 + p)
+        for _ in range(60):
+            n = rng.randrange(1, 500 if p == 2 else 40)
+            a = _random_of_length(rng, p, n)
+            b = _random_of_length(rng, p, rng.randrange(1, n + 2))
+            m = _random_of_length(rng, p, rng.randrange(1, 12), monic=True)
+            s = _random_of_length(rng, p, rng.randrange(1, 6), monic=True)
+            out.append(scalars._divmod(a, b, p))
+            out.append(scalars._divmod(b, a, p))
+            out.append(scalars._gcd(a, b, p))
+            out.append(scalars._gcd(_loop_mul(a, s, p), _loop_mul(b, s, p), p))
+            out.append(scalars._exquo(_loop_mul(a, m, p), m, p))
+    return out
+
+
+def test_division_kernels_match_pinned_digest():
+    # The digest of the list kernels' outputs that the packed ones replaced.
+    import hashlib
+
+    digest = hashlib.sha256(repr(_kernel_digest_outputs()).encode()).hexdigest()
+    assert digest == "503db0c57b29b7eef459726df689ed4be86109eb323e5611f45b8bd5836b5a9a"

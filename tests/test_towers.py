@@ -307,6 +307,24 @@ def test_minimal_p_polynomial_builds_only_needed_levels(monkeypatch, p):
     assert len(calls) == 2 * p - 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_split_of_a_declared_g_derives_only_a(monkeypatch, p):
+    # z1_split needs a = delta^(p-1)(w)/w alone: p - 1 derivations on a
+    # fresh field, no re-check at x and no minimal p-polynomial; a second
+    # split, and the minimal p-polynomial after it, reuse that a.
+    K = DerivedField(p, _w(p, (0, 1)))
+    calls = []
+    honest = DerivedField.delta
+    monkeypatch.setattr(DerivedField, "delta", lambda K, a: calls.append(a) or honest(K, a))
+    g = p_polynomial_at_exponent(DerivedField(p, _w(p, (0, 1))), 2)
+    del calls[:]
+    assert z1_split(K, g) == z1_split(K, g)
+    assert len(calls) == p - 1
+    assert K._minimal is None
+    minimal_p_polynomial(K)
+    assert len(calls) == 2 * p - 1
+
+
 def test_minimal_p_polynomial_annihilates_on_samples():
     rng = random.Random(13)
     for K in (K2X, K2D, K3X):
