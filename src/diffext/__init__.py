@@ -63,7 +63,7 @@ from .frontend import (
     run_suite,
 )
 from .linalg import Matrix
-from .parsing import parse_diffpoly, parse_expr, parse_field_element
+from .parsing import parse_diffpoly, parse_field_element
 from .scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField
 from .towers import (
     DerivedField,
@@ -122,7 +122,6 @@ __all__ = [
     "p_polynomial_at_exponent",
     "p_poly_as_diffpoly",
     "parse_diffpoly",
-    "parse_expr",
     "parse_field_element",
     "run_suite",
     "shift_isomorphism",

@@ -28,7 +28,8 @@ these theorems with their proofs and computes nothing.
 Inner automorphisms by an invertible nuclear element a come out in the same
 normal form: conjugation by a equals the descriptor (i_a, a^(-1) delta(a), 1),
 which collapses to (id, a^(-1) delta(a), 1) when a is central, as every a
-over a commutative base is.
+over a commutative base is.  A coefficient a is nuclear exactly when
+a d = d a, by the identity (f a) mod f = a d - d a in ExtAlgebra.nucleus.
 inner_auto re-checks that normal form against literal conjugation on the
 basis; a disagreement is an arithmetic fault, InternalInvariantViolation.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dext import AlgebraElement, ExtAlgebra
-from .diffpoly import DiffPoly, _substitute_powers, _substitution_powers, v_g
+from .diffpoly import _substitute_powers, _substitution_powers, v_g
 from .errors import (
     ConditionFailed,
     InternalInvariantViolation,
@@ -246,7 +247,8 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
     A coefficient a is always left and middle nuclear, because f is monic of
     degree m: for u, v of degree below m the products a u and u a need no
     reduction, and a r = (a u v) mod f when u v = q f + r.  So a is nuclear
-    exactly when it is right nuclear, that is when (f a) mod f = 0.
+    exactly when it is right nuclear, that is when a d = d a, by the
+    identity (f a) mod f = a d - d a in ExtAlgebra.nucleus.
     """
     ring = algebra.ring
     if isinstance(a, AlgebraElement):
@@ -264,7 +266,7 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
     if not a:
         raise NotInvertible("zero is not invertible")
     a_inv = ring.invert(a)  # both coefficient rings are division rings
-    if (algebra.f * DiffPoly.constant(ring, a)).mod_right(algebra.f):
+    if a * algebra.d != algebra.d * a:
         raise NotNuclear("%s fails an associator test" % (a,))
 
     c = a_inv * ring.delta(a)

@@ -80,8 +80,8 @@ from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_columns_mod_p
 from .scalars import (
-    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _poly, _residues, _shifted_sums,
-    _unpacked,
+    DensePoly, RatFunc, _add, _derivative, _exquo, _frobenius, _mul, _pack, _poly, _pow, _residues,
+    _shifted_sums, _unpacked,
 )
 from .towers import PPolynomial, z1_split
 
@@ -653,11 +653,12 @@ class ExtAlgebra:
                 "dext.MAX_PROBE_WORK = %d"
                 % (samples, self.dim, samples * self.dim ** 3, MAX_PROBE_WORK)
             )
+        basis = self.basis()
         for _ in range(samples):
             a = self.random_element(rng, 2)
             if not a:
                 continue
-            cols = [self.coords(a * e) for e in self.basis()]
+            cols = [self.coords(a * e) for e in basis]
             m = Matrix(self.base_field, [
                 tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim)
             ])
@@ -797,9 +798,7 @@ def _vg_columns(K, split, d, degree):
     p, e, q = K.p, len(hs), K.p ** (len(hs) - 1)
     W, S = K.delta_of_x.num_coeffs, K.delta_of_x.den_coeffs
     dS = _derivative(S, p)
-    s_top = (1,)  # S^(2 (p-1)), cleared by the p-step
-    for _ in range(2 * (p - 1)):
-        s_top = _mul(s_top, S, p)
+    s_top = _pow(S, 2 * (p - 1), p)  # cleared by the p-step
     h_den = (1,)  # T
     for h_k in hs:
         h_den = _mul(h_den, h_k.den_coeffs, p)

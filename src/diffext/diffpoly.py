@@ -229,9 +229,6 @@ class DiffPoly:
     def mod_right(self, f):
         return self.right_divmod(f)[1]
 
-    def map_coeffs(self, fn):
-        return DiffPoly(self.ring, tuple(fn(c) for c in self.coeffs))
-
     def __str__(self):
         if not self.coeffs:
             return "0"

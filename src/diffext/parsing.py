@@ -28,7 +28,7 @@ from .errors import ExprSyntaxError, TInDenominator
 from .scalars import RatFunc, RationalFunctionField
 from .towers import DerivedField
 
-__all__ = ["parse_expr", "parse_field_element", "parse_diffpoly"]
+__all__ = ["parse_field_element", "parse_diffpoly"]
 
 
 _OPS = set("+-*/^()")
@@ -165,7 +165,8 @@ class _Parser:
         if not rhs:
             raise _ZeroDivisorError("division by zero in expression", at)
         inv = rhs.inverse()
-        return v.map_coeffs(lambda c: c * inv) if self.poly else v * inv
+        # K is commutative: v / c is c^(-1) v.
+        return v.scale_left(inv) if self.poly else v * inv
 
     def unary(self):
         if self.peek() == "-":
@@ -209,16 +210,9 @@ class _Parser:
         return DiffPoly.constant(self.K, c) if self.poly else c
 
 
-def parse_expr(s: str, K: DerivedField, mode: str = "field"):
-    """Parse s over K; mode is "field" (RatFunc) or "poly" (DiffPoly)."""
-    if mode not in ("field", "poly"):
-        raise ValueError("mode must be 'field' or 'poly'")
-    return _Parser(_tokenize(s), K, poly=(mode == "poly")).parse()
-
-
 def parse_field_element(s: str, K: RationalFunctionField) -> RatFunc:
-    return parse_expr(s, K, "field")
+    return _Parser(_tokenize(s), K, poly=False).parse()
 
 
 def parse_diffpoly(s: str, K: DerivedField) -> DiffPoly:
-    return parse_expr(s, K, "poly")
+    return _Parser(_tokenize(s), K, poly=True).parse()

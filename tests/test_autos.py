@@ -318,6 +318,45 @@ def test_inner_auto_over_quaternions_needs_right_nuclear_a():
     assert Q.as_scalar(G.c) is None
 
 
+def test_inner_auto_nuclearity_is_commuting_with_d():
+    # For a coefficient a, (f a) mod f = a d - d a (ExtAlgebra.nucleus), so
+    # inner_auto's test a d != d a is the right-nuclearity test.  The
+    # product-and-divide route is the oracle, over K at p = 2, 3, 5 and over
+    # the quaternion ring with d central, pure and random.
+    rng = random.Random(4700)
+    cases = []
+    for p in (2, 3, 5):
+        K = DerivedField(p, RatFunc(DensePoly(PrimeField(p), (0, 1)), DensePoly.one(PrimeField(p))))
+        for _ in range(2):
+            alg = ExtAlgebra(K, minimal_p_polynomial(K), random_ratfunc(K, rng, 2))
+            cases.append((alg, [random_ratfunc(K, rng, 2, nonzero=True) for _ in range(3)]))
+    Q = _quaternion_algebra().ring
+    K3 = Q.base
+    x, zero = K3.x(), K3.zero()
+    for d in (Q.embed(x), Q.of(zero, x, zero, zero), Q.random_element(rng, 1)):
+        alg = ExtAlgebra(Q, minimal_p_polynomial(K3), d)
+        # u + v d commutes with d; a random quaternion does not.
+        u, v = (Q.embed(random_ratfunc(K3, rng, 1, nonzero=True)) for _ in range(2))
+        cases.append((alg, [Q.random_element(rng, 1), Q.random_element(rng, 1), u + v * d]))
+    verdicts = set()
+    for alg, coefficients in cases:
+        ring, f = alg.ring, alg.f
+        for a in coefficients:
+            if not a:
+                continue
+            commutator = a * alg.d - alg.d * a
+            assert (f * DiffPoly.constant(ring, a)).mod_right(f) == DiffPoly.constant(
+                ring, commutator
+            )
+            if commutator:
+                with pytest.raises(NotNuclear):
+                    inner_auto(alg, a)
+            else:
+                assert inner_auto(alg, a).c == ring.invert(a) * ring.delta(a)
+            verdicts.add(bool(commutator))
+    assert verdicts == {False, True}
+
+
 def test_inner_auto_by_scalar_quaternion_fixes_coefficients():
     # A scalar a = embed(c) is central: conjugation fixes every coefficient,
     # so tau is named "id"; the basis cross-check inside inner_auto agrees.

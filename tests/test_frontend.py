@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
 import diffext
-from diffext import autos, frontend
+from diffext import autos, diffpoly, frontend
 from diffext.cli import main
 from diffext.errors import (
     ConfigError,
@@ -214,6 +215,68 @@ def test_inner_suite_reports_conjugation_mismatch_as_fail(monkeypatch, capsys):
     assert main(["verify", str(CONFIGS / "i1.cfg"), "--suite", "inner"]) == 1
     out = capsys.readouterr()
     assert "FAIL  inner.inner_subgroup" in out.out and "Traceback" not in out.err
+
+
+def test_suite_checks_fail_under_python_optimize():
+    # python -O strips assert statements; the checks raise
+    # InternalInvariantViolation instead, so a broken right division still
+    # reads fail.  The child adds 1 to every remainder.
+    code = textwrap.dedent(
+        """
+        import sys
+        from diffext.diffpoly import DiffPoly
+        from diffext.frontend import load_instance, run_suite
+
+        inst = load_instance(sys.argv[1])
+        divmod_ = DiffPoly.right_divmod
+
+        def off_by_one(u, v):
+            q, r = divmod_(u, v)
+            return q, r + DiffPoly.constant(u.ring, u.ring.one())
+
+        DiffPoly.right_divmod = off_by_one
+        verdicts = {c.name: c.verdict for c in run_suite(inst, "ring").checks}
+        print(sys.flags.optimize, verdicts["ring.right_division"])
+        """
+    )
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code, str(CONFIGS / "i1.cfg")],
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=120,
+        )
+        assert proc.stdout.split() == [str(len(flags)), "fail"], proc.stderr
+
+
+def test_closed_form_check_fails_on_a_p_step_without_its_derivations(monkeypatch):
+    # vops.closed_form rests on v_p_tower's comparison of the expanded
+    # (t - b)^p with the p-step b^p + delta^(p-1)(b): a step that drops the
+    # derivation term fails it.
+    monkeypatch.setattr(diffpoly, "_p_step", lambda ring, c, level: c ** ring.p)
+    for cfg in ("i1", "i3"):
+        report = run_suite(frontend.load_instance(CONFIGS / (cfg + ".cfg")), "vops")
+        check = {c.name: c for c in report.checks}["vops.closed_form"]
+        assert (check.verdict, check.witness) == (
+            "fail",
+            {"error": "tower iteration disagrees with expansion"},
+        ), cfg
+
+
+def test_inner_suite_decides_g_of_delta_once(monkeypatch, capsys):
+    # The load checks g(delta) = 0 at x once (the minimal p-polynomial);
+    # inner.constant reads that fact instead of deciding it again.
+    calls = []
+    annihilates = PPolynomial.annihilates
+
+    def counted(g, K):
+        calls.append(g)
+        return annihilates(g, K)
+
+    monkeypatch.setattr(PPolynomial, "annihilates", counted)
+    for cfg in ("i1", "i3"):
+        calls.clear()
+        assert main(["verify", str(CONFIGS / (cfg + ".cfg")), "--suite", "inner"]) == 0
+        assert len(calls) == 1, cfg
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_report_deterministic_modulo_ms():
@@ -481,14 +544,13 @@ def test_cli_integers_take_only_ascii_digits(tmp_path, args, config, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_inner_constant_check_samples_g_of_delta(monkeypatch):
-    # The constructor refuses a g with g(delta) != 0, and find_inner_constant
-    # reads the same fact.  The check also compares g(delta)(b) with
-    # d0 b - b d0 on sampled b, so a g that slipped past both still fails it.
+def test_inner_constant_check_samples_g_of_delta():
+    # The constructor refuses a g with g(delta) != 0, so the check reads
+    # d0 = 0 from the accepted split.  It also compares g(delta)(b) with
+    # d0 b - b d0 on sampled b, so a g that slipped past the split fails it.
     inst = instance_from_text(I1_TEXT)
     K = inst.K
     inst.g = PPolynomial(2, 1, (K.zero(),))  # t^2: delta^2 = delta for x d/dx
-    monkeypatch.setattr(frontend, "find_inner_constant", lambda ring, g: ring.zero())
     check = run_suite(inst, "inner").checks[0]
     assert (check.name, check.verdict) == ("inner.constant", "fail")
     assert check.witness["error"].startswith("g(delta)(")

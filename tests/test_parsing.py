@@ -12,7 +12,6 @@ from diffext.parsing import (
     MAX_POWER_DEGREE,
     decimal_int,
     parse_diffpoly,
-    parse_expr,
     parse_field_element,
 )
 from diffext.scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField, random_ratfunc
@@ -123,11 +122,6 @@ def test_power_degree_ceiling():
     assert parse_field_element("2^99999999999", K3X) == K3X.from_int(2)
     assert parse_field_element("3^99999999999", K3X) == K3X.zero()
     assert parse_field_element("(x - x)^99999999999", K3X) == K3X.zero()
-
-
-def test_parse_mode_validation():
-    with pytest.raises(ValueError):
-        parse_expr("x", K2X, mode="weird")
 
 
 def test_field_print_parse_roundtrip():
