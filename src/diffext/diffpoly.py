@@ -200,7 +200,8 @@ class DiffPoly:
         scaling of one rung of the ladder f, t f, ..., t^K f with K = deg
         self - deg f.  The ladder costs K t-steps, built once; every rung
         has the leading coefficient of f, so the top coefficient cancels
-        exactly and only the lower ones are subtracted.
+        exactly and only the lower ones are subtracted: as sums of -c times
+        the rung's coefficients, with -c formed once per quotient term.
         """
         if not f:
             raise ZeroDivisionError("right division by the zero polynomial")
@@ -217,10 +218,11 @@ class DiffPoly:
         for k in range(len(ladder) - 1, -1, -1):
             if not r[k + df]:
                 continue
-            c = q[k] = r[k + df] * inv_lc
+            q[k] = r[k + df] * inv_lc
+            c = -q[k]
             for j, fj in enumerate(ladder[k].coeffs[:-1]):
                 if fj:
-                    r[j] = r[j] - c * fj
+                    r[j] = r[j] + c * fj
         return DiffPoly(ring, q), DiffPoly(ring, r[:df])
 
     def __divmod__(self, other):

@@ -42,11 +42,12 @@ by a monic divisor known to divide, with no inverse and no remainder
 when the divisor is constant or linear; every exact division in the
 fraction arithmetic goes through it.  A larger divisor takes the long
 division of ``_remainder``, on packed ints like the products, and every
-Euclid step takes its remainder from there.  Fraction sums and products are
-Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a sum takes gcd(b, d) and, only
-when that is not 1, one more gcd of the new numerator with it; a product
-cancels the cross gcds gcd(a, d) and gcd(c, b), and neither needs a final
-gcd.
+Euclid step takes its remainder from there; ``_exquo`` cuts both operands
+to the entries that decide the quotient and runs only the quotient loop.
+Fraction sums and products are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a
+sum takes gcd(b, d) and, only when that is not 1, one more gcd of the new
+numerator with it; a product cancels the cross gcds gcd(a, d) and
+gcd(c, b), and neither needs a final gcd.
 
 Each ``PrimeField`` remembers the sums and the products of nonzero
 fractions on it, in two memos keyed by the operands' four coefficient
@@ -56,11 +57,16 @@ value is the result's (numerator, denominator) tuple pair, never a
 field's memo would make every field cyclic garbage.  A repeat costs one
 lookup and one ``_ratfunc`` wrap.  Differences and quotients, and every
 layer above that adds or multiplies fractions, reach the memos through
-the two operators.  A memo is emptied when it holds
-``_FRACTION_MEMO_ENTRIES`` pairs.  A miss runs Henrici's code
-(``_henrici_sum``, ``_henrici_product``), and every gcd it takes still
-goes through ``poly_gcd``, the tuples wrapped in ``DensePoly`` views for
-it.
+the two operators; a difference looks up a/b + (-c)/d without building
+-c/d.  A miss runs Henrici's code (``_henrici_sum``,
+``_henrici_product``), which meets the same few denominators again and
+again with new numerators, so a third memo on the field remembers each
+cancellation: ``_cancel`` maps an ordered pair (u, v) to (g, u/g, v/g),
+g the monic gcd, again as tuples.  Every gcd taken only to be divided
+out, here, in the ``RatFunc`` constructor and in ``towers`` (the
+quotient rule and the coordinates over the constants), is read from it;
+``poly_gcd``, on ``DensePoly`` views of the tuples, runs only on a miss.
+Each memo is emptied when it holds ``_FRACTION_MEMO_ENTRIES`` entries.
 
 Polynomial powers read n in base p (``_pow``).  Over F_p, (a^d)^(p^k)
 is the ``_frobenius`` spread of a^d by p^k, so a^n is the product over
@@ -111,7 +117,7 @@ def _power(base, n: int, one, mul=operator.mul):
         base = mul(base, base)
 
 
-# Most operand pairs a PrimeField remembers in each fraction memo before it
+# Most entries a PrimeField remembers in each fraction memo before it
 # empties it.  Not an option: it caps the memos' memory.  The measured hit
 # rates and sizes are in the README's design notes.
 _FRACTION_MEMO_ENTRIES = 2 ** 11
@@ -135,7 +141,7 @@ class PrimeField:
 
     MAX_MODULUS = 1 << 16
 
-    __slots__ = ("p", "_add_memo", "_mul_memo")
+    __slots__ = ("p", "_add_memo", "_mul_memo", "_cancel_memo")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2 or p > self.MAX_MODULUS:
@@ -143,10 +149,12 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
-        # (a, b, c, d) -> (num, den) of a/b + c/d and of (a/b)(c/d), all
-        # coefficient tuples; see RatFunc.__add__ and __mul__.
+        # (a, b, c, d) -> (num, den) of a/b + c/d and of (a/b)(c/d), and
+        # (u, v) -> (g, u/g, v/g) for g = gcd(u, v), all coefficient tuples;
+        # see RatFunc.__add__ and __mul__, and _cancel.
         self._add_memo = {}
         self._mul_memo = {}
+        self._cancel_memo = {}
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -361,14 +369,16 @@ def _divmod(a, b, p: int):
     return tuple(q), (c,) if c else ()
 
 
-def _remainder(a, b, p: int, q=None):
+def _remainder(a, b, p: int, q=None, exact=False):
     """a mod b by long division on packed ints, for len(a) >= len(b) >= 3.
 
     a and b are sequences of ints in range(p) with no trailing zero, and so
     is the result: bytes at one-byte slots, which Euclid packs again with
     no conversion, and a tuple at wider ones.  When a list q of length
-    len(a) - len(b) + 1 is given, the quotient's entries go into it.  Both
-    operands are packed as in _mul:
+    len(a) - len(b) + 1 is given, the quotient's entries go into it; when
+    ``exact`` is set as well, the caller wants q alone, and the remainder's
+    slots are never read out (None is returned).  Both operands are packed
+    as in _mul:
 
     * at p = 2 every slot holds 0 or 1, so a step is a ^= b x^k and the
       next leading slot is read off a.bit_length(); nothing is reduced;
@@ -391,6 +401,8 @@ def _remainder(a, b, p: int, q=None):
                 q[k] = 1
             rem ^= div << 8 * k
             k = ((rem.bit_length() - 1) >> 3) - db
+        if exact:
+            return None
         return rem.to_bytes(db, "little").rstrip(b"\0")
     top = (p - 1) * (1 + (p - 1) * (steps if steps <= db else db + 1))
     w = (top.bit_length() + 7) // 8
@@ -406,6 +418,8 @@ def _remainder(a, b, p: int, q=None):
             if q is not None:
                 q[k] = c
             rem += (p - c) * div << shift
+    if exact:
+        return None
     if w == 1:
         return rem.to_bytes(len(a), "little")[:db].translate(_residues(p)).rstrip(b"\0")
     return _unpacked(rem & (1 << bits * db) - 1, w, p)
@@ -414,15 +428,28 @@ def _remainder(a, b, p: int, q=None):
 def _exquo(a, b, p: int) -> tuple:
     """a / b for a monic b that divides a exactly: the quotient alone.
 
-    A constant b is 1 and a linear b is x - r, so neither needs an inverse
-    or a remainder; a larger b takes the packed long division.
+    Step k of the long division reads slot k + deg b and adds multiples of
+    b x^k, so with s = len(a) - deg b steps only the top s entries of a and
+    of b reach a slot that is read: both are cut to those first, which
+    leaves a divisor of degree s - 1.  A constant b is then 1 and a linear
+    b is x - r, so neither needs an inverse or a remainder; a larger b runs
+    the quotient loop of the packed long division, and no remainder is
+    formed.
     """
     db = len(b) - 1
+    steps = len(a) - db
+    if steps <= 0:
+        return ()
+    if db >= steps:
+        cut = db - steps + 1
+        a, b, db = a[cut:], b[cut:], steps - 1
     if not db:
         return tuple(a)
     if db == 1:
         return tuple(_synthetic(a, -b[0] % p, p)[0])
-    return _divmod(a, b, p)[0]
+    q = [0] * steps
+    _remainder(a, b, p, q, exact=True)
+    return tuple(q)
 
 
 def _derivative(a, p: int) -> tuple:
@@ -600,6 +627,27 @@ def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
     return _poly(a.field, _gcd(a.coeffs, b.coeffs, a.field.p))
 
 
+def _cancel(field: PrimeField, u: tuple, v: tuple) -> tuple:
+    """(g, u/g, v/g) for g the monic gcd of coefficient tuples u and v, not
+    both zero, remembered per field and ordered pair.
+
+    A miss takes the gcd through ``poly_gcd`` and the cofactors by
+    ``_exquo``; a gcd of 1 leaves u and v as they are.
+    """
+    memo = field._cancel_memo
+    key = (u, v)
+    out = memo.get(key)
+    if out is None:
+        if len(memo) >= _FRACTION_MEMO_ENTRIES:
+            memo.clear()
+        g = poly_gcd(_poly(field, u), _poly(field, v)).coeffs
+        if len(g) > 1:
+            p = field.p
+            u, v = _exquo(u, g, p), _exquo(v, g, p)
+        out = memo[key] = (g, u, v)
+    return out
+
+
 def _needs_parens(s: str) -> bool:
     # Top-level + or / means the string cannot be juxtaposed with '*t^i'.
     return ("+" in s) or ("/" in s) or ("-" in s) or (" " in s)
@@ -630,20 +678,17 @@ def _henrici_sum(field: PrimeField, a, b, c, d) -> tuple:
     if len(d) == 1:
         return _add(a, _mul(c, b, p), p), b
     # gcd(b, b) = b for a monic b.
-    g = b if b == d else poly_gcd(_poly(field, b), _poly(field, d)).coeffs
-    if len(g) == 1:
-        # Coprime denominators: a d + c b is coprime to b d.
-        return _add(_mul(a, d, p), _mul(c, b, p), p), _mul(b, d, p)
-    b1 = _exquo(b, g, p)
-    t = _add(_mul(a, _exquo(d, g, p), p), _mul(c, b1, p), p)
+    g, b1, d1 = (b, (1,), (1,)) if b == d else _cancel(field, b, d)
+    t = _add(_mul(a, d1, p), _mul(c, b1, p), p)
     if not t:
         return (), (1,)
-    # A common factor of t and b1 d can only come from g; a constant t has
+    # With coprime denominators a d + c b is coprime to b d.  Otherwise a
+    # common factor of t and b1 d can only come from g; a constant t has
     # none.
-    if len(t) > 1:
-        g2 = poly_gcd(_poly(field, t), _poly(field, g)).coeffs
+    if len(g) > 1 and len(t) > 1:
+        g2, t1, _ = _cancel(field, t, g)
         if len(g2) > 1:
-            t, d = _exquo(t, g2, p), _exquo(d, g2, p)
+            t, d = t1, _exquo(d, g2, p)
     return t, _mul(b1, d, p)
 
 
@@ -656,13 +701,9 @@ def _henrici_product(field: PrimeField, a, b, c, d) -> tuple:
     p = field.p
     # A constant has gcd 1 with anything, so a constant side skips its gcd.
     if len(a) > 1 and len(d) > 1:
-        g = poly_gcd(_poly(field, a), _poly(field, d)).coeffs
-        if len(g) > 1:
-            a, d = _exquo(a, g, p), _exquo(d, g, p)
+        _, a, d = _cancel(field, a, d)
     if len(c) > 1 and len(b) > 1:
-        g = poly_gcd(_poly(field, c), _poly(field, b)).coeffs
-        if len(g) > 1:
-            c, b = _exquo(c, g, p), _exquo(b, g, p)
+        _, c, b = _cancel(field, c, b)
     return _mul(a, c, p), _mul(b, d, p)
 
 
@@ -681,9 +722,7 @@ class RatFunc:
         else:
             p = field.p
             if len(n) > 1 and len(d) > 1:
-                g = poly_gcd(num, den).coeffs
-                if len(g) > 1:
-                    n, d = _exquo(n, g, p), _exquo(d, g, p)
+                _, n, d = _cancel(field, n, d)
             # Monic denominator pins down the representative uniquely.
             c = d[-1]
             if c != 1:
@@ -733,13 +772,17 @@ class RatFunc:
 
     def __add__(self, other):
         """Henrici's sum, remembered per field (see ``_henrici_sum``)."""
+        return self._plus(other.num_coeffs, other.den_coeffs)
+
+    def _plus(self, c, d):
+        """self + c/d for a canonical c/d on self's field, through the add
+        memo."""
         a, b = self.num_coeffs, self.den_coeffs
-        c, d = other.num_coeffs, other.den_coeffs
+        field = self.field
         if not a:
-            return other
+            return _ratfunc(field, c, d)
         if not c:
             return self
-        field = self.field
         memo = field._add_memo
         key = (a, b, c, d)
         out = memo.get(key)
@@ -754,7 +797,10 @@ class RatFunc:
         return _ratfunc(field, _neg(self.num_coeffs, field.p), self.den_coeffs)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self + (-other), keyed (a, b, -c, d) in the add memo; -other is
+        never built, and at p = 2 -c is c."""
+        c, p = other.num_coeffs, self.field.p
+        return self._plus(c if p == 2 else _neg(c, p), other.den_coeffs)
 
     def __mul__(self, other):
         """Henrici's product, remembered per field (see ``_henrici_product``)."""

@@ -53,16 +53,15 @@ from .scalars import (
     RatFunc,
     RationalFunctionField,
     _add,
+    _cancel,
     _derivative,
     _exquo,
     _frobenius,
     _mul,
     _needs_parens,
     _neg,
-    _poly,
     _ratfunc,
     _trim,
-    poly_gcd,
     random_ratfunc,
 )
 
@@ -163,23 +162,20 @@ class DerivedField(RationalFunctionField):
         u, v = a.num_coeffs, a.den_coeffs
         du, dv = _derivative(u, p), _derivative(v, p)
         # g = gcd(v, v') is v itself when v' = 0 (v a p-th power, or 1), and
-        # 1 when v' is a nonzero constant; only otherwise is a gcd taken.
+        # 1 when v' is a nonzero constant; only otherwise is a gcd taken, and
+        # it and the cofactors come from the field's cancel memo.
         if not dv:
-            g = v
+            g, v1, s = v, (1,), ()
         elif len(dv) > 1:
-            g = poly_gcd(_poly(field, v), _poly(field, dv)).coeffs
+            g, v1, s = _cancel(field, v, dv)
         else:
-            g = (1,)
-        if len(g) == 1:
-            num = _add(_mul(du, v, p), _neg(_mul(u, dv, p), p), p)
-            den = _mul(v, v, p)
-        else:
-            v1, s = _exquo(v, g, p), _exquo(dv, g, p)
-            num = _add(_mul(du, v1, p), _neg(_mul(u, s, p), p), p)
-            den = _mul(v, v1, p)
-            h = poly_gcd(_poly(field, num), _poly(field, g)).coeffs
+            g, v1, s = (1,), v, dv
+        num = _add(_mul(du, v1, p), _neg(_mul(u, s, p), p), p)
+        den = _mul(v, v1, p)
+        if len(g) > 1:
+            h, num1, _ = _cancel(field, num, g)
             if len(h) > 1:
-                num, den = _exquo(num, h, p), _exquo(den, h, p)
+                num, den = num1, _exquo(den, h, p)
         return _ratfunc(field, num, den) * self.delta_of_x
 
     def is_constant(self, a: RatFunc) -> bool:
@@ -233,9 +229,9 @@ class DerivedField(RationalFunctionField):
             cs = _trim(list(u[j::p]))
             den = vp if cs else (1,)
             if len(cs) > 1 and len(v) > 1:
-                g = poly_gcd(_poly(field, cs), _poly(field, v)).coeffs
+                g, c1, v1 = _cancel(field, cs, v)
                 if len(g) > 1:
-                    cs, den = _exquo(cs, g, p), _frobenius(_exquo(v, g, p), p)
+                    cs, den = c1, _frobenius(v1, p)
             out.append(_ratfunc(field, _frobenius(cs, p), den))
         return tuple(out)
 

@@ -662,30 +662,125 @@ def test_henrici_arithmetic_matches_gcd_constructor(p):
 
 
 def test_fraction_memos_stay_within_their_cap(monkeypatch):
-    # At a cap of 8 both memos are emptied again and again; neither ever
+    # At a cap of 8 all three memos are emptied again and again; none ever
     # holds more than 8 entries, and every result after a clear still
     # equals the gcd constructor's.
     monkeypatch.setattr(scalars, "_FRACTION_MEMO_ENTRIES", 8)
     for p in (2, 3, 5, 7):
         rng = random.Random(1900 + p)
-        clears = {"add": 0, "mul": 0}
-        last = {"add": 0, "mul": 0}
+        clears = {"add": 0, "mul": 0, "cancel": 0}
+        last = {"add": 0, "mul": 0, "cancel": 0}
         for a, b in _fraction_pairs(p, rng, 60):
             F = a.field
+            memos = (("add", F._add_memo), ("mul", F._mul_memo), ("cancel", F._cancel_memo))
             for op, _, _, want in _henrici_cases(a, b):
                 got = op()
                 assert got == want
                 _assert_canonical(got, p)
-                for name, m in (("add", F._add_memo), ("mul", F._mul_memo)):
+                for name, m in memos:
                     assert len(m) <= 8
                     if len(m) < last[name]:
                         clears[name] += 1
                     last[name] = len(m)
-        assert clears["add"] >= 2 and clears["mul"] >= 2
+        assert min(clears.values()) >= 2, clears
 
 
 def _is_tuple_pair(value):
     return type(value) is tuple and len(value) == 2 and all(type(v) is tuple for v in value)
+
+
+def _is_tuple_triple(value):
+    return type(value) is tuple and len(value) == 3 and all(type(v) is tuple for v in value)
+
+
+def _cancel_pairs(p, rng):
+    """Ordered pairs for scalars._cancel: shared factors, constants, equal
+    operands, coprime pairs and one zero side."""
+    F = PrimeField(p)
+    out = []
+    for _ in range(30):
+        u = random_poly(F, rng, 6, nonzero=True).coeffs
+        v = random_poly(F, rng, 6, nonzero=True).coeffs
+        s = random_poly(F, rng, 4, monic=True).coeffs
+        c = (rng.randrange(1, p),)
+        out += [
+            (u, v),
+            (scalars._mul(u, s, p), scalars._mul(v, s, p)),
+            (c, v), (u, c), (u, u), (scalars._mul(u, s, p), s),
+            # gcd(u, u + 1) = 1
+            (u, scalars._add(u, (1,), p)),
+            ((), v),
+        ]
+    return F, out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_cancel_matches_gcd_then_exact_division(monkeypatch, p):
+    # Each pair's (g, u/g, v/g) equals poly_gcd followed by _exquo, and g
+    # times each cofactor gives the operand back.  The second call with the
+    # same pair is a memo hit: it takes no gcd and returns the stored
+    # triple.
+    gcds = []
+    gcd = scalars.poly_gcd
+
+    def counted(a, b):
+        gcds.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted)
+    F, pairs = _cancel_pairs(p, random.Random(2100 + p))
+    kinds = set()
+    for u, v in pairs:
+        g = gcd(DensePoly(F, u), DensePoly(F, v)).coeffs
+        want = (g, scalars._exquo(u, g, p), scalars._exquo(v, g, p))
+        gcds.clear()
+        got = scalars._cancel(F, u, v)
+        assert got == want and _is_tuple_triple(got)
+        assert scalars._mul(g, got[1], p) == u and scalars._mul(g, got[2], p) == v
+        assert F._cancel_memo[(u, v)] is got
+        # One gcd, or none when an earlier pair was the same.
+        taken = len(gcds)
+        assert taken <= 1
+        again = scalars._cancel(F, u, v)
+        assert again is got and len(gcds) == taken
+        kinds.add(len(g) > 1)
+    assert kinds == {False, True}
+
+
+def test_cancel_memo_is_per_field():
+    # Two PrimeField(3) objects compare equal but keep their own memos: a
+    # pair reduced on one is still a miss on the other.  A memo shared
+    # between fields would carry results from one command to the next.
+    F, G = PrimeField(3), PrimeField(3)
+    assert F == G and F._cancel_memo is not G._cancel_memo
+    u, v = (1, 0, 1), (2, 1)  # x^2 + 1 and x + 2 = x - 1 over F_3: coprime
+    scalars._cancel(F, scalars._mul(u, v, 3), v)
+    assert len(F._cancel_memo) == 1 and not G._cancel_memo
+    scalars._cancel(G, scalars._mul(u, v, 3), v)
+    assert F._cancel_memo == G._cancel_memo
+    assert F._cancel_memo[(scalars._mul(u, v, 3), v)] is not G._cancel_memo[(scalars._mul(u, v, 3), v)]
+
+
+def test_two_loads_of_one_config_share_no_fraction_memo():
+    # Each load of a config builds its own fields: a suite run on the first
+    # load adds nothing to the second's memos, which hold only what its own
+    # load put there, and the second's suite fills memos of its own.
+    from diffext.frontend import instance_from_text, run_suite
+
+    text = (CONFIGS / "i3.cfg").read_text(encoding="utf-8")
+    first, second = instance_from_text(text), instance_from_text(text)
+    names = ("_cancel_memo", "_add_memo", "_mul_memo")
+    fields = first.K.field, second.K.field
+    loaded = [{name: dict(getattr(F, name)) for name in names} for F in fields]
+    assert fields[0] is not fields[1] and loaded[0] == loaded[1]
+    assert run_suite(first, "ring").checks
+    grown = {name: dict(getattr(fields[0], name)) for name in names}
+    assert all(len(grown[name]) > len(loaded[0][name]) for name in names)
+    assert {name: getattr(fields[1], name) for name in names} == loaded[1]
+    assert run_suite(second, "ring").checks
+    for name in names:
+        assert getattr(fields[0], name) == grown[name]
+        assert getattr(fields[0], name) is not getattr(fields[1], name)
 
 
 def test_ring_suite_leaves_no_field_garbage(monkeypatch):
@@ -695,12 +790,13 @@ def test_ring_suite_leaves_no_field_garbage(monkeypatch):
     # cycle collector finds no field and no fraction.
     from diffext.frontend import instance_from_text, run_suite
 
-    memos = []
+    memos, cancel_memos = [], []
     init = PrimeField.__init__
 
     def recording_init(self, p):
         init(self, p)
         memos.extend((self._add_memo, self._mul_memo))
+        cancel_memos.append(self._cancel_memo)
 
     monkeypatch.setattr(PrimeField, "__init__", recording_init)
     text = (CONFIGS / "i3.cfg").read_text(encoding="utf-8")
@@ -710,10 +806,12 @@ def test_ring_suite_leaves_no_field_garbage(monkeypatch):
         inst = instance_from_text(text)
         report = run_suite(inst, "ring")
         assert report.checks and all(c.verdict == "pass" for c in report.checks)
-        assert any(memos)
+        assert any(memos) and any(cancel_memos)
         assert all(_is_tuple_pair(v) for memo in memos for v in memo.values())
+        assert all(_is_tuple_triple(v) for memo in cancel_memos for v in memo.values())
         del inst, report
         memos.clear()
+        cancel_memos.clear()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         leaked = [o for o in gc.garbage if isinstance(o, (PrimeField, RatFunc))]
@@ -870,6 +968,30 @@ def test_packed_division_matches_textbook_at_every_width(p):
                 r = tuple(rng.randrange(p) for _ in range(nb - 1))
                 a = scalars._add(_loop_mul(q, b, p), r, p)
                 _check_division(a, b, p)
+
+
+@pytest.mark.parametrize("p", _DIVISION_PRIMES)
+def test_exact_quotient_matches_long_division_at_every_width(p):
+    # _exquo cuts a and b to their top len(a) - deg b entries and runs only
+    # the quotient loop.  At every slot width of the test above, with and
+    # without the cut, its quotient by a monic b is _divmod's, for q b and
+    # for q b + r alike: the loop never reads the slots r lives in.
+    rng = random.Random(3700 + p)
+    for m in _step_switches(p, 300):
+        for steps, nb in ((m, m + 2), (m + 3, max(m, 3))):
+            for full in (False, True):
+                if full:
+                    b = (p - 1,) * (nb - 1) + (1,)
+                    q = (1,) * steps
+                else:
+                    b = _random_of_length(rng, p, nb, monic=True)
+                    q = _random_of_length(rng, p, steps)
+                r = tuple(rng.randrange(p) for _ in range(nb - 1))
+                exact = _loop_mul(q, b, p)
+                for a in (exact, scalars._add(exact, r, p)):
+                    got = scalars._exquo(a, b, p)
+                    assert type(got) is tuple
+                    assert got == scalars._divmod(a, b, p)[0] == q, (m, steps, nb, full)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
