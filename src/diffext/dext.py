@@ -73,7 +73,6 @@ every g at e = 1, f is moreover irreducible (see division_verdict).
 from __future__ import annotations
 
 from itertools import product
-from math import comb
 from operator import mul
 
 from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
@@ -105,14 +104,17 @@ MAX_TABLE_ENTRIES = 10 ** 7
 # up to 5 (2.7 s).
 MAX_SEARCH_DENOMINATORS = 10 ** 5
 
-# Most work, samples x dim^3, that one is_division_probe call does: each
-# sample is one kernel of a dim x dim matrix over K.  Not an option: it keeps
-# `diffext verify --suite division` from running for minutes.  A sample takes
-# about 0.02 s at p = 3 (dim 9) and 5 to 8 s at p = 5 (dim 25) on a 2-CPU
-# machine with Python 3.11, so p = 3 runs up to 205 samples and p = 5 up to 9
-# (about a minute); the suite's 40 samples run at p = 3 and are refused at
-# p = 5.
-MAX_PROBE_WORK = 150_000
+# Most work, samples x m^5 x c^3 with m = deg f and c = 1 over K, 4 over
+# Q (the parts of a coefficient), that one is_division_probe call does: each
+# sample is one m x m elimination over the coefficient ring, whose entries
+# grow with m.  Not an option: it keeps `diffext verify --suite division`
+# from running for minutes.  Seconds per sample at delta(x) = x, d = x on a
+# 2-CPU machine with Python 3.11: over K 0.0006 at p = 3, 0.0047 at p = 5,
+# 0.041 at p = 7, 0.26 at p = 11, 1.1 at p = 13 and 4.0 at p = 17; over Q
+# 0.015 at p = 3, 0.29 at p = 5 and 2.2 at p = 7.  So the suite's 40 samples
+# run up to p = 13 over K (about 45 s) and are refused from p = 17, and over
+# Q p = 7 runs up to 18 samples (about 40 s).
+MAX_PROBE_WORK = 2 * 10 ** 7
 
 
 class AlgebraElement:
@@ -471,15 +473,17 @@ class ExtAlgebra:
         the derived field K no map is needed for right and full: the
         centralizer is a left K-space, and for u = sum u_i t^i,
 
-            u d - d u = sum_i u_i sum_(k<i) C(i, k) delta^(i-k)(d) t^k,
+            u d - d u = sum_i u_i (t^i d - d t^i),
 
-        an (m-1) x (m-1) system over K in u_1..u_(m-1), with u_0 free; the
-        x^j u for j < p, over u = 1 and the kernel vectors, span the right
-        nucleus over F (_right_nucleus_span).  K lies in the eigenring and
-        left = middle = K, so full is K.  For e = 1 and d not in F the
-        system is triangular with diagonal i delta(d) != 0 (i < p), so
-        right = K; for e = 2 it is not: p = 2, g = t^4 + t^2, d = x gives
-        right = span{1, x, t^2 + t, x (t^2 + t)}.
+        since u_i commutes with d: an (m-1) x (m-1) system over K in
+        u_1..u_(m-1), with u_0 free, whose columns the ring's own t-steps
+        give (_right_nucleus_span).  The x^j u for j < p, over u = 1 and
+        the kernel vectors, span the right nucleus over F.  K lies in the
+        eigenring and left = middle = K, so full is K.  The t^k coefficient
+        of t^i d - d t^i is C(i, k) delta^(i-k)(d) for k < i (Leibniz), so
+        for e = 1 and d not in F the system is triangular with diagonal
+        i delta(d) != 0 (i < p), and right = K; for e = 2 it is not: p = 2,
+        g = t^4 + t^2, d = x gives right = span{1, x, t^2 + t, x (t^2 + t)}.
         """
         return [self.from_coords(v) for v in self._nucleus_coords(which)]
 
@@ -490,42 +494,36 @@ class ExtAlgebra:
         # A prefix of the unit vectors is already the canonical basis that
         # _common_kernel returns for it, so only a span or a map needs one.
         if which not in self._nucleus_cache:
-            units = self._units()
+            units, n = self._units(), self.ring.dim_over_constants
             if self.is_associative():
                 coords = units
-            elif self.ring.is_commutative:  # the derived field
-                if which == "right":
-                    coords = self._common_kernel([], self._right_nucleus_span())
-                else:
-                    coords = units[: self.ring.p]
-            elif which in ("right", "full"):  # the quaternion ring
-                start = units if which == "right" else units[: self.ring.dim_over_constants]
+            elif which in ("left", "middle") or which == "full" and self.ring.is_commutative:
+                coords = units[:n]  # the coefficient ring A
+            elif self.ring.is_commutative:  # the derived field's right nucleus
+                coords = self._common_kernel([], self._right_nucleus_span())
+            else:  # the quaternion ring: the kernel of the commutator with d
+                start = units if which == "right" else units[:n]
                 coords = self._common_kernel([self._commutator_with(self.scalar(self.d))], start)
-            else:
-                coords = units[: self.ring.dim_over_constants]
             self._nucleus_cache[which] = tuple(coords)
         return self._nucleus_cache[which]
 
     def _right_nucleus_span(self):
         """Coordinates of an F-spanning set of the centralizer of d in R_<m.
 
-        Over the derived field only (see nucleus).  Row k, column i - 1 of
-        the system is C(i, k) delta^(i-k)(d), the t^k coefficient of
-        t^i d - d t^i, for 0 <= k < i < m.
+        Over the derived field only (see nucleus).  Column i - 1 of the
+        system holds the t^k coefficients, k < m - 1, of t^i d - d t^i for
+        0 < i < m: t^i d comes from d by i t-steps of the ring's own
+        product, and d t^i is its top term, so the column keeps the terms
+        below t^i.  Those are C(i, k) delta^(i-k)(d), the entries the tests
+        compare the columns with.
         """
-        K, m, p = self.ring, self.f.degree(), self.ring.p
-        zero = K.zero()
-        derivs = [self.d]  # derivs[j] = delta^j(d)
-        for _ in range(1, m):
-            derivs.append(K.delta(derivs[-1]))
-
-        def entry(k, i):
-            c = comb(i, k) % p if i > k else 0
-            return K.from_int(c) * derivs[i - k] if c else zero
-
-        rows = [[entry(k, i) for i in range(1, m)] for k in range(m - 1)]
-        span = self._units()[:p]  # u = 1
-        for v in Matrix(K, rows).kernel():
+        K, m, zero = self.ring, self.f.degree(), self.ring.zero()
+        cols, w = [], DiffPoly.constant(K, self.d)
+        for i in range(1, m):
+            w = w._t_times()  # t^i d
+            cols.append([w.coeff(k) if k < i else zero for k in range(m - 1)])
+        span = self._units()[: K.p]  # u = 1
+        for v in Matrix(K, zip(*cols)).kernel():
             for xj in self._ring_basis:
                 span.append(tuple(c for ui in (zero,) + v for c in K.coords(xj * ui)))
         return span
@@ -642,27 +640,44 @@ class ExtAlgebra:
         return "unknown (bound exhausted)", None
 
     def is_division_probe(self, rng, samples: int = 200) -> bool:
-        """Left multiplications by sampled nonzero elements are injective.
+        """Right multiplications by sampled nonzero elements are injective.
 
-        Raises UnsupportedInstance, before any work, when samples * dim^3 is
-        above MAX_PROBE_WORK.
+        S_f is a division algebra iff it has no zero divisors, iff v |-> v a
+        is injective for every nonzero a.  Left scaling commutes with the
+        reduction mod the monic f (see structure_constants), so that map,
+        (v a) mod f, is left-A-linear in the left A-basis 1, t, ...,
+        t^(m-1): row j of its m x m matrix over A is the coefficient vector
+        of (t^j a) mod f, one t-step and one reduction from row j - 1.
+        Matrix.rref scales and combines rows on the left, so its pivot count
+        is the left row rank over the division ring A, K or Q alike, and
+        the sample is a zero divisor iff there are fewer than m pivots.
+
+        At e = 1 over K each sample's answer is the one the dim x dim matrix
+        over F of the left multiplication by a gives (tests/oracles.py):
+        S_f is a division algebra (d not in F, see division_verdict) or
+        associative (d in F), and in both a is a left zero divisor iff it is
+        a right one; in a finite-dimensional associative algebra both mean
+        that a is not a unit.
+
+        Raises UnsupportedInstance, before any work, when samples * m^5 * c^3
+        is above MAX_PROBE_WORK, with c = 1 over K and 4 over Q.
         """
-        if samples * self.dim ** 3 > MAX_PROBE_WORK:
+        m = self.f.degree()
+        work = samples * m ** 5 * (self.ring.dim_over_constants // self.ring.p) ** 3
+        if work > MAX_PROBE_WORK:
             raise UnsupportedInstance(
-                "a probe of %d samples at dim %d does samples * dim^3 = %d, above "
-                "dext.MAX_PROBE_WORK = %d"
-                % (samples, self.dim, samples * self.dim ** 3, MAX_PROBE_WORK)
+                "a probe of %d samples at deg f = %d does samples * m^5 * c^3 = %d, "
+                "above dext.MAX_PROBE_WORK = %d" % (samples, m, work, MAX_PROBE_WORK)
             )
-        basis = self.basis()
         for _ in range(samples):
             a = self.random_element(rng, 2)
             if not a:
                 continue
-            cols = [self.coords(a * e) for e in basis]
-            m = Matrix(self.base_field, [
-                tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim)
-            ])
-            if len(m.kernel()):
+            rows = [a.rep]  # (t^j a) mod f
+            for _ in range(1, m):
+                rows.append(rows[-1]._t_times().mod_right(self.f))
+            rows = [[r.coeff(k) for k in range(m)] for r in rows]
+            if len(Matrix(self.ring, rows).rref()[1]) < m:
                 return False
         return True
 

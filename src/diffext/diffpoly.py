@@ -200,8 +200,9 @@ class DiffPoly:
         scaling of one rung of the ladder f, t f, ..., t^K f with K = deg
         self - deg f.  The ladder costs K t-steps, built once; every rung
         has the leading coefficient of f, so the top coefficient cancels
-        exactly and only the lower ones are subtracted: as sums of -c times
-        the rung's coefficients, with -c formed once per quotient term.
+        exactly and only the lower ones are subtracted, as c times the
+        rung's coefficients.  Subtracting c f_j, rather than adding
+        (-c) f_j, reuses the products the fraction memos already hold.
         """
         if not f:
             raise ZeroDivisionError("right division by the zero polynomial")
@@ -219,10 +220,9 @@ class DiffPoly:
             if not r[k + df]:
                 continue
             q[k] = r[k + df] * inv_lc
-            c = -q[k]
             for j, fj in enumerate(ladder[k].coeffs[:-1]):
                 if fj:
-                    r[j] = r[j] + c * fj
+                    r[j] = r[j] - q[k] * fj
         return DiffPoly(ring, q), DiffPoly(ring, r[:df])
 
     def __divmod__(self, other):

@@ -1,11 +1,19 @@
-"""Exact matrices over a field: elimination and kernels, and solving over F_p.
+"""Exact matrices: elimination and kernels over a division ring, solving over F_p.
 
 ``Matrix`` takes entries that are any objects supporting +, -, *, unary -,
 ==, truthiness (falsy means zero) and an ``inverse()`` method; the field
 context only has to provide ``zero()`` and ``one()``.  In practice the
-entries are canonical rational functions, so equality and the zero test are
-structural and the results are exact.  A matrix is a read-only table for
-elimination, not a ring element: it has no arithmetic of its own.
+entries are canonical rational functions, or quaternions over them, so
+equality and the zero test are structural and the results are exact.  A
+matrix is a read-only table for elimination, not a ring element: it has no
+arithmetic of its own.
+
+The entries may lie in a division ring that is not commutative (the
+quaternion ring of towers).  Every row operation multiplies on the left:
+a pivot row is scaled by the pivot's inverse from the left, and a multiple
+c times it, c on the left, is subtracted from another row.  So ``rref``
+keeps the left row space, its pivot count is the left row rank, and
+``kernel`` solves M v = 0 with the unknowns on the right.
 
 Pivot choice is deterministic: first nonzero entry scanning top to bottom.
 Every pivot row is normalized as soon as it is chosen, so ``rref`` returns

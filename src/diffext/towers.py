@@ -483,6 +483,10 @@ class Quaternion:
     def __bool__(self):
         return any(self.parts)
 
+    def inverse(self):
+        """self^(-1), as RatFunc.inverse gives it over K (linalg.Matrix reads it)."""
+        return self.ring.invert(self)
+
     def __eq__(self, other):
         return isinstance(other, Quaternion) and other.parts == self.parts
 

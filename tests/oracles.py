@@ -15,8 +15,15 @@ another way, and the library itself does not call any of them:
   with ``DerivedField.delta``;
 * ``coords_columns``: the column builder of the bounded-height search that
   reads a map in coordinates, the reference for ``dext._vg_columns`` and
-  for ``autos.log_derivative_witness``.
+  for ``autos.log_derivative_witness``;
+* ``left_multiplication_singular``: the zero-divisor test on a dim x dim
+  matrix over F, the reference for ``ExtAlgebra.is_division_probe``, and
+  ``left_kernel_vector``, which exhibits a zero divisor from its rows;
+* ``binomial_nucleus_rows``: the right-nucleus system from Leibniz's rule,
+  the reference for the t-steps of ``ExtAlgebra._right_nucleus_span``.
 """
+
+from math import comb
 
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
@@ -165,3 +172,44 @@ def coords_columns(K, fn, target, degree):
         return stacked[:-1], stacked[-1]
 
     return columns
+
+
+def left_multiplication_singular(alg, a) -> bool:
+    """Whether u |-> a u has a nonzero kernel on S_f, as an F-linear map.
+
+    Column j of its dim x dim matrix over F is the coordinate vector of
+    a e_j for the j-th element e_j of alg.basis().
+    """
+    cols = [alg.coords(a * e) for e in alg.basis()]
+    return bool(Matrix(alg.base_field, zip(*cols)).kernel())
+
+
+def left_kernel_vector(ring, rows):
+    """A nonzero c with sum_j c_j rows[j] = 0 over a division ring, or None.
+
+    One elimination of [rows | I].  rref scales and combines rows on the
+    left, so every reduced row is c [rows | I] for the c in its right
+    block, and a reduced row whose left block is zero gives such a c.
+    """
+    n, zero, one = len(rows), ring.zero(), ring.one()
+    width = len(rows[0])
+    augmented = [list(r) + [one if k == j else zero for k in range(n)] for j, r in enumerate(rows)]
+    red, _ = Matrix(ring, augmented).rref()
+    for row in red.rows:
+        if not any(row[:width]):
+            return row[width:]
+    return None
+
+
+def binomial_nucleus_rows(alg):
+    """The right-nucleus system over K from Leibniz's rule.
+
+    Row k, column i - 1 is C(i, k) delta^(i-k)(d), the t^k coefficient of
+    t^i d - d t^i, for 0 <= k < m - 1 and 0 < i < m, m = deg f.
+    """
+    K, m = alg.ring, alg.f.degree()
+    derivs = [alg.d]  # derivs[j] = delta^j(d)
+    for _ in range(1, m):
+        derivs.append(K.delta(derivs[-1]))
+    entry = lambda k, i: K.from_int(comb(i, k) % K.p) * derivs[i - k] if i > k else K.zero()
+    return tuple(tuple(entry(k, i) for i in range(1, m)) for k in range(m - 1))

@@ -38,7 +38,14 @@ from diffext.towers import (
     p_polynomial_at_exponent,
     z1_split,
 )
-from oracles import coords_columns, padded_rows, solve_mod_p
+from oracles import (
+    binomial_nucleus_rows,
+    coords_columns,
+    left_kernel_vector,
+    left_multiplication_singular,
+    padded_rows,
+    solve_mod_p,
+)
 
 
 def span_coords(alg, elems):
@@ -1227,21 +1234,147 @@ def test_division_probe_consistency(i1, i2, rng_seed=0):
 
 
 def test_division_probe_guard_refuses_before_any_work(monkeypatch, i3):
-    # i3 has dim 9: samples * 729 <= MAX_PROBE_WORK up to 205 samples.
-    assert 205 * 9 ** 3 <= dext.MAX_PROBE_WORK < 206 * 9 ** 3
+    # i3 has m = deg f = 3: samples * 3^5 <= MAX_PROBE_WORK up to 82,304
+    # samples.  Over Q each coefficient has c = 4 parts, so the dim-36
+    # algebra, also m = 3, runs up to 1,286.
+    assert 82_304 * 3 ** 5 <= dext.MAX_PROBE_WORK < 82_305 * 3 ** 5
+    assert 1_286 * 3 ** 5 * 4 ** 3 <= dext.MAX_PROBE_WORK < 1_287 * 3 ** 5 * 4 ** 3
 
     def no_sample(self, rng, coeff_deg=3):
         raise LookupError("sampled")
 
     monkeypatch.setattr(ExtAlgebra, "random_element", no_sample)
+    over_q = quaternion_algebra("x")
+    for alg, allowed in ((i3, 82_304), (over_q, 1_286)):
+        with pytest.raises(LookupError):
+            alg.is_division_probe(random.Random(0), samples=allowed)
+        for samples in (allowed + 1, 10 ** 9):
+            with pytest.raises(UnsupportedInstance, match="MAX_PROBE_WORK"):
+                alg.is_division_probe(random.Random(0), samples=samples)
+    # The suite's 40 samples run up to p = 13 and are refused at p = 17.
+    p13 = instance_from_text("p = 13\ndelta_of_x = x\nd = x\n").algebra
     with pytest.raises(LookupError):
-        i3.is_division_probe(random.Random(0), samples=205)
-    for samples in (206, 10 ** 9):
-        with pytest.raises(UnsupportedInstance, match="MAX_PROBE_WORK"):
-            i3.is_division_probe(random.Random(0), samples=samples)
-    p5 = instance_from_text("p = 5\ndelta_of_x = x\nd = x\n").algebra
-    with pytest.raises(UnsupportedInstance, match="625000"):
-        p5.is_division_probe(random.Random(0), samples=40)
+        p13.is_division_probe(random.Random(0), samples=40)
+    p17 = instance_from_text("p = 17\ndelta_of_x = x\nd = x\n").algebra
+    with pytest.raises(UnsupportedInstance, match="56794280"):
+        p17.is_division_probe(random.Random(0), samples=40)
+
+
+def _probe_on(alg, a):
+    """The probe's answer with a as its one sample: True when a passes."""
+    alg.random_element = lambda rng, coeff_deg=3: a
+    try:
+        return alg.is_division_probe(None, samples=1)
+    finally:
+        del alg.random_element
+
+
+@pytest.mark.parametrize("text", list(_SHORTCUT_CASES.values()), ids=list(_SHORTCUT_CASES))
+def test_division_probe_matches_left_multiplication_oracle(text):
+    # At e = 1 over K the probe's m x m matrix over K of v |-> (v a) mod f
+    # is singular exactly when the dim x dim matrix over F of u |-> a u is,
+    # sample by sample, whether d is in F (associative) or not (division).
+    # A right factor t - b of f, f = q (t - b), plants the zero divisors
+    # t - b and q.
+    alg = instance_from_text(text).algebra
+    assert alg.ring.is_commutative and alg.g.e == 1
+    rng = random.Random("probe-oracle:" + text)
+    samples = [a for a in (alg.random_element(rng, 2) for _ in range(12)) if a]
+    b = alg.linear_right_factor_search(1)
+    if b is not None:
+        lin = DiffPoly(alg.ring, (-b, alg.ring.one()))
+        samples += [alg.element(lin), alg.element(alg.f.right_divmod(lin)[0])]
+    answers = [_probe_on(alg, a) for a in samples]
+    assert answers == [not left_multiplication_singular(alg, a) for a in samples]
+    if b is not None:
+        assert answers[-2:] == [False, False]
+
+
+def _quaternion_d0():
+    Q = quaternion_ring()
+    return ExtAlgebra(Q, minimal_p_polynomial(Q.base), Q.zero())
+
+
+def _z1_minus(alg, r):
+    """The element z1 - r, z1 = t^p - a t the minimal p-polynomial, r in K."""
+    K = alg.ring
+    z1 = p_poly_as_diffpoly(minimal_p_polynomial(K), K)
+    return alg.element(z1 - DiffPoly.constant(K, r))
+
+
+# (instance, planted zero divisors): at e = 2 with d in F, u = z1 - d^(1/p)
+# is nilpotent (u^p = f); with g = t^4 + t = z1^2 + z1 and d = x^2 + x,
+# z1 - x is a right factor of f; over Q with d = 0, t is one.
+_ZERO_DIVISOR_CASES = {
+    "e2-p2-x": (lambda: instance_from_text("p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\n").algebra, ()),
+    "e2-p2-x2": (
+        lambda: instance_from_text("p = 2\ndelta_of_x = x\nd = x^2\ng = t^4 + t^2\n").algebra,
+        (lambda alg: _z1_minus(alg, alg.ring.x()),),
+    ),
+    "e2-p2-t4+t": (
+        lambda: instance_from_text("p = 2\ndelta_of_x = x\nd = x^2 + x\ng = t^4 + t\n").algebra,
+        (lambda alg: _z1_minus(alg, alg.ring.x()),),
+    ),
+    "e2-p3-x3": (
+        lambda: instance_from_text("p = 3\ndelta_of_x = x\nd = x^3\ng = t^9 + 2*t^3\n").algebra,
+        (lambda alg: _z1_minus(alg, alg.ring.x()),),
+    ),
+    "q-x+j": (lambda: quaternion_algebra("x+j"), ()),
+    "q-x": (lambda: quaternion_algebra("x"), ()),
+    "q-d0": (_quaternion_d0, (lambda alg: alg.t(),)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ZERO_DIVISOR_CASES))
+def test_division_probe_singular_samples_exhibit_zero_divisors(name):
+    # At e = 2 and over Q a left and a right zero divisor need not go
+    # together, so the probe is checked against itself: a sample it finds
+    # singular must have a nonzero v with v a = 0 in S_f.  The rows t^j a
+    # come from element products, and v from a left kernel vector of them.
+    make, planted = _ZERO_DIVISOR_CASES[name]
+    alg = make()
+    m = alg.f.degree()
+    rng = random.Random("probe-zero-divisors:" + name)
+    samples = [alg.random_element(rng, 2) for _ in range(4)]
+    samples = [a for a in samples if a] + [plant(alg) for plant in planted]
+    found = []
+    for a in samples:
+        rows, tj = [], alg.one()
+        for _ in range(m):
+            rows.append([(tj * a).rep.coeff(k) for k in range(m)])
+            tj = alg.t() * tj
+        c = left_kernel_vector(alg.ring, rows)
+        found.append(c is not None)
+        assert _probe_on(alg, a) == (c is None)
+        if c is not None:
+            v = alg.element(DiffPoly(alg.ring, c))
+            assert v and not v * a
+    assert found[len(found) - len(planted):] == [True] * len(planted)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2])
+def test_right_nucleus_rows_match_binomial_oracle(monkeypatch, p, e):
+    # The rows come from t-steps of d; Leibniz's rule gives each entry.
+    K = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p).K
+    g = p_polynomial_at_exponent(K, e)
+    rng = random.Random("nucleus-rows:%d:%d" % (p, e))
+    seen = []
+
+    def recording(field, rows):
+        matrix = Matrix(field, rows)
+        seen.append(matrix.rows)
+        return matrix
+
+    monkeypatch.setattr(dext, "Matrix", recording)
+    for _ in range(3 if p ** e < 25 else 1):
+        d = random_ratfunc(K, rng, 2)
+        while K.is_constant(d):
+            d = random_ratfunc(K, rng, 2)
+        alg = ExtAlgebra(K, g, d)
+        del seen[:]
+        alg._right_nucleus_span()
+        assert seen == [binomial_nucleus_rows(alg)]
 
 
 def test_shift_isomorphism_frozen(i1):

@@ -306,11 +306,11 @@ def test_division_suite_unknown_at_tiny_bound():
     assert not report.failed
 
 
-def test_division_suite_at_p5_reports_probe_over_budget():
-    # samples * dim^3 = 40 * 25^3 is above dext.MAX_PROBE_WORK: the probe is
-    # refused before any work instead of running for minutes.  d = x^5 is in
-    # F, so the verdict comes from the search, and bound 0 misses t - x.
-    inst = instance_from_text("p = 5\ndelta_of_x = x\nd = x^5\ndegree_bound = 0\n")
+def test_division_suite_reports_probe_over_budget():
+    # samples * m^5 = 40 * 17^5 is above dext.MAX_PROBE_WORK: the probe is
+    # refused before any work instead of running for minutes.  d = x^17 is
+    # in F, so the verdict comes from the search, and bound 0 misses t - x.
+    inst = instance_from_text("p = 17\ndelta_of_x = x\nd = x^17\ndegree_bound = 0\n")
     report = run_suite(inst, "division")
     probe = next(c for c in report.checks if c.name == "division.probe")
     assert probe.verdict == "unknown"

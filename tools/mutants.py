@@ -1,0 +1,121 @@
+"""Run tier-1 against one-line faults in src/diffext and say which are caught.
+
+Each mutant is (name, file, old text, new text, reason).  The old text
+occurs exactly once in its file (tests/test_mutants.py checks that, so a
+refactor that moves the code must update the list here).  For each mutant
+the tree is copied to a temporary directory, the old text is replaced
+there, and tier-1 runs in the copy with -x; the tree itself is never
+written.  A mutant is killed when some test fails, and the first failing
+test is printed; a survivor is a fault that no test catches, a missing
+oracle to mend with a test.  tests/test_mutants.py is left out of the
+copy's run: in a mutated copy its old text is gone by construction.
+Standard library and pytest only; it exits 0 whatever it finds.  Run from
+anywhere:
+
+    python tools/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    (
+        "quotient-rule-second-cancel",
+        "src/diffext/towers.py",
+        "        if len(g) > 1:\n            h, num1, _ = _cancel(field, num, g)",
+        "        if False:\n            h, num1, _ = _cancel(field, num, g)",
+        "the quotient rule's second cancellation skipped",
+    ),
+    (
+        "henrici-second-gcd",
+        "src/diffext/scalars.py",
+        "    if len(g) > 1 and len(t) > 1:",
+        "    if False:",
+        "Henrici's second gcd skipped",
+    ),
+    (
+        "vg-columns-falling-factorial",
+        "src/diffext/dext.py",
+        "                falling = falling * (k - l) % p",
+        "                falling = falling * (k - l - 1) % p",
+        "the falling factorial in _vg_columns off by one",
+    ),
+    (
+        "fact-b-every-h",
+        "src/diffext/dext.py",
+        "        if ring.is_commutative and not ring.is_constant(self.d) and not any(hs[1:]):",
+        "        if ring.is_commutative and not ring.is_constant(self.d):",
+        "the Fact B shortcut widened to every h",
+    ),
+    (
+        "p-step-one-level",
+        "src/diffext/diffpoly.py",
+        "        for _ in range((p - 1) * p ** level):",
+        "        for _ in range(p - 1):",
+        "_p_step iterating delta^(p-1) at every level",
+    ),
+    (
+        "probe-row-unreduced",
+        "src/diffext/dext.py",
+        "                rows.append(rows[-1]._t_times().mod_right(self.f))",
+        "                rows.append(rows[-1]._t_times())",
+        "a probe row t^j a built without the reduction mod f",
+    ),
+    (
+        "nucleus-row-top-term",
+        "src/diffext/dext.py",
+        "            cols.append([w.coeff(k) if k < i else zero for k in range(m - 1)])",
+        "            cols.append([w.coeff(k) for k in range(m - 1)])",
+        "a right-nucleus row t^i d - d t^i that keeps the top term d t^i",
+    ),
+]
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
+
+
+def run(mutant):
+    """(killed, first failing test or None, seconds) of one mutant."""
+    name, rel, old, new, _ = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
+        path = copy / rel
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            raise SystemExit("%s: the old text occurs %d times in %s" % (name, text.count(old), rel))
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        seconds = time.perf_counter() - t0
+    first = next(
+        (line.split()[1] for line in out.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))),
+        None,
+    )
+    return out.returncode != 0, first, seconds
+
+
+def main():
+    killed = 0
+    for mutant in MUTANTS:
+        dead, first, seconds = run(mutant)
+        killed += dead
+        status = "killed by %s" % first if dead else "SURVIVED"
+        print("%-30s %s (%.1f s): %s" % (mutant[0], status, seconds, mutant[4]), flush=True)
+    print("%d of %d mutants killed" % (killed, len(MUTANTS)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
