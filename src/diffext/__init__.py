@@ -31,7 +31,6 @@ from .autos import (
 from .dext import AlgebraElement, ExtAlgebra
 from .diffpoly import (
     DiffPoly,
-    find_inner_constant,
     is_right_invariant,
     p_poly_as_diffpoly,
     substitute,
@@ -45,7 +44,6 @@ from .errors import (
     GNotAnnihilating,
     InternalInvariantViolation,
     NoSolution,
-    NotInner,
     NotInvertible,
     NotNuclear,
     TInDenominator,
@@ -92,7 +90,6 @@ __all__ = [
     "InternalInvariantViolation",
     "Matrix",
     "NoSolution",
-    "NotInner",
     "NotInvertible",
     "NotNuclear",
     "PPolynomial",
@@ -111,7 +108,6 @@ __all__ = [
     "build_auto",
     "derived_field",
     "compose_shift_autos",
-    "find_inner_constant",
     "inner_auto",
     "instance_from_text",
     "is_log_derivative",

@@ -15,10 +15,17 @@ two checks pass:
 * H(f) = f, so the map descends to the quotient.
 
 For tau = id and eps = 1 over a commutative base, the second check reduces
-to V_g(c) = 0, which holds exactly for logarithmic derivatives
-c = delta(u)/u; log_derivative_witness exhibits such a u by one exact
-solve.  Those shifts form a subgroup: composing shifts adds the c values,
-the identity is c = 0, and each nonidentity shift has order p.
+to V_g(c) = 0: the valid shifts are the kernel of V_g.  The logarithmic
+derivatives c = delta(u)/u, the shifts that are inner, are the kernel of
+V_z1 for the minimal z1 = t^p - a t (Jacobson's criterion), decided by
+is_log_derivative; log_derivative_witness exhibits such a u by one exact
+solve.  The algebra's split g = h(z1) gives V_g = h(V_z1), so every
+logarithmic derivative is a valid shift, and the two kernels agree when
+g = z1^(p^(e-1)).  Otherwise they can differ: at p = 2, delta = d/dx and
+g = t^4 + t^2 = z1^2 + z1 with z1 = t^2, c = 1 has V_z1(1) = 1 and
+V_g(1) = 0, a valid shift that is not inner.  The shifts form a subgroup:
+composing shifts adds the c values, the identity is c = 0, and each
+nonidentity shift has order p.
 
 Over the derived field K = F_p(x), with g of the closed form
 (t^p - a t)^(p^(e-1)) (every g at exponent one), tau = id and eps = 1 are
@@ -53,6 +60,7 @@ from .errors import (
 )
 from .linalg import solve_columns_mod_p
 from .scalars import DensePoly, RatFunc, _add, _derivative, _mul, _neg
+from .towers import PPolynomial
 
 __all__ = [
     "AutoDescriptor",
@@ -200,8 +208,15 @@ def _check_automorphism(H: AutoDescriptor):
 
 
 def is_log_derivative(algebra: ExtAlgebra, c) -> bool:
-    """Whether c = delta(u)/u for some nonzero u, i.e. V_g(c) = 0."""
-    return not v_g(algebra.ring, algebra.g, c)
+    """Whether c = delta(u)/u for some nonzero u, i.e. V_z1(c) = 0.
+
+    z1 = t^p + a1 t is the minimal p-polynomial, read from the algebra's
+    split (a1, h) of towers.z1_split.  This is Jacobson's criterion, and
+    log_derivative_witness exhibits the u.  The valid shifts, V_g(c) = 0,
+    are a larger set when g is not z1^(p^(e-1)); build_auto decides those.
+    """
+    z1 = PPolynomial(algebra.ring.p, 1, algebra.z1_split[:1])
+    return not v_g(algebra.ring, z1, c)
 
 
 def log_derivative_witness(algebra: ExtAlgebra, c):

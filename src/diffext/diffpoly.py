@@ -59,7 +59,7 @@ expansion against the closed form.
 
 from __future__ import annotations
 
-from .errors import InternalInvariantViolation, NotInner
+from .errors import InternalInvariantViolation
 from .scalars import _needs_parens, _power
 from .towers import PPolynomial
 
@@ -70,7 +70,6 @@ __all__ = [
     "p_poly_as_diffpoly",
     "is_right_invariant",
     "substitute",
-    "find_inner_constant",
 ]
 
 
@@ -388,20 +387,3 @@ def _substitute_powers(h: DiffPoly, tau, powers) -> DiffPoly:
             acc = acc + powers[i].scale_left(ta)
     return acc
 
-
-def find_inner_constant(ring, g: PPolynomial):
-    """Constant d0 with g(delta)(b) = d0*b - b*d0 for all b; NotInner if none.
-
-    The answer is 0 when g(delta) = 0 on the base field K, and none exists
-    otherwise.  g(delta) is a derivation of the coefficient ring (each
-    delta^(p^k) is one) that acts on coordinates as g(delta) acts on K:
-    the ring is K itself or the quaternion ring, whose delta acts on the
-    four parts.  K is central in both.  At b = k in K the condition reads
-    g(delta)(k) = d0 k - k d0 = 0, so g(delta) = 0 on K, which
-    PPolynomial.annihilates decides.  Conversely, when g(delta) = 0 on K it
-    is 0 on the ring, and d0 = 0 is the solution of the F-linear system in
-    d0 with its free variables at zero.
-    """
-    if g.annihilates(ring.base_field):
-        return ring.zero()
-    raise NotInner("g(delta) is not an inner derivation by a constant")

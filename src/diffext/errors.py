@@ -10,7 +10,6 @@ __all__ = [
     "NoSolution",
     "ZeroDerivation",
     "InternalInvariantViolation",
-    "NotInner",
     "ConditionFailed",
     "NotNuclear",
     "NotInvertible",
@@ -33,10 +32,6 @@ class ZeroDerivation(ValueError):
 
 class InternalInvariantViolation(RuntimeError):
     """An identity that must hold exactly failed; signals an arithmetic bug."""
-
-
-class NotInner(Exception):
-    """No constant d0 realizes g(delta) as the inner derivation [d0, -]."""
 
 
 class ConditionFailed(Exception):

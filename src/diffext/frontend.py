@@ -484,11 +484,12 @@ def _suite_autos(r: _SuiteRunner):
         return "pass", {"c": str(c0), "samples": 40}
 
     def invalid_shift():
+        c = _invalid_shift(K, inst.g)
         try:
-            build_auto(alg, ident, K.x(), K.one())
+            build_auto(alg, ident, c, K.one())
         except ConditionFailed as exc:
-            return "pass", {"rejected": "c=x", "condition": exc.condition}
-        return "fail", {"error": "c = x accepted despite V_g(x) != 0"}
+            return "pass", {"rejected": "c=%s" % c, "condition": exc.condition}
+        return "fail", {"error": "c = %s accepted despite V_g(%s) != 0" % (c, c)}
 
     def order():
         H = build_auto(alg, ident, c0, K.one())
@@ -515,7 +516,7 @@ def _suite_autos(r: _SuiteRunner):
         for _ in range(60):
             u = random_ratfunc(K, rng, 2, nonzero=True)
             _check(is_log_derivative(alg, K.log_derivative(u)))
-        _check(not is_log_derivative(alg, K.x()))
+        _check(not is_log_derivative(alg, _invalid_shift(K, inst.g)))
         return "pass", {"samples": 60}
 
     def constraints():
@@ -536,6 +537,26 @@ def _suite_autos(r: _SuiteRunner):
     r.run("autos.composition", composition)
     r.run("autos.log_derivative_kernel", kernel)
     r.run("autos.constraints", constraints)
+
+
+def _invalid_shift(K: DerivedField, g: PPolynomial):
+    """A c with V_g(c) != 0: x if it is one, else the first delta(x)/x^(2k),
+    k = 1..e.
+
+    x itself can be a valid shift, even a logarithmic derivative: x =
+    delta(x)/x when delta(x) = x^2.  One of the e candidates always has
+    V_g != 0.  Divided by delta(x), a nonzero F_p-combination of them has a
+    pole at 0 of even order at least 2, while delta(u)/u divided by delta(x)
+    is u'/u, whose poles are simple; so the candidates are independent
+    modulo ker V_z1.  V_g = h(V_z1) for the split g = h(z1), so ker V_g /
+    ker V_z1 embeds in ker h, of F_p-dimension at most e - 1, and cannot
+    hold all e.
+    """
+    x = K.x()
+    for c in (K.delta(x) / x ** (2 * k) if k else x for k in range(g.e + 1)):
+        if v_g(K, g, c):
+            return c
+    raise InternalInvariantViolation("V_g vanishes on x and on delta(x)/x^(2k) for k <= %d" % g.e)
 
 
 def _suite_inner(r: _SuiteRunner):

@@ -92,6 +92,17 @@ def test_is_log_derivative_frozen_values(i1):
     assert not is_log_derivative(i1, x)
 
 
+def test_valid_shift_that_is_not_inner():
+    # g = t^4 + t^2 = z1^2 + z1 with z1 = t^2 at p = 2, delta = d/dx:
+    # V_z1(1) = 1 and V_g(1) = 1 + 1 = 0.  t -> t + 1 is an automorphism,
+    # but u'/u = 1 has no solution u, so the shift is not inner.
+    alg = instance_from_text("p = 2\ndelta_of_x = 1\nd = x\ng = t^4 + t^2\n").algebra
+    one = alg.ring.one()
+    assert build_auto(alg, IDENT, one, one).c == one
+    assert not is_log_derivative(alg, one)
+    assert log_derivative_witness(alg, one) is None
+
+
 def test_log_derivative_witness(i1):
     K = i1.ring
     # delta(x)/x = 1 for delta = x d/dx.
@@ -130,11 +141,26 @@ def _fraction_of_height(K, rng, height):
     return RatFunc(num, den)
 
 
+# A g = h(z1) that is not z1^(p^(e-1)), per (p, weight): its valid shifts,
+# ker V_g, can be more than the logarithmic derivatives, ker V_z1.
+_NON_CLOSED_G = {(2, "1"): "t^4 + t^2", (2, "x"): "t^4 + t", (3, "x"): "t^9 + 2*t"}
+
+
+def _log_derivative_algebras(p, weight):
+    """The instance with d = 0 and the minimal g, then the one with the
+    weight's non-closed g, if it has one."""
+    text = "p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)
+    texts = [text]
+    if (p, weight) in _NON_CLOSED_G:
+        texts.append(text + "g = %s\n" % _NON_CLOSED_G[p, weight])
+    return [instance_from_text(t).algebra for t in texts]
+
+
 @pytest.mark.parametrize("p,bounds", [(2, range(4)), (3, range(3))], ids=["p2", "p3"])
 @pytest.mark.parametrize("weight", ["x", "1", "x^2 + 1"])
 def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
-    alg = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).algebra
-    K = alg.base_field
+    algs = _log_derivative_algebras(p, weight)
+    K = algs[0].base_field
     rng = random.Random(97 * p + len(weight))
     x = K.x()
     for bound in bounds:
@@ -148,8 +174,9 @@ def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
             bounded = _bounded_height_witness(K, columns_for, bound)
             brute = brute_force_log_derivative(K, c, bound)
             assert str(bounded) == str(brute), (bound, c)
-            got = log_derivative_witness(alg, c)
-            assert (got is not None) == is_log_derivative(alg, c), (bound, c)
+            got = log_derivative_witness(algs[0], c)
+            for alg in algs:
+                assert (got is not None) == is_log_derivative(alg, c), (alg.g, bound, c)
             if brute is not None:
                 assert got is not None and K.log_derivative(got) == c, (bound, c)
 
@@ -160,18 +187,22 @@ _LOG_WEIGHTS = ("x", "1", "x^2 + 1", "1/x", "(x+1)/x", "x^3 + x + 1")
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_log_derivative_witness_is_exact(p):
     # Planted c = delta(u0)/u0 are all found; on random c a witness exists
-    # exactly when V_g(c) = 0.  Eight of each per weight: 48 per prime.
+    # exactly when V_z1(c) = 0, for the minimal g and for a non-closed one.
+    # Eight of each per weight: 48 per prime.
     rng = random.Random("logder:%d" % p)
     for weight in _LOG_WEIGHTS:
-        alg = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).algebra
+        algs = _log_derivative_algebras(p, weight)
+        alg = algs[0]
         K = alg.base_field
         for _ in range(8):
             c = K.log_derivative(random_ratfunc(K, rng, 3, nonzero=True))
             u = log_derivative_witness(alg, c)
             assert u is not None and K.log_derivative(u) == c, (weight, c)
+            assert all(is_log_derivative(alg_g, c) for alg_g in algs), (weight, c)
             c = random_ratfunc(K, rng, 3)
             u = log_derivative_witness(alg, c)
-            assert (u is not None) == is_log_derivative(alg, c), (weight, c)
+            for alg_g in algs:
+                assert (u is not None) == is_log_derivative(alg_g, c), (weight, alg_g.g, c)
             assert u is None or K.log_derivative(u) == c
 
 

@@ -4,29 +4,24 @@ import random
 
 import pytest
 
-from diffext.errors import InternalInvariantViolation, NoSolution, NotInner
+from diffext.errors import InternalInvariantViolation
 from diffext.diffpoly import (
     DiffPoly,
     _p_step,
-    find_inner_constant,
     is_right_invariant,
     p_poly_as_diffpoly,
     substitute,
     v_g,
     v_p_tower,
 )
-from diffext.frontend import instance_from_text
-from diffext.linalg import Matrix
 from diffext.parsing import parse_diffpoly
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import (
     DerivedField,
-    PPolynomial,
     QuaternionRing,
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
-from oracles import solve
 
 
 def _w(p, coeffs):
@@ -304,96 +299,6 @@ def test_substitute_is_multiplicative_for_valid_shift():
         left = substitute(a * b, lambda z: z, one, one)
         right = substitute(a, lambda z: z, one, one) * substitute(b, lambda z: z, one, one)
         assert left == right
-
-
-def test_find_inner_constant_commutative_annihilating():
-    g = minimal_p_polynomial(K2X)
-    assert not find_inner_constant(K2X, g)
-    g3 = minimal_p_polynomial(K3X)
-    assert not find_inner_constant(K3X, g3)
-
-
-def test_find_inner_constant_quaternion_ring():
-    # d/dx over F_3 with g = t^3: delta^3 = 0 = [0, -], so d0 = 0.  t^3 does
-    # not annihilate x d/dx, and K is central in Q: no d0.
-    g = minimal_p_polynomial(K3D)
-    assert g.e == 1 and not g.coeffs[0]
-    assert find_inner_constant(Q3D, g) == Q3D.zero()
-    with pytest.raises(NotInner):
-        find_inner_constant(Q3X, g)
-
-
-def test_find_inner_constant_not_inner():
-    # g = t^2 does not annihilate x d/dx, and no constant can make an inner
-    # derivation nonzero on a commutative ring.
-    g = PPolynomial(2, 1, (K2X.zero(),))
-    with pytest.raises(NotInner):
-        find_inner_constant(K2X, g)
-
-
-def _solve_inner_constant(ring, g):
-    """The F-linear solve find_inner_constant replaced, kept as its oracle.
-
-    d0 in the basis of the ring over its constants: the commutator condition
-    on basis elements and delta(d0) = 0 form one system, solved with the
-    free variables at zero; NotInner when it is inconsistent.
-    """
-    basis = ring.constant_basis()
-    n = len(basis)
-    zero = ring.base_field.zero()
-    rows, rhs = [], []
-    for b in basis:
-        target = ring.coords(g.apply_operator(ring, b))
-        cols = [ring.coords(ej * b - b * ej) for ej in basis]
-        for k in range(len(target)):
-            rows.append([cols[j][k] for j in range(n)])
-            rhs.append(target[k])
-    for j, ej in enumerate(basis):
-        for c in ring.coords(ring.delta(ej)):
-            if c:
-                rows.append([c if jj == j else zero for jj in range(n)])
-                rhs.append(zero)
-    try:
-        sol, _ = solve(Matrix(ring.base_field, rows), tuple(rhs))
-    except NoSolution:
-        raise NotInner("no constant d0") from None
-    return ring.from_coords(sol)
-
-
-def _inner_cases():
-    for p in (2, 3, 5):
-        for weight in ("x", "1", "x^2 + 1", "1/x", "(x+1)/x"):
-            K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
-            zero, one, xp = K.zero(), K.one(), K.x() ** p
-            gs = {
-                "minimal": minimal_p_polynomial(K),
-                "exponent two": p_polynomial_at_exponent(K, 2),
-                "t^p": PPolynomial(p, 1, (zero,)),
-                "t^p + x^p t": PPolynomial(p, 1, (xp,)),
-                "t^(p^2) + t^p": PPolynomial(p, 2, (one, zero)),
-            }
-            rings = [K] + ([QuaternionRing(K)] if p > 2 else [])
-            for ring in rings:
-                for name, g in gs.items():
-                    yield "%s-%s-%s" % (ring, weight, name), ring, g
-
-
-def test_find_inner_constant_matches_linear_solve():
-    # 125 cases: 75 over K at p = 2, 3, 5 and 50 over the quaternion ring
-    # at p = 3, 5.  Both answers are 0 or NotInner, and they agree.
-    outcomes = {"zero": 0, "not inner": 0}
-    for label, ring, g in _inner_cases():
-        try:
-            want = _solve_inner_constant(ring, g)
-        except NotInner:
-            with pytest.raises(NotInner):
-                find_inner_constant(ring, g)
-            outcomes["not inner"] += 1
-            continue
-        assert want == ring.zero() and find_inner_constant(ring, g) == want, label
-        outcomes["zero"] += 1
-    assert sum(outcomes.values()) == 125
-    assert outcomes["zero"] and outcomes["not inner"]
 
 
 def test_diffpoly_pow_matches_repeated_product():

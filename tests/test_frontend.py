@@ -150,6 +150,32 @@ def test_nuclei_suite_exponent_two(text, dims):
     assert witness["nuclei.slots"]["dims"] == str(dict(zip(("left", "middle", "right"), dims)))
 
 
+# (p, delta(x), declared g, the invalid shift the suite picks).
+_X_VALID_SHIFT = [
+    (p, w, "", c)
+    for p in (3, 5)
+    for w, c in (("x^2", "1"), ("x^2 + x", "(x + 1)/(x)"), ("x^2 + 1", "(x^2 + 1)/(x^2)"))
+] + [(2, "x^2", "", "1"), (2, "x^2 + x", "", "(x + 1)/(x)"), (2, "x^2", "t^4 + t^2", "1/(x^2)")]
+
+
+@pytest.mark.parametrize(
+    "p,weight,g,rejected",
+    _X_VALID_SHIFT,
+    ids=["p%d-%s%s" % (p, w, "-" + g if g else "") for p, w, g, _ in _X_VALID_SHIFT],
+)
+def test_autos_suite_when_x_is_a_valid_shift(p, weight, g, rejected):
+    # V_z1(x) = 0 for each weight here: x = delta(u)/u with u = x, x + 1 or
+    # (x^2 + 1)^((p+1)/2).  The invalid shift is the first delta(x)/x^(2k)
+    # with V_g != 0.  For g = t^4 + t^2 = z1^2 + z1, z1 = t^2, c = 1 at k = 1
+    # is a valid shift (V_z1(1) = 1, V_g(1) = 0) that is not inner.
+    text = "p = %d\ndelta_of_x = %s\nd = x\n" % (p, weight) + ("g = %s\n" % g if g else "")
+    inst = instance_from_text(text)
+    report = run_suite(inst, "autos")
+    assert not report.failed
+    witness = {c.name: c.witness for c in report.checks}
+    assert witness["autos.invalid_shift"]["rejected"] == "c=%s" % rejected
+
+
 def _verify_all_checks(tmp_path, text):
     out = tmp_path / "report.json"
     proc = _cli(tmp_path, "verify", "CFG", "--suite", "all", "--json", str(out), config=text)

@@ -75,6 +75,34 @@ MUTANTS = [
         "            cols.append([w.coeff(k) for k in range(m - 1)])",
         "a right-nucleus row t^i d - d t^i that keeps the top term d t^i",
     ),
+    (
+        "log-derivative-by-v-g",
+        "src/diffext/autos.py",
+        "    return not v_g(algebra.ring, z1, c)",
+        "    return not v_g(algebra.ring, algebra.g, c)",
+        "is_log_derivative deciding V_g(c) = 0, not V_z1(c) = 0",
+    ),
+    (
+        "autos-suite-invalid-c-is-x",
+        "src/diffext/frontend.py",
+        " for k in range(g.e + 1)):",
+        " for k in range(1)):",
+        "the autos suite's invalid shift pinned to c = x",
+    ),
+    (
+        "autos-suite-invalid-c-k1",
+        "src/diffext/frontend.py",
+        " for k in range(g.e + 1)):",
+        " for k in range(2)):",
+        "the autos suite's invalid-shift candidates stopped at delta(x)/x^2",
+    ),
+    (
+        "cancel-memo-key",
+        "src/diffext/scalars.py",
+        "    key = (u, v)",
+        "    key = u",
+        "the cancellation memo keyed by the numerator alone",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
@@ -99,8 +127,13 @@ def run(mutant):
             cwd=copy, env=env, capture_output=True, text=True,
         )
         seconds = time.perf_counter() - t0
+    # A summary line reads "FAILED <test id> - <message>"; a test id can hold spaces.
     first = next(
-        (line.split()[1] for line in out.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))),
+        (
+            line.split(" ", 1)[1].split(" - ", 1)[0]
+            for line in out.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))
+        ),
         None,
     )
     return out.returncode != 0, first, seconds
