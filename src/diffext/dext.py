@@ -191,7 +191,6 @@ class ExtAlgebra:
             raise InternalInvariantViolation("modulus must stay monic of degree p^e")
         self._ring_basis = ring.constant_basis()
         self._table = None
-        self._nucleus_cache = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -488,24 +487,22 @@ class ExtAlgebra:
         return [self.from_coords(v) for v in self._nucleus_coords(which)]
 
     def _nucleus_coords(self, which):
-        # Cached as coordinate tuples: elements would point back at self.
-        if which not in _NUCLEUS_SLOTS:
-            raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
+        # No memo: over the derived field, the ring of every command, only
+        # the right nucleus takes a solve, and no command asks for it twice.
         # A prefix of the unit vectors is already the canonical basis that
         # _common_kernel returns for it, so only a span or a map needs one.
-        if which not in self._nucleus_cache:
-            units, n = self._units(), self.ring.dim_over_constants
-            if self.is_associative():
-                coords = units
-            elif which in ("left", "middle") or which == "full" and self.ring.is_commutative:
-                coords = units[:n]  # the coefficient ring A
-            elif self.ring.is_commutative:  # the derived field's right nucleus
-                coords = self._common_kernel([], self._right_nucleus_span())
-            else:  # the quaternion ring: the kernel of the commutator with d
-                start = units if which == "right" else units[:n]
-                coords = self._common_kernel([self._commutator_with(self.scalar(self.d))], start)
-            self._nucleus_cache[which] = tuple(coords)
-        return self._nucleus_cache[which]
+        if which not in _NUCLEUS_SLOTS:
+            raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
+        units, n = self._units(), self.ring.dim_over_constants
+        if self.is_associative():
+            return units
+        if which in ("left", "middle") or which == "full" and self.ring.is_commutative:
+            return units[:n]  # the coefficient ring A
+        if self.ring.is_commutative:  # the derived field's right nucleus
+            return self._common_kernel([], self._right_nucleus_span())
+        # The quaternion ring: the kernel of the commutator with d.
+        start = units if which == "right" else units[:n]
+        return self._common_kernel([self._commutator_with(self.scalar(self.d))], start)
 
     def _right_nucleus_span(self):
         """Coordinates of an F-spanning set of the centralizer of d in R_<m.
@@ -779,11 +776,12 @@ def _vg_columns(K, split, d, degree):
     and packs them and K0 once, w bytes per coefficient, with w large
     enough for (p-1) + ((p-1) degree + 1)(p-1)^2: every packed coefficient
     and every lam_m is at most p - 1, and a column adds K0 to at most
-    deg L + 1 multiples lam_m Phi(m+i).  Per v this leaves p - 2 products
-    for L and, per column, one integer sum of K0 shifted by p i slots and
-    the lam_m Phi(m+i), reduced once; no derivation runs.  At w = 1 and
-    e = 1 the column is the sum's bytes translated by scalars._residues(p),
-    which the solver packs as they are; otherwise it is unpacked to a tuple
+    deg L + 1 multiples lam_m Phi(m+i).  Per v this leaves L, by
+    scalars._pow (square-and-multiply, as p - 1 < p), and, per column, one
+    integer sum of K0 shifted by p i slots and the lam_m Phi(m+i), reduced
+    once; no derivation runs.  At w = 1 and e = 1 the column is the sum's
+    bytes translated by scalars._residues(p), which the solver packs as
+    they are; otherwise it is unpacked to a tuple
     (scalars._unpacked, as scalars._shifted_sums does).  columns(v) needs
     deg v <= degree, the bound the table was built for, and raises
     ValueError otherwise.
@@ -871,9 +869,7 @@ def _vg_columns(K, split, d, degree):
             raise ValueError("denominator %s has degree above the search bound %d" % (den, degree))
         if not packed:
             level_one_setup()
-        lift = v  # L = v^(p-1)
-        for _ in range(p - 2):
-            lift = _mul(lift, v, p)
+        lift = _pow(v, p - 1, p)  # L
         # Z_i = K0 x^(p i) + sum_m lam_m Phi(m + i), Phi(k) at packed[1 + k].
         k0, n, s = packed[0], len(lift), 8 * w * p
         sums = [sum(map(mul, lift, packed[1 + i : 1 + i + n]), k0 << s * i) for i in range(degree + 1)]

@@ -224,9 +224,6 @@ class DiffPoly:
                     r[j] = r[j] - q[k] * fj
         return DiffPoly(ring, q), DiffPoly(ring, r[:df])
 
-    def __divmod__(self, other):
-        return self.right_divmod(other)
-
     def mod_right(self, f):
         return self.right_divmod(f)[1]
 

@@ -5,9 +5,12 @@ Representation choices, which everything above this module relies on:
 * Elements of F_p are Python ints in ``range(p)``; ``PrimeField`` is the
   context object: it holds the modulus and the field's two fraction memos
   (below).
-* ``DensePoly`` stores coefficients lowest degree first in a tuple whose last
-  entry is nonzero; the zero polynomial is the empty tuple.  ``degree()`` is
-  -1 for zero.
+* ``DensePoly`` is a read-only view of a coefficient tuple, lowest degree
+  first, whose last entry is nonzero; the zero polynomial is the empty
+  tuple.  ``degree()`` is -1 for zero.  It has no arithmetic: every
+  polynomial operation runs on the tuples, in the kernels below, and a
+  view only carries a tuple in and out of the public API (``RatFunc``,
+  ``poly_gcd``, ``random_poly``, printing).
 * ``RatFunc`` is always canonical: numerator and denominator coprime, the
   denominator monic, zero stored as 0/1.  Canonical form makes ``==`` a
   plain structural comparison, which the linear algebra and all the exact
@@ -28,22 +31,22 @@ Each type has two constructors:
   wrap coefficient tuples as they are.  Their callers must already hold
   the invariant: a tuple of ints in ``range(p)`` with no trailing zero and,
   for a fraction, coprime parts with a monic denominator and zero as
-  () over (1,).  The operators of both types build their results this way.
+  () over (1,).  ``RatFunc``'s operators build their results this way.
 
 The arithmetic runs on coefficient tuples in private kernels (``_add``,
-``_mul``, ``_divmod``, ``_exquo``, ``_gcd``, ``_derivative``) that take p
-as an argument and reduce mod p once per output entry; ``_frobenius``
-takes the power of p instead and only moves coefficients, and ``_pow``
-builds every polynomial power from such spreads.  Divisors of
-degree <= 1 take short paths: division by a linear divisor is synthetic
-(Horner at its root), and Euclid stops at a divisor of degree <= 1,
-which decides the gcd with one Horner pass.  ``_exquo`` is the quotient
-by a monic divisor known to divide, with no inverse and no remainder
-when the divisor is constant or linear; every exact division in the
-fraction arithmetic goes through it.  A larger divisor takes the long
-division of ``_remainder``, on packed ints like the products, and every
-Euclid step takes its remainder from there; ``_exquo`` cuts both operands
-to the entries that decide the quotient and runs only the quotient loop.
+``_neg``, ``_mul``, ``_remainder``, ``_exquo``, ``_gcd``,
+``_derivative``) that take p as an argument and reduce mod p once per
+output entry; ``_frobenius`` takes the power of p instead and only moves
+coefficients, and ``_pow`` builds every polynomial power from such
+spreads.  ``_exquo`` is the quotient by a monic divisor known to divide,
+and every exact division in the fraction arithmetic goes through it: a
+constant divisor is 1, a linear one is synthetic (Horner at its root,
+``_synthetic``), with no inverse and no remainder, and a larger one takes
+the quotient loop of ``_remainder``, the long division on packed ints
+like the products, after both operands are cut to the entries that
+decide the quotient.  Every Euclid step takes its remainder from
+``_remainder``, and Euclid stops at a divisor of degree <= 1, which
+decides the gcd with one Horner pass.
 Fraction sums and products are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): a
 sum takes gcd(b, d) and, only when that is not 1, one more gcd of the new
 numerator with it; a product cancels the cross gcds gcd(a, d) and
@@ -73,10 +76,10 @@ is the ``_frobenius`` spread of a^d by p^k, so a^n is the product over
 the nonzero digits d_k of n of the spreads of a^(d_k): a^p costs no
 product, and a^n one per nonzero digit past the first, besides the small
 powers a^(d_k) with d_k < p.  A monomial c x^m is c^n x^(mn) and costs
-none.  ``DensePoly`` and ``RatFunc`` powers both go through ``_pow``; a
-fraction raises its numerator and its denominator separately, since the
-powers of a canonical fraction's parts are coprime with a monic
-denominator, so num^n / den^n needs no gcd.  ``_power`` is the
+none.  Every polynomial power in the library goes through ``_pow``.  A
+``RatFunc`` power raises its numerator and its denominator separately,
+since the powers of a canonical fraction's parts are coprime with a
+monic denominator, so num^n / den^n needs no gcd.  ``_power`` is the
 square-and-multiply routine: the small powers a^(d_k) use it, and so do
 ``DiffPoly`` powers, where Frobenius does not hold.  It is private, so it
 stays out of ``__all__``.
@@ -346,29 +349,6 @@ def _synthetic(a, r, p: int):
     return q, ((a[0] + r * c) % p if a else 0)
 
 
-def _divmod(a, b, p: int):
-    """(quotient, remainder) of coefficient tuples for nonzero b.
-
-    A constant divisor scales, a linear one takes the synthetic division,
-    and a larger one the packed long division of ``_remainder``.
-    """
-    db = len(b) - 1
-    if len(a) <= db:
-        return (), tuple(a)
-    if db > 1:
-        q = [0] * (len(a) - db)
-        r = _remainder(a, b, p, q)
-        return tuple(q), tuple(r)
-    inv = pow(b[-1], -1, p)
-    if not db:
-        return tuple([c * inv % p for c in a]), ()
-    # b = b1 (x - r): the quotient by x - r scaled by 1/b1, and a(r).
-    q, c = _synthetic(a, -b[0] * inv % p, p)
-    if inv != 1:
-        q = [y * inv % p for y in q]
-    return tuple(q), (c,) if c else ()
-
-
 def _remainder(a, b, p: int, q=None, exact=False):
     """a mod b by long division on packed ints, for len(a) >= len(b) >= 3.
 
@@ -471,18 +451,21 @@ def _pow(a, n: int, p: int) -> tuple:
     """a^n for a coefficient tuple and n >= 0, from the base-p digits of n.
 
     With n = sum d_k p^k, a^n is the product of the _frobenius spreads of
-    a^(d_k) by p^k, each a^(d_k) by square-and-multiply.  A monomial
-    c x^m is c^n x^(mn), with no product.
+    a^(d_k) by p^k, each a^(d_k) by square-and-multiply; n < p is one
+    digit, with no spread.  A monomial c x^m is c^n x^(mn), with no product.
     """
     if not a:
         return () if n else (1,)
     if len(a) - a.count(0) == 1:
         return (0,) * ((len(a) - 1) * n) + (pow(a[-1], n, p),)
+    mul = lambda u, v: _mul(u, v, p)
+    if n < p:
+        return _power(a, n, (1,), mul)
     out, spread = None, 1
     while n:
         n, digit = divmod(n, p)
         if digit:
-            term = _frobenius(_power(a, digit, None, lambda u, v: _mul(u, v, p)), spread)
+            term = _frobenius(_power(a, digit, None, mul), spread)
             out = term if out is None else _mul(out, term, p)
         spread *= p
     return (1,) if out is None else out
@@ -524,7 +507,8 @@ def _poly(field: PrimeField, coeffs: tuple) -> "DensePoly":
 
 
 class DensePoly:
-    """Univariate polynomial over F_p, dense coefficient tuple, low degree first."""
+    """Univariate polynomial over F_p: a read-only view of a coefficient
+    tuple, low degree first.  The arithmetic runs on the tuples."""
 
     __slots__ = ("field", "coeffs")
 
@@ -542,22 +526,11 @@ class DensePoly:
         return _poly(field, (1,))
 
     @classmethod
-    def x(cls, field: PrimeField) -> "DensePoly":
-        return _poly(field, (0, 1))
-
-    @classmethod
     def constant(cls, field: PrimeField, c: int) -> "DensePoly":
         return cls(field, (c,))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def lc(self) -> int:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def is_monic(self) -> bool:
-        return self.lc() == 1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -571,36 +544,6 @@ class DensePoly:
 
     def __hash__(self):
         return hash((self.field.p, self.coeffs))
-
-    def __add__(self, other):
-        return _poly(self.field, _add(self.coeffs, other.coeffs, self.field.p))
-
-    def __neg__(self):
-        return _poly(self.field, _neg(self.coeffs, self.field.p))
-
-    def __sub__(self, other):
-        p = self.field.p
-        return _poly(self.field, _add(self.coeffs, _neg(other.coeffs, p), p))
-
-    def __mul__(self, other):
-        return _poly(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
-
-    def __divmod__(self, other):
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
-        return _poly(self.field, q), _poly(self.field, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent %d" % n)
-        return _poly(self.field, _pow(self.coeffs, n, self.field.p))
 
     def __str__(self):
         if not self.coeffs:

@@ -17,8 +17,9 @@ with g(delta) = 0 as an F-linear operator on K.  This is Hochschild's
 formula (w d/dx)^p = delta^(p-1)(w) d/dx (Trans. AMS 79, 1955), and it
 costs p - 1 derivations; ``p_polynomial_at_exponent`` gives the exponent-e
 polynomial t^(p^e) - a^(p^(e-1)) t^(p^(e-1)) the same way.  Each field
-remembers a, so it is derived once per field, and its minimal
-p-polynomial, which is re-checked at x once.
+remembers a, so it is derived once per field; a field does not remember
+its minimal p-polynomial, which an instance builds once, at load, and
+which each call re-checks at x.
 
 ``z1_split`` writes a p-polynomial g over F as h(z1), z1 = t^p - a t, for
 a p-polynomial h over F, or refuses it with GNotAnnihilating.  It is the
@@ -82,7 +83,7 @@ _DELTA_MEMO_ENTRIES = 2 ** 14
 class DerivedField(RationalFunctionField):
     """F_p(x) with the derivation a |-> delta_of_x * da/dx."""
 
-    __slots__ = ("delta_of_x", "_delta_memo", "_a", "_minimal")
+    __slots__ = ("delta_of_x", "_delta_memo", "_a")
 
     def __init__(self, p: int, delta_of_x: RatFunc):
         super().__init__(p)
@@ -97,7 +98,6 @@ class DerivedField(RationalFunctionField):
         # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
         self._delta_memo = {}
         self._a = None  # see _hochschild_constant
-        self._minimal = None  # see minimal_p_polynomial
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
 
@@ -405,11 +405,8 @@ def minimal_p_polynomial(K: DerivedField) -> PPolynomial:
 
     Exponent 0 would need delta = 0, which the field refuses, so the
     exponent-one polynomial of ``p_polynomial_at_exponent`` is minimal.
-    It is remembered per field, so a field re-checks it at x once.
     """
-    if K._minimal is None:
-        K._minimal = p_polynomial_at_exponent(K, 1)
-    return K._minimal
+    return p_polynomial_at_exponent(K, 1)
 
 
 def z1_split(K: DerivedField, g: PPolynomial):

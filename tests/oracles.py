@@ -9,8 +9,8 @@ another way, and the library itself does not call any of them:
 * ``solve_mod_p``: the same elimination on augmented rows of ints over
   F_p, and ``padded_rows``, which reads columns as such rows: together the
   reference for ``linalg.solve_columns_mod_p``;
-* ``formal_derivative``, ``monic`` and ``scale`` on a ``DensePoly``: the
-  derivative computes i * c_i here rather than through
+* ``formal_derivative``, ``monic`` and ``scale`` on a coefficient tuple
+  over F_p: the derivative computes i * c_i here rather than through
   ``scalars._derivative``, so the quotient-rule oracles share no kernel
   with ``DerivedField.delta``;
 * ``coords_columns``: the column builder of the bounded-height search that
@@ -27,7 +27,7 @@ from math import comb
 
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
-from diffext.scalars import DensePoly, RatFunc, poly_gcd
+from diffext.scalars import DensePoly, RatFunc, _exquo, _gcd, _mul
 
 
 def mul_vec(m, vec):
@@ -68,19 +68,25 @@ def solve(m, rhs):
     return tuple(x), m._kernel_from_rref(red, pivots)
 
 
-def formal_derivative(a):
-    """d/dx of a polynomial, i * c_i taken coefficient by coefficient."""
-    return DensePoly(a.field, [i * c for i, c in enumerate(a.coeffs)][1:])
+def _trimmed(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def scale(a, c: int):
-    """c * a for an integer c."""
-    return DensePoly(a.field, [c * e for e in a.coeffs])
+def formal_derivative(a, p: int) -> tuple:
+    """d/dx of a coefficient tuple, i * c_i taken coefficient by coefficient."""
+    return _trimmed([i * c % p for i, c in enumerate(a)][1:])
 
 
-def monic(a):
+def scale(a, c: int, p: int) -> tuple:
+    """c * a for a coefficient tuple a and an integer c."""
+    return _trimmed([c * e % p for e in a])
+
+
+def monic(a, p: int) -> tuple:
     """a over its leading coefficient; zero stays zero."""
-    return scale(a, a.field.inv(a.lc())) if a else a
+    return scale(a, pow(a[-1], -1, p), p) if a else a
 
 
 def solve_mod_p(rows, p: int):
@@ -159,14 +165,16 @@ def coords_columns(K, fn, target, degree):
     the right-hand side, the equations of all coordinates one after another.
     """
 
+    p = K.p
+
     def columns(den):
         images = [fn(RatFunc(DensePoly(K.field, [0] * i + [1]), den)) for i in range(degree + 1)]
         stacked = [() for _ in range(degree + 2)]
         for column in zip(*images, target):
-            lcm = DensePoly.one(K.field)
+            lcm = (1,)
             for c in column:
-                lcm = lcm * (c.den // poly_gcd(lcm, c.den))
-            cleared = [(c.num * (lcm // c.den)).coeffs for c in column]
+                lcm = _mul(lcm, _exquo(c.den_coeffs, _gcd(lcm, c.den_coeffs, p), p), p)
+            cleared = [_mul(c.num_coeffs, _exquo(lcm, c.den_coeffs, p), p) for c in column]
             width = max(map(len, cleared)) or 1
             stacked = [s + c + (0,) * (width - len(c)) for s, c in zip(stacked, cleared)]
         return stacked[:-1], stacked[-1]

@@ -1,4 +1,9 @@
-"""Base arithmetic: prime fields, dense polynomials, canonical fractions."""
+"""Base arithmetic: prime fields, the polynomial kernels, canonical fractions.
+
+Polynomial arithmetic runs on coefficient tuples (``scalars._mul``,
+``_add``, ``_neg``, ``_remainder``, ``_exquo``, ``_gcd``, ``_pow``), and the
+tests call those kernels; ``DensePoly`` is only a view of a tuple.
+"""
 
 import gc
 import random
@@ -15,6 +20,10 @@ from diffext.scalars import (
     poly_gcd,
     random_poly,
     random_ratfunc,
+    _add,
+    _mul,
+    _neg,
+    _pow,
     _power,
 )
 from oracles import formal_derivative, monic, scale
@@ -27,6 +36,11 @@ F3 = PrimeField(3)
 
 def P(field, *coeffs):
     return DensePoly(field, coeffs)
+
+
+def _frac(field, num, den):
+    """The gcd constructor's fraction num/den of two coefficient tuples."""
+    return RatFunc(DensePoly(field, num), DensePoly(field, den))
 
 
 def test_prime_field_validation():
@@ -56,19 +70,6 @@ def test_poly_normalization_trims_leading_zeros():
     assert DensePoly.zero(F2).degree() == -1
 
 
-def test_poly_divmod_exact():
-    # (x^2 + x) = x * (x + 1) over F_2, remainder 0.
-    q, r = divmod(P(F2, 0, 1, 1), P(F2, 0, 1))
-    assert q == P(F2, 1, 1)
-    assert not r
-    # Generic case keeps the division identity.
-    g = P(F3, 1, 2, 0, 1)
-    f = P(F3, 2, 1)
-    q, r = divmod(g, f)
-    assert q * f + r == g
-    assert r.degree() < f.degree()
-
-
 def test_poly_gcd_frozen_values():
     # gcd(x^2 + x, x) = x over F_2.
     g = poly_gcd(P(F2, 0, 1, 1), P(F2, 0, 1))
@@ -91,9 +92,9 @@ def test_poly_gcd_divides_both():
         if not g:
             assert not a and not b
             continue
-        assert g.is_monic()
-        assert not a % g
-        assert not b % g
+        assert g.coeffs[-1] == 1
+        for u in (a.coeffs, b.coeffs):
+            assert _mul(g.coeffs, scalars._exquo(u, g.coeffs, 3), 3) == u
 
 
 def test_ratfunc_canonical_frozen_values():
@@ -109,7 +110,7 @@ def test_ratfunc_canonical_frozen_values():
     a = P(F3, 1, 2)
     assert RatFunc(a, a) == RatFunc.one(F3)
     r = RatFunc(P(F3, 1), P(F3, 2))
-    assert r.den.is_monic()
+    assert r.den_coeffs == (1,) and r.num_coeffs == (2,)
     with pytest.raises(ZeroDivisionError):
         RatFunc(P(F2, 1), DensePoly.zero(F2))
 
@@ -119,8 +120,8 @@ def test_ratfunc_canonical_is_representative_independent():
     K = RationalFunctionField(3)
     for _ in range(200):
         a = random_ratfunc(K, rng, 3)
-        s = random_poly(F3, rng, 3, nonzero=True)
-        scaled = RatFunc(a.num * s, a.den * s)
+        s = random_poly(F3, rng, 3, nonzero=True).coeffs
+        scaled = _frac(F3, _mul(a.num_coeffs, s, 3), _mul(a.den_coeffs, s, 3))
         assert scaled == a
         assert scaled.num.coeffs == a.num.coeffs and scaled.den.coeffs == a.den.coeffs
 
@@ -233,16 +234,16 @@ def test_power_squares_only_while_bits_remain():
 def test_pow_matches_repeated_product():
     rng = random.Random(5)
     K = RationalFunctionField(3)
-    for a, one in (
-        (P(F3, 2, 1, 1), DensePoly.one(F3)),
-        (random_ratfunc(K, rng, 2, nonzero=True), K.one()),
-    ):
-        expected = one
-        for n in range(6):
-            assert a ** n == expected
-            expected = expected * a
+    a, expected = (2, 1, 1), (1,)
+    for n in range(6):
+        assert _pow(a, n, 3) == expected
+        expected = _mul(expected, a, 3)
+    a, expected = random_ratfunc(K, rng, 2, nonzero=True), K.one()
+    for n in range(6):
+        assert a ** n == expected
+        expected = expected * a
     with pytest.raises(ValueError):
-        P(F3, 2, 1) ** -1
+        _pow((2, 1), -1, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -252,16 +253,20 @@ def test_digit_powers_match_square_and_multiply_and_repeated_products(p):
     rng = random.Random(310 + p)
     F = PrimeField(p)
     K = RationalFunctionField(p)
-    bases = [DensePoly.zero(F), DensePoly.one(F), P(F, p - 1), DensePoly.x(F)]
-    bases += [P(F, 1, 2 % p, p - 1)] + [random_poly(F, rng, 3) for _ in range(3)]
+    mul = lambda u, v: _mul(u, v, p)
+    bases = [(), (1,), (p - 1,), (0, 1)]
+    bases += [P(F, 1, 2 % p, p - 1).coeffs] + [random_poly(F, rng, 3).coeffs for _ in range(3)]
     fracs = [K.zero(), K.one(), RatFunc(P(F, 0, p - 1), P(F, 1, 1))]
     fracs += [random_ratfunc(K, rng, 3, nonzero=True) for _ in range(2)]
-    for a in bases + fracs:
-        one = DensePoly.one(F) if isinstance(a, DensePoly) else K.one()
-        expected = one
+    for a in bases:
+        expected = (1,)
         for n in range(2 * p * p + 4):
-            got = a ** n
-            assert got == expected == _power(a, n, one), (a, n)
+            assert _pow(a, n, p) == expected == _power(a, n, (1,), mul), (a, n)
+            expected = _mul(expected, a, p)
+    for a in fracs:
+        expected = K.one()
+        for n in range(2 * p * p + 4):
+            assert a ** n == expected == _power(a, n, K.one()), (a, n)
             expected = expected * a
 
 
@@ -271,20 +276,19 @@ def test_digit_powers_at_large_p(p):
     # oracle is square-and-multiply, and repeated products for constants.
     F = PrimeField(p)
     K = RationalFunctionField(p)
-    one = DensePoly.one(F)
-    c = P(F, 3)
-    x1 = P(F, 1, 1)
+    mul = lambda u, v: _mul(u, v, p)
+    c, x1 = (3,), (1, 1)
     for n in (p, p + 1):
-        expected = one
+        expected = (1,)
         for _ in range(n):
-            expected = expected * c
-        assert c ** n == expected == _power(c, n, one)
-        power = _power(x1, n, one)
-        assert x1 ** n == power
-        assert RatFunc(x1, one) ** n == RatFunc(power, one)
-        assert RatFunc(one, x1) ** n == RatFunc(one, power)
-        assert RatFunc(c, one) ** n == K.from_int(expected.coeffs[0])
-    assert x1 ** p == P(F, 1, *([0] * (p - 1)), 1)
+            expected = _mul(expected, c, p)
+        assert _pow(c, n, p) == expected == _power(c, n, (1,), mul)
+        power = _power(x1, n, (1,), mul)
+        assert _pow(x1, n, p) == power
+        assert _frac(F, x1, (1,)) ** n == _frac(F, power, (1,))
+        assert _frac(F, (1,), x1) ** n == _frac(F, (1,), power)
+        assert _frac(F, c, (1,)) ** n == K.from_int(expected[0])
+    assert _pow(x1, p, p) == (1,) + (0,) * (p - 1) + (1,)
 
 
 def test_p_th_power_takes_no_product(monkeypatch):
@@ -297,15 +301,15 @@ def test_p_th_power_takes_no_product(monkeypatch):
 
     monkeypatch.setattr(scalars, "_mul", counted)
     for p in (2, 3, 7):
-        a = P(PrimeField(p), 1, 1, 2)
+        a = P(PrimeField(p), 1, 1, 2).coeffs
         # 2p is p^2 at p = 2; otherwise its digit 2 costs one squaring.
         for n, products in ((p, 0), (p * p, 0), (p + 1, 1), (p * p + p, 1), (2 * p, int(p > 2))):
             calls.clear()
-            a ** n
+            scalars._pow(a, n, p)
             assert len(calls) == products, (p, n)
     # A monomial's power takes none at any n.
     calls.clear()
-    P(F3, 0, 0, 2) ** 11
+    scalars._pow((0, 0, 2), 11, 3)
     assert not calls
 
 
@@ -334,192 +338,8 @@ def test_str_forms():
 # -- the tuple kernels and Henrici's fraction arithmetic against the old routes
 #
 # The oracles: a schoolbook product and a textbook long division and Euclid
-# on DensePoly values built through the validating constructor, and the
-# gcd-taking RatFunc(num, den) constructor applied to the unreduced sum,
-# product and quotient.
-
-
-def _textbook_mul(a, b):
-    F = a.field
-    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
-            out[i + j] = (out[i + j] + ai * bj) % F.p
-    return DensePoly(F, out)
-
-
-def _textbook_divmod(a, b):
-    F = a.field
-    rem = list(a.coeffs)
-    q = [0] * max(len(rem) - b.degree(), 0)
-    inv = F.inv(b.lc())
-    while len(rem) > b.degree():
-        k = len(rem) - 1 - b.degree()
-        c = rem[-1] * inv % F.p
-        q[k] = c
-        for i, bc in enumerate(b.coeffs):
-            rem[k + i] = (rem[k + i] - c * bc) % F.p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return DensePoly(F, q), DensePoly(F, rem)
-
-
-def _textbook_gcd(a, b):
-    while b:
-        a, b = b, _textbook_divmod(a, b)[1]
-    return monic(a)
-
-
-def _assert_canonical_poly(poly, p):
-    cs = poly.coeffs
-    assert type(cs) is tuple
-    assert all(type(c) is int and 0 <= c < p for c in cs)
-    assert not cs or cs[-1] != 0
-
-
-def _assert_canonical(r, p):
-    _assert_canonical_poly(r.num, p)
-    _assert_canonical_poly(r.den, p)
-    assert r.den.coeffs and r.den.coeffs[-1] == 1
-    if r.num:
-        assert _textbook_gcd(r.num, r.den).coeffs == (1,)
-    else:
-        assert r.den.coeffs == (1,)
-
-
-def _fraction_pairs(p, rng, n):
-    """Pairs that reach every branch of the sum and the product: zero,
-    constants, polynomials, equal denominators, shared factors, a sum that
-    cancels part of gcd(b, d), and p-th-power denominators."""
-    K = RationalFunctionField(p)
-    F = K.field
-
-    def frac(deg=3):
-        return random_ratfunc(K, rng, deg)
-
-    def monic(deg):
-        return random_poly(F, rng, deg, monic=True)
-
-    for _ in range(n):
-        a = frac()
-        kind = rng.randrange(8)
-        if kind == 0:
-            b = K.zero() if rng.randrange(2) else K.from_int(rng.randrange(1, p))
-        elif kind == 1:
-            b = RatFunc(random_poly(F, rng, 3), DensePoly.one(F))
-        elif kind == 2:
-            b = RatFunc(random_poly(F, rng, 3), a.den)
-        elif kind == 3:
-            s = monic(2)
-            b = RatFunc(random_poly(F, rng, 3), s * monic(2))
-            a = RatFunc(a.num, a.den * s)
-        elif kind == 4:
-            # a + b = z, so the sum cancels what a and b share beyond z.
-            b = frac() - a
-        elif kind == 5:
-            b = RatFunc(random_poly(F, rng, 2), monic(1) ** p)
-            a = RatFunc(a.num, a.den * monic(1) ** p)
-        elif kind == 6:
-            # Cross factors for the product: num a shares with den b.
-            s = monic(2)
-            a = RatFunc(a.num * s, a.den)
-            b = RatFunc(random_poly(F, rng, 2), s * monic(1))
-        else:
-            b = frac()
-        yield a, b
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_dense_poly_kernels_match_textbook(p):
-    F = PrimeField(p)
-    rng = random.Random(800 + p)
-    for _ in range(300):
-        a = random_poly(F, rng, 7)
-        b = random_poly(F, rng, 5)
-        for got in (a + b, a - b, -a, a * b, scale(a, rng.randrange(p))):
-            _assert_canonical_poly(got, p)
-        derivative = scalars._derivative(a.coeffs, p)
-        _assert_canonical_poly(scalars._poly(F, derivative), p)
-        assert derivative == formal_derivative(a).coeffs
-        assert a * b == _textbook_mul(a, b)
-        assert (a - b) + b == a
-        g = poly_gcd(a, b)
-        _assert_canonical_poly(g, p)
-        assert g == _textbook_gcd(a, b)
-        assert scalars._gcd(a.coeffs, b.coeffs, p) == g.coeffs
-        if b:
-            q, r = divmod(a, b)
-            _assert_canonical_poly(q, p)
-            _assert_canonical_poly(r, p)
-            assert (q, r) == _textbook_divmod(a, b)
-        # A shared factor must come back whole.
-        s = random_poly(F, rng, 3, monic=True)
-        if s:
-            assert poly_gcd(a * s, b * s) == _textbook_gcd(a * s, b * s)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
-def test_low_degree_kernel_paths_match_textbook(p):
-    # Divisors of degree 0, 1 and 2 take the constant and synthetic
-    # divisions and the early exit from Euclid; they are not monic.
-    F = PrimeField(p)
-    rng = random.Random(1300 + p)
-
-    def of_degree(n, monic=False):
-        top = 1 if monic else rng.randrange(1, p)
-        return DensePoly(F, [rng.randrange(p) for _ in range(n)] + [top])
-
-    gcd_degrees = set()
-    for _ in range(120):
-        a = random_poly(F, rng, 7)
-        for n in (0, 1, 2):
-            b = of_degree(n)
-            assert a * b == b * a == _textbook_mul(a, b)
-            q, r = divmod(a, b)
-            _assert_canonical_poly(q, p)
-            _assert_canonical_poly(r, p)
-            assert (q, r) == _textbook_divmod(a, b)
-            # A linear factor absent, then present in both operands.
-            s = of_degree(1)
-            for x, y in ((a, b), (a * s, b * s), (a * b, b)):
-                g = poly_gcd(x, y)
-                _assert_canonical_poly(g, p)
-                assert g == poly_gcd(y, x) == _textbook_gcd(x, y)
-                gcd_degrees.add(g.degree())
-            # Exact quotients by a monic divisor, the dividend a product.
-            m = monic(b)
-            for x in (a * m, a * m * of_degree(1, monic=True)):
-                got = scalars._exquo(x.coeffs, m.coeffs, p)
-                assert got == _textbook_divmod(x, m)[0].coeffs
-                assert type(got) is tuple
-    assert {0, 1, 2} <= gcd_degrees
-
-
-def _memo_key(x, y):
-    return (x.num_coeffs, x.den_coeffs, y.num_coeffs, y.den_coeffs)
-
-
-def _henrici_cases(x, y):
-    """(op, memo, right operand the memo is keyed by, gcd-constructor
-    oracle) for x + y, x - y, x * y and x / y on x's field."""
-    F = x.field
-    cases = [
-        (lambda: x + y, F._add_memo, y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
-        (lambda: x - y, F._add_memo, -y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
-        (lambda: x * y, F._mul_memo, y, RatFunc(x.num * y.num, x.den * y.den)),
-    ]
-    if y:
-        cases.append((lambda: x / y, F._mul_memo, y.inverse(), RatFunc(x.num * y.den, x.den * y.num)))
-    return cases
-
-
-# -- Kronecker products against the schoolbook loop
-#
-# _mul packs each operand into one int, w bytes per coefficient, where w is
-# the fewest bytes that hold n (p-1)^2 for the shorter length n, and n = 1
-# is a scaling pass.  The oracle is the schoolbook loop; the lengths sit on
-# both sides of every change of path.
-# Operands whose coefficients are all p - 1 give the largest slot sums.
+# on coefficient tuples, and the gcd-taking RatFunc(num, den) constructor
+# applied to the unreduced sum, product and quotient.
 
 
 def _loop_mul(a, b, p):
@@ -534,6 +354,184 @@ def _loop_mul(a, b, p):
         if ai:
             out[i : i + nb] = [o + ai * y for o, y in zip(out[i : i + nb], b)]
     return tuple([c % p for c in out])
+
+
+def _textbook_divmod(a, b, p):
+    """(quotient, remainder) of coefficient tuples, for any nonzero b."""
+    rem = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(rem) - db, 0)
+    inv = pow(b[-1], -1, p)
+    while len(rem) > db:
+        k = len(rem) - 1 - db
+        c = rem[-1] * inv % p
+        q[k] = c
+        for i, bc in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * bc) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(q), tuple(rem)
+
+
+def _textbook_gcd(a, b, p):
+    while b:
+        a, b = b, _textbook_divmod(a, b, p)[1]
+    return monic(a, p)
+
+
+def _assert_canonical_coeffs(cs, p):
+    assert type(cs) is tuple
+    assert all(type(c) is int and 0 <= c < p for c in cs)
+    assert not cs or cs[-1] != 0
+
+
+def _assert_canonical(r, p):
+    _assert_canonical_coeffs(r.num_coeffs, p)
+    _assert_canonical_coeffs(r.den_coeffs, p)
+    assert r.den_coeffs and r.den_coeffs[-1] == 1
+    if r.num_coeffs:
+        assert _textbook_gcd(r.num_coeffs, r.den_coeffs, p) == (1,)
+    else:
+        assert r.den_coeffs == (1,)
+
+
+def _fraction_pairs(p, rng, n):
+    """Pairs that reach every branch of the sum and the product: zero,
+    constants, polynomials, equal denominators, shared factors, a sum that
+    cancels part of gcd(b, d), and p-th-power denominators."""
+    K = RationalFunctionField(p)
+    F = K.field
+
+    def frac(deg=3):
+        return random_ratfunc(K, rng, deg)
+
+    def monic(deg):
+        return random_poly(F, rng, deg, monic=True).coeffs
+
+    for _ in range(n):
+        a = frac()
+        kind = rng.randrange(8)
+        if kind == 0:
+            b = K.zero() if rng.randrange(2) else K.from_int(rng.randrange(1, p))
+        elif kind == 1:
+            b = RatFunc(random_poly(F, rng, 3), DensePoly.one(F))
+        elif kind == 2:
+            b = RatFunc(random_poly(F, rng, 3), a.den)
+        elif kind == 3:
+            s = monic(2)
+            b = _frac(F, random_poly(F, rng, 3).coeffs, _mul(s, monic(2), p))
+            a = _frac(F, a.num_coeffs, _mul(a.den_coeffs, s, p))
+        elif kind == 4:
+            # a + b = z, so the sum cancels what a and b share beyond z.
+            b = frac() - a
+        elif kind == 5:
+            b = _frac(F, random_poly(F, rng, 2).coeffs, _pow(monic(1), p, p))
+            a = _frac(F, a.num_coeffs, _mul(a.den_coeffs, _pow(monic(1), p, p), p))
+        elif kind == 6:
+            # Cross factors for the product: num a shares with den b.
+            s = monic(2)
+            a = _frac(F, _mul(a.num_coeffs, s, p), a.den_coeffs)
+            b = _frac(F, random_poly(F, rng, 2).coeffs, _mul(s, monic(1), p))
+        else:
+            b = frac()
+        yield a, b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dense_poly_kernels_match_textbook(p):
+    F = PrimeField(p)
+    rng = random.Random(800 + p)
+    for _ in range(300):
+        a = random_poly(F, rng, 7).coeffs
+        b = random_poly(F, rng, 5).coeffs
+        c = rng.randrange(p)
+        total, difference, product = _add(a, b, p), _add(a, _neg(b, p), p), _mul(a, b, p)
+        scaled = _mul(P(F, c).coeffs, a, p)
+        for got in (total, difference, _neg(a, p), product, scaled):
+            _assert_canonical_coeffs(got, p)
+        assert scaled == scale(a, c, p)
+        derivative = scalars._derivative(a, p)
+        _assert_canonical_coeffs(derivative, p)
+        assert derivative == formal_derivative(a, p)
+        assert product == _loop_mul(a, b, p)
+        assert _add(difference, b, p) == a
+        g = poly_gcd(DensePoly(F, a), DensePoly(F, b)).coeffs
+        _assert_canonical_coeffs(g, p)
+        assert g == _textbook_gcd(a, b, p) == scalars._gcd(a, b, p)
+        if len(b) >= 3:
+            _check_division(a, b, p)
+        # A shared factor must come back whole.
+        s = random_poly(F, rng, 3, monic=True).coeffs
+        x, y = _mul(a, s, p), _mul(b, s, p)
+        assert scalars._gcd(x, y, p) == _textbook_gcd(x, y, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_low_degree_kernel_paths_match_textbook(p):
+    # Divisors of degree 0, 1 and 2, not monic: the one-entry scaling pass
+    # of the product and the early exit from Euclid, whose linear tail
+    # takes the root of a non-monic divisor; their monic multiples take the
+    # constant and synthetic exact quotients, and degree 2 the packed long
+    # division.
+    F = PrimeField(p)
+    rng = random.Random(1300 + p)
+
+    def of_degree(n, monic=False):
+        top = 1 if monic else rng.randrange(1, p)
+        return tuple(rng.randrange(p) for _ in range(n)) + (top,)
+
+    gcd_degrees = set()
+    for _ in range(120):
+        a = random_poly(F, rng, 7).coeffs
+        for n in (0, 1, 2):
+            b = of_degree(n)
+            assert _mul(a, b, p) == _mul(b, a, p) == _loop_mul(a, b, p)
+            if n == 2:
+                _check_division(a, b, p)
+            # A linear factor absent, then present in both operands.
+            s = of_degree(1)
+            for x, y in ((a, b), (_mul(a, s, p), _mul(b, s, p)), (_mul(a, b, p), b)):
+                g = scalars._gcd(x, y, p)
+                _assert_canonical_coeffs(g, p)
+                assert g == scalars._gcd(y, x, p) == _textbook_gcd(x, y, p)
+                gcd_degrees.add(len(g) - 1)
+            # Exact quotients by a monic divisor, the dividend a product.
+            m = monic(b, p)
+            for x in (_mul(a, m, p), _mul(_mul(a, m, p), of_degree(1, monic=True), p)):
+                got = scalars._exquo(x, m, p)
+                assert got == _textbook_divmod(x, m, p)[0]
+                assert type(got) is tuple
+    assert {0, 1, 2} <= gcd_degrees
+
+
+def _memo_key(x, y):
+    return (x.num_coeffs, x.den_coeffs, y.num_coeffs, y.den_coeffs)
+
+
+def _henrici_cases(x, y):
+    """(op, memo, right operand the memo is keyed by, gcd-constructor
+    oracle) for x + y, x - y, x * y and x / y on x's field."""
+    F = x.field
+    p = F.p
+    a, b, c, d = x.num_coeffs, x.den_coeffs, y.num_coeffs, y.den_coeffs
+    ad, cb, bd = _mul(a, d, p), _mul(c, b, p), _mul(b, d, p)
+    cases = [
+        (lambda: x + y, F._add_memo, y, _frac(F, _add(ad, cb, p), bd)),
+        (lambda: x - y, F._add_memo, -y, _frac(F, _add(ad, _neg(cb, p), p), bd)),
+        (lambda: x * y, F._mul_memo, y, _frac(F, _mul(a, c, p), bd)),
+    ]
+    if y:
+        cases.append((lambda: x / y, F._mul_memo, y.inverse(), _frac(F, ad, _mul(b, c, p))))
+    return cases
+
+
+# -- Kronecker products against the schoolbook loop
+#
+# _mul packs each operand into one int, w bytes per coefficient, where w is
+# the fewest bytes that hold n (p-1)^2 for the shorter length n, and n = 1
+# is a scaling pass.  The oracle is _loop_mul's schoolbook loop; the lengths sit on
+# both sides of every change of path.
+# Operands whose coefficients are all p - 1 give the largest slot sums.
 
 
 # Past w (p-1) = 255 the slots are read through one memoryview cast: p = 211
@@ -652,7 +650,7 @@ def test_henrici_arithmetic_matches_gcd_constructor(p):
                 for got in (first, second):
                     _assert_canonical(got, p)
                     assert got == want
-            pairs = [(-x, RatFunc(-x.num, x.den))]
+            pairs = [(-x, _frac(x.field, _neg(x.num_coeffs, p), x.den_coeffs))]
             if y:
                 pairs.append((y.inverse(), RatFunc(y.den, y.num)))
             for got, want in pairs:
@@ -831,11 +829,12 @@ def test_gcd_constructor_matches_textbook(p):
         den = random_poly(F, rng, 6, nonzero=True)
         r = RatFunc(num, den)
         _assert_canonical(r, p)
-        g = _textbook_gcd(num, den)
-        lc = F.inv(_textbook_divmod(den, g)[0].lc())
-        if num:
-            assert r.num == scale(_textbook_divmod(num, g)[0], lc)
-            assert r.den == scale(_textbook_divmod(den, g)[0], lc)
+        n, d = num.coeffs, den.coeffs
+        g = _textbook_gcd(n, d, p)
+        lc = F.inv(_textbook_divmod(d, g, p)[0][-1])
+        if n:
+            assert r.num_coeffs == scale(_textbook_divmod(n, g, p)[0], lc, p)
+            assert r.den_coeffs == scale(_textbook_divmod(d, g, p)[0], lc, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -852,10 +851,10 @@ def test_derivation_matches_quotient_rule_oracle(p):
         D = DerivedField(p, w)
         for a, b in _fraction_pairs(p, rng, 40):
             for u in (a, b, a * b, a + b):
-                v, n = u.den, u.num
-                dv = DensePoly(F, [i * c for i, c in enumerate(v.coeffs)][1:])
-                dn = DensePoly(F, [i * c for i, c in enumerate(n.coeffs)][1:])
-                want = RatFunc(w.num * (dn * v - n * dv), w.den * v * v)
+                v, n = u.den_coeffs, u.num_coeffs
+                dv, dn = formal_derivative(v, p), formal_derivative(n, p)
+                top = _add(_mul(dn, v, p), _neg(_mul(n, dv, p), p), p)
+                want = _frac(F, _mul(w.num_coeffs, top, p), _mul(_mul(w.den_coeffs, v, p), v, p))
                 got = D.delta(u)
                 _assert_canonical(got, p)
                 assert got == want
@@ -872,32 +871,34 @@ def test_ratfunc_value_contract_across_construction_routes(p):
     F = PrimeField(p)
     K = DerivedField(p, RatFunc.x(F))
     rng = random.Random(1300 + p)
-    routes = []  # (value, unreduced numerator, unreduced denominator)
+    # (value, unreduced numerator, unreduced denominator), as tuples.
+    routes = []
     for a, b in _fraction_pairs(p, rng, 20):
         n, d = random_poly(F, rng, 4), random_poly(F, rng, 4, nonzero=True)
+        an, ad, bn, bd = a.num_coeffs, a.den_coeffs, b.num_coeffs, b.den_coeffs
         routes += [
-            (RatFunc(n, d), n, d),
-            (a + b, a.num * b.den + b.num * a.den, a.den * b.den),
-            (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
-            (a * b, a.num * b.num, a.den * b.den),
-            (-a, -a.num, a.den),
-            (a ** 3, a.num ** 3, a.den ** 3),
-            (a ** 0, DensePoly.one(F), DensePoly.one(F)),
-            (parse_field_element("(%s)/(%s)" % (n, d), K), n, d),
-            (K.from_coords(K.coords(a)), a.num, a.den),
+            (RatFunc(n, d), n.coeffs, d.coeffs),
+            (a + b, _add(_mul(an, bd, p), _mul(bn, ad, p), p), _mul(ad, bd, p)),
+            (a - b, _add(_mul(an, bd, p), _neg(_mul(bn, ad, p), p), p), _mul(ad, bd, p)),
+            (a * b, _mul(an, bn, p), _mul(ad, bd, p)),
+            (-a, _neg(an, p), ad),
+            (a ** 3, _pow(an, 3, p), _pow(ad, 3, p)),
+            (a ** 0, (1,), (1,)),
+            (parse_field_element("(%s)/(%s)" % (n, d), K), n.coeffs, d.coeffs),
+            (K.from_coords(K.coords(a)), an, ad),
         ]
         if b:
             routes += [
-                (a / b, a.num * b.den, a.den * b.num),
-                (b.inverse(), b.den, b.num),
-                (b ** -2, b.den ** 2, b.num ** 2),
+                (a / b, _mul(an, bd, p), _mul(ad, bn, p)),
+                (b.inverse(), bd, bn),
+                (b ** -2, _pow(bd, 2, p), _pow(bn, 2, p)),
             ]
-        routes += [(c, c.num, c.den) for c in K.coords(a)]
+        routes += [(c, c.num_coeffs, c.den_coeffs) for c in K.coords(a)]
         v = random_ratfunc(K, rng, 3)
-        routes.append((v, v.num, v.den))
+        routes.append((v, v.num_coeffs, v.den_coeffs))
     values = []
     for v, n, d in routes:
-        want = RatFunc(n, d)
+        want = _frac(F, n, d)
         assert v.field.p == p and v.num.field.p == p and v.den.field.p == p
         _assert_canonical(v, p)
         assert v.num == want.num and v.den == want.den
@@ -941,15 +942,20 @@ def _random_of_length(rng, p, n, monic=False):
 
 
 def _check_division(a, b, p):
-    F = PrimeField(p)
-    A, B = DensePoly(F, a), DensePoly(F, b)
-    want_q, want_r = _textbook_divmod(A, B)
-    q, r = scalars._divmod(a, b, p)
-    assert type(q) is tuple and type(r) is tuple
-    assert (q, r) == (want_q.coeffs, want_r.coeffs)
-    assert scalars._gcd(a, b, p) == scalars._gcd(b, a, p) == _textbook_gcd(A, B).coeffs
-    if not r and B.is_monic():
-        assert scalars._exquo(a, b, p) == q
+    """_remainder, _gcd and _exquo against the textbook routes, len(b) >= 3.
+
+    _remainder returns bytes at one-byte slots and a tuple at wider ones,
+    and a dividend shorter than b is its own remainder, with no division.
+    """
+    want_q, want_r = _textbook_divmod(a, b, p)
+    if len(a) >= len(b):
+        q = [0] * len(want_q)
+        r = scalars._remainder(a, b, p, q)
+        assert type(r) in (bytes, tuple)
+        assert (tuple(q), tuple(r)) == (want_q, want_r)
+    assert scalars._gcd(a, b, p) == scalars._gcd(b, a, p) == _textbook_gcd(a, b, p)
+    if not want_r and b[-1] == 1:
+        assert scalars._exquo(a, b, p) == want_q
 
 
 @pytest.mark.parametrize("p", _DIVISION_PRIMES)
@@ -974,8 +980,9 @@ def test_packed_division_matches_textbook_at_every_width(p):
 def test_exact_quotient_matches_long_division_at_every_width(p):
     # _exquo cuts a and b to their top len(a) - deg b entries and runs only
     # the quotient loop.  At every slot width of the test above, with and
-    # without the cut, its quotient by a monic b is _divmod's, for q b and
-    # for q b + r alike: the loop never reads the slots r lives in.
+    # without the cut, its quotient by a monic b is that of the whole long
+    # division, for q b and for q b + r alike: the loop never reads the
+    # slots r lives in.
     rng = random.Random(3700 + p)
     for m in _step_switches(p, 300):
         for steps, nb in ((m, m + 2), (m + 3, max(m, 3))):
@@ -990,8 +997,10 @@ def test_exact_quotient_matches_long_division_at_every_width(p):
                 exact = _loop_mul(q, b, p)
                 for a in (exact, scalars._add(exact, r, p)):
                     got = scalars._exquo(a, b, p)
+                    whole = [0] * steps
+                    scalars._remainder(a, b, p, whole)
                     assert type(got) is tuple
-                    assert got == scalars._divmod(a, b, p)[0] == q, (m, steps, nb, full)
+                    assert got == tuple(whole) == q, (m, steps, nb, full)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -1008,12 +1017,13 @@ def test_packed_division_at_three_byte_slots(p):
             q = (1,) * m if full else _random_of_length(rng, p, m)
             r = scalars._trim([rng.randrange(p) for _ in range(m + 1)])
             a = scalars._add(scalars._mul(q, b, p), r, p)
-            assert scalars._divmod(a, b, p) == (q, r), (m, full)
+            quotient = [0] * m
+            remainder = scalars._remainder(a, b, p, quotient)
+            assert (tuple(quotient), tuple(remainder)) == (q, r), (m, full)
 
 
 @pytest.mark.parametrize("p", _DIVISION_PRIMES)
 def test_packed_division_edge_operands(p):
-    F = PrimeField(p)
     rng = random.Random(3400 + p)
     for _ in range(40):
         b = _random_of_length(rng, p, rng.randrange(3, 9))
@@ -1029,11 +1039,11 @@ def test_packed_division_edge_operands(p):
         for a in ((), (rng.randrange(1, p),)):
             for d in (b, m):
                 _check_division(a, d, p)
-                assert scalars._gcd(d, a, p) == _textbook_gcd(DensePoly(F, d), DensePoly(F, a)).coeffs
+                assert scalars._gcd(d, a, p) == _textbook_gcd(d, a, p)
         # A shared factor comes back whole from Euclid.
         s = _random_of_length(rng, p, rng.randrange(3, 6), monic=True)
         x, y = _loop_mul(q, s, p), _loop_mul(b, s, p)
-        want = _textbook_gcd(DensePoly(F, x), DensePoly(F, y)).coeffs
+        want = _textbook_gcd(x, y, p)
         assert scalars._gcd(x, y, p) == want and len(want) >= len(s)
     assert scalars._gcd((), (), p) == ()
 
@@ -1049,7 +1059,20 @@ def test_packed_division_past_300_at_p_2():
 
 
 def _kernel_digest_outputs():
-    """Every kernel output on a seeded set, in a fixed order."""
+    """Every kernel output on a seeded set, in a fixed order.
+
+    A division entry is (quotient, remainder): the packed long division's
+    for a divisor of length >= 3, and the textbook route's for a shorter
+    one, which no kernel divides by with a remainder.
+    """
+
+    def division(a, b, p):
+        if len(b) < 3 or len(a) < len(b):
+            return _textbook_divmod(a, b, p)
+        q = [0] * (len(a) - len(b) + 1)
+        r = scalars._remainder(a, b, p, q)
+        return tuple(q), tuple(r)
+
     out = []
     for p in _DIVISION_PRIMES:
         rng = random.Random(3600 + p)
@@ -1059,8 +1082,8 @@ def _kernel_digest_outputs():
             b = _random_of_length(rng, p, rng.randrange(1, n + 2))
             m = _random_of_length(rng, p, rng.randrange(1, 12), monic=True)
             s = _random_of_length(rng, p, rng.randrange(1, 6), monic=True)
-            out.append(scalars._divmod(a, b, p))
-            out.append(scalars._divmod(b, a, p))
+            out.append(division(a, b, p))
+            out.append(division(b, a, p))
             out.append(scalars._gcd(a, b, p))
             out.append(scalars._gcd(_loop_mul(a, s, p), _loop_mul(b, s, p), p))
             out.append(scalars._exquo(_loop_mul(a, m, p), m, p))

@@ -103,6 +103,41 @@ MUTANTS = [
         "    key = u",
         "the cancellation memo keyed by the numerator alone",
     ),
+    (
+        "remainder-no-inverse",
+        "src/diffext/scalars.py",
+        "        c = (rem >> lead & mask) * inv % p",
+        "        c = (rem >> lead & mask) % p",
+        "_remainder's quotient entry not divided by the divisor's leading coefficient",
+    ),
+    (
+        "exquo-cut-short",
+        "src/diffext/scalars.py",
+        "        cut = db - steps + 1",
+        "        cut = db - steps",
+        "_exquo cutting its operands one entry short",
+    ),
+    (
+        "gcd-linear-root-sign",
+        "src/diffext/scalars.py",
+        "        return (1,) if c else ((-r) % p, 1)",
+        "        return (1,) if c else (r % p, 1)",
+        "_gcd's linear tail returning x + r, not x - r",
+    ),
+    (
+        "solve-pivot-unscaled",
+        "src/diffext/linalg.py",
+        "        if a != 1:",
+        "        if a == 0:",
+        "solve_columns_mod_p never scaling a pivot to 1",
+    ),
+    (
+        "byte-residues-power",
+        "src/diffext/scalars.py",
+        "        m = pow(256, j, p)",
+        "        m = pow(256, j + 1, p)",
+        "_byte_residues mapping byte j by 256^(j+1), not 256^j",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")

@@ -6,11 +6,15 @@ or class counts as used when its name appears in src/diffext/*.py or
 demos/*.py as a name or as an attribute (``scalars.poly_gcd``); a method
 counts as used only through an attribute (``m.kernel``).  Imports are not
 uses, a name in any module's ``__all__`` is exported and so used, and
-dunders are exempt, since Python calls them.  The scan matches names, not
-objects, so it is conservative: a definition whose name is used for
-something else, such as a method named like an attribute read elsewhere,
-goes unreported.  It exits 0 whatever it finds; tests/test_src_callers.py
-is the gate.  Standard library only; run from anywhere:
+dunders are exempt, since Python calls them.  The export covers the class
+and module-level function it names, not the methods of an exported class.
+The scan matches names, not objects, so it is conservative: a definition
+whose name is used for something else, such as a method named like an
+attribute read elsewhere, goes unreported.  So code that only tests call
+can pass: an operator is a dunder, and a method such as ``DensePoly.lc``
+was counted as used through ``DiffPoly.lc``.  It exits 0 whatever it
+finds; tests/test_src_callers.py is the gate.  Standard library only; run
+from anywhere:
 
     python tools/src_callers.py
 """
