@@ -32,11 +32,11 @@ scaling by a coefficient commutes with the reduction mod the monic f, and
 for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
 basis element needs m - 1 t-steps, and each row is a left-multiplication
 matrix over F applied block by block (see structure_constants).  A
-reduction step touches only the nonzero lower coefficients of f (two for
-t^p - a t - d), and the coordinates are reduced in y = x^p (see
-towers.DerivedField.coords).  Every entry is still checked to lie in F,
-and tables above MAX_TABLE_ENTRIES coordinates are refused before any
-work.
+t-step is reduced by DiffPoly.mod_right, as a probe row is, which touches
+only the nonzero lower coefficients of f (two for t^p - a t - d), and the
+coordinates are reduced in y = x^p (see towers.DerivedField.coords).
+Every entry is still checked to lie in F, and tables above
+MAX_TABLE_ENTRIES coordinates are refused before any work.
 
 Linear right factors t - b of f are the solutions of V_g(b) = d.  The
 candidates are scalars, and V_g(K) lies in F (Fact A, see
@@ -286,9 +286,10 @@ class ExtAlgebra:
           a u = (a q) f + a r with deg(a r) < m, so (a u) mod f = a (u mod f)
           for every coefficient a;
         * one t-step: for deg u < m, t u has degree at most m and its t^m
-          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f.  As f
-          is monic, the step drops the t^m term and subtracts u_(m-1) f_k
-          only at the nonzero f_k below it: two for t^p - a t - d.
+          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f, one
+          quotient term of DiffPoly.mod_right, the reduction the probe rows
+          use too.  It subtracts u_(m-1) f_k only at the nonzero f_k below
+          t^m: two for t^p - a t - d.
 
         So e_I e_J = (b_a t^i e_J) mod f = b_a U_i(e_J) with U_i(e_J) =
         (t^i e_J) mod f, and t (q f + r) = (t q) f + t r makes U_i(e_J) one
@@ -326,24 +327,14 @@ class ExtAlgebra:
                 for b in self._ring_basis
             ]
             # us[J] = U_i(e_J) and vectors[J] = its coordinates, one i at a
-            # time; U_0(e_J) = e_J.  The t^m terms of a t-step cancel, as f
-            # is monic.
-            lower = [(k, fk) for k, fk in enumerate(f.coeffs[:m]) if fk]
+            # time; U_0(e_J) = e_J.
             us = [e.rep for e in self.basis()]
             vectors = self._units()
             zero = K.zero()
             table = []
             for i in range(m):
                 if i:
-                    for J, u in enumerate(us):
-                        top = u.coeff(m - 1)
-                        u = u._t_times()
-                        if top:
-                            coeffs = list(u.coeffs[:m])
-                            for k, fk in lower:
-                                coeffs[k] = coeffs[k] - top * fk
-                            u = DiffPoly(ring, coeffs)
-                        us[J] = u
+                    us = [u._t_times().mod_right(f) for u in us]
                     vectors = [self._rep_coords(u) for u in us]
                 rows = [[] for _ in lefts]
                 for cs in vectors:
@@ -629,7 +620,7 @@ class ExtAlgebra:
         """
         # h = s^q in the split [h_(e-1), ..., h_0] when g is z1^q.
         ring, hs = self.ring, self.z1_split[1]
-        if ring.is_commutative and not ring.is_constant(self.d) and not any(hs[1:]):
+        if ring.is_commutative and self._constant_scalar_d() is None and not any(hs[1:]):
             return "division (proved)", None
         b = self.linear_right_factor_search(bound)
         if b is not None:

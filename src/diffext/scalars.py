@@ -88,7 +88,6 @@ stays out of ``__all__``.
 from __future__ import annotations
 
 import operator
-import sys
 
 __all__ = [
     "PrimeField",
@@ -159,13 +158,6 @@ class PrimeField:
         self._mul_memo = {}
         self._cancel_memo = {}
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_%d" % self.p)
-        # Fermat: a^(p-2) is the inverse since p is prime.
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -196,9 +188,9 @@ class PrimeField:
 #   (a stride-w slice) and translated by _byte_residues(p, j), which maps b to
 #   b 256^j mod p.  Slot k of the sum of those w one-byte ints is then at
 #   most w (p-1), and one more translate reduces it: still C level;
-# * past that (p > 127 at w = 2), the slots are spread to 8 bytes and
-#   read at once as native ints (one memoryview cast), each reduced mod p
-#   by one map; slot by slot on a big-endian host or past 8 bytes.
+# * past that (p > 127 at w = 2), each slot is read as one little-endian
+#   int and reduced mod p, slot by slot, on every host; w (p-1) > 255
+#   needs p >= 89.
 #
 # The slots hold the coefficients as they are, so the input contract is
 # strict here: every coefficient must already lie in range(p).  An entry in
@@ -250,13 +242,7 @@ def _unpack(n: int, w: int, size: int, p: int) -> list:
     """The first size w-byte slots of n, each reduced mod p (see above)."""
     raw = n.to_bytes(w * size, "little")
     if w * (p - 1) > 255:
-        if w > 8 or sys.byteorder == "big":
-            return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
-        # Slots spread over 8 bytes are read as native ints at once.
-        buf = bytearray(8 * size)
-        for j in range(w):
-            buf[j::8] = raw[j::w]
-        return list(map(p.__rmod__, memoryview(buf).cast("Q")))
+        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]
     total = 0
     for j in range(w):
         total += int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")
@@ -772,7 +758,7 @@ class RatFunc:
         if not num:
             raise ZeroDivisionError("inverse of the zero rational function")
         field = self.field
-        inv = (field.inv(num[-1]),)
+        inv = (pow(num[-1], -1, field.p),)
         return _ratfunc(field, _mul(inv, self.den_coeffs, field.p), _mul(inv, num, field.p))
 
     def __pow__(self, n: int):

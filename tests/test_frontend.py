@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import diffext
-from diffext import autos, diffpoly, frontend
+from diffext import autos, diffpoly, frontend, towers
 from diffext.cli import main
 from diffext.errors import (
     ConfigError,
@@ -76,10 +76,43 @@ def test_declared_g_accepted_and_verified():
 
 
 def test_declared_g_shape_errors():
-    base = "p = 2\ndelta_of_x = x\nd = x\ng = %s\n"
-    for bad in ("t^3 + t", "t^2 + x*t", "t^2 + t + 1", "2*t^2 + t", "t + 1"):
-        with pytest.raises(ConfigError):
-            instance_from_text(base % bad)
+    base = "p = %d\ndelta_of_x = x\nd = x\ng = %s\n"
+    degree = "g must have degree p^e with e >= 1, got degree %d"
+    differs = "g differs from a monic p-polynomial at t^%d"
+    for p, bad, message in (
+        (2, "t^3 + t", degree % 3),
+        (2, "t^2 + x*t", "coefficient of t^1 in g is not a constant"),
+        (2, "t^2 + t + 1", differs % 0),
+        (2, "2*t^2 + t", degree % 1),
+        (2, "t + 1", degree % 1),
+        (3, "2*t^3 + t", differs % 3),
+        (3, "t^9 + t^4 + t", differs % 4),
+        (3, "t^9 + t^2 + 1", differs % 2),
+        (5, "t^25 + x^5*t^5 + x*t", "coefficient of t^1 in g is not a constant"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            instance_from_text(base % (p, bad))
+        assert str(info.value) == message, (p, bad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_declared_g_round_trips_through_its_text(p):
+    # The minimal polynomial's text at e = 1, 2, for weights whose
+    # coefficient a is 1 and is a fraction, and a declared h(z1) with lower
+    # terms, parse back to an equal PPolynomial.
+    for weight in ("x", "x^2 + 1"):
+        K = frontend.derived_field(p, weight)
+        for e in (1, 2):
+            g = towers.p_polynomial_at_exponent(K, e)
+            assert frontend._p_poly_from_expr(K, str(g)) == g, (weight, e)
+    K = frontend.derived_field(p, "x")
+    one = K.one()
+    declared = {2: ("t^4 + t", (K.zero(), one)), 3: ("t^9 + 2*t", (K.zero(), one + one))}
+    if p in declared:
+        text, coeffs = declared[p]
+        g = PPolynomial(p, 2, coeffs)
+        assert frontend._p_poly_from_expr(K, text) == g
+        assert frontend._p_poly_from_expr(K, str(g)) == g
 
 
 def test_config_errors():
@@ -148,6 +181,22 @@ def test_nuclei_suite_exponent_two(text, dims):
     assert not report.failed
     witness = {c.name: c.witness for c in report.checks}
     assert witness["nuclei.slots"]["dims"] == str(dict(zip(("left", "middle", "right"), dims)))
+
+
+def test_autos_order_check_bounds_the_search_by_p(monkeypatch):
+    # The order of a shift is p, so the check searches up to p and no
+    # further, at every p: a fixed bound would fail valid instances past it.
+    bounds = []
+
+    def recording(H, bound=64):
+        bounds.append(bound)
+        return autos.auto_order(H, bound)
+
+    monkeypatch.setattr(frontend, "auto_order", recording)
+    inst = frontend.load_instance(CONFIGS / "i1.cfg")
+    report = run_suite(inst, "autos")
+    assert not report.failed
+    assert bounds == [inst.K.p]
 
 
 # (p, delta(x), declared g, the invalid shift the suite picks).

@@ -53,15 +53,6 @@ def test_prime_field_validation():
         PrimeField((1 << 16) + 1)
 
 
-def test_prime_field_inverse():
-    for p in (2, 3, 5, 7):
-        F = PrimeField(p)
-        for a in range(1, p):
-            assert a * F.inv(a) % p == 1
-    with pytest.raises(ZeroDivisionError):
-        F3.inv(0)
-
-
 def test_poly_normalization_trims_leading_zeros():
     assert P(F2, 1, 1, 0, 0).coeffs == (1, 1)
     assert P(F2, 0).coeffs == ()
@@ -534,10 +525,9 @@ def _henrici_cases(x, y):
 # Operands whose coefficients are all p - 1 give the largest slot sums.
 
 
-# Past w (p-1) = 255 the slots are read through one memoryview cast: p = 211
-# gives slots of 3 and 4 bytes, and p = 65537, whose p - 1 = 2^16 takes
-# three bytes, slots of 5 and 6.  At p = 2^32 + 15 they pass 8 bytes and are
-# read one by one.
+# Past w (p-1) = 255 the slots are read one by one: p = 211 gives slots of
+# 3 and 4 bytes, and p = 65537, whose p - 1 = 2^16 takes three bytes, slots
+# of 5 and 6.  At p = 2^32 + 15 they pass 8 bytes.
 _KRONECKER_PRIMES = [2, 3, 5, 7, 11, 13, 17, 31, 211, 257, 65521, 65537, 4294967311]
 
 
@@ -606,12 +596,11 @@ def test_shifted_sums_match_schoolbook_sums(p):
 
 
 @pytest.mark.parametrize("p", [2, 5, 13, 127, 131, 257, 65537])
-def test_unpack_matches_slot_by_slot_reduction(monkeypatch, p):
+def test_unpack_matches_slot_by_slot_reduction(p):
     # _unpack reduces byte j of every slot by one table while w (p-1) <=
     # 255 (p = 127 at w = 2 is the last such prime, 131 the first past it)
-    # and past that reads slots of up to 8 bytes through one memoryview
-    # cast, and wider ones, or any on a big-endian host, slot by slot; full
-    # slots of 0xff bytes are included.
+    # and past that reads each slot as one int; full slots of 0xff bytes
+    # are included.
     rng = random.Random(2700 + p)
     for w in (1, 2, 3, 4, 5, 8, 9):
         if p > 256 ** w:
@@ -622,9 +611,6 @@ def test_unpack_matches_slot_by_slot_reduction(monkeypatch, p):
                 n = sum(s << 8 * w * k for k, s in enumerate(slots))
                 want = [s % p for s in slots]
                 assert scalars._unpack(n, w, size, p) == want, (w, size, full)
-                with monkeypatch.context() as m:
-                    m.setattr(scalars.sys, "byteorder", "big")
-                    assert scalars._unpack(n, w, size, p) == want, (w, size, full)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -831,7 +817,7 @@ def test_gcd_constructor_matches_textbook(p):
         _assert_canonical(r, p)
         n, d = num.coeffs, den.coeffs
         g = _textbook_gcd(n, d, p)
-        lc = F.inv(_textbook_divmod(d, g, p)[0][-1])
+        lc = pow(_textbook_divmod(d, g, p)[0][-1], -1, p)
         if n:
             assert r.num_coeffs == scale(_textbook_divmod(n, g, p)[0], lc, p)
             assert r.den_coeffs == scale(_textbook_divmod(d, g, p)[0], lc, p)

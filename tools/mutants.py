@@ -50,8 +50,8 @@ MUTANTS = [
     (
         "fact-b-every-h",
         "src/diffext/dext.py",
-        "        if ring.is_commutative and not ring.is_constant(self.d) and not any(hs[1:]):",
-        "        if ring.is_commutative and not ring.is_constant(self.d):",
+        "        if ring.is_commutative and self._constant_scalar_d() is None and not any(hs[1:]):",
+        "        if ring.is_commutative and self._constant_scalar_d() is None:",
         "the Fact B shortcut widened to every h",
     ),
     (
@@ -137,6 +137,48 @@ MUTANTS = [
         "        m = pow(256, j, p)",
         "        m = pow(256, j + 1, p)",
         "_byte_residues mapping byte j by 256^(j+1), not 256^j",
+    ),
+    (
+        "table-t-step-unreduced",
+        "src/diffext/dext.py",
+        "                    us = [u._t_times().mod_right(f) for u in us]",
+        "                    us = [u._t_times() for u in us]",
+        "a structure-table t-step t u built without the reduction mod f",
+    ),
+    (
+        "declared-g-leftover-skipped",
+        "src/diffext/frontend.py",
+        "    if rest:",
+        "    if False:",
+        "a declared g that is no monic p-polynomial accepted",
+    ),
+    (
+        "ratfunc-inverse-exponent",
+        "src/diffext/scalars.py",
+        "        inv = (pow(num[-1], -1, field.p),)",
+        "        inv = (pow(num[-1], 1, field.p),)",
+        "RatFunc.inverse scaling by the numerator's leading coefficient, not its inverse",
+    ),
+    (
+        "unpack-slot-byte-order",
+        "src/diffext/scalars.py",
+        '        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * size, w)]',
+        '        return [int.from_bytes(raw[i : i + w], "big") % p for i in range(0, w * size, w)]',
+        "_unpack reading a wide slot big-endian",
+    ),
+    (
+        "unpack-slot-stride",
+        "src/diffext/scalars.py",
+        "int.from_bytes(raw[i : i + w]",
+        "int.from_bytes(raw[i : i + 8]",
+        "_unpack reading each wide slot as 8 bytes, whatever its width",
+    ),
+    (
+        "autos-order-fixed-bound",
+        "src/diffext/frontend.py",
+        "        got = auto_order(H, bound=K.p)",
+        "        got = auto_order(H)",
+        "the autos suite's order check searching to the fixed bound 64, not to p",
     ),
 ]
 
