@@ -38,7 +38,8 @@ which collapses to (id, a^(-1) delta(a), 1) when a is central, as every a
 over a commutative base is.  A coefficient a is nuclear exactly when
 a d = d a, by the identity (f a) mod f = a d - d a in ExtAlgebra.nucleus.
 inner_auto re-checks that normal form against literal conjugation on the
-basis; a disagreement is an arithmetic fault, InternalInvariantViolation.
+left K-basis, enough since both maps are left K-linear; a disagreement is
+an arithmetic fault, InternalInvariantViolation.
 
 The shift t -> t - a is the descriptor (id, -a, 1) onto its target, the
 algebra with d + V_g(a): the checks read H(f) = target.f, and eq1 admits
@@ -170,12 +171,17 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
 def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
     """Order of H in the automorphism group, or None past the bound.
 
-    Computed honestly by iterating on the basis; identity is order 1.
-    Raises ValueError for a map onto another algebra (a shift_isomorphism
-    with V_g(a) != 0), which is no automorphism.
+    Computed honestly by iterating on the left K-basis (ExtAlgebra.k_basis);
+    identity is order 1.  That basis suffices because every descriptor is
+    left K-linear, H(k u) = k H(u) for k in K: H(k u) = tau(k) H(u) as the
+    image is sum tau(k u_i) (eps t + c)^i with no reduction, and tau = id
+    or tau = conjugation, which fixes the center K of the coefficient ring.
+    So every power of H is K-linear, and is the identity when it fixes the
+    K-basis.  Raises ValueError for a map onto another algebra (a
+    shift_isomorphism with V_g(a) != 0), which is no automorphism.
     """
     _check_automorphism(H)
-    basis = H.algebra.basis()
+    basis = H.algebra.k_basis()
     images = list(basis)
     for k in range(1, bound + 1):
         images = [apply_auto(H, u) for u in images]
@@ -264,6 +270,13 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
     reduction, and a r = (a u v) mod f when u v = q f + r.  So a is nuclear
     exactly when it is right nuclear, that is when a d = d a, by the
     identity (f a) mod f = a d - d a in ExtAlgebra.nucleus.
+
+    The normal form is re-checked against literal conjugation on the left
+    K-basis (ExtAlgebra.k_basis), which suffices because both maps are left
+    K-linear.  The descriptor is, as for every descriptor (see auto_order).
+    Literal conjugation is, because K lies in the left nucleus and in the
+    center of the coefficient ring: a^(-1) (k u) = k (a^(-1) u) and
+    (k w) a = k (w a) for k in K.
     """
     ring = algebra.ring
     if isinstance(a, AlgebraElement):
@@ -293,10 +306,10 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
         tau = lambda z: a_inv * z * a
         name = "conj"
     H = build_auto(algebra, tau, c, ring.one(), tau_name=name)
-    # Cross-check the normal form against literal conjugation on the basis.
+    # Cross-check the normal form against literal conjugation on the K-basis.
     ainv_el = algebra.scalar(a_inv)
     a_el = algebra.scalar(a)
-    for u in algebra.basis():
+    for u in algebra.k_basis():
         if apply_auto(H, u) != (ainv_el * u) * a_el:
             raise InternalInvariantViolation(
                 "normal form disagrees with conjugation by %s" % (a,)

@@ -144,7 +144,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.rep * other.rep)
 
     def _check(self, other):
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
+        if other.algebra != self.algebra:
             raise ValueError("elements of different algebras")
 
     def __bool__(self):
@@ -205,7 +205,7 @@ class ExtAlgebra:
         return self.f.degree() * self.ring.dim_over_constants
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ExtAlgebra)
             and other.ring == self.ring
             and other.g == self.g
@@ -238,14 +238,26 @@ class ExtAlgebra:
 
     def basis(self):
         """F-basis: ring basis element times t^i, i below deg f."""
-        out = []
-        for i in range(self.f.degree()):
-            for b in self._ring_basis:
-                rep = DiffPoly(
-                    self.ring, (self.ring.zero(),) * i + (b,)
-                )
-                out.append(AlgebraElement(self, rep))
-        return out
+        return self._monomials(self._ring_basis)
+
+    def k_basis(self):
+        """Basis as a left K-module: u t^i, i below deg f, for u in 1 over K
+        and in 1, i, j, ij over Q.
+
+        Those u are the ring basis elements with no power of x, every p-th
+        of constant_basis(); K is central in the ring, and k (u t^i) = (k u)
+        t^i needs no reduction, so two left K-linear maps on the algebra
+        agree when they agree here.
+        """
+        return self._monomials(self._ring_basis[:: self.ring.p])
+
+    def _monomials(self, coeffs):
+        zero = self.ring.zero()
+        return [
+            AlgebraElement(self, DiffPoly(self.ring, (zero,) * i + (b,)))
+            for i in range(self.f.degree())
+            for b in coeffs
+        ]
 
     def coords(self, u: AlgebraElement):
         """Coordinates over F, ordered to match basis()."""

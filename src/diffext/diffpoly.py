@@ -51,17 +51,23 @@ coefficient ring:
   (t^(p^k) - c)^p, which square-and-multiply forms in two products at
   p = 3.
 
-v_p_tower always expands (t - b)^(p^e) in full, checks that every middle
-coefficient vanishes, and compares the constant term with the p-steps of
-levels 0..e-1, so over the derived field it cross-checks the twisted
-expansion against the closed form.
+v_p_tower checks the same levels by expansion.  Level 0 expands (t - b)^p
+in full; level k >= 1 expands (T - c)^p in A[T; delta^(p^k)], T = t^(p^k),
+where Hochschild's delta^p = a delta gives delta^(p^k) = a^((p^k - 1)/(p -
+1)) delta, so the level ring is A with that scaled derivation and the
+t-step and powering of DiffPoly do the work.  Each level checks that every
+middle coefficient vanishes and compares its constant term with the p-step,
+so over the derived field it cross-checks the twisted expansion against the
+closed form.  Every level works on polynomials of degree p, where the full
+power (t - b)^(p^e) has degree p^e; the tests keep that dense expansion as
+their oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation
 from .scalars import _needs_parens, _power
-from .towers import PPolynomial
+from .towers import PPolynomial, _hochschild_constant
 
 __all__ = [
     "DiffPoly",
@@ -286,33 +292,76 @@ def _p_step(ring, c, level: int):
     return -(lifted ** p).coeff(0)
 
 
-def v_p_tower(ring, b, e: int):
-    """V at level p^e: expand (t - b)^(p^e) and read off the constant term.
+class _LevelRing:
+    """The coefficient ring A with the derivation delta^(p^k) of level k >= 1.
 
-    The expansion must come out as t^(p^e) - V with every middle coefficient
-    exactly zero; a nonzero middle coefficient means the coefficient
-    arithmetic is broken, and raises.  The result is cross-checked against
-    the p-steps of levels 0..e-1, which over a commutative ring are the
-    closed form and so an independent route.
+    delta^(p^k) = embed(a^((p^k - 1)/(p - 1))) delta, where a = delta^(p-1)(w)/w
+    for w = delta(x) (towers.p_polynomial_at_exponent proves it).  The
+    factor is central, so the scaled map is a derivation of A, and A[T;
+    delta^(p^k)] is the twisted ring DiffPoly builds over this adapter.
+    """
+
+    __slots__ = ("ring", "scale")
+
+    def __init__(self, ring, level: int):
+        p = ring.p
+        a = _hochschild_constant(ring.base_field)
+        self.ring = ring
+        self.scale = ring.embed(a ** ((p ** level - 1) // (p - 1)))
+
+    def zero(self):
+        return self.ring.zero()
+
+    def one(self):
+        return self.ring.one()
+
+    def delta(self, c):
+        return self.scale * self.ring.delta(c)
+
+
+def v_p_tower(ring, b, e: int):
+    """V at level p^e: (t - b)^(p^e) = t^(p^e) - V, expanded level by level.
+
+    Level k expands (T - c)^p with c = V_(p^k)(b) in A[T; delta^(p^k)]
+    (level 0 is (t - b)^p in A[t; delta]), checks that it comes out as
+    T^p - c' with every middle coefficient exactly zero, and compares c'
+    with the p-step of level k, which over a commutative ring is the closed
+    form with (p-1) p^k derivations and does not read a: an independent
+    route.  A nonzero middle coefficient or a disagreement means the
+    coefficient arithmetic is broken, and raises.
+
+    Why the levels prove the full expansion.  In A[t; delta], t^(p^k) a =
+    a t^(p^k) + delta^(p^k)(a), because the binomials p^k choose i vanish
+    for 0 < i < p^k.  So T |-> t^(p^k) is a ring map from A[T; delta^(p^k)]
+    to A[t; delta]; it sends sum c_i T^i to sum c_i t^(i p^k), so it is
+    injective and reads coefficients off one for one.  If (t - b)^(p^k) =
+    T - c, then (t - b)^(p^(k+1)) = (T - c)^p is the image of the level-k
+    expansion: its coefficient at t^(i p^k) is that of T^i, and every other
+    one is zero.  By induction on k, the levels all pass exactly when
+    (t - b)^(p^j) = t^(p^j) - V_(p^j)(b) for every j <= e, the full
+    statement at e with the same at each lower level.
     """
     if e < 1:
         raise ValueError("tower exponent must be >= 1")
-    deg = ring.p ** e
-    power = DiffPoly(ring, (-b, ring.one())) ** deg
-    for i in range(1, deg):
-        if power.coeff(i):
-            raise InternalInvariantViolation(
-                "(t - b)^%d has a nonzero coefficient at t^%d" % (deg, i)
-            )
-    if power.coeff(deg) != ring.one():
-        raise InternalInvariantViolation("(t - b)^%d is not monic" % deg)
-    v = -power.coeff(0)
-    # Independent route: one p-step per level.
-    it = b
+    p = ring.p
+    one = ring.one()
+    level_ring, v = ring, b
     for level in range(e):
-        it = _p_step(ring, it, level)
-    if it != v:
-        raise InternalInvariantViolation("tower iteration disagrees with expansion")
+        if level:
+            level_ring = _LevelRing(ring, level)
+        power = DiffPoly(level_ring, (-v, one)) ** p
+        deg, stride = p ** (level + 1), p ** level
+        for i in range(1, p):
+            if power.coeff(i):
+                raise InternalInvariantViolation(
+                    "(t - b)^%d has a nonzero coefficient at t^%d" % (deg, i * stride)
+                )
+        if power.coeff(p) != one:
+            raise InternalInvariantViolation("(t - b)^%d is not monic" % deg)
+        step = _p_step(ring, v, level)
+        v = -power.coeff(0)
+        if step != v:
+            raise InternalInvariantViolation("tower iteration disagrees with expansion")
     return v
 
 

@@ -20,11 +20,14 @@ another way, and the library itself does not call any of them:
   matrix over F, the reference for ``ExtAlgebra.is_division_probe``, and
   ``left_kernel_vector``, which exhibits a zero divisor from its rows;
 * ``binomial_nucleus_rows``: the right-nucleus system from Leibniz's rule,
-  the reference for the t-steps of ``ExtAlgebra._right_nucleus_span``.
+  the reference for the t-steps of ``ExtAlgebra._right_nucleus_span``;
+* ``dense_v_p``: the full expansion of (t - b)^(p^e) in A[t; delta], the
+  reference for ``diffpoly.v_p_tower``, which expands one level at a time.
 """
 
 from math import comb
 
+from diffext.diffpoly import DiffPoly
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, RatFunc, _exquo, _gcd, _mul
@@ -221,3 +224,17 @@ def binomial_nucleus_rows(alg):
         derivs.append(K.delta(derivs[-1]))
     entry = lambda k, i: K.from_int(comb(i, k) % K.p) * derivs[i - k] if i > k else K.zero()
     return tuple(tuple(entry(k, i) for i in range(1, m)) for k in range(m - 1))
+
+
+def dense_v_p(ring, b, e):
+    """V_(p^e)(b), minus the constant term of (t - b)^(p^e) expanded in full.
+
+    Asserts that the power is t^(p^e) - V: monic, with every middle
+    coefficient exactly zero.
+    """
+    n = ring.p ** e
+    power = DiffPoly(ring, (-b, ring.one())) ** n
+    for i in range(1, n):
+        assert not power.coeff(i), "(t - b)^%d has a nonzero coefficient at t^%d" % (n, i)
+    assert power.coeff(n) == ring.one()
+    return -power.coeff(0)

@@ -574,3 +574,74 @@ def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
     assert apply_auto(other, u) == apply_auto(H, u)
     with pytest.raises(TypeError):
         AutoDescriptor(i1, IDENT, "id", K.one(), K.one(), ())
+
+
+def test_descriptors_are_left_k_linear(i1, i3):
+    # auto_order, inner_auto and the suite's composition check compare maps
+    # on the K-basis only; that rests on H(k u) = k H(u) for k in K: shifts
+    # over K, and conjugations by i and by x + i over Q.
+    cases = []
+    for alg in (i1, i3):
+        K = alg.ring
+        cases.append((alg, build_auto(alg, IDENT, K.log_derivative(K.x() + K.one()), K.one())))
+        cases.append((alg, inner_auto(alg, K.x() ** 2 + K.one())))
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    x, zero, one = Q.base.x(), Q.base.zero(), Q.base.one()
+    for a in (Q.of(zero, one, zero, zero), Q.of(x, one, zero, zero)):
+        cases.append((alg, inner_auto(alg, a)))
+    assert [H.tau_name for _, H in cases].count("conj") == 2
+    rng = random.Random(4700)
+    for alg, H in cases:
+        ring = alg.ring
+        for _ in range(6):
+            k = alg.scalar(ring.embed(random_ratfunc(ring.base_field, rng, 2, nonzero=True)))
+            u = alg.random_element(rng, 2)
+            assert apply_auto(H, k * u) == k * apply_auto(H, u)
+
+
+def test_literal_conjugation_is_left_k_linear():
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    x, zero, one = Q.base.x(), Q.base.zero(), Q.base.one()
+    rng = random.Random(4701)
+    for a in (Q.of(zero, one, zero, zero), Q.of(x, one, zero, zero)):
+        a_el, ainv_el = alg.scalar(a), alg.scalar(Q.invert(a))
+        conj = lambda u: (ainv_el * u) * a_el
+        for _ in range(4):
+            k = alg.scalar(Q.embed(random_ratfunc(Q.base, rng, 2, nonzero=True)))
+            u = alg.random_element(rng, 2)
+            assert conj(k * u) == k * conj(u)
+
+
+def test_k_basis_spans_the_f_basis(i3):
+    # Every F-basis element is x^j times a K-basis element, in order.
+    for alg in (i3, _quaternion_algebra()):
+        ring = alg.ring
+        x = alg.scalar(ring.embed(ring.base_field.x()))
+        kb, fb = alg.k_basis(), alg.basis()
+        p = ring.p
+        assert len(fb) == p * len(kb) == alg.dim
+        for n, e in enumerate(kb):
+            power = e
+            for j in range(p):
+                assert fb[n * p + j] == power
+                power = x * power
+
+
+def test_auto_order_on_the_k_basis_matches_the_f_basis():
+    # The order read on the K-basis is the one the F-basis gives, for a
+    # conjugation whose tau is not the identity (conjugation by i, order 2).
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    zero, one = Q.base.zero(), Q.base.one()
+    G = inner_auto(alg, Q.of(zero, one, zero, zero))
+    assert G.tau_name == "conj"
+    basis = alg.basis()
+    images, order = list(basis), None
+    for k in range(1, 5):
+        images = [apply_auto(G, u) for u in images]
+        if images == basis:
+            order = k
+            break
+    assert order == auto_order(G) == 2

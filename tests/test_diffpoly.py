@@ -22,6 +22,7 @@ from diffext.towers import (
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
+from oracles import dense_v_p
 
 
 def _w(p, coeffs):
@@ -478,8 +479,7 @@ def test_level_two_p_step_matches_expansion(p, num):
     misses = 0
     for _ in range(samples):
         b = random_ratfunc(K, rng, 2)
-        # The oracle: the constant term of the full twisted expansion.
-        expansion = -(DiffPoly(K, (-b, K.one())) ** (p * p)).coeff(0)
+        expansion = dense_v_p(K, b, 2)
         assert _p_step(K, _p_step(K, b, 0), 1) == expansion
         assert v_p_tower(K, b, 2) == expansion
         misses += iterated(b) != expansion
@@ -503,7 +503,7 @@ def test_level_two_v_g_and_quaternion_steps_match_expansion(p, num):
     Q = QuaternionRing(K)
     for _ in range(2):
         B = Q.random_element(rng, 1)
-        expansion = -(DiffPoly(Q, (-B, Q.one())) ** (p * p)).coeff(0)
+        expansion = dense_v_p(Q, B, 2)
         assert _p_step(Q, _p_step(Q, B, 0), 1) == expansion
         assert v_p_tower(Q, B, 2) == expansion
 
@@ -526,3 +526,30 @@ def test_untrimmed_t_steps_and_scalings_match_the_trimming_constructor(ring):
             assert not got.coeffs or got.coeffs[-1]
         assert f._t_times().degree() == f.degree() + (1 if f else 0)
         assert f.scale_left(a).degree() == f.degree()
+
+
+# (p, delta(x), e, a) with a = delta^(p-1)(w)/w, the constant of delta^p =
+# a delta: a = 0, 1 and 2 make the level derivation delta^(p^k) =
+# a^((p^k - 1)/(p - 1)) delta zero, delta itself and a multiple of delta
+# that no exponent off by one reproduces, so a wrong scale is caught.
+_DENSE_CASES = [
+    (2, (1,), 2, 0), (2, (1,), 3, 0), (3, (1,), 2, 0), (5, (1,), 2, 0),
+    (2, (0, 1), 2, 1), (2, (0, 1), 3, 1), (3, (0, 1), 2, 1), (5, (0, 1), 2, 1),
+    (3, (1, 0, 1), 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p,w,e,a", _DENSE_CASES, ids=["p%d-w%s-e%d" % (p, "".join(map(str, w)), e) for p, w, e, _ in _DENSE_CASES]
+)
+def test_v_p_tower_levels_match_the_dense_expansion(p, w, e, a):
+    K = DerivedField(p, _w(p, w))
+    assert minimal_p_polynomial(K).coeffs == (K.from_int(-a),)
+    rng = random.Random("dense:%d:%s:%d" % (p, w, e))
+    for _ in range(3 if p == 5 else 6):
+        b = random_ratfunc(K, rng, 2)
+        assert v_p_tower(K, b, e) == dense_v_p(K, b, e)
+    if p == 3:
+        Q = QuaternionRing(K)
+        B = Q.random_element(rng, 1)
+        assert v_p_tower(Q, B, e) == dense_v_p(Q, B, e)

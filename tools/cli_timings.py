@@ -67,6 +67,20 @@ TIMINGS = [
         "p = 5\ndelta_of_x = x\nd = x^25 + x^5 + 1\n",
         ["divcheck", "CFG", "--bound", "5"],
     ),
+    # The V-tower checked level by level in K[t^(p^k); delta^(p^k)]: 30
+    # towers, 15 of them to p^2 = 169.
+    (
+        "verify --suite vops, p = 13",
+        "p = 13\ndelta_of_x = x\nd = x\n",
+        ["verify", "CFG", "--suite", "vops"],
+    ),
+    # Order and composition checked on the K-basis t^j, j < 11, not on the
+    # 121 elements of the F-basis.
+    (
+        "verify --suite autos, p = 11",
+        "p = 11\ndelta_of_x = x\nd = x\n",
+        ["verify", "CFG", "--suite", "autos"],
+    ),
 ]
 
 

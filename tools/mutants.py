@@ -180,6 +180,27 @@ MUTANTS = [
         "        got = auto_order(H)",
         "the autos suite's order check searching to the fixed bound 64, not to p",
     ),
+    (
+        "level-step-scale-one",
+        "src/diffext/diffpoly.py",
+        "        self.scale = ring.embed(a ** ((p ** level - 1) // (p - 1)))",
+        "        self.scale = ring.one()",
+        "v_p_tower's level k taking delta^(p^k) as delta",
+    ),
+    (
+        "level-step-exponent",
+        "src/diffext/diffpoly.py",
+        "a ** ((p ** level - 1) // (p - 1))",
+        "a ** ((p ** level - 1) // (p - 1) + 1)",
+        "the exponent (p^k - 1)/(p - 1) of a in delta^(p^k) one too large",
+    ),
+    (
+        "k-basis-scalars-only",
+        "src/diffext/dext.py",
+        "self._ring_basis[:: self.ring.p]",
+        "self._ring_basis[:1]",
+        "the K-basis of a quaternion algebra cut to the powers of t",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
