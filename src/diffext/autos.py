@@ -171,17 +171,20 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
 def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
     """Order of H in the automorphism group, or None past the bound.
 
-    Computed honestly by iterating on the left K-basis (ExtAlgebra.k_basis);
-    identity is order 1.  That basis suffices because every descriptor is
-    left K-linear, H(k u) = k H(u) for k in K: H(k u) = tau(k) H(u) as the
-    image is sum tau(k u_i) (eps t + c)^i with no reduction, and tau = id
-    or tau = conjugation, which fixes the center K of the coefficient ring.
-    So every power of H is K-linear, and is the identity when it fixes the
-    K-basis.  Raises ValueError for a map onto another algebra (a
-    shift_isomorphism with V_g(a) != 0), which is no automorphism.
+    Computed honestly by iterating on the left K-basis (ExtAlgebra.k_basis)
+    and on the scalar x; identity is order 1.  Those generate every power:
+    the image of k u, k in K, is sum tau(k u_i) (eps t + c)^i with no
+    reduction, so H(k u) = tau(k) H(u), and tau maps K, the center of the
+    coefficient ring, to itself.  A power H^n that fixes x fixes K, which x
+    generates as a field over F_p, so H^n(k u) = k H^n(u); if it also fixes
+    the K-basis it is the identity.  tau need not fix K: x -> 1/x on
+    D_(x + 1/x) at p = 2 fixes every t^i and moves x.  Raises ValueError
+    for a map onto another algebra (a shift_isomorphism with V_g(a) != 0),
+    which is no automorphism.
     """
     _check_automorphism(H)
-    basis = H.algebra.k_basis()
+    alg = H.algebra
+    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]
     images = list(basis)
     for k in range(1, bound + 1):
         images = [apply_auto(H, u) for u in images]
@@ -273,7 +276,8 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
 
     The normal form is re-checked against literal conjugation on the left
     K-basis (ExtAlgebra.k_basis), which suffices because both maps are left
-    K-linear.  The descriptor is, as for every descriptor (see auto_order).
+    K-linear.  The descriptor is, since H(k u) = tau(k) H(u) (see
+    auto_order) and its tau, the identity or a conjugation, fixes K.
     Literal conjugation is, because K lies in the left nucleus and in the
     center of the coefficient ring: a^(-1) (k u) = k (a^(-1) u) and
     (k w) a = k (w a) for k in K.

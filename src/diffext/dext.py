@@ -47,9 +47,14 @@ is additive and commutes with F_p-scalars, so the numerators that work for
 one v form an affine F_p-space, found by one linear solve over F_p on ints
 (linalg.solve_columns_mod_p, on the columns of the unknowns); the
 smallest-code solution is the witness a plain
-enumeration of the numerators would meet first.  The system comes
-without a fraction: u^p is a constant for every polynomial u, so
-Jacobson's p-step on a pair reads
+enumeration of the numerators would meet first.  At e = 1 a pole of c at
+infinity of order D above p sigma, sigma the most a delta raises the pole
+order there, fixes the pole order D/p of every solution, since b^p
+dominates V_z1(b); the first witness is in lowest terms, so only the v of
+degree at most bound - D/p are tried, none when D/p > bound (see
+linear_right_factor_search).  The system comes without a fraction: u^p
+is a constant for every polynomial u, so Jacobson's p-step on a pair
+reads
 
     V_p(P/u) = (P^p + delta^(p-1)(u^(p-1) P)) / u^p,
 
@@ -574,12 +579,39 @@ class ExtAlgebra:
         factor, and None is returned with no search (and no search guard).
         Otherwise d = embed(c), and each v is one fraction-free system for
         V_g(b) = c over K (_vg_columns, on the stored split), over both rings.
+
+        The degree cap at e = 1 (_denominator_cap).  Write deg r = -v_inf(r),
+        the pole order at infinity (deg 0 = -infinity), delta(x) = w = W/S
+        and sigma = max(0, deg W - deg S - 1).  deg r' <= deg r - 1, so each
+        delta raises deg by at most sigma, and the Hochschild constant a =
+        delta^(p-1)(w)/w has deg a <= (p-1) sigma.  Let c be nonzero with
+        D = deg c > p sigma; the searched equation is V_z1(b) = b^p +
+        delta^(p-1)(b) + a1 b = c with a1 = -a.
+
+        * Every solution b has deg b = D/p.  If B = deg b > sigma, then
+          pB > B + (p-1) sigma, which bounds deg delta^(p-1)(b) and
+          deg(a1 b), so b^p outgrows both and deg V_z1(b) = pB = D.  If
+          B <= sigma, each term has deg <= p sigma < D.  c lies in F, so
+          its numerator and denominator in lowest terms are polynomials in
+          x^p and p divides D.
+        * The first witness N/v in search order is in lowest terms: if
+          N/v = N'/v' with v' a proper monic divisor of v, then deg N' <=
+          deg N <= bound, so N'/v' solves the system of v', a block of
+          lower degree that comes earlier.  So deg v = deg N - D/p <=
+          bound - D/p.
+
+        The search therefore draws only the denominators of degree at most
+        bound - D/p, none when D/p > bound, and returns the witness, or
+        None, of the full enumeration; the search guard still counts the
+        denominators to the bound.  At e >= 2, V_g = h(V_z1) and the poles
+        of h would enter the threshold, so the cap is bound there.
         """
         c = self._constant_scalar_d()
         if c is None:
             return None
         K = self.base_field
-        b = _bounded_height_witness(K, _vg_columns(K, self.z1_split, c, bound), bound)
+        cap = _denominator_cap(K, c, bound) if len(self.z1_split[1]) == 1 else bound
+        b = _bounded_height_witness(K, _vg_columns(K, self.z1_split, c, bound), bound, cap)
         if b is not None:
             return self._checked_factor(b)
         if not c:  # V_g(0) = 0
@@ -682,8 +714,8 @@ class ExtAlgebra:
         return True
 
 
-def _bounded_height_witness(K, columns_for, bound: int):
-    """The first N/v, N nonzero, deg N, deg v <= bound, that solves its system.
+def _bounded_height_witness(K, columns_for, bound: int, den_bound: int):
+    """The first N/v, N nonzero, deg N <= bound, deg v <= den_bound, that solves its system.
 
     columns_for(v) returns (columns, rhs) over F_p, the column of each of
     c_0..c_bound and the right-hand side, as sequences of ints, one entry
@@ -711,8 +743,15 @@ def _bounded_height_witness(K, columns_for, bound: int):
     vector, that of the lowest free column, is the smallest nonzero one.
     Returns None when no block has a solution.
 
+    Only the blocks of deg v <= den_bound <= bound are tried, a prefix of
+    that order, empty when den_bound < 0: linear_right_factor_search
+    passes its degree cap there, and proves that the blocks it drops hold
+    no first witness.  With den_bound = bound every block is tried, the
+    tests' oracle.
+
     Raises UnsupportedInstance, before any work, when there are more than
-    MAX_SEARCH_DENOMINATORS monic denominators of degree <= bound.
+    MAX_SEARCH_DENOMINATORS monic denominators of degree <= bound, whatever
+    den_bound is.
     """
     count, power = 0, 1
     for _ in range(bound + 1):
@@ -723,7 +762,7 @@ def _bounded_height_witness(K, columns_for, bound: int):
                 "dext.MAX_SEARCH_DENOMINATORS = %d denominators"
                 % (bound, K.p, MAX_SEARCH_DENOMINATORS)
             )
-    for den in _fraction_candidates(K, bound):
+    for den in _fraction_candidates(K, den_bound):
         try:
             sol, kernel = solve_columns_mod_p(*columns_for(den), K.p)
         except NoSolution:
@@ -732,6 +771,19 @@ def _bounded_height_witness(K, columns_for, bound: int):
         if sol is not None:
             return RatFunc(DensePoly(K.field, sol), den)
     return None
+
+
+def _denominator_cap(K, c, bound: int) -> int:
+    """Largest deg v that the first witness N/v of V_z1(N/v) = c can have.
+
+    bound - D/p when c is nonzero with pole order D > p sigma at infinity,
+    else bound; see linear_right_factor_search for the proof.
+    """
+    deg = lambda r: len(r.num_coeffs) - len(r.den_coeffs)  # -v_inf(r), r nonzero
+    sigma = max(0, deg(K.delta_of_x) - 1)
+    if c and deg(c) > K.p * sigma:
+        return bound - deg(c) // K.p
+    return bound
 
 
 def _vg_columns(K, split, d, degree):

@@ -502,7 +502,8 @@ def _suite_autos(r: _SuiteRunner):
             H2 = build_auto(alg, ident, c2, K.one())
             H12 = compose_shift_autos(H1, H2)
             _check(H12.c == c1 + c2)
-            # Both sides are left K-linear (see autos.auto_order): a K-basis suffices.
+            # tau = id, so both sides are left K-linear (see autos.auto_order):
+            # a K-basis suffices.
             for b in alg.k_basis():
                 _check(apply_auto(H12, b) == apply_auto(H1, apply_auto(H2, b)))
         return "pass", {"samples": 25}

@@ -4,10 +4,13 @@ i1: p = 2, delta = x d/dx over F_2, g = t^2 - t, d = x   (nonassociative)
 i2: same field, d = x^2 (a constant, so associative)
 i3: p = 3, delta = x d/dx over F_3, g = t^3 - t, d = x   (nonassociative)
 i4: p = 2, delta = d/dx over F_2, g = t^2, d = x         (nonassociative)
+
+drawn_denominators: the list of denominators the factor search draws.
 """
 
 import pytest
 
+from diffext import dext
 from diffext.dext import ExtAlgebra
 from diffext.scalars import DensePoly, PrimeField, RatFunc
 from diffext.towers import DerivedField, minimal_p_polynomial
@@ -47,3 +50,18 @@ def i4():
 @pytest.fixture(scope="session")
 def i2_d0():
     return _mk(2, (0, 1), lambda K: K.zero())
+
+
+@pytest.fixture
+def drawn_denominators(monkeypatch):
+    """Records every denominator dext._fraction_candidates yields, in order."""
+    drawn = []
+    enumerate_all = dext._fraction_candidates
+
+    def counting(K, bound):
+        for den in enumerate_all(K, bound):
+            drawn.append(den)
+            yield den
+
+    monkeypatch.setattr(dext, "_fraction_candidates", counting)
+    return drawn

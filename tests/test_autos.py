@@ -171,7 +171,7 @@ def test_log_derivative_witness_matches_enumeration(p, bounds, weight):
             # Oracles: the plain enumeration and the bounded-height search of
             # the factor search, fed delta(u) - c u in coordinates.
             columns_for = coords_columns(K, lambda u: (K.delta(u) - c * u,), (K.zero(),), bound)
-            bounded = _bounded_height_witness(K, columns_for, bound)
+            bounded = _bounded_height_witness(K, columns_for, bound, bound)
             brute = brute_force_log_derivative(K, c, bound)
             assert str(bounded) == str(brute), (bound, c)
             got = log_derivative_witness(algs[0], c)
@@ -627,6 +627,28 @@ def test_k_basis_spans_the_f_basis(i3):
             for j in range(p):
                 assert fb[n * p + j] == power
                 power = x * power
+
+
+def test_auto_order_counts_a_tau_that_moves_k():
+    # At p = 2 over x d/dx, tau: x -> 1/x with c = 0 and eps = 1 is an
+    # automorphism of D_(x + 1/x): tau fixes d, and tau(delta(x)) = 1/x =
+    # delta(tau(x)).  It fixes every t^i of the K-basis and moves x, so its
+    # order is 2, not 1.
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x + 1/x\n").algebra
+    K = alg.ring
+    inv = K.one() / K.x()
+
+    def at_inverse(coeffs):
+        acc = K.zero()
+        for c in reversed(coeffs):
+            acc = acc * inv + (K.one() if c else K.zero())
+        return acc
+
+    tau = lambda r: at_inverse(r.num_coeffs) / at_inverse(r.den_coeffs)
+    H = build_auto(alg, tau, K.zero(), K.one(), tau_name="x -> 1/x")
+    assert all(apply_auto(H, u) == u for u in alg.k_basis())
+    assert apply_auto(H, alg.scalar(K.x())) == alg.scalar(inv)
+    assert auto_order(H, bound=8) == 2
 
 
 def test_auto_order_on_the_k_basis_matches_the_f_basis():

@@ -750,6 +750,65 @@ def test_factor_search_matches_enumeration(p, bounds, weight):
             assert str(alg.linear_right_factor_search(bound)) == str(brute_force_factor(alg, bound))
 
 
+def _planted_fraction(K, rng, num_deg, den_deg):
+    """A b0 with deg num b0 = num_deg and monic den of degree den_deg, before reduction."""
+    p = K.p
+    num = DensePoly(K.field, [rng.randrange(p) for _ in range(num_deg)] + [rng.randrange(1, p)])
+    den = DensePoly(K.field, [rng.randrange(p) for _ in range(den_deg)] + [1])
+    return RatFunc(num, den)
+
+
+_CAP_WEIGHTS = ("x", "1", "x^2 + 1", "x^3 + x + 1", "1/x", "x/(x+1)")
+
+
+@pytest.mark.parametrize(
+    "p,bounds", [(2, (2, 3, 4)), (3, (1, 2, 3)), (5, (1, 2)), (7, (1, 2))], ids=["p2", "p3", "p5", "p7"]
+)
+def test_degree_cap_keeps_every_witness_on_planted_instances(p, bounds):
+    # d = V_g(b0) for planted b0 with deg num b0 above, equal to and below
+    # deg den b0, around the bound, over weights with poles and zeros at
+    # infinity.  The capped search returns what the uncapped enumeration
+    # and the brute-force V_g loop return, and each (p, weight) meets at
+    # least one d the cap prunes and one it leaves whole.
+    for weight in _CAP_WEIGHTS:
+        K = instance_from_text("p = %d\ndelta_of_x = %s\nd = 0\n" % (p, weight)).K
+        g = minimal_p_polynomial(K)
+        rng = random.Random("cap:%d:%s" % (p, weight))
+        pruned = whole = 0
+        for bound in bounds:
+            shapes = [(bound + 2, 0), (bound + 1, 0), (bound, 0), (bound + 1, 1), (bound, 1),
+                      (bound, bound), (bound - 1, bound), (0, bound), (1, bound + 1)]
+            for num_deg, den_deg in shapes * 2:
+                alg = ExtAlgebra(K, g, v_g(K, g, _planted_fraction(K, rng, max(num_deg, 0), den_deg)))
+                c = alg._constant_scalar_d()
+                got = alg.linear_right_factor_search(bound)
+                columns = dext._vg_columns(K, alg.z1_split, c, bound)
+                assert got == dext._bounded_height_witness(K, columns, bound, bound), (bound, alg.d)
+                if p ** (2 * bound + 1) <= 343:
+                    assert str(got) == str(brute_force_factor(alg, bound)), (bound, alg.d)
+                if dext._denominator_cap(K, c, bound) < bound:
+                    pruned += 1
+                else:
+                    whole += 1
+        assert pruned and whole, weight
+
+
+def test_degree_cap_needs_the_delta_term_in_its_threshold():
+    # delta(x) = x^3 + x + 1 raises the pole order at infinity by sigma = 2,
+    # so at p = 3 a pole of order 3 does not fix deg b: b0 = (2x + 1)/(x^2 + 1)
+    # has a zero at infinity and V_g(b0) a pole of order 3.  A cap that read
+    # only D = 3 would try deg v <= bound - 1 and miss it.
+    K = instance_from_text("p = 3\ndelta_of_x = x^3 + x + 1\nd = 0\n").K
+    g = minimal_p_polynomial(K)
+    x, one = K.x(), K.one()
+    b0 = (x + x + one) / (x * x + one)
+    alg = ExtAlgebra(K, g, v_g(K, g, b0))
+    c = alg._constant_scalar_d()
+    assert len(c.num_coeffs) - len(c.den_coeffs) == 3
+    assert dext._denominator_cap(K, c, 2) == 2
+    assert alg.linear_right_factor_search(2) == b0
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_factor_search_zero_d_picks_smallest_kernel_vector(p):
     # delta(x) = x^2 + x makes both x and x + 1 logarithmic derivatives, so
@@ -867,8 +926,8 @@ def test_fraction_free_rows_match_coords_route(p, weight, g_text, bounds):
                 assert _first_solved(fast(den), p) == first, (bound, d, den)
                 if g.e == 1:
                     assert _plain(fast(den)) == _plain(chain(den)), (bound, d, den)
-            got = dext._bounded_height_witness(K, fast, bound)
-            assert got == dext._bounded_height_witness(K, slow, bound), (bound, d)
+            got = dext._bounded_height_witness(K, fast, bound, bound)
+            assert got == dext._bounded_height_witness(K, slow, bound, bound), (bound, d)
             if got is not None:
                 assert v_g(K, g, got) == d
 
@@ -992,8 +1051,8 @@ def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bound
                 else:
                     assert _solved(fast(den), p) == _solved(slow(den), p), (bound, d, den)
             if p == 3:
-                assert dext._bounded_height_witness(K, fast, bound) == dext._bounded_height_witness(
-                    K, slow, bound
+                assert dext._bounded_height_witness(K, fast, bound, bound) == dext._bounded_height_witness(
+                    K, slow, bound, bound
                 ), (bound, d)
 
 
@@ -1011,6 +1070,22 @@ def test_search_guard_refuses_before_any_work(monkeypatch):
     for bound in (5, 40, 10 ** 9):
         with pytest.raises(UnsupportedInstance, match="MAX_SEARCH_DENOMINATORS"):
             alg.linear_right_factor_search(bound)
+
+
+def test_degree_cap_draws_only_the_denominators_a_first_witness_can_have(drawn_denominators):
+    # d = x^20 + x^10 at p = 2 over x d/dx (sigma = 0): every solution has
+    # pole order 10 at infinity.  At bound 10 the cap is 0 and v = 1 holds
+    # the witness x^10; at bound 8 the uncapped search draws all 511
+    # denominators and finds nothing, as the capped one does with none.
+    alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n").algebra
+    K = alg.ring
+    c = alg._constant_scalar_d()
+    assert alg.linear_right_factor_search(10) == K.x() ** 10
+    assert [str(v) for v in drawn_denominators] == ["1"]
+    del drawn_denominators[:]
+    assert alg.linear_right_factor_search(8) is None and drawn_denominators == []
+    assert dext._bounded_height_witness(K, dext._vg_columns(K, alg.z1_split, c, 8), 8, 8) is None
+    assert len(drawn_denominators) == 511
 
 
 def test_division_verdict_misses_factor_above_bound():

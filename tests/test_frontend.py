@@ -473,6 +473,17 @@ def test_cli_divcheck_witness(tmp_path):
     assert "witness=1" in proc.stdout
 
 
+def test_cli_divcheck_decided_at_infinity_draws_no_denominator(tmp_path, capsys, drawn_denominators):
+    # d = x^20 + x^10 at p = 2 over x d/dx: the pole of order 20 at infinity
+    # fixes the pole order 10 of every solution, above the bound 8, so the
+    # search draws none of the 511 monic denominators of degree <= 8.
+    cfg = tmp_path / "inst.cfg"
+    cfg.write_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n", encoding="utf-8")
+    assert main(["divcheck", str(cfg), "--bound", "8"]) == 0
+    assert "verdict=unknown (bound exhausted)" in capsys.readouterr().out
+    assert drawn_denominators == []
+
+
 def test_cli_verify_json_report(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--json", str(out))

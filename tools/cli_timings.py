@@ -36,35 +36,40 @@ TIMINGS = [
         "p = 7\ndelta_of_x = x\nd = x\n",
         ["verify", "CFG", "--suite", "all"],
     ),
-    # d = x^20 + x^10: its only factor t - x^10 lies above the bound, so all
-    # 511 monic denominators are searched (verdict unknown, exit 0).
+    # d = x^20 + x^10: its only factor t - x^10 lies above the bound, and the
+    # pole of order 20 at infinity fixes the pole order 10 of every
+    # solution, so the search is decided at infinity and draws 0 of the 511
+    # monic denominators (verdict unknown, exit 0).
     (
         "factor search, p = 2, bound 8",
         "p = 2\ndelta_of_x = x\nd = x^20 + x^10\n",
         ["divcheck", "CFG", "--bound", "8"],
     ),
     # g = t^4 + t = z1^2 + z1, z1 = t^2 + t, and d = x^2, which has no linear
-    # right factor up to the bound, so all 511 monic denominators are
-    # searched through V_g = h(V_z1) (verdict unknown, exit 0).
+    # right factor up to the bound; there is no degree cap at e = 2, so all
+    # 511 monic denominators are searched through V_g = h(V_z1) (verdict
+    # unknown, exit 0).
     (
         "factor search, exponent two, p = 2, bound 8",
         "p = 2\ndelta_of_x = x\nd = x^2\ng = t^4 + t\n",
         ["divcheck", "CFG", "--bound", "8"],
     ),
-    # d = x^24 = V_g(x^8), which has no linear right factor up to the bound,
-    # so all 1,093 monic denominators are searched (verdict unknown, exit 0).
+    # d = 1/(x^6 + x^3 + 2) = 1/(x^2 + x + 2)^3 has no pole at infinity, so
+    # no denominator is capped; it has no linear right factor up to the
+    # bound, so all 1,093 monic denominators are searched (verdict unknown,
+    # exit 0).
     (
         "factor search, p = 3, bound 6",
-        "p = 3\ndelta_of_x = x\nd = x^24\n",
+        "p = 3\ndelta_of_x = x\nd = 1/(x^6 + x^3 + 2)\n",
         ["divcheck", "CFG", "--bound", "6"],
     ),
-    # d = x^25 + x^5 + 1, which has no linear right factor up to the bound,
-    # so all 3,906 monic denominators are searched (verdict unknown, exit
-    # 0).  The entries above pack one byte per column coefficient; this one
-    # packs two.
+    # d = 1/(x^5 + 1) = 1/(x + 1)^5, no pole at infinity and no linear right
+    # factor up to the bound, so all 3,906 monic denominators are searched
+    # (verdict unknown, exit 0).  The entries above pack one byte per column
+    # coefficient; this one packs two.
     (
         "factor search, p = 5, bound 5",
-        "p = 5\ndelta_of_x = x\nd = x^25 + x^5 + 1\n",
+        "p = 5\ndelta_of_x = x\nd = 1/(x^5 + 1)\n",
         ["divcheck", "CFG", "--bound", "5"],
     ),
     # The V-tower checked level by level in K[t^(p^k); delta^(p^k)]: 30

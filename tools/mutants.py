@@ -201,6 +201,34 @@ MUTANTS = [
         "self._ring_basis[:1]",
         "the K-basis of a quaternion algebra cut to the powers of t",
     ),
+    (
+        "search-cap-off-by-one",
+        "src/diffext/dext.py",
+        "        return bound - deg(c) // K.p\n",
+        "        return bound - deg(c) // K.p - 1\n",
+        "the factor search's denominator cap one below bound - D/p",
+    ),
+    (
+        "search-cap-ignores-delta",
+        "src/diffext/dext.py",
+        "    if c and deg(c) > K.p * sigma:",
+        "    if c and deg(c) > 0:",
+        "the denominator cap applied to every pole at infinity, whatever delta(x) is",
+    ),
+    (
+        "search-cap-every-exponent",
+        "src/diffext/dext.py",
+        "        cap = _denominator_cap(K, c, bound) if len(self.z1_split[1]) == 1 else bound",
+        "        cap = _denominator_cap(K, c, bound)",
+        "the exponent-one denominator cap applied at e >= 2",
+    ),
+    (
+        "auto-order-no-scalar",
+        "src/diffext/autos.py",
+        "    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]",
+        "    basis = alg.k_basis()",
+        "auto_order iterating on the K-basis alone, blind to a tau that moves K",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
