@@ -9,7 +9,10 @@ the product
 
     u o v = (u * v) mod f      (right division remainder),
 
-on representatives of degree below deg f.  The result is an algebra over
+on representatives of degree below m = deg f, formed as sum u_i ((t^i v)
+mod f) with one reduced t-step per power, (t s) mod f = t s - s_(m-1) f
+(see AlgebraElement.__mul__): no coefficient above t^(m-1) and no
+quotient is formed.  The result is an algebra over
 the constant subfield F which is associative exactly when d is a central
 constant, equivalently when f is right-invariant.  Maps between these
 algebras, the automorphisms and the shifts t -> t - a, are descriptors in
@@ -31,10 +34,11 @@ t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
 for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
 basis element needs m - 1 t-steps, and each row is a left-multiplication
-matrix over F applied block by block (see structure_constants).  A
-t-step is reduced by DiffPoly.mod_right, as a probe row is, which touches
-only the nonzero lower coefficients of f (two for t^p - a t - d), and the
-coordinates are reduced in y = x^p (see towers.DerivedField.coords).
+matrix over F applied block by block (see structure_constants).  The
+table, the probe rows and the algebra product share that one reduced
+t-step (ExtAlgebra._t_mod_f), which touches only the nonzero lower
+coefficients of f (two for t^p - a t - d), and the coordinates are
+reduced in y = x^p (see towers.DerivedField.coords).
 Every entry is still checked to lie in F, and tables above
 MAX_TABLE_ENTRIES coordinates are refused before any work.
 
@@ -80,7 +84,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
-from .diffpoly import DiffPoly, p_poly_as_diffpoly, v_g
+from .diffpoly import DiffPoly, _left_combination, _t_step, p_poly_as_diffpoly, v_g
 from .errors import InternalInvariantViolation, NoSolution, UnsupportedInstance
 from .linalg import Matrix, solve_columns_mod_p
 from .scalars import (
@@ -123,7 +127,12 @@ MAX_PROBE_WORK = 2 * 10 ** 7
 
 
 class AlgebraElement:
-    """Element of the quotient, stored as its representative of low degree."""
+    """Element of the quotient, stored as its representative of low degree.
+
+    A sum, a difference and a product (see __mul__) of representatives
+    stay below deg f; a representative of degree deg f or more, as
+    element() may be given, is reduced by DiffPoly.mod_right.
+    """
 
     __slots__ = ("algebra", "rep")
 
@@ -145,8 +154,15 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, -self.rep)
 
     def __mul__(self, other):
+        """u o v = sum u_i ((t^i v) mod f): left scaling commutes with the
+        reduction, and each (t^i v) mod f is one reduced t-step
+        (ExtAlgebra._t_mod_f) from the last, so no coefficient above
+        t^(m-1) and no quotient is formed."""
         self._check(other)
-        return AlgebraElement(self.algebra, self.rep * other.rep)
+        alg = self.algebra
+        ring = alg.ring
+        acc = _left_combination(ring, self.rep.coeffs, alg._padded(other.rep), alg._t_mod_f, alg.f.degree())
+        return AlgebraElement(alg, DiffPoly(ring, acc))
 
     def _check(self, other):
         if other.algebra != self.algebra:
@@ -266,14 +282,35 @@ class ExtAlgebra:
 
     def coords(self, u: AlgebraElement):
         """Coordinates over F, ordered to match basis()."""
-        return self._rep_coords(u.rep)
+        return self._rep_coords(self._padded(u.rep))
 
-    def _rep_coords(self, rep: DiffPoly):
-        """Coordinates of the t^i coefficients of rep, i below deg f; no reduction."""
+    def _rep_coords(self, cs):
+        """Coordinates of a list of deg f coefficients; no reduction."""
         out = []
-        for i in range(self.f.degree()):
-            out.extend(self.ring.coords(rep.coeff(i)))
+        for a in cs:
+            out.extend(self.ring.coords(a))
         return tuple(out)
+
+    def _padded(self, rep: DiffPoly):
+        """The coefficients of rep, of degree below m = deg f, as m entries."""
+        return rep.coeffs + (self.ring.zero(),) * (self.f.degree() - len(rep.coeffs))
+
+    def _t_mod_f(self, s):
+        """(t s) mod f = t s - s_(m-1) f for the m = deg f coefficients s of
+        an element, as m coefficients.
+
+        t s has degree at most m with s_(m-1) at t^m, and f is monic, so one
+        quotient term s_(m-1) removes it; that subtracts s_(m-1) f_k only at
+        the nonzero f_k below t^m (two for t^p - a t - d).  The algebra
+        product, the structure table and the probe rows all step this way.
+        """
+        out = _t_step(self.ring, s)
+        top = out.pop()
+        if top:
+            for k, fk in enumerate(self.f.coeffs[:-1]):
+                if fk:
+                    out[k] = out[k] - top * fk
+        return out
 
     def from_coords(self, cs) -> AlgebraElement:
         n = self.ring.dim_over_constants
@@ -303,10 +340,10 @@ class ExtAlgebra:
           a u = (a q) f + a r with deg(a r) < m, so (a u) mod f = a (u mod f)
           for every coefficient a;
         * one t-step: for deg u < m, t u has degree at most m and its t^m
-          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f, one
-          quotient term of DiffPoly.mod_right, the reduction the probe rows
-          use too.  It subtracts u_(m-1) f_k only at the nonzero f_k below
-          t^m: two for t^p - a t - d.
+          coefficient is u_(m-1), so (t u) mod f = t u - u_(m-1) f, the
+          reduced t-step _t_mod_f that the probe rows and the algebra
+          product take too.  It subtracts u_(m-1) f_k only at the nonzero
+          f_k below t^m: two for t^p - a t - d.
 
         So e_I e_J = (b_a t^i e_J) mod f = b_a U_i(e_J) with U_i(e_J) =
         (t^i e_J) mod f, and t (q f + r) = (t q) f + t r makes U_i(e_J) one
@@ -331,7 +368,7 @@ class ExtAlgebra:
                     "the structure table has dim^3 = %d entries (dim %d), above "
                     "dext.MAX_TABLE_ENTRIES = %d" % (dim ** 3, dim, MAX_TABLE_ENTRIES)
                 )
-            ring, K, f = self.ring, self.base_field, self.f
+            ring, K = self.ring, self.base_field
             n = ring.dim_over_constants
             # lefts[a][k]: the nonzero entries (r, c) of column k of L_a, with
             # None for c = 1.
@@ -345,13 +382,13 @@ class ExtAlgebra:
             ]
             # us[J] = U_i(e_J) and vectors[J] = its coordinates, one i at a
             # time; U_0(e_J) = e_J.
-            us = [e.rep for e in self.basis()]
+            us = [self._padded(e.rep) for e in self.basis()]
             vectors = self._units()
             zero = K.zero()
             table = []
             for i in range(m):
                 if i:
-                    us = [u._t_times().mod_right(f) for u in us]
+                    us = [self._t_mod_f(u) for u in us]
                     vectors = [self._rep_coords(u) for u in us]
                 rows = [[] for _ in lefts]
                 for cs in vectors:
@@ -679,7 +716,7 @@ class ExtAlgebra:
         reduction mod the monic f (see structure_constants), so that map,
         (v a) mod f, is left-A-linear in the left A-basis 1, t, ...,
         t^(m-1): row j of its m x m matrix over A is the coefficient vector
-        of (t^j a) mod f, one t-step and one reduction from row j - 1.
+        of (t^j a) mod f, one reduced t-step (_t_mod_f) from row j - 1.
         Matrix.rref scales and combines rows on the left, so its pivot count
         is the left row rank over the division ring A, K or Q alike, and
         the sample is a zero divisor iff there are fewer than m pivots.
@@ -705,10 +742,9 @@ class ExtAlgebra:
             a = self.random_element(rng, 2)
             if not a:
                 continue
-            rows = [a.rep]  # (t^j a) mod f
+            rows = [self._padded(a.rep)]  # (t^j a) mod f
             for _ in range(1, m):
-                rows.append(rows[-1]._t_times().mod_right(self.f))
-            rows = [[r.coeff(k) for k in range(m)] for r in rows]
+                rows.append(self._t_mod_f(rows[-1]))
             if len(Matrix(self.ring, rows).rref()[1]) < m:
                 return False
         return True

@@ -7,7 +7,14 @@ variable does not commute with coefficients; the defining relation is
     t * a = a * t + delta(a),
 
 and everything else follows from it.  Multiplication iterates the rule, so
-one code path is correct over commutative and noncommutative A alike.
+one code path is correct over commutative and noncommutative A alike: u v
+is sum u_i (t^i v), each t^i v one t-step from the last, taken on
+coefficient tuples, and every u_i (t^i v)_j is accumulated into one
+coefficient list, with no polynomial built per power.  The same
+accumulation step serves the substitution tables below and the product of
+a quotient algebra (dext.AlgebraElement), which steps (t^i v) mod f
+instead; the tests keep the product that scales and adds whole
+polynomials as their oracle (tests/oracles.py).
 
 Division here always means right division: g = q*f + r with deg r < deg f,
 which exists and is unique for every nonzero f: both coefficient rings are
@@ -24,9 +31,10 @@ leaves it nonzero in a ring with no zero divisors.  On the
 0.25 MB in 10 of 10 paired runs and left the speed unchanged.
 
 Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,
-each one left step from the last: (eps t + c) P = eps (t P) + c P.  The
-automorphisms and shift isomorphisms of the quotients keep their tables
-and apply them with no twisted product.
+each one left step from the last: (eps t + c) P = eps (t P) + c P, and
+both the step and the combination accumulate into one coefficient list.
+The automorphisms and shift isomorphisms of the quotients keep their
+tables and apply them with no twisted product.
 
 The map b |-> V(b) defined by (t - b)^(p^e) = t^(p^e) - V(b) is additive in
 b; for a p-polynomial g(t) = t^(p^e) + a_1 t^(p^(e-1)) + ... + a_e t the
@@ -47,23 +55,28 @@ coefficient ring:
   V_(p^(k+1))(b) = c^p + delta^((p-1) p^k)(c), which costs (p-1) p^k
   derivations and one Frobenius power and no twisted product;
 * noncommutative (the quaternion ring): V_3 already has commutator terms,
-  so the step reads the constant term off one twisted power
-  (t^(p^k) - c)^p, which square-and-multiply forms in two products at
-  p = 3.
+  so the step reads the constant term off the twisted power (T - c)^p of
+  degree p in the level ring below, T = t^(p^k), which square-and-multiply
+  forms in two products at p = 3.  It is the expansion v_p_tower forms, so
+  over the quaternion ring the level check stands alone.
 
 v_p_tower checks the same levels by expansion.  Level 0 expands (t - b)^p
 in full; level k >= 1 expands (T - c)^p in A[T; delta^(p^k)], T = t^(p^k),
 where Hochschild's delta^p = a delta gives delta^(p^k) = a^((p^k - 1)/(p -
 1)) delta, so the level ring is A with that scaled derivation and the
 t-step and powering of DiffPoly do the work.  Each level checks that every
-middle coefficient vanishes and compares its constant term with the p-step,
-so over the derived field it cross-checks the twisted expansion against the
-closed form.  Every level works on polynomials of degree p, where the full
-power (t - b)^(p^e) has degree p^e; the tests keep that dense expansion as
-their oracle (tests/oracles.py).
+middle coefficient vanishes; over the derived field it also compares its
+constant term with the p-step, so it cross-checks the twisted expansion
+against the closed form.  Over the quaternion ring the p-step is that same
+expansion, and the level check stands alone.  Every level works on
+polynomials of degree p, where the full power (t - b)^(p^e) has degree
+p^e; the tests keep that dense expansion as their oracle
+(tests/oracles.py), over both rings.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import InternalInvariantViolation
 from .scalars import _needs_parens, _power
@@ -86,6 +99,43 @@ def _diffpoly(ring, coeffs: tuple) -> "DiffPoly":
     out.ring = ring
     out.coeffs = coeffs
     return out
+
+
+def _t_step(ring, coeffs) -> list:
+    """The coefficients of t * (sum c_i t^i), one entry longer: t c = c t +
+    delta(c) applied to each nonzero c_i.  The top coefficient moves up one
+    power unchanged."""
+    zero = ring.zero()
+    out = [ring.delta(c) if c else zero for c in coeffs] + [zero]
+    for i, c in enumerate(coeffs):
+        if c:
+            old = out[i + 1]
+            out[i + 1] = old + c if old else c
+    return out
+
+
+def _add_scaled(acc, a, coeffs):
+    """acc[j] += a * coeffs[j] in place for each nonzero coeffs[j]: the one
+    accumulation step of the products and substitutions."""
+    for j, c in enumerate(coeffs):
+        if c:
+            term = a * c
+            old = acc[j]
+            acc[j] = old + term if old else term
+
+
+def _left_combination(ring, coeffs, first, step, width) -> list:
+    """sum_i coeffs[i] s_i with s_0 = first and s_i = step(s_(i-1)), as a
+    list of width coefficients: a twisted product when step is the t-step,
+    and a product in a quotient when it is the reduced t-step."""
+    acc = [ring.zero()] * width
+    s = first
+    for i, a in enumerate(coeffs):
+        if i:
+            s = step(s)
+        if a:
+            _add_scaled(acc, a, s)
+    return acc
 
 
 class DiffPoly:
@@ -158,20 +208,11 @@ class DiffPoly:
         return self + (-other)
 
     def _t_times(self):
-        """t * self, from the defining relation applied to each nonzero coefficient.
-
-        The top coefficient moves up one power unchanged, so it is never
-        cancelled.
-        """
+        """t * self, one t-step (see _t_step); the top coefficient is never
+        cancelled."""
         if not self.coeffs:
             return self
-        ring = self.ring
-        zero = ring.zero()
-        out = [ring.delta(c) if c else zero for c in self.coeffs] + [zero]
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i + 1] = out[i + 1] + c
-        return _diffpoly(ring, tuple(out))
+        return _diffpoly(self.ring, tuple(_t_step(self.ring, self.coeffs)))
 
     def scale_left(self, a):
         """a * self for a coefficient a (left multiplication).
@@ -184,16 +225,10 @@ class DiffPoly:
         return _diffpoly(self.ring, tuple([a * c for c in self.coeffs]))
 
     def __mul__(self, other):
-        # sum_i a_i t^i * other: build t^i * other by iterating t once.
+        # sum_i a_i (t^i other), each t^i other one t-step from the last.
         ring = self.ring
-        acc = DiffPoly.zero(ring)
-        shifted = other
-        for i, a in enumerate(self.coeffs):
-            if i > 0:
-                shifted = shifted._t_times()
-            if a:
-                acc = acc + shifted.scale_left(a)
-        return acc
+        width = len(self.coeffs) + len(other.coeffs) - 1
+        return DiffPoly(ring, _left_combination(ring, self.coeffs, other.coeffs, partial(_t_step, ring), width))
 
     def __pow__(self, n: int):
         return _power(self, n, DiffPoly.constant(self.ring, self.ring.one()))
@@ -279,7 +314,9 @@ def _p_step(ring, c, level: int):
     Over a commutative ring this is Jacobson's c^p + (delta^(p^k))^(p-1)(c),
     (p-1) p^k derivations and one Frobenius power: c ** p spreads the
     numerator's and the denominator's coefficients and takes no product.
-    Otherwise it is read off one twisted power.
+    Otherwise it is read off the twisted power (T - c)^p of degree p in
+    A[T; delta^(p^k)], T = t^(p^k) (see _LevelRing and v_p_tower), not off
+    the dense (t^(p^k) - c)^p of degree p^(k+1).
     """
     p = ring.p
     if ring.is_commutative:
@@ -287,9 +324,8 @@ def _p_step(ring, c, level: int):
         for _ in range((p - 1) * p ** level):
             d = ring.delta(d)
         return c ** p + d
-    zero = ring.zero()
-    lifted = DiffPoly(ring, (-c,) + (zero,) * (p ** level - 1) + (ring.one(),))
-    return -(lifted ** p).coeff(0)
+    level_ring = _LevelRing(ring, level) if level else ring
+    return -(DiffPoly(level_ring, (-c, ring.one())) ** p).coeff(0)
 
 
 class _LevelRing:
@@ -328,7 +364,10 @@ def v_p_tower(ring, b, e: int):
     with the p-step of level k, which over a commutative ring is the closed
     form with (p-1) p^k derivations and does not read a: an independent
     route.  A nonzero middle coefficient or a disagreement means the
-    coefficient arithmetic is broken, and raises.
+    coefficient arithmetic is broken, and raises.  Over a noncommutative
+    ring (the quaternion ring) the p-step is this same expansion, so there
+    is nothing to compare: the level check stands alone, and the tests
+    compare it with the dense expansion (tests/oracles.py).
 
     Why the levels prove the full expansion.  In A[t; delta], t^(p^k) a =
     a t^(p^k) + delta^(p^k)(a), because the binomials p^k choose i vanish
@@ -358,10 +397,10 @@ def v_p_tower(ring, b, e: int):
                 )
         if power.coeff(p) != one:
             raise InternalInvariantViolation("(t - b)^%d is not monic" % deg)
-        step = _p_step(ring, v, level)
-        v = -power.coeff(0)
-        if step != v:
+        # Over Q the p-step reads this same expansion, so it is not formed twice.
+        if ring.is_commutative and _p_step(ring, v, level) != -power.coeff(0):
             raise InternalInvariantViolation("tower iteration disagrees with expansion")
+        v = -power.coeff(0)
     return v
 
 
@@ -410,26 +449,29 @@ def _substitution_powers(ring, c, eps, n):
     """The table (eps*t + c)^i for i < n.
 
     Each power is one left step from the last: (eps t + c) P = eps (t P) +
-    c P, one t-step and two left scalings, with no twisted product.
+    c P: one t-step, scaled by eps unless eps = 1, and c P accumulated
+    into it, with no twisted product.
     """
     one = ring.one()
     power = DiffPoly.constant(ring, one)
     out = [power]
     for _ in range(1, n):
-        step = power._t_times()
+        acc = _t_step(ring, power.coeffs)
         if eps != one:
-            step = step.scale_left(eps)
-        power = step + power.scale_left(c)
+            acc = [eps * a if a else a for a in acc]
+        if c:
+            _add_scaled(acc, c, power.coeffs)
+        power = DiffPoly(ring, acc)
         out.append(power)
     return out
 
 
 def _substitute_powers(h: DiffPoly, tau, powers) -> DiffPoly:
-    """sum tau(h_i) * powers[i]: substitute with a table of images of t^i."""
-    acc = DiffPoly.zero(h.ring)
-    for i, a in enumerate(h.coeffs):
+    """sum tau(h_i) * powers[i]: substitute with a table of images of t^i,
+    each of degree at most i."""
+    acc = [h.ring.zero()] * len(h.coeffs)
+    for a, power in zip(h.coeffs, powers):
         ta = tau(a)
         if ta:
-            acc = acc + powers[i].scale_left(ta)
-    return acc
-
+            _add_scaled(acc, ta, power.coeffs)
+    return DiffPoly(h.ring, acc)

@@ -22,7 +22,13 @@ another way, and the library itself does not call any of them:
 * ``binomial_nucleus_rows``: the right-nucleus system from Leibniz's rule,
   the reference for the t-steps of ``ExtAlgebra._right_nucleus_span``;
 * ``dense_v_p``: the full expansion of (t - b)^(p^e) in A[t; delta], the
-  reference for ``diffpoly.v_p_tower``, which expands one level at a time.
+  reference for ``diffpoly.v_p_tower``, which expands one level at a time,
+  and for the p-step over the quaternion ring;
+* ``product_by_t_steps``: the twisted product with every t^i v built as its
+  own ``DiffPoly``, scaled and added whole, the reference for
+  ``DiffPoly.__mul__``, which accumulates into one coefficient list;
+* ``quotient_product``: the full twisted product right-divided by f, the
+  reference for ``AlgebraElement.__mul__``, which steps (t^i v) mod f.
 """
 
 from math import comb
@@ -189,9 +195,9 @@ def left_multiplication_singular(alg, a) -> bool:
     """Whether u |-> a u has a nonzero kernel on S_f, as an F-linear map.
 
     Column j of its dim x dim matrix over F is the coordinate vector of
-    a e_j for the j-th element e_j of alg.basis().
+    a e_j for the j-th element e_j of alg.basis(), by quotient_product.
     """
-    cols = [alg.coords(a * e) for e in alg.basis()]
+    cols = [alg.coords(quotient_product(a, e)) for e in alg.basis()]
     return bool(Matrix(alg.base_field, zip(*cols)).kernel())
 
 
@@ -238,3 +244,22 @@ def dense_v_p(ring, b, e):
         assert not power.coeff(i), "(t - b)^%d has a nonzero coefficient at t^%d" % (n, i)
     assert power.coeff(n) == ring.one()
     return -power.coeff(0)
+
+
+def product_by_t_steps(u, v):
+    """u * v in A[t; delta] as sum_i u_i (t^i v): t^i v one t-step from
+    t^(i-1) v, then scaled on the left and added as a whole polynomial."""
+    acc, shifted = DiffPoly.zero(u.ring), v
+    for i, a in enumerate(u.coeffs):
+        if i:
+            shifted = shifted._t_times()
+        if a:
+            acc = acc + shifted.scale_left(a)
+    return acc
+
+
+def quotient_product(u, v):
+    """u o v in S_f: the product of the representatives, of degree up to
+    2m - 2, right-divided by f."""
+    alg = u.algebra
+    return alg.element(product_by_t_steps(u.rep, v.rep).mod_right(alg.f))

@@ -42,6 +42,8 @@ from oracles import (
     left_kernel_vector,
     left_multiplication_singular,
     padded_rows,
+    product_by_t_steps,
+    quotient_product,
     solve_mod_p,
 )
 
@@ -172,7 +174,7 @@ def nucleus_oracle(alg, which):
 def table_oracle(alg):
     """The table as it used to be built: every basis product, reduced mod f."""
     basis = alg.basis()
-    return [[alg.coords(ei * ej) for ej in basis] for ei in basis]
+    return [[alg.coords(quotient_product(ei, ej)) for ej in basis] for ei in basis]
 
 
 def center_oracle(alg):
@@ -299,6 +301,56 @@ def test_structure_table_guard_refuses_before_any_work(monkeypatch):
     with pytest.raises(UnsupportedInstance, match="MAX_TABLE_ENTRIES"):
         alg.structure_constants()
     assert not calls and alg._table is None
+
+
+def _sweep_algebra(p, weight, d, g=None):
+    text = "p = %d\ndelta_of_x = %s\nd = %s\n" % (p, weight, d)
+    return instance_from_text(text + ("g = %s\n" % g if g else "")).algebra
+
+
+# (p, delta(x), d, declared g): every weight at p = 2, 3, 5 and 7 with d
+# in F and not, and the declared g = t^4 + t^2 = z1^2 + z1 at p = 2.
+_PRODUCT_SWEEP = [
+    (p, w, d, None)
+    for p in (2, 3, 5, 7)
+    for w in ("x", "1", "x^2 + 1", "1/x")
+    for d in ("x", "x^%d" % p)
+] + [(2, "1", "x", "t^4 + t^2"), (2, "1", "x^2", "t^4 + t^2")]
+
+
+def _sweep_elements(alg, rng):
+    # Full random elements, sparse ones (every other coefficient zero, some
+    # of degree below m - 1), the powers of t, and 0 and 1.
+    m, zero = alg.f.degree(), alg.ring.zero()
+    full = [alg.random_element(rng, 2) for _ in range(3)]
+    sparse = [
+        alg.element(DiffPoly(alg.ring, [c if i % 2 == k else zero for i, c in enumerate(u.rep.coeffs)]))
+        for k, u in enumerate(full[:2])
+    ]
+    powers = [alg.element(DiffPoly(alg.ring, (zero,) * i + (alg.ring.one(),))) for i in (1, m - 1)]
+    return full + sparse + powers + [alg.zero(), alg.one()]
+
+
+def _check_products_against_oracles(alg, rng, pairs):
+    elems = _sweep_elements(alg, rng)
+    for _ in range(pairs):
+        u, v = rng.choice(elems), rng.choice(elems)
+        assert u.rep * v.rep == product_by_t_steps(u.rep, v.rep)
+        assert u * v == quotient_product(u, v), (u, v)
+
+
+@pytest.mark.parametrize(
+    "p,weight,d,g", _PRODUCT_SWEEP, ids=["p%d-w(%s)-d(%s)%s" % (p, w, d, "-" + g if g else "") for p, w, d, g in _PRODUCT_SWEEP]
+)
+def test_products_match_the_t_step_and_quotient_oracles(p, weight, d, g):
+    alg = _sweep_algebra(p, weight, d, g)
+    _check_products_against_oracles(alg, random.Random("sweep:%d:%s:%s:%s" % (p, weight, d, g)), 20)
+
+
+@pytest.mark.parametrize("name", _QUATERNION_DS)
+def test_quaternion_products_match_the_t_step_and_quotient_oracles(name):
+    alg = quaternion_algebra(name)
+    _check_products_against_oracles(alg, random.Random("sweep-q:" + name), 8)
 
 
 def test_left_distributivity_and_scalar_tower(i1):

@@ -7,6 +7,7 @@ import pytest
 from diffext.errors import InternalInvariantViolation
 from diffext.diffpoly import (
     DiffPoly,
+    _LevelRing,
     _p_step,
     is_right_invariant,
     p_poly_as_diffpoly,
@@ -22,7 +23,7 @@ from diffext.towers import (
     minimal_p_polynomial,
     p_polynomial_at_exponent,
 )
-from oracles import dense_v_p
+from oracles import dense_v_p, product_by_t_steps
 
 
 def _w(p, coeffs):
@@ -317,7 +318,7 @@ def test_diffpoly_pow_matches_repeated_product():
 @pytest.mark.parametrize("K", [K2X, K3X], ids=["p2", "p3"])
 def test_v_g_products_per_level(monkeypatch, K):
     # Over K the p-step is the closed form and takes no twisted product.  The
-    # quaternion ring, for odd p only, takes (t^(p^k) - c)^p by
+    # quaternion ring, for odd p only, takes (T - c)^p, T = t^(p^k), by
     # square-and-multiply: two products at p = 3.
     calls = []
     mul = DiffPoly.__mul__
@@ -553,3 +554,39 @@ def test_v_p_tower_levels_match_the_dense_expansion(p, w, e, a):
         Q = QuaternionRing(K)
         B = Q.random_element(rng, 1)
         assert v_p_tower(Q, B, e) == dense_v_p(Q, B, e)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_quaternion_p_step_matches_the_dense_expansion(p):
+    # Over Q the p-step reads (T - c)^p in the level ring; the oracle
+    # expands (t - b)^(p^2) in full.
+    Q = QuaternionRing(DerivedField(p, _w(p, (0, 1))))
+    rng = random.Random("q-step:%d" % p)
+    for _ in range(2):
+        B = Q.random_element(rng, 1)
+        expansion = dense_v_p(Q, B, 2)
+        assert _p_step(Q, _p_step(Q, B, 0), 1) == expansion
+        assert v_p_tower(Q, B, 2) == expansion
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_ring_products_match_the_t_step_oracle(p):
+    # The products of v_p_tower's levels, in A[T; delta^(p^k)] for k = 1, 2,
+    # over K and, at odd p, over Q: random pairs and the powers (T - c)^j,
+    # c = V_(p^k)(b).
+    K = DerivedField(p, _w(p, (1, 0, 1)))
+    rings = [K] + ([QuaternionRing(K)] if p > 2 else [])
+    rng = random.Random("level-products:%d" % p)
+    for ring in rings:
+        b = ring.random_element(rng, 1)
+        for level in (1, 2):
+            L = _LevelRing(ring, level)
+            for _ in range(4):
+                u, v = (DiffPoly(L, [ring.random_element(rng, 1) for _ in range(rng.randrange(1, 5))]) for _ in "uv")
+                assert u * v == product_by_t_steps(u, v)
+            c = v_p_tower(ring, b, level)
+            step = DiffPoly(L, (-c, ring.one()))
+            power = DiffPoly.constant(L, ring.one())
+            for j in range(1, p + 1):
+                power = product_by_t_steps(power, step)
+                assert step ** j == power

@@ -36,6 +36,13 @@ TIMINGS = [
         "p = 7\ndelta_of_x = x\nd = x\n",
         ["verify", "CFG", "--suite", "all"],
     ),
+    # Twisted products and right division at p = 5, where no benchmark
+    # workload runs them: algebra products step (t^i v) mod f.
+    (
+        "verify --suite ring, p = 5",
+        "p = 5\ndelta_of_x = x\nd = x\n",
+        ["verify", "CFG", "--suite", "ring"],
+    ),
     # d = x^20 + x^10: its only factor t - x^10 lies above the bound, and the
     # pole of order 20 at infinity fixes the pole order 10 of every
     # solution, so the search is decided at infinity and draws 0 of the 511

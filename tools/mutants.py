@@ -62,11 +62,11 @@ MUTANTS = [
         "_p_step iterating delta^(p-1) at every level",
     ),
     (
-        "probe-row-unreduced",
+        "reduced-t-step-drops-f",
         "src/diffext/dext.py",
-        "                rows.append(rows[-1]._t_times().mod_right(self.f))",
-        "                rows.append(rows[-1]._t_times())",
-        "a probe row t^j a built without the reduction mod f",
+        "        if top:\n            for k, fk in enumerate(self.f.coeffs[:-1]):",
+        "        if False:\n            for k, fk in enumerate(self.f.coeffs[:-1]):",
+        "the reduced t-step (t s) mod f dropping t s's top term without subtracting s_(m-1) f",
     ),
     (
         "nucleus-row-top-term",
@@ -139,11 +139,18 @@ MUTANTS = [
         "_byte_residues mapping byte j by 256^(j+1), not 256^j",
     ),
     (
-        "table-t-step-unreduced",
+        "reduced-t-step-top-slot",
         "src/diffext/dext.py",
-        "                    us = [u._t_times().mod_right(f) for u in us]",
-        "                    us = [u._t_times() for u in us]",
-        "a structure-table t-step t u built without the reduction mod f",
+        "        top = out.pop()",
+        "        top = out.pop(-2)",
+        "the reduced t-step reading s_(m-1) f's multiplier from the t^(m-1) slot, not the t^m one",
+    ),
+    (
+        "quotient-product-unpadded",
+        "src/diffext/dext.py",
+        "self.rep.coeffs, alg._padded(other.rep), alg._t_mod_f",
+        "self.rep.coeffs, other.rep.coeffs, alg._t_mod_f",
+        "the quotient product stepping an unpadded v, so a v of degree below m - 1 has a lower coefficient read as its top",
     ),
     (
         "declared-g-leftover-skipped",
