@@ -86,15 +86,20 @@ class AutoDescriptor:
     i <= deg f, formed from the other fields when the descriptor is made;
     the checks compute H(f) with them and apply_auto combines them.  It is
     not a constructor argument and takes no part in equality, hashing or repr.
-    The fields cannot be assigned, so the hash stays valid.
+    images holds tau on the ring basis, which contains the generators (x,
+    and i and j over the quaternion ring), so it fixes the ring map tau:
+    equality compares it, not tau_name, which two conjugations share.  The
+    hash reads c and eps only.  The fields cannot be assigned, so the hash
+    stays valid.
     """
 
-    __slots__ = ("algebra", "tau", "tau_name", "c", "eps", "target", "powers")
+    __slots__ = ("algebra", "tau", "tau_name", "c", "eps", "target", "powers", "images")
 
     def __init__(self, algebra: ExtAlgebra, tau, tau_name: str, c, eps, *, target=None):
         powers = tuple(_substitution_powers(algebra.ring, c, eps, algebra.f.degree() + 1))
+        images = tuple(tau(z) for z in algebra._ring_basis)
         target = algebra if target is None else target
-        for name, value in zip(self.__slots__, (algebra, tau, tau_name, c, eps, target, powers)):
+        for name, value in zip(self.__slots__, (algebra, tau, tau_name, c, eps, target, powers, images)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -111,13 +116,13 @@ class AutoDescriptor:
             isinstance(other, AutoDescriptor)
             and other.algebra == self.algebra
             and other.target == self.target
-            and other.tau_name == self.tau_name
+            and other.images == self.images
             and other.c == self.c
             and other.eps == self.eps
         )
 
     def __hash__(self):
-        return hash((self.tau_name, self.c, self.eps))
+        return hash((self.c, self.eps))
 
     def __repr__(self):
         return "AutoDescriptor(tau=%s, c=%s, eps=%s)" % (self.tau_name, self.c, self.eps)

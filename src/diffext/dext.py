@@ -131,14 +131,15 @@ class AlgebraElement:
 
     A sum, a difference and a product (see __mul__) of representatives
     stay below deg f; a representative of degree deg f or more, as
-    element() may be given, is reduced by DiffPoly.mod_right.
+    element() may be given, is reduced by right division
+    (DiffPoly.right_divmod).
     """
 
     __slots__ = ("algebra", "rep")
 
     def __init__(self, algebra: "ExtAlgebra", rep: DiffPoly):
         if rep.degree() >= algebra.f.degree():
-            rep = rep.mod_right(algebra.f)
+            rep = rep.right_divmod(algebra.f)[1]
         self.algebra = algebra
         self.rep = rep
 
@@ -560,10 +561,10 @@ class ExtAlgebra:
         compare the columns with.
         """
         K, m, zero = self.ring, self.f.degree(), self.ring.zero()
-        cols, w = [], DiffPoly.constant(K, self.d)
+        cols, w = [], [self.d]
         for i in range(1, m):
-            w = w._t_times()  # t^i d
-            cols.append([w.coeff(k) if k < i else zero for k in range(m - 1)])
+            w = _t_step(K, w)  # t^i d
+            cols.append([w[k] if k < i else zero for k in range(m - 1)])
         span = self._units()[: K.p]  # u = 1
         for v in Matrix(K, zip(*cols)).kernel():
             for xj in self._ring_basis:

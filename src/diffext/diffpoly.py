@@ -22,13 +22,9 @@ division rings, so the leading coefficient of f is invertible.  Left
 division is never needed and never implemented.  A t-step derives only the
 nonzero coefficients.
 
-``DiffPoly(ring, coeffs)`` trims trailing zero coefficients.  The private
-``_diffpoly(ring, coeffs)`` wraps a tuple as it is, for results whose top
-coefficient cannot vanish: a t-step moves the top coefficient up one power
-unchanged, and a left scaling by a nonzero a multiplies it by a, which
-leaves it nonzero in a ring with no zero divisors.  On the
-``arith_suites`` benchmark the untrimmed wrap lowered the peak RSS by about
-0.25 MB in 10 of 10 paired runs and left the speed unchanged.
+``DiffPoly(ring, coeffs)`` is the one constructor; it trims trailing zero
+coefficients.  The t-step, the products and right division work on
+coefficient tuples and lists and wrap only their result.
 
 Substitution, sum tau(h_i) (eps*t + c)^i, combines a table of the powers,
 each one left step from the last: (eps t + c) P = eps (t P) + c P, and
@@ -90,15 +86,6 @@ __all__ = [
     "is_right_invariant",
     "substitute",
 ]
-
-
-def _diffpoly(ring, coeffs: tuple) -> "DiffPoly":
-    """Trusted constructor: coeffs is a tuple whose last entry is nonzero,
-    so nothing is trimmed."""
-    out = object.__new__(DiffPoly)
-    out.ring = ring
-    out.coeffs = coeffs
-    return out
 
 
 def _t_step(ring, coeffs) -> list:
@@ -207,23 +194,6 @@ class DiffPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def _t_times(self):
-        """t * self, one t-step (see _t_step); the top coefficient is never
-        cancelled."""
-        if not self.coeffs:
-            return self
-        return _diffpoly(self.ring, tuple(_t_step(self.ring, self.coeffs)))
-
-    def scale_left(self, a):
-        """a * self for a coefficient a (left multiplication).
-
-        Both coefficient rings are division rings, so a times the top
-        coefficient is nonzero for a nonzero a, and nothing is trimmed.
-        """
-        if not a:
-            return DiffPoly.zero(self.ring)
-        return _diffpoly(self.ring, tuple([a * c for c in self.coeffs]))
-
     def __mul__(self, other):
         # sum_i a_i (t^i other), each t^i other one t-step from the last.
         ring = self.ring
@@ -238,11 +208,12 @@ class DiffPoly:
 
         Each quotient term c t^k removes (c t^k) f = c (t^k f), a left
         scaling of one rung of the ladder f, t f, ..., t^K f with K = deg
-        self - deg f.  The ladder costs K t-steps, built once; every rung
-        has the leading coefficient of f, so the top coefficient cancels
-        exactly and only the lower ones are subtracted, as c times the
-        rung's coefficients.  Subtracting c f_j, rather than adding
-        (-c) f_j, reuses the products the fraction memos already hold.
+        self - deg f.  The ladder holds coefficient tuples, each one t-step
+        (_t_step) from the last, built once; every rung has the leading
+        coefficient of f, so the top coefficient cancels exactly and only
+        the lower ones are subtracted, as c times the rung's coefficients.
+        Subtracting c f_j, rather than adding (-c) f_j, reuses the products
+        the fraction memos already hold.
         """
         if not f:
             raise ZeroDivisionError("right division by the zero polynomial")
@@ -251,22 +222,19 @@ class DiffPoly:
             return DiffPoly.zero(ring), self
         inv_lc = ring.invert(f.lc())
         df = f.degree()
-        ladder = [f]
+        ladder = [f.coeffs]
         for _ in range(self.degree() - df):
-            ladder.append(ladder[-1]._t_times())
+            ladder.append(_t_step(ring, ladder[-1]))
         r = list(self.coeffs)
         q = [ring.zero()] * len(ladder)
         for k in range(len(ladder) - 1, -1, -1):
             if not r[k + df]:
                 continue
             q[k] = r[k + df] * inv_lc
-            for j, fj in enumerate(ladder[k].coeffs[:-1]):
+            for j, fj in enumerate(ladder[k][:-1]):
                 if fj:
                     r[j] = r[j] - q[k] * fj
         return DiffPoly(ring, q), DiffPoly(ring, r[:df])
-
-    def mod_right(self, f):
-        return self.right_divmod(f)[1]
 
     def __str__(self):
         if not self.coeffs:
@@ -301,9 +269,9 @@ class DiffPoly:
 
 def p_poly_as_diffpoly(g: PPolynomial, ring) -> DiffPoly:
     """g(t) as an element of the twisted ring, coefficients embedded."""
-    coeffs = [ring.zero()] * (g.degree() + 1)
-    for power, c in g.terms():
-        coeffs[power] = coeffs[power] + ring.embed(c)
+    coeffs = [ring.zero()] * g.degree() + [ring.one()]
+    for i, c in enumerate(g.coeffs, start=1):
+        coeffs[g.p ** (g.e - i)] = ring.embed(c)
     return DiffPoly(ring, coeffs)
 
 
@@ -427,10 +395,10 @@ def is_right_invariant(f: DiffPoly) -> bool:
     """
     ring = f.ring
     t = DiffPoly.t(ring)
-    if (f * t).mod_right(f):
+    if (f * t).right_divmod(f)[1]:
         return False
     for b in ring.constant_basis():
-        if (f * DiffPoly.constant(ring, b)).mod_right(f):
+        if (f * DiffPoly.constant(ring, b)).right_divmod(f)[1]:
             return False
     return True
 

@@ -164,9 +164,10 @@ class _Parser:
             rhs = rhs.coeff(0)
         if not rhs:
             raise _ZeroDivisorError("division by zero in expression", at)
-        inv = rhs.inverse()
-        # K is commutative: v / c is c^(-1) v.
-        return v.scale_left(inv) if self.poly else v * inv
+        # v / c is the left quotient c^(-1) v.  In a twisted polynomial it
+        # equals v c^(-1) only for a constant c, and every coefficient an
+        # accepted g may have is a constant.
+        return self._scalar(rhs.inverse()) * v
 
     def unary(self):
         if self.peek() == "-":

@@ -286,13 +286,6 @@ class PPolynomial:
     def degree(self) -> int:
         return self.p ** self.e
 
-    def terms(self):
-        """Pairs (power of t, coefficient), highest first, monic lead included."""
-        out = [(self.p ** self.e, RatFunc.one(self.coeffs[0].field))]
-        for i, a in enumerate(self.coeffs, start=1):
-            out.append((self.p ** (self.e - i), a))
-        return out
-
     def apply_operator(self, ring, a):
         """Evaluate g(delta) at a, i.e. delta^(p^e)(a) + sum a_i delta^(p^(e-i))(a).
 

@@ -24,8 +24,8 @@ another way, and the library itself does not call any of them:
 * ``dense_v_p``: the full expansion of (t - b)^(p^e) in A[t; delta], the
   reference for ``diffpoly.v_p_tower``, which expands one level at a time,
   and for the p-step over the quaternion ring;
-* ``product_by_t_steps``: the twisted product with every t^i v built as its
-  own ``DiffPoly``, scaled and added whole, the reference for
+* ``product_by_t_steps``: the twisted product with every u_i (t^i v) built
+  as its own ``DiffPoly``, scaled and added whole, the reference for
   ``DiffPoly.__mul__``, which accumulates into one coefficient list;
 * ``quotient_product``: the full twisted product right-divided by f, the
   reference for ``AlgebraElement.__mul__``, which steps (t^i v) mod f.
@@ -33,7 +33,7 @@ another way, and the library itself does not call any of them:
 
 from math import comb
 
-from diffext.diffpoly import DiffPoly
+from diffext.diffpoly import DiffPoly, _t_step
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, RatFunc, _exquo, _gcd, _mul
@@ -248,13 +248,15 @@ def dense_v_p(ring, b, e):
 
 def product_by_t_steps(u, v):
     """u * v in A[t; delta] as sum_i u_i (t^i v): t^i v one t-step from
-    t^(i-1) v, then scaled on the left and added as a whole polynomial."""
-    acc, shifted = DiffPoly.zero(u.ring), v
+    t^(i-1) v, then scaled on the left coefficient by coefficient and added
+    as a whole polynomial."""
+    ring = u.ring
+    acc, shifted = DiffPoly.zero(ring), v.coeffs
     for i, a in enumerate(u.coeffs):
         if i:
-            shifted = shifted._t_times()
+            shifted = _t_step(ring, shifted)
         if a:
-            acc = acc + shifted.scale_left(a)
+            acc = acc + DiffPoly(ring, [a * c for c in shifted])
     return acc
 
 
@@ -262,4 +264,4 @@ def quotient_product(u, v):
     """u o v in S_f: the product of the representatives, of degree up to
     2m - 2, right-divided by f."""
     alg = u.algebra
-    return alg.element(product_by_t_steps(u.rep, v.rep).mod_right(alg.f))
+    return alg.element(product_by_t_steps(u.rep, v.rep).right_divmod(alg.f)[1])

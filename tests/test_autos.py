@@ -376,7 +376,7 @@ def test_inner_auto_nuclearity_is_commuting_with_d():
             if not a:
                 continue
             commutator = a * alg.d - alg.d * a
-            assert (f * DiffPoly.constant(ring, a)).mod_right(f) == DiffPoly.constant(
+            assert (f * DiffPoly.constant(ring, a)).right_divmod(f)[1] == DiffPoly.constant(
                 ring, commutator
             )
             if commutator:
@@ -471,7 +471,7 @@ def _substitute_by_products(h, tau, c, eps):
             power = power * image_t
         ta = tau(a)
         if ta:
-            acc = acc + power.scale_left(ta)
+            acc = acc + DiffPoly.constant(ring, ta) * power
     return acc
 
 
@@ -667,3 +667,21 @@ def test_auto_order_on_the_k_basis_matches_the_f_basis():
             order = k
             break
     assert order == auto_order(G) == 2
+
+
+def test_conjugations_with_one_name_compare_by_tau():
+    # Over Q with the central d = x, conjugation by i and by j both carry
+    # tau_name "conj" and c = 0, yet H_i(j) = -j = 2j while H_j(j) = j.
+    # Conjugation by 2i is the same map as by i.
+    K = DerivedField(3, RatFunc(DensePoly(PrimeField(3), (0, 1)), DensePoly.one(PrimeField(3))))
+    Q = QuaternionRing(K)
+    alg = ExtAlgebra(Q, minimal_p_polynomial(K), Q.embed(K.x()))
+    zero, one, two = K.zero(), K.one(), K.from_int(2)
+    i, j = Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero)
+    Hi, Hj, H2i = (inner_auto(alg, a) for a in (i, j, Q.of(zero, two, zero, zero)))
+    assert Hi.tau_name == Hj.tau_name == "conj" and Hi.c == Hj.c == Q.zero()
+    J = alg.scalar(j)
+    assert apply_auto(Hi, J) == alg.scalar(Q.of(zero, zero, two, zero)) and apply_auto(Hj, J) == J
+    assert Hi != Hj
+    assert Hi == H2i and hash(Hi) == hash(H2i)
+    assert len({Hi, Hj, H2i}) == 2

@@ -353,6 +353,32 @@ def test_quaternion_products_match_the_t_step_and_quotient_oracles(name):
     _check_products_against_oracles(alg, random.Random("sweep-q:" + name), 8)
 
 
+# K at p = 2, 3 and 5, the declared g = t^4 + t^2 at p = 2, and Q at p = 3.
+_REDUCTION_CASES = {
+    "p2": lambda: _sweep_algebra(2, "x", "x"),
+    "p3": lambda: _sweep_algebra(3, "x^2 + 1", "x"),
+    "p5": lambda: _sweep_algebra(5, "1/x", "x^5 + x"),
+    "p2-t^4+t^2": lambda: _sweep_algebra(2, "1", "x", "t^4 + t^2"),
+    "p3-quaternion": lambda: quaternion_algebra("x+j"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REDUCTION_CASES))
+def test_element_reduces_a_representative_by_right_division(name):
+    # element(q f + r) is the class of r, stored as r itself, for every q
+    # and every r of degree below m.
+    alg = _REDUCTION_CASES[name]()
+    ring, m = alg.ring, alg.f.degree()
+    rng = random.Random("reduce:" + name)
+    for r in [alg.random_element(rng, 1).rep for _ in range(3)] + [DiffPoly.zero(ring)]:
+        top = ring.zero()
+        while not top:
+            top = ring.random_element(rng, 1)
+        q = DiffPoly(ring, [ring.random_element(rng, 1) for _ in range(rng.randrange(m + 1))] + [top])
+        u = alg.element(q * alg.f + r)
+        assert u == alg.element(r) and u.rep == r
+
+
 def test_left_distributivity_and_scalar_tower(i1):
     rng = random.Random(14)
     for _ in range(60):

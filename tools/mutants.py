@@ -71,9 +71,16 @@ MUTANTS = [
     (
         "nucleus-row-top-term",
         "src/diffext/dext.py",
-        "            cols.append([w.coeff(k) if k < i else zero for k in range(m - 1)])",
-        "            cols.append([w.coeff(k) for k in range(m - 1)])",
+        "            cols.append([w[k] if k < i else zero for k in range(m - 1)])",
+        "            cols.append([w[k] if k <= i else zero for k in range(m - 1)])",
         "a right-nucleus row t^i d - d t^i that keeps the top term d t^i",
+    ),
+    (
+        "division-ladder-from-f",
+        "src/diffext/diffpoly.py",
+        "            ladder.append(_t_step(ring, ladder[-1]))",
+        "            ladder.append(_t_step(ring, ladder[0]))",
+        "every rung of the right-division ladder one t-step from f, not from the rung below",
     ),
     (
         "log-derivative-by-v-g",
@@ -235,6 +242,13 @@ MUTANTS = [
         "    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]",
         "    basis = alg.k_basis()",
         "auto_order iterating on the K-basis alone, blind to a tau that moves K",
+    ),
+    (
+        "descriptor-equality-by-name",
+        "src/diffext/autos.py",
+        "            and other.images == self.images",
+        "            and other.tau_name == self.tau_name",
+        "descriptor equality read by tau_name, so two conjugations compare equal",
     ),
 ]
 
