@@ -41,10 +41,12 @@ print("center:", ", ".join(str(z) for z in S.center()))
 print()
 
 # Conjugation by i fixes t and twists the coefficients: the descriptor
-# (conj, 0, 1), which inner_auto checks against literal conjugation.
+# (tau, 0, 1) with tau(j) = i^(-1) j i = -j, which inner_auto checks
+# against literal conjugation.  Its repr names tau by the images of x, i, j.
 G = inner_auto(S, i)
 print("conjugation by i:", G)
-assert G.tau_name == "conj" and G.c == Q.zero()
+assert G.c == Q.zero() and G(S.t()) == S.t()
+assert G(S.scalar(j)) == S.scalar(-j) and G(S.scalar(i)) == S.scalar(i)
 u = S.scalar(i + j) * S.t() + S.scalar(Q.embed(x))
 i_el, i_inv = S.scalar(i), S.scalar(Q.invert(i))
 print("u =", u, "  i^(-1) u i =", apply_auto(G, u))

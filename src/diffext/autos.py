@@ -14,6 +14,11 @@ two checks pass:
   for z in a generating set of the coefficient ring, and
 * H(f) = f, so the map descends to the quotient.
 
+The AutoDescriptor constructor runs both checks, so every descriptor is a
+checked map, and it is known by its data: tau's images of the ring basis,
+c and eps.  auto_order searches to n = p(p + 1), past the order of every
+such map over K, so its answer there is exact.
+
 For tau = id and eps = 1 over a commutative base, the second check reduces
 to V_g(c) = 0: the valid shifts are the kernel of V_g.  The logarithmic
 derivatives c = delta(u)/u, the shifts that are inner, are the kernel of
@@ -79,27 +84,44 @@ __all__ = [
 
 
 class AutoDescriptor:
-    """Validated map data: coefficient map tau, shift c, stretch eps.
+    """The checked map H = (tau, c, eps) from algebra to target.
 
-    The map goes from algebra to target (keyword-only, default algebra; only
-    shift_isomorphism sets another).  powers holds the images (eps*t + c)^i,
-    i <= deg f, formed from the other fields when the descriptor is made;
-    the checks compute H(f) with them and apply_auto combines them.  It is
-    not a constructor argument and takes no part in equality, hashing or repr.
-    images holds tau on the ring basis, which contains the generators (x,
-    and i and j over the quaternion ring), so it fixes the ring map tau:
-    equality compares it, not tau_name, which two conjugations share.  The
+    The constructor runs the two checks of the module docstring.  It raises
+    ConditionFailed("eq1", ...) when the commutation constraint fails on a
+    generator and ConditionFailed("fixes_f", ...) when H(f) != target.f, so
+    every descriptor is a map the checks have seen.  target (keyword-only,
+    default algebra) is set only by shift_isomorphism.  powers holds the
+    images (eps*t + c)^i, i <= deg f, formed from c and eps; the fixes_f
+    check and apply_auto combine them.  It is not a constructor argument and
+    takes no part in equality, hashing or repr.  images holds tau on the
+    ring basis, which contains the generators (x, and i and j over the
+    quaternion ring), so it fixes the ring map tau: equality compares it,
+    and repr prints tau as "id" or by its images of the generators.  The
     hash reads c and eps only.  The fields cannot be assigned, so the hash
     stays valid.
     """
 
-    __slots__ = ("algebra", "tau", "tau_name", "c", "eps", "target", "powers", "images")
+    __slots__ = ("algebra", "tau", "c", "eps", "target", "powers", "images")
 
-    def __init__(self, algebra: ExtAlgebra, tau, tau_name: str, c, eps, *, target=None):
-        powers = tuple(_substitution_powers(algebra.ring, c, eps, algebra.f.degree() + 1))
-        images = tuple(tau(z) for z in algebra._ring_basis)
+    def __init__(self, algebra: ExtAlgebra, tau, c, eps, *, target=None):
+        ring = algebra.ring
         target = algebra if target is None else target
-        for name, value in zip(self.__slots__, (algebra, tau, tau_name, c, eps, target, powers, images)):
+        # Generators: x spans the coefficient ring over the constants together
+        # with products, so checking the ring basis covers everything linear.
+        images = tuple(tau(z) for z in algebra._ring_basis)
+        for z, tz in zip(algebra._ring_basis, images):
+            lhs = c * tz + eps * ring.delta(tz)
+            rhs = tz * c + tau(ring.delta(z))
+            if lhs != rhs:
+                raise ConditionFailed(
+                    "eq1",
+                    "commutation constraint fails on %s: %s != %s" % (z, lhs, rhs),
+                )
+        powers = tuple(_substitution_powers(ring, c, eps, algebra.f.degree() + 1))
+        image_f = _substitute_powers(algebra.f, tau, powers)
+        if image_f != target.f:
+            raise ConditionFailed("fixes_f", "candidate moves the modulus by %s" % (image_f - target.f,))
+        for name, value in zip(self.__slots__, (algebra, tau, c, eps, target, powers, images)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -125,41 +147,23 @@ class AutoDescriptor:
         return hash((self.c, self.eps))
 
     def __repr__(self):
-        return "AutoDescriptor(tau=%s, c=%s, eps=%s)" % (self.tau_name, self.c, self.eps)
+        ring, basis = self.algebra.ring, self.algebra._ring_basis
+        tau = "id"
+        if self.images != tuple(basis):
+            # The generators: x = basis[1], and i = basis[p], j = basis[2p] over Q.
+            gens = [1] if ring.is_commutative else [1, ring.p, 2 * ring.p]
+            tau = "(%s)" % ", ".join("%s -> %s" % (basis[k], self.images[k]) for k in gens)
+        return "AutoDescriptor(tau=%s, c=%s, eps=%s)" % (tau, self.c, self.eps)
 
 
-def _checked_descriptor(algebra: ExtAlgebra, tau, c, eps, tau_name: str, target: ExtAlgebra):
-    """(tau, c, eps) from algebra to target, once eq1 and H(f) = target.f hold."""
-    ring = algebra.ring
-    # Generators: x spans the coefficient ring over the constants together
-    # with products, so checking the ring basis covers everything linear.
-    for z in ring.constant_basis():
-        tz = tau(z)
-        lhs = c * tz + eps * ring.delta(tz)
-        rhs = tz * c + tau(ring.delta(z))
-        if lhs != rhs:
-            raise ConditionFailed(
-                "eq1",
-                "commutation constraint fails on %s: %s != %s" % (z, lhs, rhs),
-            )
-    H = AutoDescriptor(algebra, tau, tau_name, c, eps, target=target)
-    image_f = _substitute_powers(algebra.f, tau, H.powers)
-    if image_f != target.f:
-        diff = image_f - target.f
-        raise ConditionFailed(
-            "fixes_f", "candidate moves the modulus by %s" % (diff,)
-        )
-    return H
-
-
-def build_auto(algebra: ExtAlgebra, tau, c, eps, tau_name: str = "id") -> AutoDescriptor:
-    """Validate (tau, c, eps) for the algebra and return the descriptor.
+def build_auto(algebra: ExtAlgebra, tau, c, eps) -> AutoDescriptor:
+    """The descriptor (tau, c, eps) of the algebra onto itself.
 
     Raises ConditionFailed("eq1", ...) when the coefficient commutation
     constraint fails on a generator, ConditionFailed("fixes_f", ...) when
     the candidate does not fix the modulus.
     """
-    return _checked_descriptor(algebra, tau, c, eps, tau_name, algebra)
+    return AutoDescriptor(algebra, tau, c, eps)
 
 
 def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
@@ -173,8 +177,8 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(H.target, _substitute_powers(u.rep, H.tau, H.powers))
 
 
-def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
-    """Order of H in the automorphism group, or None past the bound.
+def auto_order(H: AutoDescriptor) -> int | None:
+    """Order of H in the automorphism group, or None past n = p(p + 1).
 
     Computed honestly by iterating on the left K-basis (ExtAlgebra.k_basis)
     and on the scalar x; identity is order 1.  Those generate every power:
@@ -186,12 +190,25 @@ def auto_order(H: AutoDescriptor, bound: int = 64) -> int | None:
     D_(x + 1/x) at p = 2 fixes every t^i and moves x.  Raises ValueError
     for a map onto another algebra (a shift_isomorphism with V_g(a) != 0),
     which is no automorphism.
+
+    Over K the search bound p(p + 1) is past every order, so the answer is
+    exact.  A ring automorphism tau of K = F_p(x) is a Moebius map, an
+    element of PGL_2(F_p), whose order is p or divides p - 1 or p + 1, so
+    r = ord(tau) <= p + 1.  H^r = (id, c', eps') fixes K, so the commutation
+    constraint at x reads (eps' - 1) delta(x) = 0 and forces eps' = 1: H^r
+    is a shift, of order 1 or p, and the order of H divides r p.  A tau that
+    is no automorphism of K leaves H with no order, and None.  A bound of p
+    is too small: at p = 3, delta(x) = x and d = x^2, tau: x -> -x with
+    c = eps = 1 has order 6.  Only over the quaternion ring, where a
+    conjugation can have infinite order (by 1 + i), can a map of finite
+    order read None.
     """
     _check_automorphism(H)
     alg = H.algebra
+    p = alg.ring.p
     basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]
     images = list(basis)
-    for k in range(1, bound + 1):
+    for k in range(1, p * (p + 1) + 1):
         images = [apply_auto(H, u) for u in images]
         if images == basis:
             return k
@@ -206,8 +223,8 @@ def compose_shift_autos(H1: AutoDescriptor, H2: AutoDescriptor) -> AutoDescripto
     """
     _check_automorphism(H1)
     _check_automorphism(H2)
-    ring = H1.algebra.ring
-    if H1.tau_name != "id" or H2.tau_name != "id":
+    ring, basis = H1.algebra.ring, tuple(H1.algebra._ring_basis)
+    if H1.images != basis or H2.images != basis:
         raise UnsupportedInstance("composition is implemented for shift descriptors")
     if H1.eps != ring.one() or H2.eps != ring.one():
         raise UnsupportedInstance("composition is implemented for eps = 1")
@@ -310,11 +327,9 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
     if ring.as_scalar(a) is not None:
         # A central a: conjugation fixes every coefficient.
         tau = lambda z: z
-        name = "id"
     else:
         tau = lambda z: a_inv * z * a
-        name = "conj"
-    H = build_auto(algebra, tau, c, ring.one(), tau_name=name)
+    H = build_auto(algebra, tau, c, ring.one())
     # Cross-check the normal form against literal conjugation on the K-basis.
     ainv_el = algebra.scalar(a_inv)
     a_el = algebra.scalar(a)
@@ -335,7 +350,7 @@ def shift_isomorphism(algebra: ExtAlgebra, a) -> AutoDescriptor:
     """
     ring = algebra.ring
     target = ExtAlgebra(ring, algebra.g, algebra.d + v_g(ring, algebra.g, a))
-    return _checked_descriptor(algebra, lambda z: z, -a, ring.one(), "id", target)
+    return AutoDescriptor(algebra, lambda z: z, -a, ring.one(), target=target)
 
 
 class AutoConstraintReport(

@@ -39,9 +39,9 @@ class ConditionFailed(Exception):
 
     The ``condition`` attribute names the failed check: ``"eq1"`` for the
     commutation constraint on coefficients, ``"fixes_f"`` for the modulus
-    not being preserved.  Both come only from the descriptor checks of
-    build_auto and shift_isomorphism; a disagreement found afterwards is an
-    InternalInvariantViolation.
+    not being preserved.  Both come only from the checks of the
+    AutoDescriptor constructor, which build_auto and shift_isomorphism call;
+    a disagreement found afterwards is an InternalInvariantViolation.
     """
 
     def __init__(self, condition, message):

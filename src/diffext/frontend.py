@@ -488,7 +488,7 @@ def _suite_autos(r: _SuiteRunner):
 
     def order():
         H = build_auto(alg, ident, c0, K.one())
-        got = auto_order(H, bound=K.p)
+        got = auto_order(H)
         _check(got == K.p, "order %s, expected %d", got, K.p)
         return "pass", {"order": got}
 

@@ -240,8 +240,8 @@ def test_auto_order_frozen_values(i1, i3):
     K3 = i3.ring
     H3 = build_auto(i3, IDENT, K3.one(), K3.one())
     assert auto_order(H3) == 3
-    # Bound too small: None.
-    assert auto_order(H3, bound=2) is None
+    assert list(inspect.signature(auto_order).parameters) == ["H"]
+    assert list(inspect.signature(build_auto).parameters) == ["algebra", "tau", "c", "eps"]
 
 
 def test_nonidentity_shifts_have_order_p(i1, i3):
@@ -296,7 +296,7 @@ def test_inner_auto_frozen_value(i1):
     G = inner_auto(i1, x)
     # a = x: c = x^(-1) delta(x) = 1.
     assert G.c == K.one()
-    assert G.tau_name == "id"
+    assert G.images == tuple(i1._ring_basis)
     # G_x(t) = x^(-1) (x t + x) = t + 1.
     assert apply_auto(G, i1.t()) == i1.t() + i1.one()
 
@@ -336,7 +336,7 @@ def test_inner_auto_over_quaternions_needs_right_nuclear_a():
     # sampled elements.
     i = Q.of(zero, one, zero, zero)
     G = inner_auto(alg, i)
-    assert G.tau_name == "conj" and G.c == Q.zero()
+    assert G.images != tuple(alg._ring_basis) and G.c == Q.zero()
     i_el, i_inv = alg.scalar(i), alg.scalar(Q.invert(i))
     rng = random.Random(4600)
     for _ in range(5):
@@ -345,7 +345,7 @@ def test_inner_auto_over_quaternions_needs_right_nuclear_a():
     # a = x + i is not constant: c = a^(-1) delta(a) leaves K.
     a = Q.of(x, one, zero, zero)
     G = inner_auto(alg, a)
-    assert G.tau_name == "conj" and G.c == Q.invert(a) * Q.delta(a)
+    assert G.images != tuple(alg._ring_basis) and G.c == Q.invert(a) * Q.delta(a)
     assert Q.as_scalar(G.c) is None
 
 
@@ -390,13 +390,14 @@ def test_inner_auto_nuclearity_is_commuting_with_d():
 
 def test_inner_auto_by_scalar_quaternion_fixes_coefficients():
     # A scalar a = embed(c) is central: conjugation fixes every coefficient,
-    # so tau is named "id"; the basis cross-check inside inner_auto agrees.
+    # so tau is the identity; the basis cross-check inside inner_auto agrees.
     alg = _quaternion_algebra()
     Q, K = alg.ring, alg.base_field
     x = K.x()
     for c in (K.one(), x, x * x + K.one()):
         G = inner_auto(alg, Q.embed(c))
-        assert G.tau_name == "id" and G.c == Q.embed(K.log_derivative(c))
+        assert G.images == tuple(alg._ring_basis) and G.c == Q.embed(K.log_derivative(c))
+        assert repr(G).startswith("AutoDescriptor(tau=id, ")
 
 
 def test_inner_autos_are_log_derivative_shifts(i1):
@@ -522,7 +523,7 @@ def test_apply_auto_and_shift_iso_match_product_oracle(monkeypatch, i1, i3, i4):
         # Only a central a gives a shift over Q (see the test below).
         K = alg.base_field
         isos = [shift_isomorphism(alg, ring.embed(K.random_element(rng, 2))) for _ in range(2)]
-        assert "conj" in [H.tau_name for H in descs] or ring.is_commutative
+        assert any(H.images != tuple(alg._ring_basis) for H in descs) or ring.is_commutative
         monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
         images = [[apply_auto(H, u) for u in elems] for H in descs]
         shifted = [[iso(u) for u in elems] for iso in isos]
@@ -564,16 +565,16 @@ def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
     H = build_auto(i1, IDENT, K.one(), K.one())
     assert len(H.powers) == i1.f.degree() + 1
     assert "powers" not in repr(H)
-    # The five-argument constructor forms the same table itself; a table
-    # cannot be passed in, so it always matches c and eps.
-    other = AutoDescriptor(i1, IDENT, "id", K.one(), K.one())
+    # The constructor forms the same table itself; a table cannot be passed
+    # in, so it always matches c and eps.
+    other = AutoDescriptor(i1, IDENT, K.one(), K.one())
     assert H == other and hash(H) == hash(other)
     assert other.powers == H.powers
     assert other.target is i1 and H.target is i1
     u = i1.element(DiffPoly(K, [K.x(), K.one()]))
     assert apply_auto(other, u) == apply_auto(H, u)
     with pytest.raises(TypeError):
-        AutoDescriptor(i1, IDENT, "id", K.one(), K.one(), ())
+        AutoDescriptor(i1, IDENT, K.one(), K.one(), ())
 
 
 def test_descriptors_are_left_k_linear(i1, i3):
@@ -590,7 +591,7 @@ def test_descriptors_are_left_k_linear(i1, i3):
     x, zero, one = Q.base.x(), Q.base.zero(), Q.base.one()
     for a in (Q.of(zero, one, zero, zero), Q.of(x, one, zero, zero)):
         cases.append((alg, inner_auto(alg, a)))
-    assert [H.tau_name for _, H in cases].count("conj") == 2
+    assert [H.images != tuple(alg._ring_basis) for alg, H in cases].count(True) == 2
     rng = random.Random(4700)
     for alg, H in cases:
         ring = alg.ring
@@ -629,11 +630,10 @@ def test_k_basis_spans_the_f_basis(i3):
                 power = x * power
 
 
-def test_auto_order_counts_a_tau_that_moves_k():
+def _inverse_x_descriptor():
     # At p = 2 over x d/dx, tau: x -> 1/x with c = 0 and eps = 1 is an
     # automorphism of D_(x + 1/x): tau fixes d, and tau(delta(x)) = 1/x =
-    # delta(tau(x)).  It fixes every t^i of the K-basis and moves x, so its
-    # order is 2, not 1.
+    # delta(tau(x)).
     alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x + 1/x\n").algebra
     K = alg.ring
     inv = K.one() / K.x()
@@ -644,11 +644,82 @@ def test_auto_order_counts_a_tau_that_moves_k():
             acc = acc * inv + (K.one() if c else K.zero())
         return acc
 
-    tau = lambda r: at_inverse(r.num_coeffs) / at_inverse(r.den_coeffs)
-    H = build_auto(alg, tau, K.zero(), K.one(), tau_name="x -> 1/x")
+    return alg, build_auto(alg, lambda r: at_inverse(r.num_coeffs) / at_inverse(r.den_coeffs), K.zero(), K.one())
+
+
+def test_auto_order_counts_a_tau_that_moves_k():
+    # x -> 1/x fixes every t^i of the K-basis and moves x, so its order is
+    # 2, not 1.
+    alg, H = _inverse_x_descriptor()
+    K = alg.ring
     assert all(apply_auto(H, u) == u for u in alg.k_basis())
-    assert apply_auto(H, alg.scalar(K.x())) == alg.scalar(inv)
-    assert auto_order(H, bound=8) == 2
+    assert apply_auto(H, alg.scalar(K.x())) == alg.scalar(K.one() / K.x())
+    assert auto_order(H) == 2
+
+
+def test_composition_refuses_a_tau_that_moves_k():
+    # H o H fixes x, but the shift by c + c = 0 under tau would map x to
+    # 1/x: compose_shift_autos reads tau from its images, not from a name
+    # that defaulted to "id".
+    alg, H = _inverse_x_descriptor()
+    assert H.images != tuple(alg._ring_basis)
+    with pytest.raises(UnsupportedInstance, match="^composition is implemented for shift descriptors$"):
+        compose_shift_autos(H, H)
+    x = alg.scalar(alg.ring.x())
+    assert H(H(x)) == x
+
+
+def test_repr_names_tau_by_its_images(i1):
+    K = i1.ring
+    assert repr(build_auto(i1, IDENT, K.one(), K.one())) == "AutoDescriptor(tau=id, c=1, eps=1)"
+    _, H = _inverse_x_descriptor()
+    assert repr(H) == "AutoDescriptor(tau=(x -> 1/(x)), c=0, eps=1)"
+
+
+def test_constructor_runs_both_checks(i1):
+    # AutoDescriptor is the checked map itself: no route builds one that the
+    # eq1 and fixes_f checks have not seen.
+    K = i1.ring
+    with pytest.raises(ConditionFailed) as exc:
+        AutoDescriptor(i1, IDENT, K.x(), K.one())
+    assert exc.value.condition == "fixes_f"
+    assert str(exc.value) == "candidate moves the modulus by x^2"
+    with pytest.raises(ConditionFailed) as exc:
+        AutoDescriptor(i1, IDENT, K.zero(), K.x())
+    assert exc.value.condition == "eq1"
+    assert str(exc.value).startswith("commutation constraint fails on x: ")
+    assert AutoDescriptor(i1, IDENT, K.one(), K.one()) == build_auto(i1, IDENT, K.one(), K.one())
+
+
+def test_auto_order_exceeds_p_for_a_tau_that_moves_k():
+    # At p = 3, delta(x) = x, d = x^2: tau: x -> -x fixes d and commutes
+    # with x d/dx, so (tau, 1, 1) is an automorphism.  tau has order 2 and
+    # H^2 is the shift by 1 + tau(1) = 2, of order 3: H has order 6 > p.
+    alg = instance_from_text("p = 3\ndelta_of_x = x\nd = x^2\n").algebra
+    K = alg.ring
+
+    def at_minus_x(coeffs):
+        return DensePoly(K.field, [c * (-1) ** k for k, c in enumerate(coeffs)])
+
+    tau = lambda r: RatFunc(at_minus_x(r.num_coeffs), at_minus_x(r.den_coeffs))
+    H = build_auto(alg, tau, K.one(), K.one())
+    assert repr(H) == "AutoDescriptor(tau=(x -> 2*x), c=1, eps=1)"
+    assert auto_order(H) == 6
+
+
+def test_auto_order_reads_none_after_p_times_p_plus_one_rounds(monkeypatch):
+    # Conjugation by 1 + i over Q = (x^3, 2) at p = 3 has infinite order:
+    # its powers are conjugations by (1 + i)^n, never central.  The search
+    # stops after exactly p(p + 1) = 12 rounds over the K-basis and x.
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    zero, one = Q.base.zero(), Q.base.one()
+    G = inner_auto(alg, Q.of(one, one, zero, zero))
+    calls = []
+    apply = autos.apply_auto
+    monkeypatch.setattr(autos, "apply_auto", lambda H, u: calls.append(1) or apply(H, u))
+    assert auto_order(G) is None
+    assert len(calls) == 3 * 4 * (len(alg.k_basis()) + 1)
 
 
 def test_auto_order_on_the_k_basis_matches_the_f_basis():
@@ -658,7 +729,7 @@ def test_auto_order_on_the_k_basis_matches_the_f_basis():
     Q = alg.ring
     zero, one = Q.base.zero(), Q.base.one()
     G = inner_auto(alg, Q.of(zero, one, zero, zero))
-    assert G.tau_name == "conj"
+    assert G.images != tuple(alg._ring_basis)
     basis = alg.basis()
     images, order = list(basis), None
     for k in range(1, 5):
@@ -670,8 +741,8 @@ def test_auto_order_on_the_k_basis_matches_the_f_basis():
 
 
 def test_conjugations_with_one_name_compare_by_tau():
-    # Over Q with the central d = x, conjugation by i and by j both carry
-    # tau_name "conj" and c = 0, yet H_i(j) = -j = 2j while H_j(j) = j.
+    # Over Q with the central d = x, conjugation by i and by j both have
+    # c = 0 and move the coefficients, yet H_i(j) = -j = 2j while H_j(j) = j.
     # Conjugation by 2i is the same map as by i.
     K = DerivedField(3, RatFunc(DensePoly(PrimeField(3), (0, 1)), DensePoly.one(PrimeField(3))))
     Q = QuaternionRing(K)
@@ -679,7 +750,10 @@ def test_conjugations_with_one_name_compare_by_tau():
     zero, one, two = K.zero(), K.one(), K.from_int(2)
     i, j = Q.of(zero, one, zero, zero), Q.of(zero, zero, one, zero)
     Hi, Hj, H2i = (inner_auto(alg, a) for a in (i, j, Q.of(zero, two, zero, zero)))
-    assert Hi.tau_name == Hj.tau_name == "conj" and Hi.c == Hj.c == Q.zero()
+    assert Hi.c == Hj.c == Q.zero()
+    assert repr(Hi) == "AutoDescriptor(tau=(x -> x, i -> i, j -> 2*j), c=0, eps=1)"
+    assert repr(Hj) == "AutoDescriptor(tau=(x -> x, i -> 2*i, j -> j), c=0, eps=1)"
+    assert repr(H2i) == repr(Hi)
     J = alg.scalar(j)
     assert apply_auto(Hi, J) == alg.scalar(Q.of(zero, zero, two, zero)) and apply_auto(Hj, J) == J
     assert Hi != Hj

@@ -183,41 +183,6 @@ def test_nuclei_suite_exponent_two(text, dims):
     assert witness["nuclei.slots"]["dims"] == str(dict(zip(("left", "middle", "right"), dims)))
 
 
-def test_autos_order_check_bounds_the_search_by_p(monkeypatch):
-    # The order of a shift is p, so the check searches up to p and no
-    # further, at every p: a fixed bound would fail valid instances past it.
-    bounds = []
-
-    def recording(H, bound=64):
-        bounds.append(bound)
-        return autos.auto_order(H, bound)
-
-    monkeypatch.setattr(frontend, "auto_order", recording)
-    inst = frontend.load_instance(CONFIGS / "i1.cfg")
-    report = run_suite(inst, "autos")
-    assert not report.failed
-    assert bounds == [inst.K.p]
-
-
-def test_cli_order_searches_bound_the_order_by_p(monkeypatch, capsys):
-    # `autos --order` and `inner` report the order of a shift, which is 1 or
-    # p: a fixed bound of 64 would print "> bound" from p = 67 on.
-    from diffext import cli
-
-    bounds = []
-
-    def recording(H, bound=64):
-        bounds.append(bound)
-        return autos.auto_order(H, bound)
-
-    monkeypatch.setattr(cli, "auto_order", recording)
-    cfg = str(CONFIGS / "i1.cfg")
-    assert main(["autos", cfg, "--order", "1"]) == 0
-    assert main(["inner", cfg, "--a", "x^2 + x"]) == 0
-    assert bounds == [2, 2]
-    assert capsys.readouterr().out.count("order=2") == 2
-
-
 # (p, delta(x), declared g, the invalid shift the suite picks).
 _X_VALID_SHIFT = [
     (p, w, "", c)

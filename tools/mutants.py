@@ -188,13 +188,6 @@ MUTANTS = [
         "_unpack reading each wide slot as 8 bytes, whatever its width",
     ),
     (
-        "autos-order-fixed-bound",
-        "src/diffext/frontend.py",
-        "        got = auto_order(H, bound=K.p)",
-        "        got = auto_order(H)",
-        "the autos suite's order check searching to the fixed bound 64, not to p",
-    ),
-    (
         "level-step-scale-one",
         "src/diffext/diffpoly.py",
         "        self.scale = ring.embed(a ** ((p ** level - 1) // (p - 1)))",
@@ -244,11 +237,25 @@ MUTANTS = [
         "auto_order iterating on the K-basis alone, blind to a tau that moves K",
     ),
     (
-        "descriptor-equality-by-name",
+        "descriptor-equality-blind-to-tau",
         "src/diffext/autos.py",
         "            and other.images == self.images",
-        "            and other.tau_name == self.tau_name",
-        "descriptor equality read by tau_name, so two conjugations compare equal",
+        "            and other.images[:1] == self.images[:1]",
+        "descriptor equality blind to tau, so two conjugations compare equal",
+    ),
+    (
+        "auto-order-bound-p",
+        "src/diffext/autos.py",
+        "range(1, p * (p + 1) + 1)",
+        "range(1, p + 1)",
+        "auto_order searching to n = p only, too few for a tau that moves K (order 6 at p = 3)",
+    ),
+    (
+        "compose-identity-on-one",
+        "src/diffext/autos.py",
+        "    if H1.images != basis or H2.images != basis:",
+        "    if H1.images[:1] != basis[:1] or H2.images[:1] != basis[:1]:",
+        "compose_shift_autos taking a tau that moves K for the identity",
     ),
 ]
 
