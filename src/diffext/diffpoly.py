@@ -75,7 +75,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import InternalInvariantViolation
-from .scalars import _needs_parens, _power
+from .scalars import _power, _terms_str
 from .towers import PPolynomial, _hochschild_constant
 
 __all__ = [
@@ -237,31 +237,14 @@ class DiffPoly:
         return DiffPoly(ring, q), DiffPoly(ring, r[:df])
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        ring = self.ring
-        one = ring.one()
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(self._coeff_str(c, standalone=True))
-            else:
-                tpart = "t" if i == 1 else "t^%d" % i
-                if c == one:
-                    parts.append(tpart)
-                else:
-                    parts.append("%s*%s" % (self._coeff_str(c, standalone=False), tpart))
-        return " + ".join(parts)
-
-    @staticmethod
-    def _coeff_str(c, *, standalone):
-        s = str(c)
-        if standalone:
-            return ("(%s)" % s) if "/" in s else s
-        return ("(%s)" % s) if _needs_parens(s) else s
+        cs = self.coeffs
+        # Zeros are skipped here as well, before a unit is formatted for each.
+        terms = [(cs[i], "t^%d" % i if i > 1 else "t") for i in range(len(cs) - 1, 0, -1) if cs[i]]
+        if cs and cs[0]:
+            s = str(cs[0])
+            # A fraction that stands alone keeps its parentheses: t + (1/(x)).
+            terms.append(("(%s)" % s if "/" in s else s, ""))
+        return _terms_str(terms)
 
     def __repr__(self):
         return "DiffPoly(%s)" % str(self)

@@ -83,6 +83,13 @@ monic denominator, so num^n / den^n needs no gcd.  ``_power`` is the
 square-and-multiply routine: the small powers a^(d_k) use it, and so do
 ``DiffPoly`` powers, where Frobenius does not hold.  It is private, so it
 stays out of ``__all__``.
+
+Printing: ``DensePoly`` and ``RatFunc`` print themselves, and every sum
+of ring terms above them (a ``DiffPoly``, a ``PPolynomial``, a
+quaternion) is written by ``_terms_str``, which holds the notation: zero
+terms left out, a unit alone for a coefficient 1, parentheses where
+``_needs_parens`` asks for them.  The parser reads back every such
+string over K.
 """
 
 from __future__ import annotations
@@ -580,6 +587,30 @@ def _cancel(field: PrimeField, u: tuple, v: tuple) -> tuple:
 def _needs_parens(s: str) -> bool:
     # Top-level + or / means the string cannot be juxtaposed with '*t^i'.
     return ("+" in s) or ("/" in s) or ("-" in s) or (" " in s)
+
+
+def _terms_str(terms) -> str:
+    """The sum of (coefficient, unit) pairs, in the order given.
+
+    The one notation for a printed sum of ring terms (``DiffPoly``,
+    ``PPolynomial``, ``Quaternion``).  A coefficient is a ring element or
+    the string it prints as.  A zero coefficient drops its term, unprinted;
+    one that prints as 1 leaves the unit alone; an empty unit leaves the
+    coefficient alone; any other coefficient stands before ``*unit``, in
+    parentheses when ``_needs_parens`` says so.  The empty sum is 0.
+    """
+    out = []
+    for c, unit in terms:
+        if not c:
+            continue
+        s = str(c)
+        if not unit:
+            out.append(s)
+        elif s == "1":
+            out.append(unit)
+        else:
+            out.append(("(%s)*%s" if _needs_parens(s) else "%s*%s") % (s, unit))
+    return " + ".join(out) or "0"
 
 
 def _ratfunc(field: PrimeField, num: tuple, den: tuple) -> "RatFunc":

@@ -59,9 +59,9 @@ from .scalars import (
     _exquo,
     _frobenius,
     _mul,
-    _needs_parens,
     _neg,
     _ratfunc,
+    _terms_str,
     _trim,
     random_ratfunc,
 )
@@ -323,20 +323,9 @@ class PPolynomial:
         return hash((self.p, self.e, self.coeffs))
 
     def __str__(self):
-        parts = ["t^%d" % self.p ** self.e]
-        for i, a in enumerate(self.coeffs, start=1):
-            if not a:
-                continue
-            power = self.p ** (self.e - i)
-            tpart = "t" if power == 1 else "t^%d" % power
-            s = str(a)
-            if s == "1":
-                parts.append(tpart)
-            else:
-                if _needs_parens(s):
-                    s = "(%s)" % s
-                parts.append("%s*%s" % (s, tpart))
-        return " + ".join(parts)
+        p, e = self.p, self.e
+        powers = ["t^%d" % p ** (e - i) for i in range(e)] + ["t"]
+        return _terms_str(zip(("1",) + self.coeffs, powers))
 
     def __repr__(self):
         return "PPolynomial(%s)" % str(self)
@@ -484,20 +473,7 @@ class Quaternion:
         return hash(self.parts)
 
     def __str__(self):
-        terms = []
-        for unit, c in zip(("", "i", "j", "ij"), self.parts):
-            if not c:
-                continue
-            s = str(c)
-            if not unit:
-                terms.append(s)
-            elif s == "1":
-                terms.append(unit)
-            else:
-                if _needs_parens(s):
-                    s = "(%s)" % s
-                terms.append("%s*%s" % (s, unit))
-        return " + ".join(terms) or "0"
+        return _terms_str(zip(self.parts, ("", "i", "j", "ij")))
 
     def __repr__(self):
         return "Quaternion(%s)" % self

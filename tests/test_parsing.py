@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffext import parsing
-from diffext.diffpoly import DiffPoly
+from diffext.diffpoly import DiffPoly, p_poly_as_diffpoly
 from diffext.errors import ExprSyntaxError, TInDenominator
 from diffext.frontend import derived_field
 from diffext.parsing import (
@@ -15,7 +15,7 @@ from diffext.parsing import (
     parse_field_element,
 )
 from diffext.scalars import DensePoly, PrimeField, RatFunc, RationalFunctionField, random_ratfunc
-from diffext.towers import DerivedField
+from diffext.towers import DerivedField, PPolynomial, QuaternionRing
 
 
 def _w(p, coeffs):
@@ -25,6 +25,8 @@ def _w(p, coeffs):
 
 K2X = DerivedField(2, _w(2, (0, 1)))
 K3X = DerivedField(3, _w(3, (0, 1)))
+K5X = DerivedField(5, _w(5, (0, 1)))
+K7X = DerivedField(7, _w(7, (0, 1)))
 
 
 def test_parse_field_frozen_values():
@@ -126,7 +128,7 @@ def test_power_degree_ceiling():
 
 def test_field_print_parse_roundtrip():
     rng = random.Random(64)
-    for K in (K2X, K3X):
+    for K in (K2X, K3X, K5X, K7X):
         for _ in range(150):
             a = random_ratfunc(K, rng, 3)
             assert parse_field_element(str(a), K) == a
@@ -134,11 +136,38 @@ def test_field_print_parse_roundtrip():
 
 def test_poly_print_parse_roundtrip():
     rng = random.Random(65)
-    for K in (K2X, K3X):
+    for K in (K2X, K3X, K5X, K7X):
         for _ in range(100):
             coeffs = [random_ratfunc(K, rng, 2) for _ in range(rng.randrange(4) + 1)]
             h = DiffPoly(K, coeffs)
             assert parse_diffpoly(str(h), K) == h
+        # p-polynomials with coefficients in F = F_p(x^p), fractions among them.
+        for e in (1, 2, 3):
+            for _ in range(3):
+                g = PPolynomial(K.p, e, [random_ratfunc(K, rng, 1) ** K.p for _ in range(e)])
+                assert parse_diffpoly(str(g), K) == p_poly_as_diffpoly(g, K), str(g)
+
+
+def test_printed_sums_of_terms():
+    # The printed forms the parser reads back, pinned exactly: a quaternion's
+    # real part stands alone unwrapped, a DiffPoly's constant fraction is
+    # wrapped, a coefficient 1 leaves its unit alone and zero prints as 0.
+    x, one, zero = K3X.x(), K3X.one(), K3X.zero()
+    Q = QuaternionRing(K3X)
+    K2 = RationalFunctionField(2)
+    table = [
+        (Q.of(K3X.from_int(2) / (x + one), one, zero, zero), "2/(x + 1) + i"),
+        (Q.of(zero, x, one, one / x), "x*i + j + (1/(x))*ij"),
+        (Q.zero(), "0"),
+        (DiffPoly(K3X, [one / x, one]), "t + (1/(x))"),
+        (DiffPoly(K3X, [x, K3X.from_int(2) * x, zero, one]), "t^3 + 2*x*t + x"),
+        (DiffPoly(K3X, []), "0"),
+        (DiffPoly(Q, [Q.of(x, one, zero, zero), Q.of(one, one, zero, zero), Q.one()]), "t^2 + (1 + i)*t + x + i"),
+        (DiffPoly(Q, [Q.of(one / x, zero, one, zero), Q.of(zero, zero, one, zero)]), "j*t + (1/(x) + j)"),
+        (PPolynomial(2, 2, [K2.x() ** -4, K2.zero()]), "t^4 + (1/(x^4))*t^2"),
+        (PPolynomial(3, 2, [zero, x ** 3 + one]), "t^9 + (x^3 + 1)*t"),
+    ]
+    assert [str(value) for value, _ in table] == [text for _, text in table]
 
 
 def test_unary_minus_and_precedence():

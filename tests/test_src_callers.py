@@ -64,6 +64,14 @@ class C:
     ]
 
 
+def test_exports_read_only_a_list_or_tuple_display():
+    # A computed __all__ exports nothing by itself; a display exports its strings.
+    computed = '__all__ = sorted({"a", "b"}) + ["__version__"]\n\n\ndef a():\n    pass\n'
+    assert src_callers.uncalled({"pkg.py": computed}) == [("pkg.py", 4, "a")]
+    displayed = '__all__ = ("a", 1)\n\n\ndef a():\n    pass\n'
+    assert src_callers.uncalled({"pkg.py": displayed}) == []
+
+
 def test_src_has_no_uncalled_definition(capsys):
     assert src_callers.main() == 0
     lines = capsys.readouterr().out.splitlines()

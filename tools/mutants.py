@@ -257,6 +257,20 @@ MUTANTS = [
         "    if H1.images[:1] != basis[:1] or H2.images[:1] != basis[:1]:",
         "compose_shift_autos taking a tau that moves K for the identity",
     ),
+    (
+        "terms-never-parenthesised",
+        "src/diffext/scalars.py",
+        '("(%s)*%s" if _needs_parens(s) else "%s*%s")',
+        '("(%s)*%s" if False else "%s*%s")',
+        "the shared term printer writing every coefficient before *unit without parentheses",
+    ),
+    (
+        "standalone-fraction-unwrapped",
+        "src/diffext/diffpoly.py",
+        '            terms.append(("(%s)" % s if "/" in s else s, ""))',
+        '            terms.append((s, ""))',
+        "a DiffPoly's constant fraction printed without its parentheses",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")

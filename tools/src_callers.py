@@ -43,12 +43,21 @@ def _definitions(tree):
 
 
 def _exports(tree):
-    """The names listed in a module-level ``__all__``."""
+    """The names listed in a module-level ``__all__``: the string constants
+    of a list or tuple display.  An ``__all__`` computed otherwise, such as
+    the package's union of its layers' lists, names nothing here; the
+    layers' own lists hold the names."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+            if not isinstance(node.value, (ast.List, ast.Tuple)):
+                return set()
+            return {
+                e.value
+                for e in node.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
     return set()
 
 
