@@ -17,7 +17,7 @@ from diffext import (
     auto_constraints,
     auto_order,
     build_auto,
-    compose_shift_autos,
+    compose_autos,
     derived_field,
     inner_auto,
     minimal_p_polynomial,
@@ -41,14 +41,15 @@ except ConditionFailed as exc:
     print("t -> t + x rejected:", exc.condition)
 print()
 
-# Composition adds the shift constants.
+# Composition adds the shift constants: tau = id and eps = 1 in the law
+# H1 o H2 = (tau1 tau2, tau1(eps2) c1 + tau1(c2), tau1(eps2) eps1).
 rng = random.Random(4)
 u1 = x + K.one()
 u2 = x * x + x + K.one()
 c1, c2 = K.log_derivative(u1), K.log_derivative(u2)
 H1 = build_auto(S, ident, c1, K.one())
 H2 = build_auto(S, ident, c2, K.one())
-both = compose_shift_autos(H1, H2)
+both = compose_autos(H1, H2)
 print("c1 =", c1)
 print("c2 =", c2)
 print("composite shift:", both.c)

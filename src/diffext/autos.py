@@ -16,8 +16,28 @@ two checks pass:
 
 The AutoDescriptor constructor runs both checks, so every descriptor is a
 checked map, and it is known by its data: tau's images of the ring basis,
-c and eps.  auto_order searches to n = p(p + 1), past the order of every
-such map over K, so its answer there is exact.
+c and eps.
+
+The commutation constraint makes H a ring endomorphism of R = A[t; delta],
+and the descriptors compose by one law on the triples:
+
+    H1 o H2 = (tau1 tau2, tau1(eps2) c1 + tau1(c2), tau1(eps2) eps1).
+
+Proof: H1(k u) = tau1(k) H1(u) for a coefficient k (see apply_auto), so
+
+    H1(H2(t)) = H1(eps2 t + c2) = tau1(eps2) (eps1 t + c1) + tau1(c2),
+
+and H1(H2(k)) = tau1(tau2(k)); a ring endomorphism of R is fixed by its
+images of the coefficients and of t.  On representatives of degree below
+m no reduction intervenes, so compose_autos(H1, H2) is H1 o H2 on the
+quotients too: H2 takes f_A to f_B and H1 takes f_B to f_C, and the
+constructor re-checks both.
+
+auto_order reads the order off the same law: H^(n+1) = H o H^n, and H^n
+is the identity exactly when tau^n fixes the ring basis (which holds the
+generators), c_n = 0 and eps_n = 1, since H^n(t) = eps_n t + c_n and t
+lies below m.  Over K the order divides r p with r = ord(tau) <= p + 1
+(proof in auto_order), so the search to n = p(p + 1) is exact there.
 
 For tau = id and eps = 1 over a commutative base, the second check reduces
 to V_g(c) = 0: the valid shifts are the kernel of V_g.  The logarithmic
@@ -29,8 +49,8 @@ logarithmic derivative is a valid shift, and the two kernels agree when
 g = z1^(p^(e-1)).  Otherwise they can differ: at p = 2, delta = d/dx and
 g = t^4 + t^2 = z1^2 + z1 with z1 = t^2, c = 1 has V_z1(1) = 1 and
 V_g(1) = 0, a valid shift that is not inner.  The shifts form a subgroup:
-composing shifts adds the c values, the identity is c = 0, and each
-nonidentity shift has order p.
+by the law, composing shifts adds the c values, the identity is c = 0,
+and each nonidentity shift has order p.
 
 Over the derived field K = F_p(x), with g of the closed form
 (t^p - a t)^(p^(e-1)) (every g at exponent one), tau = id and eps = 1 are
@@ -44,7 +64,8 @@ over a commutative base is.  A coefficient a is nuclear exactly when
 a d = d a, by the identity (f a) mod f = a d - d a in ExtAlgebra.nucleus.
 inner_auto re-checks that normal form against literal conjugation on the
 left K-basis, enough since both maps are left K-linear; a disagreement is
-an arithmetic fault, InternalInvariantViolation.
+an arithmetic fault, InternalInvariantViolation.  By the law, conjugation
+by b after conjugation by a is conjugation by a b.
 
 The shift t -> t - a is the descriptor (id, -a, 1) onto its target, the
 algebra with d + V_g(a): the checks read H(f) = target.f, and eq1 admits
@@ -73,7 +94,7 @@ __all__ = [
     "build_auto",
     "apply_auto",
     "auto_order",
-    "compose_shift_autos",
+    "compose_autos",
     "is_log_derivative",
     "log_derivative_witness",
     "inner_auto",
@@ -171,24 +192,44 @@ def apply_auto(H: AutoDescriptor, u: AlgebraElement) -> AlgebraElement:
 
     The representative has degree below m = deg f, and so has every power
     used, so the image needs neither a twisted product nor a reduction.
+    For the same reason H(k u) = sum tau(k u_i) (eps t + c)^i = tau(k) H(u)
+    for every coefficient k, and tau maps K, the center of the coefficient
+    ring, to itself: H is left K-linear when tau fixes K, as the identity
+    and a conjugation do.  tau need not fix K: x -> 1/x on D_(x + 1/x) at
+    p = 2 fixes every t^i and moves x.
     """
     if u.algebra != H.algebra:
         raise ValueError("element belongs to a different algebra")
     return AlgebraElement(H.target, _substitute_powers(u.rep, H.tau, H.powers))
 
 
+def _compose_law(H1: AutoDescriptor, c2, eps2):
+    """(c, eps) of H1 o H2, from H2's c2 and eps2: the law of the module docstring."""
+    e = H1.tau(eps2)
+    return e * H1.c + H1.tau(c2), e * H1.eps
+
+
+def compose_autos(H1: AutoDescriptor, H2: AutoDescriptor) -> AutoDescriptor:
+    """The descriptor of H1 o H2, by the law of the module docstring.
+
+    H2 maps A onto B and H1 maps B onto C; the composite maps A onto C.
+    The constructor re-runs both checks on it.  Raises ValueError when H1
+    does not act on H2's target.
+    """
+    if H2.target != H1.algebra:
+        raise ValueError("the second map goes onto %r, the first acts on %r" % (H2.target, H1.algebra))
+    c, eps = _compose_law(H1, H2.c, H2.eps)
+    return AutoDescriptor(H2.algebra, lambda z: H1.tau(H2.tau(z)), c, eps, target=H1.target)
+
+
 def auto_order(H: AutoDescriptor) -> int | None:
     """Order of H in the automorphism group, or None past n = p(p + 1).
 
-    Computed honestly by iterating on the left K-basis (ExtAlgebra.k_basis)
-    and on the scalar x; identity is order 1.  Those generate every power:
-    the image of k u, k in K, is sum tau(k u_i) (eps t + c)^i with no
-    reduction, so H(k u) = tau(k) H(u), and tau maps K, the center of the
-    coefficient ring, to itself.  A power H^n that fixes x fixes K, which x
-    generates as a field over F_p, so H^n(k u) = k H^n(u); if it also fixes
-    the K-basis it is the identity.  tau need not fix K: x -> 1/x on
-    D_(x + 1/x) at p = 2 fixes every t^i and moves x.  Raises ValueError
-    for a map onto another algebra (a shift_isomorphism with V_g(a) != 0),
+    Read off the triples: H^(n+1) = H o H^n by the law of the module
+    docstring, with tau^n kept as its images of the ring basis, and H^n is
+    the identity exactly when tau^n fixes that basis, c_n = 0 and
+    eps_n = 1.  No descriptor is applied or built.  Raises ValueError for
+    a map onto another algebra (a shift_isomorphism with V_g(a) != 0),
     which is no automorphism.
 
     Over K the search bound p(p + 1) is past every order, so the answer is
@@ -203,39 +244,17 @@ def auto_order(H: AutoDescriptor) -> int | None:
     conjugation can have infinite order (by 1 + i), can a map of finite
     order read None.
     """
-    _check_automorphism(H)
     alg = H.algebra
-    p = alg.ring.p
-    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]
-    images = list(basis)
-    for k in range(1, p * (p + 1) + 1):
-        images = [apply_auto(H, u) for u in images]
-        if images == basis:
-            return k
-    return None
-
-
-def compose_shift_autos(H1: AutoDescriptor, H2: AutoDescriptor) -> AutoDescriptor:
-    """Composition inside the shift family (tau = id, eps = 1): c values add.
-
-    Raises ValueError when either map goes onto another algebra: the
-    composite of two shift isomorphisms A -> B is not defined.
-    """
-    _check_automorphism(H1)
-    _check_automorphism(H2)
-    ring, basis = H1.algebra.ring, tuple(H1.algebra._ring_basis)
-    if H1.images != basis or H2.images != basis:
-        raise UnsupportedInstance("composition is implemented for shift descriptors")
-    if H1.eps != ring.one() or H2.eps != ring.one():
-        raise UnsupportedInstance("composition is implemented for eps = 1")
-    if H1.algebra != H2.algebra:
-        raise ValueError("descriptors act on different algebras")
-    return build_auto(H1.algebra, H1.tau, H1.c + H2.c, H1.eps)
-
-
-def _check_automorphism(H: AutoDescriptor):
-    if H.target != H.algebra:
+    if H.target != alg:
         raise ValueError("the descriptor maps onto the algebra with d = %s, not onto its own" % H.target.d)
+    ring, basis = alg.ring, tuple(alg._ring_basis)
+    images, c, eps = basis, ring.zero(), ring.one()  # H^0
+    for n in range(1, ring.p * (ring.p + 1) + 1):
+        images = tuple(H.tau(z) for z in images)
+        c, eps = _compose_law(H, c, eps)
+        if images == basis and not c and eps == ring.one():
+            return n
+    return None
 
 
 def is_log_derivative(algebra: ExtAlgebra, c) -> bool:
@@ -299,7 +318,7 @@ def inner_auto(algebra: ExtAlgebra, a) -> AutoDescriptor:
     The normal form is re-checked against literal conjugation on the left
     K-basis (ExtAlgebra.k_basis), which suffices because both maps are left
     K-linear.  The descriptor is, since H(k u) = tau(k) H(u) (see
-    auto_order) and its tau, the identity or a conjugation, fixes K.
+    apply_auto) and its tau, the identity or a conjugation, fixes K.
     Literal conjugation is, because K lies in the left nucleus and in the
     center of the coefficient ring: a^(-1) (k u) = k (a^(-1) u) and
     (k w) a = k (w a) for k in K.

@@ -30,7 +30,7 @@ from .autos import (
     auto_constraints,
     auto_order,
     build_auto,
-    compose_shift_autos,
+    compose_autos,
     inner_auto,
     is_log_derivative,
 )
@@ -500,9 +500,9 @@ def _suite_autos(r: _SuiteRunner):
             c1, c2 = K.log_derivative(u1), K.log_derivative(u2)
             H1 = build_auto(alg, ident, c1, K.one())
             H2 = build_auto(alg, ident, c2, K.one())
-            H12 = compose_shift_autos(H1, H2)
+            H12 = compose_autos(H1, H2)
             _check(H12.c == c1 + c2)
-            # tau = id, so both sides are left K-linear (see autos.auto_order):
+            # tau = id, so both sides are left K-linear (see autos.apply_auto):
             # a K-basis suffices.
             for b in alg.k_basis():
                 _check(apply_auto(H12, b) == apply_auto(H1, apply_auto(H2, b)))

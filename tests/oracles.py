@@ -28,11 +28,15 @@ another way, and the library itself does not call any of them:
   as its own ``DiffPoly``, scaled and added whole, the reference for
   ``DiffPoly.__mul__``, which accumulates into one coefficient list;
 * ``quotient_product``: the full twisted product right-divided by f, the
-  reference for ``AlgebraElement.__mul__``, which steps (t^i v) mod f.
+  reference for ``AlgebraElement.__mul__``, which steps (t^i v) mod f;
+* ``iterated_order``: the order of a descriptor by applying it to the left
+  K-basis and x until they come back, the reference for
+  ``autos.auto_order``, which reads the order off the triples.
 """
 
 from math import comb
 
+from diffext.autos import apply_auto
 from diffext.diffpoly import DiffPoly, _t_step
 from diffext.errors import NoSolution
 from diffext.linalg import Matrix
@@ -265,3 +269,22 @@ def quotient_product(u, v):
     2m - 2, right-divided by f."""
     alg = u.algebra
     return alg.element(product_by_t_steps(u.rep, v.rep).right_divmod(alg.f)[1])
+
+
+def iterated_order(H):
+    """Order of H by iteration on the left K-basis and the scalar x, or None
+    past n = p(p + 1).
+
+    These generate every power: H(k u) = tau(k) H(u) (autos.apply_auto),
+    a power that fixes x fixes K, which x generates, and one that also
+    fixes the K-basis is the identity.
+    """
+    alg = H.algebra
+    p = alg.ring.p
+    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]
+    images = list(basis)
+    for n in range(1, p * (p + 1) + 1):
+        images = [apply_auto(H, u) for u in images]
+        if images == basis:
+            return n
+    return None

@@ -21,7 +21,7 @@ from diffext.autos import (
     apply_auto,
     auto_order,
     build_auto,
-    compose_shift_autos,
+    compose_autos,
     inner_auto,
     shift_isomorphism,
 )
@@ -168,7 +168,7 @@ def test_c06_automorphism_suite(i1, i3):
         c1, c2 = K.log_derivative(u1), K.log_derivative(u2)
         H1 = build_auto(i1, IDENT, c1, one1)
         H2 = build_auto(i1, IDENT, c2, one1)
-        H12 = compose_shift_autos(H1, H2)
+        H12 = compose_autos(H1, H2)
         assert H12.c == c1 + c2
         assert H12 == build_auto(i1, IDENT, c1 + c2, one1)
     _report("criterion 6 (shift automorphisms: orders 2 and 3, FixesF, 100 compositions): PASS")

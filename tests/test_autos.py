@@ -1,6 +1,7 @@
 """Automorphism descriptors: validity, orders, inner maps, constraints."""
 
 import inspect
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from diffext.autos import (
     auto_constraints,
     auto_order,
     build_auto,
-    compose_shift_autos,
+    compose_autos,
     inner_auto,
     is_log_derivative,
     log_derivative_witness,
@@ -29,7 +30,7 @@ from diffext.errors import (
 from diffext.frontend import instance_from_text
 from diffext.scalars import DensePoly, PrimeField, RatFunc, random_ratfunc
 from diffext.towers import DerivedField, QuaternionRing, minimal_p_polynomial
-from oracles import coords_columns
+from oracles import coords_columns, iterated_order
 
 
 IDENT = lambda z: z
@@ -264,30 +265,80 @@ def test_composition_adds_shifts(i1):
         c1, c2 = K.log_derivative(u1), K.log_derivative(u2)
         H1 = build_auto(i1, IDENT, c1, K.one())
         H2 = build_auto(i1, IDENT, c2, K.one())
-        H12 = compose_shift_autos(H1, H2)
+        H12 = compose_autos(H1, H2)
         assert H12.c == c1 + c2
         for b in i1.basis():
             assert apply_auto(H12, b) == apply_auto(H1, apply_auto(H2, b))
 
 
-def test_order_and_composition_refuse_maps_onto_another_algebra(i1):
+def test_order_and_composition_refuse_maps_onto_another_algebra(i1, i3):
     # Over x d/dx at p = 2, V_g(x) = x^2, so the shift t -> t - x maps
     # i1 (d = x) onto the algebra with d = x^2 + x: no automorphism, so it
-    # has no order and H o H is not defined.
+    # has no order, and H o H is not defined, since H does not act on its
+    # own target.
     K = i1.ring
     x = K.x()
     H = shift_isomorphism(i1, x)
     assert H.target.d == x * x + x and H.target != i1
-    for call in (lambda: auto_order(H), lambda: compose_shift_autos(H, H)):
-        with pytest.raises(ValueError, match=r"^the descriptor maps onto the algebra with d = x\^2 \+ x, not onto its own$"):
-            call()
+    with pytest.raises(ValueError, match=r"^the descriptor maps onto the algebra with d = x\^2 \+ x, not onto its own$"):
+        auto_order(H)
+    mismatch = (
+        r"^the second map goes onto ExtAlgebra\(g=t\^2 \+ t, d=x\^2 \+ x\), "
+        r"the first acts on ExtAlgebra\(g=t\^2 \+ t, d=x\)$"
+    )
+    with pytest.raises(ValueError, match=mismatch):
+        compose_autos(H, H)
     ident = build_auto(i1, IDENT, K.zero(), K.one())
-    with pytest.raises(ValueError, match="not onto its own"):
-        compose_shift_autos(ident, H)
+    with pytest.raises(ValueError, match=mismatch):
+        compose_autos(ident, H)
+    assert compose_autos(H, ident) == H
+    # The inverse the shift_isomorphism docstring names: the shift by -a
+    # from the target.
+    assert compose_autos(shift_isomorphism(H.target, -x), H) == ident
     # A shift by a log derivative lands on i1 itself and is an automorphism.
     back = shift_isomorphism(i1, K.one())
     assert back.target == i1 and auto_order(back) == 2
-    assert compose_shift_autos(back, back).c == K.zero()
+    assert compose_autos(back, back) == ident
+    # A chain A -> B -> C composes: at p = 3, V_g is F_p-linear, so the
+    # shift by x from B after the shift by x from A is the shift by 2x.
+    K3 = i3.ring
+    x3 = K3.x()
+    H_ab = shift_isomorphism(i3, x3)
+    H_bc = shift_isomorphism(H_ab.target, x3)
+    assert len({i3.d, H_ab.target.d, H_bc.target.d}) == 3
+    H_ac = compose_autos(H_bc, H_ab)
+    assert H_ac == shift_isomorphism(i3, x3 + x3)
+    assert H_ac.algebra == i3 and H_ac.target == H_bc.target
+    u = i3.element(DiffPoly(K3, [x3, K3.one(), x3 * x3]))
+    assert H_ac(u) == H_bc(H_ab(u))
+    back = shift_isomorphism(H_ac.target, -x3 - x3)
+    assert compose_autos(back, H_ac) == build_auto(i3, IDENT, K3.zero(), K3.one())
+    assert compose_autos(H_ac, back) == build_auto(H_ac.target, IDENT, K3.zero(), K3.one())
+
+
+def test_inner_autos_compose_as_a_homomorphism(i1, i3):
+    # Conjugation by b after conjugation by a is conjugation by a b:
+    # b^(-1) (a^(-1) u a) b = (a b)^(-1) u (a b).
+    for alg in (i1, i3):
+        K = alg.ring
+        x, one = K.x(), K.one()
+        for a, b in ((x, x + one), (x * x + one, one / x), (x + one, x + one)):
+            assert compose_autos(inner_auto(alg, b), inner_auto(alg, a)) == inner_auto(alg, a * b)
+    # Over Q with d = x i, the nuclear coefficients are K(i): i and 1 + i.
+    alg = _quaternion_algebra()
+    Q = alg.ring
+    x, zero, one = Q.base.x(), Q.base.zero(), Q.base.one()
+    i, one_i = Q.of(zero, one, zero, zero), Q.of(one, one, zero, zero)
+    for a, b in ((i, one_i), (one_i, i), (Q.embed(x), one_i)):
+        assert compose_autos(inner_auto(alg, b), inner_auto(alg, a)) == inner_auto(alg, a * b)
+    # With the central d = x every coefficient is nuclear, and i and 1 + x j
+    # do not commute: the composite is conjugation by a b, not by b a.
+    alg = ExtAlgebra(Q, minimal_p_polynomial(Q.base), Q.embed(x))
+    a, b = i, Q.of(one, zero, x, zero)
+    assert a * b != b * a
+    G = compose_autos(inner_auto(alg, b), inner_auto(alg, a))
+    assert G == inner_auto(alg, a * b) and G != inner_auto(alg, b * a)
+    assert G.c == inner_auto(alg, b).c + Q.invert(b) * inner_auto(alg, a).c * b
 
 
 def test_inner_auto_frozen_value(i1):
@@ -558,6 +609,7 @@ def test_shift_isomorphism_over_quaternions_needs_a_central_shift():
         v = alg.random_element(rng, 2)
         assert iso(u * v) == iso(u) * iso(v)
         assert back(iso(u)) == u
+    assert compose_autos(back, iso) == build_auto(alg, IDENT, Q.zero(), Q.one())
 
 
 def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
@@ -578,9 +630,9 @@ def test_power_table_is_derived_and_stays_out_of_equality_and_repr(i1):
 
 
 def test_descriptors_are_left_k_linear(i1, i3):
-    # auto_order, inner_auto and the suite's composition check compare maps
-    # on the K-basis only; that rests on H(k u) = k H(u) for k in K: shifts
-    # over K, and conjugations by i and by x + i over Q.
+    # The order oracle, inner_auto and the suite's composition check compare
+    # maps on the K-basis only; that rests on H(k u) = k H(u) for k in K:
+    # shifts over K, and conjugations by i and by x + i over Q.
     cases = []
     for alg in (i1, i3):
         K = alg.ring
@@ -657,16 +709,80 @@ def test_auto_order_counts_a_tau_that_moves_k():
     assert auto_order(H) == 2
 
 
-def test_composition_refuses_a_tau_that_moves_k():
-    # H o H fixes x, but the shift by c + c = 0 under tau would map x to
-    # 1/x: compose_shift_autos reads tau from its images, not from a name
-    # that defaulted to "id".
+def test_composing_a_tau_that_moves_k():
+    # x -> 1/x has order 2: H o H is the identity, though H moves x.  Its
+    # tau is read from the images, not from a name that defaulted to "id".
     alg, H = _inverse_x_descriptor()
+    K = alg.ring
     assert H.images != tuple(alg._ring_basis)
-    with pytest.raises(UnsupportedInstance, match="^composition is implemented for shift descriptors$"):
-        compose_shift_autos(H, H)
-    x = alg.scalar(alg.ring.x())
-    assert H(H(x)) == x
+    HH = compose_autos(H, H)
+    assert HH.images == tuple(alg._ring_basis)
+    assert HH == build_auto(alg, IDENT, K.zero(), K.one())
+    x = alg.scalar(K.x())
+    assert H(H(x)) == x == HH(x) != H(x)
+
+
+def _moebius(K, a, b, c, d):
+    # The ring map of K = F_p(x) with x -> (a x + b)/(c x + d).
+    m = (K.from_int(a) * K.x() + K.from_int(b)) / (K.from_int(c) * K.x() + K.from_int(d))
+
+    def at_m(coeffs):
+        acc = K.zero()
+        for k in reversed(coeffs):
+            acc = acc * m + K.from_int(k)
+        return acc
+
+    return lambda r: at_m(r.num_coeffs) / at_m(r.den_coeffs)
+
+
+def _pgl2(p):
+    # One matrix per element of PGL_2(F_p): its first nonzero entry is 1.
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p and next(v for v in (a, b, c, d) if v) == 1:
+            yield a, b, c, d
+
+
+def test_order_and_composition_match_the_iteration_over_pgl2():
+    # Every Moebius tau at p = 2 and 3 with c in {0, 1} and eps = 1, on 24
+    # instances: the order read off the triples is the iterated one, and
+    # the composite of every pair is the composite of the maps on the
+    # K-basis and x.
+    candidates, orders, pairs = 0, [], 0
+    for p in (2, 3):
+        for w in ("x", "1", "x^2 + 1"):
+            for d in ("x", "x + 1/x", "x^2 + 1/x^2", "x^3 + x"):
+                alg = instance_from_text("p = %d\ndelta_of_x = %s\nd = %s\n" % (p, w, d)).algebra
+                K = alg.ring
+                found = []
+                for m in _pgl2(p):
+                    tau = _moebius(K, *m)
+                    for c in (K.zero(), K.one()):
+                        candidates += 1
+                        try:
+                            found.append(build_auto(alg, tau, c, K.one()))
+                        except ConditionFailed:
+                            pass
+                test = alg.k_basis() + [alg.scalar(K.x())]
+                for H in found:
+                    orders.append(auto_order(H))
+                    assert orders[-1] == iterated_order(H), (alg, H)
+                for H1, H2 in itertools.product(found, repeat=2):
+                    H12 = compose_autos(H1, H2)
+                    assert all(H12(u) == H1(H2(u)) for u in test), (alg, H1, H2)
+                    pairs += 1
+    assert (candidates, len(orders), pairs) == (720, 44, 102)
+    assert sorted(set(orders)) == [1, 2, 3, 6]
+    # The order-6 map after a shift that tau moves: tau1(c2) != c2.
+    alg = instance_from_text("p = 3\ndelta_of_x = x\nd = x^2\n").algebra
+    K = alg.ring
+    H6 = build_auto(alg, _moebius(K, 2, 0, 0, 1), K.one(), K.one())
+    S = build_auto(alg, IDENT, K.log_derivative(K.x() + K.one()), K.one())
+    assert H6.tau(S.c) != S.c
+    test = alg.k_basis() + [alg.scalar(K.x())]
+    for H1, H2 in ((H6, S), (S, H6)):
+        H12 = compose_autos(H1, H2)
+        assert all(H12(u) == H1(H2(u)) for u in test)
+        assert auto_order(H12) == iterated_order(H12)
 
 
 def test_repr_names_tau_by_its_images(i1):
@@ -710,16 +826,19 @@ def test_auto_order_exceeds_p_for_a_tau_that_moves_k():
 def test_auto_order_reads_none_after_p_times_p_plus_one_rounds(monkeypatch):
     # Conjugation by 1 + i over Q = (x^3, 2) at p = 3 has infinite order:
     # its powers are conjugations by (1 + i)^n, never central.  The search
-    # stops after exactly p(p + 1) = 12 rounds over the K-basis and x.
+    # stops after exactly p(p + 1) = 12 steps of the law, and applies the
+    # descriptor to nothing.
     alg = _quaternion_algebra()
     Q = alg.ring
     zero, one = Q.base.zero(), Q.base.one()
     G = inner_auto(alg, Q.of(one, one, zero, zero))
-    calls = []
-    apply = autos.apply_auto
-    monkeypatch.setattr(autos, "apply_auto", lambda H, u: calls.append(1) or apply(H, u))
+    steps = []
+    law = autos._compose_law
+    monkeypatch.setattr(autos, "_compose_law", lambda *args: steps.append(1) or law(*args))
+    monkeypatch.setattr(autos, "apply_auto", None)
     assert auto_order(G) is None
-    assert len(calls) == 3 * 4 * (len(alg.k_basis()) + 1)
+    assert len(steps) == 3 * 4
+    assert iterated_order(G) is None
 
 
 def test_auto_order_on_the_k_basis_matches_the_f_basis():
@@ -737,7 +856,10 @@ def test_auto_order_on_the_k_basis_matches_the_f_basis():
         if images == basis:
             order = k
             break
-    assert order == auto_order(G) == 2
+    assert order == auto_order(G) == iterated_order(G) == 2
+    # Conjugation by the central x is the shift by delta(x)/x = 1.
+    X = inner_auto(alg, Q.embed(Q.base.x()))
+    assert auto_order(X) == iterated_order(X) == 3
 
 
 def test_conjugations_with_one_name_compare_by_tau():

@@ -93,6 +93,13 @@ TIMINGS = [
         "p = 11\ndelta_of_x = x\nd = x\n",
         ["verify", "CFG", "--suite", "autos"],
     ),
+    # The order of a shift at p = 67, read off the triples by the
+    # composition law: no power of the map is applied to an element.
+    (
+        "autos --order 1, p = 67",
+        "p = 67\ndelta_of_x = x\nd = x\n",
+        ["autos", "CFG", "--order", "1"],
+    ),
 ]
 
 

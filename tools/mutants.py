@@ -230,13 +230,6 @@ MUTANTS = [
         "the exponent-one denominator cap applied at e >= 2",
     ),
     (
-        "auto-order-no-scalar",
-        "src/diffext/autos.py",
-        "    basis = alg.k_basis() + [alg.scalar(alg.ring.embed(alg.base_field.x()))]",
-        "    basis = alg.k_basis()",
-        "auto_order iterating on the K-basis alone, blind to a tau that moves K",
-    ),
-    (
         "descriptor-equality-blind-to-tau",
         "src/diffext/autos.py",
         "            and other.images == self.images",
@@ -246,16 +239,30 @@ MUTANTS = [
     (
         "auto-order-bound-p",
         "src/diffext/autos.py",
-        "range(1, p * (p + 1) + 1)",
-        "range(1, p + 1)",
+        "range(1, ring.p * (ring.p + 1) + 1)",
+        "range(1, ring.p + 1)",
         "auto_order searching to n = p only, too few for a tau that moves K (order 6 at p = 3)",
     ),
     (
-        "compose-identity-on-one",
+        "auto-order-blind-to-tau",
         "src/diffext/autos.py",
-        "    if H1.images != basis or H2.images != basis:",
-        "    if H1.images[:1] != basis[:1] or H2.images[:1] != basis[:1]:",
-        "compose_shift_autos taking a tau that moves K for the identity",
+        "        if images == basis and not c and eps == ring.one():",
+        "        if not c and eps == ring.one():",
+        "auto_order's identity test reading c and eps alone, blind to a tau that moves K",
+    ),
+    (
+        "compose-c-untwisted",
+        "src/diffext/autos.py",
+        "    return e * H1.c + H1.tau(c2), e * H1.eps",
+        "    return e * H1.c + c2, e * H1.eps",
+        "the composite's c taking c2 for tau1(c2)",
+    ),
+    (
+        "compose-no-target-check",
+        "src/diffext/autos.py",
+        "    if H2.target != H1.algebra:",
+        "    if False:",
+        "compose_autos composing a map with one that does not act on its target",
     ),
     (
         "terms-never-parenthesised",
