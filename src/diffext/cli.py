@@ -10,6 +10,13 @@
 Every subcommand accepts --seed N (overrides the config) and --json PATH
 (write the machine-readable report next to the human-readable lines).
 
+The commands and their options are declared once, in one table.  A plain
+command line (COMMAND CONFIG, then whole "--flag value" pairs) is read
+straight from it into the namespace argparse would give; any other (help,
+a usage error, an abbreviation, --flag=value) goes to an argparse parser
+built from the same table on first use, so argparse is imported only then
+and its help, messages and exit codes stay as they were.
+
 Exit status: 0 when no check failed (a check may read unknown), 1 when a
 check failed.  A command that stops early prints one line on stderr, and
 the same rule holds whether the config was loading or the command was
@@ -35,11 +42,11 @@ no message; the --json report is still written.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .autos import auto_constraints, auto_order, build_auto, inner_auto
 from .errors import (
@@ -75,6 +82,10 @@ def _int(text: str) -> int:
 def _nonnegative_int(text: str) -> int:
     n = decimal_int(text)
     if n < 0:
+        # Only argparse sees a negative value: the plain reader leaves every
+        # value that starts with "-" to it.
+        import argparse
+
         raise argparse.ArgumentTypeError("must be nonnegative, got %d" % n)
     return n
 
@@ -82,46 +93,129 @@ def _nonnegative_int(text: str) -> int:
 # argparse names the type in "invalid int value: ...".
 _int.__name__ = _nonnegative_int.__name__ = "int"
 
+# The command line, declared once: each option is its flag and the keyword
+# arguments of argparse's add_argument (type, choices, default, required,
+# help).  Each command is its help and its own options; every command
+# takes the shared options first.
+_SHARED_OPTIONS = (
+    ("config", dict(help="path to an instance config file")),
+    ("--seed", dict(type=_int, default=None, help="override the config seed")),
+    ("--json", dict(metavar="PATH", default=None, help="write a JSON report")),
+)
+_COMMAND_OPTIONS = {
+    "build": ("construct the instance and print its shape",),
+    "nucleus": (
+        "compute a nucleus basis",
+        ("--which", dict(
+            choices=("left", "middle", "right", "full"),
+            default="full",
+            help="which slot of the associator to annihilate",
+        )),
+    ),
+    "autos": (
+        "automorphism constraints and probes",
+        ("--check-c", dict(metavar="EXPR", default=None, help="test a shift constant")),
+        ("--order", dict(metavar="EXPR", default=None, help="order of the shift by EXPR")),
+    ),
+    "inner": (
+        "conjugation by an invertible scalar",
+        ("--a", dict(metavar="EXPR", required=True, help="the conjugating element")),
+    ),
+    "divcheck": (
+        "linear factor search and verdict",
+        ("--bound", dict(type=_nonnegative_int, default=None, help="override the search bound")),
+    ),
+    "verify": (
+        "run a verification suite",
+        ("--suite", dict(choices=SUITES, default="all", help="suite to run")),
+    ),
+}
+
+
+def _plain_form(options):
+    """What _read_plain needs of one command's options.
+
+    (flags, defaults, required): flags maps each flag to (dest, type,
+    choices), with dest derived from the flag as argparse derives it.
+    """
+    flags, defaults, required = {}, [], []
+    for flag, kwargs in options:
+        dest = flag.lstrip("-").replace("-", "_")
+        flags[flag] = (dest, kwargs.get("type"), kwargs.get("choices"))
+        if kwargs.get("required"):
+            required.append(dest)
+        else:
+            defaults.append((dest, kwargs.get("default")))
+    return flags, tuple(defaults), tuple(required)
+
+
+_PLAIN = {
+    command: _plain_form((*_SHARED_OPTIONS[1:], *options))
+    for command, (_, *options) in _COMMAND_OPTIONS.items()
+}
+
+
+def _read_plain(argv):
+    """The namespace argparse gives for a plain command line, or None.
+
+    A plain command line is COMMAND CONFIG followed by whole "--flag value"
+    pairs: flags of that command or the shared ones, spelled in full, each
+    once; no value and no CONFIG starting with "-"; every value passing its
+    type and choices; every required flag present.  On such a line argparse
+    does exactly this, so the namespace is equal to parse_args's.  Every
+    other line (help, usage errors, abbreviations, --flag=value, "--",
+    negative numbers, repeated flags) gets None and is left to argparse.
+    """
+    if len(argv) < 2 or len(argv) % 2:
+        return None
+    command, config = argv[0], argv[1]
+    form = _PLAIN.get(command)
+    if form is None or config[:1] == "-":
+        return None
+    flags, defaults, required = form
+    values = {"command": command, "config": config}
+    for i in range(2, len(argv), 2):
+        flag, text = argv[i], argv[i + 1]
+        option = flags.get(flag)
+        if option is None or text[:1] == "-":
+            return None
+        dest, convert, choices = option
+        if dest in values:  # a repeated flag
+            return None
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(dest not in values for dest in required):
+        return None
+    for dest, default in defaults:
+        values.setdefault(dest, default)
+    return SimpleNamespace(**values)
+
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it as it was."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("config", help="path to an instance config file")
-    shared.add_argument("--seed", type=_int, default=None, help="override the config seed")
-    shared.add_argument("--json", metavar="PATH", default=None, help="write a JSON report")
+def _build_parser():
+    """argparse's parser for the table above, built and imported on first use.
 
+    parse_args leaves the parser as it was, so one serves the process.
+    """
+    import argparse
+
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _SHARED_OPTIONS:
+        shared.add_argument(flag, **kwargs)
     top = argparse.ArgumentParser(
         prog="diffext",
         description="structural invariants of twisted polynomial quotients",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("build", parents=[shared], help="construct the instance and print its shape")
-
-    p_nuc = sub.add_parser("nucleus", parents=[shared], help="compute a nucleus basis")
-    p_nuc.add_argument(
-        "--which",
-        choices=("left", "middle", "right", "full"),
-        default="full",
-        help="which slot of the associator to annihilate",
-    )
-
-    p_aut = sub.add_parser("autos", parents=[shared], help="automorphism constraints and probes")
-    p_aut.add_argument("--check-c", metavar="EXPR", default=None, help="test a shift constant")
-    p_aut.add_argument("--order", metavar="EXPR", default=None, help="order of the shift by EXPR")
-
-    p_inn = sub.add_parser("inner", parents=[shared], help="conjugation by an invertible scalar")
-    p_inn.add_argument("--a", metavar="EXPR", required=True, help="the conjugating element")
-
-    p_div = sub.add_parser("divcheck", parents=[shared], help="linear factor search and verdict")
-    p_div.add_argument(
-        "--bound", type=_nonnegative_int, default=None, help="override the search bound"
-    )
-
-    p_ver = sub.add_parser("verify", parents=[shared], help="run a verification suite")
-    p_ver.add_argument("--suite", choices=SUITES, default="all", help="suite to run")
-
+    for command, (help_text, *options) in _COMMAND_OPTIONS.items():
+        parser = sub.add_parser(command, parents=[shared], help=help_text)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
     return top
 
 
@@ -207,8 +301,10 @@ def _run(inst, args) -> Report:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_plain(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)

@@ -103,9 +103,9 @@ _NUCLEUS_SLOTS = ("left", "middle", "right", "full")
 # (169^3, about 4.8 million) is built, p = 17 (about 24 million) is refused.
 MAX_TABLE_ENTRIES = 10 ** 7
 
-# Most monic denominators, sum of p^k over k <= bound, that one
-# bounded-height search tries.  Not an option: it keeps `diffext divcheck
-# --bound N` from running for hours.  A fraction-free system over the derived
+# Most monic denominators, sum of p^k over k <= den_bound (the degree cap, or
+# the bound where no cap applies), that one bounded-height search tries.  Not
+# an option: it keeps `diffext divcheck --bound N` from running for hours.  A fraction-free system over the derived
 # field, with its column solve, costs about 0.1 to 0.15 ms per denominator at
 # bounds 5 to 15 (shared 2-CPU machine, Python 3.11), so the largest search
 # allowed runs under a minute: p = 2 up to bound 15 (9.7 s exhaustive,
@@ -640,9 +640,11 @@ class ExtAlgebra:
 
         The search therefore draws only the denominators of degree at most
         bound - D/p, none when D/p > bound, and returns the witness, or
-        None, of the full enumeration; the search guard still counts the
-        denominators to the bound.  At e >= 2, V_g = h(V_z1) and the poles
-        of h would enter the threshold, so the cap is bound there.
+        None, of the full enumeration; the search guard counts only the
+        denominators it draws (see _bounded_height_witness for why the
+        column width, which grows with the bound, needs no guard of its
+        own).  At e >= 2, V_g = h(V_z1) and the poles of h would enter the
+        threshold, so the cap is bound there.
         """
         c = self._constant_scalar_d()
         if c is None:
@@ -787,11 +789,21 @@ def _bounded_height_witness(K, columns_for, bound: int, den_bound: int):
     tests' oracle.
 
     Raises UnsupportedInstance, before any work, when there are more than
-    MAX_SEARCH_DENOMINATORS monic denominators of degree <= bound, whatever
-    den_bound is.
+    MAX_SEARCH_DENOMINATORS monic denominators of degree <= den_bound, the
+    ones the search draws.  The bound alone sets only the width of a
+    system: with _vg_columns, bound + 1 columns over a table of p bound + 1
+    polynomials Phi(k), built at the first columns call.  That width needs
+    no guard of its own, since d's own pole order bounds it.  No
+    denominator is drawn when den_bound < 0, and nothing is built.  With
+    den_bound = bound, the guard bounds the bound itself (p^bound <=
+    MAX_SEARCH_DENOMINATORS).  Otherwise den_bound is
+    linear_right_factor_search's cap bound - D//p, with D = deg c the pole
+    order of d = embed(c) at infinity, so p bound + 1 <= p den_bound + D + 1:
+    a guarded term plus the degree of d's numerator, whose D + 1 or more
+    coefficients the algebra already holds.
     """
     count, power = 0, 1
-    for _ in range(bound + 1):
+    for _ in range(den_bound + 1):
         count, power = count + power, power * K.p
         if count > MAX_SEARCH_DENOMINATORS:
             raise UnsupportedInstance(

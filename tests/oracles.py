@@ -31,14 +31,21 @@ another way, and the library itself does not call any of them:
   reference for ``AlgebraElement.__mul__``, which steps (t^i v) mod f;
 * ``iterated_order``: the order of a descriptor by applying it to the left
   K-basis and x until they come back, the reference for
-  ``autos.auto_order``, which reads the order off the triples.
+  ``autos.auto_order``, which reads the order off the triples;
+* ``reference_parser``: the command line's argparse parser written out
+  call by call, the reference for ``cli._build_parser``, which builds it
+  from the option table, and for ``cli._read_plain``, which reads plain
+  command lines from that table without argparse.
 """
 
+import argparse
 from math import comb
 
 from diffext.autos import apply_auto
+from diffext.cli import _int, _nonnegative_int
 from diffext.diffpoly import DiffPoly, _t_step
 from diffext.errors import NoSolution
+from diffext.frontend import SUITES
 from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, RatFunc, _exquo, _gcd, _mul
 
@@ -288,3 +295,44 @@ def iterated_order(H):
         if images == basis:
             return n
     return None
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The diffext argument parser, each argument added by hand."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("config", help="path to an instance config file")
+    shared.add_argument("--seed", type=_int, default=None, help="override the config seed")
+    shared.add_argument("--json", metavar="PATH", default=None, help="write a JSON report")
+
+    top = argparse.ArgumentParser(
+        prog="diffext",
+        description="structural invariants of twisted polynomial quotients",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("build", parents=[shared], help="construct the instance and print its shape")
+
+    p_nuc = sub.add_parser("nucleus", parents=[shared], help="compute a nucleus basis")
+    p_nuc.add_argument(
+        "--which",
+        choices=("left", "middle", "right", "full"),
+        default="full",
+        help="which slot of the associator to annihilate",
+    )
+
+    p_aut = sub.add_parser("autos", parents=[shared], help="automorphism constraints and probes")
+    p_aut.add_argument("--check-c", metavar="EXPR", default=None, help="test a shift constant")
+    p_aut.add_argument("--order", metavar="EXPR", default=None, help="order of the shift by EXPR")
+
+    p_inn = sub.add_parser("inner", parents=[shared], help="conjugation by an invertible scalar")
+    p_inn.add_argument("--a", metavar="EXPR", required=True, help="the conjugating element")
+
+    p_div = sub.add_parser("divcheck", parents=[shared], help="linear factor search and verdict")
+    p_div.add_argument(
+        "--bound", type=_nonnegative_int, default=None, help="override the search bound"
+    )
+
+    p_ver = sub.add_parser("verify", parents=[shared], help="run a verification suite")
+    p_ver.add_argument("--suite", choices=SUITES, default="all", help="suite to run")
+
+    return top

@@ -1,4 +1,4 @@
-"""tools/cli_timings.py: every entry's config loads and its argv parses.
+"""tools/cli_timings.py: every entry's config loads and its argv is plain.
 
 No command runs here: the entries are timings, printed by CI.
 """
@@ -6,7 +6,7 @@ No command runs here: the entries are timings, printed by CI.
 import importlib.util
 from pathlib import Path
 
-from diffext.cli import _build_parser
+from diffext.cli import _build_parser, _read_plain
 from diffext.frontend import instance_from_text
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_timings.py"
@@ -20,5 +20,8 @@ def test_every_entry_loads_its_config_and_parses_its_argv():
     assert len(set(labels)) == len(labels) == 11
     for label, config, argv in cli_timings.TIMINGS:
         instance_from_text(config)
-        args = _build_parser().parse_args(["instance.cfg" if a == "CFG" else a for a in argv])
-        assert args.config == "instance.cfg", label
+        argv = ["instance.cfg" if a == "CFG" else a for a in argv]
+        # The plain reader reads it, as argparse does: the timings leave argparse out.
+        args = _read_plain(argv)
+        assert args is not None and args.config == "instance.cfg", label
+        assert vars(args) == vars(_build_parser().parse_args(argv)), label

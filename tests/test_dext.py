@@ -1134,20 +1134,25 @@ def test_level_one_rows_match_per_monomial_chain_past_p(p, weight, g_text, bound
                 ), (bound, d)
 
 
-def test_search_guard_refuses_before_any_work(monkeypatch):
+def test_search_guard_refuses_before_any_work(monkeypatch, drawn_denominators):
     # d is in F, so the search runs; its only factor, t - x^10, lies above 4.
+    # Every solution has pole order 10 at infinity, so the degree cap is
+    # bound - 10, and the guard counts the denominators to the cap.
     alg = instance_from_text("p = 2\ndelta_of_x = x\nd = x^20 + x^10\n").algebra
-
-    def no_candidates(K, bound):
-        raise AssertionError("denominators enumerated past the guard")
-
     # 31 monic denominators of degree <= 4 over F_2; 63 up to degree 5.
     monkeypatch.setattr(dext, "MAX_SEARCH_DENOMINATORS", 31)
-    assert alg.linear_right_factor_search(4) is None
-    monkeypatch.setattr(dext, "_fraction_candidates", no_candidates)
-    for bound in (5, 40, 10 ** 9):
+    # Cap -5: no denominator is drawn, so none is counted.
+    assert alg.linear_right_factor_search(5) is None and drawn_denominators == []
+    # Caps 30 and 10^9 - 10: refused before the first denominator.
+    for bound in (40, 10 ** 9):
         with pytest.raises(UnsupportedInstance, match="MAX_SEARCH_DENOMINATORS"):
             alg.linear_right_factor_search(bound)
+    assert drawn_denominators == []
+    # Cap 4 at bound 14 runs, and v = 1 holds the witness; cap 5 is refused.
+    assert alg.linear_right_factor_search(14) == alg.ring.x() ** 10
+    assert [str(v) for v in drawn_denominators] == ["1"]
+    with pytest.raises(UnsupportedInstance, match="MAX_SEARCH_DENOMINATORS"):
+        alg.linear_right_factor_search(15)
 
 
 def test_degree_cap_draws_only_the_denominators_a_first_witness_can_have(drawn_denominators):

@@ -449,6 +449,17 @@ def test_cli_divcheck_decided_at_infinity_draws_no_denominator(tmp_path, capsys,
     assert drawn_denominators == []
 
 
+def test_cli_divcheck_guard_counts_only_drawn_denominators(tmp_path, capsys, drawn_denominators):
+    # d = x^200 + x^100 at p = 2 over x d/dx: every solution has pole order
+    # 100, so at bound 16 the cap is -84 and no denominator is drawn, though
+    # 2^17 - 1 monic denominators have degree <= 16.
+    cfg = tmp_path / "inst.cfg"
+    cfg.write_text("p = 2\ndelta_of_x = x\nd = x^200 + x^100\n", encoding="utf-8")
+    assert main(["divcheck", str(cfg), "--bound", "16"]) == 0
+    assert "verdict=unknown (bound exhausted)" in capsys.readouterr().out
+    assert drawn_denominators == []
+
+
 def test_cli_verify_json_report(tmp_path):
     out = tmp_path / "report.json"
     proc = _cli(tmp_path, "verify", "CFG", "--suite", "inner", "--json", str(out))
@@ -691,8 +702,8 @@ def test_cli_verify_reports_search_above_guard_as_unknown(tmp_path):
 
 
 def test_cli_main_runs_twice_in_one_process(tmp_path, capsys):
-    # The parser is built once per process; each call still gets its own
-    # subcommand, options and report.
+    # Each call gets its own subcommand, options and report, whether the
+    # plain reader or the argparse parser (built once per process) reads it.
     def run(*argv):
         out = tmp_path / "report.json"
         if out.exists():

@@ -2,10 +2,12 @@
 
 Every command is a fresh process, so what ``import diffext`` pulls in is
 paid on every call.  ``dataclasses`` alone brings ``inspect``, ``ast``,
-``dis``, ``tokenize`` and ``copy``; ``typing`` is another large module.  The
-child runs with ``-I -S``: no user site and no ``site`` module, so nothing
-is preloaded and ``sys.modules`` before and after the import shows exactly
-what the import added.
+``dis``, ``tokenize`` and ``copy``; ``typing`` is another large module.
+``argparse`` costs a few milliseconds to import and as many to build a
+parser, so the command line imports it only for help and usage errors.
+The child runs with ``-I -S``: no user site and no ``site`` module, so
+nothing is preloaded and ``sys.modules`` before and after the import shows
+exactly what the import added.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 import diffext
 
 SRC = Path(diffext.__file__).resolve().parent.parent
-HEAVY = {"dataclasses", "inspect", "typing", "ast", "dis"}
+HEAVY = {"dataclasses", "inspect", "typing", "ast", "dis", "argparse"}
 
 _CHILD = """
 import importlib, json, sys

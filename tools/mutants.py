@@ -278,6 +278,34 @@ MUTANTS = [
         '            terms.append((s, ""))',
         "a DiffPoly's constant fraction printed without its parentheses",
     ),
+    (
+        "plain-reader-no-choices",
+        "src/diffext/cli.py",
+        "        if choices is not None and value not in choices:",
+        "        if False:",
+        "the plain command-line reader taking a value outside its flag's choices",
+    ),
+    (
+        "plain-reader-no-required",
+        "src/diffext/cli.py",
+        "    if any(dest not in values for dest in required):",
+        "    if False:",
+        "the plain command-line reader taking a line without a required flag",
+    ),
+    (
+        "plain-reader-repeated-flag",
+        "src/diffext/cli.py",
+        "        if dest in values:  # a repeated flag",
+        "        if False:  # a repeated flag",
+        "the plain command-line reader taking a flag given twice",
+    ),
+    (
+        "search-guard-counts-to-bound",
+        "src/diffext/dext.py",
+        "    for _ in range(den_bound + 1):",
+        "    for _ in range(bound + 1):",
+        "the search guard counting the denominators to the bound, not to the degree cap",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
