@@ -93,9 +93,10 @@ from .scalars import (
 )
 from .towers import PPolynomial, z1_split
 
-__all__ = ["ExtAlgebra", "AlgebraElement"]
+__all__ = ["ExtAlgebra", "AlgebraElement", "NUCLEUS_SLOTS"]
 
-_NUCLEUS_SLOTS = ("left", "middle", "right", "full")
+# The slots nucleus() accepts; the --which choices of diffext nucleus.
+NUCLEUS_SLOTS = ("left", "middle", "right", "full")
 
 # Largest structure table, in coordinates (dim^3), that structure_constants
 # builds.  Not an option: it keeps `diffext build` from running for minutes
@@ -537,8 +538,8 @@ class ExtAlgebra:
         # the right nucleus takes a solve, and no command asks for it twice.
         # A prefix of the unit vectors is already the canonical basis that
         # _common_kernel returns for it, so only a span or a map needs one.
-        if which not in _NUCLEUS_SLOTS:
-            raise ValueError("unknown nucleus %r; expected one of %s" % (which, _NUCLEUS_SLOTS))
+        if which not in NUCLEUS_SLOTS:
+            raise ValueError("unknown nucleus %r; expected one of %s" % (which, NUCLEUS_SLOTS))
         units, n = self._units(), self.ring.dim_over_constants
         if self.is_associative():
             return units

@@ -1,6 +1,7 @@
 """Instance configuration, verification suites, and reports.
 
-A config file is flat key = value text.  Recognized keys:
+A config file is flat key = value text.  The keys are InstanceConfig's
+fields, and a field without a default is required:
 
     p            characteristic (required, prime)
     delta_of_x   value of the derivation at x (required, field expression)
@@ -12,9 +13,10 @@ A config file is flat key = value text.  Recognized keys:
 '#' starts a comment; blank lines are ignored; keys may not repeat.
 
 Suites bundle deterministic checks into a report: each check gets a name,
-a verdict (pass, fail, or unknown), witness data, and a duration.  The
-semantic content of a report depends only on (config, seed); durations are
-wall-clock and excluded from that guarantee.
+a verdict (pass, fail, or unknown), witness data, and a duration.  SUITES
+is the suites' names in run order, then "all".  The semantic content of a
+report depends only on (config, seed); durations are wall-clock and
+excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .autos import (
     inner_auto,
     is_log_derivative,
 )
-from .dext import ExtAlgebra
+from .dext import NUCLEUS_SLOTS, ExtAlgebra
 from .diffpoly import (
     DiffPoly,
     is_right_invariant,
@@ -67,14 +69,13 @@ __all__ = [
     "SUITES",
 ]
 
-SUITES = ("ring", "vops", "nuclei", "autos", "inner", "division", "all")
-
-_KEYS = {"p", "delta_of_x", "d", "g", "seed", "degree_bound"}
-# The integer keys; InstanceConfig holds the defaults of the optional ones.
+# The integer keys of a config.
 _INT_KEYS = ("p", "seed", "degree_bound")
 
 
-# An immutable record: equal configs compare and hash equal.
+# The config keys, in the order a missing one is reported: a key without a
+# default is required.  An immutable record: equal configs compare and
+# hash equal.
 InstanceConfig = namedtuple(
     "InstanceConfig", "p delta_of_x d g seed degree_bound", defaults=(None, 0, 4)
 )
@@ -140,16 +141,16 @@ def _parse_config_text(text: str) -> InstanceConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEYS:
+        if key not in InstanceConfig._fields:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
         if key in values:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
         if not val:
             raise ConfigError("line %d: empty value for %r" % (lineno, key))
         values[key] = val
-    for req in ("p", "delta_of_x", "d"):
-        if req not in values:
-            raise ConfigError("missing required key %r" % req)
+    for key in InstanceConfig._fields:
+        if key not in values and key not in InstanceConfig._field_defaults:
+            raise ConfigError("missing required key %r" % key)
     ints = {}
     for key in _INT_KEYS:
         if key in values:
@@ -157,7 +158,7 @@ def _parse_config_text(text: str) -> InstanceConfig:
                 ints[key] = decimal_int(values[key])
             except ValueError:
                 raise ConfigError("%s must be an integer" % key) from None
-    cfg = InstanceConfig(delta_of_x=values["delta_of_x"], d=values["d"], g=values.get("g"), **ints)
+    cfg = InstanceConfig(**{**values, **ints})
     try:
         PrimeField(cfg.p)
     except ValueError as exc:
@@ -429,7 +430,7 @@ def _suite_nuclei(r: _SuiteRunner):
         # Left = middle for every g (Petit), and the right nucleus, the
         # eigenring of f, contains K because g(delta) = 0.  It is K itself
         # only for exponent one: g = t^4 + t^2 at p = 2 has dims 2, 2, 4.
-        dims = {w: len(alg.nucleus(w)) for w in ("left", "middle", "right")}
+        dims = {w: len(alg.nucleus(w)) for w in NUCLEUS_SLOTS if w != "full"}
         _check(dims["left"] == dims["middle"] <= dims["right"], "nucleus slots disagree: %s", dims)
         if e1:
             _check(dims["right"] == dims["left"], "nucleus slots disagree: %s", dims)
@@ -648,6 +649,7 @@ _SUITE_FNS = {
     "inner": _suite_inner,
     "division": _suite_division,
 }
+SUITES = (*_SUITE_FNS, "all")
 
 
 def _random_dp(K, rng, deg):
@@ -659,7 +661,6 @@ def run_suite(inst: Instance, suite: str = "all") -> Report:
     if suite not in SUITES:
         raise UnknownSuite("unknown suite %r; expected one of %s" % (suite, SUITES))
     runner = _SuiteRunner(inst)
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    for name in names:
+    for name in _SUITE_FNS if suite == "all" else (suite,):
         _SUITE_FNS[name](runner)
     return Report(instance=inst.metadata(), checks=runner.checks)

@@ -107,6 +107,21 @@ def test_plain_reader_and_argparse_agree_on_a_grid_of_command_lines():
     assert all(taken.values()), taken
 
 
+def test_plain_reader_reads_every_benchmark_command_line():
+    # The shapes perfbench's workloads run, with every value they take: none
+    # may fall back to argparse.
+    shapes = [["build", "CFG", "--json", "P"], ["divcheck", "CFG", "--json", "P"]]
+    shapes += [["nucleus", "CFG", "--which", w, "--json", "P"] for w in diffext.NUCLEUS_SLOTS]
+    shapes += [
+        ["verify", "CFG", "--suite", s, "--seed", "17", "--json", "P"]
+        for s in ("ring", "vops", "autos", "inner")
+    ]
+    for argv in shapes:
+        ns = cli._read_plain(argv)
+        assert ns is not None, argv
+        assert vars(ns) == vars(reference_parser().parse_args(argv)), argv
+
+
 def test_plain_commands_never_build_the_parser(tmp_path, monkeypatch, capsys):
     def refuse():
         raise AssertionError("argparse parser built for a plain command line")

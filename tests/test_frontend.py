@@ -131,6 +131,11 @@ def test_config_errors():
     ):
         with pytest.raises(ConfigError):
             instance_from_text(bad)
+    # A missing key is reported in the order p, delta_of_x, d.
+    missing = (("seed = 1\n", "p"), ("d = x\np = 2\n", "delta_of_x"), ("p = 2\ndelta_of_x = x\n", "d"))
+    for text, key in missing:
+        with pytest.raises(ConfigError, match="^missing required key '%s'$" % key):
+            instance_from_text(text)
     # Suites are chosen on the command line; a config has no suites key.
     with pytest.raises(ConfigError, match="unknown key 'suites'"):
         instance_from_text(I1_TEXT + "suites = ring, bogus\n")
@@ -417,6 +422,37 @@ def test_cli_autos_valid_probe_and_order(tmp_path):
     proc = _cli(tmp_path, "autos", "CFG", "--check-c", "1", "--order", "1")
     assert proc.returncode == 0
     assert "order=2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # delta(x) = 1: z1 = t^2, and t -> t + 1 is an automorphism that is not inner.
+        "p = 2\ndelta_of_x = 1\nd = x\ng = t^4 + t^2\n",
+        "p = 2\ndelta_of_x = x\nd = x^2\ng = t^4 + t\n",
+    ],
+    ids=["delta-1", "delta-x"],
+)
+def test_cli_autos_runs_its_probes_when_the_constraints_are_refused(tmp_path, capsys, config):
+    # g = z1^2 + z1 is not the closed form z1^2: auto_constraints refuses it,
+    # and autos reports that as verify does, then runs both probes.
+    cfg = tmp_path / "inst.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["autos", str(cfg), "--check-c", "1", "--order", "1", "--json", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert list(checks) == ["autos.constraints", "autos.check_c", "autos.order"]
+    g = config.split("g = ")[1].strip()
+    assert checks["autos.constraints"]["verdict"] == "unknown"
+    assert checks["autos.constraints"]["witness"] == {
+        "reason": "constraint analysis covers g = (t^p - a t)^(p^(e-1)); for g = %s "
+        "the kernel of V_g can exceed the logarithmic derivatives" % g
+    }
+    assert checks["autos.check_c"]["verdict"] == "pass"
+    assert checks["autos.check_c"]["witness"] == {"c": "1", "valid": "true"}
+    assert checks["autos.order"]["verdict"] == "pass"
+    assert checks["autos.order"]["witness"] == {"c": "1", "order": 2}
 
 
 def test_cli_inner(tmp_path):
