@@ -21,11 +21,11 @@ excluded from that guarantee.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .autos import (
     apply_auto,
@@ -248,6 +248,34 @@ class CheckResult(_Record):
         }
 
 
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it at the
+    given indent: keys sorted, ASCII escapes, {} and [] when empty.  The
+    json module's C encoder does not indent, and its Python one is slower
+    than this writer for the small reports written here.  Leaves are str,
+    int, bool and None; any other value raises TypeError."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_json_string(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        opening, closing = "{", "}"
+    elif isinstance(value, list):
+        items = [_json_text(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError("cannot write %s in a JSON report" % type(value).__name__)
+    if not items:
+        return opening + closing
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
+
 class Report(_Record):
     __slots__ = ("instance", "checks")
 
@@ -266,7 +294,7 @@ class Report(_Record):
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return _json_text(self.to_json(), "")
 
     def render_text(self) -> str:
         lines = []

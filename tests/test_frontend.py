@@ -353,6 +353,49 @@ def test_report_deterministic_modulo_ms():
     assert stripped() == stripped()
 
 
+_ODD_TEXT = 'é ∂ \U0001d53d " \\ \n \t \x00 \x7f'
+_ODD_WITNESS = {
+    _ODD_TEXT: _ODD_TEXT,
+    "nested": {"list": [1, [2, []], {}], "dict": {"z": None, "a": {"b": [True, False]}}},
+    "ints": [0, -1, 10**30, -(10**40) + 1],
+    "flags": [True, False, None],
+    "": "",
+    "B": 1,
+    "a": -7,
+}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        frontend.Report({}),
+        frontend.Report({"p": 2}, []),
+        frontend.Report({"d": _ODD_TEXT}, [frontend.CheckResult("empty", "pass", {}, 1)]),
+        frontend.Report(
+            {"p": 3, "g": "t^3 - x^2*t", "seed": -5},
+            [
+                frontend.CheckResult(_ODD_TEXT, "unknown", _ODD_WITNESS, 0),
+                frontend.CheckResult("b", "fail", {"error": "∂(x) = 0"}, 10**30),
+            ],
+        ),
+    ],
+    ids=["empty", "no-checks", "empty-witness", "odd-leaves"],
+)
+def test_report_dumps_is_the_indenting_encoder_byte_for_byte(report):
+    assert report.dumps() == json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [{1, 2}, (1, 2), 0.5, instance_from_text(I1_TEXT).K.x()],
+    ids=["set", "tuple", "float", "RatFunc"],
+)
+def test_report_dumps_refuses_other_leaves(leaf):
+    report = frontend.Report({"p": 2}, [frontend.CheckResult("c", "pass", {"w": leaf}, 1)])
+    with pytest.raises(TypeError):
+        report.dumps()
+
+
 def test_division_suite_reports_witness_for_d0():
     inst = instance_from_text("p = 2\ndelta_of_x = x\nd = 0\n")
     report = run_suite(inst, "division")

@@ -374,6 +374,22 @@ MUTANTS = [
         "diffext autos reporting the constraints it could not analyse as pass",
         "tests/test_frontend.py::test_cli_autos_runs_its_probes_when_the_constraints_are_refused[delta-1]",
     ),
+    (
+        "report-indent-one-space",
+        "src/diffext/frontend.py",
+        '    inner = indent + "  "\n',
+        '    inner = indent + " "\n',
+        "the JSON report writer indenting by one space a level, not two",
+        "tests/test_frontend.py::test_report_dumps_is_the_indenting_encoder_byte_for_byte[empty]",
+    ),
+    (
+        "report-keys-unsorted",
+        "src/diffext/frontend.py",
+        "for k in sorted(value)]",
+        "for k in value]",
+        "the JSON report writer writing keys in insertion order, not sorted",
+        "tests/test_frontend.py::test_report_dumps_is_the_indenting_encoder_byte_for_byte[empty]",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
