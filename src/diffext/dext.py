@@ -26,11 +26,11 @@ Petit's theory of these algebras (see ExtAlgebra.nucleus).  Over both
 coefficient rings z = g(t) is central, so associativity is "d is a central
 constant" (ring.as_scalar) and the right nucleus is the centralizer of d.
 Both rings are division rings, so left = middle = A when the quotient is
-not associative, with no map.  Over the derived field the centralizer is
-one small system over K and the full nucleus is K; over Q the right and
-full nuclei are the kernel of the commutator with d.  The table
-of structure constants over F is built only on request, from the action of
-t and of the ring basis, never from the dim^2 basis products: left
+not associative, with no map.  Over the derived field the full nucleus is
+K, and so is the right nucleus at e = 1; the right nucleus at e >= 2, and
+over Q the right and full nuclei, are the kernel of the commutator with d.
+The table of structure constants over F is built only on request, from the
+action of t and of the ring basis, never from the dim^2 basis products: left
 scaling by a coefficient commutes with the reduction mod the monic f, and
 for deg u < m one t-step reduces as (t u) mod f = t u - u_(m-1) f, so each
 basis element needs m - 1 t-steps, and each row is a left-multiplication
@@ -385,7 +385,7 @@ class ExtAlgebra:
             # us[J] = U_i(e_J) and vectors[J] = its coordinates, one i at a
             # time; U_0(e_J) = e_J.
             us = [self._padded(e.rep) for e in self.basis()]
-            vectors = self._units()
+            vectors = self._units(dim)
             zero = K.zero()
             table = []
             for i in range(m):
@@ -423,13 +423,13 @@ class ExtAlgebra:
 
     # -- kernels over F ----------------------------------------------------
 
-    def _units(self):
-        """Coordinate vectors of basis()."""
+    def _units(self, count):
+        """Coordinate vectors of the first count elements of basis()."""
         K = self.base_field
         one, zero = K.one(), K.zero()
         return [
             tuple(one if j == i else zero for j in range(self.dim))
-            for i in range(self.dim)
+            for i in range(count)
         ]
 
     def _on_coords(self, fn):
@@ -516,61 +516,39 @@ class ExtAlgebra:
         centralizer of d in R_<m.  In the quotient u o d - d o u needs no
         reduction, so over Q the right nucleus is the kernel of the map
         u |-> u o d - d o u, and the full nucleus its kernel on A.  Over
-        the derived field K no map is needed for right and full: the
-        centralizer is a left K-space, and for u = sum u_i t^i,
+        the derived field K, K lies in the eigenring and left = middle = K,
+        so full is K with no map.  At e = 1 the right nucleus is K too: for
+        u = sum u_i t^i,
 
             u d - d u = sum_i u_i (t^i d - d t^i),
 
-        since u_i commutes with d: an (m-1) x (m-1) system over K in
-        u_1..u_(m-1), with u_0 free, whose columns the ring's own t-steps
-        give (_right_nucleus_span).  The x^j u for j < p, over u = 1 and
-        the kernel vectors, span the right nucleus over F.  K lies in the
-        eigenring and left = middle = K, so full is K.  The t^k coefficient
-        of t^i d - d t^i is C(i, k) delta^(i-k)(d) for k < i (Leibniz), so
-        for e = 1 and d not in F the system is triangular with diagonal
-        i delta(d) != 0 (i < p), and right = K; for e = 2 it is not: p = 2,
-        g = t^4 + t^2, d = x gives right = span{1, x, t^2 + t, x (t^2 + t)}.
+        since u_i commutes with d, and the t^k coefficient of t^i d - d t^i
+        is C(i, k) delta^(i-k)(d) for k < i (Leibniz).  So u d = d u is a
+        system over K in u_1..u_(m-1), with u_0 free, and for e = 1 and d
+        not in F it is triangular with diagonal i delta(d) != 0 (i < p):
+        right = K.  For e >= 2 it is not triangular: p = 2, g = t^4 + t^2,
+        d = x gives right = span{1, x, t^2 + t, x (t^2 + t)}.  There the
+        right nucleus is the kernel of the commutator with d, as over Q.
         """
         return [self.from_coords(v) for v in self._nucleus_coords(which)]
 
     def _nucleus_coords(self, which):
-        # No memo: over the derived field, the ring of every command, only
-        # the right nucleus takes a solve, and no command asks for it twice.
-        # A prefix of the unit vectors is already the canonical basis that
-        # _common_kernel returns for it, so only a span or a map needs one.
+        # Every slot is one _common_kernel call on (maps, start): keep no
+        # unit-prefix path beside it and no second route over K.  Its rref
+        # gives every basis, a start of unit vectors too, the one canonical
+        # form, and it is the linear algebra that perfbench's structure
+        # workload requires its trace to record (linalg.rref_calls).  No
+        # memo: no command asks for a nucleus twice.
         if which not in NUCLEUS_SLOTS:
             raise ValueError("unknown nucleus %r; expected one of %s" % (which, NUCLEUS_SLOTS))
-        units, n = self._units(), self.ring.dim_over_constants
+        n, maps = self.ring.dim_over_constants, []
         if self.is_associative():
-            return units
-        if which in ("left", "middle") or which == "full" and self.ring.is_commutative:
-            return units[:n]  # the coefficient ring A
-        if self.ring.is_commutative:  # the derived field's right nucleus
-            return self._common_kernel([], self._right_nucleus_span())
-        # The quaternion ring: the kernel of the commutator with d.
-        start = units if which == "right" else units[:n]
-        return self._common_kernel([self._commutator_with(self.scalar(self.d))], start)
-
-    def _right_nucleus_span(self):
-        """Coordinates of an F-spanning set of the centralizer of d in R_<m.
-
-        Over the derived field only (see nucleus).  Column i - 1 of the
-        system holds the t^k coefficients, k < m - 1, of t^i d - d t^i for
-        0 < i < m: t^i d comes from d by i t-steps of the ring's own
-        product, and d t^i is its top term, so the column keeps the terms
-        below t^i.  Those are C(i, k) delta^(i-k)(d), the entries the tests
-        compare the columns with.
-        """
-        K, m, zero = self.ring, self.f.degree(), self.ring.zero()
-        cols, w = [], [self.d]
-        for i in range(1, m):
-            w = _t_step(K, w)  # t^i d
-            cols.append([w[k] if k < i else zero for k in range(m - 1)])
-        span = self._units()[: K.p]  # u = 1
-        for v in Matrix(K, zip(*cols)).kernel():
-            for xj in self._ring_basis:
-                span.append(tuple(c for ui in (zero,) + v for c in K.coords(xj * ui)))
-        return span
+            count = self.dim
+        elif which in ("left", "middle") or self.ring.is_commutative and (which == "full" or self.g.e == 1):
+            count = n  # the coefficient ring A
+        else:  # the centralizer of d: right over K at e >= 2, right and full over Q
+            maps, count = [self._commutator_with(self.scalar(self.d))], self.dim if which == "right" else n
+        return self._common_kernel(maps, self._units(count))
 
     def center(self):
         """Elements of the full nucleus commuting with everything.
@@ -593,7 +571,7 @@ class ExtAlgebra:
         Raises ValueError for an element of another algebra.
         """
         maps = [self._commutator_with(s) for s in elems]
-        return [self.from_coords(v) for v in self._common_kernel(maps, self._units())]
+        return [self.from_coords(v) for v in self._common_kernel(maps, self._units(self.dim))]
 
     def _commutator_with(self, s):
         """Coordinate map of u |-> u s - s u, by element products."""

@@ -19,8 +19,6 @@ another way, and the library itself does not call any of them:
 * ``left_multiplication_singular``: the zero-divisor test on a dim x dim
   matrix over F, the reference for ``ExtAlgebra.is_division_probe``, and
   ``left_kernel_vector``, which exhibits a zero divisor from its rows;
-* ``binomial_nucleus_rows``: the right-nucleus system from Leibniz's rule,
-  the reference for the t-steps of ``ExtAlgebra._right_nucleus_span``;
 * ``dense_v_p``: the full expansion of (t - b)^(p^e) in A[t; delta], the
   reference for ``diffpoly.v_p_tower``, which expands one level at a time,
   and for the p-step over the quaternion ring;
@@ -39,7 +37,6 @@ another way, and the library itself does not call any of them:
 """
 
 import argparse
-from math import comb
 
 from diffext.autos import apply_auto
 from diffext.cli import _int, _nonnegative_int
@@ -227,20 +224,6 @@ def left_kernel_vector(ring, rows):
         if not any(row[:width]):
             return row[width:]
     return None
-
-
-def binomial_nucleus_rows(alg):
-    """The right-nucleus system over K from Leibniz's rule.
-
-    Row k, column i - 1 is C(i, k) delta^(i-k)(d), the t^k coefficient of
-    t^i d - d t^i, for 0 <= k < m - 1 and 0 < i < m, m = deg f.
-    """
-    K, m = alg.ring, alg.f.degree()
-    derivs = [alg.d]  # derivs[j] = delta^j(d)
-    for _ in range(1, m):
-        derivs.append(K.delta(derivs[-1]))
-    entry = lambda k, i: K.from_int(comb(i, k) % K.p) * derivs[i - k] if i > k else K.zero()
-    return tuple(tuple(entry(k, i) for i in range(1, m)) for k in range(m - 1))
 
 
 def dense_v_p(ring, b, e):

@@ -17,7 +17,7 @@ _spec.loader.exec_module(cli_timings)
 
 def test_every_entry_loads_its_config_and_parses_its_argv():
     labels = [label for label, _, _ in cli_timings.TIMINGS]
-    assert len(set(labels)) == len(labels) == 11
+    assert len(set(labels)) == len(labels) == 13
     for label, config, argv in cli_timings.TIMINGS:
         instance_from_text(config)
         argv = ["instance.cfg" if a == "CFG" else a for a in argv]

@@ -1,6 +1,7 @@
 """Quotient algebras: products, nuclei, center, factors, shift isomorphisms."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,6 @@ from diffext.towers import (
     z1_split,
 )
 from oracles import (
-    binomial_nucleus_rows,
     coords_columns,
     left_kernel_vector,
     left_multiplication_singular,
@@ -98,7 +98,7 @@ def table_assoc(alg, table, us, vs, ws):
 
 def table_is_associative(alg):
     table = table_oracle(alg)
-    units = alg._units()
+    units = alg._units(alg.dim)
     return not any(
         any(table_assoc(alg, table, u, v, w)) for u in units for v in units for w in units
     )
@@ -111,7 +111,7 @@ def table_nucleus(alg, table, slot):
     the coefficient ring vanish, so a runs from the top of the basis down:
     they come last, when the running basis is smallest.
     """
-    units = alg._units()
+    units = alg._units(alg.dim)
     maps = [
         lambda v, a=a, b=b: table_assoc(alg, table, *_PLACE[slot](v, a, b))
         for a in reversed(units)
@@ -465,7 +465,7 @@ def _top_associator_maps(alg):
 
 def test_quaternion_left_and_middle_nuclei_are_q(quaternion_alg):
     _, alg = quaternion_alg
-    units = alg._units()
+    units = alg._units(alg.dim)
     q = units[: alg.ring.dim_over_constants]
     assert len(q) == 12
     for slot, fn in _top_associator_maps(alg).items():
@@ -480,7 +480,7 @@ def test_quaternion_left_and_middle_nuclei_are_q(quaternion_alg):
 
 def test_quaternion_right_and_full_nuclei_match_eigenring_map(quaternion_alg):
     name, alg = quaternion_alg
-    units = alg._units()
+    units = alg._units(alg.dim)
     eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
     cut = list(_top_associator_maps(alg).values())
     right = alg._common_kernel([eigen], units)
@@ -586,7 +586,7 @@ def test_right_and_full_nuclei_match_eigenring_map(p, weight, g_text):
         alg = ExtAlgebra(K, g, d)
         invariant = is_right_invariant(alg.f)
         assert alg.is_associative() == invariant == K.is_constant(d)
-        units = alg._units()
+        units = alg._units(alg.dim)
         eigen = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
         right = alg._common_kernel([eigen], units)
         full = alg._common_kernel([eigen], units if invariant else units[:p])
@@ -639,40 +639,64 @@ def test_structure_queries_constant_d():
     assert basis_str(alg.centralizer([alg.t()])) == "1, t, t^2"
 
 
-def _nucleus_by_common_kernel(alg, which):
-    """Every slot through _common_kernel(maps, start), unit starts included."""
-    units, maps = alg._units(), []
-    if alg.is_associative():
-        start = units
-    elif alg.ring.is_commutative:
-        start = alg._right_nucleus_span() if which == "right" else units[: alg.ring.p]
-    else:
-        start = units if which == "right" else units[: alg.ring.dim_over_constants]
-        if which in ("right", "full"):
-            maps.append(alg._commutator_with(alg.scalar(alg.d)))
-    return alg._common_kernel(maps, start)
+def _nuclei_by_independent_maps(alg):
+    """Every slot from maps the library does not use, cut from every basis
+    vector: the top associators for left and middle, the eigenring map
+    u |-> (f u) mod f for right, and all three for full."""
+    units = alg._units(alg.dim)
+    maps = _top_associator_maps(alg)
+    maps["right"] = alg._on_coords(lambda u: [alg.element(alg.f * u.rep)])
+    out = {slot: alg._common_kernel([fn], units) for slot, fn in maps.items()}
+    out["full"] = alg._common_kernel(list(maps.values()), units)
+    return out
 
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-_SHORTCUT_CASES = {path.name: path.read_text() for path in sorted(_CONFIGS.glob("*.cfg"))}
-_SHORTCUT_CASES.update(
+# Exponent one over K: the shipped configs, then a constant and a rational d
+# at p = 3 for three weights.
+_E1_CASES = {path.name: path.read_text() for path in sorted(_CONFIGS.glob("*.cfg"))}
+_E1_CASES.update(
     ("p3-%s-%s" % (wid, did), "p = 3\ndelta_of_x = %s\nd = %s\n" % (w, d))
     for wid, w in (("x", "x"), ("1", "1"), ("x2+1", "x^2 + 1"))
     for did, d in (("constant", "2*x^3 + 1"), ("rational", "(x + 1)/(x^2 + 1)"))
 )
+# Exponent two over K, where the right nucleus reaches past K.
+_NUCLEUS_CASES = {
+    **_E1_CASES,
+    "p2-e2-x": "p = 2\ndelta_of_x = x\nd = x\ng = t^4 + t^2\n",
+    "p3-e2-x": "p = 3\ndelta_of_x = x\nd = x\ng = t^9 + 2*t^3\n",
+}
 
 
-@pytest.mark.parametrize("text", list(_SHORTCUT_CASES.values()), ids=list(_SHORTCUT_CASES))
-def test_unit_nuclei_skip_the_kernel_solve(text):
+@pytest.mark.parametrize("text", list(_NUCLEUS_CASES.values()), ids=list(_NUCLEUS_CASES))
+def test_nuclei_match_associator_and_eigenring_maps(text):
     alg = instance_from_text(text).algebra
+    oracle = _nuclei_by_independent_maps(alg)
     for which in ("left", "middle", "right", "full"):
-        assert list(alg._nucleus_coords(which)) == _nucleus_by_common_kernel(alg, which), which
+        assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which], which
 
 
-def test_quaternion_unit_nuclei_skip_the_kernel_solve():
+def test_quaternion_nuclei_match_associator_and_eigenring_maps():
     alg = quaternion_algebra("x+j")
+    oracle = _nuclei_by_independent_maps(alg)
     for which in ("left", "middle", "right", "full"):
-        assert list(alg._nucleus_coords(which)) == _nucleus_by_common_kernel(alg, which), which
+        assert [alg.coords(e) for e in alg.nucleus(which)] == oracle[which], which
+
+
+def test_nucleus_builds_only_the_unit_vectors_it_starts_from():
+    # At p = 41 (dim 1,681) every slot is K, cut from its p unit vectors;
+    # a dim x dim identity alone holds tens of MB.  Memory, not time, is
+    # bounded: it does not vary with the host.
+    alg = instance_from_text("p = 41\ndelta_of_x = x\nd = x\n").algebra
+    for which in ("left", "right", "full"):
+        tracemalloc.start()
+        try:
+            basis = alg.nucleus(which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 41, which
+        assert peak < 8 * 10 ** 6, (which, peak)
 
 
 def test_nucleus_rejects_unknown_slot(i1):
@@ -1412,7 +1436,7 @@ def _probe_on(alg, a):
         del alg.random_element
 
 
-@pytest.mark.parametrize("text", list(_SHORTCUT_CASES.values()), ids=list(_SHORTCUT_CASES))
+@pytest.mark.parametrize("text", list(_E1_CASES.values()), ids=list(_E1_CASES))
 def test_division_probe_matches_left_multiplication_oracle(text):
     # At e = 1 over K the probe's m x m matrix over K of v |-> (v a) mod f
     # is singular exactly when the dim x dim matrix over F of u |-> a u is,
@@ -1493,31 +1517,6 @@ def test_division_probe_singular_samples_exhibit_zero_divisors(name):
             v = alg.element(DiffPoly(alg.ring, c))
             assert v and not v * a
     assert found[len(found) - len(planted):] == [True] * len(planted)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("e", [1, 2])
-def test_right_nucleus_rows_match_binomial_oracle(monkeypatch, p, e):
-    # The rows come from t-steps of d; Leibniz's rule gives each entry.
-    K = instance_from_text("p = %d\ndelta_of_x = x^2 + 1\nd = 0\n" % p).K
-    g = p_polynomial_at_exponent(K, e)
-    rng = random.Random("nucleus-rows:%d:%d" % (p, e))
-    seen = []
-
-    def recording(field, rows):
-        matrix = Matrix(field, rows)
-        seen.append(matrix.rows)
-        return matrix
-
-    monkeypatch.setattr(dext, "Matrix", recording)
-    for _ in range(3 if p ** e < 25 else 1):
-        d = random_ratfunc(K, rng, 2)
-        while K.is_constant(d):
-            d = random_ratfunc(K, rng, 2)
-        alg = ExtAlgebra(K, g, d)
-        del seen[:]
-        alg._right_nucleus_span()
-        assert seen == [binomial_nucleus_rows(alg)]
 
 
 def test_shift_isomorphism_frozen(i1):

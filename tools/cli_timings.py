@@ -100,6 +100,20 @@ TIMINGS = [
         "p = 67\ndelta_of_x = x\nd = x\n",
         ["autos", "CFG", "--order", "1"],
     ),
+    # The right nucleus at p = 61 (dim 3,721) is K at e = 1, cut from its 61
+    # unit vectors: no dim x dim identity is built.
+    (
+        "nucleus --which right, p = 61",
+        "p = 61\ndelta_of_x = x\nd = x\n",
+        ["nucleus", "CFG", "--which", "right"],
+    ),
+    # At e = 2 over K the right nucleus is the kernel of the commutator with
+    # d on all dim = 343 unit vectors: the cost grows as dim^3.
+    (
+        "nucleus --which right, exponent two, p = 7",
+        "p = 7\ndelta_of_x = x\nd = x\ng = t^49 + 6*t^7\n",
+        ["nucleus", "CFG", "--which", "right"],
+    ),
 ]
 
 

@@ -79,12 +79,20 @@ MUTANTS = [
         "tests/test_acceptance.py::test_c09_division_verdict",
     ),
     (
-        "nucleus-row-top-term",
+        "right-nucleus-K-every-exponent",
         "src/diffext/dext.py",
-        "            cols.append([w[k] if k < i else zero for k in range(m - 1)])",
-        "            cols.append([w[k] if k <= i else zero for k in range(m - 1)])",
-        "a right-nucleus row t^i d - d t^i that keeps the top term d t^i",
+        '        elif which in ("left", "middle") or self.ring.is_commutative and (which == "full" or self.g.e == 1):',
+        '        elif which in ("left", "middle") or self.ring.is_commutative:',
+        "the right nucleus over K read as K at every exponent, not only at e = 1",
         "tests/test_dext.py::test_exponent_two_nuclei_match_table_engine",
+    ),
+    (
+        "associative-nucleus-is-A",
+        "src/diffext/dext.py",
+        "        if self.is_associative():\n            count = self.dim",
+        "        if self.is_associative():\n            count = n",
+        "every nucleus of an associative quotient cut to the coefficient ring A",
+        "tests/test_acceptance.py::test_c03_nuclei",
     ),
     (
         "division-ladder-from-f",
