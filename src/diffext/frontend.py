@@ -25,7 +25,9 @@ import math
 import random
 import time
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _json_string
+# The C string escaper json.encoder uses, read from its own module: the json
+# package would also load json.decoder, json.scanner and re at every start.
+from _json import encode_basestring_ascii as _json_string
 
 from .autos import (
     apply_auto,

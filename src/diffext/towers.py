@@ -29,7 +29,14 @@ verdicts and factor search read.
 ``DerivedField.delta`` remembers its answers, per field, keyed by the
 canonical numerator and denominator tuples, because the twisted
 arithmetic derives the same coefficients again and again.  The memo is
-emptied when it holds _DELTA_MEMO_ENTRIES arguments.
+emptied when it holds _DELTA_MEMO_ENTRIES arguments.  ``coords``, the map
+K -> F^p that checks every structure constant and reads every coordinate
+vector, keeps a second memo next to it with the same key, emptied at
+_COORDS_MEMO_ENTRIES arguments: a structure table splits each distinct
+fraction once.  Both memos hold fractions over the field's PrimeField,
+never over the DerivedField itself, so they close no reference cycle.
+``from_coords`` sums over the basis 1, x, ..., x^(p-1), which the field
+builds once, when first asked.
 
 ``QuaternionRing`` is the quaternion division algebra Q = (x^p, n)_K for
 odd p, with delta acting on the four parts of an element (``Quaternion``).
@@ -79,11 +86,16 @@ __all__ = [
 # sizes and hit rates are in the README's design notes.
 _DELTA_MEMO_ENTRIES = 2 ** 14
 
+# Most arguments a DerivedField remembers in its coordinate memo before it
+# empties it.  Not an option either: one p = 13 structure table splits at
+# most 4,305 distinct fractions, and the cap holds them.
+_COORDS_MEMO_ENTRIES = 2 ** 13
+
 
 class DerivedField(RationalFunctionField):
     """F_p(x) with the derivation a |-> delta_of_x * da/dx."""
 
-    __slots__ = ("delta_of_x", "_delta_memo", "_a")
+    __slots__ = ("delta_of_x", "_delta_memo", "_coords_memo", "_basis", "_a")
 
     def __init__(self, p: int, delta_of_x: RatFunc):
         super().__init__(p)
@@ -97,6 +109,9 @@ class DerivedField(RationalFunctionField):
         self.delta_of_x = _ratfunc(self.field, delta_of_x.num_coeffs, delta_of_x.den_coeffs)
         # (num.coeffs, den.coeffs) -> delta(num/den); see delta.
         self._delta_memo = {}
+        # (num.coeffs, den.coeffs) -> coords(num/den); see coords.
+        self._coords_memo = {}
+        self._basis = None  # see _powers
         self._a = None  # see _hochschild_constant
 
     # -- coefficient-ring protocol used by the twisted polynomial layer --
@@ -202,11 +217,32 @@ class DerivedField(RationalFunctionField):
 
     def constant_basis(self):
         """F-basis 1, x, ..., x^(p-1) of K."""
-        x = self.x()
-        return [x ** j for j in range(self.p)]
+        return list(self._powers())
+
+    def _powers(self):
+        """The tuple 1, x, ..., x^(p-1), built once per field."""
+        if self._basis is None:
+            x = self.x()
+            self._basis = tuple(x ** j for j in range(self.p))
+        return self._basis
 
     def coords(self, a: RatFunc):
         """Coordinates of a over F in the basis 1, x, ..., x^(p-1).
+
+        Remembered per field, keyed like delta's memo by the canonical
+        (numerator, denominator) coefficient tuples; a miss runs _split.
+        """
+        memo = self._coords_memo
+        key = (a.num_coeffs, a.den_coeffs)
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= _COORDS_MEMO_ENTRIES:
+                memo.clear()
+            out = memo[key] = self._split(a)
+        return out
+
+    def _split(self, a: RatFunc):
+        """The p coordinates of a over F, computed.
 
         Writes a = u/v as (u v^(p-1)) / v^p.  The denominator v^p = v(y)
         with y = x^p is constant, and the numerator splits by exponent
@@ -236,11 +272,11 @@ class DerivedField(RationalFunctionField):
         return tuple(out)
 
     def from_coords(self, cs) -> RatFunc:
-        x = self.x()
+        """sum c_j x^j over the basis the field keeps."""
         acc = self.zero()
-        for j, c in enumerate(cs):
+        for c, b in zip(cs, self._powers()):
             if c:
-                acc = acc + c * x ** j
+                acc = acc + c * b
         return acc
 
     def log_derivative(self, a: RatFunc) -> RatFunc:

@@ -285,6 +285,79 @@ def test_coords_and_is_constant_match_the_constructor_routes(p):
         assert seen == {True, False}
 
 
+def _coords_samples(K, rng):
+    # Zero, polynomials, (x + 1)/x^2 (its coordinates cancel in y) and x + 1
+    # (the same numerator over another denominator), then random fractions.
+    x, one = K.x(), K.one()
+    out = [K.zero(), one, x, x + one, (x + one) / x ** 2, x ** (K.p + 1) + x]
+    return out + [random_ratfunc(K, rng, 3) for _ in range(10)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coords_memo_matches_uncached_split(monkeypatch, p):
+    # Every call, memo hit or miss, against the split and the constructor
+    # route.  The ceiling is lowered to 7 so that the memo is emptied
+    # several times per field.
+    monkeypatch.setattr(towers, "_COORDS_MEMO_ENTRIES", 7)
+    rng = random.Random(130 + p)
+    x, one = _w(p, (0, 1)), _w(p, (1,))
+    for w in (x, one, x * x + one):
+        K = DerivedField(p, w)
+        args = _coords_samples(K, rng)
+        sizes = []
+        for a in args + args[::-1] + args[:5]:
+            got = K.coords(a)
+            assert got == K._split(a) == _coords_by_constructors(K, a), (w, a)
+            sizes.append(len(K._coords_memo))
+        assert max(sizes) == 7 and sizes.count(1) >= 3
+        # After the last clear the memo still answers from what it kept.
+        kept = dict(K._coords_memo)
+        for (num, den), got in kept.items():
+            a = next(b for b in args if (b.num_coeffs, b.den_coeffs) == (num, den))
+            assert K.coords(a) is got
+
+
+def test_coords_memo_is_per_field():
+    # (x + 1)/x^2 has the same coefficient tuples over F_2 and F_3: its
+    # coordinates are (1/x^2, 1/x^2) at p = 2 and (0, 1/x^3, 1/x^3) at p = 3.
+    got = {}
+    for p in (2, 3):
+        K = DerivedField(p, _w(p, (0, 1)))
+        x, one = K.x(), K.one()
+        got[p] = K.coords((x + one) / x ** 2)
+        assert got[p] == K._split((x + one) / x ** 2)
+    x2, x3 = _w(2, (0, 1)), _w(3, (0, 1))
+    assert [c.inverse() for c in got[2]] == [x2 ** 2] * 2
+    assert not got[3][0] and [c.inverse() for c in got[3][1:]] == [x3 ** 3] * 2
+    # Two fields with one p keep their own memos: a call on one leaves the
+    # other's empty, and equal answers are different objects.
+    for p in (2, 3):
+        x, one = _w(p, (0, 1)), _w(p, (1,))
+        K1, K2 = DerivedField(p, x), DerivedField(p, one)
+        a = (x + one) / x ** 2
+        first = K1.coords(a)
+        assert K1._coords_memo and not K2._coords_memo
+        second = K2.coords(a)
+        assert second == first and second is not first
+        assert all(c.field is K2.field for c in second)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_from_coords_inverts_coords(p):
+    # Over K, and over Q (odd p) on quaternions with those parts.
+    rng = random.Random(140 + p)
+    K = DerivedField(p, _w(p, (1, 0, 1)))
+    samples = _coords_samples(K, rng)
+    for a in samples:
+        assert K.from_coords(K.coords(a)) == a
+    assert [K.from_coords(K.coords(b)) for b in K.constant_basis()] == [K.x() ** j for j in range(p)]
+    if p > 2:
+        Q = QuaternionRing(K)
+        for k in range(len(samples)):
+            q = Q.of(*(samples[(k + m) % len(samples)] for m in range(4)))
+            assert Q.from_coords(Q.coords(q)) == q
+
+
 def test_minimal_p_polynomial_frozen_values():
     # delta = x d/dx over F_2: delta^2 = delta, so g = t^2 + t (i.e. t^2 - t).
     g = minimal_p_polynomial(K2X)

@@ -22,6 +22,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TIMINGS = [
     # p = 7: dim 49, a table of 49^3 coordinates.
     ("structure table, p = 7", "p = 7\ndelta_of_x = x\nd = x\n", ["build", "CFG"]),
+    # p = 13: dim 169, 169^3 (about 4.8 M) coordinates, the largest table
+    # dext.MAX_TABLE_ENTRIES allows.  Each distinct fraction is split over F
+    # once (the field's coordinate memo).
+    ("structure table, p = 13", "p = 13\ndelta_of_x = x\nd = x\n", ["build", "CFG"]),
     # The cost at large p, where the fraction gcds take much of the time.
     # Both run division.probe (an m x m elimination over K per sample),
     # which read unknown (over budget) while the probe worked on dim x dim

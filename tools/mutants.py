@@ -135,6 +135,22 @@ MUTANTS = [
         "tests/test_acceptance.py::test_c01_skew_identity",
     ),
     (
+        "coords-memo-key",
+        "src/diffext/towers.py",
+        "        memo = self._coords_memo\n        key = (a.num_coeffs, a.den_coeffs)",
+        "        memo = self._coords_memo\n        key = a.num_coeffs",
+        "the coordinate memo keyed by the numerator alone",
+        "tests/test_dext.py::test_coords_roundtrip_sampled",
+    ),
+    (
+        "coords-basis-power",
+        "src/diffext/towers.py",
+        "            self._basis = tuple(x ** j for j in range(self.p))",
+        "            self._basis = tuple(x ** j for j in range(1, self.p + 1))",
+        "the field's basis of K over F read one power off, x^1 .. x^p",
+        "tests/test_acceptance.py::test_c03_nuclei",
+    ),
+    (
         "remainder-no-inverse",
         "src/diffext/scalars.py",
         "        c = (rem >> lead & mask) * inv % p",
