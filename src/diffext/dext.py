@@ -358,7 +358,7 @@ class ExtAlgebra:
         one level are held; the nonzero coordinates of each U are read once
         for all n matrices L_a, and ring.coords reduces each coordinate in
         y = x^p.  Every entry of the table is then checked to lie in F,
-        over both rings.
+        over both rings, once per distinct entry.
 
         Raises UnsupportedInstance, before any work, when the table would
         hold more than MAX_TABLE_ENTRIES coordinates.
@@ -388,6 +388,10 @@ class ExtAlgebra:
             vectors = self._units(dim)
             zero = K.zero()
             table = []
+            # The (num, den) keys of the entries already found in F: a table
+            # holds few distinct entries (4 to 22 at p = 3), so each distinct
+            # entry is checked once.
+            checked = set()
             for i in range(m):
                 if i:
                     us = [self._t_mod_f(u) for u in us]
@@ -412,10 +416,15 @@ class ExtAlgebra:
                         # Entries never written are the constant zero itself,
                         # and a first write stores its term as it is.
                         for c in out:
-                            if c is not zero and not K.is_constant(c):
-                                raise InternalInvariantViolation(
-                                    "structure constant %s is not in F" % c
-                                )
+                            if c is zero:
+                                continue
+                            key = (c.num_coeffs, c.den_coeffs)
+                            if key not in checked:
+                                if not K.is_constant(c):
+                                    raise InternalInvariantViolation(
+                                        "structure constant %s is not in F" % c
+                                    )
+                                checked.add(key)
                         row.append(tuple(out))
                 table.extend(rows)
             self._table = table

@@ -90,6 +90,11 @@ quaternion) is written by ``_terms_str``, which holds the notation: zero
 terms left out, a unit alone for a coefficient 1, parentheses where
 ``_needs_parens`` asks for them.  The parser reads back every such
 string over K.
+
+Samples: ``random_poly`` and ``random_ratfunc`` draw on coefficient
+tuples from ``rng.getrandbits`` (``_random_coeffs``), int for int what
+``Random.randrange`` would draw, and a sampled fraction is reduced
+through ``_cancel`` and wrapped by ``_ratfunc``.
 """
 
 from __future__ import annotations
@@ -847,19 +852,72 @@ class RationalFunctionField:
         return "RationalFunctionField(p=%d)" % self.p
 
 
-def random_poly(field, rng, max_degree, *, nonzero=False, monic=False):
-    """Uniform coefficients up to a uniformly chosen degree bound."""
+def _random_coeffs(p: int, rng, max_degree: int, nonzero: bool, monic: bool) -> tuple:
+    """Coefficient tuple of ``random_poly``'s polynomial, from
+    ``rng.getrandbits``.
+
+    Each int below a bound n, first the degree bound and then every
+    coefficient, is the top ``n.bit_length()`` bits of one call, drawn
+    again while it is >= n.  That is ``Random.randrange(n)``'s own rule,
+    so the draws and the generator's final state are those of randrange.
+    The loops stay inline: a helper call per int made a draw about 40%
+    slower.  max_degree < 0 raises ValueError before any draw, as
+    ``randrange(0)`` does; ``getrandbits(0)`` is 0, so the degree loop
+    would never end.
+    """
+    n = max_degree + 1
+    if n < 1:
+        raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
+    getrandbits = rng.getrandbits
+    kn, kp = n.bit_length(), p.bit_length()
     while True:
-        d = rng.randrange(max_degree + 1)
-        coeffs = _trim([rng.randrange(field.p) for _ in range(d + 1)])
-        if monic and coeffs:
-            coeffs = coeffs[:-1] + (1,)
-        if coeffs or not (nonzero or monic):
-            return _poly(field, coeffs)
+        d = getrandbits(kn)
+        while d >= n:
+            d = getrandbits(kn)
+        cs = []
+        for _ in range(d + 1):
+            c = getrandbits(kp)
+            while c >= p:
+                c = getrandbits(kp)
+            cs.append(c)
+        while cs and not cs[-1]:
+            cs.pop()
+        if cs:
+            if monic:
+                cs[-1] = 1
+            return tuple(cs)
+        if not (nonzero or monic):
+            return ()
+
+
+def random_poly(field, rng, max_degree, *, nonzero=False, monic=False):
+    """Uniform coefficients up to a uniformly chosen degree bound.
+
+    It draws exactly what ``rng.randrange`` would: the degree bound
+    ``randrange(max_degree + 1)`` and then each coefficient
+    ``randrange(p)``, again from the degree draw while the polynomial is
+    zero and ``nonzero`` or ``monic`` is set; a monic draw has its top
+    coefficient set to 1.  The ints come from ``rng.getrandbits``, as in
+    a ``random.Random`` (see ``_random_coeffs``).
+    """
+    return _poly(field, _random_coeffs(field.p, rng, max_degree, nonzero, monic))
 
 
 def random_ratfunc(K, rng, max_degree, *, nonzero=False):
-    """Random reduced fraction with numerator and denominator degree bounded."""
-    num = random_poly(K.field, rng, max_degree, nonzero=nonzero)
-    den = random_poly(K.field, rng, max_degree, monic=True)
-    return RatFunc(num, den)
+    """Random reduced fraction with numerator and denominator degree bounded.
+
+    It draws exactly what ``rng.randrange`` would, from a
+    ``random.Random``'s ``getrandbits``: the numerator as
+    ``random_poly(..., nonzero=nonzero)``, then a monic denominator, and
+    reduces them by the field's cancellation memo; the denominator is
+    monic by construction, so no constructor normalises it again.
+    """
+    field = K.field
+    p = field.p
+    num = _random_coeffs(p, rng, max_degree, nonzero, False)
+    den = _random_coeffs(p, rng, max_degree, False, True)
+    if not num:
+        return _ratfunc(field, (), (1,))
+    if len(num) > 1 and len(den) > 1:
+        _, num, den = _cancel(field, num, den)
+    return _ratfunc(field, num, den)

@@ -47,6 +47,26 @@ from diffext.linalg import Matrix
 from diffext.scalars import DensePoly, RatFunc, _exquo, _gcd, _mul
 
 
+def randrange_poly(field, rng, max_degree, *, nonzero=False, monic=False):
+    """A polynomial of degree <= max_degree: the bound by randrange, then
+    each coefficient by randrange(p), drawn again while a nonzero or monic
+    draw is zero; a monic draw has its top coefficient set to 1."""
+    while True:
+        d = rng.randrange(max_degree + 1)
+        coeffs = DensePoly(field, [rng.randrange(field.p) for _ in range(d + 1)]).coeffs
+        if monic and coeffs:
+            coeffs = coeffs[:-1] + (1,)
+        if coeffs or not (nonzero or monic):
+            return DensePoly(field, coeffs)
+
+
+def randrange_ratfunc(K, rng, max_degree, *, nonzero=False):
+    """randrange_poly's numerator over its monic denominator, reduced by
+    the validating constructor."""
+    num = randrange_poly(K.field, rng, max_degree, nonzero=nonzero)
+    return RatFunc(num, randrange_poly(K.field, rng, max_degree, monic=True))
+
+
 def mul_vec(m, vec):
     """The product m * vec of a matrix and a column."""
     if len(vec) != m.ncols:

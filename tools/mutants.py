@@ -414,6 +414,30 @@ MUTANTS = [
         "the JSON report writer writing keys in insertion order, not sorted",
         "tests/test_frontend.py::test_report_dumps_is_the_indenting_encoder_byte_for_byte[empty]",
     ),
+    (
+        "draw-accepts-p",
+        "src/diffext/scalars.py",
+        "            while c >= p:",
+        "            while c > p:",
+        "the sampler keeping a drawn coefficient equal to p",
+        "tests/test_acceptance.py::test_c01_skew_identity",
+    ),
+    (
+        "draw-degree-bits-short",
+        "src/diffext/scalars.py",
+        "    kn, kp = n.bit_length(), p.bit_length()",
+        "    kn, kp = (n - 1).bit_length(), p.bit_length()",
+        "the sampler drawing the degree bound below n on (n - 1).bit_length() bits, not randrange's n.bit_length()",
+        "tests/test_sampling.py::test_random_poly_matches_randrange_draw_for_draw[2]",
+    ),
+    (
+        "table-check-skips-new-entries",
+        "src/diffext/dext.py",
+        "                            if key not in checked:",
+        "                            if key in checked:",
+        "the structure table checking only entries already checked, so none is checked",
+        "tests/test_dext.py::test_structure_constants_check_every_entry_is_constant",
+    ),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_*")
